@@ -19,6 +19,7 @@
 //! documents, exactly matching the paper's table semantics.
 
 use pwnd_corpus::tokenize::Tokenizer;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// One row of the Table 2 data.
@@ -53,20 +54,40 @@ fn counts(tokens: &[String]) -> BTreeMap<&str, f64> {
     m
 }
 
+/// Term counts of `text` under `tokenizer`, in one pass: a term's string
+/// is allocated once, when it is first seen.
+fn count_terms(text: &str, tokenizer: &Tokenizer) -> BTreeMap<String, f64> {
+    let mut m: BTreeMap<String, f64> = BTreeMap::new();
+    tokenizer.for_each_term(text, |t| match m.get_mut(t) {
+        Some(c) => *c += 1.0,
+        None => {
+            m.insert(t.to_string(), 1.0);
+        }
+    });
+    m
+}
+
 impl TfidfTable {
     /// Build from the raw text of all emails (`d_A`) and the opened
-    /// emails (`d_R`), running both through the same tokenizer.
+    /// emails (`d_R`), running both through the same tokenizer. Equal to
+    /// [`TfidfTable::from_tokens`] over `tokenizer.tokenize` of each, but
+    /// counts terms straight off the text.
     pub fn build(all_emails_text: &str, opened_text: &str, tokenizer: &Tokenizer) -> TfidfTable {
-        let toks_a = tokenizer.tokenize(all_emails_text);
-        let toks_r = tokenizer.tokenize(opened_text);
-        Self::from_tokens(&toks_a, &toks_r)
+        let ca = count_terms(all_emails_text, tokenizer);
+        let cr = count_terms(opened_text, tokenizer);
+        Self::from_counts(&ca, &cr)
     }
 
     /// Build from pre-tokenized documents.
     pub fn from_tokens(tokens_a: &[String], tokens_r: &[String]) -> TfidfTable {
-        let ca = counts(tokens_a);
-        let cr = counts(tokens_r);
-        let mut vocab: Vec<&str> = ca.keys().chain(cr.keys()).copied().collect();
+        Self::from_counts(&counts(tokens_a), &counts(tokens_r))
+    }
+
+    fn from_counts<K: Borrow<str> + Ord>(
+        ca: &BTreeMap<K, f64>,
+        cr: &BTreeMap<K, f64>,
+    ) -> TfidfTable {
+        let mut vocab: Vec<&str> = ca.keys().chain(cr.keys()).map(Borrow::borrow).collect();
         vocab.sort_unstable();
         vocab.dedup();
 

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use pwnd_analysis::cvm::{cdf_cvm_inf, cramer_von_mises_2samp, permutation_p_value, statistic};
 use pwnd_analysis::stats::Ecdf;
 use pwnd_analysis::tfidf::TfidfTable;
+use pwnd_corpus::tokenize::Tokenizer;
 
 fn samples(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1_000.0..1_000.0f64, n)
@@ -106,5 +107,25 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&s.tfidf_a));
             prop_assert!((0.0..=1.0).contains(&s.tfidf_r));
         }
+    }
+
+    /// Counting terms straight off the text gives the same table as
+    /// tokenizing first, for arbitrary text and stopwords. The small
+    /// alphabet makes ≥5-letter terms repeat, collide with stopwords in
+    /// any case, and sit next to digits, punctuation and multi-byte
+    /// characters.
+    #[test]
+    fn one_pass_build_equals_from_tokens(
+        all in "[abAB1 ,.é]{0,300}",
+        opened in "[abAB1 ,.é]{0,120}",
+        header in 0usize..4,
+        stopwords in proptest::collection::vec("[abAB]{5,6}", 0..4),
+    ) {
+        let tokenizer = Tokenizer::new().with_extra_stopwords(stopwords.iter());
+        let header = ["", "content", "Charset", "DELIVERED"][header];
+        let all = format!("{all} {header} {all}");
+        let built = TfidfTable::build(&all, &opened, &tokenizer);
+        let reference = TfidfTable::from_tokens(&tokenizer.tokenize(&all), &tokenizer.tokenize(&opened));
+        prop_assert_eq!(built.scores(), reference.scores());
     }
 }

@@ -515,8 +515,11 @@ impl Experiment {
                 }
                 let index_stage = self.telemetry.subspan("index", &[]);
                 service.set_send_from_override(id, "sinkhole@monitor.example");
-                // A lived-in mailbox has a couple of owner rules (§2);
-                // they label the routine traffic during seeding.
+                // A lived-in mailbox has a couple of owner rules (§2).
+                // They are installed after seeding, so they never touch
+                // the seeded mail; only mail delivered later (an
+                // external service's registration confirmation) runs
+                // through them.
                 service.add_rule(
                     id,
                     pwnd_webmail::rules::Rule {

@@ -65,8 +65,8 @@ impl Email {
         format!("{}\n{}", self.subject, self.body)
     }
 
-    /// Whether this message mentions `needle` (case-insensitive), the
-    /// primitive behind the webmail search index's fallback path.
+    /// Whether this message mentions `needle` as a case-insensitive
+    /// substring of its subject or body.
     pub fn contains_term(&self, needle: &str) -> bool {
         let n = needle.to_lowercase();
         self.subject.to_lowercase().contains(&n) || self.body.to_lowercase().contains(&n)

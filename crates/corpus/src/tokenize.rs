@@ -63,12 +63,29 @@ impl Tokenizer {
 
     /// Tokenize `text` into filtered lowercase terms.
     pub fn tokenize(&self, text: &str) -> Vec<String> {
-        text.split(|c: char| !c.is_ascii_alphabetic())
-            .filter(|w| w.len() >= MIN_TERM_LEN)
-            .map(|w| w.to_lowercase())
-            .filter(|w| !HEADER_STOPWORDS.contains(&w.as_str()))
-            .filter(|w| !self.extra_stop.contains(w))
-            .collect()
+        let mut terms = Vec::new();
+        self.for_each_term(text, |t| terms.push(t.to_string()));
+        terms
+    }
+
+    /// Call `f` on each filtered lowercase term of `text`, in order — the
+    /// terms [`Tokenizer::tokenize`] returns, without allocating one
+    /// string per term: each is lowercased into one reused buffer.
+    pub fn for_each_term(&self, text: &str, mut f: impl FnMut(&str)) {
+        let mut term = String::new();
+        for word in text.split(|c: char| !c.is_ascii_alphabetic()) {
+            if word.len() < MIN_TERM_LEN {
+                continue;
+            }
+            term.clear();
+            term.push_str(word);
+            // Words are ASCII-alphabetic runs, so ASCII lowercasing is
+            // exact.
+            term.make_ascii_lowercase();
+            if !HEADER_STOPWORDS.contains(&term.as_str()) && !self.extra_stop.contains(&term) {
+                f(&term);
+            }
+        }
     }
 }
 
@@ -113,6 +130,16 @@ mod tests {
         let toks = t.tokenize("12345 67890abcde payment99999");
         // "abcde" survives (alphabetic run of 5), digits never do.
         assert_eq!(toks, vec!["abcde", "payment"]);
+    }
+
+    #[test]
+    fn for_each_term_visits_the_tokenized_terms_in_order() {
+        let t = Tokenizer::new().with_extra_stopwords(["smith"]);
+        let text = "Smith wrote: PAYMENT due, charset=utf8; transfer Transfer";
+        let mut seen = Vec::new();
+        t.for_each_term(text, |w| seen.push(w.to_string()));
+        assert_eq!(seen, t.tokenize(text));
+        assert_eq!(seen, vec!["wrote", "payment", "transfer", "transfer"]);
     }
 
     #[test]

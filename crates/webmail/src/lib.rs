@@ -15,8 +15,9 @@
 //!
 //! * [`account`] — account records, credentials, lifecycle states;
 //! * [`mailbox`] — folders, read/star flags, drafts;
-//! * [`search`] — an inverted index with provider-side query logs (which
-//!   the monitor can *not* read — the paper lacked search-log access);
+//! * [`search`] — ranked mailbox search and the provider-side query log
+//!   (which the monitor can *not* read — the paper lacked search-log
+//!   access);
 //! * [`activity`] — the visitor-activity page (bounded ring of accesses);
 //! * [`security`] — login risk analysis (the "suspicious login filter"
 //!   Google disabled for the honey accounts) and the abuse detector that

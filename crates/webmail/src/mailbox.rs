@@ -31,6 +31,10 @@ pub struct Entry {
     pub starred: bool,
     /// User-assigned labels.
     pub labels: HashSet<String>,
+    /// Whether provider search sees it: delivered mail and drafts are
+    /// searchable (a draft stays so after it is sent); mail composed and
+    /// sent in one step is not.
+    pub searchable: bool,
 }
 
 /// A single account's mail store.
@@ -56,6 +60,7 @@ impl Mailbox {
                 read: false,
                 starred: false,
                 labels: HashSet::new(), // lint:allow(alloc-hot): empty label set; allocates only when a label lands
+                searchable: true,
             },
         );
     }
@@ -71,13 +76,16 @@ impl Mailbox {
                 read: true,
                 starred: false,
                 labels: HashSet::new(),
+                searchable: true,
             },
         );
     }
 
-    /// Record a sent message in the Sent folder.
+    /// Record a sent message in the Sent folder. A sent draft replaces
+    /// its draft entry and stays searchable.
     pub fn record_sent(&mut self, email: Email) {
         let id = email.id;
+        let searchable = self.entries.get(&id).is_some_and(|e| e.searchable);
         self.entries.insert(
             id,
             Entry {
@@ -86,6 +94,7 @@ impl Mailbox {
                 read: true,
                 starred: false,
                 labels: HashSet::new(), // lint:allow(alloc-hot): empty label set; allocates only when a label lands
+                searchable,
             },
         );
     }
@@ -158,6 +167,14 @@ impl Mailbox {
     /// All entries, in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
         self.entries.values()
+    }
+
+    /// The messages provider search scans, in id order.
+    pub fn searchable(&self) -> impl Iterator<Item = &Email> {
+        self.entries
+            .values()
+            .filter(|e| e.searchable)
+            .map(|e| &e.email)
     }
 
     /// Message count across all folders.

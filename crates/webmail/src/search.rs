@@ -1,28 +1,30 @@
-//! Mailbox search: an inverted index plus provider-side query logs.
+//! Mailbox search plus provider-side query logs.
 //!
 //! Gold diggers find sensitive mail by *searching*, and the paper's key
 //! limitation (§4.3.5) is that researchers could only observe the emails
 //! attackers **opened**, never the query strings — those live in logs only
-//! the provider can read. We reproduce both halves: [`SearchIndex`] serves
-//! ranked results, and every query is appended to a ground-truth log that
-//! the monitor crate has no access to (tests use it to validate the
-//! TF-IDF keyword-inference pipeline against what was really searched).
+//! the provider can read. We reproduce both halves: [`search`] serves
+//! ranked results, and the service appends every query to a ground-truth
+//! [`QueryLogEntry`] log that the monitor crate has no access to (tests
+//! use it to validate the TF-IDF keyword-inference pipeline against what
+//! was really searched).
 //!
-//! ## Fleet-scale representation
+//! ## Scanning instead of indexing
 //!
-//! A fleet of honey accounts shares one corporate vocabulary, so the
-//! index stores postings keyed by 4-byte [`Symbol`]s from a shared
-//! [`Interner`] (owned by the service, one arena per fleet shard)
-//! instead of one owned `String` per term per account. At paper scale
-//! (100 accounts × ~3k distinct terms) this removes ~300k owned
-//! strings; the ranking and results are unchanged — symbols are an
-//! encoding, not a semantic change.
+//! A paper run seeds ~1.3M tokens across 100 mailboxes and answers about
+//! a hundred searches, so there is no inverted index: each query scans
+//! the account's searchable mail directly. Per email, the subject and
+//! body are folded to ASCII lowercase in one reused buffer, and each
+//! query term is found with `match_indices` and accepted only where the
+//! bytes on both sides are not ASCII-alphanumeric. That is exact for the
+//! search token model — a term is a maximal run of ASCII alphanumerics,
+//! compared ASCII-case-insensitively — because ASCII case folding never
+//! moves a run boundary and every byte of a multi-byte UTF-8 character
+//! is a separator.
 
 use crate::mailbox::Mailbox;
-use pwnd_corpus::email::{Email, EmailId, MailTime};
-use pwnd_sim::intern::{Interner, Symbol};
+use pwnd_corpus::email::EmailId;
 use pwnd_sim::SimTime;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One logged query (provider-side ground truth).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,155 +37,54 @@ pub struct QueryLogEntry {
     pub hits: usize,
 }
 
-/// An inverted index over one mailbox.
-///
-/// Term strings live in a caller-provided [`Interner`] (shared across
-/// every index of a service), so the per-index state is symbols and id
-/// sets only. Methods that tokenize text take the arena: mutably when
-/// indexing (new terms are interned), immutably when searching (a term
-/// the arena has never seen cannot match anything).
-#[derive(Clone, Debug, Default)]
-pub struct SearchIndex {
-    postings: BTreeMap<Symbol, BTreeSet<EmailId>>,
-    /// Message timestamps, for recency ranking (Gmail's default order).
-    recency: HashMap<EmailId, MailTime>,
-    query_log: Vec<QueryLogEntry>,
+/// Whether `text` holds `term` as a whole token: a match whose
+/// neighbouring bytes (if any) are not ASCII-alphanumeric. `term` is a
+/// non-empty ASCII-alphanumeric run, so a match that straddles a valid
+/// one is impossible and non-overlapping `match_indices` misses nothing.
+fn contains_token(text: &str, term: &str) -> bool {
+    // `str::contains` has a SIMD fast path that `match_indices` lacks,
+    // and most emails hold no occurrence at all: reject those first.
+    if !text.contains(term) {
+        return false;
+    }
+    let bytes = text.as_bytes();
+    text.match_indices(term).any(|(start, _)| {
+        let end = start + term.len();
+        (start == 0 || !bytes[start - 1].is_ascii_alphanumeric())
+            && (end == bytes.len() || !bytes[end].is_ascii_alphanumeric())
+    })
 }
 
-fn terms_of(text: &str) -> impl Iterator<Item = String> + '_ {
-    // Tokens are pure ASCII alphanumerics by construction of the split,
-    // so the cheap ASCII lowercase is exact.
-    text.split(|c: char| !c.is_ascii_alphanumeric())
+/// Run `query` over the searchable mail in `mailbox`: conjunctive term
+/// match, case-insensitive, results ranked newest-first (Gmail's default)
+/// with the id as tie-break. A query with no terms matches nothing.
+/// Logging the query is the caller's job.
+// lint:hot-root
+pub fn search(mailbox: &Mailbox, query: &str) -> Vec<EmailId> {
+    let mut terms: Vec<String> = query
+        .split(|c: char| !c.is_ascii_alphanumeric())
         .filter(|t| !t.is_empty())
         .map(|t| t.to_ascii_lowercase())
-}
-
-impl SearchIndex {
-    /// An empty index.
-    pub fn new() -> SearchIndex {
-        SearchIndex::default()
+        .collect();
+    if terms.is_empty() {
+        return Vec::new();
     }
-
-    /// Build the index for everything currently in `mailbox`, interning
-    /// terms into `vocab`.
-    pub fn build(mailbox: &Mailbox, vocab: &mut Interner) -> SearchIndex {
-        let mut idx = SearchIndex::new();
-        for entry in mailbox.iter() {
-            idx.add_email(vocab, &entry.email);
+    terms.sort_unstable();
+    terms.dedup();
+    let mut text = String::new();
+    let mut hits = Vec::new();
+    for email in mailbox.searchable() {
+        text.clear();
+        text.push_str(&email.subject);
+        text.push(' ');
+        text.push_str(&email.body);
+        text.make_ascii_lowercase();
+        if terms.iter().all(|t| contains_token(&text, t)) {
+            hits.push((std::cmp::Reverse(email.timestamp), email.id));
         }
-        idx
     }
-
-    /// Index one email. Terms are tokenized straight off the subject and
-    /// body — callers no longer materialize the concatenated
-    /// `full_text()` string just to throw it away after tokenization.
-    /// (Pre-deduplicating terms per email was measured slower than
-    /// letting the postings `BTreeSet` absorb repeats.)
-    pub fn add_email(&mut self, vocab: &mut Interner, email: &Email) {
-        for term in terms_of(&email.subject).chain(terms_of(&email.body)) {
-            let sym = vocab.intern(&term);
-            self.postings.entry(sym).or_default().insert(email.id);
-        }
-        self.recency.insert(email.id, email.timestamp);
-    }
-
-    /// Index one document given as raw text (callers with a real
-    /// [`Email`] should prefer [`SearchIndex::add_email`]).
-    pub fn add(&mut self, vocab: &mut Interner, id: EmailId, text: &str, timestamp: MailTime) {
-        for term in terms_of(text) {
-            let sym = vocab.intern(&term);
-            self.postings.entry(sym).or_default().insert(id);
-        }
-        self.recency.insert(id, timestamp);
-    }
-
-    /// Run a query at time `at`: conjunctive term match, results ranked
-    /// newest-first (Gmail's default). The query is logged provider-side.
-    ///
-    /// The intersection walks the smallest posting list and probes the
-    /// others (`O(min · k·log)` instead of cloning and re-collecting a
-    /// `BTreeSet` per term), and short-circuits to empty as soon as any
-    /// term has no postings at all — including terms the shared arena
-    /// has never interned, which by definition appear in no mailbox.
-    // lint:hot-root
-    pub fn search(&mut self, vocab: &Interner, query: &str, at: SimTime) -> Vec<EmailId> {
-        let mut terms: Vec<String> = terms_of(query).collect();
-        terms.sort_unstable();
-        terms.dedup();
-        let results: Vec<EmailId> = if terms.is_empty() {
-            Vec::new()
-        } else {
-            let mut hits: Vec<EmailId> = {
-                let mut lists: Vec<&BTreeSet<EmailId>> = Vec::with_capacity(terms.len());
-                let mut missing = false;
-                for t in &terms {
-                    match vocab.lookup(t).and_then(|sym| self.postings.get(&sym)) {
-                        Some(p) if !p.is_empty() => lists.push(p),
-                        // A term nobody ever wrote: the conjunction is
-                        // empty, whatever the other lists hold.
-                        _ => {
-                            missing = true;
-                            break;
-                        }
-                    }
-                }
-                if missing {
-                    Vec::new()
-                } else {
-                    lists.sort_by_key(|p| p.len());
-                    let (smallest, rest) = lists.split_first().expect("terms is non-empty");
-                    smallest
-                        .iter()
-                        .filter(|id| rest.iter().all(|p| p.contains(id)))
-                        .copied()
-                        .collect()
-                }
-            };
-            hits.sort_by_key(|id| {
-                (
-                    std::cmp::Reverse(self.recency.get(id).copied().unwrap_or(MailTime(i64::MIN))),
-                    *id,
-                )
-            });
-            hits
-        };
-        self.query_log.push(QueryLogEntry {
-            at,
-            query: query.to_string(),
-            hits: results.len(),
-        });
-        results
-    }
-
-    /// Provider-side query log. **Not** reachable from the monitor crate —
-    /// mirrors the paper's stated limitation.
-    pub fn query_log(&self) -> &[QueryLogEntry] {
-        &self.query_log
-    }
-
-    /// Number of distinct indexed terms.
-    pub fn term_count(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// Approximate heap footprint of this index in bytes, counting the
-    /// postings map (4-byte symbol keys, 8-byte email ids), the recency
-    /// map, and the query log — but **not** the shared arena, which is
-    /// accounted once per service. Feeds the fleet engine's
-    /// `fleet.peak_rss_proxy` metric; never reads the OS.
-    pub fn heap_bytes(&self) -> usize {
-        let posting_ids: usize = self.postings.values().map(|p| p.len()).sum();
-        // Per posting entry: symbol key + set bookkeeping; per id: 8
-        // bytes + B-tree node overhead amortized to ~8.
-        let postings = self.postings.len() * (4 + 24) + posting_ids * 16;
-        let recency = self.recency.len() * (8 + 8 + 16);
-        let log: usize = self
-            .query_log
-            .iter()
-            .map(|q| q.query.len() + std::mem::size_of::<QueryLogEntry>())
-            .sum();
-        postings + recency + log
-    }
+    hits.sort_unstable();
+    hits.into_iter().map(|(_, id)| id).collect()
 }
 
 #[cfg(test)]
@@ -204,7 +105,7 @@ mod tests {
         }
     }
 
-    fn index() -> (SearchIndex, Interner) {
+    fn mailbox() -> Mailbox {
         let mut mb = Mailbox::new();
         mb.deliver(mk(
             1,
@@ -213,99 +114,72 @@ mod tests {
         ));
         mb.deliver(mk(2, "Lunch", "see you at noon"));
         mb.deliver(mk(3, "Account payment", "account number attached"));
-        let mut vocab = Interner::new();
-        let idx = SearchIndex::build(&mb, &mut vocab);
-        (idx, vocab)
+        mb
     }
 
     #[test]
     fn single_term_search_newest_first() {
-        let (mut idx, vocab) = index();
-        let hits = idx.search(&vocab, "payment", SimTime::ZERO);
-        assert_eq!(hits, vec![EmailId(3), EmailId(1)]);
+        assert_eq!(search(&mailbox(), "payment"), vec![EmailId(3), EmailId(1)]);
     }
 
     #[test]
     fn conjunctive_multi_term() {
-        let (mut idx, vocab) = index();
-        let hits = idx.search(&vocab, "account payment", SimTime::ZERO);
-        assert_eq!(hits, vec![EmailId(3)]);
+        assert_eq!(search(&mailbox(), "account payment"), vec![EmailId(3)]);
     }
 
     #[test]
     fn case_insensitive() {
-        let (mut idx, vocab) = index();
-        assert_eq!(idx.search(&vocab, "PAYMENT", SimTime::ZERO).len(), 2);
+        assert_eq!(search(&mailbox(), "PAYMENT").len(), 2);
     }
 
     #[test]
     fn no_hits_and_empty_query() {
-        let (mut idx, vocab) = index();
-        assert!(idx.search(&vocab, "bitcoin", SimTime::ZERO).is_empty());
-        assert!(idx.search(&vocab, "  ", SimTime::ZERO).is_empty());
+        assert!(search(&mailbox(), "bitcoin").is_empty());
+        assert!(search(&mailbox(), "  ").is_empty());
     }
 
     #[test]
-    fn queries_are_logged_with_hit_counts() {
-        let (mut idx, vocab) = index();
-        idx.search(&vocab, "payment", SimTime::from_secs(5));
-        idx.search(&vocab, "bitcoin", SimTime::from_secs(9));
-        let log = idx.query_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].query, "payment");
-        assert_eq!(log[0].hits, 2);
-        assert_eq!(log[1].hits, 0);
-        assert_eq!(log[1].at, SimTime::from_secs(9));
+    fn matches_whole_tokens_only() {
+        let mut mb = Mailbox::new();
+        mb.deliver(mk(1, "prepayment", "payments x2payment"));
+        mb.deliver(mk(2, "re:Payment!", "naïvepayment"));
+        mb.deliver(mk(3, "pay", "ment"));
+        // Only mail 2 holds "payment" as a whole token: punctuation and
+        // the multi-byte `ï` both separate tokens; the subject/body seam
+        // never glues two tokens together.
+        assert_eq!(search(&mb, "payment"), vec![EmailId(2)]);
+        assert!(search(&mb, "payme").is_empty());
+        assert!(search(&mb, "payment2").is_empty());
+        assert_eq!(search(&mb, "x2payment"), vec![EmailId(1)]);
     }
 
     #[test]
-    fn incremental_add_is_searchable() {
-        let (mut idx, mut vocab) = index();
-        idx.add(&mut vocab, EmailId(9), "bitcoin ransom draft", MailTime(5));
+    fn drafts_are_searchable_sent_mail_is_not() {
+        let mut mb = Mailbox::new();
+        mb.store_draft(mk(1, "bitcoin", "draft"));
+        mb.record_sent(mk(2, "bitcoin", "sent"));
+        mb.store_draft(mk(3, "bitcoin", "sent draft"));
+        // Sending a draft promotes it, then records it as sent.
+        let sent = mb.promote_draft(EmailId(3)).unwrap();
+        mb.record_sent(sent);
+        assert_eq!(search(&mb, "bitcoin"), vec![EmailId(3), EmailId(1)]);
+    }
+
+    #[test]
+    fn recency_ranking_overrides_id_order_and_ties_break_by_id() {
+        let mut mb = Mailbox::new();
+        let mut new = mk(1, "payment new", "");
+        new.timestamp = MailTime(100);
+        let mut old = mk(2, "payment old", "");
+        old.timestamp = MailTime(-100);
+        let mut tie = mk(3, "payment tie", "");
+        tie.timestamp = MailTime(100);
+        mb.deliver(old);
+        mb.deliver(tie);
+        mb.deliver(new);
         assert_eq!(
-            idx.search(&vocab, "bitcoin", SimTime::ZERO),
-            vec![EmailId(9)]
+            search(&mb, "payment"),
+            vec![EmailId(1), EmailId(3), EmailId(2)]
         );
-    }
-
-    #[test]
-    fn recency_ranking_overrides_id_order() {
-        let mut vocab = Interner::new();
-        let mut idx = SearchIndex::new();
-        idx.add(&mut vocab, EmailId(1), "payment new", MailTime(100));
-        idx.add(&mut vocab, EmailId(2), "payment old", MailTime(-100));
-        assert_eq!(
-            idx.search(&vocab, "payment", SimTime::ZERO),
-            vec![EmailId(1), EmailId(2)]
-        );
-    }
-
-    #[test]
-    fn shared_arena_deduplicates_vocabulary_across_indexes() {
-        let mut vocab = Interner::new();
-        let mut a = SearchIndex::new();
-        let mut b = SearchIndex::new();
-        a.add(
-            &mut vocab,
-            EmailId(1),
-            "quarterly payment invoice",
-            MailTime(0),
-        );
-        b.add(
-            &mut vocab,
-            EmailId(2),
-            "invoice payment overdue",
-            MailTime(0),
-        );
-        // Four distinct terms total; the arena holds each exactly once.
-        assert_eq!(vocab.len(), 4);
-        assert_eq!(a.search(&vocab, "payment", SimTime::ZERO), vec![EmailId(1)]);
-        assert_eq!(b.search(&vocab, "payment", SimTime::ZERO), vec![EmailId(2)]);
-    }
-
-    #[test]
-    fn heap_bytes_counts_postings() {
-        let (idx, _) = index();
-        assert!(idx.heap_bytes() > 0);
     }
 }

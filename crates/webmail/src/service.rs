@@ -4,7 +4,7 @@
 //! researchers (account creation, corpus seeding, send-from overrides,
 //! periodic activity-page scrapes) and the attackers (logins, searches,
 //! opens, stars, drafts, sends, password changes). It owns every
-//! subsystem — mailboxes, search indexes, activity pages, the risk
+//! subsystem — mailboxes, search query logs, activity pages, the risk
 //! engine, the abuse detector, the mail router and sinkhole — and emits
 //! [`WebmailEvent`]s that the monitoring crate turns into script
 //! notifications.
@@ -15,7 +15,7 @@ use crate::events::WebmailEvent;
 use crate::mailbox::{Folder, Mailbox};
 use crate::mta::{MailRouter, Sinkhole};
 use crate::rules::{Rule, RuleAction, RuleSet};
-use crate::search::SearchIndex;
+use crate::search::{self, QueryLogEntry};
 use crate::security::{AbuseDetector, ContentFlags, LoginSignals, RiskEngine, SecurityPolicy};
 use pwnd_corpus::email::{Email, EmailId, MailTime};
 use pwnd_net::access::{ConnectionInfo, CookieId};
@@ -117,11 +117,10 @@ pub struct WebmailService {
     accounts: Vec<Account>,
     by_address: BTreeMap<Symbol, AccountId>,
     mailboxes: Vec<Mailbox>,
-    indexes: Vec<SearchIndex>,
-    /// Shared string arena: account addresses and the search vocabulary
-    /// of every mailbox intern into one insertion-ordered table, so a
-    /// fleet shard stores each distinct string once.
-    vocab: Interner,
+    /// Provider-side search log per account.
+    query_logs: Vec<Vec<QueryLogEntry>>,
+    /// Interned account addresses, the keys of `by_address`.
+    addresses: Interner,
     rules: Vec<RuleSet>,
     activity: Vec<ActivityPage>,
     habitual: Vec<Vec<GeoPoint>>,
@@ -150,8 +149,8 @@ impl WebmailService {
             accounts: Vec::new(),
             by_address: BTreeMap::new(),
             mailboxes: Vec::new(),
-            indexes: Vec::new(),
-            vocab: Interner::new(),
+            query_logs: Vec::new(),
+            addresses: Interner::new(),
             rules: Vec::new(),
             activity: Vec::new(),
             habitual: Vec::new(),
@@ -202,7 +201,7 @@ impl WebmailService {
         at: SimTime,
     ) -> Result<AccountId, SignupError> {
         if self
-            .vocab
+            .addresses
             .lookup(address)
             .is_some_and(|sym| self.by_address.contains_key(&sym))
         {
@@ -225,10 +224,10 @@ impl WebmailService {
             password_changes: 0,
             last_password_change: None,
         });
-        let sym = self.vocab.intern(address);
+        let sym = self.addresses.intern(address);
         self.by_address.insert(sym, id);
         self.mailboxes.push(Mailbox::new());
-        self.indexes.push(SearchIndex::new());
+        self.query_logs.push(Vec::new());
         self.rules.push(RuleSet::new());
         self.activity.push(ActivityPage::with_capacity(
             self.config.activity_page_capacity,
@@ -257,7 +256,6 @@ impl WebmailService {
                 .into_iter()
                 .cloned()
                 .collect();
-            self.indexes[idx].add_email(&mut self.vocab, &email);
             self.mailboxes[idx].deliver(email);
             for action in actions {
                 match action {
@@ -315,7 +313,7 @@ impl WebmailService {
             return Err(LoginError::Maintenance);
         }
         let Some(&id) = self
-            .vocab
+            .addresses
             .lookup(address)
             .and_then(|sym| self.by_address.get(&sym))
         else {
@@ -480,7 +478,8 @@ impl WebmailService {
         Ok(())
     }
 
-    /// Search the mailbox. The query is logged provider-side only.
+    /// Search the mailbox's seeded mail and drafts (see
+    /// [`search::search`]). The query is logged provider-side only.
     pub fn search(
         &mut self,
         session: SessionId,
@@ -489,26 +488,28 @@ impl WebmailService {
     ) -> Result<Vec<EmailId>, OpError> {
         let (account, _, _) = self.session(session)?;
         self.telemetry.count("webmail.searches");
-        Ok(self.indexes[account.0 as usize].search(&self.vocab, query, at))
+        let idx = account.0 as usize;
+        let hits = search::search(&self.mailboxes[idx], query);
+        self.query_logs[idx].push(QueryLogEntry {
+            at,
+            query: query.to_string(),
+            hits: hits.len(),
+        });
+        Ok(hits)
     }
 
-    /// The shared string arena (account addresses plus the search
-    /// vocabulary of every mailbox).
-    pub fn search_vocab(&self) -> &Interner {
-        &self.vocab
-    }
-
-    /// Approximate heap bytes of the interned hot state: the shared
-    /// arena plus every per-account inverted index. Pure byte-size
+    /// Approximate heap bytes of the service's interned state: the
+    /// address arena plus every provider-side query log. Pure byte-size
     /// accounting (no OS, no wall clock); the fleet engine reports the
     /// high-water of this across shards as `fleet.peak_rss_proxy`.
     pub fn interned_state_bytes(&self) -> usize {
-        self.vocab.heap_bytes()
-            + self
-                .indexes
-                .iter()
-                .map(SearchIndex::heap_bytes)
-                .sum::<usize>()
+        let logs: usize = self
+            .query_logs
+            .iter()
+            .flatten()
+            .map(|q| q.query.len() + std::mem::size_of::<QueryLogEntry>())
+            .sum();
+        self.addresses.heap_bytes() + logs
     }
 
     fn fresh_email_id(&mut self) -> EmailId {
@@ -536,7 +537,6 @@ impl WebmailService {
             body: body.to_string(),
             timestamp: MailTime::from_sim(at),
         };
-        self.indexes[account.0 as usize].add_email(&mut self.vocab, &email);
         self.mailboxes[account.0 as usize].store_draft(email);
         self.events.push(WebmailEvent::DraftCreated {
             account,
@@ -705,8 +705,8 @@ impl WebmailService {
     }
 
     /// Provider-side search log (ground truth; *not* monitor-visible).
-    pub fn query_log(&self, id: AccountId) -> &[crate::search::QueryLogEntry] {
-        self.indexes[id.0 as usize].query_log()
+    pub fn query_log(&self, id: AccountId) -> &[QueryLogEntry] {
+        &self.query_logs[id.0 as usize]
     }
 
     /// The sinkhole store.
@@ -1106,6 +1106,74 @@ mod tests {
             .unwrap()
             .contains(&draft));
         assert_eq!(svc.sinkhole().len(), 1);
+    }
+
+    #[test]
+    fn search_sees_seeded_mail_and_drafts_but_not_direct_sends() {
+        let (mut svc, mut rng) = service();
+        let id = setup_account(&mut svc);
+        let c = conn(&svc, &mut rng, "GB");
+        let (session, _) = svc
+            .login(
+                "honey@honeymail.example",
+                "pw123456",
+                &c,
+                SimTime::from_secs(1),
+            )
+            .unwrap();
+        let to = || vec!["x@y.example".to_string()];
+        let draft = svc
+            .create_draft(
+                session,
+                to(),
+                "Payment draft",
+                "wire the PAYMENT today",
+                SimTime::from_secs(2),
+            )
+            .unwrap();
+        let sent_draft = svc
+            .create_draft(
+                session,
+                to(),
+                "Re: payment",
+                "account closed",
+                SimTime::from_secs(3),
+            )
+            .unwrap();
+        svc.send_draft(session, sent_draft, SimTime::from_secs(4))
+            .unwrap();
+        svc.send_email(
+            session,
+            to(),
+            "payment",
+            "payment account energy",
+            SimTime::from_secs(5),
+        )
+        .unwrap();
+
+        let queries: [(&str, Vec<EmailId>); 5] = [
+            // Drafts carry sim-time stamps, so they outrank seeded mail.
+            ("PAYMENT", vec![sent_draft, draft, EmailId(2)]),
+            ("payment, Account!", vec![sent_draft, EmailId(2)]),
+            ("Energy-Transfer", vec![EmailId(1)]),
+            ("payme", vec![]),
+            ("?!", vec![]),
+        ];
+        for (i, (query, want)) in queries.iter().enumerate() {
+            let at = SimTime::from_secs(10 + i as u64);
+            assert_eq!(&svc.search(session, query, at).unwrap(), want, "{query}");
+        }
+        let log: Vec<(SimTime, &str, usize)> = svc
+            .query_log(id)
+            .iter()
+            .map(|q| (q.at, q.query.as_str(), q.hits))
+            .collect();
+        let want: Vec<(SimTime, &str, usize)> = queries
+            .iter()
+            .enumerate()
+            .map(|(i, (q, hits))| (SimTime::from_secs(10 + i as u64), *q, hits.len()))
+            .collect();
+        assert_eq!(log, want);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use pwnd_net::tor::TorDirectory;
 use pwnd_net::useragent::{Browser, ClientConfig, Os};
 use pwnd_sim::{Rng, SimTime};
 use pwnd_webmail::mailbox::{Folder, Mailbox};
+use pwnd_webmail::search::search;
 use pwnd_webmail::service::{ServiceConfig, WebmailService};
 
 #[derive(Clone, Debug)]
@@ -211,10 +212,10 @@ fn naive_search(emails: &[Email], query: &str) -> Vec<EmailId> {
 }
 
 proptest! {
-    /// The smallest-first probing intersection in `SearchIndex::search`
-    /// agrees with the naive scan-every-email reference on arbitrary
-    /// mailboxes and queries (including repeated terms, case changes,
-    /// punctuation, and terms no email contains).
+    /// The fold-and-find scan in `search::search` agrees with the naive
+    /// tokenize-every-email reference on arbitrary mailboxes and queries
+    /// (including repeated terms, case changes, punctuation, and terms no
+    /// email contains).
     #[test]
     fn optimized_search_matches_naive_reference(
         specs in proptest::collection::vec(
@@ -244,8 +245,6 @@ proptest! {
         for e in &emails {
             mb.deliver(e.clone());
         }
-        let mut vocab = pwnd_sim::intern::Interner::new();
-        let mut idx = pwnd_webmail::search::SearchIndex::build(&mb, &mut vocab);
         for (qi, q) in queries.iter().enumerate() {
             // Indexes past VOCAB map to an unindexed word; odd slots get
             // uppercase + punctuation noise to exercise normalization.
@@ -257,9 +256,41 @@ proptest! {
                 words = words.iter().map(|w| w.to_uppercase()).collect();
             }
             let query = words.join(if qi % 3 == 0 { " " } else { ", " });
-            let got = idx.search(&vocab, &query, SimTime::from_secs(qi as u64));
+            let got = search(&mb, &query);
             let want = naive_search(&emails, &query);
             prop_assert_eq!(got, want, "query {:?}", query);
+        }
+    }
+}
+
+proptest! {
+    /// Token boundaries agree with the reference on raw text: a tiny
+    /// alphabet makes query terms collide with prefixes, suffixes and
+    /// infixes of longer runs, mixed with digits, punctuation and
+    /// multi-byte characters (whose bytes all separate tokens).
+    #[test]
+    fn scan_token_boundaries_match_naive_reference(
+        texts in proptest::collection::vec(("[abAB1 ,.éÜ]{0,12}", "[abAB1 ,.éÜ]{0,30}"), 0..12),
+        queries in proptest::collection::vec("[abAB1 ,!é]{0,8}", 1..8),
+    ) {
+        let emails: Vec<Email> = texts
+            .iter()
+            .enumerate()
+            .map(|(i, (subject, body))| Email {
+                id: EmailId(i as u64),
+                from: "a@x".into(),
+                to: vec!["b@x".into()],
+                subject: subject.clone(),
+                body: body.clone(),
+                timestamp: MailTime((i as i64 * 7) % 5),
+            })
+            .collect();
+        let mut mb = Mailbox::new();
+        for e in &emails {
+            mb.deliver(e.clone());
+        }
+        for query in &queries {
+            prop_assert_eq!(search(&mb, query), naive_search(&emails, query), "query {:?}", query);
         }
     }
 }
