@@ -324,7 +324,7 @@ impl Experiment {
                     .to_string()
                 }),
                 leaked_at_secs: a.leaked_at.as_secs(),
-                hijack_detected_secs: scraper.hijacks_detected().get(&a.id).map(|t| t.as_secs()),
+                hijack_detected_secs: scraper.hijack_detected_at(a.id).map(|t| t.as_secs()),
                 // Block detection is what the daily heartbeats are *for*
                 // (§3.1: "to attest that the account was still functional
                 // and had not been blocked by Google"): a heartbeat

@@ -17,7 +17,6 @@
 
 use pwnd_faults::{FaultPlan, RetryPolicy};
 use pwnd_net::access::{ConnectionInfo, CookieId};
-use pwnd_net::geolocate::INFRA_CITY;
 use pwnd_net::ip::AddressPlan;
 use pwnd_net::useragent::{Browser, ClientConfig, Os};
 use pwnd_sim::{Rng, SimTime};
@@ -25,13 +24,13 @@ use pwnd_telemetry::TelemetrySink;
 use pwnd_webmail::account::AccountId;
 use pwnd_webmail::activity::ActivityRow;
 use pwnd_webmail::service::{LoginError, WebmailService};
-use std::collections::HashMap;
 
 /// Result of one scrape attempt.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScrapeOutcome {
-    /// Page dumped successfully.
-    Ok(Vec<ActivityRow>),
+    /// Page read successfully (and dumped if it changed; see
+    /// [`Scraper::dumps`]).
+    Ok,
     /// Login failed with the researcher password — the account has been
     /// hijacked (password changed by an attacker).
     HijackDetected,
@@ -41,7 +40,8 @@ pub enum ScrapeOutcome {
     /// `confirm_failures` times, so no classification is made.
     FailurePending,
     /// Every attempt failed transiently (driver flake or provider
-    /// maintenance); the sweep learned nothing about this account.
+    /// maintenance), or the account was never registered; the sweep
+    /// learned nothing about this account.
     GaveUp,
 }
 
@@ -63,33 +63,50 @@ pub struct ActivityDump {
     pub rows: Vec<ActivityRow>,
 }
 
+/// Everything the scraper keeps about one account. Account ids are dense,
+/// so the scraper holds one slot per id.
+#[derive(Default)]
+struct Slot {
+    /// Address + password, as the researchers recorded them; `None` for an
+    /// id that was never registered.
+    credentials: Option<(String, String)>,
+    /// One stable browser cookie (the scraper is a device too, and its
+    /// accesses must be filterable from the dataset).
+    cookie: Option<CookieId>,
+    /// Fingerprint of the last-dumped page, so identical consecutive
+    /// scrapes are not stored twice (offline parsing would discard them
+    /// anyway; a 7-month run scrapes tens of thousands of unchanged
+    /// pages).
+    last_page: Option<Vec<(u64, u64)>>,
+    hijack_detected: Option<SimTime>,
+    block_detected: Option<SimTime>,
+    /// Consecutive hard failures of the same class awaiting confirmation.
+    /// Reset by any successful scrape; transient give-ups leave it
+    /// untouched (they carry no information either way).
+    pending_failure: Option<(HardFailure, u32)>,
+    /// Open blind window: when the scraper last stopped seeing the page.
+    gap_open: Option<SimTime>,
+}
+
+impl Slot {
+    /// Registered and neither hijacked nor blocked: still worth scraping.
+    fn monitored(&self) -> bool {
+        self.credentials.is_some()
+            && self.hijack_detected.is_none()
+            && self.block_detected.is_none()
+    }
+}
+
 /// The scraping driver.
 pub struct Scraper {
-    /// address + password per account, as the researchers recorded them.
-    credentials: HashMap<AccountId, (String, String)>,
-    /// One stable browser cookie per account (the scraper is a device too,
-    /// and its accesses must be filterable from the dataset).
-    cookies: HashMap<AccountId, CookieId>,
+    /// Per-account state, indexed by account id.
+    slots: Vec<Slot>,
     dumps: Vec<ActivityDump>,
-    /// Fingerprint of each account's last-dumped page, so identical
-    /// consecutive scrapes are not stored twice (offline parsing would
-    /// discard them anyway; a 7-month run scrapes tens of thousands of
-    /// unchanged pages).
-    last_page: HashMap<AccountId, Vec<(u64, u64)>>,
-    hijack_detected: HashMap<AccountId, SimTime>,
-    block_detected: HashMap<AccountId, SimTime>,
-    /// Consecutive hard failures of the same class, per account, awaiting
-    /// confirmation. Reset by any successful scrape; transient give-ups
-    /// leave it untouched (they carry no information either way).
-    pending_failures: HashMap<AccountId, (HardFailure, u32)>,
     /// Consecutive same-class hard failures required before classifying.
     /// 1 (the default) reproduces the historical trust-the-first-error
     /// behavior; raising it makes a transient provider error no longer
     /// able to mislabel an account as hijacked.
     confirm_failures: u32,
-    /// Open blind windows: account -> when the scraper last stopped
-    /// seeing its page.
-    gap_open: HashMap<AccountId, SimTime>,
     /// Closed blind windows, in close order.
     gaps: Vec<(AccountId, SimTime, SimTime)>,
     fault_plan: FaultPlan,
@@ -102,15 +119,9 @@ impl Scraper {
     /// A scraper with its own RNG stream (for infra IP jitter).
     pub fn new(rng: Rng) -> Scraper {
         Scraper {
-            credentials: HashMap::new(),
-            cookies: HashMap::new(),
+            slots: Vec::new(),
             dumps: Vec::new(),
-            last_page: HashMap::new(),
-            hijack_detected: HashMap::new(),
-            block_detected: HashMap::new(),
-            pending_failures: HashMap::new(),
             confirm_failures: 1,
-            gap_open: HashMap::new(),
             gaps: Vec::new(),
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::default(),
@@ -143,17 +154,25 @@ impl Scraper {
         self.confirm_failures = n.max(1);
     }
 
-    /// Register an account's researcher-held credentials.
+    /// Register an account's researcher-held credentials, replacing any
+    /// recorded earlier.
     pub fn register(&mut self, account: AccountId, address: &str, password: &str) {
-        self.credentials
-            .insert(account, (address.to_string(), password.to_string()));
+        let idx = account.0 as usize;
+        if self.slots.len() <= idx {
+            self.slots.resize_with(idx + 1, Slot::default);
+        }
+        if let Some(slot) = self.slots.get_mut(idx) {
+            slot.credentials = Some((address.to_string(), password.to_string()));
+        }
     }
 
     /// All registered accounts, in id order.
-    pub fn accounts(&self) -> Vec<AccountId> {
-        let mut v: Vec<AccountId> = self.credentials.keys().copied().collect();
-        v.sort_unstable();
-        v
+    pub fn accounts(&self) -> impl Iterator<Item = AccountId> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.credentials.is_some())
+            .map(|(idx, _)| AccountId(idx as u32))
     }
 
     /// Scrape one account now, retrying transient failures with backoff.
@@ -165,13 +184,17 @@ impl Scraper {
         account: AccountId,
         at: SimTime,
     ) -> ScrapeOutcome {
-        let Some((address, password)) = self.credentials.get(&account).cloned() else {
+        let registered = self
+            .slots
+            .get(account.0 as usize)
+            .is_some_and(|slot| slot.credentials.is_some());
+        if !registered {
             // An unregistered account is a driver bug, but the monitor
             // must keep sweeping the rest of the fleet rather than die.
             self.telemetry
                 .count_labeled("monitor.scrapes", "unknown_account");
             return ScrapeOutcome::GaveUp;
-        };
+        }
         self.telemetry.count("monitor.scrapes");
         let mut t = at;
         let mut attempt = 0u32;
@@ -187,14 +210,16 @@ impl Scraper {
                     .count_labeled("faults.injected", "scraper_flake");
                 true
             } else {
-                match self.try_login(service, account, &address, &password, t) {
-                    Ok(rows) => {
+                match self.try_login(service, account, t) {
+                    Ok(()) => {
                         if attempt > 0 {
                             self.telemetry.observe("scraper.retries", attempt as u64);
                         }
-                        self.pending_failures.remove(&account);
+                        if let Some(slot) = self.slots.get_mut(account.0 as usize) {
+                            slot.pending_failure = None;
+                        }
                         self.close_gap(account, t);
-                        return ScrapeOutcome::Ok(rows);
+                        return ScrapeOutcome::Ok;
                     }
                     Err(LoginError::Maintenance) => true,
                     Err(LoginError::BadCredentials) => {
@@ -232,61 +257,68 @@ impl Scraper {
         }
     }
 
-    /// One actual login + page read.
+    /// One actual login + page read, ending with a logout. The page is
+    /// borrowed from the service and copied only when it changed since the
+    /// last dump.
     fn try_login(
         &mut self,
         service: &mut WebmailService,
         account: AccountId,
-        address: &str,
-        password: &str,
         at: SimTime,
-    ) -> Result<Vec<ActivityRow>, LoginError> {
+    ) -> Result<(), LoginError> {
         let ip = AddressPlan::sample_infra(&mut self.rng);
-        // The geo db ships INFRA_CITY, but a scrape must not panic if a
-        // trimmed db drops it: the UK midpoint keeps the login close
-        // enough that distance-based suspicion filters behave the same.
-        let infra_point = service
-            .geolocator()
-            .geo()
-            .by_name(INFRA_CITY)
-            .map(|c| c.point)
-            .unwrap_or(pwnd_net::geo::UK_MIDPOINT);
+        let Some(slot) = self.slots.get_mut(account.0 as usize) else {
+            // `scrape` only calls this for registered accounts.
+            return Err(LoginError::BadCredentials);
+        };
+        let Some((address, password)) = &slot.credentials else {
+            return Err(LoginError::BadCredentials);
+        };
         let mut conn = ConnectionInfo::new(
             ip,
             ClientConfig::plain(Browser::Chrome, Os::Linux),
-            infra_point,
+            service.geolocator().infra().point,
         );
-        if let Some(&cookie) = self.cookies.get(&account) {
+        if let Some(cookie) = slot.cookie {
             conn = conn.with_cookie(cookie);
         }
         let (session, cookie) = service.login(address, password, &conn, at)?;
-        self.cookies.insert(account, cookie);
+        slot.cookie = Some(cookie);
         // "parse" covers reading the activity page and digesting it
         // (fingerprint, dedupe, dump) — the per-account unit of work.
         let _parse = self.telemetry.subspan("parse", &[]);
         // A fresh session always reads its own page in a healthy
         // service; under fault injection the session may already be torn
         // down, which the retry loop should treat as a transient flake.
-        let rows = service
-            .read_activity_page(session)
-            .map_err(|_| LoginError::Maintenance)?;
-        // The scraper's own login mutates the page; fingerprint
-        // only foreign rows so quiet accounts dedupe.
-        let fingerprint: Vec<(u64, u64)> = rows
-            .iter()
-            .filter(|r| r.cookie != cookie)
-            .map(|r| (r.cookie.0, r.at.as_secs()))
-            .collect();
-        if self.last_page.get(&account) != Some(&fingerprint) {
-            self.last_page.insert(account, fingerprint);
-            self.dumps.push(ActivityDump {
-                account,
-                at,
-                rows: rows.clone(), // lint:allow(alloc-hot): the dump archives its own snapshot of the page
-            });
-            self.telemetry.count("monitor.scrape_dumps");
-        }
-        Ok(rows)
+        let read = service.activity_page(session).map(|page| {
+            // The scraper's own login mutates the page; fingerprint
+            // only foreign rows so quiet accounts dedupe.
+            let foreign = || {
+                page.rows()
+                    .filter(|r| r.cookie != cookie)
+                    .map(|r| (r.cookie.0, r.at.as_secs()))
+            };
+            let unchanged = slot
+                .last_page
+                .as_ref()
+                .is_some_and(|last| last.iter().copied().eq(foreign()));
+            if !unchanged {
+                let last = slot.last_page.get_or_insert_with(Vec::new);
+                last.clear();
+                last.extend(foreign());
+                self.dumps.push(ActivityDump {
+                    account,
+                    at,
+                    // The dump archives its own snapshot of a changed page.
+                    rows: page.rows().cloned().collect(),
+                });
+                self.telemetry.count("monitor.scrape_dumps");
+            }
+        });
+        // The page has been read: end the session so the service does not
+        // keep one alive per scrape for the rest of the run.
+        service.logout(session);
+        read.map_err(|_| LoginError::Maintenance)
     }
 
     /// Record a hard failure and classify once it has repeated enough.
@@ -296,46 +328,52 @@ impl Scraper {
         kind: HardFailure,
         at: SimTime,
     ) -> ScrapeOutcome {
-        let entry = self.pending_failures.entry(account).or_insert((kind, 0));
-        if entry.0 == kind {
-            entry.1 += 1;
-        } else {
-            *entry = (kind, 1);
-        }
-        if entry.1 < self.confirm_failures {
+        let Some(slot) = self.slots.get_mut(account.0 as usize) else {
+            return ScrapeOutcome::GaveUp;
+        };
+        let count = match slot.pending_failure {
+            Some((pending, n)) if pending == kind => n + 1,
+            _ => 1,
+        };
+        if count < self.confirm_failures {
+            slot.pending_failure = Some((kind, count));
             // Not confirmed yet; the page is unreadable, so the blind
             // window opens here.
             self.open_gap(account, at);
             return ScrapeOutcome::FailurePending;
         }
-        self.pending_failures.remove(&account);
+        slot.pending_failure = None;
+        let (detected, counter, outcome) = match kind {
+            HardFailure::Hijack => (
+                &mut slot.hijack_detected,
+                "monitor.hijack_detections",
+                ScrapeOutcome::HijackDetected,
+            ),
+            HardFailure::Blocked => (
+                &mut slot.block_detected,
+                "monitor.block_detections",
+                ScrapeOutcome::BlockedDetected,
+            ),
+        };
+        if detected.is_none() {
+            *detected = Some(at);
+            self.telemetry.count(counter);
+        }
         // Monitoring of this account ends now; close its blind window at
         // the moment of classification.
         self.close_gap(account, at);
-        match kind {
-            HardFailure::Hijack => {
-                if !self.hijack_detected.contains_key(&account) {
-                    self.telemetry.count("monitor.hijack_detections");
-                }
-                self.hijack_detected.entry(account).or_insert(at);
-                ScrapeOutcome::HijackDetected
-            }
-            HardFailure::Blocked => {
-                if !self.block_detected.contains_key(&account) {
-                    self.telemetry.count("monitor.block_detections");
-                }
-                self.block_detected.entry(account).or_insert(at);
-                ScrapeOutcome::BlockedDetected
-            }
-        }
+        outcome
     }
 
     fn open_gap(&mut self, account: AccountId, at: SimTime) {
-        self.gap_open.entry(account).or_insert(at);
+        if let Some(slot) = self.slots.get_mut(account.0 as usize) {
+            slot.gap_open.get_or_insert(at);
+        }
     }
 
     fn close_gap(&mut self, account: AccountId, at: SimTime) {
-        if let Some(start) = self.gap_open.remove(&account) {
+        let open = self.slots.get_mut(account.0 as usize);
+        if let Some(start) = open.and_then(|slot| slot.gap_open.take()) {
             if at > start {
                 self.telemetry
                     .trace_with(start.as_secs(), "gap", Some(account.0), || {
@@ -358,27 +396,20 @@ impl Scraper {
         if self.fault_plan.scraper_outage_at(at) {
             self.telemetry
                 .count_labeled("faults.injected", "scraper_outage");
-            for account in self.accounts() {
-                if self.hijack_detected.contains_key(&account)
-                    || self.block_detected.contains_key(&account)
-                {
-                    continue;
-                }
-                self.open_gap(account, at);
+            for slot in self.slots.iter_mut().filter(|slot| slot.monitored()) {
+                slot.gap_open.get_or_insert(at);
             }
             self.telemetry
                 .trace_with(at.as_secs(), "scrape", None, || "skipped: outage".into());
             return;
         }
         let mut attempted = 0u64;
-        for account in self.accounts() {
+        for idx in 0..self.slots.len() {
             // Once hijacked or blocked there is nothing more to scrape.
-            if self.hijack_detected.contains_key(&account)
-                || self.block_detected.contains_key(&account)
-            {
+            if !self.slots.get(idx).is_some_and(Slot::monitored) {
                 continue;
             }
-            let _ = self.scrape(service, account, at);
+            let _ = self.scrape(service, AccountId(idx as u32), at);
             attempted += 1;
         }
         // One trace record per sweep, not per account: a 7-month run
@@ -391,10 +422,8 @@ impl Scraper {
     /// Close every still-open blind window at the end of the run, so the
     /// coverage analysis sees gaps that never recovered.
     pub fn finish(&mut self, at: SimTime) {
-        let mut open: Vec<AccountId> = self.gap_open.keys().copied().collect();
-        open.sort_unstable();
-        for account in open {
-            self.close_gap(account, at);
+        for idx in 0..self.slots.len() {
+            self.close_gap(AccountId(idx as u32), at);
         }
     }
 
@@ -412,14 +441,18 @@ impl Scraper {
             .collect()
     }
 
-    /// When the scraper first noticed a hijack on each account.
-    pub fn hijacks_detected(&self) -> &HashMap<AccountId, SimTime> {
-        &self.hijack_detected
+    /// When the scraper first noticed a hijack on `account`, if it did.
+    pub fn hijack_detected_at(&self, account: AccountId) -> Option<SimTime> {
+        self.slots
+            .get(account.0 as usize)
+            .and_then(|slot| slot.hijack_detected)
     }
 
-    /// When the scraper first noticed a block on each account.
-    pub fn blocks_detected(&self) -> &HashMap<AccountId, SimTime> {
-        &self.block_detected
+    /// When the scraper first noticed a block on `account`, if it did.
+    pub fn block_detected_at(&self, account: AccountId) -> Option<SimTime> {
+        self.slots
+            .get(account.0 as usize)
+            .and_then(|slot| slot.block_detected)
     }
 
     /// Closed blind windows `(account, from, until)`, in close order.
@@ -431,7 +464,7 @@ impl Scraper {
 
     /// The scraper's own cookies (the dataset filter needs them).
     pub fn own_cookies(&self) -> Vec<CookieId> {
-        let mut v: Vec<CookieId> = self.cookies.values().copied().collect();
+        let mut v: Vec<CookieId> = self.slots.iter().filter_map(|slot| slot.cookie).collect();
         v.sort_unstable();
         v
     }
@@ -446,7 +479,7 @@ mod tests {
     use pwnd_net::geolocate::Geolocator;
     use pwnd_net::tor::TorDirectory;
     use pwnd_sim::SimDuration;
-    use pwnd_webmail::service::ServiceConfig;
+    use pwnd_webmail::service::{OpError, ServiceConfig, SessionId};
 
     fn world() -> (WebmailService, Scraper, AccountId) {
         let geo = GeoDb::new();
@@ -514,13 +547,51 @@ mod tests {
         svc.login("h@honeymail.example", "pw", &conn, SimTime::from_secs(100))
             .unwrap();
 
-        match scraper.scrape(&mut svc, id, SimTime::from_secs(200)) {
-            ScrapeOutcome::Ok(rows) => {
-                assert!(rows.iter().any(|r| r.location.country == Some("BR")));
-            }
-            other => panic!("expected Ok, got {other:?}"),
-        }
+        assert_eq!(
+            scraper.scrape(&mut svc, id, SimTime::from_secs(200)),
+            ScrapeOutcome::Ok
+        );
         assert_eq!(scraper.dumps().len(), 1);
+        let rows = &scraper.dumps()[0].rows;
+        assert!(rows.iter().any(|r| r.location.country == Some("BR")));
+    }
+
+    #[test]
+    fn scraper_session_ends_after_the_page_is_read() {
+        let (mut svc, mut scraper, id) = world();
+        assert_eq!(
+            scraper.scrape(&mut svc, id, SimTime::from_secs(10)),
+            ScrapeOutcome::Ok
+        );
+        // The scraper's login was the service's first session.
+        assert_eq!(
+            svc.activity_page(SessionId(1)).unwrap_err(),
+            OpError::InvalidSession
+        );
+        // Ending the session does not end the device: the next login
+        // presents the same cookie, so the page shows one device.
+        assert_eq!(
+            scraper.scrape(&mut svc, id, SimTime::from_secs(20)),
+            ScrapeOutcome::Ok
+        );
+        let rows = &scraper.dumps()[0].rows;
+        assert_eq!(scraper.own_cookies(), vec![rows[0].cookie]);
+        assert_eq!(svc.total_accesses_recorded(id), 2);
+        let conn = ConnectionInfo::new(
+            AddressPlan::sample_infra(&mut Rng::seed_from(5)),
+            ClientConfig::plain(Browser::Chrome, Os::Linux),
+            svc.geolocator().infra().point,
+        );
+        let (session, _) = svc
+            .login("h@honeymail.example", "pw", &conn, SimTime::from_secs(30))
+            .unwrap();
+        let page: Vec<CookieId> = svc
+            .activity_page(session)
+            .unwrap()
+            .rows()
+            .map(|r| r.cookie)
+            .collect();
+        assert_eq!(page[..2], [rows[0].cookie, rows[0].cookie]);
     }
 
     #[test]
@@ -541,8 +612,8 @@ mod tests {
             other => panic!("expected hijack, got {other:?}"),
         }
         assert_eq!(
-            scraper.hijacks_detected().get(&id),
-            Some(&SimTime::from_secs(100))
+            scraper.hijack_detected_at(id),
+            Some(SimTime::from_secs(100))
         );
         // scrape_all skips it afterwards.
         let dumps_before = scraper.dumps().len();
@@ -558,7 +629,7 @@ mod tests {
             ScrapeOutcome::BlockedDetected => {}
             other => panic!("expected blocked, got {other:?}"),
         }
-        assert!(scraper.blocks_detected().contains_key(&id));
+        assert_eq!(scraper.block_detected_at(id), Some(SimTime::from_secs(20)));
     }
 
     #[test]
@@ -574,7 +645,7 @@ mod tests {
                 other => panic!("expected pending, got {other:?}"),
             }
         }
-        assert!(scraper.hijacks_detected().is_empty());
+        assert_eq!(scraper.hijack_detected_at(id), None);
         // Third consecutive failure confirms, stamped at the confirming
         // sweep.
         match scraper.scrape(&mut svc, id, SimTime::from_secs(300)) {
@@ -582,8 +653,8 @@ mod tests {
             other => panic!("expected hijack, got {other:?}"),
         }
         assert_eq!(
-            scraper.hijacks_detected().get(&id),
-            Some(&SimTime::from_secs(300))
+            scraper.hijack_detected_at(id),
+            Some(SimTime::from_secs(300))
         );
         // The unreadable stretch is recorded as a blind window.
         assert_eq!(
@@ -606,10 +677,10 @@ mod tests {
         // The researchers recover the credentials out of band: the next
         // scrape succeeds and wipes the pending count.
         scraper.register(id, "h@honeymail.example", "stolen");
-        match scraper.scrape(&mut svc, id, SimTime::from_secs(200)) {
-            ScrapeOutcome::Ok(_) => {}
-            other => panic!("expected ok, got {other:?}"),
-        }
+        assert_eq!(
+            scraper.scrape(&mut svc, id, SimTime::from_secs(200)),
+            ScrapeOutcome::Ok
+        );
         // The password changes again behind their back; the count starts
         // over from one instead of classifying immediately.
         scraper.register(id, "h@honeymail.example", "wrong");
@@ -617,7 +688,7 @@ mod tests {
             ScrapeOutcome::FailurePending => {}
             other => panic!("expected pending again, got {other:?}"),
         }
-        assert!(scraper.hijacks_detected().is_empty());
+        assert_eq!(scraper.hijack_detected_at(id), None);
     }
 
     #[test]
@@ -639,15 +710,12 @@ mod tests {
         });
         let mut oks = 0;
         for day in 0..20u64 {
-            if matches!(
-                scraper.scrape(&mut svc, id, SimTime::from_secs(day * 86_400)),
-                ScrapeOutcome::Ok(_)
-            ) {
+            if scraper.scrape(&mut svc, id, SimTime::from_secs(day * 86_400)) == ScrapeOutcome::Ok {
                 oks += 1;
             }
         }
         assert!(oks >= 15, "most scrapes should survive retries, got {oks}");
-        assert!(scraper.hijacks_detected().is_empty());
+        assert_eq!(scraper.hijack_detected_at(id), None);
     }
 
     #[test]
@@ -704,6 +772,45 @@ mod tests {
                 assert_eq!(a.fingerprint, b.fingerprint);
             }
         }
+    }
+
+    #[test]
+    fn unregistered_ids_give_up_without_panicking() {
+        let (mut svc, mut scraper, id) = world();
+        let sink = TelemetrySink::enabled();
+        scraper.set_telemetry(sink.clone());
+        // A hole below the last registered id, and ids past the end of
+        // the slots.
+        scraper.register(AccountId(3), "h@honeymail.example", "pw");
+        for stray in [AccountId(2), AccountId(4), AccountId(u32::MAX)] {
+            assert_eq!(
+                scraper.scrape(&mut svc, stray, SimTime::from_secs(10)),
+                ScrapeOutcome::GaveUp
+            );
+            assert_eq!(scraper.hijack_detected_at(stray), None);
+            assert_eq!(scraper.block_detected_at(stray), None);
+        }
+        let metrics = sink.report().metrics;
+        assert_eq!(
+            metrics.counters.get("monitor.scrapes{unknown_account}"),
+            Some(&3)
+        );
+        assert_eq!(metrics.counter("monitor.scrapes"), 3);
+        assert!(scraper.dumps().is_empty());
+        assert_eq!(
+            scraper.accounts().collect::<Vec<_>>(),
+            vec![id, AccountId(3)]
+        );
+    }
+
+    #[test]
+    fn accounts_are_listed_in_id_order() {
+        let mut scraper = Scraper::new(Rng::seed_from(1));
+        for id in [7u32, 2, 5, 0] {
+            scraper.register(AccountId(id), "a@x", "pw");
+        }
+        let ids: Vec<u32> = scraper.accounts().map(|a| a.0).collect();
+        assert_eq!(ids, vec![0, 2, 5, 7]);
     }
 
     #[test]

@@ -32,6 +32,23 @@ pub fn haversine_km(a: GeoPoint, b: GeoPoint) -> f64 {
     2.0 * EARTH_RADIUS_KM * h.sqrt().asin()
 }
 
+/// The smallest great-circle distance from any of `points` to `p`, in
+/// kilometres, or `None` when `points` is empty.
+///
+/// A point equal to `p` short-circuits to `0.0` without any trigonometry:
+/// every term of [`haversine_km`] is then `+0.0`, so the full minimum
+/// would be the same bits. Logins from a habitual place (every scraper
+/// login) take this path.
+pub fn nearest_km(points: &[GeoPoint], p: GeoPoint) -> Option<f64> {
+    if points.contains(&p) {
+        return Some(0.0);
+    }
+    points
+        .iter()
+        .map(|&q| haversine_km(q, p))
+        .min_by(|a, b| a.partial_cmp(b).expect("finite distances"))
+}
+
 /// A gazetteer city: name, ISO-3166 alpha-2 country code, coordinates, and
 /// a relative sampling weight (roughly proportional to metro population).
 #[derive(Clone, Copy, Debug, PartialEq)]

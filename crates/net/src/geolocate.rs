@@ -19,7 +19,7 @@ use std::net::Ipv4Addr;
 pub const INFRA_CITY: &str = "London";
 
 /// What the provider's geolocation database returns for one address.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GeoLocation {
     /// ISO country code, if the block is mapped.
     pub country: Option<&'static str>,
@@ -35,12 +35,31 @@ pub struct Geolocator {
     plan: AddressPlan,
     geo: GeoDb,
     tor: TorDirectory,
+    /// Where every infrastructure address geolocates: [`INFRA_CITY`],
+    /// looked up once instead of on every scrape.
+    infra: GeoLocation,
 }
 
 impl Geolocator {
     /// Assemble from the substrate pieces.
     pub fn new(plan: AddressPlan, geo: GeoDb, tor: TorDirectory) -> Geolocator {
-        Geolocator { plan, geo, tor }
+        let c = geo.by_name(INFRA_CITY).expect("infra city in gazetteer");
+        let infra = GeoLocation {
+            country: Some(c.country),
+            city: c.name,
+            point: c.point,
+        };
+        Geolocator {
+            plan,
+            geo,
+            tor,
+            infra,
+        }
+    }
+
+    /// Where the monitoring infrastructure's addresses geolocate.
+    pub fn infra(&self) -> GeoLocation {
+        self.infra
     }
 
     /// Access to the underlying address plan.
@@ -108,15 +127,7 @@ impl Geolocator {
     /// Geolocate `ip` exactly as the provider's activity page would.
     pub fn locate(&self, ip: Ipv4Addr) -> GeoLocation {
         if AddressPlan::is_infra(ip) {
-            let c = self
-                .geo
-                .by_name(INFRA_CITY)
-                .expect("infra city in gazetteer");
-            return GeoLocation {
-                country: Some(c.country),
-                city: c.name,
-                point: c.point,
-            };
+            return self.infra;
         }
         if let Some(country) = self.tor.exit_country(ip) {
             let c = self.city_for(country, ip);

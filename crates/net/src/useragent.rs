@@ -154,14 +154,6 @@ impl ClientConfig {
             spoof_system: false,
         }
     }
-
-    /// The user-agent string the client transmits, or `None` when hidden.
-    pub fn user_agent_string(&self) -> Option<String> {
-        if self.hide_user_agent {
-            return None;
-        }
-        Some(render_user_agent(self.browser, self.os))
-    }
 }
 
 /// Render a plausible user-agent string for a browser/OS pair.
@@ -197,7 +189,7 @@ pub fn render_user_agent(browser: Browser, os: Os) -> String {
             "Mozilla/5.0 (",
             ") AppleWebKit/537.36 (KHTML, like Gecko) Chrome/44.0.2403.155 Safari/537.36 Vivaldi/1.0.252.3",
         ),
-        Browser::Unknown => return String::new(), // lint:allow(alloc-hot): an empty String never touches the heap
+        Browser::Unknown => return String::new(),
     };
     let mut ua = String::with_capacity(prefix.len() + platform.len() + suffix.len());
     ua.push_str(prefix);
@@ -217,20 +209,20 @@ pub struct Fingerprint {
 
 /// Server-side fingerprinting of a connecting client: parse the UA string
 /// for the browser, fall back to passive system fingerprinting for the OS.
+///
+/// Parsing a rendered UA gives back exactly the pair it was rendered from,
+/// except that an unknown browser sends an empty UA, which reveals no OS
+/// either (`fingerprint_matches_parsing_the_rendered_agent` pins this), so
+/// the result is computed without building the string.
 pub fn fingerprint(config: &ClientConfig) -> Fingerprint {
-    let browser = match config.user_agent_string() {
-        Some(ua) => parse_browser(&ua),
-        None => Browser::Unknown,
-    };
-    let os = if config.spoof_system {
-        Os::Unknown
-    } else if let Some(ua) = config.user_agent_string() {
-        parse_os(&ua)
-    } else {
+    let (browser, os) = match (config.hide_user_agent, config.browser) {
         // Passive fingerprinting (TCP/IP stack quirks) still reveals the
         // OS family for ordinary stacks.
-        config.os
+        (true, _) => (Browser::Unknown, config.os),
+        (false, Browser::Unknown) => (Browser::Unknown, Os::Unknown),
+        (false, browser) => (browser, config.os),
     };
+    let os = if config.spoof_system { Os::Unknown } else { os };
     Fingerprint { browser, os }
 }
 
@@ -307,6 +299,41 @@ mod tests {
                 assert_eq!(parse_os(&ua), os, "ua {ua}");
             }
         }
+    }
+
+    /// All 48 browser/OS pairs, each with every UA-hiding and
+    /// system-spoofing choice, against what the server learns by parsing
+    /// the UA the client would send.
+    #[test]
+    fn fingerprint_matches_parsing_the_rendered_agent() {
+        let browsers = Browser::IDENTIFIABLE.iter().chain([&Browser::Unknown]);
+        let mut pairs = 0;
+        for &browser in browsers {
+            for &os in Os::IDENTIFIABLE.iter().chain([&Os::Unknown]) {
+                pairs += 1;
+                for (hide_user_agent, spoof_system) in
+                    [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let config = ClientConfig {
+                        browser,
+                        os,
+                        hide_user_agent,
+                        spoof_system,
+                    };
+                    let ua = (!hide_user_agent).then(|| render_user_agent(browser, os));
+                    let want = Fingerprint {
+                        browser: ua.as_deref().map_or(Browser::Unknown, parse_browser),
+                        os: match &ua {
+                            _ if spoof_system => Os::Unknown,
+                            Some(ua) => parse_os(ua),
+                            None => os,
+                        },
+                    };
+                    assert_eq!(fingerprint(&config), want, "{config:?}");
+                }
+            }
+        }
+        assert_eq!(pairs, 48);
     }
 
     #[test]

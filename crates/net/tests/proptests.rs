@@ -1,7 +1,7 @@
 //! Property-based tests for the network substrate.
 
 use proptest::prelude::*;
-use pwnd_net::geo::{haversine_km, GeoDb, GeoPoint};
+use pwnd_net::geo::{haversine_km, nearest_km, GeoDb, GeoPoint};
 use pwnd_net::ip::AddressPlan;
 use pwnd_net::tor::TorDirectory;
 use pwnd_net::useragent::{parse_browser, parse_os, render_user_agent, Browser, Os};
@@ -14,10 +14,13 @@ fn lat() -> impl Strategy<Value = f64> {
 fn lon() -> impl Strategy<Value = f64> {
     -180.0..180.0f64
 }
+fn point() -> impl Strategy<Value = GeoPoint> {
+    (lat(), lon()).prop_map(|(lat, lon)| GeoPoint { lat, lon })
+}
 
 proptest! {
     /// Haversine is a metric (up to numerical noise): non-negative,
-    /// symmetric, zero on the diagonal, triangle inequality.
+    /// symmetric, exactly zero on the diagonal, triangle inequality.
     #[test]
     fn haversine_is_a_metric(la in lat(), lo in lon(), lb in lat(), ob in lon(), lc in lat(), oc in lon()) {
         let a = GeoPoint { lat: la, lon: lo };
@@ -29,10 +32,30 @@ proptest! {
         let cb = haversine_km(c, b);
         prop_assert!(ab >= 0.0);
         prop_assert!((ab - ba).abs() < 1e-9);
-        prop_assert!(haversine_km(a, a) < 1e-9);
+        prop_assert_eq!(haversine_km(a, a).to_bits(), 0.0f64.to_bits());
         prop_assert!(ab <= ac + cb + 1e-6, "triangle: {ab} > {ac} + {cb}");
         // Upper bound: half the Earth's circumference.
         prop_assert!(ab <= 20_038.0);
+    }
+
+    /// `nearest_km`'s early exit on an exact match gives the same bits as
+    /// the plain minimum over every distance, with and without `p` among
+    /// the points.
+    #[test]
+    fn nearest_km_is_the_plain_minimum(
+        mut points in proptest::collection::vec(point(), 0..12),
+        p in point(),
+        insert_p in any::<bool>(),
+        at in any::<usize>(),
+    ) {
+        if insert_p {
+            points.insert(at % (points.len() + 1), p);
+        }
+        let naive = points
+            .iter()
+            .map(|&q| haversine_km(q, p))
+            .min_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+        prop_assert_eq!(nearest_km(&points, p).map(f64::to_bits), naive.map(f64::to_bits));
     }
 
     /// Every host the plan samples maps back to its own country, and

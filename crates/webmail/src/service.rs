@@ -19,7 +19,7 @@ use crate::search::{self, QueryLogEntry};
 use crate::security::{AbuseDetector, ContentFlags, LoginSignals, RiskEngine, SecurityPolicy};
 use pwnd_corpus::email::{Email, EmailId, MailTime};
 use pwnd_net::access::{ConnectionInfo, CookieId};
-use pwnd_net::geo::{haversine_km, GeoPoint};
+use pwnd_net::geo::{nearest_km, GeoPoint};
 use pwnd_net::geolocate::Geolocator;
 use pwnd_net::useragent;
 use pwnd_sim::intern::{Interner, Symbol};
@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 /// Login session handle.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SessionId(pub u64);
 
 /// Why an account could not be created.
@@ -124,7 +124,9 @@ pub struct WebmailService {
     rules: Vec<RuleSet>,
     activity: Vec<ActivityPage>,
     habitual: Vec<Vec<GeoPoint>>,
-    sessions: HashMap<SessionId, Session>,
+    /// Live sessions. Ordered so that the churn of scraper logins and
+    /// logouts allocates the same way on every run.
+    sessions: BTreeMap<SessionId, Session>,
     risk: RiskEngine,
     abuse: AbuseDetector,
     router: MailRouter,
@@ -154,7 +156,7 @@ impl WebmailService {
             rules: Vec::new(),
             activity: Vec::new(),
             habitual: Vec::new(),
-            sessions: HashMap::new(),
+            sessions: BTreeMap::new(),
             risk,
             abuse,
             router: MailRouter::new(),
@@ -341,10 +343,7 @@ impl WebmailService {
 
         let via_tor = self.geolocator.is_tor_exit(conn.ip);
         let loc = self.geolocator.locate(conn.ip);
-        let distance = self.habitual[idx]
-            .iter()
-            .map(|&p| haversine_km(p, loc.point))
-            .min_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+        let distance = nearest_km(&self.habitual[idx], loc.point);
         let signals = LoginSignals {
             via_tor,
             distance_from_habitual_km: distance,
@@ -388,7 +387,7 @@ impl WebmailService {
             cookie,
             at,
             ip: conn.ip,
-            location: loc.clone(), // lint:allow(alloc-hot): the activity row owns its location snapshot
+            location: loc,
             fingerprint: useragent::fingerprint(&conn.client),
         });
         // Update habitual locations (bounded window).
@@ -415,6 +414,12 @@ impl WebmailService {
             self.block_account(id, at);
         }
         Ok((session, cookie))
+    }
+
+    /// End a session. Later operations on it fail with
+    /// [`OpError::InvalidSession`]; ending an unknown session does nothing.
+    pub fn logout(&mut self, session: SessionId) {
+        self.sessions.remove(&session);
     }
 
     fn session(&self, session: SessionId) -> Result<(AccountId, CookieId, bool), OpError> {
@@ -662,10 +667,10 @@ impl WebmailService {
         Ok(())
     }
 
-    /// Read the visitor-activity page (what the scraper parses).
-    pub fn read_activity_page(&self, session: SessionId) -> Result<Vec<ActivityRow>, OpError> {
+    /// The visitor-activity page (what the scraper parses).
+    pub fn activity_page(&self, session: SessionId) -> Result<&ActivityPage, OpError> {
         let (account, _, _) = self.session(session)?;
-        Ok(self.activity[account.0 as usize].rows().cloned().collect())
+        Ok(&self.activity[account.0 as usize])
     }
 
     // ------------------------------------------------------------------
@@ -1031,7 +1036,7 @@ mod tests {
                 SimTime::from_secs(5),
             )
             .unwrap();
-        let rows = svc.read_activity_page(session).unwrap();
+        let rows: Vec<&ActivityRow> = svc.activity_page(session).unwrap().rows().collect();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].cookie, cookie);
         assert_eq!(rows[0].location.country, Some("FR"));
@@ -1190,9 +1195,46 @@ mod tests {
             Err(OpError::InvalidSession)
         );
         assert_eq!(
-            svc.read_activity_page(bogus).unwrap_err(),
+            svc.activity_page(bogus).unwrap_err(),
             OpError::InvalidSession
         );
+    }
+
+    #[test]
+    fn logout_ends_only_that_session() {
+        let (mut svc, mut rng) = service();
+        setup_account(&mut svc);
+        let c = conn(&svc, &mut rng, "GB");
+        let login = |svc: &mut WebmailService, at| {
+            svc.login(
+                "honey@honeymail.example",
+                "pw123456",
+                &c,
+                SimTime::from_secs(at),
+            )
+            .unwrap()
+            .0
+        };
+        let ended = login(&mut svc, 1);
+        let kept = login(&mut svc, 2);
+        svc.logout(ended);
+        let at = SimTime::from_secs(3);
+        assert_eq!(
+            svc.open_email(ended, EmailId(1), at),
+            Err(OpError::InvalidSession)
+        );
+        assert_eq!(
+            svc.search(ended, "payment", at),
+            Err(OpError::InvalidSession)
+        );
+        assert_eq!(
+            svc.activity_page(ended).unwrap_err(),
+            OpError::InvalidSession
+        );
+        // Logging out twice is harmless, and other sessions stay alive.
+        svc.logout(ended);
+        assert_eq!(svc.search(kept, "payment", at), Ok(vec![EmailId(2)]));
+        assert_eq!(svc.activity_page(kept).unwrap().len(), 2);
     }
 
     #[test]
