@@ -396,41 +396,45 @@ where
         .collect();
     let error: Mutex<Option<io::Error>> = Mutex::new(None);
     let runner = Runner::new(cfg.jobs).with_telemetry(cfg.telemetry);
-    let batch = runner.run_map_indexed(configs, |slot, output| {
-        let spec = &specs[slot];
-        let mut dataset = output.dataset;
-        for a in &mut dataset.accesses {
-            a.account += spec.account_base;
-        }
-        for a in &mut dataset.accounts {
-            a.account += spec.account_base;
-        }
-        for g in &mut dataset.gaps {
-            g.account += spec.account_base;
-        }
-        let outcome = (|| {
-            let mut bytes = Vec::new();
-            let mut writer = DatasetWriter::new(&mut bytes);
-            writer.write_dataset(&dataset)?;
-            writer.finish()?;
-            let failing = error
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .is_some();
-            if failing {
-                Ok(()) // the batch is already dead; drop this shard
-            } else {
-                on_shard(spec, &bytes)
+    let batch = runner.run_map(
+        configs,
+        |slot, output| {
+            let spec = &specs[slot];
+            let mut dataset = output.dataset;
+            for a in &mut dataset.accesses {
+                a.account += spec.account_base;
             }
-        })();
-        if let Err(e) = outcome {
-            error
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .get_or_insert(e);
-        }
-        output.rss_proxy_bytes
-    });
+            for a in &mut dataset.accounts {
+                a.account += spec.account_base;
+            }
+            for g in &mut dataset.gaps {
+                g.account += spec.account_base;
+            }
+            let outcome = (|| {
+                let mut bytes = Vec::new();
+                let mut writer = DatasetWriter::new(&mut bytes);
+                writer.write_dataset(&dataset)?;
+                writer.finish()?;
+                let failing = error
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .is_some();
+                if failing {
+                    Ok(()) // the batch is already dead; drop this shard
+                } else {
+                    on_shard(spec, &bytes)
+                }
+            })();
+            if let Err(e) = outcome {
+                error
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .get_or_insert(e);
+            }
+            output.rss_proxy_bytes
+        },
+        |_, _| {},
+    );
     if let Some(e) = error
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -463,9 +467,9 @@ fn run_fleet_observed<O: Fn(usize, &TelemetryReport) + Sync>(
     let shard_reports: Mutex<Vec<Option<TelemetryReport>>> =
         Mutex::new((0..sizes.len()).map(|_| None).collect());
     let runner = Runner::new(cfg.jobs).with_telemetry(cfg.telemetry);
-    let batch = runner.run_map_observed(
+    let batch = runner.run_map(
         configs,
-        |output| ShardResult {
+        |_, output| ShardResult {
             rss_proxy_bytes: output.rss_proxy_bytes,
             dataset: output.dataset,
         },

@@ -47,27 +47,16 @@ pub struct Runner {
     telemetry: bool,
 }
 
-/// What a batch produced: the run outputs in submission order, plus the
-/// merged telemetry report (empty unless the runner was built
-/// [`Runner::with_telemetry`]).
-pub struct Batch {
-    /// One output per submitted config, in submission order.
-    pub outputs: Vec<RunOutput>,
+/// What a batch produced: one value per run in submission order — the
+/// [`RunOutput`] itself from [`Runner::run_all`], or whatever
+/// [`Runner::run_map`]'s `map` made of it — plus the merged telemetry
+/// report (empty unless the runner was built [`Runner::with_telemetry`]).
+pub struct Batch<T = RunOutput> {
+    /// One value per submitted config, in submission order.
+    pub outputs: Vec<T>,
     /// Merged telemetry: per-run metrics and traces combined by
     /// [`TelemetryReport::merge`], plus the runner's own `runner.*`
     /// series and phases.
-    pub telemetry: TelemetryReport,
-    /// Worker threads the batch ran across.
-    pub jobs: usize,
-}
-
-/// What [`Runner::run_map`] produced: the mapped per-run values in
-/// submission order, plus the merged telemetry report. [`Batch`] is the
-/// identity-mapped special case.
-pub struct MappedBatch<T> {
-    /// One mapped value per submitted config, in submission order.
-    pub outputs: Vec<T>,
-    /// Merged telemetry (empty unless [`Runner::with_telemetry`]).
     pub telemetry: TelemetryReport,
     /// Worker threads the batch ran across.
     pub jobs: usize,
@@ -114,7 +103,7 @@ impl BatchProfile {
     }
 }
 
-impl Batch {
+impl<T> Batch<T> {
     /// The wall-clock profile of this batch, when telemetry was on.
     pub fn profile(&self) -> Option<BatchProfile> {
         let phase = |name: &str| self.telemetry.phases.iter().find(|p| p.name == name);
@@ -170,81 +159,30 @@ impl Runner {
     /// assert_eq!(batch.outputs.len(), 4);
     /// ```
     pub fn run_all(&self, configs: Vec<ExperimentConfig>) -> Batch {
-        let mapped = self.run_map(configs, |output| output);
-        Batch {
-            outputs: mapped.outputs,
-            telemetry: mapped.telemetry,
-            jobs: mapped.jobs,
-        }
+        self.run_map(configs, |_, output| output, |_, _| {})
     }
 
     /// Run every config and transform each [`RunOutput`] *inside the
-    /// worker* before it is parked in its submission slot. The fleet
-    /// engine uses this to keep only the per-shard dataset and byte
-    /// accounting, dropping the corpus text and ground truth while the
-    /// batch is still running instead of holding every full output
-    /// until the join.
+    /// worker* before it is parked in its submission slot.
     ///
-    /// Ordering contract is identical to [`Runner::run_all`]: `map` is
-    /// applied per run, and results land in submission order whatever
-    /// the schedule.
-    pub fn run_map<T, F>(&self, configs: Vec<ExperimentConfig>, map: F) -> MappedBatch<T>
-    where
-        T: Send,
-        F: Fn(RunOutput) -> T + Sync,
-    {
-        self.run_map_observed(configs, map, |_, _| {})
-    }
-
-    /// [`Runner::run_map`] where `map` also receives the run's
-    /// submission index. The fleet store uses this to rewrite each
-    /// shard's account ids to their fleet-global range *inside the
-    /// worker*, so shard files can be merged by concatenation without
-    /// ever reparsing them.
-    pub fn run_map_indexed<T, F>(&self, configs: Vec<ExperimentConfig>, map: F) -> MappedBatch<T>
-    where
-        T: Send,
-        F: Fn(usize, RunOutput) -> T + Sync,
-    {
-        self.run_map_indexed_observed(configs, map, |_, _| {})
-    }
-
-    /// [`Runner::run_map`] with a telemetry observer: `observe(index,
-    /// report)` is called *inside the worker* with each run's snapshot
-    /// as the run completes — in completion order, which the schedule
-    /// decides, so observers that need submission order must reorder
-    /// (see `OrderedReportWriter` in the fleet engine). This is the
-    /// streaming-telemetry hook: each shard's report can leave the
-    /// process as one JSONL line while the batch is still running,
-    /// instead of accumulating every report until the join.
+    /// `map(index, output)` receives the run's submission index. The
+    /// fleet engine uses it to keep only the per-shard dataset, dropping
+    /// the rest of each output while the batch is still running, and
+    /// the fleet store to rewrite each shard's account ids to their
+    /// fleet-global range so shard files merge by concatenation.
     ///
-    /// With telemetry disabled the observer still fires, with an empty
-    /// report.
-    pub fn run_map_observed<T, F, O>(
-        &self,
-        configs: Vec<ExperimentConfig>,
-        map: F,
-        observe: O,
-    ) -> MappedBatch<T>
-    where
-        T: Send,
-        F: Fn(RunOutput) -> T + Sync,
-        O: Fn(usize, &TelemetryReport) + Sync,
-    {
-        self.run_map_indexed_observed(configs, |_, output| map(output), observe)
-    }
-
-    /// The full-generality primitive behind every `run_*` method: `map`
-    /// receives `(submission index, output)` inside the worker, and
-    /// `observe(index, report)` fires per completed run in completion
-    /// order. Results still land in submission order whatever the
-    /// schedule.
-    pub fn run_map_indexed_observed<T, F, O>(
-        &self,
-        configs: Vec<ExperimentConfig>,
-        map: F,
-        observe: O,
-    ) -> MappedBatch<T>
+    /// `observe(index, report)` is called *inside the worker* with each
+    /// run's telemetry snapshot as the run completes — in completion
+    /// order, which the schedule decides, so observers that need
+    /// submission order must reorder (see `OrderedReportWriter` in the
+    /// fleet engine). This is the streaming-telemetry hook: each
+    /// shard's report can leave the process while the batch is still
+    /// running. With telemetry disabled the observer still fires, with
+    /// an empty report.
+    ///
+    /// Ordering contract is identical to [`Runner::run_all`]: results
+    /// land in submission order whatever the schedule.
+    pub fn run_map<T, F, O>(&self, configs: Vec<ExperimentConfig>, map: F, observe: O) -> Batch<T>
     where
         T: Send,
         F: Fn(usize, RunOutput) -> T + Sync,
@@ -300,7 +238,7 @@ impl Runner {
             TelemetryReport::default()
         };
 
-        MappedBatch {
+        Batch {
             outputs,
             telemetry,
             jobs: workers,
@@ -446,9 +384,9 @@ mod tests {
     fn observer_sees_every_run_report_once_whatever_the_schedule() {
         let observed = |jobs: usize| {
             let seen: Mutex<Vec<(usize, TelemetryReport)>> = Mutex::new(Vec::new());
-            let batch = Runner::new(jobs).with_telemetry(true).run_map_observed(
+            let batch = Runner::new(jobs).with_telemetry(true).run_map(
                 quick_configs(50..54),
-                |o| o.dataset_json(),
+                |_, o| o.dataset_json(),
                 |i, r| {
                     seen.lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -476,8 +414,11 @@ mod tests {
 
     #[test]
     fn indexed_map_sees_each_submission_index_in_the_worker() {
-        let batch =
-            Runner::new(4).run_map_indexed(quick_configs(60..64), |i, o| (i, o.dataset_json()));
+        let batch = Runner::new(4).run_map(
+            quick_configs(60..64),
+            |i, o| (i, o.dataset_json()),
+            |_, _| {},
+        );
         for (slot, (seen, json)) in batch.outputs.iter().enumerate() {
             assert_eq!(*seen, slot, "map saw its own submission index");
             let solo = Experiment::new(ExperimentConfig::quick(60 + slot as u64)).run();

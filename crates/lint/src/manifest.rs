@@ -210,7 +210,7 @@ pwnd-sim.workspace = true\n\
 pwnd-core = { path = \"crates/core\" }\n\
 serde = \"1\"\n\
 [dev-dependencies]\n\
-pwnd-bench.workspace = true\n";
+pwnd-lint.workspace = true\n";
         let d = parse_cargo_deps("bin", "Cargo.toml", toml);
         let names: Vec<&str> = d.deps.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["sim", "core"]);

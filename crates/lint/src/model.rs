@@ -1,15 +1,11 @@
 //! Pass 1 of the workspace engine: distill each [`SourceFile`] into a
-//! compact, serializable [`FileModel`].
+//! compact [`FileModel`].
 //!
-//! The two-pass design exists for two reasons. First, the workspace
-//! rules (`layering`, `alloc-hot`, `schema-drift`, `lock-discipline`)
-//! need *cross-file* facts — who imports whom, which functions call
-//! which, where record tags are defined versus used — that no single
-//! token stream holds. Second, the incremental cache: a `FileModel`
-//! carries everything pass 2 needs and nothing else (no tokens), so an
-//! unchanged file's model can be replayed from the cache without
-//! re-lexing, and the pass-2 verdict over the replayed models is
-//! byte-identical to a cold run.
+//! The workspace rules (`layering`, `alloc-hot`, `schema-drift`,
+//! `lock-discipline`) need *cross-file* facts — who imports whom, which
+//! functions call which, where record tags are defined versus used —
+//! that no single token stream holds. A `FileModel` carries everything
+//! pass 2 needs and nothing else (no tokens).
 //!
 //! Everything here is an over-approximation by design: a call edge that
 //! does not really exist only makes `alloc-hot` stricter, and a missed
@@ -309,7 +305,7 @@ const ALLOC_CTORS: &[(&str, &str)] = &[
 ];
 
 /// Distill a lexed+analyzed file into its model. `local_findings` are
-/// the pass-1 per-file findings, stored so a cached model replays them.
+/// the pass-1 per-file findings, carried into pass 2 with the model.
 pub fn build(sf: &SourceFile, local_findings: Vec<Finding>) -> FileModel {
     let mut m = FileModel {
         path: sf.path.clone(),

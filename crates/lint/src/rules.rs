@@ -11,7 +11,7 @@
 //! `Instant::now()` those imply — including the one taken when a
 //! `SpanGuard` drops — executes inside `pwnd-telemetry`, never at the
 //! call site. Span call sites therefore need no `lint:allow`; a literal
-//! clock read in a deterministic crate is still a finding. The `bench` crate and the `tests/` and
+//! clock read in a deterministic crate is still a finding. The `tests/` and
 //! `examples/` trees are test context and are skipped by every
 //! non-meta rule; the linter itself is a tool and may touch the
 //! filesystem.

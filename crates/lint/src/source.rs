@@ -203,16 +203,14 @@ impl SourceFile {
     }
 }
 
-/// Mark which tokens are test code: whole-file for `tests/`, `examples/`
-/// and bench crates, `#[cfg(test)] mod …` regions, `#[test]`-attributed
+/// Mark which tokens are test code: whole-file for `tests/` and
+/// `examples/` trees, `#[cfg(test)] mod …` regions, `#[test]`-attributed
 /// functions, and `proptest! { … }` macro blocks.
 fn mark_test_regions(tokens: &[Token], path: &str) -> Vec<bool> {
     let mut flags = vec![false; tokens.len()];
     if path.starts_with("tests/")
         || path.starts_with("examples/")
-        || path.starts_with("crates/bench/")
         || path.contains("/tests/")
-        || path.contains("/benches/")
         || path.contains("/examples/")
     {
         flags.iter_mut().for_each(|f| *f = true);

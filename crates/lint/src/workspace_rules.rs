@@ -1,8 +1,6 @@
 //! Pass 2 of the workspace engine: rules that need cross-file facts.
 //!
-//! These run over the distilled [`FileModel`]s (never over tokens), so
-//! they behave identically whether the models came from a cold analysis
-//! or from the incremental cache:
+//! These run over the distilled [`FileModel`]s, never over tokens:
 //!
 //! - `layering` — every declared `pwnd-*` dependency and every
 //!   `pwnd_*` reference in non-test code must be an edge the
@@ -36,7 +34,7 @@ pub struct WorkspaceCtx {
 
 /// Crate kinds pass 2 never applies to: free-floating test trees.
 fn is_test_crate(krate: &str) -> bool {
-    matches!(krate, "tests" | "examples" | "unknown" | "bench")
+    matches!(krate, "tests" | "examples" | "unknown")
 }
 
 /// Run every workspace rule; the engine filters by enabled rule ids.

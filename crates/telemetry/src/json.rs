@@ -181,11 +181,14 @@ impl Json {
 
     // ---- parsing -------------------------------------------------------
 
-    /// Parse one JSON document (trailing whitespace allowed).
+    /// Parse one JSON document (trailing whitespace allowed). Arrays
+    /// and objects nested more than [`MAX_DEPTH`] deep are an error,
+    /// so hostile input cannot exhaust the stack.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -230,9 +233,16 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Every
+/// document the workspace writes nests a handful of levels; the parser
+/// recurses once per level, so the cap bounds its stack use.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -281,12 +291,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -498,6 +523,20 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("123 45").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = Json::parse(&open.repeat(200_000)).unwrap_err();
+            assert_eq!(err.msg, "nesting too deep");
+            assert_eq!(err.at, MAX_DEPTH * open.len());
+        }
+        // Exactly MAX_DEPTH levels still parse.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let too_deep = format!("[{ok}]");
+        assert!(Json::parse(&too_deep).is_err());
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! pwnd serve   --print-routes
 //! pwnd serve-bench --input DIR [--clients N] [--requests N] [--jobs N] [--rate N]
 //!              [--min-throughput N] [--json FILE]
-//! pwnd bench   [--json FILE] [--reps N] [--jobs N] [--check FILE] [--tolerance PCT]
 //! pwnd leaks   [--seed N]
 //! pwnd truth   [--seed N]
 //! pwnd lint    [--deny] [--json] [--rule ID]...
@@ -22,7 +21,7 @@
 
 use pwnd::cli;
 use pwnd::core::fleet::{run_fleet, run_fleet_streaming, FleetConfig};
-use pwnd::telemetry::{Json, Table, TelemetrySink};
+use pwnd::telemetry::{Table, TelemetrySink};
 use pwnd::{Experiment, ExperimentConfig, FaultProfile, Runner};
 use std::process::ExitCode;
 
@@ -42,7 +41,6 @@ commands:
            fleet store (see API.md); stops on EOF on stdin
   serve-bench  load-generate against an in-process daemon over a fleet store
            and report throughput + latency percentiles
-  bench    perf baseline: run the benchmark workloads, report median/min
   leaks    the leak plan actually executed
   truth    ground-truth vs observed audit
   lint     run the determinism & invariant linter over the workspace
@@ -58,7 +56,7 @@ flags:
                    (sweep/chaos) print the runner speedup breakdown too;
                    (serve) print request telemetry on shutdown;
                    (lint) print the lint.findings metrics
-  --jobs N         (sweep/chaos/fleet/bench) worker threads (default: all
+  --jobs N         (sweep/chaos/fleet) worker threads (default: all
                    cores); --jobs 1 is the sequential path, output is identical;
                    (serve/serve-bench) HTTP worker threads (floored at 4),
                    which also bound concurrent connections
@@ -81,10 +79,6 @@ flags:
   --telemetry-out FILE (fleet) stream one telemetry report line per shard
                    there while the fleet runs (forces telemetry on)
   --seeds N        (sweep) number of seeds (default 8)
-  --reps N         (bench) repetitions per workload (default 5)
-  --check FILE     (bench) compare medians against this baseline JSON and
-                   exit nonzero on regression
-  --tolerance PCT  (bench --check) allowed regression percentage (default 25)
   --addr HOST:PORT (serve) listen address (default 127.0.0.1:8080; port 0
                    binds an ephemeral port, printed on startup)
   --rate N         (serve/serve-bench) token-bucket rate limit: N requests/s
@@ -100,7 +94,7 @@ flags:
   --rule ID        (lint) check only this rule (repeatable); unknown rule
                    ids are an error, never a silent pass
   --json           (lint) emit the machine-readable report;
-                   (bench/serve-bench) takes a FILE argument and writes the
+                   (serve-bench) takes a FILE argument and writes the
                    JSON report there
   -h, --help       print this help";
 
@@ -121,14 +115,11 @@ struct Args {
     json: bool,
     json_out: Option<String>,
     jobs: usize,
-    reps: u32,
     filter: Option<String>,
     limit: usize,
     collapsed: Option<String>,
     input: Option<String>,
     telemetry_out: Option<String>,
-    check: Option<String>,
-    tolerance: f64,
     rules: std::collections::BTreeSet<String>,
     addr: String,
     rate: Option<u32>,
@@ -172,14 +163,11 @@ fn parse(mut argv: std::env::Args) -> Cli {
         jobs: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        reps: 5,
         filter: None,
         limit: 0,
         collapsed: None,
         input: None,
         telemetry_out: None,
-        check: None,
-        tolerance: 25.0,
         rules: std::collections::BTreeSet::new(),
         addr: "127.0.0.1:8080".to_string(),
         rate: None,
@@ -254,13 +242,6 @@ fn parse(mut argv: std::env::Args) -> Cli {
                 args.jobs = v;
                 i += 2;
             }
-            "--reps" => {
-                let Some(v) = rest.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return Cli::Invalid;
-                };
-                args.reps = v;
-                i += 2;
-            }
             "--filter" => {
                 let Some(v) = rest.get(i + 1) else {
                     return Cli::Invalid;
@@ -294,20 +275,6 @@ fn parse(mut argv: std::env::Args) -> Cli {
                     return Cli::Invalid;
                 };
                 args.telemetry_out = Some(v.clone());
-                i += 2;
-            }
-            "--check" => {
-                let Some(v) = rest.get(i + 1) else {
-                    return Cli::Invalid;
-                };
-                args.check = Some(v.clone());
-                i += 2;
-            }
-            "--tolerance" => {
-                let Some(v) = rest.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return Cli::Invalid;
-                };
-                args.tolerance = v;
                 i += 2;
             }
             "--addr" => {
@@ -384,9 +351,9 @@ fn parse(mut argv: std::env::Args) -> Cli {
                 i += 2;
             }
             "--json" => {
-                // For bench and serve-bench, --json names the output
-                // file; everywhere else it is a boolean switch.
-                if command == "bench" || command == "serve-bench" {
+                // For serve-bench, --json names the output file;
+                // everywhere else it is a boolean switch.
+                if command == "serve-bench" {
                     let Some(v) = rest.get(i + 1) else {
                         return Cli::Invalid;
                     };
@@ -844,52 +811,6 @@ fn main() -> ExitCode {
                     "pwnd serve-bench: {:.0} req/s clears the {floor:.0} req/s floor",
                     report.throughput_rps
                 );
-            }
-        }
-        "bench" => {
-            let report = cli::bench_report(args.reps, args.jobs);
-            if let Some(path) = &args.check {
-                // The perf-regression gate: compare this machine's fresh
-                // medians against a committed baseline.
-                let baseline = match std::fs::read_to_string(path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|t| Json::parse(&t).map_err(|e| e.to_string()))
-                {
-                    Ok(j) => j,
-                    Err(e) => {
-                        eprintln!("cannot read baseline {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let check = cli::bench_check(&report, &baseline, args.tolerance);
-                print!("{}", check.table);
-                if !check.regressions.is_empty() {
-                    eprintln!(
-                        "bench --check: {} regression(s) beyond {}%:",
-                        check.regressions.len(),
-                        args.tolerance
-                    );
-                    for r in &check.regressions {
-                        eprintln!("  {r}");
-                    }
-                    return ExitCode::FAILURE;
-                }
-                eprintln!(
-                    "bench --check: all metrics within {}% of {path}",
-                    args.tolerance
-                );
-                return ExitCode::SUCCESS;
-            }
-            let json = report.pretty();
-            match &args.json_out {
-                Some(path) => {
-                    if std::fs::write(path, format!("{json}\n")).is_err() {
-                        eprintln!("cannot write {path}");
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("wrote {path}");
-                }
-                None => println!("{json}"),
             }
         }
         "leaks" => {

@@ -1,0 +1,135 @@
+//! Work counters pinned in tier-1: the exact deterministic work a quick
+//! run does, and a ceiling on the allocations it makes.
+//!
+//! A run is a pure function of `(seed, config)`, so its event, login,
+//! scrape and dump counts are exact facts, not measurements: an
+//! unexplained extra login fails here on any host. The allocation count
+//! is deterministic too, but it moves with the toolchain and the build
+//! profile, so it is held under a committed ceiling rather than pinned.
+//! A change that cuts allocations lowers the ceiling along with it.
+//! Wall-clock claims are out of scope here; they belong to same-host
+//! `pwndbench compare` tables.
+
+use pwnd::telemetry::TelemetrySink;
+use pwnd::{Experiment, ExperimentConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) one
+/// untraced `ExperimentConfig::quick(2016)` run may make. Measured at
+/// exactly 197,413 under the `cargo test` (debug) profile with rustc
+/// 1.95.0, the same count in release; the ceiling is that count plus
+/// 0.8%.
+const ALLOC_CEILING: u64 = 199_000;
+
+thread_local! {
+    /// Whether allocations on this thread are being counted. Only the
+    /// test's own thread ever sets it, so libtest's other threads never
+    /// count.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations counted on this thread.
+    static COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting the calls made while [`COUNTING`] is
+/// set on the calling thread.
+struct Counting;
+
+fn record() {
+    // `try_with`: the allocator may run while this thread's locals are
+    // being torn down, when they must not be touched.
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            COUNT.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every method forwards to `System` with the caller's own
+// arguments, so `System`'s guarantees carry over unchanged; the
+// thread-local counters touch no allocator state and never allocate
+// (both are `const`-initialised with no destructor).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record();
+        // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record();
+        // SAFETY: forwarded verbatim; the caller upholds `alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record();
+        // SAFETY: forwarded verbatim; the caller upholds `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded verbatim; the caller upholds `dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations `f` made on the calling thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    COUNT.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    f();
+    COUNTING.with(|on| on.set(false));
+    COUNT.with(Cell::get)
+}
+
+#[test]
+fn quick_run_does_exactly_the_pinned_work_within_the_alloc_ceiling() {
+    // 1. The deterministic work counters of a traced run.
+    let sink = TelemetrySink::enabled();
+    let report = Experiment::new(ExperimentConfig::quick(2016))
+        .with_telemetry(sink)
+        .run()
+        .telemetry_report();
+    // Every series under these names, labelled or not, in key order:
+    // an extra label fails as surely as a changed count.
+    let bases = [
+        "monitor.scrape_dumps",
+        "monitor.scrapes",
+        "sim.events_dispatched",
+        "webmail.logins",
+    ];
+    let counted: Vec<(&str, u64)> = report
+        .metrics
+        .counters
+        .iter()
+        .filter(|(name, _)| name.split('{').next().is_some_and(|b| bases.contains(&b)))
+        .map(|(name, &n)| (name.as_str(), n))
+        .collect();
+    assert_eq!(
+        counted,
+        [
+            ("monitor.scrape_dumps", 1_047),
+            ("monitor.scrapes", 31_822),
+            ("sim.events_dispatched{heartbeat}", 121),
+            ("sim.events_dispatched{scrape}", 480),
+            ("sim.events_dispatched{visit}", 887),
+            ("webmail.logins{bad_credentials}", 225),
+            ("webmail.logins{blocked}", 116),
+            ("webmail.logins{ok}", 32_368),
+        ]
+    );
+
+    // 2. The allocations of an untraced run of the same config. The
+    // traced run above has already paid any one-time, process-wide
+    // initialisation, so this count is the run's own.
+    let cfg = ExperimentConfig::quick(2016);
+    let count = allocations(|| drop(Experiment::new(cfg).run()));
+    assert!(
+        count <= ALLOC_CEILING,
+        "an untraced quick run made {count} allocations, over the ceiling of {ALLOC_CEILING}"
+    );
+}
