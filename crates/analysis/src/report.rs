@@ -9,7 +9,7 @@ use crate::figures::{self, CvmOutcome, Fig1, Fig2, Fig3, Fig4Point, Fig5, Fig6Co
 use crate::sophistication::{sophistication, SophisticationRow};
 use crate::tables::{origin_stats, overview, table1, OriginStats, Overview, Table1Row};
 use crate::tfidf::TfidfTable;
-use pwnd_corpus::tokenize::Tokenizer;
+use pwnd_corpus::tokenize::{TermCounts, Tokenizer};
 use pwnd_monitor::dataset::Dataset;
 use pwnd_net::dnsbl::Blacklist;
 use std::fmt::Write as _;
@@ -89,12 +89,12 @@ fn coverage_stats(ds: &Dataset) -> Option<CoverageStats> {
 }
 
 impl FullAnalysis {
-    /// Run the entire pipeline. `corpus_text` is the concatenated text of
-    /// every seeded email (document `d_A`); `extra_stopwords` carries the
-    /// honey handles and monitor markers the paper stripped.
+    /// Run the entire pipeline. `d_a` holds the word counts of every
+    /// seeded email (document `d_A`); `extra_stopwords` carries the honey
+    /// handles and monitor markers the paper stripped.
     pub fn compute(
         ds: &Dataset,
-        corpus_text: &str,
+        d_a: &TermCounts,
         extra_stopwords: &[String],
         blacklist: Option<&Blacklist>,
     ) -> FullAnalysis {
@@ -113,7 +113,7 @@ impl FullAnalysis {
             fig6,
             cvm,
             origins: origin_stats(ds, blacklist),
-            tfidf: TfidfTable::build(corpus_text, &opened_text, &tokenizer),
+            tfidf: TfidfTable::build(d_a, &opened_text, &tokenizer),
             sophistication: sophistication(ds),
             extended: extended(ds),
             coverage: coverage_stats(ds),
@@ -413,7 +413,7 @@ mod tests {
     #[test]
     fn renders_on_empty_dataset() {
         let ds = Dataset::default();
-        let a = FullAnalysis::compute(&ds, "", &[], None);
+        let a = FullAnalysis::compute(&ds, &TermCounts::new(), &[], None);
         let text = a.render();
         assert!(text.contains("== Overview"));
         assert!(text.contains("Table 2"));
@@ -444,7 +444,7 @@ mod tests {
             from_secs: 100,
             until_secs: 200,
         });
-        let a = FullAnalysis::compute(&ds, "", &[], None);
+        let a = FullAnalysis::compute(&ds, &TermCounts::new(), &[], None);
         let c = a.coverage.as_ref().expect("coverage stats present");
         assert_eq!(c.accounts, 3);
         assert_eq!(c.degraded_accounts, 2);

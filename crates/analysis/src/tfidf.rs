@@ -18,7 +18,7 @@
 //! Values land in [0, 1] and shared terms stay comparable across the two
 //! documents, exactly matching the paper's table semantics.
 
-use pwnd_corpus::tokenize::Tokenizer;
+use pwnd_corpus::tokenize::{TermCounts, Tokenizer};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
@@ -54,28 +54,24 @@ fn counts(tokens: &[String]) -> BTreeMap<&str, f64> {
     m
 }
 
-/// Term counts of `text` under `tokenizer`, in one pass: a term's string
-/// is allocated once, when it is first seen.
-fn count_terms(text: &str, tokenizer: &Tokenizer) -> BTreeMap<String, f64> {
-    let mut m: BTreeMap<String, f64> = BTreeMap::new();
-    tokenizer.for_each_term(text, |t| match m.get_mut(t) {
-        Some(c) => *c += 1.0,
-        None => {
-            m.insert(t.to_string(), 1.0);
-        }
-    });
-    m
+/// `doc`'s terms under `tokenizer`, with their counts as exact `f64`s.
+fn term_counts(doc: &TermCounts, tokenizer: &Tokenizer) -> BTreeMap<String, f64> {
+    doc.terms(tokenizer)
+        .into_iter()
+        .map(|(t, c)| (t, c as f64))
+        .collect()
 }
 
 impl TfidfTable {
-    /// Build from the raw text of all emails (`d_A`) and the opened
-    /// emails (`d_R`), running both through the same tokenizer. Equal to
-    /// [`TfidfTable::from_tokens`] over `tokenizer.tokenize` of each, but
-    /// counts terms straight off the text.
-    pub fn build(all_emails_text: &str, opened_text: &str, tokenizer: &Tokenizer) -> TfidfTable {
-        let ca = count_terms(all_emails_text, tokenizer);
-        let cr = count_terms(opened_text, tokenizer);
-        Self::from_counts(&ca, &cr)
+    /// Build from the word counts of all emails (`d_A`) and the raw text
+    /// of the opened emails (`d_R`), both read through `tokenizer`. Equal
+    /// to [`TfidfTable::from_tokens`] over `tokenizer.tokenize` of both
+    /// documents' text: counts are exact integers, and case folding and
+    /// stop terms apply per word.
+    pub fn build(d_a: &TermCounts, opened_text: &str, tokenizer: &Tokenizer) -> TfidfTable {
+        let mut d_r = TermCounts::new();
+        d_r.add(opened_text);
+        Self::from_counts(&term_counts(d_a, tokenizer), &term_counts(&d_r, tokenizer))
     }
 
     /// Build from pre-tokenized documents.
@@ -147,6 +143,12 @@ impl TfidfTable {
 mod tests {
     use super::*;
 
+    fn counted(text: &str) -> TermCounts {
+        let mut c = TermCounts::new();
+        c.add(text);
+        c
+    }
+
     fn table() -> TfidfTable {
         // d_A: business corpus dominated by "energy"/"transfer".
         let all = "energy transfer company energy transfer schedule energy \
@@ -156,7 +158,7 @@ mod tests {
         let opened = "payment account bitcoin bitcoin family seller \
                       localbitcoins payment account bitcoins below listed \
                       energy transfer";
-        TfidfTable::build(all, opened, &Tokenizer::new())
+        TfidfTable::build(&counted(all), opened, &Tokenizer::new())
     }
 
     #[test]
@@ -214,16 +216,24 @@ mod tests {
 
     #[test]
     fn empty_documents_are_safe() {
-        let t = TfidfTable::build("", "", &Tokenizer::new());
+        let t = TfidfTable::build(&TermCounts::new(), "", &Tokenizer::new());
         assert!(t.scores().is_empty());
         assert!(t.top_searched(10).is_empty());
+    }
+
+    #[test]
+    fn case_and_stop_terms_apply_to_counted_d_a() {
+        let tokenizer = Tokenizer::new().with_extra_stopwords(["james"]);
+        let t = TfidfTable::build(&counted("James ENERGY energy"), "james payment", &tokenizer);
+        assert!(t.get("james").is_none());
+        assert_eq!(t.get("energy").unwrap().tfidf_a, 1.0);
     }
 
     #[test]
     fn preprocessing_is_applied() {
         // Short words and header words never appear as terms.
         let t = TfidfTable::build(
-            "the charset energy",
+            &counted("the charset energy"),
             "the delivered payment",
             &Tokenizer::new(),
         );

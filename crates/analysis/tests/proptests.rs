@@ -4,7 +4,12 @@ use proptest::prelude::*;
 use pwnd_analysis::cvm::{cdf_cvm_inf, cramer_von_mises_2samp, permutation_p_value, statistic};
 use pwnd_analysis::stats::Ecdf;
 use pwnd_analysis::tfidf::TfidfTable;
-use pwnd_corpus::tokenize::Tokenizer;
+use pwnd_corpus::archetype::Archetype;
+use pwnd_corpus::decoy::generate_decoys;
+use pwnd_corpus::generator::CorpusGenerator;
+use pwnd_corpus::persona::PersonaFactory;
+use pwnd_corpus::tokenize::{TermCounts, Tokenizer};
+use pwnd_sim::Rng;
 
 fn samples(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1_000.0..1_000.0f64, n)
@@ -109,11 +114,11 @@ proptest! {
         }
     }
 
-    /// Counting terms straight off the text gives the same table as
-    /// tokenizing first, for arbitrary text and stopwords. The small
-    /// alphabet makes ≥5-letter terms repeat, collide with stopwords in
-    /// any case, and sit next to digits, punctuation and multi-byte
-    /// characters.
+    /// Counting `d_A`'s words as written, then folding case and dropping
+    /// stop terms when the table is built, gives the table that
+    /// tokenizing both documents gives, for arbitrary text and stopwords. The small alphabet makes ≥5-letter
+    /// terms repeat, collide with stopwords in any case, and sit next to
+    /// digits, punctuation and multi-byte characters.
     #[test]
     fn one_pass_build_equals_from_tokens(
         all in "[abAB1 ,.é]{0,300}",
@@ -124,8 +129,72 @@ proptest! {
         let tokenizer = Tokenizer::new().with_extra_stopwords(stopwords.iter());
         let header = ["", "content", "Charset", "DELIVERED"][header];
         let all = format!("{all} {header} {all}");
-        let built = TfidfTable::build(&all, &opened, &tokenizer);
+        let mut d_a = TermCounts::new();
+        d_a.add(&all);
+        let built = TfidfTable::build(&d_a, &opened, &tokenizer);
         let reference = TfidfTable::from_tokens(&tokenizer.tokenize(&all), &tokenizer.tokenize(&opened));
         prop_assert_eq!(built.scores(), reference.scores());
+    }
+
+    /// `d_A` counted email by email as mailboxes are seeded gives, row
+    /// for row and bit for bit, the table that tokenizing the old
+    /// concatenated corpus text (each email's `full_text()` and a
+    /// newline) gave: for generated mailboxes of both archetypes with
+    /// decoys, extra stop terms drawn from the personas' names and the
+    /// corpus's own terms, and opened mail drawn from the corpus.
+    #[test]
+    fn seeded_counts_equal_the_concatenated_corpus(
+        seed in any::<u64>(),
+        activist in any::<bool>(),
+        stop_picks in proptest::collection::vec(0usize..1_000, 0..6),
+        opened_picks in proptest::collection::vec(0usize..1_000, 0..8),
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let archetype = if activist { Archetype::Activist } else { Archetype::CorporateEmployee };
+        let mut factory = PersonaFactory::new();
+        let peers = factory.generate_batch(3, |_| None, &mut rng);
+        let owners = factory.generate_batch(2, |_| None, &mut rng);
+        let mut generator = CorpusGenerator::with_archetype(archetype);
+        let mut emails = Vec::new();
+        for (i, owner) in owners.iter().enumerate() {
+            emails.extend(generator.generate_mailbox(owner, &peers, 5, 15, &mut rng));
+            let decoys = generate_decoys(owner, 1_000_000 + i as u64 * 10, &mut rng);
+            emails.extend(decoys.into_iter().map(|d| d.email));
+        }
+
+        let mut d_a = TermCounts::new();
+        for e in &emails {
+            d_a.add_email(e);
+        }
+        let concatenated: String = emails.iter().map(|e| e.full_text() + "\n").collect();
+        prop_assert_eq!(d_a.len(), concatenated.len());
+
+        let terms: Vec<String> = d_a.terms(&Tokenizer::new()).into_keys().collect();
+        let mut stopwords: Vec<String> = owners
+            .iter()
+            .chain(&peers)
+            .flat_map(|p| [p.first.to_string(), p.last.to_string()])
+            .collect();
+        stopwords.extend(stop_picks.iter().map(|&i| terms[i % terms.len()].to_uppercase()));
+        let tokenizer = Tokenizer::new().with_extra_stopwords(stopwords.iter());
+        let opened: Vec<String> = opened_picks
+            .iter()
+            .map(|&i| emails[i % emails.len()].full_text())
+            .collect();
+        let opened = opened.join("\n");
+
+        let bits = |t: &TfidfTable| -> Vec<(String, u64, u64)> {
+            t.scores()
+                .iter()
+                .map(|s| (s.term.clone(), s.tfidf_r.to_bits(), s.tfidf_a.to_bits()))
+                .collect()
+        };
+        let seeded = TfidfTable::build(&d_a, &opened, &tokenizer);
+        let reference = TfidfTable::from_tokens(
+            &tokenizer.tokenize(&concatenated),
+            &tokenizer.tokenize(&opened),
+        );
+        prop_assert!(!reference.scores().is_empty());
+        prop_assert_eq!(bits(&seeded), bits(&reference));
     }
 }

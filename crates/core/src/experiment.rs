@@ -11,6 +11,7 @@ use pwnd_corpus::decoy::generate_decoys;
 use pwnd_corpus::email::{Email, EmailId, MailTime};
 use pwnd_corpus::generator::CorpusGenerator;
 use pwnd_corpus::persona::{DecoyRegion, Persona, PersonaFactory};
+use pwnd_corpus::tokenize::TermCounts;
 use pwnd_faults::FaultPlan;
 use pwnd_leak::forum::{generate_inquiries, Forum, SellerAccount, TeaserThread};
 use pwnd_leak::malware::{
@@ -156,7 +157,7 @@ impl Experiment {
         // --- Account setup ----------------------------------------------
         let horizon = SimTime::ZERO + SimDuration::days(cfg.observation_days);
         let span = self.telemetry.span("corpus");
-        let (mut accounts, corpus_text, extra_stopwords) = self.setup_accounts(
+        let (mut accounts, d_a, extra_stopwords) = self.setup_accounts(
             &mut service,
             &mut runtime,
             &mut scraper,
@@ -402,7 +403,7 @@ impl Experiment {
             dataset,
             ground_truth,
             leaks,
-            corpus_text,
+            corpus_text: d_a,
             extra_stopwords,
             blacklist,
             telemetry: self.telemetry.clone(),
@@ -418,12 +419,15 @@ impl Experiment {
         geo: &GeoDb,
         rng_setup: &mut Rng,
         rng_corpus: &mut Rng,
-    ) -> (Vec<HoneyAccount>, String, Vec<String>) {
+    ) -> (Vec<HoneyAccount>, TermCounts, Vec<String>) {
         let cfg = &self.config;
         let mut factory = PersonaFactory::new();
         let mut generator = CorpusGenerator::with_archetype(cfg.archetype);
         let mut accounts: Vec<HoneyAccount> = Vec::new();
-        let mut corpus_text = String::new();
+        // Document `d_A` counts words as written: the honey and peer names
+        // only become stop terms once every persona exists, and
+        // `TfidfTable::build` drops them then.
+        let mut d_a = TermCounts::new();
         let mut stopwords: Vec<String> =
             vec!["honeymail".into(), "example".into(), "meridianpower".into()];
 
@@ -448,7 +452,7 @@ impl Experiment {
                     None
                 };
                 // Sub-phase attribution: persona + signup ("addresses"),
-                // email synthesis ("bodies"), TF-IDF corpus accumulation
+                // email synthesis ("bodies"), TF-IDF `d_A` word counting
                 // ("vocab"), and mailbox/rule/script insertion ("index").
                 // Guards never reorder the RNG draws they wrap.
                 let (persona, address, password, id) = {
@@ -489,8 +493,7 @@ impl Experiment {
                 {
                     let _stage = self.telemetry.subspan("vocab", &[]);
                     for e in &mailbox {
-                        corpus_text.push_str(&e.full_text());
-                        corpus_text.push('\n');
+                        d_a.add_email(e);
                     }
                 }
                 let mailbox_len = mailbox.len();
@@ -506,8 +509,7 @@ impl Experiment {
                     {
                         let _stage = self.telemetry.subspan("vocab", &[]);
                         for d in &decoys {
-                            corpus_text.push_str(&d.email.full_text());
-                            corpus_text.push('\n');
+                            d_a.add_email(&d.email);
                         }
                     }
                     let _stage = self.telemetry.subspan("index", &[]);
@@ -570,7 +572,7 @@ impl Experiment {
         }
         stopwords.sort_unstable();
         stopwords.dedup();
-        (accounts, corpus_text, stopwords)
+        (accounts, d_a, stopwords)
     }
 
     fn leak_credentials(

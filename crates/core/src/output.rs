@@ -2,6 +2,7 @@
 //! points.
 
 use pwnd_analysis::report::FullAnalysis;
+use pwnd_corpus::tokenize::TermCounts;
 use pwnd_leak::forum::{Inquiry, SellerAccount, TeaserThread};
 use pwnd_leak::malware::CycleRecord;
 use pwnd_leak::plan::LeakRecord;
@@ -58,8 +59,11 @@ pub struct RunOutput {
     pub ground_truth: GroundTruth,
     /// Where every credential was leaked.
     pub leaks: Vec<LeakRecord>,
-    /// Concatenated text of all seeded emails (TF-IDF document `d_A`).
-    pub corpus_text: String,
+    /// Word counts of every seeded email (TF-IDF document `d_A`),
+    /// counted as the mailboxes were seeded. Its `len()` is the byte
+    /// length the concatenated corpus text would have; the benchmark
+    /// harness reports it as `corpus.text_bytes`.
+    pub corpus_text: TermCounts,
     /// Stopwords stripped before TF-IDF (honey handles, infra markers).
     pub extra_stopwords: Vec<String>,
     /// The DNSBL snapshot for the post-hoc blacklist check.

@@ -150,6 +150,17 @@ mod tests {
     }
 
     #[test]
+    fn bank_decoy_carries_a_routing_number() {
+        let (p, mut rng) = owner();
+        let decoys = generate_decoys(&p, 0, &mut rng);
+        let bank = decoys
+            .iter()
+            .find(|d| d.kind == DecoyKind::BankAccount)
+            .expect("every kind is generated");
+        assert!(bank.email.body.contains("Routing number"));
+    }
+
+    #[test]
     fn ids_use_the_requested_base() {
         let (p, mut rng) = owner();
         let decoys = generate_decoys(&p, 77_000, &mut rng);

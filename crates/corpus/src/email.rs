@@ -64,13 +64,6 @@ impl Email {
     pub fn full_text(&self) -> String {
         format!("{}\n{}", self.subject, self.body)
     }
-
-    /// Whether this message mentions `needle` as a case-insensitive
-    /// substring of its subject or body.
-    pub fn contains_term(&self, needle: &str) -> bool {
-        let n = needle.to_lowercase();
-        self.subject.to_lowercase().contains(&n) || self.body.to_lowercase().contains(&n)
-    }
 }
 
 #[cfg(test)]
@@ -96,14 +89,6 @@ mod tests {
         assert!(before < MailTime(0));
         assert!(MailTime(0) < after);
         assert!((before.as_days_f64() + 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn contains_term_is_case_insensitive() {
-        let e = email();
-        assert!(e.contains_term("TRANSFER"));
-        assert!(e.contains_term("energy"));
-        assert!(!e.contains_term("bitcoin"));
     }
 
     #[test]

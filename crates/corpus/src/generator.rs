@@ -84,10 +84,9 @@ impl CorpusGenerator {
         FILLER[self.filler.sample(rng)]
     }
 
-    fn sentence(&self, rng: &mut Rng, sensitive: bool) -> String {
-        // Words append straight into the sentence buffer: no per-word
-        // String, no intermediate Vec, no join.
-        let mut s = String::with_capacity(96);
+    /// Append one sentence to `s`. Words go straight into the body being
+    /// written: no per-word or per-sentence `String`, no join.
+    fn sentence(&self, rng: &mut Rng, sensitive: bool, s: &mut String) {
         let opener = *rng.choose(&[
             "Please find",
             "As discussed,",
@@ -119,7 +118,6 @@ impl CorpusGenerator {
             s.push_str(self.pick_filler(rng));
         }
         s.push('.');
-        s
     }
 
     fn subject(&self, rng: &mut Rng) -> String {
@@ -136,20 +134,30 @@ impl CorpusGenerator {
         out
     }
 
-    fn body(&self, rng: &mut Rng, owner: &Persona, sender_name: &str) -> String {
+    /// Write one body (greeting, sentences, signature) into `scratch`,
+    /// then copy it out into a `String` of exactly its length.
+    fn body(
+        &self,
+        rng: &mut Rng,
+        owner_first: &str,
+        sender_name: &str,
+        scratch: &mut String,
+    ) -> String {
         let n_sentences = rng.range_u64(2, 6) as usize;
-        let mut lines = Vec::with_capacity(n_sentences + 2);
-        lines.push(format!("Hi {},", owner.first)); // lint:allow(alloc-hot): greeting line is email content being composed
+        scratch.clear();
+        scratch.push_str("Hi ");
+        scratch.push_str(owner_first);
+        scratch.push(',');
         for _ in 0..n_sentences {
             let sensitive = rng.chance(SENSITIVE_MESSAGE_RATE);
-            lines.push(self.sentence(rng, sensitive));
+            scratch.push('\n');
+            self.sentence(rng, sensitive, scratch);
         }
-        // lint:allow(alloc-hot): signature line is email content being composed
-        lines.push(format!(
-            "Thanks,\n{sender_name}\n{}",
-            self.archetype.organization()
-        ));
-        lines.join("\n")
+        scratch.push_str("\nThanks,\n");
+        scratch.push_str(sender_name);
+        scratch.push('\n');
+        scratch.push_str(self.archetype.organization());
+        scratch.as_str().into()
     }
 
     /// Generate one seeded mailbox for `owner`, exchanging mail with
@@ -190,6 +198,18 @@ impl CorpusGenerator {
         }
         let times = translate_timestamps(&originals, HISTORY_WINDOW_DAYS);
 
+        // Addresses and names are formatted once per mailbox; each email
+        // then copies the ones it carries.
+        let owner_address = owner.webmail_address();
+        let owner_name = owner.full_name();
+        let domain = self.archetype.domain();
+        let peer_addresses: Vec<String> = peers
+            .iter()
+            .map(|p| format!("{}@{domain}", p.handle))
+            .collect();
+        let peer_names: Vec<String> = peers.iter().map(Persona::full_name).collect();
+
+        let mut scratch = String::new();
         let mut subject = self.subject(rng);
         let mut last_peer = usize::MAX;
         let mut out = Vec::with_capacity(target);
@@ -198,27 +218,18 @@ impl CorpusGenerator {
                 subject = self.subject(rng);
                 last_peer = peer_idx;
             }
-            let peer = &peers[peer_idx];
-            let peer_address = format!("{}@{}", peer.handle, self.archetype.domain()); // lint:allow(alloc-hot): each Email owns its address strings
-            let (from, to, sender_name) = if owner_sends {
-                (
-                    owner.webmail_address(),
-                    vec![peer_address], // lint:allow(alloc-hot): the recipient list is the Email's own field
-                    owner.full_name(),
-                )
+            let peer_address = &peer_addresses[peer_idx];
+            let (from, to, sender_name): (&str, &str, &str) = if owner_sends {
+                (&owner_address, peer_address, &owner_name)
             } else {
-                (
-                    peer_address,
-                    vec![owner.webmail_address()], // lint:allow(alloc-hot): the recipient list is the Email's own field
-                    peer.full_name(),
-                )
+                (peer_address, &owner_address, &peer_names[peer_idx])
             };
             out.push(Email {
                 id: self.fresh_id(),
-                from,
-                to,
+                from: from.into(),
+                to: vec![to.into()], // lint:allow(alloc-hot): the recipient list is the Email's own field
                 subject: format!("RE: {subject}"), // lint:allow(alloc-hot): per-message subject is the Email's own field
-                body: self.body(rng, owner, &sender_name),
+                body: self.body(rng, owner.first, sender_name, &mut scratch),
                 timestamp: times[i],
             });
         }
@@ -309,7 +320,11 @@ mod tests {
         let mb = g.generate_mailbox(&owner, &peers, 250, 300, &mut rng);
         let with_payment = mb
             .iter()
-            .filter(|e| e.contains_term("payment") || e.contains_term("account"))
+            .filter(|e| {
+                ["payment", "account"]
+                    .iter()
+                    .any(|w| e.subject.contains(w) || e.body.contains(w))
+            })
             .count();
         assert!(with_payment > 0, "no sensitive messages at all");
         assert!(
@@ -317,6 +332,17 @@ mod tests {
             "sensitive messages too common: {with_payment}/{}",
             mb.len()
         );
+    }
+
+    #[test]
+    fn activist_mail_is_signed_by_the_coalition() {
+        let (owner, peers, mut rng) = setup();
+        let mut g = CorpusGenerator::with_archetype(Archetype::Activist);
+        let mb = g.generate_mailbox(&owner, &peers, 20, 30, &mut rng);
+        for e in &mb {
+            assert!(e.body.ends_with("\nOpen Voices Coalition"), "{}", e.body);
+            assert!(!e.body.contains("Meridian Power Group"));
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub struct Persona {
 impl Persona {
     /// The persona's webmail address.
     pub fn webmail_address(&self) -> String {
-        format!("{}@honeymail.example", self.handle) // lint:allow(alloc-hot): returns an owned address by contract
+        format!("{}@honeymail.example", self.handle)
     }
 
     /// The persona's corporate address at the fictitious company.
@@ -87,7 +87,7 @@ impl Persona {
 
     /// Full display name.
     pub fn full_name(&self) -> String {
-        format!("{} {}", self.first, self.last) // lint:allow(alloc-hot): returns an owned name by contract
+        format!("{} {}", self.first, self.last)
     }
 }
 

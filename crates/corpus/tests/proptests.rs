@@ -6,7 +6,56 @@ use pwnd_corpus::persona::{DecoyRegion, PersonaFactory};
 use pwnd_corpus::tokenize::{Tokenizer, HEADER_STOPWORDS, MIN_TERM_LEN};
 use pwnd_sim::Rng;
 
+/// The char-splitting tokenizer `Tokenizer::for_each_term` replaced, kept
+/// as the reference the byte-splitting one must agree with. `extra` holds
+/// the extra stop terms, lowercase.
+fn char_split_terms(text: &str, extra: &[String]) -> Vec<String> {
+    let mut terms = Vec::new();
+    for word in text.split(|c: char| !c.is_ascii_alphabetic()) {
+        if word.len() < MIN_TERM_LEN {
+            continue;
+        }
+        let term = word.to_ascii_lowercase();
+        if !HEADER_STOPWORDS.contains(&term.as_str()) && !extra.contains(&term) {
+            terms.push(term);
+        }
+    }
+    terms
+}
+
+/// Text that puts ASCII letter runs of every length, up to several of the
+/// tokenizer's 64-byte blocks, next to multi-byte letters (some of which
+/// lowercase to ASCII under Unicode rules), digits, punctuation, header
+/// words in any case, and arbitrary code points.
+fn mixed_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        prop_oneof![
+            "[abAB]{1,9}",
+            "[a-zA-Z]{1,12}",
+            "[a-zA-Z]{28,70}",
+            "[a-z]{120,200}",
+            "[éßÄΩİſ\u{212A}日1 ,.\n_-]{1,3}",
+            (0usize..HEADER_STOPWORDS.len()).prop_map(|i| HEADER_STOPWORDS[i].to_uppercase()),
+            (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{FFFD}').to_string()),
+        ],
+        0..40,
+    )
+    .prop_map(|parts| parts.concat())
+}
+
 proptest! {
+    /// Finding words in byte masks gives the terms splitting on `char`s
+    /// gave, for arbitrary Unicode text and extra stop terms.
+    #[test]
+    fn byte_split_matches_char_split(
+        text in mixed_text(),
+        extra in proptest::collection::vec("[abAB]{5,6}", 0..3),
+    ) {
+        let tokenizer = Tokenizer::new().with_extra_stopwords(extra.iter());
+        let extra: Vec<String> = extra.iter().map(|w| w.to_lowercase()).collect();
+        prop_assert_eq!(tokenizer.tokenize(&text), char_split_terms(&text, &extra));
+    }
+
     /// Timestamp translation preserves order and lands strictly before
     /// the epoch, for any input timestamps.
     #[test]

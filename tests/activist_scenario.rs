@@ -13,10 +13,12 @@ fn activist_scenario_flips_the_inferred_vocabulary() {
     let corporate = Experiment::new(corporate_cfg).run();
     let activist = Experiment::new(activist_cfg).run();
 
-    // The activist corpus speaks activist language...
-    assert!(activist.corpus_text.contains("campaign"));
-    assert!(activist.corpus_text.contains("Open Voices Coalition"));
-    assert!(!activist.corpus_text.contains("Meridian Power Group"));
+    // The activist corpus speaks activist language and signs as the
+    // coalition, never as the energy company...
+    let d_a = &activist.corpus_text;
+    assert!(d_a.get("campaign") > 0);
+    assert!(d_a.get("coalition") > 0);
+    assert_eq!(d_a.get("meridian"), 0);
 
     // ...and the targeted attackers search the activist-sensitive pool.
     let activist_queries: Vec<&String> = activist
