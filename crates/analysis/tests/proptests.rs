@@ -136,12 +136,14 @@ proptest! {
         prop_assert_eq!(built.scores(), reference.scores());
     }
 
-    /// `d_A` counted email by email as mailboxes are seeded gives, row
-    /// for row and bit for bit, the table that tokenizing the old
-    /// concatenated corpus text (each email's `full_text()` and a
-    /// newline) gave: for generated mailboxes of both archetypes with
-    /// decoys, extra stop terms drawn from the personas' names and the
-    /// corpus's own terms, and opened mail drawn from the corpus.
+    /// `d_A` as seeding counts it (mailboxes by the generator from its
+    /// own draws, decoys email by email) equals, word for word, an
+    /// email-by-email count of the same mail, and gives, row for row and
+    /// bit for bit, the table that tokenizing the old concatenated corpus
+    /// text (each email's `full_text()` and a newline) gave: for
+    /// generated mailboxes of both archetypes with decoys, extra stop
+    /// terms drawn from the personas' names and the corpus's own terms,
+    /// and opened mail drawn from the corpus.
     #[test]
     fn seeded_counts_equal_the_concatenated_corpus(
         seed in any::<u64>(),
@@ -156,16 +158,21 @@ proptest! {
         let owners = factory.generate_batch(2, |_| None, &mut rng);
         let mut generator = CorpusGenerator::with_archetype(archetype);
         let mut emails = Vec::new();
+        let mut d_a = TermCounts::new();
         for (i, owner) in owners.iter().enumerate() {
-            emails.extend(generator.generate_mailbox(owner, &peers, 5, 15, &mut rng));
+            emails.extend(generator.generate_mailbox(owner, &peers, 5, 15, &mut rng, &mut d_a));
             let decoys = generate_decoys(owner, 1_000_000 + i as u64 * 10, &mut rng);
+            for d in &decoys {
+                d_a.add_email(&d.email);
+            }
             emails.extend(decoys.into_iter().map(|d| d.email));
         }
 
-        let mut d_a = TermCounts::new();
+        let mut read_back = TermCounts::new();
         for e in &emails {
-            d_a.add_email(e);
+            read_back.add_email(e);
         }
+        prop_assert_eq!(&d_a, &read_back);
         let concatenated: String = emails.iter().map(|e| e.full_text() + "\n").collect();
         prop_assert_eq!(d_a.len(), concatenated.len());
 

@@ -452,9 +452,10 @@ impl Experiment {
                     None
                 };
                 // Sub-phase attribution: persona + signup ("addresses"),
-                // email synthesis ("bodies"), TF-IDF `d_A` word counting
-                // ("vocab"), and mailbox/rule/script insertion ("index").
-                // Guards never reorder the RNG draws they wrap.
+                // email synthesis with the mailbox's TF-IDF `d_A` counts
+                // ("bodies"), the decoys' `d_A` counting ("vocab"), and
+                // mailbox/rule/script insertion ("index"). Guards never
+                // reorder the RNG draws they wrap.
                 let (persona, address, password, id) = {
                     let _stage = self.telemetry.subspan("addresses", &[]);
                     let persona = factory.generate(region, rng_setup);
@@ -488,14 +489,9 @@ impl Experiment {
                         cfg.min_emails,
                         cfg.max_emails,
                         rng_corpus,
+                        &mut d_a,
                     )
                 };
-                {
-                    let _stage = self.telemetry.subspan("vocab", &[]);
-                    for e in &mailbox {
-                        d_a.add_email(e);
-                    }
-                }
                 let mailbox_len = mailbox.len();
                 {
                     let _stage = self.telemetry.subspan("index", &[]);

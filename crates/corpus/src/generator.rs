@@ -8,10 +8,22 @@
 //! run them through the same order-preserving timestamp translation the
 //! paper describes (exposed as [`translate_timestamps`] so it can be
 //! tested on its own).
+//!
+//! The generator also counts TF-IDF document `d_A` (§4.3.5) from its
+//! own draws, so the text it writes is never read back. This is exact
+//! because every subject and body is a sequence of pieces — a fixed
+//! piece ([`GREETING`], an [`OPENERS`] entry, [`SIGN_OFF`]), a
+//! vocabulary word, a name, the organization — joined so that at least
+//! one of the two bytes at every join is not a letter (a space, comma,
+//! full stop or newline). No run of letters crosses a join, so the
+//! [words](crate::tokenize::for_each_word) of a text are the words of
+//! its pieces, and counting each piece as often as it was written
+//! counts the text.
 
 use crate::archetype::Archetype;
 use crate::email::{Email, EmailId, MailTime};
 use crate::persona::Persona;
+use crate::tokenize::TermCounts;
 use crate::vocab::{FILLER, SUBJECT_TEMPLATES};
 use pwnd_sim::dist::Zipf;
 use pwnd_sim::Rng;
@@ -21,6 +33,22 @@ pub const HISTORY_WINDOW_DAYS: f64 = 90.0;
 
 /// Probability that a given message carries a sensitive term.
 const SENSITIVE_MESSAGE_RATE: f64 = 0.05;
+
+/// What every body starts with, before the owner's first name.
+pub const GREETING: &str = "Hi ";
+
+/// How every sentence starts.
+pub const OPENERS: [&str; 6] = [
+    "Please find",
+    "As discussed,",
+    "Following up on",
+    "Attached is",
+    "Quick note about",
+    "We would like to review",
+];
+
+/// What comes between a body's last sentence and the sender's name.
+pub const SIGN_OFF: &str = "\nThanks,\n";
 
 /// Order-preserving timestamp translation (§3.2): map original timestamps
 /// (arbitrary units, e.g. seconds in 2001) onto the `window_days` window
@@ -45,11 +73,51 @@ pub fn translate_timestamps(original: &[i64], window_days: f64) -> Vec<MailTime>
         .collect()
 }
 
+/// How many times one mailbox's bodies used each vocabulary slot. The
+/// greeting, sign-off and organization appear once per email, so they
+/// need no tally of their own.
+struct Tally {
+    openers: [u64; OPENERS.len()],
+    core: Vec<u64>,
+    sensitive: Vec<u64>,
+    /// By filler rank.
+    filler: Vec<u64>,
+    owner_signatures: u64,
+    /// By peer.
+    peer_signatures: Vec<u64>,
+}
+
+impl Tally {
+    fn new(archetype: Archetype) -> Tally {
+        Tally {
+            openers: [0; OPENERS.len()],
+            core: vec![0; archetype.core_vocab().len()],
+            sensitive: vec![0; archetype.sensitive_vocab().len()],
+            filler: vec![0; FILLER.len()],
+            owner_signatures: 0,
+            peer_signatures: Vec::new(),
+        }
+    }
+
+    /// Zero every slot, with one signature slot for each of `peers`
+    /// peers.
+    fn reset(&mut self, peers: usize) {
+        self.openers = [0; OPENERS.len()];
+        self.core.fill(0);
+        self.sensitive.fill(0);
+        self.filler.fill(0);
+        self.owner_signatures = 0;
+        self.peer_signatures.clear();
+        self.peer_signatures.resize(peers, 0);
+    }
+}
+
 /// Generates seeded mailboxes for honey accounts.
 pub struct CorpusGenerator {
     next_id: u64,
     filler: Zipf,
     archetype: Archetype,
+    tally: Tally,
 }
 
 impl Default for CorpusGenerator {
@@ -71,6 +139,7 @@ impl CorpusGenerator {
             next_id: 1,
             filler: Zipf::new(FILLER.len(), 1.05),
             archetype,
+            tally: Tally::new(archetype),
         }
     }
 
@@ -80,42 +149,37 @@ impl CorpusGenerator {
         id
     }
 
-    fn pick_filler<'a>(&self, rng: &mut Rng) -> &'a str {
-        FILLER[self.filler.sample(rng)]
-    }
-
-    /// Append one sentence to `s`. Words go straight into the body being
-    /// written: no per-word or per-sentence `String`, no join.
-    fn sentence(&self, rng: &mut Rng, sensitive: bool, s: &mut String) {
-        let opener = *rng.choose(&[
-            "Please find",
-            "As discussed,",
-            "Following up on",
-            "Attached is",
-            "Quick note about",
-            "We would like to review",
-        ]);
-        s.push_str(opener);
+    /// Append one sentence to `s`, tallying each piece by its slot.
+    /// Words go straight into the body being written: no per-word or
+    /// per-sentence `String`, no join.
+    fn sentence(&mut self, rng: &mut Rng, sensitive: bool, s: &mut String) {
+        let opener = rng.index(OPENERS.len());
+        self.tally.openers[opener] += 1;
+        s.push_str(OPENERS[opener]);
         let core = self.archetype.core_vocab();
         let n_core = rng.range_u64(2, 5) as usize;
         for _ in 0..n_core {
-            let word = *rng.choose(core);
+            let k = rng.index(core.len());
+            self.tally.core[k] += 1;
             s.push(' ');
-            s.push_str(word);
+            s.push_str(core[k]);
         }
         if sensitive {
             let pool = self.archetype.sensitive_vocab();
             let n_sensitive = rng.range_u64(2, 5) as usize;
             for _ in 0..n_sensitive {
-                let word = *rng.choose(pool);
+                let k = rng.index(pool.len());
+                self.tally.sensitive[k] += 1;
                 s.push(' ');
-                s.push_str(word);
+                s.push_str(pool[k]);
             }
         }
         let n_fill = rng.range_u64(3, 9) as usize;
         for _ in 0..n_fill {
+            let k = self.filler.sample(rng);
+            self.tally.filler[k] += 1;
             s.push(' ');
-            s.push_str(self.pick_filler(rng));
+            s.push_str(FILLER[k]);
         }
         s.push('.');
     }
@@ -137,7 +201,7 @@ impl CorpusGenerator {
     /// Write one body (greeting, sentences, signature) into `scratch`,
     /// then copy it out into a `String` of exactly its length.
     fn body(
-        &self,
+        &mut self,
         rng: &mut Rng,
         owner_first: &str,
         sender_name: &str,
@@ -145,7 +209,7 @@ impl CorpusGenerator {
     ) -> String {
         let n_sentences = rng.range_u64(2, 6) as usize;
         scratch.clear();
-        scratch.push_str("Hi ");
+        scratch.push_str(GREETING);
         scratch.push_str(owner_first);
         scratch.push(',');
         for _ in 0..n_sentences {
@@ -153,7 +217,7 @@ impl CorpusGenerator {
             scratch.push('\n');
             self.sentence(rng, sensitive, scratch);
         }
-        scratch.push_str("\nThanks,\n");
+        scratch.push_str(SIGN_OFF);
         scratch.push_str(sender_name);
         scratch.push('\n');
         scratch.push_str(self.archetype.organization());
@@ -165,6 +229,11 @@ impl CorpusGenerator {
     /// `min_emails` and `max_emails` messages whose timestamps all fall in
     /// the [`HISTORY_WINDOW_DAYS`] window before the epoch, in
     /// chronological order.
+    ///
+    /// Counts the mailbox into TF-IDF document `d_a` as each email's
+    /// subject line, then its body (what [`TermCounts::add_email`] of
+    /// each email would count), from the pieces drawn rather than the
+    /// text written; see the module docs for why that is exact.
     // lint:hot-root
     pub fn generate_mailbox(
         &mut self,
@@ -173,6 +242,7 @@ impl CorpusGenerator {
         min_emails: usize,
         max_emails: usize,
         rng: &mut Rng,
+        d_a: &mut TermCounts,
     ) -> Vec<Email> {
         assert!(min_emails <= max_emails && min_emails > 0);
         assert!(!peers.is_empty(), "mailbox needs at least one peer");
@@ -209,30 +279,71 @@ impl CorpusGenerator {
             .collect();
         let peer_names: Vec<String> = peers.iter().map(Persona::full_name).collect();
 
+        self.tally.reset(peers.len());
         let mut scratch = String::new();
+        let mut bytes = 0;
+        // This first subject is drawn but never carried: the first email
+        // always starts a new one.
         let mut subject = self.subject(rng);
+        let mut carried = 0;
         let mut last_peer = usize::MAX;
         let mut out = Vec::with_capacity(target);
         for (i, &(peer_idx, owner_sends)) in plans.iter().enumerate() {
             if peer_idx != last_peer {
+                // "RE: " has no word and ends in a space, so an email's
+                // subject line has the words of the thread's subject.
+                d_a.add_times(&subject, carried);
                 subject = self.subject(rng);
+                carried = 0;
                 last_peer = peer_idx;
             }
+            carried += 1;
             let peer_address = &peer_addresses[peer_idx];
-            let (from, to, sender_name): (&str, &str, &str) = if owner_sends {
+            let (from, to, sender_name) = if owner_sends {
+                self.tally.owner_signatures += 1;
                 (&owner_address, peer_address, &owner_name)
             } else {
+                self.tally.peer_signatures[peer_idx] += 1;
                 (peer_address, &owner_address, &peer_names[peer_idx])
             };
-            out.push(Email {
+            let email = Email {
                 id: self.fresh_id(),
                 from: from.into(),
                 to: vec![to.into()], // lint:allow(alloc-hot): the recipient list is the Email's own field
                 subject: format!("RE: {subject}"), // lint:allow(alloc-hot): per-message subject is the Email's own field
                 body: self.body(rng, owner.first, sender_name, &mut scratch),
                 timestamp: times[i],
-            });
+            };
+            bytes += email.subject.len() + 1 + email.body.len() + 1;
+            out.push(email);
         }
+        d_a.add_times(&subject, carried);
+
+        let tally = &self.tally;
+        for (pieces, counts) in [
+            (&OPENERS[..], &tally.openers[..]),
+            (self.archetype.core_vocab(), &tally.core),
+            (self.archetype.sensitive_vocab(), &tally.sensitive),
+            (FILLER, &tally.filler),
+        ] {
+            for (piece, &n) in pieces.iter().zip(counts) {
+                d_a.add_times(piece, n);
+            }
+        }
+        d_a.add_times(&owner_name, tally.owner_signatures);
+        for (name, &n) in peer_names.iter().zip(&tally.peer_signatures) {
+            d_a.add_times(name, n);
+        }
+        let emails = out.len() as u64;
+        for piece in [
+            GREETING,
+            owner.first,
+            SIGN_OFF,
+            self.archetype.organization(),
+        ] {
+            d_a.add_times(piece, emails);
+        }
+        d_a.add_len(bytes);
         out
     }
 }
@@ -254,7 +365,7 @@ mod tests {
     fn mailbox_size_in_paper_range() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::new();
-        let mb = g.generate_mailbox(&owner, &peers, 200, 300, &mut rng);
+        let mb = g.generate_mailbox(&owner, &peers, 200, 300, &mut rng, &mut TermCounts::new());
         assert!((200..=300).contains(&mb.len()), "{}", mb.len());
     }
 
@@ -262,7 +373,7 @@ mod tests {
     fn timestamps_sorted_and_before_epoch() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::new();
-        let mb = g.generate_mailbox(&owner, &peers, 200, 300, &mut rng);
+        let mb = g.generate_mailbox(&owner, &peers, 200, 300, &mut rng, &mut TermCounts::new());
         assert!(mb.windows(2).all(|w| w[0].timestamp <= w[1].timestamp));
         for e in &mb {
             assert!(e.timestamp.0 < 0, "seeded email after epoch");
@@ -294,7 +405,7 @@ mod tests {
     fn every_message_involves_owner() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::new();
-        let mb = g.generate_mailbox(&owner, &peers, 200, 250, &mut rng);
+        let mb = g.generate_mailbox(&owner, &peers, 200, 250, &mut rng, &mut TermCounts::new());
         let addr = owner.webmail_address();
         for e in &mb {
             assert!(e.from == addr || e.to.contains(&addr));
@@ -305,7 +416,7 @@ mod tests {
     fn corpus_mentions_energy_but_never_bitcoin_or_enron() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::new();
-        let mb = g.generate_mailbox(&owner, &peers, 250, 300, &mut rng);
+        let mb = g.generate_mailbox(&owner, &peers, 250, 300, &mut rng, &mut TermCounts::new());
         let all: String = mb.iter().map(|e| e.full_text().to_lowercase()).collect();
         assert!(all.contains("energy"));
         assert!(all.contains("transfer"));
@@ -317,7 +428,7 @@ mod tests {
     fn sensitive_terms_are_rare_but_present() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::new();
-        let mb = g.generate_mailbox(&owner, &peers, 250, 300, &mut rng);
+        let mb = g.generate_mailbox(&owner, &peers, 250, 300, &mut rng, &mut TermCounts::new());
         let with_payment = mb
             .iter()
             .filter(|e| {
@@ -338,7 +449,7 @@ mod tests {
     fn activist_mail_is_signed_by_the_coalition() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::with_archetype(Archetype::Activist);
-        let mb = g.generate_mailbox(&owner, &peers, 20, 30, &mut rng);
+        let mb = g.generate_mailbox(&owner, &peers, 20, 30, &mut rng, &mut TermCounts::new());
         for e in &mb {
             assert!(e.body.ends_with("\nOpen Voices Coalition"), "{}", e.body);
             assert!(!e.body.contains("Meridian Power Group"));
@@ -349,8 +460,8 @@ mod tests {
     fn ids_are_unique_across_mailboxes() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::new();
-        let a = g.generate_mailbox(&owner, &peers, 200, 210, &mut rng);
-        let b = g.generate_mailbox(&owner, &peers, 200, 210, &mut rng);
+        let a = g.generate_mailbox(&owner, &peers, 200, 210, &mut rng, &mut TermCounts::new());
+        let b = g.generate_mailbox(&owner, &peers, 200, 210, &mut rng, &mut TermCounts::new());
         let mut ids: Vec<u64> = a.iter().chain(&b).map(|e| e.id.0).collect();
         ids.sort_unstable();
         ids.dedup();

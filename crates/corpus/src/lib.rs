@@ -19,7 +19,8 @@
 //!   birth, and a home city near the advertised UK/US decoy midpoints;
 //! * [`email`] — the message type shared by every crate that touches mail;
 //! * [`generator`] — mailbox synthesis: threads, reply chains, timestamp
-//!   translation into the 90 days before the leak;
+//!   translation into the 90 days before the leak, and the TF-IDF `d_A`
+//!   counts of what it wrote, taken from its own draws;
 //! * [`tokenize`] — the preprocessing pipeline of §4.3.5 (≥ 5-character
 //!   terms, header-word stoplist, handle stripping);
 //! * [`decoy`] — optional decoy-sensitive emails (the paper's future-work

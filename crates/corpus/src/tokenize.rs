@@ -194,12 +194,13 @@ fn letter_bits(word: u64) -> u64 {
     (letters >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
-/// Word counts of one document, fed a piece of text at a time: how TF-IDF
-/// document `d_A` is counted while mailboxes are seeded, without ever
-/// holding the document's text. Words are counted as written; case is
+/// Word counts of one document, fed a piece of text at a time, or a piece
+/// and how many times it was written: how TF-IDF document `d_A` is
+/// counted while mailboxes are generated, without ever holding the
+/// document's text. Words are counted as written; case is
 /// folded and stop terms dropped once per distinct word, when
 /// [`TermCounts::terms`] reads the counts out.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TermCounts {
     counts: HashMap<Box<str>, u64, BuildHasherDefault<WordHasher>>,
     bytes: usize,
@@ -214,13 +215,28 @@ impl TermCounts {
     /// Count the words of `text` as one line of the document: the byte
     /// length grows by `text` plus its newline.
     pub fn add(&mut self, text: &str) {
-        self.bytes += text.len() + 1;
+        self.add_len(text.len() + 1);
+        self.add_times(text, 1);
+    }
+
+    /// Count the words of `text` `n` times over, leaving the byte
+    /// length alone: how a writer that knows how often it wrote a piece
+    /// counts it without reading what it wrote. `n == 0` counts nothing.
+    pub fn add_times(&mut self, text: &str, n: u64) {
+        if n == 0 {
+            return;
+        }
         for_each_word(text, |w| match self.counts.get_mut(w) {
-            Some(c) => *c += 1,
+            Some(c) => *c += n,
             None => {
-                self.counts.insert(w.into(), 1);
+                self.counts.insert(w.into(), n);
             }
         });
+    }
+
+    /// Grow the byte length by `bytes` without counting any words.
+    pub fn add_len(&mut self, bytes: usize) {
+        self.bytes += bytes;
     }
 
     /// Count `email` as its subject line, then its body: the document
@@ -433,6 +449,21 @@ mod tests {
         let t = Tokenizer::new().with_extra_stopwords(["smith"]);
         let terms: Vec<(String, u64)> = c.terms(&t).into_iter().collect();
         assert_eq!(terms, [("energy".into(), 2), ("transfer".into(), 2)]);
+    }
+
+    #[test]
+    fn add_times_counts_words_n_times_and_no_bytes() {
+        let mut once = TermCounts::new();
+        for _ in 0..3 {
+            once.add("Energy transfer, energy");
+        }
+        let mut times = TermCounts::new();
+        times.add_times("Energy transfer, energy", 3);
+        times.add_times("market", 0);
+        assert_eq!(times.len(), 0);
+        assert_eq!(times.get("market"), 0);
+        times.add_len(3 * 24);
+        assert_eq!(times, once);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use pwnd_corpus::generator::{translate_timestamps, CorpusGenerator};
 use pwnd_corpus::persona::{DecoyRegion, PersonaFactory};
-use pwnd_corpus::tokenize::{Tokenizer, HEADER_STOPWORDS, MIN_TERM_LEN};
+use pwnd_corpus::tokenize::{TermCounts, Tokenizer, HEADER_STOPWORDS, MIN_TERM_LEN};
 use pwnd_sim::Rng;
 
 /// The char-splitting tokenizer `Tokenizer::for_each_term` replaced, kept
@@ -107,7 +107,7 @@ proptest! {
         let owner = factory.generate(Some(DecoyRegion::Uk), &mut rng);
         let peers = factory.generate_batch(4, |_| None, &mut rng);
         let mut generator = CorpusGenerator::new();
-        let mb = generator.generate_mailbox(&owner, &peers, 20, 30, &mut rng);
+        let mb = generator.generate_mailbox(&owner, &peers, 20, 30, &mut rng, &mut TermCounts::new());
         prop_assert!((20..=30).contains(&mb.len()));
         let addr = owner.webmail_address();
         for w in mb.windows(2) {

@@ -124,14 +124,23 @@ impl Pareto {
 ///
 /// Used by the corpus generator: natural-language word frequencies are
 /// approximately Zipfian, which is what makes TF-IDF informative.
+/// Sampling inverts the CDF through Chen and Asau's guide table, so a
+/// draw costs a table lookup and, on average, a step or two forward
+/// instead of a binary search.
 #[derive(Clone, Debug)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[k]` is the first rank whose CDF value is at least
+    /// `k / GUIDE_LEN` (capped at the last rank).
+    guide: Vec<usize>,
 }
 
+/// Entries in [`Zipf`]'s guide table.
+const GUIDE_LEN: usize = 256;
+
 impl Zipf {
-    /// Build the CDF table for `n` ranks with exponent `s`. Panics if
-    /// `n == 0` or `s < 0`.
+    /// Build the CDF and guide tables for `n` ranks with exponent `s`.
+    /// Panics if `n == 0` or `s < 0`.
     pub fn new(n: usize, s: f64) -> Zipf {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s >= 0.0, "Zipf exponent must be non-negative");
@@ -145,19 +154,33 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        let guide = (0..GUIDE_LEN)
+            .map(|k| {
+                let floor = k as f64 / GUIDE_LEN as f64;
+                cdf.partition_point(|&p| p < floor).min(n - 1)
+            })
+            .collect();
+        Zipf { cdf, guide }
     }
 
     /// Draw a 0-based rank (0 is the most frequent).
     pub fn sample(&self, rng: &mut Rng) -> usize {
-        let u = rng.f64();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("CDF has no NaN"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        self.rank(rng.f64())
+    }
+
+    /// The 0-based rank a uniform draw `u` in `[0, 1)` maps to: the
+    /// first rank whose CDF value is at least `u`, capped at the last
+    /// rank. Every rank before `guide[⌊u·256⌋]` has a CDF value below
+    /// `⌊u·256⌋ / 256 ≤ u`, so the walk starts there.
+    pub fn rank(&self, u: f64) -> usize {
+        let last = self.cdf.len() - 1;
+        // `as` saturates: a negative `u` reads slot 0.
+        let slot = ((u * GUIDE_LEN as f64) as usize).min(GUIDE_LEN - 1);
+        let mut i = self.guide[slot];
+        while i < last && self.cdf[i] < u {
+            i += 1;
         }
+        i
     }
 
     /// Number of ranks.
@@ -285,6 +308,50 @@ mod tests {
         }
         assert!(counts[0] > counts[10]);
         assert!(counts[10] > counts[40]);
+    }
+
+    /// The binary search `Zipf::sample` ran before the guide table, kept
+    /// as the reference [`Zipf::rank`] must agree with.
+    fn searched_rank(z: &Zipf, u: f64) -> usize {
+        match z
+            .cdf
+            .binary_search_by(|p| p.partial_cmp(&u).expect("CDF has no NaN"))
+        {
+            Ok(i) => i,
+            Err(i) => i.min(z.cdf.len() - 1),
+        }
+    }
+
+    proptest::proptest! {
+        /// The guide-table walk returns the binary search's rank for any
+        /// table, at an arbitrary `u` and at the values where an
+        /// off-by-one would show: each guide slot's lower edge `k/256`,
+        /// each CDF value and the float just below it, and the largest
+        /// `f64` below 1.0.
+        #[test]
+        fn zipf_rank_equals_binary_search(n in 1usize..300, s in 0.0f64..4.0, u in 0.0f64..1.0) {
+            let z = Zipf::new(n, s);
+            let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+            let edges = (0..=GUIDE_LEN).map(|k| k as f64 / GUIDE_LEN as f64);
+            let cdf = z.cdf.iter().flat_map(|&p| [p, below(p)]);
+            for v in edges.chain(cdf).chain([u, below(1.0)]) {
+                proptest::prop_assert_eq!(z.rank(v), searched_rank(&z, v), "n {} s {} u {}", n, s, v);
+            }
+        }
+    }
+
+    /// A uniform table over a power-of-two number of ranks puts CDF
+    /// values exactly on guide-slot edges, which random exponents never
+    /// do.
+    #[test]
+    fn zipf_rank_equals_binary_search_on_slot_edges() {
+        for n in (0..=9).map(|b| 1 << b) {
+            let z = Zipf::new(n, 0.0);
+            for k in 0..=GUIDE_LEN {
+                let u = k as f64 / GUIDE_LEN as f64;
+                assert_eq!(z.rank(u), searched_rank(&z, u), "n {n} u {u}");
+            }
+        }
     }
 
     #[test]
