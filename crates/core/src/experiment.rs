@@ -543,7 +543,7 @@ impl Experiment {
                 // 90-minute quota — reproducing the paper's "two accounts
                 // received 'too much computer time' notices".
                 runtime.set_polling_cost(id, 1_800.0 + 12.1 * mailbox_len as f64);
-                scraper.register(id, &address, &password);
+                scraper.register(id, &password);
                 drop(index_stage);
 
                 stopwords.push(persona.first.to_lowercase());

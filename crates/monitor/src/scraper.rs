@@ -67,9 +67,9 @@ pub struct ActivityDump {
 /// so the scraper holds one slot per id.
 #[derive(Default)]
 struct Slot {
-    /// Address + password, as the researchers recorded them; `None` for an
-    /// id that was never registered.
-    credentials: Option<(String, String)>,
+    /// The password the researchers recorded; `None` for an id that was
+    /// never registered. The scraper logs in by account id.
+    password: Option<String>,
     /// One stable browser cookie (the scraper is a device too, and its
     /// accesses must be filterable from the dataset).
     cookie: Option<CookieId>,
@@ -91,9 +91,7 @@ struct Slot {
 impl Slot {
     /// Registered and neither hijacked nor blocked: still worth scraping.
     fn monitored(&self) -> bool {
-        self.credentials.is_some()
-            && self.hijack_detected.is_none()
-            && self.block_detected.is_none()
+        self.password.is_some() && self.hijack_detected.is_none() && self.block_detected.is_none()
     }
 }
 
@@ -154,15 +152,15 @@ impl Scraper {
         self.confirm_failures = n.max(1);
     }
 
-    /// Register an account's researcher-held credentials, replacing any
+    /// Register an account's researcher-held password, replacing any
     /// recorded earlier.
-    pub fn register(&mut self, account: AccountId, address: &str, password: &str) {
+    pub fn register(&mut self, account: AccountId, password: &str) {
         let idx = account.0 as usize;
         if self.slots.len() <= idx {
             self.slots.resize_with(idx + 1, Slot::default);
         }
         if let Some(slot) = self.slots.get_mut(idx) {
-            slot.credentials = Some((address.to_string(), password.to_string()));
+            slot.password = Some(password.to_string());
         }
     }
 
@@ -171,7 +169,7 @@ impl Scraper {
         self.slots
             .iter()
             .enumerate()
-            .filter(|(_, slot)| slot.credentials.is_some())
+            .filter(|(_, slot)| slot.password.is_some())
             .map(|(idx, _)| AccountId(idx as u32))
     }
 
@@ -187,7 +185,7 @@ impl Scraper {
         let registered = self
             .slots
             .get(account.0 as usize)
-            .is_some_and(|slot| slot.credentials.is_some());
+            .is_some_and(|slot| slot.password.is_some());
         if !registered {
             // An unregistered account is a driver bug, but the monitor
             // must keep sweeping the rest of the fleet rather than die.
@@ -257,9 +255,9 @@ impl Scraper {
         }
     }
 
-    /// One actual login + page read, ending with a logout. The page is
-    /// borrowed from the service and copied only when it changed since the
-    /// last dump.
+    /// One actual login + page read. The service opens no session for it;
+    /// the page is borrowed from the service and copied only when it
+    /// changed since the last dump.
     fn try_login(
         &mut self,
         service: &mut WebmailService,
@@ -271,7 +269,7 @@ impl Scraper {
             // `scrape` only calls this for registered accounts.
             return Err(LoginError::BadCredentials);
         };
-        let Some((address, password)) = &slot.credentials else {
+        let Some(password) = &slot.password else {
             return Err(LoginError::BadCredentials);
         };
         let mut conn = ConnectionInfo::new(
@@ -282,43 +280,41 @@ impl Scraper {
         if let Some(cookie) = slot.cookie {
             conn = conn.with_cookie(cookie);
         }
-        let (session, cookie) = service.login(address, password, &conn, at)?;
+        let (cookie, page) = service.read_activity(account, password, &conn, at)?;
         slot.cookie = Some(cookie);
-        // "parse" covers reading the activity page and digesting it
-        // (fingerprint, dedupe, dump) — the per-account unit of work.
+        // "parse" covers digesting the activity page (fingerprint, dedupe,
+        // dump) — the per-account unit of work.
         let _parse = self.telemetry.subspan("parse", &[]);
-        // A fresh session always reads its own page in a healthy
-        // service; under fault injection the session may already be torn
-        // down, which the retry loop should treat as a transient flake.
-        let read = service.activity_page(session).map(|page| {
-            // The scraper's own login mutates the page; fingerprint
-            // only foreign rows so quiet accounts dedupe.
-            let foreign = || {
-                page.rows()
-                    .filter(|r| r.cookie != cookie)
-                    .map(|r| (r.cookie.0, r.at.as_secs()))
-            };
-            let unchanged = slot
-                .last_page
-                .as_ref()
-                .is_some_and(|last| last.iter().copied().eq(foreign()));
-            if !unchanged {
-                let last = slot.last_page.get_or_insert_with(Vec::new);
-                last.clear();
-                last.extend(foreign());
-                self.dumps.push(ActivityDump {
-                    account,
-                    at,
-                    // The dump archives its own snapshot of a changed page.
-                    rows: page.rows().cloned().collect(),
-                });
-                self.telemetry.count("monitor.scrape_dumps");
-            }
-        });
-        // The page has been read: end the session so the service does not
-        // keep one alive per scrape for the rest of the run.
-        service.logout(session);
-        read.map_err(|_| LoginError::Maintenance)
+        // The scrape's own login can trip the abuse detector and block the
+        // account before the page loads. The retry loop treats that as a
+        // transient flake; its next login sees the block.
+        let Some(page) = page else {
+            return Err(LoginError::Maintenance);
+        };
+        // The scraper's own login mutates the page; fingerprint only
+        // foreign rows so quiet accounts dedupe.
+        let foreign = || {
+            page.rows()
+                .filter(|r| r.cookie != cookie)
+                .map(|r| (r.cookie.0, r.at.as_secs()))
+        };
+        let unchanged = slot
+            .last_page
+            .as_ref()
+            .is_some_and(|last| last.iter().copied().eq(foreign()));
+        if !unchanged {
+            let last = slot.last_page.get_or_insert_with(Vec::new);
+            last.clear();
+            last.extend(foreign());
+            self.dumps.push(ActivityDump {
+                account,
+                at,
+                // The dump archives its own snapshot of a changed page.
+                rows: page.rows().cloned().collect(),
+            });
+            self.telemetry.count("monitor.scrape_dumps");
+        }
+        Ok(())
     }
 
     /// Record a hard failure and classify once it has repeated enough.
@@ -479,15 +475,19 @@ mod tests {
     use pwnd_net::geolocate::Geolocator;
     use pwnd_net::tor::TorDirectory;
     use pwnd_sim::SimDuration;
+    use pwnd_webmail::account::AccountState;
     use pwnd_webmail::service::{OpError, ServiceConfig, SessionId};
 
     fn world() -> (WebmailService, Scraper, AccountId) {
+        world_with(ServiceConfig::default())
+    }
+
+    fn world_with(config: ServiceConfig) -> (WebmailService, Scraper, AccountId) {
         let geo = GeoDb::new();
         let plan = AddressPlan::new(&geo);
         let mut rng = Rng::seed_from(3);
         let tor = TorDirectory::generate(50, &mut rng);
-        let mut svc =
-            WebmailService::new(ServiceConfig::default(), Geolocator::new(plan, geo, tor));
+        let mut svc = WebmailService::new(config, Geolocator::new(plan, geo, tor));
         let id = svc
             .create_account(
                 "h@honeymail.example",
@@ -508,7 +508,7 @@ mod tests {
             }],
         );
         let mut scraper = Scraper::new(rng.fork(9));
-        scraper.register(id, "h@honeymail.example", "pw");
+        scraper.register(id, "pw");
         (svc, scraper, id)
     }
 
@@ -563,12 +563,13 @@ mod tests {
             scraper.scrape(&mut svc, id, SimTime::from_secs(10)),
             ScrapeOutcome::Ok
         );
-        // The scraper's login was the service's first session.
+        // The scraper's login drew the service's first session id but
+        // opened no session under it.
         assert_eq!(
             svc.activity_page(SessionId(1)).unwrap_err(),
             OpError::InvalidSession
         );
-        // Ending the session does not end the device: the next login
+        // Holding no session does not end the device: the next login
         // presents the same cookie, so the page shows one device.
         assert_eq!(
             scraper.scrape(&mut svc, id, SimTime::from_secs(20)),
@@ -633,6 +634,33 @@ mod tests {
     }
 
     #[test]
+    fn block_tripped_by_the_scrape_itself_is_detected_on_the_retry() {
+        // So low a threshold that the scraper's first login, a new device,
+        // is enough for the abuse detector to block the account.
+        let mut config = ServiceConfig::default();
+        config.security.anomaly_block_threshold = 0.05;
+        let (mut svc, mut scraper, id) = world_with(config);
+        let at = SimTime::from_secs(100);
+        assert_eq!(
+            scraper.scrape(&mut svc, id, at),
+            ScrapeOutcome::BlockedDetected
+        );
+        // The login went through and blocked the account before the page
+        // was read: nothing was dumped, but the scraper's device is known.
+        assert_eq!(svc.account(id).state, AccountState::Blocked { at });
+        assert_eq!(svc.total_accesses_recorded(id), 1);
+        assert!(scraper.dumps().is_empty());
+        assert_eq!(scraper.own_cookies().len(), 1);
+        // The unread page counted as a transient failure, and the retry's
+        // login found the block, stamped at the retried time.
+        let retry = RetryPolicy::default();
+        let retried = at + retry.delay(0, FaultPlan::none().jitter_roll(id.0, at, 0));
+        assert!(retried > at);
+        assert_eq!(scraper.block_detected_at(id), Some(retried));
+        assert_eq!(scraper.hijack_detected_at(id), None);
+    }
+
+    #[test]
     fn confirmation_defers_classification() {
         let (mut svc, mut scraper, id) = world();
         scraper.set_confirm_failures(3);
@@ -676,14 +704,14 @@ mod tests {
         }
         // The researchers recover the credentials out of band: the next
         // scrape succeeds and wipes the pending count.
-        scraper.register(id, "h@honeymail.example", "stolen");
+        scraper.register(id, "stolen");
         assert_eq!(
             scraper.scrape(&mut svc, id, SimTime::from_secs(200)),
             ScrapeOutcome::Ok
         );
         // The password changes again behind their back; the count starts
         // over from one instead of classifying immediately.
-        scraper.register(id, "h@honeymail.example", "wrong");
+        scraper.register(id, "wrong");
         match scraper.scrape(&mut svc, id, SimTime::from_secs(300)) {
             ScrapeOutcome::FailurePending => {}
             other => panic!("expected pending again, got {other:?}"),
@@ -781,7 +809,7 @@ mod tests {
         scraper.set_telemetry(sink.clone());
         // A hole below the last registered id, and ids past the end of
         // the slots.
-        scraper.register(AccountId(3), "h@honeymail.example", "pw");
+        scraper.register(AccountId(3), "pw");
         for stray in [AccountId(2), AccountId(4), AccountId(u32::MAX)] {
             assert_eq!(
                 scraper.scrape(&mut svc, stray, SimTime::from_secs(10)),
@@ -807,7 +835,7 @@ mod tests {
     fn accounts_are_listed_in_id_order() {
         let mut scraper = Scraper::new(Rng::seed_from(1));
         for id in [7u32, 2, 5, 0] {
-            scraper.register(AccountId(id), "a@x", "pw");
+            scraper.register(AccountId(id), "pw");
         }
         let ids: Vec<u32> = scraper.accounts().map(|a| a.0).collect();
         assert_eq!(ids, vec![0, 2, 5, 7]);

@@ -22,7 +22,6 @@ use pwnd_telemetry::TelemetrySink;
 use pwnd_webmail::account::AccountId;
 use pwnd_webmail::events::WebmailEvent;
 use pwnd_webmail::service::WebmailService;
-use std::collections::HashMap;
 
 /// Where the script hides.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,7 +95,9 @@ impl Default for ScriptConfig {
 /// The runtime driving all per-account scripts.
 pub struct ScriptRuntime {
     config: ScriptConfig,
-    scripts: HashMap<AccountId, ScriptState>,
+    /// Per-account scripts, indexed by account id (`None` where none is
+    /// installed).
+    scripts: Vec<Option<ScriptState>>,
     next_quota_email_id: u64,
     quota_notices_sent: u64,
     /// Delivery sequence stamped on every emitted notification, so the
@@ -111,7 +112,7 @@ impl ScriptRuntime {
     pub fn new(config: ScriptConfig) -> ScriptRuntime {
         ScriptRuntime {
             config,
-            scripts: HashMap::new(),
+            scripts: Vec::new(),
             next_quota_email_id: 20_000_000,
             quota_notices_sent: 0,
             next_seq: 0,
@@ -139,45 +140,46 @@ impl ScriptRuntime {
 
     /// Install the monitoring script on an account.
     pub fn install(&mut self, account: AccountId, location: ScriptLocation) {
-        self.scripts.insert(
-            account,
-            ScriptState {
-                location,
-                deleted: false,
-                used_today: 0.0,
-                quota_day: 0,
-                quota_notified_today: false,
-                last_notice_day: None,
-                polling_cost: self.config.daily_polling_cost,
-                emitted: 0,
-            },
-        );
+        let idx = account.0 as usize;
+        if self.scripts.len() <= idx {
+            self.scripts.resize_with(idx + 1, || None);
+        }
+        self.scripts[idx] = Some(ScriptState {
+            location,
+            deleted: false,
+            used_today: 0.0,
+            quota_day: 0,
+            quota_notified_today: false,
+            last_notice_day: None,
+            polling_cost: self.config.daily_polling_cost,
+            emitted: 0,
+        });
     }
 
     /// Set the account's daily polling cost (seconds). The experiment
     /// derives it from mailbox size: reading a bigger mailbox takes the
     /// polling trigger longer.
     pub fn set_polling_cost(&mut self, account: AccountId, cost: f64) {
-        if let Some(s) = self.scripts.get_mut(&account) {
+        if let Some(s) = state_mut(&mut self.scripts, account) {
             s.polling_cost = cost;
         }
     }
 
     /// Script state for an account.
     pub fn state(&self, account: AccountId) -> Option<&ScriptState> {
-        self.scripts.get(&account)
+        self.scripts.get(account.0 as usize)?.as_ref()
     }
 
     /// Whether the script on `account` is installed and alive.
     pub fn is_alive(&self, account: AccountId) -> bool {
-        self.scripts.get(&account).is_some_and(|s| !s.deleted)
+        self.state(account).is_some_and(|s| !s.deleted)
     }
 
     /// An attacker session rummages through the account. Returns `true`
     /// if it found and deleted the script. `roll` is a uniform [0,1) draw
     /// supplied by the caller (keeps the runtime RNG-free).
     pub fn attacker_rummage(&mut self, account: AccountId, roll: f64) -> bool {
-        let Some(s) = self.scripts.get_mut(&account) else {
+        let Some(s) = state_mut(&mut self.scripts, account) else {
             return false;
         };
         if s.deleted {
@@ -199,7 +201,7 @@ impl ScriptRuntime {
     fn charge_polling(&mut self, account: AccountId, at: SimTime) -> QuotaStatus {
         let quota = self.config.daily_quota;
         let cooldown = self.config.notice_cooldown_days;
-        let Some(s) = self.scripts.get_mut(&account) else {
+        let Some(s) = state_mut(&mut self.scripts, account) else {
             return QuotaStatus::Ok;
         };
         let day = at.day_index();
@@ -224,7 +226,7 @@ impl ScriptRuntime {
     fn charge(&mut self, account: AccountId, at: SimTime) -> QuotaStatus {
         let cost = self.config.cost_per_trigger;
         let quota = self.config.daily_quota;
-        let Some(s) = self.scripts.get_mut(&account) else {
+        let Some(s) = state_mut(&mut self.scripts, account) else {
             return QuotaStatus::Ok;
         };
         let day = at.day_index();
@@ -337,7 +339,7 @@ impl ScriptRuntime {
                 cookie,
                 kind,
             });
-            if let Some(s) = self.scripts.get_mut(&account) {
+            if let Some(s) = state_mut(&mut self.scripts, account) {
                 s.emitted += 1;
             }
             if self.charge(account, at) == QuotaStatus::Exceeded {
@@ -354,16 +356,10 @@ impl ScriptRuntime {
         service: &mut WebmailService,
         collector: &mut NotificationCollector,
     ) {
-        let mut accounts: Vec<AccountId> = self
-            .scripts
-            .iter()
-            .filter(|(_, s)| !s.deleted)
-            .map(|(&a, _)| a)
-            .collect();
-        accounts.sort_unstable();
         let mut beating = 0u64;
-        for account in accounts {
-            if !service.account(account).state.is_active() {
+        for idx in 0..self.scripts.len() {
+            let account = AccountId(idx as u32);
+            if !self.is_alive(account) || !service.account(account).state.is_active() {
                 continue;
             }
             // A misfired time-driven trigger simply never runs that day:
@@ -389,7 +385,7 @@ impl ScriptRuntime {
                 self.deliver_quota_notice(account, at, service);
             }
             let _ = self.charge(account, at);
-            if let Some(s) = self.scripts.get_mut(&account) {
+            if let Some(s) = state_mut(&mut self.scripts, account) {
                 s.emitted += 1;
             }
         }
@@ -441,18 +437,22 @@ impl ScriptRuntime {
         now: SimTime,
         silence: SimDuration,
     ) -> Vec<AccountId> {
-        let mut out: Vec<AccountId> = self
-            .scripts
-            .keys()
-            .filter(|&&a| match collector.last_heartbeat(a) {
+        self.scripts
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.is_some())
+            .map(|(idx, _)| AccountId(idx as u32))
+            .filter(|&a| match collector.last_heartbeat(a) {
                 Some(t) => now.since(t) > silence,
                 None => true,
             })
-            .copied()
-            .collect();
-        out.sort_unstable();
-        out
+            .collect()
     }
+}
+
+/// The installed script for `account` in an id-indexed table.
+fn state_mut(scripts: &mut [Option<ScriptState>], account: AccountId) -> Option<&mut ScriptState> {
+    scripts.get_mut(account.0 as usize)?.as_mut()
 }
 
 #[derive(PartialEq, Eq)]
@@ -594,6 +594,44 @@ mod tests {
             SimDuration::days(1),
         );
         assert_eq!(silent, vec![acct]);
+    }
+
+    #[test]
+    fn sparse_installs_beat_in_id_order() {
+        let (mut svc, mut rt, mut col, _) = world();
+        for i in 0..8u8 {
+            svc.create_account(
+                &format!("h{i}@honeymail.example"),
+                "pw",
+                std::net::Ipv4Addr::new(198, 51, 1, i),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        }
+        for id in [7u32, 2, 5, 0] {
+            rt.install(AccountId(id), ScriptLocation::HiddenSpreadsheet);
+        }
+        for gap in [1u32, 3, 4, 6, 8, u32::MAX] {
+            assert!(!rt.is_alive(AccountId(gap)), "{gap}");
+            assert!(rt.state(AccountId(gap)).is_none(), "{gap}");
+        }
+        rt.heartbeat_tick(SimTime::from_secs(100), &mut svc, &mut col);
+        let beats: Vec<(u32, u64)> = col.all().iter().map(|n| (n.account.0, n.seq)).collect();
+        assert_eq!(beats, vec![(0, 0), (2, 1), (5, 2), (7, 3)]);
+
+        // A blocked account and a deleted script stop beating, but both
+        // stay among the accounts watched for silence.
+        svc.admin_block(AccountId(5), SimTime::from_secs(200));
+        assert!(rt.attacker_rummage(AccountId(2), 0.0));
+        let day = SimTime::ZERO + SimDuration::days(1);
+        rt.heartbeat_tick(day, &mut svc, &mut col);
+        let beats: Vec<(u32, u64)> = col.all()[4..]
+            .iter()
+            .map(|n| (n.account.0, n.seq))
+            .collect();
+        assert_eq!(beats, vec![(0, 4), (7, 5)]);
+        let silent = rt.silent_accounts(&col, day + SimDuration::hours(12), SimDuration::hours(18));
+        assert_eq!(silent, vec![AccountId(2), AccountId(5)]);
     }
 
     #[test]

@@ -64,11 +64,15 @@ impl TorDirectory {
 
     /// Whether `ip` is a known exit node.
     pub fn is_exit(&self, ip: Ipv4Addr) -> bool {
-        self.countries.contains_key(&ip)
+        self.exit_country(ip).is_some()
     }
 
-    /// Country hosting the exit, if `ip` is one.
+    /// Country hosting the exit, if `ip` is one. Every exit lies in
+    /// [`TOR_BLOCK`], so any other address is answered without a lookup.
     pub fn exit_country(&self, ip: Ipv4Addr) -> Option<&'static str> {
+        if ip.octets()[0] != TOR_BLOCK {
+            return None;
+        }
         self.countries.get(&ip).copied()
     }
 

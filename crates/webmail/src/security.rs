@@ -17,7 +17,6 @@
 use crate::account::AccountId;
 use pwnd_sim::{SimDuration, SimTime};
 use pwnd_telemetry::TelemetrySink;
-use std::collections::HashMap;
 
 /// Tunable security policy.
 #[derive(Clone, Debug)]
@@ -146,13 +145,26 @@ pub struct ContentFlags {
 /// * the **anomaly track** integrates hijacks and risky logins — a
 ///   password change from Tor plus continued anonymized access crosses
 ///   it, while a few curious logins never do.
+///
+/// Account ids are dense, so per-account state lives in `Vec`s indexed by
+/// id that grow on demand.
 #[derive(Clone, Debug)]
 pub struct AbuseDetector {
     policy: SecurityPolicy,
-    spam_scores: HashMap<AccountId, f64>,
-    anomaly_scores: HashMap<AccountId, f64>,
-    recent_sends: HashMap<AccountId, Vec<SimTime>>,
+    spam_scores: Vec<f64>,
+    anomaly_scores: Vec<f64>,
+    recent_sends: Vec<Vec<SimTime>>,
     telemetry: TelemetrySink,
+}
+
+/// The slot for `account` in an id-indexed table, grown with defaults if
+/// the id is new.
+fn slot<T: Default>(table: &mut Vec<T>, account: AccountId) -> &mut T {
+    let idx = account.0 as usize;
+    if table.len() <= idx {
+        table.resize_with(idx + 1, T::default);
+    }
+    &mut table[idx]
 }
 
 impl AbuseDetector {
@@ -160,9 +172,9 @@ impl AbuseDetector {
     pub fn new(policy: SecurityPolicy) -> AbuseDetector {
         AbuseDetector {
             policy,
-            spam_scores: HashMap::new(),
-            anomaly_scores: HashMap::new(),
-            recent_sends: HashMap::new(),
+            spam_scores: Vec::new(),
+            anomaly_scores: Vec::new(),
+            recent_sends: Vec::new(),
             telemetry: TelemetrySink::disabled(),
         }
     }
@@ -174,7 +186,7 @@ impl AbuseDetector {
     }
 
     fn add_spam(&mut self, account: AccountId, points: f64) -> bool {
-        let s = self.spam_scores.entry(account).or_insert(0.0);
+        let s = slot(&mut self.spam_scores, account);
         let was_below = *s < self.policy.spam_block_threshold;
         *s += points;
         let tripped = *s >= self.policy.spam_block_threshold;
@@ -185,7 +197,7 @@ impl AbuseDetector {
     }
 
     fn add_anomaly(&mut self, account: AccountId, points: f64) -> bool {
-        let s = self.anomaly_scores.entry(account).or_insert(0.0);
+        let s = slot(&mut self.anomaly_scores, account);
         let was_below = *s < self.policy.anomaly_block_threshold;
         *s += points;
         let tripped = *s >= self.policy.anomaly_block_threshold;
@@ -205,7 +217,7 @@ impl AbuseDetector {
         flags: ContentFlags,
     ) -> bool {
         let window = self.policy.spam_window;
-        let sends = self.recent_sends.entry(account).or_default();
+        let sends = slot(&mut self.recent_sends, account);
         sends.retain(|&t| at.since(t) <= window);
         sends.push(at);
         let mut points = 0.0;
@@ -234,10 +246,12 @@ impl AbuseDetector {
         self.add_anomaly(account, risk_score * 0.18)
     }
 
-    /// Current combined abuse score (diagnostics).
+    /// Current combined abuse score (diagnostics); 0 for an account the
+    /// detector has never seen.
     pub fn score_of(&self, account: AccountId) -> f64 {
-        self.spam_scores.get(&account).copied().unwrap_or(0.0)
-            + self.anomaly_scores.get(&account).copied().unwrap_or(0.0)
+        let idx = account.0 as usize;
+        self.spam_scores.get(idx).copied().unwrap_or(0.0)
+            + self.anomaly_scores.get(idx).copied().unwrap_or(0.0)
     }
 }
 
@@ -354,6 +368,19 @@ mod tests {
         a.note_password_change(AccountId(1), true);
         b.note_password_change(AccountId(1), false);
         assert!(a.score_of(AccountId(1)) > b.score_of(AccountId(1)));
+    }
+
+    #[test]
+    fn unseen_accounts_score_zero() {
+        let mut det = AbuseDetector::new(SecurityPolicy::default());
+        assert_eq!(det.score_of(AccountId(0)), 0.0);
+        assert_eq!(det.score_of(AccountId(u32::MAX)), 0.0);
+        det.note_password_change(AccountId(3), false);
+        assert_eq!(det.score_of(AccountId(3)), 5.0);
+        // Ids below, between and far past the seen one are still unseen.
+        for unseen in [0, 2, 4, 1 << 20, u32::MAX] {
+            assert_eq!(det.score_of(AccountId(unseen)), 0.0, "{unseen}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use pwnd_net::access::{ConnectionInfo, CookieId};
 use pwnd_net::geo::{nearest_km, GeoPoint};
 use pwnd_net::geolocate::Geolocator;
 use pwnd_net::useragent;
-use pwnd_sim::intern::{Interner, Symbol};
+use pwnd_sim::intern::Interner;
 use pwnd_sim::SimTime;
 use pwnd_telemetry::TelemetrySink;
 use std::collections::{BTreeMap, HashMap};
@@ -115,17 +115,18 @@ pub struct WebmailService {
     config: ServiceConfig,
     geolocator: Geolocator,
     accounts: Vec<Account>,
-    by_address: BTreeMap<Symbol, AccountId>,
     mailboxes: Vec<Mailbox>,
     /// Provider-side search log per account.
     query_logs: Vec<Vec<QueryLogEntry>>,
-    /// Interned account addresses, the keys of `by_address`.
+    /// Interned account addresses. Only account addresses are interned,
+    /// in creation order, so a symbol's id is its account's id.
     addresses: Interner,
     rules: Vec<RuleSet>,
     activity: Vec<ActivityPage>,
     habitual: Vec<Vec<GeoPoint>>,
-    /// Live sessions. Ordered so that the churn of scraper logins and
-    /// logouts allocates the same way on every run.
+    /// Live attacker sessions, ordered so that they allocate the same way
+    /// on every run. The scraper reads its page through
+    /// [`WebmailService::read_activity`] and never holds one.
     sessions: BTreeMap<SessionId, Session>,
     risk: RiskEngine,
     abuse: AbuseDetector,
@@ -149,7 +150,6 @@ impl WebmailService {
             config,
             geolocator,
             accounts: Vec::new(),
-            by_address: BTreeMap::new(),
             mailboxes: Vec::new(),
             query_logs: Vec::new(),
             addresses: Interner::new(),
@@ -202,11 +202,7 @@ impl WebmailService {
         from_ip: Ipv4Addr,
         at: SimTime,
     ) -> Result<AccountId, SignupError> {
-        if self
-            .addresses
-            .lookup(address)
-            .is_some_and(|sym| self.by_address.contains_key(&sym))
-        {
+        if self.addresses.lookup(address).is_some() {
             return Err(SignupError::AddressTaken);
         }
         let count = self.signup_counts.entry(from_ip).or_insert(0);
@@ -227,7 +223,7 @@ impl WebmailService {
             last_password_change: None,
         });
         let sym = self.addresses.intern(address);
-        self.by_address.insert(sym, id);
+        debug_assert_eq!(sym.id(), id.0, "address symbols are account ids");
         self.mailboxes.push(Mailbox::new());
         self.query_logs.push(Vec::new());
         self.rules.push(RuleSet::new());
@@ -304,6 +300,63 @@ impl WebmailService {
         conn: &ConnectionInfo,
         at: SimTime,
     ) -> Result<(SessionId, CookieId), LoginError> {
+        let account = self
+            .addresses
+            .lookup(address)
+            .map(|sym| AccountId(sym.id()));
+        let (account, cookie, via_tor) = self.authenticate(account, password, conn, at)?;
+        let session = SessionId(self.next_session);
+        self.next_session += 1;
+        self.sessions.insert(
+            session,
+            Session {
+                account,
+                cookie,
+                via_tor,
+            },
+        );
+        Ok((session, cookie))
+    }
+
+    /// Log in to `account` by id and read its visitor-activity page, the
+    /// researchers' scrape. It is the same login as [`WebmailService::login`]:
+    /// it is recorded on the page, emits `LoginSucceeded` and feeds the
+    /// abuse detector. But it opens no session. An id with no account fails
+    /// with [`LoginError::BadCredentials`], as an unknown address does.
+    ///
+    /// Returns the cookie that identifies the device, and the page unless
+    /// this very login tripped the abuse detector and blocked the account.
+    pub fn read_activity(
+        &mut self,
+        account: AccountId,
+        password: &str,
+        conn: &ConnectionInfo,
+        at: SimTime,
+    ) -> Result<(CookieId, Option<&ActivityPage>), LoginError> {
+        let (account, cookie, _) = self.authenticate(Some(account), password, conn, at)?;
+        // Every login draws a session id, so attackers' sessions are
+        // numbered the same whether or not the scraper holds sessions.
+        self.next_session += 1;
+        let idx = account.0 as usize;
+        let page = self.accounts[idx]
+            .state
+            .is_active()
+            .then(|| &self.activity[idx]);
+        Ok((cookie, page))
+    }
+
+    /// The login both populations share, on an already resolved account
+    /// (`None`, or an id with no account, when the address is unknown).
+    /// Checks maintenance, credentials, account state and risk, then
+    /// records the access and emits `LoginSucceeded`. Returns the account,
+    /// the device's cookie, and whether the login came through Tor.
+    fn authenticate(
+        &mut self,
+        account: Option<AccountId>,
+        password: &str,
+        conn: &ConnectionInfo,
+        at: SimTime,
+    ) -> Result<(AccountId, CookieId, bool), LoginError> {
         // Maintenance is checked before credentials: a provider that is
         // down reveals nothing about the account, records nothing on the
         // activity page, and emits no events.
@@ -314,11 +367,7 @@ impl WebmailService {
                 .count_labeled("faults.injected", "maintenance");
             return Err(LoginError::Maintenance);
         }
-        let Some(&id) = self
-            .addresses
-            .lookup(address)
-            .and_then(|sym| self.by_address.get(&sym))
-        else {
+        let Some(id) = account.filter(|id| (id.0 as usize) < self.accounts.len()) else {
             self.telemetry
                 .count_labeled("webmail.logins", "bad_credentials");
             self.telemetry.trace(at.as_secs(), "login", None);
@@ -371,16 +420,6 @@ impl WebmailService {
                 c
             }
         };
-        let session = SessionId(self.next_session);
-        self.next_session += 1;
-        self.sessions.insert(
-            session,
-            Session {
-                account: id,
-                cookie,
-                via_tor,
-            },
-        );
 
         // Record on the activity page.
         self.activity[idx].record(ActivityRow {
@@ -413,7 +452,7 @@ impl WebmailService {
         if self.abuse.note_login_risk(id, score) {
             self.block_account(id, at);
         }
-        Ok((session, cookie))
+        Ok((id, cookie, via_tor))
     }
 
     /// End a session. Later operations on it fail with
@@ -722,6 +761,12 @@ impl WebmailService {
     /// The geolocator (shared with analyses).
     pub fn geolocator(&self) -> &Geolocator {
         &self.geolocator
+    }
+
+    /// The abuse detector's combined score for an account (ground truth;
+    /// 0 for an account it has never scored).
+    pub fn abuse_score(&self, id: AccountId) -> f64 {
+        self.abuse.score_of(id)
     }
 
     /// Lifetime access count on an account's activity page (ground truth).
@@ -1235,6 +1280,34 @@ mod tests {
         svc.logout(ended);
         assert_eq!(svc.search(kept, "payment", at), Ok(vec![EmailId(2)]));
         assert_eq!(svc.activity_page(kept).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn read_activity_opens_no_session_and_checks_credentials() {
+        let (mut svc, mut rng) = service();
+        let id = setup_account(&mut svc);
+        let c = conn(&svc, &mut rng, "GB");
+        let at = SimTime::from_secs(5);
+        let (cookie, page) = svc.read_activity(id, "pw123456", &c, at).unwrap();
+        let rows: Vec<CookieId> = page.unwrap().rows().map(|r| r.cookie).collect();
+        assert_eq!(rows, vec![cookie]);
+        // The read drew session id 1 but opened nothing under it.
+        assert_eq!(
+            svc.activity_page(SessionId(1)).unwrap_err(),
+            OpError::InvalidSession
+        );
+        let (session, _) = svc
+            .login("honey@honeymail.example", "pw123456", &c, at)
+            .unwrap();
+        assert_eq!(session, SessionId(2));
+        // A wrong password and an id with no account fail alike.
+        for (account, password) in [(id, "nope"), (AccountId(1), "pw123456")] {
+            assert_eq!(
+                svc.read_activity(account, password, &c, at).unwrap_err(),
+                LoginError::BadCredentials
+            );
+        }
+        assert_eq!(svc.total_accesses_recorded(id), 2);
     }
 
     #[test]

@@ -9,10 +9,12 @@ use pwnd_net::geolocate::Geolocator;
 use pwnd_net::ip::AddressPlan;
 use pwnd_net::tor::TorDirectory;
 use pwnd_net::useragent::{Browser, ClientConfig, Os};
-use pwnd_sim::{Rng, SimTime};
+use pwnd_sim::{Rng, SimDuration, SimTime};
+use pwnd_webmail::account::AccountId;
+use pwnd_webmail::activity::ActivityPage;
 use pwnd_webmail::mailbox::{Folder, Mailbox};
 use pwnd_webmail::search::search;
-use pwnd_webmail::service::{ServiceConfig, WebmailService};
+use pwnd_webmail::service::{OpError, ServiceConfig, WebmailService};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -292,5 +294,185 @@ proptest! {
         for query in &queries {
             prop_assert_eq!(search(&mb, query), naive_search(&emails, query), "query {:?}", query);
         }
+    }
+}
+
+/// The honey accounts of an equivalence case; both share one password.
+const HONEY: [&str; 2] = ["a@honeymail.example", "h@honeymail.example"];
+const HONEY_PASSWORD: &str = "pw";
+/// Where non-Tor attacker logins come from: all far from the scraper's
+/// London infrastructure, so a scrape after them scores as risky.
+const ATTACKER_COUNTRIES: &[&str] = &["RU", "BR", "US", "NG", "CN", "IN"];
+
+/// One step of an equivalence case.
+#[derive(Clone, Debug)]
+enum Visit {
+    /// An attacker logs in to a honey account through a Tor exit or not,
+    /// from one of [`ATTACKER_COUNTRIES`], presenting the last cookie the
+    /// service issued (a known device) or none (a new one).
+    Attacker {
+        account: usize,
+        tor: bool,
+        country: usize,
+        known_cookie: bool,
+    },
+    /// The scraper reads a honey account's activity page, presenting the
+    /// last issued cookie or none.
+    Scrape { account: usize, known_cookie: bool },
+}
+
+fn visit() -> impl Strategy<Value = Visit> {
+    // Four in five visits are attacker logins, one in three of them
+    // through Tor and the rest from far away, so long sequences push the
+    // abuse detector over its threshold. Scrapes are rare enough that the
+    // infrastructure drops out of the habitual locations, so some scrapes
+    // are the login that trips it.
+    let attacker = || {
+        (
+            0usize..2,
+            0u8..3,
+            0..ATTACKER_COUNTRIES.len(),
+            any::<bool>(),
+        )
+            .prop_map(|(account, route, country, known_cookie)| Visit::Attacker {
+                account,
+                tor: route == 0,
+                country,
+                known_cookie,
+            })
+    };
+    prop_oneof![
+        attacker(),
+        attacker(),
+        attacker(),
+        attacker(),
+        (0usize..2, any::<bool>()).prop_map(|(account, known_cookie)| Visit::Scrape {
+            account,
+            known_cookie
+        }),
+    ]
+}
+
+/// A service with the two honey accounts, built the same way every call.
+/// Only the last two login locations count as habitual, so a scrape from
+/// the infrastructure soon after far-away logins scores as risky.
+fn honey_service() -> WebmailService {
+    let geo = GeoDb::new();
+    let plan = AddressPlan::new(&geo);
+    let tor = TorDirectory::generate(32, &mut Rng::seed_from(4));
+    let config = ServiceConfig {
+        habitual_window: 2,
+        ..ServiceConfig::default()
+    };
+    let mut svc = WebmailService::new(config, Geolocator::new(plan, geo, tor));
+    for address in HONEY {
+        svc.create_account(
+            address,
+            HONEY_PASSWORD,
+            std::net::Ipv4Addr::new(198, 51, 0, 1),
+            SimTime::ZERO,
+        )
+        .unwrap();
+    }
+    svc
+}
+
+/// A connection from the scraper's infrastructure.
+fn infra_conn(svc: &WebmailService, rng: &mut Rng) -> ConnectionInfo {
+    ConnectionInfo::new(
+        AddressPlan::sample_infra(rng),
+        ClientConfig::plain(Browser::Chrome, Os::Linux),
+        svc.geolocator().infra().point,
+    )
+}
+
+/// Everything a page shows, in a comparable form.
+fn page_rows(page: &ActivityPage) -> String {
+    format!("{:?}", page.rows().collect::<Vec<_>>())
+}
+
+proptest! {
+    /// The scraper's session-free read leaves exactly the state that a
+    /// login, a page read and a logout leave, after any mix of attacker
+    /// logins and earlier reads: the same result, cookie and page (none
+    /// when the read's own login blocked the account), the same access
+    /// counts, abuse scores, account states and events, and the next
+    /// login gets the same session id.
+    #[test]
+    fn read_activity_matches_login_page_logout(
+        visits in proptest::collection::vec(visit(), 0..48),
+        last in (0usize..2, any::<bool>()),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let mut reference = honey_service();
+        let mut svc = honey_service();
+        let mut last_cookie = None;
+        let mut at = SimTime::ZERO;
+        let (account, known_cookie) = last;
+        let mut visits = visits;
+        visits.push(Visit::Scrape { account, known_cookie });
+        for visit in visits {
+            at += SimDuration::minutes(5);
+            match visit {
+                Visit::Attacker { account, tor, country, known_cookie } => {
+                    let geo = svc.geolocator();
+                    let ip = if tor {
+                        geo.tor().sample_exit(&mut rng)
+                    } else {
+                        geo.plan().sample_host(ATTACKER_COUNTRIES[country], &mut rng)
+                    };
+                    let client = ClientConfig::plain(Browser::Firefox, Os::Windows);
+                    let mut conn = ConnectionInfo::new(ip, client, geo.locate(ip).point);
+                    if let Some(cookie) = last_cookie.filter(|_| known_cookie) {
+                        conn = conn.with_cookie(cookie);
+                    }
+                    let want = reference.login(HONEY[account], HONEY_PASSWORD, &conn, at);
+                    prop_assert_eq!(svc.login(HONEY[account], HONEY_PASSWORD, &conn, at), want);
+                    if let Ok((_, cookie)) = want {
+                        last_cookie = Some(cookie);
+                    }
+                }
+                Visit::Scrape { account, known_cookie } => {
+                    let mut conn = infra_conn(&svc, &mut rng);
+                    if let Some(cookie) = last_cookie.filter(|_| known_cookie) {
+                        conn = conn.with_cookie(cookie);
+                    }
+                    let want = reference
+                        .login(HONEY[account], HONEY_PASSWORD, &conn, at)
+                        .map(|(session, cookie)| {
+                            let page = match reference.activity_page(session) {
+                                Ok(page) => Some(page_rows(page)),
+                                Err(e) => {
+                                    assert_eq!(e, OpError::AccountBlocked);
+                                    None
+                                }
+                            };
+                            reference.logout(session);
+                            (cookie, page)
+                        });
+                    let got = svc
+                        .read_activity(AccountId(account as u32), HONEY_PASSWORD, &conn, at)
+                        .map(|(cookie, page)| (cookie, page.map(page_rows)));
+                    if let Ok((cookie, _)) = want {
+                        last_cookie = Some(cookie);
+                    }
+                    prop_assert_eq!(got, want);
+                }
+            }
+            for id in [AccountId(0), AccountId(1)] {
+                prop_assert_eq!(svc.total_accesses_recorded(id), reference.total_accesses_recorded(id));
+                prop_assert_eq!(svc.abuse_score(id).to_bits(), reference.abuse_score(id).to_bits());
+                prop_assert_eq!(svc.account(id).state, reference.account(id).state);
+            }
+            prop_assert_eq!(svc.drain_events(), reference.drain_events());
+        }
+        // The next login draws the same session id from both services.
+        let conn = infra_conn(&svc, &mut rng);
+        at += SimDuration::minutes(5);
+        prop_assert_eq!(
+            svc.login(HONEY[0], HONEY_PASSWORD, &conn, at),
+            reference.login(HONEY[0], HONEY_PASSWORD, &conn, at)
+        );
     }
 }

@@ -17,10 +17,9 @@ use std::cell::Cell;
 
 /// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) one
 /// untraced `ExperimentConfig::quick(2016)` run may make. Measured at
-/// exactly 140,591 under the `cargo test` (debug) profile with rustc
-/// 1.95.0, the same count in release; the ceiling is that count plus
-/// 0.93%.
-const ALLOC_CEILING: u64 = 141_900;
+/// exactly 134,680 under the `cargo test` (debug) profile with rustc
+/// 1.95.0; the ceiling is that count plus 0.9%.
+const ALLOC_CEILING: u64 = 135_900;
 
 thread_local! {
     /// Whether allocations on this thread are being counted. Only the
