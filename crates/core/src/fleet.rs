@@ -17,15 +17,25 @@
 //! dataset and every table are byte-identical for any `--jobs` count
 //! (`tests/fleet_scale.rs` proves it).
 //!
+//! ## One pipeline
+//!
+//! [`run_fleet_shards`] is the only function here that calls the
+//! [`Runner`]. In the worker it rewrites each shard's account ids to
+//! the shard's fleet-global range and hands the shard to a sink:
+//! [`run_fleet`] keeps the datasets and concatenates them in shard
+//! order, and the fleet store (`pwnd::store`) serializes each one to
+//! disk. Both paths therefore see the same shard bytes.
+//!
 //! ## Memory
 //!
-//! Shards are mapped in-worker ([`Runner::run_map`]) down to their
-//! dataset plus byte accounting; the corpus text and ground truth never
-//! survive the worker. `fleet.peak_rss_proxy` reports the high-water
-//! per-shard resident state (interner + collections, counted from the
-//! data structures — the wall clock and the OS are never consulted),
-//! and the merged export can stream as JSONL via
-//! [`FleetOutput::write_jsonl`] without re-materializing the JSON text.
+//! Shards are mapped in-worker ([`Runner::run_map`]) down to what the
+//! sink keeps plus byte accounting; the corpus text and ground truth
+//! never survive the worker. `fleet.peak_rss_proxy` reports the
+//! high-water per-shard resident state (interner + collections, counted
+//! from the data structures — the wall clock and the OS are never
+//! consulted). The in-memory fleet holds the merged dataset and, with
+//! telemetry on, one report per shard, so its memory grows with the
+//! fleet; the store holds only the shards in flight.
 
 use crate::config::ExperimentConfig;
 use crate::runner::Runner;
@@ -33,7 +43,6 @@ use pwnd_leak::plan::LeakPlan;
 use pwnd_monitor::dataset::Dataset;
 use pwnd_monitor::export::DatasetWriter;
 use pwnd_telemetry::{Table, TelemetryReport, TelemetrySink};
-use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::sync::Mutex;
 
@@ -151,91 +160,6 @@ pub struct ShardSpec {
     pub fault_profile: String,
 }
 
-/// What one shard contributes to the merge: its censored dataset and
-/// its peak-state byte accounting. Everything else a run produces is
-/// dropped inside the worker.
-struct ShardResult {
-    dataset: Dataset,
-    rss_proxy_bytes: u64,
-}
-
-/// Re-serializes out-of-order submissions into index order.
-///
-/// Workers complete shards in schedule order, but a streamed telemetry
-/// file must read in shard order to be deterministic. Each completed
-/// line is submitted under its shard index; lines at the write frontier
-/// flush immediately, lines ahead of it park in a `BTreeMap` until the
-/// gap fills. Peak buffering is bounded by how far the schedule runs
-/// ahead — at most one pending line per in-flight worker — so memory
-/// stays O(jobs), not O(shards).
-struct OrderedLineWriter<W: Write> {
-    state: Mutex<OrderedState<W>>,
-}
-
-struct OrderedState<W: Write> {
-    out: W,
-    next: usize,
-    pending: BTreeMap<usize, String>,
-    written: u64,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> OrderedLineWriter<W> {
-    fn new(out: W) -> Self {
-        OrderedLineWriter {
-            state: Mutex::new(OrderedState {
-                out,
-                next: 0,
-                pending: BTreeMap::new(),
-                written: 0,
-                error: None,
-            }),
-        }
-    }
-
-    /// Submit `line` (without trailing newline) as entry `index`.
-    /// Write errors are latched and re-raised by [`Self::finish`].
-    fn submit(&self, index: usize, line: String) {
-        let mut s = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if s.error.is_some() {
-            return;
-        }
-        s.pending.insert(index, line);
-        loop {
-            let next = s.next;
-            let Some(line) = s.pending.remove(&next) else {
-                break;
-            };
-            if let Err(e) = s
-                .out
-                .write_all(line.as_bytes())
-                .and_then(|()| s.out.write_all(b"\n"))
-            {
-                s.error = Some(e);
-                return;
-            }
-            s.written += 1;
-            s.next += 1;
-        }
-    }
-
-    /// Flush and surface any latched write error; returns lines written.
-    fn finish(self) -> io::Result<u64> {
-        let mut s = self
-            .state
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(e) = s.error {
-            return Err(e);
-        }
-        s.out.flush()?;
-        Ok(s.written)
-    }
-}
-
 /// The merged result of a fleet run.
 pub struct FleetOutput {
     /// The fleet-wide censored dataset, account ids re-numbered
@@ -244,11 +168,10 @@ pub struct FleetOutput {
     /// Merged telemetry: per-shard reports (when enabled) plus the
     /// always-on `fleet.*` gauges.
     pub telemetry: TelemetryReport,
-    /// The merge of *only* the per-shard run reports, in shard order —
-    /// exactly what re-merging a streamed `--telemetry-out` file
-    /// reproduces (no `runner.*` / `fleet.*` series, which exist only
-    /// in-process). Empty unless telemetry was enabled.
-    pub shard_telemetry: TelemetryReport,
+    /// Each shard's own run report, in shard order, without the
+    /// in-process `runner.*` / `fleet.*` series. Empty reports unless
+    /// telemetry was enabled.
+    pub shard_reports: Vec<TelemetryReport>,
     /// Total honey accounts simulated.
     pub accounts: u32,
     /// Shards the population was split into.
@@ -276,6 +199,20 @@ impl FleetOutput {
         let written = writer.records_written();
         writer.finish()?;
         Ok(written)
+    }
+
+    /// Write [`Self::shard_reports`] as JSON Lines into `out`, one
+    /// report per shard in shard order, returning the lines written.
+    /// Re-merging the lines (`TelemetryReport::merge` over
+    /// `TelemetryReport::from_json_line`) is what `pwnd profile
+    /// --input` does with a `--telemetry-out` file.
+    pub fn write_telemetry_jsonl<W: Write>(&self, mut out: W) -> io::Result<u64> {
+        for report in &self.shard_reports {
+            out.write_all(report.to_json_line().as_bytes())?;
+            out.write_all(b"\n")?;
+        }
+        out.flush()?;
+        Ok(self.shard_reports.len() as u64)
     }
 
     /// The fleet summary table: population, shard layout, access and
@@ -323,214 +260,131 @@ impl FleetOutput {
 /// Run a whole fleet: shard the population, execute the shards on the
 /// runner, merge datasets and telemetry deterministically.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetOutput {
-    run_fleet_observed(cfg, |_, _| {})
+    let run = run_fleet_shards(cfg, &cfg.shard_specs(), |_, ds| Ok(ds))
+        .expect("an in-memory shard sink cannot fail");
+
+    // Concatenate in shard order; ids are already fleet-global.
+    let mut dataset = Dataset::default();
+    for shard in run.outputs {
+        dataset.accesses.extend(shard.accesses);
+        dataset.accounts.extend(shard.accounts);
+        dataset.opened_texts.extend(shard.opened_texts);
+        dataset.gaps.extend(shard.gaps);
+    }
+
+    let fleet_sink = TelemetrySink::enabled();
+    fleet_sink.gauge_set("fleet.accounts", u64::from(cfg.accounts));
+    fleet_sink.gauge_set("fleet.shards", run.shard_reports.len() as u64);
+    fleet_sink.gauge_max("fleet.peak_rss_proxy", run.peak_rss_proxy);
+    fleet_sink.gauge_max("fleet.merged_dataset_bytes", dataset.heap_bytes() as u64);
+
+    FleetOutput {
+        dataset,
+        telemetry: TelemetryReport::merge(&[run.telemetry, fleet_sink.report()]),
+        accounts: cfg.accounts,
+        shards: run.shard_reports.len(),
+        shard_reports: run.shard_reports,
+        jobs: run.jobs,
+        peak_rss_proxy: run.peak_rss_proxy,
+    }
 }
 
-/// [`run_fleet`] that additionally streams each shard's telemetry
-/// report as one JSONL line into `telemetry_out`, in shard order,
-/// while the fleet is still running. Telemetry is forced on. Peak
-/// streaming memory is O(jobs) buffered lines (see
-/// `OrderedLineWriter`), so a 100k-account fleet's telemetry leaves
-/// the process without ever being held whole.
-///
-/// The streamed lines re-merge (`TelemetryReport::merge` over
-/// `TelemetryReport::from_json_line`) into exactly
-/// [`FleetOutput::shard_telemetry`] — `pwnd profile --input` relies on
-/// this.
-pub fn run_fleet_streaming<W: Write + Send>(
-    cfg: &FleetConfig,
-    telemetry_out: W,
-) -> io::Result<FleetOutput> {
-    let cfg = cfg.clone().with_telemetry(true);
-    let writer = OrderedLineWriter::new(telemetry_out);
-    let out = run_fleet_observed(&cfg, |index, report| {
-        writer.submit(index, report.to_json_line());
-    });
-    let written = writer.finish()?;
-    debug_assert_eq!(written, out.shards as u64);
-    Ok(out)
-}
-
-/// What a store-backed partial fleet run reports: no merged dataset —
-/// the shards left the process through the `on_shard` callback — just
-/// the batch telemetry and accounting.
+/// What [`run_fleet_shards`] returns: each shard's sink result, the
+/// shards' own telemetry, the batch telemetry and accounting.
 #[derive(Debug)]
-pub struct ShardRunSummary {
-    /// Merged batch telemetry (`runner.*` series plus per-shard reports
-    /// when [`FleetConfig::telemetry`] is on).
+pub struct ShardRun<T> {
+    /// `on_shard`'s result per spec, in spec order.
+    pub outputs: Vec<T>,
+    /// Each shard's own run report, in spec order (empty reports unless
+    /// [`FleetConfig::telemetry`] is on).
+    pub shard_reports: Vec<TelemetryReport>,
+    /// Merged batch telemetry: the shard reports plus the `runner.*`
+    /// series and phases.
     pub telemetry: TelemetryReport,
     /// Worker threads the shards ran across.
     pub jobs: usize,
     /// High-water per-shard resident state, in bytes.
     pub peak_rss_proxy: u64,
-    /// Shards actually executed.
-    pub shards_run: usize,
 }
 
-/// Run only the given shards of a fleet, handing each shard's finished
-/// JSONL bytes (account ids already rewritten to the shard's global
-/// range) to `on_shard` from inside the worker that produced it.
+/// Run the given shards of a fleet on the runner. In the worker that
+/// ran it, each shard's dataset has its account ids rewritten to the
+/// shard's global range (shard `i` occupies `[account_base, account_base
+/// + accounts)`) and is handed to `on_shard(spec, dataset)`, whose
+/// result lands in [`ShardRun::outputs`] in spec order.
 ///
-/// This is the fleet store's engine: the store decides which shards
-/// need (re-)running, and `on_shard` writes each one durably the moment
-/// it completes — so a crash costs at most the shards in flight, and
-/// peak memory is O(jobs) serialized shards, never the merged fleet.
-/// Because ids are globalized before serialization, shard files merge
-/// by per-record-kind concatenation in shard order, byte-identical to
-/// [`FleetOutput::write_jsonl`] on an in-memory run.
+/// This is the one fleet pipeline. [`run_fleet`] keeps every dataset in
+/// memory; the fleet store writes each one durably the moment it
+/// completes, so a crash costs at most the shards in flight. Because
+/// ids are global before the sink sees them, shard files merge by
+/// per-record-kind concatenation in shard order, byte-identical to
+/// [`FleetOutput::write_jsonl`].
 ///
 /// `on_shard` may be called in any completion order; its first error is
 /// latched, remaining completions are discarded, and the error is
 /// returned after the batch joins.
-pub fn run_fleet_shards<F>(
+pub fn run_fleet_shards<T, F>(
     cfg: &FleetConfig,
     specs: &[ShardSpec],
     on_shard: F,
-) -> io::Result<ShardRunSummary>
+) -> io::Result<ShardRun<T>>
 where
-    F: Fn(&ShardSpec, &[u8]) -> io::Result<()> + Sync,
+    T: Send,
+    F: Fn(&ShardSpec, Dataset) -> io::Result<T> + Sync,
 {
     let configs: Vec<ExperimentConfig> = specs
         .iter()
         .map(|s| cfg.shard_config(s.index, s.accounts))
         .collect();
     let error: Mutex<Option<io::Error>> = Mutex::new(None);
+    let latched = || {
+        error
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    };
     let runner = Runner::new(cfg.jobs).with_telemetry(cfg.telemetry);
-    let batch = runner.run_map(
-        configs,
-        |slot, output| {
-            let spec = &specs[slot];
-            let mut dataset = output.dataset;
-            for a in &mut dataset.accesses {
-                a.account += spec.account_base;
-            }
-            for a in &mut dataset.accounts {
-                a.account += spec.account_base;
-            }
-            for g in &mut dataset.gaps {
-                g.account += spec.account_base;
-            }
-            let outcome = (|| {
-                let mut bytes = Vec::new();
-                let mut writer = DatasetWriter::new(&mut bytes);
-                writer.write_dataset(&dataset)?;
-                writer.finish()?;
-                let failing = error
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .is_some();
-                if failing {
-                    Ok(()) // the batch is already dead; drop this shard
-                } else {
-                    on_shard(spec, &bytes)
-                }
-            })();
-            if let Err(e) = outcome {
-                error
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .get_or_insert(e);
-            }
-            output.rss_proxy_bytes
-        },
-        |_, _| {},
-    );
+    let batch = runner.run_map(configs, |slot, output| {
+        let spec = &specs[slot];
+        let mut dataset = output.dataset;
+        for a in &mut dataset.accesses {
+            a.account += spec.account_base;
+        }
+        for a in &mut dataset.accounts {
+            a.account += spec.account_base;
+        }
+        for g in &mut dataset.gaps {
+            g.account += spec.account_base;
+        }
+        // Once the batch is dead, later shards are dropped unseen.
+        let kept = if latched().is_some() {
+            None
+        } else {
+            on_shard(spec, dataset)
+                .map_err(|e| {
+                    latched().get_or_insert(e);
+                })
+                .ok()
+        };
+        (kept, output.rss_proxy_bytes)
+    });
     if let Some(e) = error
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
     {
         return Err(e);
     }
-    Ok(ShardRunSummary {
+    let peak_rss_proxy = batch.outputs.iter().map(|(_, rss)| *rss).max().unwrap_or(0);
+    Ok(ShardRun {
+        outputs: batch
+            .outputs
+            .into_iter()
+            .map(|(kept, _)| kept.expect("no error latched, so every shard was kept"))
+            .collect(),
+        shard_reports: batch.reports,
         telemetry: batch.telemetry,
         jobs: batch.jobs,
-        peak_rss_proxy: batch.outputs.into_iter().max().unwrap_or(0),
-        shards_run: specs.len(),
+        peak_rss_proxy,
     })
-}
-
-/// Shared fleet body: `observe(index, report)` fires in-worker as each
-/// shard completes (completion order, not shard order).
-fn run_fleet_observed<O: Fn(usize, &TelemetryReport) + Sync>(
-    cfg: &FleetConfig,
-    observe: O,
-) -> FleetOutput {
-    let sizes = cfg.shard_sizes();
-    let configs: Vec<ExperimentConfig> = sizes
-        .iter()
-        .enumerate()
-        .map(|(i, &size)| cfg.shard_config(i, size))
-        .collect();
-
-    // Keep each shard's own report so `shard_telemetry` (the streamed
-    // view) can be merged in shard order after the join.
-    let shard_reports: Mutex<Vec<Option<TelemetryReport>>> =
-        Mutex::new((0..sizes.len()).map(|_| None).collect());
-    let runner = Runner::new(cfg.jobs).with_telemetry(cfg.telemetry);
-    let batch = runner.run_map(
-        configs,
-        |_, output| ShardResult {
-            rss_proxy_bytes: output.rss_proxy_bytes,
-            dataset: output.dataset,
-        },
-        |index, report| {
-            observe(index, report);
-            if cfg.telemetry {
-                let mut slots = shard_reports
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                slots[index] = Some(report.clone());
-            }
-        },
-    );
-    let shard_telemetry = TelemetryReport::merge(
-        &shard_reports
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .into_iter()
-            .flatten()
-            .collect::<Vec<_>>(),
-    );
-
-    // Merge in shard (submission) order, re-numbering account ids into
-    // disjoint global ranges.
-    let fleet_sink = TelemetrySink::enabled();
-    let mut dataset = Dataset::default();
-    let mut peak = 0u64;
-    for (i, shard) in batch.outputs.into_iter().enumerate() {
-        let base = (i as u32) * SHARD_ACCOUNTS;
-        peak = peak.max(shard.rss_proxy_bytes);
-        for mut a in shard.dataset.accesses {
-            a.account += base;
-            dataset.accesses.push(a);
-        }
-        for mut a in shard.dataset.accounts {
-            a.account += base;
-            dataset.accounts.push(a);
-        }
-        dataset.opened_texts.extend(shard.dataset.opened_texts);
-        for mut g in shard.dataset.gaps {
-            g.account += base;
-            dataset.gaps.push(g);
-        }
-    }
-
-    fleet_sink.gauge_set("fleet.accounts", u64::from(cfg.accounts));
-    fleet_sink.gauge_set("fleet.shards", sizes.len() as u64);
-    fleet_sink.gauge_max("fleet.peak_rss_proxy", peak);
-    fleet_sink.gauge_max("fleet.merged_dataset_bytes", dataset.heap_bytes() as u64);
-
-    let telemetry = TelemetryReport::merge(&[batch.telemetry, fleet_sink.report()]);
-
-    FleetOutput {
-        dataset,
-        telemetry,
-        shard_telemetry,
-        accounts: cfg.accounts,
-        shards: sizes.len(),
-        jobs: batch.jobs,
-        peak_rss_proxy: peak,
-    }
 }
 
 #[cfg(test)]
@@ -579,49 +433,29 @@ mod tests {
 
     #[test]
     fn streamed_telemetry_re_merges_into_shard_telemetry_exactly() {
+        let out = run_fleet(&FleetConfig::new(9, 250, 3).with_telemetry(true));
         let mut buf = Vec::new();
-        let out = run_fleet_streaming(&FleetConfig::new(9, 250, 3), &mut buf)
+        let written = out
+            .write_telemetry_jsonl(&mut buf)
             .expect("in-memory write cannot fail");
         let text = String::from_utf8(buf).expect("JSONL is UTF-8");
         let parsed: Vec<TelemetryReport> = text
             .lines()
             .map(|l| TelemetryReport::from_json_line(l).expect("valid report line"))
             .collect();
-        // One line per shard, in shard order (shard sizes are 100/100/50,
-        // recoverable from each line's account-indexed counters).
-        assert_eq!(parsed.len(), out.shards);
+        // One line per shard, each the shard's own report, in shard order.
+        assert_eq!(written, 3);
+        assert_eq!(parsed, out.shard_reports);
+        for (a, b) in parsed.iter().zip(&out.shard_reports) {
+            assert_eq!(a.phases, b.phases);
+            assert_eq!(a.spans, b.spans);
+        }
         let merged = TelemetryReport::merge(&parsed);
-        assert_eq!(merged, out.shard_telemetry);
-        assert_eq!(merged.phases, out.shard_telemetry.phases);
-        assert_eq!(merged.spans, out.shard_telemetry.spans);
         assert!(merged.counter("webmail.logins") > 0);
         assert!(!merged.spans.is_empty());
-        // The streamed view has no in-process-only series.
+        // The written view has no in-process-only series.
         assert_eq!(merged.metrics.gauge("fleet.accounts"), 0);
         assert_eq!(merged.counter("runner.runs"), 0);
-    }
-
-    #[test]
-    fn ordered_writer_reorders_out_of_order_submissions() {
-        let w = OrderedLineWriter::new(Vec::new());
-        w.submit(2, "two".to_string());
-        w.submit(0, "zero".to_string());
-        w.submit(1, "one".to_string());
-        let state = w
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        assert_eq!(state.written, 3);
-        assert!(state.pending.is_empty());
-        drop(state);
-        let out = {
-            let s = w
-                .state
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            s.out
-        };
-        assert_eq!(String::from_utf8(out).unwrap(), "zero\none\ntwo\n");
     }
 
     #[test]
@@ -650,27 +484,22 @@ mod tests {
     fn partial_shard_runs_merge_byte_identically_to_the_in_memory_fleet() {
         let cfg = FleetConfig::new(11, 250, 3);
         let specs = cfg.shard_specs();
-        let shards: Mutex<BTreeMap<usize, Vec<u8>>> = Mutex::new(BTreeMap::new());
-        let summary = run_fleet_shards(&cfg, &specs, |spec, bytes| {
-            shards
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(spec.index, bytes.to_vec());
-            Ok(())
+        let run = run_fleet_shards(&cfg, &specs, |spec, dataset| {
+            let mut writer = DatasetWriter::new(Vec::new());
+            writer.write_dataset(&dataset)?;
+            Ok((spec.index, writer.finish()?))
         })
         .expect("collecting into memory cannot fail");
-        assert_eq!(summary.shards_run, 3);
-        assert!(summary.peak_rss_proxy > 0);
+        assert!(run.peak_rss_proxy > 0);
+        let indices: Vec<usize> = run.outputs.iter().map(|(i, _)| *i).collect();
+        assert_eq!(indices, vec![0, 1, 2], "outputs come back in spec order");
 
         // Merging the shard files is per-record-kind concatenation in
         // shard order — no reparsing, so no float round-trips.
-        let shards = shards
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut merged = String::new();
         for tag in ["access", "account", "opened_text", "gap"] {
             let prefix = format!("{{\"record\":\"{tag}\"");
-            for bytes in shards.values() {
+            for (_, bytes) in &run.outputs {
                 for line in std::str::from_utf8(bytes).expect("JSONL is UTF-8").lines() {
                     if line.starts_with(&prefix) {
                         merged.push_str(line);
@@ -690,7 +519,7 @@ mod tests {
     fn shard_callback_errors_are_latched_and_returned() {
         let cfg = FleetConfig::new(5, 200, 2);
         let specs = cfg.shard_specs();
-        let err = run_fleet_shards(&cfg, &specs, |spec, _| {
+        let err = run_fleet_shards(&cfg, &specs, |spec, _| -> io::Result<()> {
             Err(io::Error::other(format!(
                 "disk full at shard {}",
                 spec.index

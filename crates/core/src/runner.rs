@@ -49,11 +49,15 @@ pub struct Runner {
 
 /// What a batch produced: one value per run in submission order — the
 /// [`RunOutput`] itself from [`Runner::run_all`], or whatever
-/// [`Runner::run_map`]'s `map` made of it — plus the merged telemetry
-/// report (empty unless the runner was built [`Runner::with_telemetry`]).
+/// [`Runner::run_map`]'s `map` made of it — plus each run's telemetry
+/// report and their merge (empty unless the runner was built
+/// [`Runner::with_telemetry`]).
 pub struct Batch<T = RunOutput> {
     /// One value per submitted config, in submission order.
     pub outputs: Vec<T>,
+    /// Each run's own telemetry report, in submission order: what
+    /// `telemetry` merged, without the runner's series and phases.
+    pub reports: Vec<TelemetryReport>,
     /// Merged telemetry: per-run metrics and traces combined by
     /// [`TelemetryReport::merge`], plus the runner's own `runner.*`
     /// series and phases.
@@ -159,34 +163,26 @@ impl Runner {
     /// assert_eq!(batch.outputs.len(), 4);
     /// ```
     pub fn run_all(&self, configs: Vec<ExperimentConfig>) -> Batch {
-        self.run_map(configs, |_, output| output, |_, _| {})
+        self.run_map(configs, |_, output| output)
     }
 
     /// Run every config and transform each [`RunOutput`] *inside the
     /// worker* before it is parked in its submission slot.
     ///
     /// `map(index, output)` receives the run's submission index. The
-    /// fleet engine uses it to keep only the per-shard dataset, dropping
-    /// the rest of each output while the batch is still running, and
-    /// the fleet store to rewrite each shard's account ids to their
-    /// fleet-global range so shard files merge by concatenation.
+    /// fleet pipeline uses it to rewrite each shard's account ids to
+    /// their fleet-global range and hand the dataset to its sink,
+    /// dropping the rest of each output while the batch is still
+    /// running.
     ///
-    /// `observe(index, report)` is called *inside the worker* with each
-    /// run's telemetry snapshot as the run completes — in completion
-    /// order, which the schedule decides, so observers that need
-    /// submission order must reorder (see `OrderedReportWriter` in the
-    /// fleet engine). This is the streaming-telemetry hook: each
-    /// shard's report can leave the process while the batch is still
-    /// running. With telemetry disabled the observer still fires, with
-    /// an empty report.
-    ///
-    /// Ordering contract is identical to [`Runner::run_all`]: results
-    /// land in submission order whatever the schedule.
-    pub fn run_map<T, F, O>(&self, configs: Vec<ExperimentConfig>, map: F, observe: O) -> Batch<T>
+    /// Each run's telemetry is snapshotted before `map` sees the output
+    /// and lands in [`Batch::reports`]. Ordering contract is identical
+    /// to [`Runner::run_all`]: results and reports land in submission
+    /// order whatever the schedule.
+    pub fn run_map<T, F>(&self, configs: Vec<ExperimentConfig>, map: F) -> Batch<T>
     where
         T: Send,
         F: Fn(usize, RunOutput) -> T + Sync,
-        O: Fn(usize, &TelemetryReport) + Sync,
     {
         let n = configs.len();
         let batch_sink = self.sink();
@@ -203,11 +199,11 @@ impl Runner {
         let worker_reports: Vec<TelemetryReport> = if workers <= 1 {
             // The sequential path: no threads, no locks contended — the
             // calling thread drains the queue exactly like a plain loop.
-            vec![self.worker_loop(&queue, &slots, &map, &observe)]
+            vec![self.worker_loop(&queue, &slots, &map)]
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
-                    .map(|_| scope.spawn(|| self.worker_loop(&queue, &slots, &map, &observe)))
+                    .map(|_| scope.spawn(|| self.worker_loop(&queue, &slots, &map)))
                     .collect();
                 handles
                     .into_iter()
@@ -217,7 +213,7 @@ impl Runner {
         };
 
         drop(batch_span);
-        let (outputs, run_reports): (Vec<T>, Vec<TelemetryReport>) = slots
+        let (outputs, mut reports): (Vec<T>, Vec<TelemetryReport>) = slots
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .into_iter()
@@ -230,16 +226,18 @@ impl Runner {
             // worker index), then the batch-level report. Only phase
             // wall-clocks differ between schedules, and those are
             // excluded from report equality.
-            let mut reports = run_reports;
             reports.extend(worker_reports);
             reports.push(batch_sink.report());
-            TelemetryReport::merge(&reports)
+            let merged = TelemetryReport::merge(&reports);
+            reports.truncate(n);
+            merged
         } else {
             TelemetryReport::default()
         };
 
         Batch {
             outputs,
+            reports,
             telemetry,
             jobs: workers,
         }
@@ -257,17 +255,15 @@ impl Runner {
     /// telemetry, map it, park the result in its submission slot; repeat
     /// until the queue drains. Returns the worker's runner-phase report
     /// (queue waits, per-run wall-clock).
-    fn worker_loop<T, F, O>(
+    fn worker_loop<T, F>(
         &self,
         queue: &Mutex<VecDeque<(usize, ExperimentConfig)>>,
         slots: &Mutex<Vec<Option<(T, TelemetryReport)>>>,
         map: &F,
-        observe: &O,
     ) -> TelemetryReport
     where
         T: Send,
         F: Fn(usize, RunOutput) -> T + Sync,
-        O: Fn(usize, &TelemetryReport) + Sync,
     {
         let worker_sink = self.sink();
         loop {
@@ -290,7 +286,6 @@ impl Runner {
             } else {
                 TelemetryReport::default()
             };
-            observe(index, &report);
             let mapped = map(index, output);
             let mut slots = slots
                 .lock()
@@ -381,32 +376,24 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_run_report_once_whatever_the_schedule() {
-        let observed = |jobs: usize| {
-            let seen: Mutex<Vec<(usize, TelemetryReport)>> = Mutex::new(Vec::new());
-            let batch = Runner::new(jobs).with_telemetry(true).run_map(
-                quick_configs(50..54),
-                |_, o| o.dataset_json(),
-                |i, r| {
-                    seen.lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((i, r.clone()));
-                },
-            );
-            assert_eq!(batch.outputs.len(), 4);
-            let mut seen = seen
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            seen.sort_by_key(|(i, _)| *i);
-            seen
+    fn batch_reports_are_each_runs_own_in_submission_order() {
+        let reports = |jobs: usize| {
+            let batch = Runner::new(jobs)
+                .with_telemetry(true)
+                .run_map(quick_configs(50..54), |_, o| o.telemetry_report());
+            assert_eq!(batch.reports.len(), 4);
+            // Each report is the snapshot of the run in its own slot.
+            for (i, (mapped, report)) in batch.outputs.iter().zip(&batch.reports).enumerate() {
+                assert_eq!(mapped, report, "slot {i}");
+            }
+            batch.reports
         };
-        let seq = observed(1);
-        let par = observed(4);
-        let indices: Vec<usize> = par.iter().map(|(i, _)| *i).collect();
-        assert_eq!(indices, vec![0, 1, 2, 3]);
-        // Each observed report is the run's own snapshot: schedule-
-        // independent (report equality excludes wall-clock phases).
-        for ((i, a), (_, b)) in seq.iter().zip(&par) {
+        let seq = reports(1);
+        let par = reports(4);
+        // Seeds differ, so equal slot by slot means equal order too
+        // (report equality excludes wall-clock phases).
+        assert_ne!(seq[0], seq[1]);
+        for (i, (a, b)) in seq.iter().zip(&par).enumerate() {
             assert_eq!(a, b, "slot {i}");
             assert!(a.counter("webmail.logins") > 0);
         }
@@ -414,11 +401,7 @@ mod tests {
 
     #[test]
     fn indexed_map_sees_each_submission_index_in_the_worker() {
-        let batch = Runner::new(4).run_map(
-            quick_configs(60..64),
-            |i, o| (i, o.dataset_json()),
-            |_, _| {},
-        );
+        let batch = Runner::new(4).run_map(quick_configs(60..64), |i, o| (i, o.dataset_json()));
         for (slot, (seen, json)) in batch.outputs.iter().enumerate() {
             assert_eq!(*seen, slot, "map saw its own submission index");
             let solo = Experiment::new(ExperimentConfig::quick(60 + slot as u64)).run();

@@ -20,7 +20,7 @@
 //! ```
 
 use pwnd::cli;
-use pwnd::core::fleet::{run_fleet, run_fleet_streaming, FleetConfig};
+use pwnd::core::fleet::{run_fleet, FleetConfig};
 use pwnd::telemetry::{Table, TelemetrySink};
 use pwnd::{Experiment, ExperimentConfig, FaultProfile, Runner};
 use std::process::ExitCode;
@@ -429,8 +429,8 @@ fn main() -> ExitCode {
             let jsonl = cli::filtered_trace_jsonl(&report, args.filter.as_deref(), args.limit);
             match &args.trace_out {
                 Some(path) => {
-                    if std::fs::write(path, &jsonl).is_err() {
-                        eprintln!("cannot write {path}");
+                    if let Err(e) = std::fs::write(path, &jsonl) {
+                        eprintln!("cannot write {path}: {e}");
                         return ExitCode::FAILURE;
                     }
                     eprintln!(
@@ -451,8 +451,8 @@ fn main() -> ExitCode {
                 Some(path) => {
                     let text = match std::fs::read_to_string(path) {
                         Ok(t) => t,
-                        Err(_) => {
-                            eprintln!("cannot read {path}");
+                        Err(e) => {
+                            eprintln!("cannot read {path}: {e}");
                             return ExitCode::FAILURE;
                         }
                     };
@@ -475,8 +475,8 @@ fn main() -> ExitCode {
             print!("{}", cli::profile_report(&report, args.limit));
             if let Some(path) = &args.collapsed {
                 let stacks = report.spans.collapsed();
-                if std::fs::write(path, &stacks).is_err() {
-                    eprintln!("cannot write {path}");
+                if let Err(e) = std::fs::write(path, &stacks) {
+                    eprintln!("cannot write {path}: {e}");
                     return ExitCode::FAILURE;
                 }
                 eprintln!("wrote {path} ({} stacks)", stacks.lines().count());
@@ -485,8 +485,8 @@ fn main() -> ExitCode {
         "export" => {
             let out = Experiment::new(config_of(&args)).run();
             let json = out.dataset_json();
-            if std::fs::write(&args.out, &json).is_err() {
-                eprintln!("cannot write {}", args.out);
+            if let Err(e) = std::fs::write(&args.out, &json) {
+                eprintln!("cannot write {}: {e}", args.out);
                 return ExitCode::FAILURE;
             }
             eprintln!(
@@ -560,8 +560,8 @@ fn main() -> ExitCode {
                 if args.out_given {
                     let file = match std::fs::File::create(&args.out) {
                         Ok(f) => f,
-                        Err(_) => {
-                            eprintln!("cannot write {}", args.out);
+                        Err(e) => {
+                            eprintln!("cannot write {}: {e}", args.out);
                             return ExitCode::FAILURE;
                         }
                     };
@@ -578,44 +578,42 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            let out = match &args.telemetry_out {
-                Some(path) => {
-                    // Stream one telemetry report line per shard while
-                    // the fleet runs; telemetry is forced on. Memory
-                    // stays O(jobs) buffered lines whatever --accounts.
-                    let file = match std::fs::File::create(path) {
-                        Ok(f) => f,
-                        Err(_) => {
-                            eprintln!("cannot write {path}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    match run_fleet_streaming(&cfg, std::io::BufWriter::new(file)) {
-                        Ok(out) => {
-                            eprintln!("wrote {path} ({} report lines)", out.shards);
-                            out
-                        }
-                        Err(_) => {
-                            eprintln!("cannot write {path}");
-                            return ExitCode::FAILURE;
-                        }
+            // --telemetry-out needs the per-shard reports, so it turns
+            // telemetry on. The file is opened before the run so a bad
+            // path fails fast, and written after the join.
+            let telemetry_file = match &args.telemetry_out {
+                Some(path) => match std::fs::File::create(path) {
+                    Ok(f) => Some((path, f)),
+                    Err(e) => {
+                        eprintln!("cannot write {path}: {e}");
+                        return ExitCode::FAILURE;
+                    }
+                },
+                None => None,
+            };
+            let out = run_fleet(&cfg.with_telemetry(args.profile || telemetry_file.is_some()));
+            if let Some((path, file)) = telemetry_file {
+                match out.write_telemetry_jsonl(std::io::BufWriter::new(file)) {
+                    Ok(lines) => eprintln!("wrote {path} ({lines} report lines)"),
+                    Err(e) => {
+                        eprintln!("cannot write {path}: {e}");
+                        return ExitCode::FAILURE;
                     }
                 }
-                None => run_fleet(&cfg),
-            };
+            }
             print!("{}", out.summary_table().render());
             if args.out_given {
                 let file = match std::fs::File::create(&args.out) {
                     Ok(f) => f,
-                    Err(_) => {
-                        eprintln!("cannot write {}", args.out);
+                    Err(e) => {
+                        eprintln!("cannot write {}: {e}", args.out);
                         return ExitCode::FAILURE;
                     }
                 };
                 match out.write_jsonl(std::io::BufWriter::new(file)) {
                     Ok(records) => eprintln!("wrote {} ({records} JSONL records)", args.out),
-                    Err(_) => {
-                        eprintln!("cannot write {}", args.out);
+                    Err(e) => {
+                        eprintln!("cannot write {}: {e}", args.out);
                         return ExitCode::FAILURE;
                     }
                 }
@@ -786,8 +784,8 @@ fn main() -> ExitCode {
             };
             print!("{}", report.table().render());
             if let Some(path) = &args.json_out {
-                if std::fs::write(path, report.to_json()).is_err() {
-                    eprintln!("cannot write {path}");
+                if let Err(e) = std::fs::write(path, report.to_json()) {
+                    eprintln!("cannot write {path}: {e}");
                     return ExitCode::FAILURE;
                 }
                 eprintln!("wrote {path}");

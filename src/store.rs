@@ -53,7 +53,7 @@ use pwnd_analysis::tables::Overview;
 use pwnd_core::fleet::{run_fleet_shards, FleetConfig, ShardSpec};
 use pwnd_core::hash::Sha256;
 use pwnd_monitor::dataset::{AccountRecord, ParsedAccess};
-use pwnd_monitor::export::{record_tag, tags, RECORD_TAGS};
+use pwnd_monitor::export::{record_tag, tags, DatasetWriter, RECORD_TAGS};
 use pwnd_telemetry::json::Json;
 use pwnd_telemetry::{Table, TelemetryReport, TelemetrySink};
 use std::fs::{self, File};
@@ -273,13 +273,17 @@ pub fn run_fleet_store(cfg: &FleetConfig, dir: &Path) -> io::Result<StoreRun> {
     // manifest) from inside the worker that produced it.
     // lint:allow(lock-discipline): serializes manifest writes from fleet workers; ordering is by shard index, so the run stays deterministic
     let manifest_state = Mutex::new(pruned);
-    let summary = run_fleet_shards(cfg, &to_run, |spec, bytes| {
+    let run = run_fleet_shards(cfg, &to_run, |spec, dataset| {
+        let mut writer = DatasetWriter::new(Vec::new());
+        writer.write_dataset(&dataset)?;
+        let records = writer.records_written();
+        let bytes = writer.finish()?;
         let file = shard_file_name(spec.index);
-        store.atomic_write(&file, bytes)?;
+        store.atomic_write(&file, &bytes)?;
         let entry = ShardEntry {
             spec: spec.clone(),
-            sha256: Sha256::digest_hex(bytes),
-            records: bytes.iter().filter(|&&b| b == b'\n').count() as u64,
+            sha256: Sha256::digest_hex(&bytes),
+            records,
             file,
         };
         let mut m = manifest_state
@@ -294,8 +298,8 @@ pub fn run_fleet_store(cfg: &FleetConfig, dir: &Path) -> io::Result<StoreRun> {
     sink.gauge_set("fleet.shards", specs.len() as u64);
     sink.count_by("fleet.shards_skipped", skipped);
     sink.count_by("fleet.shards_recovered", recovered);
-    sink.count_by("fleet.shards_run", summary.shards_run as u64);
-    sink.gauge_max("fleet.peak_rss_proxy", summary.peak_rss_proxy);
+    sink.count_by("fleet.shards_run", run.outputs.len() as u64);
+    sink.gauge_max("fleet.peak_rss_proxy", run.peak_rss_proxy);
 
     Ok(StoreRun {
         dir: dir.to_path_buf(),
@@ -303,11 +307,11 @@ pub fn run_fleet_store(cfg: &FleetConfig, dir: &Path) -> io::Result<StoreRun> {
         shards_total: specs.len(),
         shards_skipped: skipped,
         shards_recovered: recovered,
-        shards_run: summary.shards_run,
+        shards_run: run.outputs.len(),
         manifest_recovered,
-        jobs: summary.jobs,
-        peak_rss_proxy: summary.peak_rss_proxy,
-        telemetry: TelemetryReport::merge(&[summary.telemetry, sink.report()]),
+        jobs: run.jobs,
+        peak_rss_proxy: run.peak_rss_proxy,
+        telemetry: TelemetryReport::merge(&[run.telemetry, sink.report()]),
     })
 }
 

@@ -4,10 +4,11 @@
 //! `--jobs` was — and the streaming export loses nothing relative to
 //! the in-memory JSON artifact.
 
-use pwnd::core::fleet::{run_fleet, run_fleet_streaming, FleetConfig};
+use pwnd::core::fleet::{run_fleet, FleetConfig};
 use pwnd::monitor::export::read_jsonl;
 use pwnd::telemetry::TelemetryReport;
 use pwnd::{Experiment, ExperimentConfig};
+use std::process::Command;
 
 /// `pwnd fleet --accounts 500`: the merged dataset and every rendered
 /// artifact are byte-identical between the sequential and the parallel
@@ -40,55 +41,88 @@ fn fleet_500_accounts_is_byte_identical_across_job_counts() {
     );
 }
 
-/// `pwnd fleet --telemetry-out`: the streamed per-shard telemetry is
-/// one JSONL report line per shard, in shard order whatever the
-/// schedule, and re-merging the lines offline reproduces the in-process
-/// merged report exactly — including phase timings and the span tree.
+/// `pwnd fleet --telemetry-out`: the per-shard telemetry is one JSONL
+/// report line per shard, in shard order whatever the schedule, and
+/// re-merging the lines offline reproduces the in-process merge of the
+/// shard reports exactly — including phase names and the span tree.
 #[test]
 fn streamed_fleet_telemetry_is_ordered_complete_and_remergeable() {
-    let cfg = FleetConfig::new(2016, 500, 4);
-    let mut stream = Vec::new();
-    let output = run_fleet_streaming(&cfg, &mut stream).unwrap();
+    let lines_of = |jobs: usize| {
+        let out = run_fleet(&FleetConfig::new(2016, 500, jobs).with_telemetry(true));
+        let mut stream = Vec::new();
+        let written = out.write_telemetry_jsonl(&mut stream).unwrap();
+        let reports: Vec<TelemetryReport> = std::str::from_utf8(&stream)
+            .unwrap()
+            .lines()
+            .map(|l| TelemetryReport::from_json_line(l).unwrap())
+            .collect();
+        assert_eq!(written, out.shards as u64);
+        assert_eq!(reports.len(), out.shards, "one report line per shard");
+        (out, reports)
+    };
+    let (output, reports) = lines_of(4);
+    let (_, sequential) = lines_of(1);
 
-    let text = std::str::from_utf8(&stream).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), output.shards, "one report line per shard");
+    // Shard order, not completion order: line `i` is the report of the
+    // same line from the one-worker fleet (report equality compares
+    // metrics and trace). Shards run at different seeds, so a reordered
+    // line would differ.
+    assert_ne!(sequential[0], sequential[1]);
+    for (i, (line, seq)) in reports.iter().zip(&sequential).enumerate() {
+        assert_eq!(line, seq, "line {i}");
+        assert_eq!(line.spans.structure(), seq.spans.structure(), "line {i}");
+    }
 
-    let reports: Vec<TelemetryReport> = lines
-        .iter()
-        .map(|l| TelemetryReport::from_json_line(l).unwrap())
-        .collect();
+    // The lines round-trip, and their merge is the in-process merge.
+    assert_eq!(reports, output.shard_reports);
     let remerged = TelemetryReport::merge(&reports);
-    assert_eq!(remerged, output.shard_telemetry);
-    assert_eq!(
-        remerged.spans.structure(),
-        output.shard_telemetry.spans.structure()
-    );
+    let in_process = TelemetryReport::merge(&output.shard_reports);
+    assert_eq!(remerged, in_process);
+    assert_eq!(remerged.spans.structure(), in_process.spans.structure());
     assert_eq!(
         remerged.phases.iter().map(|p| &p.name).collect::<Vec<_>>(),
-        output
-            .shard_telemetry
+        in_process
             .phases
             .iter()
             .map(|p| &p.name)
             .collect::<Vec<_>>()
     );
-
-    // Shard order, not completion order: each line carries its shard's
-    // own account count, so the merged counter totals the fleet.
-    let dispatched: u64 = reports
-        .iter()
-        .map(|r| r.metrics.counter("sim.events_dispatched"))
-        .sum();
+    let dispatched = remerged.metrics.counter("sim.events_dispatched");
+    assert!(dispatched > 0, "shards really dispatched sim events");
     assert_eq!(
-        remerged.metrics.counter("sim.events_dispatched"),
+        output.telemetry.metrics.counter("sim.events_dispatched"),
         dispatched
     );
-    assert!(dispatched > 0, "shards really dispatched sim events");
 
-    // Streaming is an observation: the dataset matches the plain run.
-    let plain = run_fleet(&cfg);
+    // Telemetry is an observation: the dataset matches the plain run.
+    let plain = run_fleet(&FleetConfig::new(2016, 500, 4));
     assert_eq!(plain.dataset_json(), output.dataset_json());
+}
+
+/// `pwnd fleet --out` into a directory that does not exist fails, and
+/// says why: the OS error reaches stderr.
+#[test]
+fn fleet_out_to_a_missing_directory_reports_the_os_error() {
+    let missing = std::env::temp_dir().join(format!("pwnd-missing-{}", std::process::id()));
+    let target = missing.join("x.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_pwnd"))
+        .args(["fleet", "--accounts", "100", "--jobs", "1", "--out"])
+        .arg(&target)
+        .output()
+        .unwrap();
+    assert!(
+        !out.status.success(),
+        "writing under a missing directory must fail"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("cannot write {}: ", target.display())),
+        "stderr: {stderr}"
+    );
+    assert!(
+        stderr.contains("os error"),
+        "stderr names the OS error: {stderr}"
+    );
 }
 
 /// Streaming a dataset out as JSON Lines and reassembling it yields the
