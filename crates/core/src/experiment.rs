@@ -99,7 +99,7 @@ impl Experiment {
 
     /// Attach a telemetry sink. The sink is threaded through every layer
     /// (event queue, webmail service, monitor, leak outlets) and collects
-    /// metrics, trace records, and phase timings for the whole run.
+    /// metrics, trace records, and the span tree for the whole run.
     /// Telemetry never touches simulation RNG or state: enabling it
     /// cannot change the dataset a seed produces.
     pub fn with_telemetry(mut self, sink: TelemetrySink) -> Experiment {
@@ -1176,7 +1176,7 @@ mod tests {
         assert_eq!(plain.dataset_json(), traced.dataset_json());
 
         // Two instrumented runs of the same seed agree on every metric
-        // and trace record (report equality ignores wall-clock phases).
+        // and trace record (report equality ignores wall-clock span totals).
         let traced2 = Experiment::new(ExperimentConfig::quick(42))
             .with_telemetry(TelemetrySink::enabled())
             .run();

@@ -70,7 +70,7 @@ pub struct RunOutput {
     pub blacklist: Blacklist,
     /// The run's telemetry sink (disabled unless the experiment was built
     /// with [`Experiment::with_telemetry`](crate::experiment::Experiment::with_telemetry)).
-    /// Still live: [`RunOutput::analysis`] adds its own phase span.
+    /// Still live: [`RunOutput::analysis`] adds its own root span.
     pub telemetry: TelemetrySink,
     /// Byte-size proxy for the run's peak resident state: the webmail
     /// service's interned hot state plus the built dataset, from pure
@@ -91,7 +91,7 @@ impl RunOutput {
         )
     }
 
-    /// Snapshot the run's telemetry (metrics, trace, phase timings).
+    /// Snapshot the run's telemetry (metrics, trace, span tree).
     pub fn telemetry_report(&self) -> TelemetryReport {
         self.telemetry.report()
     }

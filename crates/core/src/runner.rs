@@ -24,7 +24,7 @@
 //!    rules (sum counters, max gauges, interleave traces by sim time
 //!    then submission index) depend only on the per-run reports and the
 //!    submission order — not on which worker produced them. Wall-clock
-//!    phase timings are the one scheduling-dependent artifact, and those
+//!    span timings are the one scheduling-dependent artifact, and those
 //!    are excluded from report equality by design.
 //!
 //! `runner_is_schedule_invariant` below proves the contract rather than
@@ -56,11 +56,11 @@ pub struct Batch<T = RunOutput> {
     /// One value per submitted config, in submission order.
     pub outputs: Vec<T>,
     /// Each run's own telemetry report, in submission order: what
-    /// `telemetry` merged, without the runner's series and phases.
+    /// `telemetry` merged, without the runner's series and spans.
     pub reports: Vec<TelemetryReport>,
     /// Merged telemetry: per-run metrics and traces combined by
     /// [`TelemetryReport::merge`], plus the runner's own `runner.*`
-    /// series and phases.
+    /// series and root spans.
     pub telemetry: TelemetryReport,
     /// Worker threads the batch ran across.
     pub jobs: usize,
@@ -72,7 +72,7 @@ pub struct BatchProfile {
     /// Worker threads used.
     pub jobs: usize,
     /// Runs executed.
-    pub runs: u32,
+    pub runs: u64,
     /// Sum of per-run wall time — what a sequential executor would pay.
     pub serial: Duration,
     /// Wall time of the whole batch.
@@ -108,18 +108,19 @@ impl BatchProfile {
 }
 
 impl<T> Batch<T> {
-    /// The wall-clock profile of this batch, when telemetry was on.
+    /// The wall-clock profile of this batch, when telemetry was on,
+    /// read from the runner's root spans.
     pub fn profile(&self) -> Option<BatchProfile> {
-        let phase = |name: &str| self.telemetry.phases.iter().find(|p| p.name == name);
-        let run = phase("runner.run")?;
-        let wall = phase("runner.batch")?.total;
+        let spans = &self.telemetry.spans;
+        let run = spans.node("runner.run")?;
         Some(BatchProfile {
             jobs: self.jobs,
-            runs: run.entries,
+            runs: run.count,
             serial: run.total,
-            wall,
-            queue_wait: phase("runner.queue-wait")
-                .map(|p| p.total)
+            wall: spans.node("runner.batch")?.total,
+            queue_wait: spans
+                .node("runner.queue-wait")
+                .map(|n| n.total)
                 .unwrap_or_default(),
         })
     }
@@ -144,7 +145,7 @@ impl Runner {
     /// Enable telemetry: every run gets its own enabled sink (so
     /// [`RunOutput::telemetry_report`] works per run) and the batch
     /// report merges them all, adding `runner.jobs`, `runner.runs`, and
-    /// the `runner.batch` / `runner.run` / `runner.queue-wait` phases.
+    /// the `runner.batch` / `runner.run` / `runner.queue-wait` root spans.
     pub fn with_telemetry(mut self, enabled: bool) -> Runner {
         self.telemetry = enabled;
         self
@@ -222,8 +223,8 @@ impl Runner {
 
         let telemetry = if self.telemetry {
             // Merge order is pure submission order: run reports first
-            // (by index), then the workers' runner-phase reports (by
-            // worker index), then the batch-level report. Only phase
+            // (by index), then the workers' runner-span reports (by
+            // worker index), then the batch-level report. Only span
             // wall-clocks differ between schedules, and those are
             // excluded from report equality.
             reports.extend(worker_reports);
@@ -253,7 +254,7 @@ impl Runner {
 
     /// One worker: pull the next submitted config, run it, snapshot its
     /// telemetry, map it, park the result in its submission slot; repeat
-    /// until the queue drains. Returns the worker's runner-phase report
+    /// until the queue drains. Returns the worker's runner-span report
     /// (queue waits, per-run wall-clock).
     fn worker_loop<T, F>(
         &self,
@@ -391,7 +392,7 @@ mod tests {
         let seq = reports(1);
         let par = reports(4);
         // Seeds differ, so equal slot by slot means equal order too
-        // (report equality excludes wall-clock phases).
+        // (report equality excludes wall-clock span totals).
         assert_ne!(seq[0], seq[1]);
         for (i, (a, b)) in seq.iter().zip(&par).enumerate() {
             assert_eq!(a, b, "slot {i}");

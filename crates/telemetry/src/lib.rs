@@ -12,12 +12,11 @@
 //!    (`webmail.logins{outcome}`, `sim.events_dispatched{kind}`, …);
 //! 2. a **structured trace** ([`trace`]) of sim-time-stamped
 //!    [`TraceEvent`] records in a bounded ring buffer with JSONL export;
-//! 3. a **wall-clock phase profiler** ([`profile`]) of spans around the
-//!    experiment's stages, rendered as a phase-time table;
-//! 4. a **hierarchical span tree** ([`spantree`]) aggregating nested
+//! 3. a **hierarchical span tree** ([`spantree`]) aggregating nested
 //!    spans by path (`event-loop;event{kind=visit}`), with per-path
 //!    wall time, entry counts, sim-time ranges, self-vs-child
-//!    attribution, and a flamegraph collapsed-stack export.
+//!    attribution, and a flamegraph collapsed-stack export. It is the
+//!    only record of wall time: its roots are the phase table's rows.
 //!
 //! ## The zero-overhead contract
 //!
@@ -44,7 +43,6 @@
 
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod report;
 pub mod sink;
 pub mod spantree;
@@ -53,7 +51,6 @@ pub mod trace;
 
 pub use json::{Json, JsonError};
 pub use metrics::{HistogramSummary, MetricsSnapshot};
-pub use profile::PhaseSummary;
 pub use report::{format_duration, TelemetryReport};
 pub use sink::{SpanGuard, TelemetrySink};
 pub use spantree::{SpanAttribution, SpanNode, SpanTree, SpanTreeSnapshot};

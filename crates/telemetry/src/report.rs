@@ -2,8 +2,7 @@
 
 use crate::json::Json;
 use crate::metrics::{Histogram, MetricsSnapshot};
-use crate::profile::PhaseSummary;
-use crate::spantree::SpanTreeSnapshot;
+use crate::spantree::{SpanNode, SpanTreeSnapshot};
 use crate::table::Table;
 use crate::trace::TraceEvent;
 use std::collections::BTreeMap;
@@ -11,10 +10,10 @@ use std::time::Duration;
 
 /// Everything a sink recorded, frozen at one instant.
 ///
-/// Equality compares metrics and trace only — phase timings and span
-/// durations are wall clock and differ between identical runs by
-/// construction. (The span tree's deterministic *structure* can be
-/// compared via [`SpanTreeSnapshot::structure`].)
+/// Equality compares metrics and trace only — span durations are wall
+/// clock and differ between identical runs by construction. (The span
+/// tree's deterministic *structure* can be compared via
+/// [`SpanTreeSnapshot::structure`].)
 #[derive(Clone, Debug, Default)]
 pub struct TelemetryReport {
     /// Counter / gauge / histogram snapshot.
@@ -23,8 +22,6 @@ pub struct TelemetryReport {
     pub trace: Vec<TraceEvent>,
     /// Trace events evicted because the ring was full.
     pub trace_dropped: u64,
-    /// Wall-clock phase totals, first-entry order.
-    pub phases: Vec<PhaseSummary>,
     /// Hierarchical span aggregate, sorted by path.
     pub spans: SpanTreeSnapshot,
 }
@@ -40,10 +37,6 @@ impl PartialEq for TelemetryReport {
 /// Render a duration the way the profile tables do: seconds above 1s,
 /// milliseconds above 1ms, whole microseconds below.
 pub fn format_duration(d: Duration) -> String {
-    fmt_duration(d)
-}
-
-fn fmt_duration(d: Duration) -> String {
     let secs = d.as_secs_f64();
     if secs >= 1.0 {
         format!("{secs:.2}s")
@@ -69,9 +62,6 @@ impl TelemetryReport {
     ///   input's trace is already time-ordered, so a stable k-way merge
     ///   keyed on sim time with the submission index as tie-break gives
     ///   one canonical stream, independent of which thread ran what;
-    /// * **phases** accumulate by name, ordered by first appearance
-    ///   scanning inputs in submission order (phase *totals* are wall
-    ///   clock and excluded from report equality, as always);
     /// * **span trees** fold by path — totals and counts add, sim
     ///   ranges widen — an order-free, associative combinator like the
     ///   metric merges.
@@ -82,14 +72,10 @@ impl TelemetryReport {
     pub fn merge(reports: &[TelemetryReport]) -> TelemetryReport {
         let mut metrics = MetricsSnapshot::default();
         let mut trace_dropped = 0u64;
-        let mut profiler = crate::profile::Profiler::default();
         let mut spans = SpanTreeSnapshot::default();
         for r in reports {
             metrics.merge_from(&r.metrics);
             trace_dropped += r.trace_dropped;
-            for p in &r.phases {
-                profiler.record_entries(&p.name, p.total, p.entries);
-            }
             spans.merge_from(&r.spans);
         }
         // Stable k-way interleave: tag with (t_secs, input index) and
@@ -105,31 +91,43 @@ impl TelemetryReport {
             metrics,
             trace: tagged.into_iter().map(|(_, _, e)| e.clone()).collect(),
             trace_dropped,
-            phases: profiler.summaries(),
             spans,
         }
     }
 
-    /// The phase-time table (`--profile` output).
+    /// The phase table (`--profile` and `pwnd profile` output): one
+    /// row per root span, largest total first (path as the tie-break),
+    /// with the self time its child spans leave unexplained. Roots never
+    /// nest, so the `total` row, their sum, counts no span twice.
     pub fn phase_table(&self) -> String {
-        let total: Duration = self.phases.iter().map(|p| p.total).sum();
-        let mut t = Table::new(&["phase", "wall time", "share", "entries"]).numeric();
-        for p in &self.phases {
-            let share = if total.is_zero() {
-                0.0
+        let mut roots: Vec<&SpanNode> = self.spans.roots().collect();
+        roots.sort_by(|a, b| b.total.cmp(&a.total).then_with(|| a.path.cmp(&b.path)));
+        let total: Duration = roots.iter().map(|n| n.total).sum();
+        let percent = |part: Duration, whole: Duration| {
+            if whole.is_zero() {
+                "0.0%".to_string()
             } else {
-                100.0 * p.total.as_secs_f64() / total.as_secs_f64()
-            };
+                format!("{:.1}%", 100.0 * part.as_secs_f64() / whole.as_secs_f64())
+            }
+        };
+        let mut t =
+            Table::new(&["phase", "entries", "wall time", "self", "coverage", "share"]).numeric();
+        for n in roots {
+            let children = self.spans.children_total(&n.path);
             t.row([
-                p.name.clone(),
-                fmt_duration(p.total),
-                format!("{share:.1}%"),
-                p.entries.to_string(),
+                n.path.clone(),
+                n.count.to_string(),
+                format_duration(n.total),
+                format_duration(n.total.saturating_sub(children)),
+                percent(children, n.total),
+                percent(n.total, total),
             ]);
         }
         t.row([
             "total".to_string(),
-            fmt_duration(total),
+            String::new(),
+            format_duration(total),
+            String::new(),
             String::new(),
             String::new(),
         ]);
@@ -174,26 +172,6 @@ impl TelemetryReport {
             out.push_str(&t.render());
         }
         out
-    }
-
-    /// The per-phase attribution breakdown (`pwnd profile` output):
-    /// for each flat phase that appears in the span tree, how much of
-    /// its wall time named child spans account for.
-    pub fn attribution_table(&self) -> String {
-        let mut t = Table::new(&["phase", "total", "attributed", "self", "coverage"]).numeric();
-        for p in &self.phases {
-            let Some(attr) = self.spans.attribution(&p.name) else {
-                continue;
-            };
-            t.row([
-                p.name.clone(),
-                fmt_duration(attr.total),
-                fmt_duration(attr.children),
-                fmt_duration(attr.total.saturating_sub(attr.children)),
-                format!("{:.1}%", 100.0 * attr.coverage()),
-            ]);
-        }
-        t.render()
     }
 
     /// The top-spans table, sorted by total time descending; `limit`
@@ -248,21 +226,6 @@ impl TelemetryReport {
                 Json::Arr(self.trace.iter().map(TraceEvent::to_json).collect()),
             ),
             ("trace_dropped".to_string(), Json::U(self.trace_dropped)),
-            (
-                "phases".to_string(),
-                Json::Arr(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            Json::Obj(vec![
-                                ("name".to_string(), Json::Str(p.name.clone())),
-                                ("total_ns".to_string(), Json::U(p.total.as_nanos() as u64)),
-                                ("entries".to_string(), Json::U(u64::from(p.entries))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
             ("spans".to_string(), self.spans.to_json()),
         ])
     }
@@ -275,7 +238,8 @@ impl TelemetryReport {
 
     /// Parse a [`to_json`](TelemetryReport::to_json) value back into a
     /// report. Round trip is exact: the reparsed report is `==` the
-    /// original and has the same phases and span tree.
+    /// original and has the same span tree. A `phases` key, written by
+    /// older binaries, is ignored.
     pub fn from_json(json: &Json) -> Result<TelemetryReport, String> {
         let metric_map = |field: &str| -> Result<BTreeMap<String, u64>, String> {
             match json.get(field) {
@@ -332,27 +296,6 @@ impl TelemetryReport {
                 trace.push(TraceEvent::from_json(e)?);
             }
         }
-        let mut phases = Vec::new();
-        if let Some(arr) = json.get("phases").and_then(Json::as_array) {
-            for p in arr {
-                phases.push(PhaseSummary {
-                    name: p
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("phase: missing name")?
-                        .to_string(),
-                    total: Duration::from_nanos(
-                        p.get("total_ns")
-                            .and_then(Json::as_u64)
-                            .ok_or("phase: missing total_ns")?,
-                    ),
-                    entries: p
-                        .get("entries")
-                        .and_then(Json::as_u64)
-                        .ok_or("phase: missing entries")? as u32,
-                });
-            }
-        }
         let spans = match json.get("spans") {
             Some(s) => SpanTreeSnapshot::from_json(s)?,
             None => SpanTreeSnapshot::default(),
@@ -368,7 +311,6 @@ impl TelemetryReport {
                 .get("trace_dropped")
                 .and_then(Json::as_u64)
                 .unwrap_or(0),
-            phases,
             spans,
         })
     }
@@ -382,7 +324,7 @@ impl TelemetryReport {
     /// Full human-readable rendering: phases, metrics, trace volume.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        if !self.phases.is_empty() {
+        if !self.spans.is_empty() {
             out.push_str(&self.phase_table());
             out.push('\n');
         }
@@ -445,12 +387,15 @@ mod tests {
         // Interleaved by time; input 0 wins the t=10 tie.
         let kinds: Vec<&str> = merged.trace.iter().map(|e| e.kind.as_ref()).collect();
         assert_eq!(kinds, vec!["login", "scrape", "scrape", "login"]);
-        // Phases accumulate by name in first-appearance order.
-        let names: Vec<&str> = merged.phases.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, vec!["event-loop", "dataset"]);
-        assert_eq!(merged.phases[0].entries, 2);
+        // Root spans fold by path.
+        let roots: Vec<(&str, u64)> = merged
+            .spans
+            .roots()
+            .map(|n| (n.path.as_str(), n.count))
+            .collect();
+        assert_eq!(roots, vec![("dataset", 1), ("event-loop", 2)]);
         // Merging is submission-order-deterministic: same inputs, same
-        // report (equality ignores wall-clock phases).
+        // report (equality ignores wall-clock span totals).
         let again = TelemetryReport::merge(&[a.report(), b.report()]);
         assert_eq!(merged, again);
     }
@@ -493,28 +438,49 @@ mod tests {
         assert!(!line.contains('\n'));
         let back = TelemetryReport::from_json_line(&line).unwrap();
         assert_eq!(back, report, "metrics and trace survive the round trip");
-        assert_eq!(back.phases, report.phases);
         assert_eq!(back.spans, report.spans);
         // Serialization itself is deterministic.
         assert_eq!(back.to_json_line(), line);
     }
 
     #[test]
-    fn attribution_table_reports_child_coverage() {
+    fn phase_rows_are_the_roots_and_total_counts_no_span_twice() {
         let sink = TelemetrySink::enabled();
         {
-            let outer = sink.span("event-loop");
-            drop(outer.child("event", &[("kind", "visit")]));
+            let _outer = sink.span("event-loop");
+            drop(sink.span("scrape"));
         }
-        let text = sink.report().attribution_table();
-        assert!(text.contains("event-loop"));
-        assert!(text.contains('%'));
+        drop(sink.span("corpus"));
+        let mut report = sink.report();
+        // Pin the wall times (nodes are sorted by path) so the table's
+        // arithmetic is exact.
+        for (n, ms) in report.spans.nodes.iter_mut().zip([60, 100, 40]) {
+            n.total = Duration::from_millis(ms);
+        }
+        assert_eq!(report.spans.nodes[2].path, "event-loop;scrape");
+        let text = report.phase_table();
+        let rows: Vec<Vec<&str>> = text
+            .lines()
+            .skip(2)
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        let names: Vec<&str> = rows.iter().map(|r| r[0]).collect();
+        assert_eq!(names, vec!["event-loop", "corpus", "total"]);
+        // event-loop: 100ms, 60ms of it self time, 40% covered by
+        // children, 62.5% of the total.
+        assert_eq!(
+            rows[0],
+            vec!["event-loop", "1", "100.00ms", "60.00ms", "40.0%", "62.5%"]
+        );
+        // The total is the sum of the rows, 160ms, not the 200ms of
+        // every node.
+        assert_eq!(rows[2], vec!["total", "160.00ms"]);
     }
 
     #[test]
     fn duration_formatting() {
-        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00s");
-        assert_eq!(fmt_duration(Duration::from_millis(15)), "15.00ms");
-        assert_eq!(fmt_duration(Duration::from_micros(120)), "120µs");
+        assert_eq!(format_duration(Duration::from_secs(2)), "2.00s");
+        assert_eq!(format_duration(Duration::from_millis(15)), "15.00ms");
+        assert_eq!(format_duration(Duration::from_micros(120)), "120µs");
     }
 }

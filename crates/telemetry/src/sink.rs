@@ -5,43 +5,34 @@
 //! every recording call is a single branch. An enabled sink shares one
 //! `Arc<Mutex<…>>` across every subsystem of a run, so the webmail
 //! service, the scraper, the leak outlets, and the event queue all feed
-//! the same registry, trace, profiler, and span tree.
+//! the same registry, trace, and span tree.
 //!
 //! ## Spans
 //!
-//! [`span`](TelemetrySink::span) opens a **phase span**: its wall time
-//! is folded both into the flat phase profiler (keeping `--profile`
-//! output and bench baselines stable) and into the hierarchical
-//! [`SpanTree`] at the current nesting
-//! depth. [`subspan`](TelemetrySink::subspan) and
-//! [`SpanGuard::child`] open **attribution spans** that only feed the
-//! tree, so sub-phase detail never perturbs the legacy phase table.
-//! Guards keep a per-sink stack of open spans; a span opened while
-//! another is live becomes its child in the tree.
+//! [`span`](TelemetrySink::span), [`subspan`](TelemetrySink::subspan)
+//! and [`SpanGuard::child`] open spans whose wall time is folded into
+//! the hierarchical [`SpanTree`], the only record of wall time. Guards
+//! keep a per-sink stack of open spans; a span opened while another is
+//! live becomes its child in the tree. The tree's roots are the run's
+//! phases.
 
 use crate::metrics::Registry;
-use crate::profile::Profiler;
 use crate::report::TelemetryReport;
 use crate::spantree::SpanTree;
 use crate::trace::{TraceBuffer, TraceEvent};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 #[derive(Debug, Default)]
 struct Inner {
     metrics: Registry,
     trace: TraceBuffer,
-    profile: Profiler,
     spans: SpanTree,
     stack: Vec<usize>,
 }
 
-impl Inner {
-    fn open_span(&mut self, parent: Option<usize>, name: &str) -> (usize, usize) {
-        let node = self.spans.open(parent, name);
-        self.stack.push(node);
-        (node, self.stack.len() - 1)
-    }
+fn lock(m: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Render `name{k=v,k=v}`, or just `name` with no labels.
@@ -109,9 +100,7 @@ impl TelemetrySink {
     }
 
     fn with<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> Option<R> {
-        self.inner
-            .as_ref()
-            .map(|m| f(&mut m.lock().unwrap_or_else(PoisonError::into_inner)))
+        self.inner.as_ref().map(|m| f(&mut lock(m)))
     }
 
     // ---- metrics -------------------------------------------------------
@@ -192,60 +181,23 @@ impl TelemetrySink {
 
     // ---- profiling -----------------------------------------------------
 
-    /// Open a wall-clock span for `phase`; the time from now until the
-    /// guard drops is folded into that phase's flat total *and* into
-    /// the span tree at the current nesting depth.
-    pub fn span(&self, phase: &'static str) -> SpanGuard {
-        match &self.inner {
-            None => SpanGuard::noop(),
-            Some(m) => {
-                // Stamp before the bookkeeping so open-path overhead
-                // counts against this span, not its parent's self time.
-                let started = Instant::now();
-                let (node, depth) = {
-                    let mut i = m.lock().unwrap_or_else(PoisonError::into_inner);
-                    let parent = i.stack.last().copied();
-                    i.open_span(parent, phase)
-                };
-                SpanGuard {
-                    sink: Some(Arc::clone(m)),
-                    phase: Some(phase),
-                    node,
-                    depth,
-                    started,
-                }
-            }
-        }
+    /// Open a wall-clock span under the innermost open span (or at the
+    /// root if none is open); the time from now until the guard drops
+    /// is folded into the span tree. The same as
+    /// [`subspan`](TelemetrySink::subspan) with no labels.
+    pub fn span(&self, name: &'static str) -> SpanGuard {
+        self.subspan(name, &[])
     }
 
-    /// Open an attribution-only span under the innermost open span
-    /// (or at the root if none is open). Label pairs become part of the
-    /// tree path — `subspan("event", &[("kind", "visit")])` records
-    /// under `…;event{kind=visit}` — and are only formatted when the
-    /// sink is enabled. Unlike [`span`](TelemetrySink::span), nothing
-    /// is added to the flat phase profiler.
+    /// Open a wall-clock span under the innermost open span (or at the
+    /// root if none is open). Label pairs become part of the tree path
+    /// — `subspan("event", &[("kind", "visit")])` records under
+    /// `…;event{kind=visit}` — and are only formatted when the sink is
+    /// enabled.
     pub fn subspan(&self, name: &'static str, labels: &[(&str, &str)]) -> SpanGuard {
         match &self.inner {
             None => SpanGuard::noop(),
-            Some(m) => {
-                let started = Instant::now();
-                let (node, depth) = {
-                    let mut i = m.lock().unwrap_or_else(PoisonError::into_inner);
-                    let parent = i.stack.last().copied();
-                    if labels.is_empty() {
-                        i.open_span(parent, name)
-                    } else {
-                        i.open_span(parent, &labeled_name(name, labels))
-                    }
-                };
-                SpanGuard {
-                    sink: Some(Arc::clone(m)),
-                    phase: None,
-                    node,
-                    depth,
-                    started,
-                }
-            }
+            Some(m) => SpanGuard::open(m, None, name, labels),
         }
     }
 
@@ -258,7 +210,6 @@ impl TelemetrySink {
             metrics: i.metrics.snapshot(),
             trace: i.trace.snapshot(),
             trace_dropped: i.trace.dropped(),
-            phases: i.profile.summaries(),
             spans: i.spans.snapshot(),
         })
         .unwrap_or_default()
@@ -272,13 +223,10 @@ impl TelemetrySink {
 
 /// RAII guard for one profiling span (see [`TelemetrySink::span`],
 /// [`TelemetrySink::subspan`], and [`SpanGuard::child`]).
-#[must_use = "a span guard records its phase when dropped"]
+#[must_use = "a span guard records its time when dropped"]
 #[derive(Debug)]
 pub struct SpanGuard {
     sink: Option<Arc<Mutex<Inner>>>,
-    /// Flat-profiler phase to credit on drop; `None` for tree-only
-    /// attribution spans.
-    phase: Option<&'static str>,
     node: usize,
     depth: usize,
     started: Instant,
@@ -288,53 +236,65 @@ impl SpanGuard {
     fn noop() -> SpanGuard {
         SpanGuard {
             sink: None,
-            phase: None,
             node: 0,
             depth: 0,
             started: Instant::now(),
         }
     }
 
-    /// Open an attribution-only span as an explicit child of this one,
-    /// independent of whatever else is on the span stack. Labels join
-    /// the tree path exactly as in [`TelemetrySink::subspan`].
+    /// Open `name{labels}` under `parent`, or under the innermost open
+    /// span when `parent` is `None`, and push it on the span stack.
+    fn open(
+        m: &Arc<Mutex<Inner>>,
+        parent: Option<usize>,
+        name: &str,
+        labels: &[(&str, &str)],
+    ) -> SpanGuard {
+        // Stamp before the bookkeeping so open-path overhead counts
+        // against this span, not its parent's self time.
+        let started = Instant::now();
+        let (node, depth) = {
+            let mut i = lock(m);
+            let parent = parent.or_else(|| i.stack.last().copied());
+            let node = if labels.is_empty() {
+                i.spans.open(parent, name)
+            } else {
+                i.spans.open(parent, &labeled_name(name, labels))
+            };
+            i.stack.push(node);
+            (node, i.stack.len() - 1)
+        };
+        SpanGuard {
+            sink: Some(Arc::clone(m)),
+            node,
+            depth,
+            started,
+        }
+    }
+
+    /// Open a span as an explicit child of this one, independent of
+    /// whatever else is on the span stack. Labels join the tree path
+    /// exactly as in [`TelemetrySink::subspan`].
     pub fn child(&self, name: &'static str, labels: &[(&str, &str)]) -> SpanGuard {
         match &self.sink {
             None => SpanGuard::noop(),
-            Some(m) => {
-                let started = Instant::now();
-                let (node, depth) = {
-                    let mut i = m.lock().unwrap_or_else(PoisonError::into_inner);
-                    if labels.is_empty() {
-                        i.open_span(Some(self.node), name)
-                    } else {
-                        i.open_span(Some(self.node), &labeled_name(name, labels))
-                    }
-                };
-                SpanGuard {
-                    sink: Some(Arc::clone(m)),
-                    phase: None,
-                    node,
-                    depth,
-                    started,
-                }
-            }
+            Some(m) => SpanGuard::open(m, Some(self.node), name, labels),
         }
     }
 
     /// Annotate this span (and every currently open ancestor) with a
     /// simulation timestamp, widening their sim-time ranges. Root
-    /// phase spans that saw sim time emit one deterministic `span`
-    /// trace event when they drop.
+    /// spans that saw sim time emit one deterministic `span` trace
+    /// event when they drop.
     pub fn sim(&self, at_secs: u64) {
         if let Some(m) = &self.sink {
-            let mut i = m.lock().unwrap_or_else(PoisonError::into_inner);
-            i.spans.annotate_sim(self.node, at_secs);
-            let open: Vec<usize> = i.stack.to_vec();
-            for idx in open {
-                if idx != self.node {
-                    i.spans.annotate_sim(idx, at_secs);
-                }
+            let mut guard = lock(m);
+            let Inner { spans, stack, .. } = &mut *guard;
+            // Widening is idempotent, so a node both here and on the
+            // stack is simply annotated twice.
+            spans.annotate_sim(self.node, at_secs);
+            for &idx in stack.iter() {
+                spans.annotate_sim(idx, at_secs);
             }
         }
     }
@@ -344,18 +304,15 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(m) = self.sink.take() {
             let elapsed = self.started.elapsed();
-            let mut i = m.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut i = lock(&m);
             // A guard dropped out of LIFO order (or leaked children)
             // still leaves the stack consistent: everything at or
             // above this span's depth is closed with it.
             i.stack.truncate(self.depth);
             i.spans.record(self.node, elapsed);
-            if let Some(phase) = self.phase {
-                i.profile.record(phase, elapsed);
-            }
             // Only the deterministic facets reach the trace ring:
             // the path and the sim-time range, never wall clock.
-            if self.depth == 0 && self.phase.is_some() {
+            if self.depth == 0 {
                 if let Some((min, max)) = i.spans.sim_range(self.node) {
                     let path = i.spans.path_of(self.node);
                     i.trace.push(TraceEvent {
@@ -394,7 +351,6 @@ mod tests {
         let report = sink.report();
         assert!(report.metrics.counters.is_empty());
         assert!(report.trace.is_empty());
-        assert!(report.phases.is_empty());
         assert!(report.spans.is_empty());
     }
 
@@ -420,9 +376,13 @@ mod tests {
             let _again = sink.span("scrape");
         }
         let report = sink.report();
-        let names: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, vec!["scrape", "event-loop"]);
-        assert_eq!(report.phases[0].entries, 2);
+        // Phases are the roots: the nested scrape is not one of them.
+        let roots: Vec<(&str, u64)> = report
+            .spans
+            .roots()
+            .map(|n| (n.path.as_str(), n.count))
+            .collect();
+        assert_eq!(roots, vec![("event-loop", 1), ("scrape", 1)]);
         // The tree keeps the two scrape contexts apart.
         let paths: Vec<&str> = report.spans.nodes.iter().map(|n| n.path.as_str()).collect();
         assert_eq!(paths, vec!["event-loop", "event-loop;scrape", "scrape"]);
@@ -444,8 +404,12 @@ mod tests {
             loop_span.sim(240);
         }
         let report = sink.report();
-        let names: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, vec!["event-loop"], "subspans must not add phases");
+        let roots: Vec<&str> = report.spans.roots().map(|n| n.path.as_str()).collect();
+        assert_eq!(
+            roots,
+            vec!["event-loop"],
+            "nested spans must not add phases"
+        );
         let paths: Vec<&str> = report.spans.nodes.iter().map(|n| n.path.as_str()).collect();
         assert_eq!(
             paths,

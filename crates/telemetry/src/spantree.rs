@@ -1,15 +1,15 @@
 //! Hierarchical span aggregation: where the wall clock actually went.
 //!
-//! The flat phase profiler ([`crate::profile`]) answers *"how long did
-//! the event loop take?"*; the span tree answers *"and which event
-//! kinds inside it?"*. Every [`SpanGuard`](crate::sink::SpanGuard)
+//! The span tree is the one record of wall time. Its roots answer *"how
+//! long did the event loop take?"*; their descendants answer *"and
+//! which event kinds inside it?"*. Every [`SpanGuard`](crate::sink::SpanGuard)
 //! opened while another guard is live becomes a **child** of that
 //! guard's node, so a run builds an aggregate tree keyed by path —
 //! `event-loop;event{kind=visit,class=Curious}` — with per-path wall
 //! time, entry count, and the sim-time range the span covered.
 //!
-//! Wall-clock totals live *only* here and in the profiler, never in the
-//! trace ring, so two identical runs still produce equal
+//! Wall-clock totals live *only* here, never in the trace ring, so two
+//! identical runs still produce equal
 //! [`TelemetryReport`](crate::report::TelemetryReport)s: report
 //! equality compares the deterministic facets (metrics, trace) and the
 //! span tree's *structure* is deterministic too ([`SpanTreeSnapshot::structure`]).
@@ -254,6 +254,11 @@ impl SpanTreeSnapshot {
             }
         }
         self.nodes = by_path.into_values().collect();
+    }
+
+    /// The root nodes — the run's phases — ascending by path.
+    pub fn roots(&self) -> impl Iterator<Item = &SpanNode> {
+        self.nodes.iter().filter(|n| n.parent_path().is_none())
     }
 
     /// The node at exactly `path`, if present.

@@ -5,9 +5,9 @@
 //! order-free facets — counters, gauges, histograms, and span trees —
 //! so sharded fleet telemetry can be folded in any order.
 //!
-//! Traces and the first-appearance ordering of phases are deliberately
-//! submission-order-sensitive, so the permutation property compares
-//! metrics and spans, and phases as a name-keyed set.
+//! Traces are deliberately submission-order-sensitive, so the
+//! permutation property compares metrics and spans, root spans (the
+//! phases) included.
 //!
 //! The JSON parser reads bytes from outside the program (store shards,
 //! manifests, `--input` files), so it gets properties too: no input
@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use pwnd_telemetry::json::MAX_DEPTH;
-use pwnd_telemetry::{Json, PhaseSummary, TelemetryReport, TelemetrySink};
+use pwnd_telemetry::{Json, TelemetryReport, TelemetrySink};
 
 /// Deterministically interpret `(selector, value)` ops into one report,
 /// exercising every mergeable facet including nested spans.
@@ -92,18 +92,10 @@ fn build_value(ops: &mut std::slice::Iter<'_, (u8, u64)>, depth: usize) -> Json 
 /// The pieces a nesting-heavy JSON-ish input is assembled from.
 const JSON_PIECES: [&str; 9] = ["[", "]", "{\"a\":", "}", ",", "1", "\"s\"", " ", "-"];
 
-/// Phases as a sorted name-keyed set (ordering is submission-order by
-/// design, so permutation comparisons must drop it).
-fn phase_set(report: &TelemetryReport) -> Vec<PhaseSummary> {
-    let mut phases = report.phases.clone();
-    phases.sort_by(|a, b| a.name.cmp(&b.name));
-    phases
-}
-
 proptest! {
     /// Any grouping of a 3-way merge — flat, left-nested, right-nested —
-    /// yields the identical report: metrics, trace interleaving, phase
-    /// totals, and span trees (exact `Duration` addition) all agree.
+    /// yields the identical report: metrics, trace interleaving, and
+    /// span trees (exact `Duration` addition) all agree.
     #[test]
     fn merge_is_associative(ops in proptest::collection::vec((0u8..6, 0u64..10_000), 0..60)) {
         let mut split: [Vec<(u8, u64)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
@@ -122,14 +114,13 @@ proptest! {
         ]);
         for other in [&left, &right] {
             prop_assert_eq!(&flat, other);
-            prop_assert_eq!(&flat.phases, &other.phases);
             prop_assert_eq!(&flat.spans, &other.spans);
         }
     }
 
     /// Permuting the inputs leaves every order-free facet unchanged:
-    /// counters, gauges, histograms, span trees, and the name-keyed
-    /// phase totals.
+    /// counters, gauges, histograms, and span trees, whose roots are
+    /// the phases.
     #[test]
     fn merge_is_order_insensitive_for_order_free_facets(
         ops in proptest::collection::vec((0u8..6, 0u64..10_000), 0..60),
@@ -144,7 +135,6 @@ proptest! {
         prop_assert_eq!(&fwd.metrics, &rev.metrics);
         prop_assert_eq!(&fwd.spans, &rev.spans);
         prop_assert_eq!(fwd.trace_dropped, rev.trace_dropped);
-        prop_assert_eq!(phase_set(&fwd), phase_set(&rev));
     }
 
     /// A streamed report survives the JSONL round trip exactly,
@@ -156,7 +146,6 @@ proptest! {
         let back = TelemetryReport::from_json_line(&line)
             .map_err(TestCaseError::Fail)?;
         prop_assert_eq!(&back, &report);
-        prop_assert_eq!(&back.phases, &report.phases);
         prop_assert_eq!(&back.spans, &report.spans);
     }
 

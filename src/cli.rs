@@ -112,19 +112,10 @@ pub fn batch_profile_report(batch: &Batch) -> String {
 
 // ---- `pwnd profile` and `pwnd trace` rendering ------------------------
 
-/// The `pwnd profile` report: the top-spans table, the per-phase
-/// attribution breakdown, and the flat phase table. `limit` bounds the
-/// top-spans rows (0 = all).
+/// The `pwnd profile` report: the top-spans table, then the phase
+/// table of root spans. `limit` bounds the top-spans rows (0 = all).
 pub fn profile_report(report: &TelemetryReport, limit: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&report.span_table(limit));
-    out.push('\n');
-    out.push_str(&report.attribution_table());
-    if !report.phases.is_empty() {
-        out.push('\n');
-        out.push_str(&report.phase_table());
-    }
-    out
+    format!("{}\n{}", report.span_table(limit), report.phase_table())
 }
 
 /// Merge streamed `--telemetry-out` JSONL (one report per line, blank
@@ -322,6 +313,16 @@ mod tests {
         let merged = merge_telemetry_jsonl(&text).unwrap();
         assert_eq!(merged, TelemetryReport::merge(&reports));
         assert_eq!(merged.counter("runs"), 3);
+        // Older binaries also wrote a flat `phases` array; it is ignored.
+        let old = concat!(
+            r#"{"schema":"pwnd-telemetry/1","counters":{"runs":4},"gauges":{},"#,
+            r#""histograms":{},"trace":[],"trace_dropped":0,"#,
+            r#""phases":[{"name":"event-loop","total_ns":1500,"entries":1}],"#,
+            r#""spans":[{"path":"event-loop","total_ns":1500,"count":1}]}"#,
+        );
+        let with_old = merge_telemetry_jsonl(&format!("{text}{old}\n")).unwrap();
+        assert_eq!(with_old.counter("runs"), 7);
+        assert_eq!(with_old.spans.node("event-loop").unwrap().count, 3);
         assert!(merge_telemetry_jsonl("").is_err());
         assert!(merge_telemetry_jsonl("not json\n").is_err());
     }

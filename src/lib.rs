@@ -22,7 +22,7 @@
 //! | [`leak`] | `pwnd-leak` | outlets and the resale market |
 //! | [`attacker`] | `pwnd-attacker` | the calibrated criminal population |
 //! | [`analysis`] | `pwnd-analysis` | §4 figures, tables, CvM, TF-IDF |
-//! | [`telemetry`] | `pwnd-telemetry` | metrics, run tracing, phase profiling |
+//! | [`telemetry`] | `pwnd-telemetry` | metrics, run tracing, span-tree profiling |
 //! | [`faults`] | `pwnd-faults` | deterministic fault injection + retry policy |
 //! | [`core`] | `pwnd-core` | experiment orchestration, runner, fleet engine |
 //! | [`serve`] | `pwnd-serve` | breach-intelligence query daemon over fleet stores |
