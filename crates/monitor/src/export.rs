@@ -128,12 +128,195 @@ pub const RECORD_TAGS: [&str; 4] = [tags::ACCESS, tags::ACCOUNT, tags::OPENED_TE
 
 /// The record tag of one JSONL line, without parsing the record — the
 /// streaming fleet-store merge classifies millions of lines with this.
-/// Returns `None` for lines not starting with the writer's exact
-/// `{"record":"<tag>"` prefix (including blank and truncated lines).
+/// `None` unless the line starts with the writer's exact
+/// `{"record":"<tag>"` prefix and a tag from [`RECORD_TAGS`].
 // lint:jsonl-consume
-pub fn record_tag(line: &str) -> Option<&str> {
-    let rest = line.strip_prefix("{\"record\":\"")?;
-    rest.find('"').map(|end| &rest[..end])
+pub fn record_tag(line: &str) -> Option<&'static str> {
+    let rest = line.strip_prefix(RECORD_PREFIX)?;
+    let tag = &rest[..rest.find('"')?];
+    RECORD_TAGS.into_iter().find(|&known| known == tag)
+}
+
+const RECORD_PREFIX: &str = "{\"record\":\"";
+
+/// One decoded JSONL record line.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Record {
+    /// A [`tags::ACCESS`] line.
+    Access(ParsedAccess),
+    /// A [`tags::ACCOUNT`] line.
+    Account(AccountRecord),
+    /// A [`tags::OPENED_TEXT`] line.
+    OpenedText(String),
+    /// A [`tags::GAP`] line.
+    Gap(GapRecord),
+}
+
+/// Decode one JSONL line into its typed record. The exact compact layout
+/// [`DatasetWriter`] writes (keys in writer order, no whitespace or
+/// string escapes) is read field by field; any other line goes through
+/// [`Json::parse`] and `from_json_value`, so the lines accepted and the
+/// records given are exactly that generic path's. Errors start
+/// `malformed record:` (not JSON), `<kind> record:` or name the tag.
+// lint:jsonl-consume
+pub fn decode_record(line: &str) -> Result<Record, JsonError> {
+    if let Some(record) = decode_compact(line) {
+        return Ok(record);
+    }
+    let error = |msg: String| JsonError { msg, at: 0 };
+    let obj = Json::parse(line).map_err(|e| JsonError {
+        msg: format!("malformed record: {}", e.msg),
+        at: e.at,
+    })?;
+    let tag = obj.get("record").and_then(Json::as_str);
+    let tag = tag.ok_or_else(|| error("missing record tag".to_string()))?;
+    let kinded = |e: JsonError| JsonError {
+        msg: format!("{tag} record: {}", e.msg),
+        at: e.at,
+    };
+    let value = obj.get("value");
+    let value = value.ok_or_else(|| kinded(error("missing value".to_string())))?;
+    match tag {
+        tags::ACCESS => ParsedAccess::from_json_value(value).map(Record::Access),
+        tags::ACCOUNT => AccountRecord::from_json_value(value).map(Record::Account),
+        tags::OPENED_TEXT => value
+            .as_str()
+            .map(|text| Record::OpenedText(text.to_string()))
+            .ok_or_else(|| error("value must be a string".to_string())),
+        tags::GAP => GapRecord::from_json_value(value).map(Record::Gap),
+        other => return Err(error(format!("unknown record tag {other:?}"))),
+    }
+    .map_err(kinded)
+}
+
+/// [`decode_record`]'s fast path: `None` as soon as the line departs
+/// from the writer's layout.
+fn decode_compact(line: &str) -> Option<Record> {
+    let tag = record_tag(line)?;
+    let rest = line.get(RECORD_PREFIX.len() + tag.len()..)?;
+    let rest = rest.strip_prefix("\",\"value\":")?;
+    let mut c = Compact { rest, sep: "{" };
+    let record = match tag {
+        tags::ACCESS => Record::Access(ParsedAccess {
+            account: c.key("account")?.u32()?,
+            cookie: c.key("cookie")?.u64()?,
+            first_seen_secs: c.key("first_seen_secs")?.u64()?,
+            last_seen_secs: c.key("last_seen_secs")?.u64()?,
+            ip: c.key("ip")?.string()?,
+            country: c.key("country")?.opt(Compact::string)?,
+            city: c.key("city")?.string()?,
+            lat: c.key("lat")?.f64()?,
+            lon: c.key("lon")?.f64()?,
+            browser: c.key("browser")?.string()?,
+            os: c.key("os")?.string()?,
+            via_tor: c.key("via_tor")?.bool()?,
+            opened: c.key("opened")?.u32()?,
+            sent: c.key("sent")?.u32()?,
+            drafts: c.key("drafts")?.u32()?,
+            starred: c.key("starred")?.u32()?,
+            hijacker: c.key("hijacker")?.bool()?,
+            has_location_row: c.key("has_location_row")?.bool()?,
+        }),
+        tags::ACCOUNT => Record::Account(AccountRecord {
+            account: c.key("account")?.u32()?,
+            outlet: c.key("outlet")?.string()?,
+            advertised_region: c.key("advertised_region")?.opt(Compact::string)?,
+            leaked_at_secs: c.key("leaked_at_secs")?.u64()?,
+            hijack_detected_secs: c.key("hijack_detected_secs")?.opt(Compact::u64)?,
+            block_detected_secs: c.key("block_detected_secs")?.opt(Compact::u64)?,
+            coverage: match c.rest {
+                "}}" => None,
+                _ => Some(c.key("coverage")?.f64()?),
+            },
+        }),
+        tags::OPENED_TEXT => Record::OpenedText(c.string()?),
+        tags::GAP => Record::Gap(GapRecord {
+            account: c.key("account")?.u32()?,
+            kind: c.key("kind")?.string()?,
+            from_secs: c.key("from_secs")?.u64()?,
+            until_secs: c.key("until_secs")?.u64()?,
+        }),
+        _ => return None,
+    };
+    // A bare string value has no object of its own to close.
+    let end = if tag == tags::OPENED_TEXT { "}" } else { "}}" };
+    (c.rest == end).then_some(record)
+}
+
+/// A cursor over one line in [`DatasetWriter`]'s compact layout: each
+/// read gives the value the generic parser reads from the same bytes, or
+/// `None` at the first byte the writer would not have put there.
+struct Compact<'a> {
+    rest: &'a str,
+    /// What precedes the next key: `{` before the first, then `,`.
+    sep: &'static str,
+}
+
+impl<'a> Compact<'a> {
+    /// The next key, which must be `key`, and its colon.
+    fn key(&mut self, key: &str) -> Option<&mut Self> {
+        let rest = self.rest.strip_prefix(self.sep)?.strip_prefix('"')?;
+        self.rest = rest.strip_prefix(key)?.strip_prefix("\":")?;
+        self.sep = ",";
+        Some(self)
+    }
+
+    /// `null`, or what `read` reads.
+    fn opt<T>(&mut self, read: fn(&mut Self) -> Option<T>) -> Option<Option<T>> {
+        match self.rest.strip_prefix("null") {
+            Some(rest) => self.rest = rest,
+            None => return read(self).map(Some),
+        }
+        Some(None)
+    }
+
+    /// A string with no escapes; the generic parser takes the rest.
+    fn string(&mut self) -> Option<String> {
+        let body = self.rest.strip_prefix('"')?;
+        let end = body.find(|c: char| c == '"' || c == '\\' || c < ' ')?;
+        self.rest = body[end..].strip_prefix('"')?;
+        Some(body[..end].to_string())
+    }
+
+    /// The generic parser's number scan: a `-` or digit, then digits
+    /// and `.eE+-`.
+    fn number(&mut self) -> Option<&'a str> {
+        let unsigned = self.rest.strip_prefix('-').unwrap_or(self.rest);
+        let end = unsigned.find(|c: char| !matches!(c, '0'..='9' | '.' | 'e' | 'E' | '+' | '-'));
+        let at = self.rest.len() - unsigned.len() + end.unwrap_or(unsigned.len());
+        let (text, rest) = self.rest.split_at(at);
+        self.rest = rest;
+        text.starts_with(|c: char| c == '-' || c.is_ascii_digit())
+            .then_some(text)
+    }
+
+    /// Plain digits: the generic parser reads a signed or fractional
+    /// form as another kind of number.
+    fn u64(&mut self) -> Option<u64> {
+        let text = self.number()?;
+        let digits = text.bytes().all(|b| b.is_ascii_digit());
+        digits.then(|| text.parse().ok())?
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        u32::try_from(self.u64()?).ok()
+    }
+
+    /// A number with a fraction or exponent character after its sign,
+    /// which the generic parser reads as a float.
+    fn f64(&mut self) -> Option<f64> {
+        let text = self.number()?;
+        let unsigned = text.strip_prefix('-').unwrap_or(text);
+        let fraction = unsigned.contains(['.', 'e', 'E', '+', '-']);
+        fraction.then(|| text.parse().ok())?
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        let value = self.rest.starts_with('t');
+        let word = if value { "true" } else { "false" };
+        self.rest = self.rest.strip_prefix(word)?;
+        Some(value)
+    }
 }
 
 /// Evidence of a truncated write: the final line of a stream was not a
@@ -171,23 +354,25 @@ pub struct JsonlRead {
 /// is an error naming the line and record kind.
 // lint:jsonl-consume
 pub fn read_jsonl(stream: &str) -> Result<JsonlRead, JsonError> {
-    let last_data_line = stream
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, _)| i)
-        .last();
     let mut ds = Dataset::default();
     let mut truncated = None;
-    for (lineno, raw) in stream.lines().enumerate() {
+    let mut lines = stream.lines().enumerate();
+    while let Some((lineno, raw)) = lines.next() {
         let line = raw.trim();
         if line.is_empty() {
             continue;
         }
         let n = lineno + 1;
-        let obj = match Json::parse(line) {
-            Ok(obj) => obj,
-            Err(_) if Some(lineno) == last_data_line => {
+        match decode_record(line) {
+            Ok(Record::Access(a)) => ds.accesses.push(a),
+            Ok(Record::Account(a)) => ds.accounts.push(a),
+            Ok(Record::OpenedText(t)) => ds.opened_texts.push(t),
+            Ok(Record::Gap(g)) => ds.gaps.push(g),
+            // Only a last data line that is not JSON at all is a cut write.
+            Err(_)
+                if lines.clone().all(|(_, l)| l.trim().is_empty())
+                    && Json::parse(line).is_err() =>
+            {
                 truncated = Some(Truncated {
                     line: n,
                     bytes: raw.len(),
@@ -196,48 +381,8 @@ pub fn read_jsonl(stream: &str) -> Result<JsonlRead, JsonError> {
             }
             Err(e) => {
                 return Err(JsonError {
-                    msg: format!("line {n}: malformed record: {}", e.msg),
+                    msg: format!("line {n}: {}", e.msg),
                     at: e.at,
-                })
-            }
-        };
-        let tag = obj.get("record").and_then(Json::as_str).ok_or(JsonError {
-            msg: format!("line {n}: missing record tag"),
-            at: 0,
-        })?;
-        let kinded = |e: JsonError| JsonError {
-            msg: format!("line {n}: {tag} record: {}", e.msg),
-            at: e.at,
-        };
-        let value = obj.get("value").ok_or_else(|| {
-            kinded(JsonError {
-                msg: "missing value".to_string(),
-                at: 0,
-            })
-        })?;
-        match tag {
-            tags::ACCESS => ds
-                .accesses
-                .push(ParsedAccess::from_json_value(value).map_err(kinded)?),
-            tags::ACCOUNT => ds
-                .accounts
-                .push(AccountRecord::from_json_value(value).map_err(kinded)?),
-            tags::OPENED_TEXT => {
-                ds.opened_texts
-                    .push(value.as_str().map(String::from).ok_or_else(|| {
-                        kinded(JsonError {
-                            msg: "value must be a string".to_string(),
-                            at: 0,
-                        })
-                    })?)
-            }
-            tags::GAP => ds
-                .gaps
-                .push(GapRecord::from_json_value(value).map_err(kinded)?),
-            other => {
-                return Err(JsonError {
-                    msg: format!("line {n}: unknown record tag {other:?}"),
-                    at: 0,
                 })
             }
         }

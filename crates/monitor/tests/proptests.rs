@@ -1,0 +1,263 @@
+//! Property tests for the typed JSONL decoder.
+//!
+//! [`decode_record`] reads the writer's compact layout field by field
+//! and hands every other line to the generic path. Its contract is that
+//! nobody can tell the difference: on lines [`DatasetWriter`] wrote, and
+//! on those lines with any single byte changed, inserted or removed, or
+//! cut short, it gives the record `Json::parse` + `from_json_value`
+//! gives, or fails where that fails — and never panics.
+
+use proptest::prelude::*;
+use pwnd_monitor::dataset::{AccountRecord, Dataset, GapRecord, ParsedAccess};
+use pwnd_monitor::export::{decode_record, read_jsonl, tags, DatasetWriter, Record};
+use pwnd_telemetry::json::Json;
+
+/// A splitmix64 stream: one proptest seed drives a whole dataset.
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn flip(&mut self) -> bool {
+        self.next() & 1 == 1
+    }
+
+    /// Plain text most of the time; otherwise escapes, control bytes
+    /// and non-ASCII (two-, three- and four-byte UTF-8).
+    fn string(&mut self) -> String {
+        const PIECES: &[&str] = &[
+            "a", "Rio", " ", "0", "\"", "\\", "/", "\n", "\r", "\t", "\u{1}", "\u{1f}", "é", "中",
+            "😀", "\u{7f}", "null", ",", ":", "}",
+        ];
+        let plain = self.below(3) > 0;
+        (0..self.below(8))
+            .map(|_| {
+                if plain {
+                    ["Chrome", "10.1.2.3", "paste", "x"][self.below(4) as usize]
+                } else {
+                    PIECES[self.below(PIECES.len() as u64) as usize]
+                }
+            })
+            .collect()
+    }
+
+    fn opt_string(&mut self) -> Option<String> {
+        self.flip().then(|| self.string())
+    }
+
+    /// Integers at and around the edges of `u32` and `u64`.
+    fn u64(&mut self) -> u64 {
+        match self.below(4) {
+            0 => self.below(1000),
+            1 => u64::MAX - self.below(3),
+            2 => u64::from(u32::MAX) + self.below(3) - 1,
+            _ => self.next(),
+        }
+    }
+
+    fn u32(&mut self) -> u32 {
+        self.u64() as u32
+    }
+
+    /// Floats of every shape the writer prints: integral (`5.0`),
+    /// negative, tiny, huge, signed zero, and non-finite (`null`).
+    fn f64(&mut self) -> f64 {
+        match self.below(8) {
+            0 => self.below(200) as f64 - 100.0,
+            1 => -0.0,
+            2 => f64::from_bits(self.next()),
+            3 => 1e-300 * self.below(10) as f64,
+            4 => 1e300,
+            5 => f64::NAN,
+            _ => (self.next() as i64) as f64 * 1e-9,
+        }
+    }
+
+    fn dataset(&mut self) -> Dataset {
+        let accesses = (0..self.below(4))
+            .map(|_| ParsedAccess {
+                account: self.u32(),
+                cookie: self.u64(),
+                first_seen_secs: self.u64(),
+                last_seen_secs: self.u64(),
+                ip: self.string(),
+                country: self.opt_string(),
+                city: self.string(),
+                lat: self.f64(),
+                lon: self.f64(),
+                browser: self.string(),
+                os: self.string(),
+                via_tor: self.flip(),
+                opened: self.u32(),
+                sent: self.u32(),
+                drafts: self.u32(),
+                starred: self.u32(),
+                hijacker: self.flip(),
+                has_location_row: self.flip(),
+            })
+            .collect();
+        let accounts = (0..self.below(4))
+            .map(|_| AccountRecord {
+                account: self.u32(),
+                outlet: self.string(),
+                advertised_region: self.opt_string(),
+                leaked_at_secs: self.u64(),
+                hijack_detected_secs: self.flip().then(|| self.u64()),
+                block_detected_secs: self.flip().then(|| self.u64()),
+                coverage: self.flip().then(|| self.f64()),
+            })
+            .collect();
+        let opened_texts = (0..self.below(3)).map(|_| self.string()).collect();
+        let gaps = (0..self.below(3))
+            .map(|_| GapRecord {
+                account: self.u32(),
+                kind: self.string(),
+                from_secs: self.u64(),
+                until_secs: self.u64(),
+            })
+            .collect();
+        Dataset {
+            accesses,
+            accounts,
+            opened_texts,
+            gaps,
+        }
+    }
+}
+
+/// The dataset's JSONL lines, as [`DatasetWriter`] writes them.
+fn written_lines(ds: &Dataset) -> Vec<String> {
+    let mut w = DatasetWriter::new(Vec::new());
+    w.write_dataset(ds).unwrap();
+    let text = String::from_utf8(w.finish().unwrap()).unwrap();
+    text.lines().map(String::from).collect()
+}
+
+/// The generic path, spelled out: `Json::parse`, then the record
+/// kind's `from_json_value`. `None` wherever it fails.
+fn generic(line: &str) -> Option<Record> {
+    let obj = Json::parse(line).ok()?;
+    let value = obj.get("value")?;
+    match obj.get("record")?.as_str()? {
+        tags::ACCESS => ParsedAccess::from_json_value(value)
+            .ok()
+            .map(Record::Access),
+        tags::ACCOUNT => AccountRecord::from_json_value(value)
+            .ok()
+            .map(Record::Account),
+        tags::OPENED_TEXT => value.as_str().map(|t| Record::OpenedText(t.to_string())),
+        tags::GAP => GapRecord::from_json_value(value).ok().map(Record::Gap),
+        _ => None,
+    }
+}
+
+/// Both decoders on one line. `Debug` is compared, not `==`, so a
+/// float must match bit for bit (`-0.0` is not `0.0`).
+fn agree(line: &str) -> Result<(), TestCaseError> {
+    let typed = decode_record(line).ok();
+    prop_assert_eq!(
+        format!("{typed:?}"),
+        format!("{:?}", generic(line)),
+        "line {:?}",
+        line
+    );
+    Ok(())
+}
+
+/// Bytes a mutation is likely to make matter: the layout's own
+/// punctuation, number and literal characters, whitespace, and
+/// anything at all.
+fn mutation_byte(g: &mut Gen) -> u8 {
+    const SALIENT: &[u8] = b"\"\\,:{}[]0123456789.eE+-ntfrul \t\n";
+    if g.flip() {
+        SALIENT[g.below(SALIENT.len() as u64) as usize]
+    } else {
+        g.next() as u8
+    }
+}
+
+proptest! {
+    /// On every line the writer writes, the typed decoder gives the
+    /// generic path's record, or fails where it fails (a non-finite
+    /// float is written as `null`, which no float field accepts).
+    #[test]
+    fn decoder_equals_generic_path_on_written_lines(seed in any::<u64>()) {
+        let ds = Gen(seed).dataset();
+        for line in written_lines(&ds) {
+            agree(&line)?;
+        }
+    }
+
+    /// Change, insert or remove one byte anywhere, or cut the line
+    /// short: both decoders accept with the same record or both fail.
+    #[test]
+    fn decoder_equals_generic_path_on_mutated_lines(seed in any::<u64>()) {
+        let mut g = Gen(seed);
+        let ds = g.dataset();
+        for line in written_lines(&ds) {
+            let bytes = line.as_bytes();
+            for _ in 0..24 {
+                let mut m = bytes.to_vec();
+                let pos = g.below(bytes.len() as u64 + 1) as usize;
+                match g.below(4) {
+                    0 if pos < m.len() => m[pos] = mutation_byte(&mut g),
+                    1 => m.insert(pos, mutation_byte(&mut g)),
+                    2 if pos < m.len() => {
+                        m.remove(pos);
+                    }
+                    _ => m.truncate(pos),
+                }
+                if let Ok(mutated) = String::from_utf8(m) {
+                    agree(&mutated)?;
+                }
+            }
+        }
+    }
+
+    /// A stream cut anywhere reads back as the records before the cut,
+    /// plus a truncation marker on the cut line when it is partial.
+    #[test]
+    fn read_jsonl_flags_a_cut_stream_and_keeps_what_precedes_it(
+        seed in any::<u64>(),
+        cut_seed in any::<u64>(),
+    ) {
+        let mut g = Gen(seed);
+        let mut ds = g.dataset();
+        // Non-finite floats are written as null and do not read back.
+        for a in &mut ds.accesses {
+            a.lat = if a.lat.is_finite() { a.lat } else { 0.5 };
+            a.lon = if a.lon.is_finite() { a.lon } else { 0.5 };
+        }
+        let lines = written_lines(&ds);
+        let stream: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        let cut = (cut_seed % (stream.len() as u64 + 1)) as usize;
+        prop_assume!(stream.is_char_boundary(cut));
+        let head = &stream[..cut];
+        let read = read_jsonl(head).unwrap();
+        let whole_lines = head.matches('\n').count();
+        let partial = head.rsplit('\n').next().unwrap_or("");
+        match &read.truncated {
+            Some(marker) => {
+                prop_assert_eq!(marker.line, whole_lines + 1);
+                prop_assert_eq!(marker.bytes, partial.len());
+            }
+            // A cut between the last '}' and its newline leaves a whole line.
+            None => prop_assert!(partial.is_empty() || lines.contains(&partial.to_string())),
+        }
+        let mut w = DatasetWriter::new(Vec::new());
+        w.write_dataset(&read.dataset).unwrap();
+        let reread = String::from_utf8(w.finish().unwrap()).unwrap();
+        let kept = whole_lines + usize::from(read.truncated.is_none() && !partial.is_empty());
+        prop_assert_eq!(reread.lines().count(), kept);
+    }
+}

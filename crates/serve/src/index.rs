@@ -32,8 +32,8 @@ use pwnd_analysis::stream::OverviewBuilder;
 use pwnd_analysis::tables::Overview;
 use pwnd_analysis::taxonomy::{classify, AccessClasses};
 use pwnd_core::hash::Sha256;
-use pwnd_monitor::dataset::{AccountRecord, Dataset, GapRecord, ParsedAccess};
-use pwnd_monitor::export::{record_tag, tags};
+use pwnd_monitor::dataset::{Dataset, GapRecord};
+use pwnd_monitor::export::{tags, Record};
 use pwnd_sim::intern::{Interner, Symbol};
 use pwnd_telemetry::json::Json;
 use std::collections::BTreeMap;
@@ -153,7 +153,8 @@ impl QueryIndex {
     /// Opens the store with full hash verification
     /// ([`VerifiedStore::open`]), then streams every shard line once,
     /// indexing account, access, and gap records (opened-text records
-    /// are not served and are skipped).
+    /// are not served and are skipped). A line with no known record tag
+    /// or that does not decode fails the ingest.
     ///
     /// ```no_run
     /// use pwnd_serve::index::QueryIndex;
@@ -165,36 +166,13 @@ impl QueryIndex {
     /// ```
     pub fn from_store(dir: &Path) -> io::Result<QueryIndex> {
         let store = VerifiedStore::open(dir)?;
-        let mut accounts: Vec<AccountRecord> = Vec::new();
-        let mut accesses: Vec<ParsedAccess> = Vec::new();
-        let mut gaps: Vec<GapRecord> = Vec::new();
-        // lint:jsonl-consume
-        store.for_each_line(|e, lineno, line| {
-            let tag = match record_tag(line) {
-                Some(t) if t != tags::OPENED_TEXT => t,
-                _ => return Ok(()),
-            };
-            (|| -> Result<(), pwnd_telemetry::json::JsonError> {
-                let v = Json::parse(line)?;
-                let value = v.get("value").ok_or(pwnd_telemetry::json::JsonError {
-                    msg: "missing value".to_string(),
-                    at: 0,
-                })?;
-                if tag == tags::ACCOUNT {
-                    accounts.push(AccountRecord::from_json_value(value)?);
-                } else if tag == tags::ACCESS {
-                    accesses.push(ParsedAccess::from_json_value(value)?);
-                } else if tag == tags::GAP {
-                    gaps.push(GapRecord::from_json_value(value)?);
-                }
-                Ok(())
-            })()
-            .map_err(|err| {
-                io::Error::other(format!(
-                    "{}: line {lineno}: {tag} record: {}",
-                    e.file, err.msg
-                ))
-            })
+        let mut ds = Dataset::default();
+        let served = [tags::ACCOUNT, tags::ACCESS, tags::GAP];
+        store.for_each_record(&served, |record| match record {
+            Record::Account(a) => ds.accounts.push(a),
+            Record::Access(a) => ds.accesses.push(a),
+            Record::Gap(g) => ds.gaps.push(g),
+            Record::OpenedText(_) => {}
         })?;
         let m = store.manifest();
         let meta = StoreMeta {
@@ -203,11 +181,11 @@ impl QueryIndex {
             shards: m.shards.len(),
             records: m.records(),
         };
-        Ok(QueryIndex::build(&accounts, &accesses, &gaps, meta))
+        Ok(QueryIndex::from_dataset(&ds, meta))
     }
 
-    /// Build an index directly from an in-memory dataset — the same
-    /// construction `from_store` performs after parsing, useful for
+    /// Build an index directly from an in-memory dataset — what
+    /// `from_store` does after decoding the store, useful for
     /// tests and for serving a just-finished run without a store round
     /// trip.
     ///
@@ -220,15 +198,7 @@ impl QueryIndex {
     /// assert!(index.healthz_json().contains("\"status\": \"ok\""));
     /// ```
     pub fn from_dataset(ds: &Dataset, meta: StoreMeta) -> QueryIndex {
-        QueryIndex::build(&ds.accounts, &ds.accesses, &ds.gaps, meta)
-    }
-
-    fn build(
-        accounts: &[AccountRecord],
-        accesses: &[ParsedAccess],
-        gaps: &[GapRecord],
-        meta: StoreMeta,
-    ) -> QueryIndex {
+        let (accounts, accesses, gaps) = (&ds.accounts, &ds.accesses, &ds.gaps);
         // The shared overview: accounts strictly before accesses, the
         // order OverviewBuilder requires and `pwnd report` uses.
         let mut ob = OverviewBuilder::new();
@@ -662,6 +632,7 @@ fn render(v: Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pwnd_monitor::dataset::{AccountRecord, ParsedAccess};
 
     fn access(account: u32, cookie: u64, first: u64, sent: u32) -> ParsedAccess {
         ParsedAccess {

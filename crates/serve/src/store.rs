@@ -13,6 +13,7 @@
 
 use pwnd_core::fleet::ShardSpec;
 use pwnd_core::hash::{hex, Sha256};
+use pwnd_monitor::export::{decode_record, record_tag, Record, RECORD_TAGS};
 use pwnd_telemetry::json::Json;
 use std::fs::{self, File};
 use std::io::{self, BufRead, BufReader, Read};
@@ -290,19 +291,48 @@ impl VerifiedStore {
     }
 
     /// Stream every line of every shard file in shard order, calling
-    /// `f(shard entry, 1-based line number, line)`. Peak memory is one
-    /// line; callers filter by record tag themselves.
+    /// `f(shard entry, 1-based line number, line)`; endings go as with
+    /// [`BufRead::lines`]. Non-UTF-8 bytes, and a non-blank line without
+    /// a tag from [`RECORD_TAGS`], are errors naming the shard file and
+    /// line. Peak memory is one line, in one reused buffer.
     pub fn for_each_line(
         &self,
         mut f: impl FnMut(&ShardEntry, usize, &str) -> io::Result<()>,
     ) -> io::Result<()> {
+        let mut buf = String::new();
         for e in &self.manifest.shards {
-            let reader = BufReader::new(File::open(self.dir.join(&e.file))?);
-            for (lineno, line) in reader.lines().enumerate() {
-                f(e, lineno + 1, &line?)?;
+            let mut reader = BufReader::new(File::open(self.dir.join(&e.file))?);
+            for lineno in 1.. {
+                buf.clear();
+                if reader.read_line(&mut buf)? == 0 {
+                    break;
+                }
+                let line = buf.strip_suffix('\n');
+                let line = line.map_or(&*buf, |l| l.strip_suffix('\r').unwrap_or(l));
+                if record_tag(line).is_none() && !line.trim().is_empty() {
+                    return Err(io::Error::other(format!(
+                        "{}: line {lineno}: no record tag from {RECORD_TAGS:?}",
+                        e.file
+                    )));
+                }
+                f(e, lineno, line)?;
             }
         }
         Ok(())
+    }
+
+    /// Every record of the given `kinds`, in shard order, decoded by
+    /// [`decode_record`]; a line that does not decode fails as above.
+    pub fn for_each_record(&self, kinds: &[&str], mut f: impl FnMut(Record)) -> io::Result<()> {
+        self.for_each_line(|e, lineno, line| {
+            if record_tag(line).is_some_and(|tag| kinds.contains(&tag)) {
+                let record = decode_record(line).map_err(|err| {
+                    io::Error::other(format!("{}: line {lineno}: {}", e.file, err.msg))
+                })?;
+                f(record);
+            }
+            Ok(())
+        })
     }
 }
 
@@ -373,6 +403,72 @@ mod tests {
         assert_eq!(shard_file_name(0), "shard-00000.jsonl");
         assert_eq!(shard_file_name(12345), "shard-12345.jsonl");
         assert!(shard_file_name(9) < shard_file_name(10));
+    }
+
+    /// A fresh scratch directory unique to this process and test.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("pwnd-serve-store-{}-{name}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn file_sha256_streams_past_its_read_buffer() {
+        let dir = scratch_dir("file-sha");
+        let path = dir.join("big");
+        // Longer than the 64 KiB read buffer, and not a whole number of
+        // 64-byte blocks.
+        let bytes: Vec<u8> = (0..200_003u32).map(|i| (i * 13 % 251) as u8).collect();
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(
+            file_sha256(&path).unwrap(),
+            Some(Sha256::digest_hex(&bytes))
+        );
+        assert_eq!(file_sha256(&dir.join("absent")).unwrap(), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn for_each_line_splits_lines_as_bufread_lines_does() {
+        let dir = scratch_dir("lines");
+        // Store the shard `bytes` under a manifest that vouches for them.
+        let store = |bytes: &[u8]| {
+            fs::write(dir.join(shard_file_name(0)), bytes).unwrap();
+            let mut m = sample_manifest();
+            m.shards[0].sha256 = Sha256::digest_hex(bytes);
+            fs::write(dir.join(MANIFEST_FILE), m.to_json()).unwrap();
+            VerifiedStore::open(&dir).unwrap()
+        };
+        // Record-tagged lines (the reader checks only the prefix),
+        // blank lines, and every line ending.
+        let r = "{\"record\":\"gap\"";
+        let text = format!("{r}a\r\n{r}b\n\n\r\n{r}c\rd\n \n{r}e\r");
+        let mut seen = Vec::new();
+        store(text.as_bytes())
+            .for_each_line(|_, lineno, line| {
+                seen.push((lineno, line.to_string()));
+                Ok(())
+            })
+            .unwrap();
+        let lines = text.as_bytes().lines().map(Result::unwrap);
+        assert_eq!(seen, (1..).zip(lines).collect::<Vec<_>>());
+
+        // Non-UTF-8 bytes are an error, not a lossy line.
+        let bad = [r.as_bytes(), b"\n", r.as_bytes(), b"\xff\xfe\n"].concat();
+        let err = store(&bad).for_each_line(|_, _, _| Ok(())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // So is a non-blank line with no record tag.
+        let err = store(b"\nnot a record\n")
+            .for_each_line(|_, _, _| Ok(()))
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("shard-00000.jsonl: line 2:"),
+            "{err}"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -52,9 +52,7 @@ use pwnd_analysis::stream::OverviewBuilder;
 use pwnd_analysis::tables::Overview;
 use pwnd_core::fleet::{run_fleet_shards, FleetConfig, ShardSpec};
 use pwnd_core::hash::Sha256;
-use pwnd_monitor::dataset::{AccountRecord, ParsedAccess};
-use pwnd_monitor::export::{record_tag, tags, DatasetWriter, RECORD_TAGS};
-use pwnd_telemetry::json::Json;
+use pwnd_monitor::export::{record_tag, tags, DatasetWriter, Record, RECORD_TAGS};
 use pwnd_telemetry::{Table, TelemetryReport, TelemetrySink};
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -346,30 +344,11 @@ pub fn merge_store_jsonl<W: Write>(dir: &Path, mut out: W) -> io::Result<u64> {
 pub fn store_overview(dir: &Path) -> io::Result<Overview> {
     let store = VerifiedStore::open(dir)?;
     let mut b = OverviewBuilder::new();
-    for tag in [tags::ACCOUNT, tags::ACCESS] {
-        store.for_each_line(|e, lineno, line| {
-            if record_tag(line) != Some(tag) {
-                return Ok(());
-            }
-            (|| -> Result<(), pwnd_telemetry::json::JsonError> {
-                let v = Json::parse(line)?;
-                let value = v.get("value").ok_or(pwnd_telemetry::json::JsonError {
-                    msg: "missing value".to_string(),
-                    at: 0,
-                })?;
-                if tag == tags::ACCOUNT {
-                    b.add_account(&AccountRecord::from_json_value(value)?);
-                } else {
-                    b.add_access(&ParsedAccess::from_json_value(value)?);
-                }
-                Ok(())
-            })()
-            .map_err(|err| {
-                io::Error::other(format!(
-                    "{}: line {lineno}: {tag} record: {}",
-                    e.file, err.msg
-                ))
-            })
+    for kind in [tags::ACCOUNT, tags::ACCESS] {
+        store.for_each_record(&[kind], |record| match record {
+            Record::Account(a) => b.add_account(&a),
+            Record::Access(a) => b.add_access(&a),
+            _ => {}
         })?;
     }
     Ok(b.finish())

@@ -7,8 +7,10 @@
 use proptest::prelude::*;
 use pwnd::analysis::tables::overview;
 use pwnd::core::fleet::{run_fleet, FleetConfig};
+use pwnd::core::hash::Sha256;
+use pwnd::serve::QueryIndex;
 use pwnd::store::{
-    merge_store_jsonl, run_fleet_store, shard_file_name, store_overview, MANIFEST_FILE,
+    merge_store_jsonl, run_fleet_store, shard_file_name, store_overview, Manifest, MANIFEST_FILE,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -155,6 +157,40 @@ fn incremental_extension_reuses_verified_shards_and_guards_identity() {
         "{err}"
     );
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A shard line no reader can place — an unknown tag, or no writer
+/// prefix at all — fails every store reader with the shard file and
+/// line number, even when the manifest hash vouches for the file.
+#[test]
+fn every_store_reader_rejects_a_line_it_cannot_classify() {
+    let dir = test_dir("unclassified");
+    run_fleet_store(&FleetConfig::new(23, 20, 1), &dir).unwrap();
+    let shard = dir.join(shard_file_name(0));
+    let pristine = fs::read_to_string(&shard).unwrap();
+    let lineno = pristine.lines().count() + 1;
+    for stray in ["{\"record\":\"bogus\",\"value\":1}", "[1]"] {
+        let text = format!("{pristine}{stray}\n");
+        fs::write(&shard, &text).unwrap();
+        // Re-hash the shard into the manifest, so only the line is wrong.
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let mut m = Manifest::parse(&fs::read_to_string(&manifest_path).unwrap()).unwrap();
+        m.shards[0].sha256 = Sha256::digest_hex(text.as_bytes());
+        fs::write(&manifest_path, m.to_json()).unwrap();
+
+        let at = format!("{}: line {lineno}:", shard_file_name(0));
+        let errors = [
+            merge_store_jsonl(&dir, &mut Vec::new())
+                .map(drop)
+                .unwrap_err(),
+            store_overview(&dir).map(drop).unwrap_err(),
+            QueryIndex::from_store(&dir).map(drop).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(err.to_string().contains(&at), "{stray}: {err}");
+        }
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 
