@@ -1,6 +1,5 @@
 //! Findings and report rendering (text and JSON).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One lint finding.
@@ -28,15 +27,6 @@ pub struct LintReport {
 }
 
 impl LintReport {
-    /// Per-rule finding counts (for summaries and telemetry).
-    pub fn counts_by_rule(&self) -> BTreeMap<String, usize> {
-        let mut m = BTreeMap::new();
-        for f in &self.findings {
-            *m.entry(f.rule.clone()).or_insert(0) += 1;
-        }
-        m
-    }
-
     /// Render the human-readable report.
     pub fn render(&self) -> String {
         let mut out = String::new();

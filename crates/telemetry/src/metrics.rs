@@ -1,6 +1,7 @@
 //! The metrics registry: counters, gauges, and log-bucketed histograms.
 //!
-//! Metric identity is a static name plus an optional label, so one
+//! Metric identity is a static name plus an optional static label
+//! (a literal or an entry of a fixed table, never a built string), so one
 //! logical metric can fan out by taxonomy (`webmail.logins{ok}`,
 //! `webmail.logins{blocked}`) while staying cheap to record. Everything
 //! is kept in `BTreeMap`s keyed on `(name, label)` so snapshots render
@@ -9,7 +10,7 @@
 use std::collections::BTreeMap;
 
 /// Identity of one metric series.
-pub type MetricKey = (&'static str, Option<String>);
+pub type MetricKey = (&'static str, Option<&'static str>);
 
 /// Log-bucketed histogram of `u64` observations. Bucket `i` holds the
 /// count of values whose bit width is `i` (i.e. values in
@@ -142,31 +143,25 @@ pub struct Registry {
 
 impl Registry {
     /// Add `n` to a counter.
-    pub fn count_by(&mut self, name: &'static str, label: Option<&str>, n: u64) {
-        *self
-            .counters
-            .entry((name, label.map(String::from)))
-            .or_insert(0) += n;
+    pub fn count_by(&mut self, name: &'static str, label: Option<&'static str>, n: u64) {
+        *self.counters.entry((name, label)).or_insert(0) += n;
     }
 
     /// Set a gauge to `value`.
-    pub fn gauge_set(&mut self, name: &'static str, label: Option<&str>, value: u64) {
-        self.gauges.insert((name, label.map(String::from)), value);
+    pub fn gauge_set(&mut self, name: &'static str, label: Option<&'static str>, value: u64) {
+        self.gauges.insert((name, label), value);
     }
 
     /// Raise a gauge to `value` if it is higher (high-water marks).
-    pub fn gauge_max(&mut self, name: &'static str, label: Option<&str>, value: u64) {
-        let slot = self
-            .gauges
-            .entry((name, label.map(String::from)))
-            .or_insert(0);
+    pub fn gauge_max(&mut self, name: &'static str, label: Option<&'static str>, value: u64) {
+        let slot = self.gauges.entry((name, label)).or_insert(0);
         *slot = (*slot).max(value);
     }
 
     /// Record one observation into a histogram.
-    pub fn observe(&mut self, name: &'static str, label: Option<&str>, value: u64) {
+    pub fn observe(&mut self, name: &'static str, label: Option<&'static str>, value: u64) {
         self.histograms
-            .entry((name, label.map(String::from)))
+            .entry((name, label))
             .or_default()
             .observe(value);
     }

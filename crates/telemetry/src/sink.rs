@@ -116,12 +116,12 @@ impl TelemetrySink {
     }
 
     /// Increment a labelled counter (`name{label}`) by one.
-    pub fn count_labeled(&self, name: &'static str, label: &str) {
+    pub fn count_labeled(&self, name: &'static str, label: &'static str) {
         self.count_labeled_by(name, label, 1);
     }
 
     /// Increment a labelled counter by `n`.
-    pub fn count_labeled_by(&self, name: &'static str, label: &str, n: u64) {
+    pub fn count_labeled_by(&self, name: &'static str, label: &'static str, n: u64) {
         self.with(|i| i.metrics.count_by(name, Some(label), n));
     }
 
@@ -142,7 +142,7 @@ impl TelemetrySink {
 
     /// Record a labelled histogram observation (`name{label}`) — e.g.
     /// per-endpoint request latencies keyed by route pattern.
-    pub fn observe_labeled(&self, name: &'static str, label: &str, value: u64) {
+    pub fn observe_labeled(&self, name: &'static str, label: &'static str, value: u64) {
         self.with(|i| i.metrics.observe(name, Some(label), value));
     }
 

@@ -1,5 +1,6 @@
-//! Shared plumbing behind the `pwnd` subcommands.
+//! Shared plumbing behind the `pwnd` subcommands, and the flag parser.
 //!
+//! [`parse`] is pure, so tests can feed it any argument vector.
 //! The sweep and chaos commands build their whole config batch up
 //! front, submit it through the parallel [`Runner`](pwnd_core::Runner),
 //! and render the table from the ordered outputs — so the
@@ -11,6 +12,285 @@ use pwnd_analysis::tables::overview;
 use pwnd_core::{Batch, ExperimentConfig, RunOutput};
 use pwnd_faults::FaultProfile;
 use pwnd_telemetry::{Table, TelemetryReport, TraceEvent};
+use std::str::FromStr;
+
+/// The `pwnd --help` text.
+pub const USAGE: &str = "\
+usage: pwnd <command> [flags]
+
+commands:
+  run      full evaluation report (§4 analysis pipeline)
+  trace    run with telemetry and emit the JSONL event trace
+  profile  deep attribution: top spans, per-phase coverage, flamegraph export
+  export   write the censored dataset as JSON
+  sweep    headline stats across consecutive seeds
+  chaos    data-loss ablation: sweep fault-rate factors over one seed
+  fleet    one sharded experiment over a large account population
+  report   §4.1 overview of an exported dataset or an on-disk fleet store
+  serve    breach-intelligence query daemon: serve the /v1 JSON API over a
+           fleet store (see API.md); stops on EOF on stdin
+  serve-bench  load-generate against an in-process daemon over a fleet store
+           and report throughput + latency percentiles
+  leaks    the leak plan actually executed
+  truth    ground-truth vs observed audit
+
+flags:
+  --seed N         RNG seed (default 2016); for sweep, the base seed
+  --quick          30-day quick configuration instead of the full paper run
+  --filter-on      enable the provider's suspicious-login filter
+  --decoys         seed decoy documents into every mailbox
+  --faults NAME    fault profile: none | light | heavy (default none);
+                   for chaos, the profile whose rates are scaled (default heavy)
+  --profile        (run/fleet) print phase timings and the metrics summary;
+                   (sweep/chaos) print the runner speedup breakdown too;
+                   (serve) print request telemetry on shutdown
+  --jobs N         (sweep/chaos/fleet) worker threads (default: all
+                   cores); --jobs 1 is the sequential path, output is identical;
+                   (serve/serve-bench) HTTP worker threads (floored at 4),
+                   which also bound concurrent connections
+  --accounts N     (fleet) honey-account population (default 1000), sharded
+                   into 100-account sub-experiments
+  --out FILE       (export) output path (default dataset.json);
+                   (fleet) stream the merged dataset there as JSON Lines
+  --out-dir DIR    (fleet) durable sharded store: write per-shard JSONL files
+                   and a manifest there; re-running resumes (verified shards
+                   are skipped, corrupt ones quarantined and re-run)
+  --trace-out FILE (trace) write the JSONL trace here instead of stdout
+  --filter SUBSTR  (trace) keep only events whose kind or detail contains it
+  --limit N        (trace) keep only the last N matching events;
+                   (profile) bound the top-spans table to N rows
+  --collapsed FILE (profile) write the flamegraph collapsed-stack export there
+  --input PATH     (profile) analyse a streamed --telemetry-out JSONL file
+                   offline instead of running an experiment;
+                   (report) a fleet store directory or a JSONL dataset file;
+                   (serve/serve-bench) the fleet store directory to serve
+  --telemetry-out FILE (fleet) stream one telemetry report line per shard
+                   there while the fleet runs (forces telemetry on)
+  --seeds N        (sweep) number of seeds (default 8)
+  --addr HOST:PORT (serve) listen address (default 127.0.0.1:8080; port 0
+                   binds an ephemeral port, printed on startup)
+  --rate N         (serve/serve-bench) token-bucket rate limit: N requests/s
+                   sustained with an N-request burst; excess gets 429 with
+                   Retry-After (default: unlimited)
+  --print-routes   (serve) print the registered /v1 routes and exit
+  --clients N      (serve-bench) concurrent client connections, 1-256 (default 4)
+  --requests N     (serve-bench) total requests across all clients, 1 to
+                   10000000 (default 10000)
+  --min-throughput N (serve-bench) exit nonzero below N requests/s (the CI
+                   floor); 5xx responses always fail the run
+  --json FILE      (serve-bench) write the JSON report there
+  -h, --help       print this help";
+
+/// Every `pwnd` command name.
+pub const COMMANDS: [&str; 12] = [
+    "run",
+    "trace",
+    "profile",
+    "export",
+    "sweep",
+    "chaos",
+    "fleet",
+    "report",
+    "serve",
+    "serve-bench",
+    "leaks",
+    "truth",
+];
+
+/// The most `serve-bench --clients`: each client thread pins a worker.
+pub const MAX_CLIENTS: usize = 256;
+
+/// The most `serve-bench --requests`: each keeps a latency sample.
+pub const MAX_REQUESTS: u64 = 10_000_000;
+
+/// What a `pwnd` command line asks for.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Invocation {
+    /// Print [`USAGE`] to stdout.
+    Help,
+    /// Run a command (one of [`COMMANDS`]) with its flags.
+    Command(String, Box<Args>),
+}
+
+/// Every flag of every command; see [`USAGE`] for what each means.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Args {
+    /// `--seed N`.
+    pub seed: u64,
+    /// `--quick`.
+    pub quick: bool,
+    /// `--filter-on`.
+    pub filter_on: bool,
+    /// `--decoys`.
+    pub decoys: bool,
+    /// `--profile`.
+    pub profile: bool,
+    /// `--faults NAME`.
+    pub faults: Option<FaultProfile>,
+    /// `--jobs N`, all cores when not given.
+    pub jobs: usize,
+    /// `--accounts N`.
+    pub accounts: u32,
+    /// `--seeds N`.
+    pub seeds: u64,
+    /// `--limit N`.
+    pub limit: usize,
+    /// `--out FILE`.
+    pub out: Option<String>,
+    /// `--out-dir DIR`.
+    pub out_dir: Option<String>,
+    /// `--trace-out FILE`.
+    pub trace_out: Option<String>,
+    /// `--filter SUBSTR`.
+    pub filter: Option<String>,
+    /// `--collapsed FILE`.
+    pub collapsed: Option<String>,
+    /// `--input PATH`.
+    pub input: Option<String>,
+    /// `--telemetry-out FILE`.
+    pub telemetry_out: Option<String>,
+    /// `--addr HOST:PORT`.
+    pub addr: String,
+    /// `--rate N`.
+    pub rate: Option<u32>,
+    /// `--print-routes`.
+    pub print_routes: bool,
+    /// `--clients N`, at most [`MAX_CLIENTS`].
+    pub clients: usize,
+    /// `--requests N`, at most [`MAX_REQUESTS`].
+    pub requests: u64,
+    /// `--min-throughput N`.
+    pub min_throughput: Option<f64>,
+    /// `--json FILE`.
+    pub json: Option<String>,
+}
+
+impl Default for Args {
+    fn default() -> Args {
+        Args {
+            seed: 2016,
+            quick: false,
+            filter_on: false,
+            decoys: false,
+            profile: false,
+            faults: None,
+            // lint:allow(lock-discipline): one-shot core-count read for a CLI default; no shared state
+            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            accounts: 1_000,
+            seeds: 8,
+            limit: 0,
+            out: None,
+            out_dir: None,
+            trace_out: None,
+            filter: None,
+            collapsed: None,
+            input: None,
+            telemetry_out: None,
+            addr: "127.0.0.1:8080".to_string(),
+            rate: None,
+            print_routes: false,
+            clients: 4,
+            requests: 10_000,
+            min_throughput: None,
+            json: None,
+        }
+    }
+}
+
+/// Parse the arguments after the program name. A syntax error comes
+/// back as its message followed by [`USAGE`]; a value out of its range
+/// (or a flag combination that cannot run) as a message alone.
+pub fn parse(argv: &[String]) -> Result<Invocation, String> {
+    let Some((command, flags)) = argv.split_first() else {
+        return Err(USAGE.to_string());
+    };
+    if matches!(command.as_str(), "--help" | "-h" | "help") {
+        return Ok(Invocation::Help);
+    }
+    let mut a = Args::default();
+    let mut it = flags.iter();
+    while let Some(flag) = it.next() {
+        let (f, it) = (flag.as_str(), &mut it);
+        match f {
+            "--help" | "-h" => return Ok(Invocation::Help),
+            "--quick" => a.quick = true,
+            "--filter-on" => a.filter_on = true,
+            "--decoys" => a.decoys = true,
+            "--profile" => a.profile = true,
+            "--print-routes" => a.print_routes = true,
+            "--seed" => a.seed = number(f, it)?,
+            "--jobs" => a.jobs = number(f, it)?,
+            "--accounts" => a.accounts = number(f, it)?,
+            "--seeds" => a.seeds = number(f, it)?,
+            "--limit" => a.limit = number(f, it)?,
+            "--clients" => a.clients = number(f, it)?,
+            "--requests" => a.requests = number(f, it)?,
+            "--rate" => a.rate = Some(number(f, it)?),
+            "--min-throughput" => a.min_throughput = Some(number(f, it)?),
+            "--out" => a.out = Some(value(f, it)?),
+            "--out-dir" => a.out_dir = Some(value(f, it)?),
+            "--trace-out" => a.trace_out = Some(value(f, it)?),
+            "--filter" => a.filter = Some(value(f, it)?),
+            "--collapsed" => a.collapsed = Some(value(f, it)?),
+            "--input" => a.input = Some(value(f, it)?),
+            "--telemetry-out" => a.telemetry_out = Some(value(f, it)?),
+            "--json" => a.json = Some(value(f, it)?),
+            "--addr" => a.addr = value(f, it)?,
+            "--faults" => {
+                let v = value(f, it)?;
+                a.faults = Some(FaultProfile::by_name(&v).ok_or_else(|| {
+                    with_usage(format!(
+                        "unknown fault profile: {v} (expected none, light, or heavy)"
+                    ))
+                })?);
+            }
+            _ => return Err(with_usage(format!("unknown flag: {f}"))),
+        }
+    }
+    if !COMMANDS.contains(&command.as_str()) {
+        return Err(with_usage(format!("unknown command: {command}")));
+    }
+    // Reject here what the engine would otherwise clamp or choke on: the
+    // batch commands size a runner or a worker pool by --jobs.
+    let batch = matches!(
+        command.as_str(),
+        "fleet" | "sweep" | "chaos" | "serve" | "serve-bench"
+    );
+    let bad = if batch && a.jobs == 0 {
+        "--jobs must be at least 1 (zero worker threads cannot run anything)".to_string()
+    } else if command == "fleet" && a.accounts == 0 {
+        "--accounts must be at least 1 (an empty fleet produces no dataset)".to_string()
+    } else if command == "fleet" && a.out_dir.is_some() && a.telemetry_out.is_some() {
+        "--telemetry-out is not supported with --out-dir".to_string()
+    } else if !(1..=MAX_CLIENTS).contains(&a.clients) {
+        format!("--clients must be 1 to {MAX_CLIENTS}")
+    } else if !(1..=MAX_REQUESTS).contains(&a.requests) {
+        format!("--requests must be 1 to {MAX_REQUESTS}")
+    } else {
+        return Ok(Invocation::Command(command.clone(), Box::new(a)));
+    };
+    Err(format!("pwnd {command}: {bad}"))
+}
+
+fn with_usage(msg: String) -> String {
+    format!("{msg}\n{USAGE}")
+}
+
+/// The value after `flag`.
+fn value(flag: &str, it: &mut std::slice::Iter<'_, String>) -> Result<String, String> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| with_usage(format!("{flag} needs a value")))
+}
+
+/// The number after `flag`.
+fn number<T: FromStr>(flag: &str, it: &mut std::slice::Iter<'_, String>) -> Result<T, String> {
+    let v = value(flag, it)?;
+    v.parse()
+        .map_err(|_| with_usage(format!("{flag} needs a number, got {v:?}")))
+}
+
+// ---- sweep and chaos batches ------------------------------------------
 
 /// The fault-rate scale factors the chaos ablation sweeps.
 pub const CHAOS_FACTORS: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
@@ -21,7 +301,7 @@ pub fn sweep_configs(base: &ExperimentConfig, seeds: u64) -> Vec<ExperimentConfi
     (0..seeds)
         .map(|s| {
             let mut cfg = base.clone();
-            cfg.seed = base.seed + s;
+            cfg.seed = base.seed.wrapping_add(s);
             cfg
         })
         .collect()
@@ -51,7 +331,7 @@ pub fn sweep_table(outputs: &[RunOutput], base_seed: u64) -> String {
     for (i, out) in outputs.iter().enumerate() {
         let ov = overview(&out.dataset);
         table.row([
-            (base_seed + i as u64).to_string(),
+            base_seed.wrapping_add(i as u64).to_string(),
             ov.total_accesses.to_string(),
             ov.emails_opened.to_string(),
             ov.emails_sent.to_string(),
@@ -160,34 +440,7 @@ pub fn filtered_trace_jsonl(
     out
 }
 
-// ---- flag validation and the `pwnd report` table ----------------------
-
-/// Validate the batch-execution flags for the multi-run commands.
-///
-/// `fleet`, `sweep`, and `chaos` all submit work to the parallel
-/// runner, and `serve`/`serve-bench` size a worker-thread pool; zero
-/// worker threads or a zero-account fleet would otherwise be silently
-/// clamped deep inside the engine. Rejecting them here gives the user
-/// an actionable message instead. Commands outside the batch family
-/// always validate.
-pub fn validate_batch_flags(command: &str, jobs: usize, accounts: u32) -> Result<(), String> {
-    let batch = matches!(
-        command,
-        "fleet" | "sweep" | "chaos" | "serve" | "serve-bench"
-    );
-    if batch && jobs == 0 {
-        return Err(format!(
-            "pwnd {command}: --jobs must be at least 1 (zero worker threads cannot run anything)"
-        ));
-    }
-    if command == "fleet" && accounts == 0 {
-        return Err(
-            "pwnd fleet: --accounts must be at least 1 (an empty fleet produces no dataset)"
-                .to_string(),
-        );
-    }
-    Ok(())
-}
+// ---- the `pwnd report` table -----------------------------------------
 
 /// Render the §4.1 overview as the `pwnd report` table.
 pub fn overview_table(ov: &pwnd_analysis::tables::Overview) -> String {
@@ -232,20 +485,46 @@ mod tests {
     }
 
     #[test]
+    fn sweep_seeds_wrap_past_the_largest_seed() {
+        let configs = sweep_configs(&ExperimentConfig::quick(u64::MAX), 2);
+        assert_eq!(
+            configs.iter().map(|c| c.seed).collect::<Vec<_>>(),
+            vec![u64::MAX, 0]
+        );
+        let batch = pwnd_core::Runner::new(1).run_all(configs);
+        let table = sweep_table(&batch.outputs, u64::MAX);
+        let seeds: Vec<&str> = table
+            .lines()
+            .skip(2)
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert_eq!(seeds, ["18446744073709551615", "0"], "{table}");
+    }
+
+    fn parse_line(line: &str) -> Result<Invocation, String> {
+        parse(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
     fn batch_commands_reject_zero_jobs_and_zero_accounts() {
         for cmd in ["fleet", "sweep", "chaos"] {
-            let err = validate_batch_flags(cmd, 0, 100).unwrap_err();
+            let err = parse_line(&format!("{cmd} --jobs 0")).unwrap_err();
             assert!(err.contains(cmd), "error names the command: {err}");
             assert!(err.contains("--jobs"), "error names the flag: {err}");
-            assert!(validate_batch_flags(cmd, 1, 100).is_ok());
+            assert!(parse_line(&format!("{cmd} --jobs 1")).is_ok());
         }
-        let err = validate_batch_flags("fleet", 4, 0).unwrap_err();
+        let err = parse_line("fleet --jobs 4 --accounts 0").unwrap_err();
         assert!(err.contains("--accounts"), "error names the flag: {err}");
         // Only the fleet sizes itself by --accounts; sweep/chaos ignore it.
-        assert!(validate_batch_flags("sweep", 4, 0).is_ok());
-        assert!(validate_batch_flags("chaos", 4, 0).is_ok());
+        assert!(parse_line("sweep --jobs 4 --accounts 0").is_ok());
+        assert!(parse_line("chaos --jobs 4 --accounts 0").is_ok());
         // Non-batch commands never trip the batch validation.
-        assert!(validate_batch_flags("run", 0, 0).is_ok());
+        assert!(parse_line("run --jobs 0 --accounts 0").is_ok());
     }
 
     #[test]

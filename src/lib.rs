@@ -26,7 +26,6 @@
 //! | [`faults`] | `pwnd-faults` | deterministic fault injection + retry policy |
 //! | [`core`] | `pwnd-core` | experiment orchestration, runner, fleet engine |
 //! | [`serve`] | `pwnd-serve` | breach-intelligence query daemon over fleet stores |
-//! | [`lint`] | `pwnd-lint` | the determinism & invariant linter (CI gate) |
 //!
 //! ## Quickstart
 //!
@@ -46,7 +45,6 @@ pub use pwnd_core as core;
 pub use pwnd_corpus as corpus;
 pub use pwnd_faults as faults;
 pub use pwnd_leak as leak;
-pub use pwnd_lint as lint;
 pub use pwnd_monitor as monitor;
 pub use pwnd_net as net;
 pub use pwnd_serve as serve;

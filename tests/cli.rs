@@ -1,0 +1,247 @@
+//! The `pwnd` command line: `cli::parse` on arbitrary argument vectors,
+//! and the exit codes and streams of the built binary.
+
+use proptest::prelude::*;
+use pwnd::cli::{parse, Args, Invocation, COMMANDS, MAX_CLIENTS, MAX_REQUESTS, USAGE};
+use pwnd::FaultProfile;
+use std::process::{Command, Output};
+
+const NUMBER_FLAGS: [&str; 9] = [
+    "--seed",
+    "--jobs",
+    "--accounts",
+    "--seeds",
+    "--limit",
+    "--clients",
+    "--requests",
+    "--rate",
+    "--min-throughput",
+];
+const TEXT_FLAGS: [&str; 10] = [
+    "--out",
+    "--out-dir",
+    "--trace-out",
+    "--filter",
+    "--collapsed",
+    "--input",
+    "--telemetry-out",
+    "--json",
+    "--addr",
+    "--faults",
+];
+const SWITCHES: [&str; 5] = [
+    "--quick",
+    "--filter-on",
+    "--decoys",
+    "--profile",
+    "--print-routes",
+];
+
+fn pick(list: &'static [&'static str]) -> impl Strategy<Value = String> {
+    (0..list.len()).prop_map(move |i| list[i].to_string())
+}
+
+/// A word a user might type: a command, a flag, a number, or garbage.
+fn word() -> impl Strategy<Value = String> {
+    prop_oneof![
+        pick(&COMMANDS),
+        pick(&NUMBER_FLAGS),
+        pick(&TEXT_FLAGS),
+        pick(&SWITCHES),
+        pick(&["--help", "-h", "help", "--", "-", "", "lint", "--deny", "--rule"]),
+        any::<u64>().prop_map(|n| n.to_string()),
+        "[0-9]{1,25}",
+        ".{0,12}",
+    ]
+}
+
+/// A value no numeric flag accepts, not even as a float (`inf`, `nan`).
+fn non_number() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "x[a-z!@ ]{0,6}",
+        "[0-9]{1,4}[g-z]{1,2}",
+        "-[a-z]{1,4}",
+        Just(String::new())
+    ]
+}
+
+/// Apply one valid `flag value` pair to the expected arguments, and
+/// return the value as typed.
+fn set(a: &mut Args, flag: &str, n: u64) -> String {
+    // In range for every numeric flag but --seed, which takes any u64.
+    let small = n % 256 + 1;
+    let text = format!("v{n}");
+    match flag {
+        "--seed" => a.seed = n,
+        "--jobs" => a.jobs = small as usize,
+        "--accounts" => a.accounts = small as u32,
+        "--seeds" => a.seeds = small,
+        "--limit" => a.limit = small as usize,
+        "--clients" => a.clients = small as usize,
+        "--requests" => a.requests = small,
+        "--rate" => a.rate = Some(small as u32),
+        "--min-throughput" => a.min_throughput = Some(small as f64),
+        "--out" => a.out = Some(text.clone()),
+        "--out-dir" => a.out_dir = Some(text.clone()),
+        "--trace-out" => a.trace_out = Some(text.clone()),
+        "--filter" => a.filter = Some(text.clone()),
+        "--collapsed" => a.collapsed = Some(text.clone()),
+        "--input" => a.input = Some(text.clone()),
+        "--telemetry-out" => a.telemetry_out = Some(text.clone()),
+        "--json" => a.json = Some(text.clone()),
+        "--addr" => a.addr = text.clone(),
+        "--faults" => {
+            let name = ["none", "light", "heavy"][n as usize % 3];
+            a.faults = FaultProfile::by_name(name);
+            return name.to_string();
+        }
+        _ => unreachable!("{flag} takes no value"),
+    }
+    match flag {
+        "--seed" => n.to_string(),
+        f if NUMBER_FLAGS.contains(&f) => small.to_string(),
+        _ => text,
+    }
+}
+
+fn first_line(err: &str) -> &str {
+    err.lines().next().unwrap_or_default()
+}
+
+proptest! {
+    #[test]
+    fn parse_never_panics_and_checks_what_it_accepts(
+        words in proptest::collection::vec(word(), 0..10),
+    ) {
+        match parse(&words) {
+            Ok(Invocation::Help) => {
+                prop_assert!(words.iter().any(|w| ["--help", "-h", "help"].contains(&w.as_str())));
+            }
+            Ok(Invocation::Command(command, a)) => {
+                prop_assert!(COMMANDS.contains(&command.as_str()), "{command}");
+                prop_assert!((1..=MAX_CLIENTS).contains(&a.clients));
+                prop_assert!((1..=MAX_REQUESTS).contains(&a.requests));
+            }
+            Err(msg) => prop_assert!(!msg.is_empty()),
+        }
+    }
+
+    #[test]
+    fn a_flag_cut_off_before_its_value_is_named(
+        command in pick(&COMMANDS),
+        switches in proptest::collection::vec(pick(&SWITCHES), 0..3),
+        flag in prop_oneof![pick(&NUMBER_FLAGS), pick(&TEXT_FLAGS)],
+    ) {
+        let mut argv = vec![command];
+        argv.extend(switches);
+        argv.push(flag.clone());
+        let err = parse(&argv).unwrap_err();
+        prop_assert_eq!(first_line(&err), format!("{flag} needs a value"));
+        prop_assert!(err.ends_with(USAGE));
+    }
+
+    #[test]
+    fn a_non_number_for_a_numeric_flag_is_named(
+        command in pick(&COMMANDS),
+        flag in pick(&NUMBER_FLAGS),
+        value in non_number(),
+    ) {
+        let err = parse(&[command, flag.clone(), value]).unwrap_err();
+        prop_assert!(first_line(&err).starts_with(&format!("{flag} needs a number")), "{err}");
+        prop_assert!(err.ends_with(USAGE));
+    }
+
+    #[test]
+    fn the_last_value_given_for_each_flag_wins(
+        command in pick(&COMMANDS),
+        pairs in proptest::collection::vec(
+            (prop_oneof![pick(&NUMBER_FLAGS), pick(&TEXT_FLAGS)], any::<u64>()),
+            1..12,
+        ),
+        switches in proptest::collection::vec(pick(&SWITCHES), 0..3),
+    ) {
+        let mut expected = Args::default();
+        let mut argv = vec![command.clone()];
+        for (flag, n) in &pairs {
+            let value = set(&mut expected, flag, *n);
+            argv.extend([flag.clone(), value]);
+        }
+        for s in switches {
+            match s.as_str() {
+                "--quick" => expected.quick = true,
+                "--filter-on" => expected.filter_on = true,
+                "--decoys" => expected.decoys = true,
+                "--profile" => expected.profile = true,
+                _ => expected.print_routes = true,
+            }
+            argv.push(s);
+        }
+        prop_assert_eq!(parse(&argv), Ok(Invocation::Command(command, Box::new(expected))));
+    }
+}
+
+#[test]
+fn serve_bench_sizes_are_bounded() {
+    let parse_line = |line: &str| parse(&line.split(' ').map(String::from).collect::<Vec<_>>());
+    let clients = format!("pwnd serve-bench: --clients must be 1 to {MAX_CLIENTS}");
+    let requests = format!("pwnd serve-bench: --requests must be 1 to {MAX_REQUESTS}");
+    for (line, msg) in [
+        ("serve-bench --clients 0", &clients),
+        ("serve-bench --clients 257", &clients),
+        ("serve-bench --requests 0", &requests),
+        ("serve-bench --requests 10000001", &requests),
+        ("serve-bench --requests 18446744073709551615", &requests),
+    ] {
+        assert_eq!(parse_line(line).as_ref(), Err(msg), "{line}");
+    }
+    assert!(parse_line("serve-bench --clients 256 --requests 10000000").is_ok());
+}
+
+fn pwnd(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_pwnd"))
+        .args(args)
+        .output()
+        .expect("spawn pwnd")
+}
+
+#[test]
+fn help_exits_zero_with_usage_on_stdout() {
+    for flag in ["--help", "-h", "help"] {
+        let out = pwnd(&[flag]);
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), format!("{USAGE}\n"));
+        assert!(out.stderr.is_empty());
+    }
+}
+
+#[test]
+fn bad_command_lines_exit_one_with_usage_on_stderr() {
+    let cases: [&[&str]; 6] = [
+        &[],
+        &["lint"],
+        &["bogus"],
+        &["run", "--bogus"],
+        &["run", "--seed"],
+        &["run", "--seed", "x"],
+    ];
+    for args in cases {
+        let out = pwnd(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(
+            stderr.ends_with(&format!("{USAGE}\n")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
+fn serve_bench_with_zero_clients_exits_one() {
+    let out = pwnd(&["serve-bench", "--input", "store", "--clients", "0"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!("pwnd serve-bench: --clients must be 1 to {MAX_CLIENTS}\n")
+    );
+}
