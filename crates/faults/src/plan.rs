@@ -76,7 +76,7 @@ impl FaultPlan {
             days,
         );
         FaultPlan {
-            profile: profile.clone(), // lint:allow(alloc-hot): the plan archives its own profile snapshot
+            profile: profile.clone(),
             decision_seed,
             scraper_outages,
             maintenance,
@@ -196,7 +196,7 @@ impl Default for FaultPlan {
 /// `mean_hours`, starts uniform over the horizon, returned sorted.
 fn sample_windows(rng: &mut Rng, per_30d: f64, mean_hours: f64, days: f64) -> Vec<Window> {
     if per_30d <= 0.0 || mean_hours <= 0.0 || days <= 0.0 {
-        return Vec::new(); // lint:allow(alloc-hot): an empty Vec never touches the heap
+        return Vec::new();
     }
     let expected = per_30d * days / 30.0;
     let mut count = expected.floor() as usize;

@@ -73,7 +73,7 @@ pub const ALL_RULES: &[RuleMeta] = &[
     RuleMeta {
         id: PANIC_HAZARD,
         summary: "no unwrap/expect/panic!/indexing in the resilient monitor \
-                  parse/retry paths (parser, scraper, collector, dataset)",
+                  parse/retry paths (scraper, collector, dataset)",
     },
     RuleMeta {
         id: LAYERING,
@@ -140,7 +140,6 @@ const RNG_HOME: &[&str] = &["crates/sim/src/rng.rs"];
 
 /// The resilient monitor paths hardened in the fault-injection PR.
 const RESILIENT_MONITOR_FILES: &[&str] = &[
-    "crates/monitor/src/parser.rs",
     "crates/monitor/src/scraper.rs",
     "crates/monitor/src/collector.rs",
     "crates/monitor/src/dataset.rs",

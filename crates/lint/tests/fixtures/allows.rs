@@ -1,5 +1,5 @@
 // Exercises the suppression syntax. Linted as if it lived at
-// crates/monitor/src/parser.rs.
+// crates/monitor/src/dataset.rs.
 use std::collections::HashMap;
 
 pub fn suppressed_trailing(m: &HashMap<u32, u32>) -> u32 {

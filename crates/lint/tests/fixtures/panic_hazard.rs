@@ -1,5 +1,5 @@
 // Seeded violations for the panic-hazard rule. Linted as if it lived at
-// crates/monitor/src/parser.rs (a resilient monitor path).
+// crates/monitor/src/dataset.rs (a resilient monitor path).
 use std::collections::HashMap;
 
 pub fn naughty(parts: &[&str], m: &HashMap<u32, u32>) -> u32 {

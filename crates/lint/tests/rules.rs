@@ -73,7 +73,7 @@ fn env_io_rule_fires_in_pure_crates_only() {
 #[test]
 fn panic_hazard_rule_fires_on_monitor_parse_paths_only() {
     let src = include_str!("fixtures/panic_hazard.rs");
-    let r = lint_fixture("crates/monitor/src/parser.rs", src);
+    let r = lint_fixture("crates/monitor/src/dataset.rs", src);
     let lines = lines_for(&r, "panic-hazard");
     assert!(lines.contains(&6), "slice index + unwrap: {lines:?}");
     assert!(lines.contains(&7), "map index: {lines:?}");
@@ -88,7 +88,7 @@ fn panic_hazard_rule_fires_on_monitor_parse_paths_only() {
 #[test]
 fn allow_directives_suppress_audit_and_expire() {
     let src = include_str!("fixtures/allows.rs");
-    let r = lint_fixture("crates/monitor/src/parser.rs", src);
+    let r = lint_fixture("crates/monitor/src/dataset.rs", src);
     // Both placements suppress their violation...
     let hazard = lines_for(&r, "panic-hazard");
     assert!(!hazard.contains(&6), "trailing allow: {hazard:?}");
@@ -110,7 +110,7 @@ fn rule_filter_limits_the_run() {
     let src = include_str!("fixtures/panic_hazard.rs");
     let only: std::collections::BTreeSet<String> = ["wall-clock".to_string()].into_iter().collect();
     let r = lint_files(
-        &[("crates/monitor/src/parser.rs".to_string(), src.to_string())],
+        &[("crates/monitor/src/dataset.rs".to_string(), src.to_string())],
         Some(&only),
     );
     assert!(r.findings.is_empty(), "{:?}", r.findings);

@@ -2,11 +2,16 @@
 //!
 //! The paper publishes "a dataset containing the parsed metadata of the
 //! accesses received from our honey accounts". [`DatasetBuilder`] produces
-//! the equivalent: it merges the scraper's raw activity-page dumps with
-//! the collector's script notifications into one [`ParsedAccess`] record
-//! per (account, cookie) pair, then applies the paper's §4.1 filters —
+//! the equivalent: it folds the scraper's archived activity pages and the
+//! collector's script notifications into one [`ParsedAccess`] record per
+//! (account, cookie) pair, then applies the paper's §4.1 filters —
 //! dropping accesses made from the monitoring infrastructure's IPs and
 //! from the city where the infrastructure is located.
+//!
+//! Activity rows stay typed through the fold: each cookie keeps the row
+//! visited last (the newest row of the latest page), the filters test its
+//! address and city as they are, and strings are made once, only for
+//! the accesses that survive.
 //!
 //! The dataset is the *censored* view: hijacked accounts contribute
 //! nothing after the hijack (the scraper is locked out), blocked accounts
@@ -22,7 +27,9 @@ use pwnd_net::ip::AddressPlan;
 use pwnd_sim::SimTime;
 use pwnd_telemetry::json::{Json, JsonError};
 use pwnd_webmail::account::AccountId;
+use pwnd_webmail::activity::ActivityRow;
 use std::collections::{BTreeMap, HashSet};
+use std::net::Ipv4Addr;
 
 /// One unique access: a device cookie observed on a honey account.
 #[derive(Clone, Debug, PartialEq)]
@@ -464,24 +471,12 @@ impl GapRecord {
     }
 }
 
-/// The location-bearing fields scraped from one activity row:
-/// (ip, country, city, lat, lon, browser, os, via_tor).
-type RowFields = (
-    String,
-    Option<String>,
-    String,
-    f64,
-    f64,
-    String,
-    String,
-    bool,
-);
-
 #[derive(Default)]
 struct PerCookie {
     first: Option<u64>,
     last: Option<u64>,
-    row: Option<RowFields>,
+    /// The row visited last: the newest row of the latest dump.
+    row: Option<ActivityRow>,
     opened: u32,
     sent: u32,
     drafts: u32,
@@ -553,17 +548,7 @@ impl<'a> DatasetBuilder<'a> {
                 let t = row.at.as_secs();
                 e.first = Some(e.first.map_or(t, |f| f.min(t)));
                 e.last = Some(e.last.map_or(t, |l| l.max(t)));
-                let via_tor = self.geolocator.is_tor_exit(row.ip);
-                e.row = Some((
-                    row.ip.to_string(),
-                    row.location.country.map(String::from),
-                    row.location.city.to_string(),
-                    row.location.point.lat,
-                    row.location.point.lon,
-                    row.fingerprint.browser.label().to_string(),
-                    row.fingerprint.os.label().to_string(),
-                    via_tor,
-                ));
+                e.row = Some(row.clone());
             }
         }
 
@@ -613,41 +598,35 @@ impl<'a> DatasetBuilder<'a> {
             if self.own_cookies.contains(&cookie) {
                 continue; // the paper removed its own infrastructure's accesses
             }
-            let (ip, country, city, lat, lon, browser, os, via_tor) = e.row.clone().unwrap_or((
-                "0.0.0.0".to_string(),
-                None,
-                "Unknown".to_string(),
-                0.0,
-                0.0,
-                "Unknown".to_string(),
-                "Unknown".to_string(),
-                false,
-            ));
+            let row = e.row.as_ref();
+            let via_tor = row.is_some_and(|r| self.geolocator.is_tor_exit(r.ip));
             // Paranoid IP-level filter (the paper filtered by IP *and* by
             // the infrastructure's city).
-            if let Ok(parsed) = ip.parse::<std::net::Ipv4Addr>() {
-                if AddressPlan::is_infra(parsed) {
-                    continue;
-                }
-            }
-            if e.row.is_some() && city == INFRA_CITY && !via_tor {
+            if row.is_some_and(|r| {
+                AddressPlan::is_infra(r.ip) || (r.location.city == INFRA_CITY && !via_tor)
+            }) {
                 continue;
             }
             let first = e.first.unwrap_or(0);
             let last = e.last.unwrap_or(first);
+            // The only strings of the build: one set per surviving access.
             accesses.push(ParsedAccess {
                 account,
                 cookie,
                 first_seen_secs: first,
                 last_seen_secs: last,
-                has_location_row: e.row.is_some(),
-                ip,
-                country,
-                city,
-                lat,
-                lon,
-                browser,
-                os,
+                has_location_row: row.is_some(),
+                ip: row.map_or(Ipv4Addr::UNSPECIFIED, |r| r.ip).to_string(),
+                country: row.and_then(|r| r.location.country).map(String::from),
+                city: row.map_or("Unknown", |r| r.location.city).to_string(),
+                lat: row.map_or(0.0, |r| r.location.point.lat),
+                lon: row.map_or(0.0, |r| r.location.point.lon),
+                browser: row
+                    .map_or("Unknown", |r| r.fingerprint.browser.label())
+                    .to_string(),
+                os: row
+                    .map_or("Unknown", |r| r.fingerprint.os.label())
+                    .to_string(),
                 via_tor,
                 opened: e.opened,
                 sent: e.sent,
@@ -741,7 +720,6 @@ mod tests {
     use pwnd_net::tor::TorDirectory;
     use pwnd_net::useragent::{Browser, Fingerprint, Os};
     use pwnd_sim::Rng;
-    use pwnd_webmail::activity::ActivityRow;
 
     fn geolocator() -> Geolocator {
         let geo = GeoDb::new();
@@ -816,6 +794,67 @@ mod tests {
         assert_eq!(a.opened, 1);
         assert_eq!(a.country.as_deref(), Some("BR"));
         assert_eq!(ds.opened_texts, vec!["payment info".to_string()]);
+    }
+
+    #[test]
+    fn the_row_visited_last_locates_the_access() {
+        let geo = geolocator();
+        let mut rng = Rng::seed_from(9);
+        let with_browser = |mut r: ActivityRow, browser| {
+            r.fingerprint.browser = browser;
+            r
+        };
+        let early = with_browser(row(&geo, 7, 40, "BR", &mut rng), Browser::Chrome);
+        let middle = with_browser(row(&geo, 7, 150, "DE", &mut rng), Browser::Firefox);
+        let newest = with_browser(row(&geo, 7, 190, "RU", &mut rng), Browser::Opera);
+        assert_ne!(early.ip, newest.ip);
+        assert_ne!(early.location.city, newest.location.city);
+        // A Tor exit that geolocates to the infrastructure's own city.
+        let tor_ip = geo.tor().sample_exit(&mut rng);
+        let tor_row = ActivityRow {
+            cookie: CookieId(8),
+            at: SimTime::from_secs(120),
+            ip: tor_ip,
+            location: geo.infra(),
+            fingerprint: Fingerprint {
+                browser: Browser::Unknown,
+                os: Os::Linux,
+            },
+        };
+        assert_eq!(tor_row.location.city, INFRA_CITY);
+        let dumps = vec![
+            ActivityDump {
+                account: AccountId(0),
+                at: SimTime::from_secs(100),
+                rows: vec![early],
+            },
+            // Rows run oldest first, as `ActivityPage::rows` yields them.
+            ActivityDump {
+                account: AccountId(0),
+                at: SimTime::from_secs(200),
+                rows: vec![tor_row, middle, newest.clone()],
+            },
+        ];
+        let col = NotificationCollector::new();
+        let ds = DatasetBuilder::new(&geo, &dumps, &col)
+            .with_accounts(vec![meta(0)])
+            .build();
+        assert_eq!(ds.accesses.len(), 2);
+        let a = &ds.accesses[0];
+        assert_eq!(a.cookie, 7);
+        assert_eq!((a.first_seen_secs, a.last_seen_secs), (40, 190));
+        assert_eq!(a.ip, newest.ip.to_string());
+        assert_eq!(a.country.as_deref(), Some("RU"));
+        assert_eq!(a.city, newest.location.city);
+        assert_eq!(a.lat, newest.location.point.lat);
+        assert_eq!(a.browser, "Opera");
+        assert!(a.has_location_row);
+        assert!(!a.via_tor);
+        let t = &ds.accesses[1];
+        assert_eq!(t.cookie, 8);
+        assert_eq!(t.city, INFRA_CITY);
+        assert_eq!(t.ip, tor_ip.to_string());
+        assert!(t.via_tor, "a Tor exit in the infrastructure's city is kept");
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   attacker can discover and delete them.
 //! * **External scraping** ([`scraper`]): Apps Script cannot see login IPs
 //!   or locations, so external scripts periodically log into each account
-//!   from the monitoring infrastructure and dump the visitor-activity
-//!   page to disk for offline parsing.
+//!   from the monitoring infrastructure and read the visitor-activity
+//!   page. The paper dumped each page to disk for offline parsing; here
+//!   every changed page is archived in memory as typed activity rows.
 //!
 //! [`dataset`] merges both streams into the parsed access-metadata
 //! dataset the paper publishes, applying the same filters (drop accesses
@@ -30,7 +31,6 @@
 pub mod collector;
 pub mod dataset;
 pub mod export;
-pub mod parser;
 pub mod scraper;
 pub mod script;
 

@@ -52,7 +52,9 @@ enum HardFailure {
     Blocked,
 }
 
-/// One raw page dump, as written to disk for offline parsing.
+/// One archived page: the typed rows of a scrape that saw the page
+/// change, kept in memory until the dataset is built (where the paper
+/// wrote the page to disk for offline parsing).
 #[derive(Clone, Debug)]
 pub struct ActivityDump {
     /// Which account was scraped.
@@ -74,8 +76,8 @@ struct Slot {
     /// accesses must be filterable from the dataset).
     cookie: Option<CookieId>,
     /// Fingerprint of the last-dumped page, so identical consecutive
-    /// scrapes are not stored twice (offline parsing would discard them
-    /// anyway; a 7-month run scrapes tens of thousands of unchanged
+    /// scrapes are not stored twice (the dataset build would fold them
+    /// away anyway; a 7-month run scrapes tens of thousands of unchanged
     /// pages).
     last_page: Option<Vec<(u64, u64)>>,
     hijack_detected: Option<SimTime>,
@@ -423,18 +425,10 @@ impl Scraper {
         }
     }
 
-    /// All raw dumps (what "offline parsing" consumes).
+    /// Every archived page, in scrape order: what
+    /// [`DatasetBuilder`](crate::DatasetBuilder) folds into accesses.
     pub fn dumps(&self) -> &[ActivityDump] {
         &self.dumps
-    }
-
-    /// Render every dump to the on-disk text format (§3.1: "dump the
-    /// pages to disk, for offline parsing").
-    pub fn export_dumps(&self) -> Vec<String> {
-        self.dumps
-            .iter()
-            .map(|d| crate::parser::render_page(d.account.0, d.at, &d.rows))
-            .collect()
     }
 
     /// When the scraper first noticed a hijack on `account`, if it did.
@@ -768,38 +762,6 @@ mod tests {
         let after = window.end + SimDuration::hours(1);
         scraper.scrape_all(&mut svc, after);
         assert_eq!(scraper.gaps(), &[(id, window.start, after)]);
-    }
-
-    #[test]
-    fn exported_dumps_reparse_to_the_same_rows() {
-        let (mut svc, mut scraper, id) = world();
-        let ip = svc
-            .geolocator()
-            .plan()
-            .sample_host("DE", &mut Rng::seed_from(9));
-        let loc = svc.geolocator().locate(ip);
-        let conn = ConnectionInfo::new(
-            ip,
-            ClientConfig::plain(Browser::Firefox, Os::Linux),
-            loc.point,
-        );
-        svc.login("h@honeymail.example", "pw", &conn, SimTime::from_secs(50))
-            .unwrap();
-        scraper.scrape(&mut svc, id, SimTime::from_secs(100));
-        let texts = scraper.export_dumps();
-        assert_eq!(texts.len(), scraper.dumps().len());
-        for (text, dump) in texts.iter().zip(scraper.dumps()) {
-            let parsed = crate::parser::parse_page(text).expect("dump parses");
-            assert_eq!(parsed.account, dump.account.0);
-            assert_eq!(parsed.scraped_at, dump.at);
-            assert_eq!(parsed.rows.len(), dump.rows.len());
-            for (a, b) in parsed.rows.iter().zip(&dump.rows) {
-                assert_eq!(a.cookie, b.cookie);
-                assert_eq!(a.ip, b.ip);
-                assert_eq!(a.location.city, b.location.city);
-                assert_eq!(a.fingerprint, b.fingerprint);
-            }
-        }
     }
 
     #[test]

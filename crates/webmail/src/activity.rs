@@ -33,7 +33,8 @@ pub struct ActivityRow {
 /// Default number of rows Gmail shows (10 at the time of the study).
 pub const DEFAULT_CAPACITY: usize = 10;
 
-/// A bounded, newest-first activity page.
+/// A bounded activity page, held oldest first: a new access evicts the
+/// oldest row once the page is full.
 #[derive(Clone, Debug)]
 pub struct ActivityPage {
     rows: VecDeque<ActivityRow>,

@@ -18,6 +18,7 @@
 //! pwnd truth   [--seed N]
 //! ```
 
+use pwnd::analysis::tables::overview;
 use pwnd::cli::{self, Args, Invocation};
 use pwnd::core::fleet::{run_fleet, FleetConfig};
 use pwnd::telemetry::{Table, TelemetrySink};
@@ -130,9 +131,11 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
             // The batch is built up front and comes back in submission order,
             // so output is byte-identical for any --jobs (tests/parallel_runner.rs).
             let configs = cli::sweep_configs(&config_of(args), args.seeds);
+            // Each run is reduced to its overview in the worker, so memory
+            // does not grow with --seeds.
             let batch = Runner::new(args.jobs)
                 .with_telemetry(args.profile)
-                .run_all(configs);
+                .run_map(configs, |_, out| overview(&out.dataset));
             print!("{}", cli::sweep_table(&batch.outputs, args.seed));
             println!(
                 "paper: 326 accesses, 147 opened, 845 sent, 42 blocked, 36 hijacked, 90 accounts"
@@ -178,7 +181,7 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
                         t.line, t.bytes
                     ));
                 }
-                pwnd::analysis::tables::overview(&read.dataset)
+                overview(&read.dataset)
             };
             print!("{}", cli::overview_table(&ov));
         }

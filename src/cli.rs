@@ -8,7 +8,7 @@
 //! *this* code, testable without spawning the binary (see
 //! `tests/parallel_runner.rs`).
 
-use pwnd_analysis::tables::overview;
+use pwnd_analysis::tables::Overview;
 use pwnd_core::{Batch, ExperimentConfig, RunOutput};
 use pwnd_faults::FaultProfile;
 use pwnd_telemetry::{Table, TelemetryReport, TraceEvent};
@@ -44,7 +44,7 @@ flags:
   --profile        (run/fleet) print phase timings and the metrics summary;
                    (sweep/chaos) print the runner speedup breakdown too;
                    (serve) print request telemetry on shutdown
-  --jobs N         (sweep/chaos/fleet) worker threads (default: all
+  --jobs N         (sweep/chaos/fleet) worker threads, 1-256 (default: all
                    cores); --jobs 1 is the sequential path, output is identical;
                    (serve/serve-bench) HTTP worker threads (floored at 4),
                    which also bound concurrent connections
@@ -66,7 +66,7 @@ flags:
                    (serve/serve-bench) the fleet store directory to serve
   --telemetry-out FILE (fleet) stream one telemetry report line per shard
                    there while the fleet runs (forces telemetry on)
-  --seeds N        (sweep) number of seeds (default 8)
+  --seeds N        (sweep) number of seeds, 1 to 10000 (default 8)
   --addr HOST:PORT (serve) listen address (default 127.0.0.1:8080; port 0
                    binds an ephemeral port, printed on startup)
   --rate N         (serve/serve-bench) token-bucket rate limit: N requests/s
@@ -103,6 +103,12 @@ pub const MAX_CLIENTS: usize = 256;
 /// The most `serve-bench --requests`: each keeps a latency sample.
 pub const MAX_REQUESTS: u64 = 10_000_000;
 
+/// The most `--jobs` a batch command takes: each job is a thread.
+pub const MAX_JOBS: usize = 256;
+
+/// The most `sweep --seeds`: each seed is a full run.
+pub const MAX_SEEDS: u64 = 10_000;
+
 /// What a `pwnd` command line asks for.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Invocation {
@@ -127,11 +133,11 @@ pub struct Args {
     pub profile: bool,
     /// `--faults NAME`.
     pub faults: Option<FaultProfile>,
-    /// `--jobs N`, all cores when not given.
+    /// `--jobs N`, all cores (at most [`MAX_JOBS`]) when not given.
     pub jobs: usize,
     /// `--accounts N`.
     pub accounts: u32,
-    /// `--seeds N`.
+    /// `--seeds N`, at most [`MAX_SEEDS`].
     pub seeds: u64,
     /// `--limit N`.
     pub limit: usize,
@@ -175,7 +181,7 @@ impl Default for Args {
             profile: false,
             faults: None,
             // lint:allow(lock-discipline): one-shot core-count read for a CLI default; no shared state
-            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            jobs: std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_JOBS)),
             accounts: 1_000,
             seeds: 8,
             limit: 0,
@@ -258,6 +264,10 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
     );
     let bad = if batch && a.jobs == 0 {
         "--jobs must be at least 1 (zero worker threads cannot run anything)".to_string()
+    } else if batch && a.jobs > MAX_JOBS {
+        format!("--jobs must be at most {MAX_JOBS}")
+    } else if command == "sweep" && !(1..=MAX_SEEDS).contains(&a.seeds) {
+        format!("--seeds must be 1 to {MAX_SEEDS}")
     } else if command == "fleet" && a.accounts == 0 {
         "--accounts must be at least 1 (an empty fleet produces no dataset)".to_string()
     } else if command == "fleet" && a.out_dir.is_some() && a.telemetry_out.is_some() {
@@ -322,14 +332,13 @@ pub fn chaos_configs(base: &ExperimentConfig, profile: &FaultProfile) -> Vec<Exp
         .collect()
 }
 
-/// Render the sweep table from a batch's ordered outputs.
-pub fn sweep_table(outputs: &[RunOutput], base_seed: u64) -> String {
+/// Render the sweep table from each seed's overview, in seed order.
+pub fn sweep_table(overviews: &[Overview], base_seed: u64) -> String {
     let mut table = Table::new(&[
         "seed", "accesses", "opened", "sent", "blocked", "hijacked", "accounts",
     ])
     .numeric();
-    for (i, out) in outputs.iter().enumerate() {
-        let ov = overview(&out.dataset);
+    for (i, ov) in overviews.iter().enumerate() {
         table.row([
             base_seed.wrapping_add(i as u64).to_string(),
             ov.total_accesses.to_string(),
@@ -381,7 +390,7 @@ pub fn chaos_table(outputs: &[RunOutput]) -> String {
 
 /// The `--profile` breakdown for a batch: the runner's speedup summary
 /// followed by the merged telemetry report.
-pub fn batch_profile_report(batch: &Batch) -> String {
+pub fn batch_profile_report<T>(batch: &Batch<T>) -> String {
     let mut out = String::new();
     if let Some(profile) = batch.profile() {
         out.push_str(&profile.render());
@@ -443,7 +452,7 @@ pub fn filtered_trace_jsonl(
 // ---- the `pwnd report` table -----------------------------------------
 
 /// Render the §4.1 overview as the `pwnd report` table.
-pub fn overview_table(ov: &pwnd_analysis::tables::Overview) -> String {
+pub fn overview_table(ov: &Overview) -> String {
     let mut table = Table::new(&["metric", "value"]).numeric();
     table.row(["accesses".into(), ov.total_accesses.to_string()]);
     table.row(["emails opened".into(), ov.emails_opened.to_string()]);
@@ -464,6 +473,7 @@ pub fn overview_table(ov: &pwnd_analysis::tables::Overview) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pwnd_analysis::tables::overview;
     use pwnd_core::fleet::{run_fleet, FleetConfig};
     use pwnd_telemetry::TelemetrySink;
 
@@ -491,7 +501,7 @@ mod tests {
             configs.iter().map(|c| c.seed).collect::<Vec<_>>(),
             vec![u64::MAX, 0]
         );
-        let batch = pwnd_core::Runner::new(1).run_all(configs);
+        let batch = pwnd_core::Runner::new(1).run_map(configs, |_, o| overview(&o.dataset));
         let table = sweep_table(&batch.outputs, u64::MAX);
         let seeds: Vec<&str> = table
             .lines()

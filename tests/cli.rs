@@ -2,7 +2,9 @@
 //! and the exit codes and streams of the built binary.
 
 use proptest::prelude::*;
-use pwnd::cli::{parse, Args, Invocation, COMMANDS, MAX_CLIENTS, MAX_REQUESTS, USAGE};
+use pwnd::cli::{
+    parse, Args, Invocation, COMMANDS, MAX_CLIENTS, MAX_JOBS, MAX_REQUESTS, MAX_SEEDS, USAGE,
+};
 use pwnd::FaultProfile;
 use std::process::{Command, Output};
 
@@ -121,6 +123,12 @@ proptest! {
                 prop_assert!(COMMANDS.contains(&command.as_str()), "{command}");
                 prop_assert!((1..=MAX_CLIENTS).contains(&a.clients));
                 prop_assert!((1..=MAX_REQUESTS).contains(&a.requests));
+                if command == "sweep" {
+                    prop_assert!((1..=MAX_SEEDS).contains(&a.seeds));
+                }
+                if ["fleet", "sweep", "chaos", "serve", "serve-bench"].contains(&command.as_str()) {
+                    prop_assert!((1..=MAX_JOBS).contains(&a.jobs));
+                }
             }
             Err(msg) => prop_assert!(!msg.is_empty()),
         }
@@ -195,6 +203,38 @@ fn serve_bench_sizes_are_bounded() {
         assert_eq!(parse_line(line).as_ref(), Err(msg), "{line}");
     }
     assert!(parse_line("serve-bench --clients 256 --requests 10000000").is_ok());
+}
+
+#[test]
+fn batch_sizes_are_bounded() {
+    // Parse only: no run starts and no thread is spawned here.
+    let parse_line = |line: &str| parse(&line.split(' ').map(String::from).collect::<Vec<_>>());
+    let seeds = format!("pwnd sweep: --seeds must be 1 to {MAX_SEEDS}");
+    assert_eq!(parse_line("sweep --seeds 0"), Err(seeds.clone()));
+    assert_eq!(parse_line("sweep --seeds 10001"), Err(seeds.clone()));
+    assert_eq!(parse_line("sweep --seeds 18446744073709551615"), Err(seeds));
+    assert!(parse_line("sweep --seeds 10000").is_ok());
+    // Only the sweep runs one experiment per seed.
+    assert!(parse_line("chaos --seeds 0").is_ok());
+    for command in ["fleet", "sweep", "chaos", "serve", "serve-bench"] {
+        let jobs = format!("pwnd {command}: --jobs must be at most {MAX_JOBS}");
+        for n in ["257", "100000", "18446744073709551615"] {
+            let line = format!("{command} --jobs {n}");
+            assert_eq!(parse_line(&line), Err(jobs.clone()), "{line}");
+        }
+        assert!(parse_line(&format!("{command} --jobs 256")).is_ok());
+    }
+    assert_eq!(
+        parse_line("fleet --accounts 1000000 --jobs 100000"),
+        Err(format!("pwnd fleet: --jobs must be at most {MAX_JOBS}"))
+    );
+    // Commands that start no worker pool ignore --jobs.
+    assert!(parse_line("run --jobs 100000").is_ok());
+    // The default is every core, capped like the flag.
+    match parse_line("fleet") {
+        Ok(Invocation::Command(_, a)) => assert!((1..=MAX_JOBS).contains(&a.jobs)),
+        other => panic!("{other:?}"),
+    }
 }
 
 fn pwnd(args: &[&str]) -> Output {

@@ -6,8 +6,14 @@
 //! the byte-identity claim covers the real rendering path, not a
 //! reimplementation of it.
 
+use pwnd::analysis::tables::{overview, Overview};
 use pwnd::cli::{chaos_configs, chaos_table, sweep_configs, sweep_table, CHAOS_FACTORS};
-use pwnd::{ExperimentConfig, FaultProfile, Runner};
+use pwnd::{Batch, ExperimentConfig, FaultProfile, Runner};
+
+/// Each run's overview, as `pwnd sweep` reduces it in the worker.
+fn overviews(batch: &Batch) -> Vec<Overview> {
+    batch.outputs.iter().map(|o| overview(&o.dataset)).collect()
+}
 
 #[test]
 fn sweep_table_is_byte_identical_across_job_counts() {
@@ -16,8 +22,8 @@ fn sweep_table_is_byte_identical_across_job_counts() {
     let par = Runner::new(4).run_all(sweep_configs(&base, 8));
 
     assert_eq!(
-        sweep_table(&seq.outputs, base.seed),
-        sweep_table(&par.outputs, base.seed)
+        sweep_table(&overviews(&seq), base.seed),
+        sweep_table(&overviews(&par), base.seed)
     );
     // Not just the table: the full censored dataset of every seed.
     for (i, (a, b)) in seq.outputs.iter().zip(&par.outputs).enumerate() {
@@ -51,7 +57,7 @@ fn oversubscribed_runner_matches_sequential() {
     let seq = Runner::new(1).run_all(sweep_configs(&base, 3));
     let par = Runner::new(16).run_all(sweep_configs(&base, 3));
     assert_eq!(
-        sweep_table(&seq.outputs, base.seed),
-        sweep_table(&par.outputs, base.seed)
+        sweep_table(&overviews(&seq), base.seed),
+        sweep_table(&overviews(&par), base.seed)
     );
 }
