@@ -347,8 +347,7 @@ impl Experiment {
         // Known monitoring blind windows, from all three sources. Only
         // assembled under a non-trivial profile: a fault-free run keeps
         // the legacy dataset shape (no gaps, no coverage fields).
-        let mut builder = DatasetBuilder::new(&geolocator, scraper.dumps(), &collector)
-            .with_own_cookies(&scraper.own_cookies())
+        let mut builder = DatasetBuilder::new(&geolocator, scraper.take_sightings(), &collector)
             .with_accounts(account_records);
         if !fault_plan.is_none() {
             let mut gaps: Vec<GapRecord> = Vec::new();

@@ -20,11 +20,8 @@
 //! this view, exactly as the paper's did.
 
 use crate::collector::{NotificationCollector, NotificationKind};
-use crate::scraper::ActivityDump;
-use pwnd_net::access::CookieId;
 use pwnd_net::geolocate::{Geolocator, INFRA_CITY};
 use pwnd_net::ip::AddressPlan;
-use pwnd_sim::SimTime;
 use pwnd_telemetry::json::{Json, JsonError};
 use pwnd_webmail::account::AccountId;
 use pwnd_webmail::activity::ActivityRow;
@@ -178,40 +175,6 @@ impl Dataset {
         Json::Obj(fields).pretty()
     }
 
-    /// Parse from JSON. Tolerates exports from before gap tracking
-    /// existed (no `gaps` key, no per-account `coverage`).
-    pub fn from_json(s: &str) -> Result<Dataset, JsonError> {
-        let root = Json::parse(s)?;
-        let gaps = match root.get("gaps") {
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| type_err("gaps", "array"))?
-                .iter()
-                .map(GapRecord::from_json_value)
-                .collect::<Result<_, _>>()?,
-            None => Vec::new(),
-        };
-        Ok(Dataset {
-            accesses: array_field(&root, "accesses")?
-                .iter()
-                .map(ParsedAccess::from_json_value)
-                .collect::<Result<_, _>>()?,
-            accounts: array_field(&root, "accounts")?
-                .iter()
-                .map(AccountRecord::from_json_value)
-                .collect::<Result<_, _>>()?,
-            opened_texts: array_field(&root, "opened_texts")?
-                .iter()
-                .map(|t| {
-                    t.as_str()
-                        .map(String::from)
-                        .ok_or_else(|| type_err("opened_texts", "string"))
-                })
-                .collect::<Result<_, _>>()?,
-            gaps,
-        })
-    }
-
     /// Accesses belonging to accounts with a given outlet label.
     pub fn accesses_for_outlet<'a>(
         &'a self,
@@ -280,12 +243,6 @@ fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
         msg: format!("missing field {key}"),
         at: 0,
     })
-}
-
-fn array_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], JsonError> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| type_err(key, "array"))
 }
 
 fn u64_field(v: &Json, key: &str) -> Result<u64, JsonError> {
@@ -471,11 +428,14 @@ impl GapRecord {
     }
 }
 
+/// What the monitor saw of one (account, cookie): the time span of its
+/// rows and notifications, the row visited last, and the notification
+/// counts.
 #[derive(Default)]
 struct PerCookie {
     first: Option<u64>,
     last: Option<u64>,
-    /// The row visited last: the newest row of the latest dump.
+    /// The row visited last: the newest row of the latest changed page.
     row: Option<ActivityRow>,
     opened: u32,
     sent: u32,
@@ -483,39 +443,77 @@ struct PerCookie {
     starred: u32,
 }
 
+impl PerCookie {
+    /// Widen the seen span to cover `t`.
+    fn see(&mut self, t: u64) {
+        self.first = Some(self.first.map_or(t, |f| f.min(t)));
+        self.last = Some(self.last.map_or(t, |l| l.max(t)));
+    }
+}
+
+/// The scraped activity of a run, folded per (account, cookie) as the
+/// pages arrive. The scraper folds each page whose foreign rows changed
+/// and keeps nothing else of it; a row seen on many pages folds to the
+/// same span, so repeats need no dedupe here.
+#[derive(Default)]
+pub struct Sightings {
+    per: BTreeMap<(u32, u64), PerCookie>,
+}
+
+impl Sightings {
+    /// Fold one page's rows, oldest first (as `ActivityPage::rows` yields
+    /// them): each cookie's span widens to the row's time and its row
+    /// visited last becomes this one.
+    pub fn fold_page<'r>(
+        &mut self,
+        account: AccountId,
+        rows: impl IntoIterator<Item = &'r ActivityRow>,
+    ) {
+        for row in rows {
+            let e = self.per.entry((account.0, row.cookie.0)).or_default();
+            e.see(row.at.as_secs());
+            e.row = Some(*row);
+        }
+    }
+
+    /// The row visited last of every (account, cookie), in key order.
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (u32, &ActivityRow)> {
+        self.per
+            .iter()
+            .filter_map(|(&(account, _), e)| e.row.as_ref().map(|r| (account, r)))
+    }
+}
+
 /// Builds a [`Dataset`] from the monitoring outputs.
 pub struct DatasetBuilder<'a> {
     geolocator: &'a Geolocator,
-    dumps: &'a [ActivityDump],
+    sightings: Sightings,
     collector: &'a NotificationCollector,
-    own_cookies: HashSet<u64>,
     meta: Vec<AccountRecord>,
     gaps: Vec<GapRecord>,
     coverage_horizon_secs: Option<u64>,
 }
 
 impl<'a> DatasetBuilder<'a> {
-    /// Start a build over the monitoring outputs.
+    /// Start a build over the monitoring outputs. The builder does not
+    /// look for the scraper's own cookie: the scraper never folds it
+    /// into `sightings`, and no notification carries it (the script
+    /// reports opens, stars, sends and drafts, and the scraper does none
+    /// of these).
     pub fn new(
         geolocator: &'a Geolocator,
-        dumps: &'a [ActivityDump],
+        sightings: Sightings,
         collector: &'a NotificationCollector,
     ) -> DatasetBuilder<'a> {
         DatasetBuilder {
             geolocator,
-            dumps,
+            sightings,
             collector,
-            own_cookies: HashSet::new(),
             meta: Vec::new(),
             gaps: Vec::new(),
             coverage_horizon_secs: None,
         }
-    }
-
-    /// Exclude the scraper's own cookies.
-    pub fn with_own_cookies(mut self, cookies: &[CookieId]) -> Self {
-        self.own_cookies = cookies.iter().map(|c| c.0).collect();
-        self
     }
 
     /// Attach per-account metadata (outlet labels, leak times, detection
@@ -537,29 +535,13 @@ impl<'a> DatasetBuilder<'a> {
 
     /// Produce the dataset.
     pub fn build(self) -> Dataset {
-        let mut per: BTreeMap<(u32, u64), PerCookie> = BTreeMap::new();
+        let mut per = self.sightings.per;
 
-        // Activity rows from every dump (a row may appear in many dumps;
-        // merging by (cookie, at) dedupes naturally through min/max).
-        for dump in self.dumps {
-            for row in &dump.rows {
-                let key = (account_key(dump.account), row.cookie.0);
-                let e = per.entry(key).or_default();
-                let t = row.at.as_secs();
-                e.first = Some(e.first.map_or(t, |f| f.min(t)));
-                e.last = Some(e.last.map_or(t, |l| l.max(t)));
-                e.row = Some(row.clone());
-            }
-        }
-
-        // Notification counts per cookie.
+        // Notification counts per cookie, into the scraped sightings.
         for n in self.collector.all() {
             let Some(cookie) = n.cookie else { continue };
-            let key = (account_key(n.account), cookie.0);
-            let e = per.entry(key).or_default();
-            let t = n.at.as_secs();
-            e.first = Some(e.first.map_or(t, |f| f.min(t)));
-            e.last = Some(e.last.map_or(t, |l| l.max(t)));
+            let e = per.entry((n.account.0, cookie.0)).or_default();
+            e.see(n.at.as_secs());
             match n.kind {
                 NotificationKind::Opened { .. } => e.opened += 1,
                 NotificationKind::Sent { .. } => e.sent += 1,
@@ -578,9 +560,6 @@ impl<'a> DatasetBuilder<'a> {
             .collect();
         let mut hijacker_of: BTreeMap<u32, u64> = BTreeMap::new();
         for (&(account, cookie), e) in &per {
-            if self.own_cookies.contains(&cookie) {
-                continue;
-            }
             if let (Some(&ht), Some(last)) = (hijack_time.get(&account), e.last) {
                 if last <= ht {
                     let slot = hijacker_of.entry(account).or_insert(cookie);
@@ -595,9 +574,6 @@ impl<'a> DatasetBuilder<'a> {
 
         let mut accesses = Vec::new();
         for ((account, cookie), e) in per {
-            if self.own_cookies.contains(&cookie) {
-                continue; // the paper removed its own infrastructure's accesses
-            }
             let row = e.row.as_ref();
             let via_tor = row.is_some_and(|r| self.geolocator.is_tor_exit(r.ip));
             // Paranoid IP-level filter (the paper filtered by IP *and* by
@@ -703,23 +679,16 @@ fn account_coverage(m: &AccountRecord, gaps: &[GapRecord], horizon_secs: u64) ->
     1.0 - blind as f64 / (hi - lo) as f64
 }
 
-fn account_key(a: AccountId) -> u32 {
-    a.0
-}
-
-/// Convenience: timestamp seconds of a [`SimTime`].
-pub fn secs(t: SimTime) -> u64 {
-    t.as_secs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collector::Notification;
+    use crate::export::{read_jsonl, DatasetWriter};
+    use pwnd_net::access::CookieId;
     use pwnd_net::geo::GeoDb;
     use pwnd_net::tor::TorDirectory;
     use pwnd_net::useragent::{Browser, Fingerprint, Os};
-    use pwnd_sim::Rng;
+    use pwnd_sim::{Rng, SimTime};
 
     fn geolocator() -> Geolocator {
         let geo = GeoDb::new();
@@ -744,6 +713,27 @@ mod tests {
         }
     }
 
+    /// Sightings of account 0 from the given pages, in scrape order.
+    fn pages(pages: &[&[ActivityRow]]) -> Sightings {
+        let mut seen = Sightings::default();
+        for rows in pages {
+            seen.fold_page(AccountId(0), rows.iter());
+        }
+        seen
+    }
+
+    /// `ds` streamed through `DatasetWriter` and read back with
+    /// `read_jsonl`, checked to lose nothing of the pretty export.
+    fn through_jsonl(ds: &Dataset) -> Dataset {
+        let mut writer = DatasetWriter::new(Vec::new());
+        writer.write_dataset(ds).unwrap();
+        let bytes = writer.finish().unwrap();
+        let read = read_jsonl(std::str::from_utf8(&bytes).unwrap()).unwrap();
+        assert_eq!(read.truncated, None);
+        assert_eq!(read.dataset.to_json(), ds.to_json());
+        read.dataset
+    }
+
     fn meta(account: u32) -> AccountRecord {
         AccountRecord {
             account,
@@ -760,18 +750,10 @@ mod tests {
     fn merges_dumps_and_notifications() {
         let geo = geolocator();
         let mut rng = Rng::seed_from(2);
-        let dumps = vec![
-            ActivityDump {
-                account: AccountId(0),
-                at: SimTime::from_secs(100),
-                rows: vec![row(&geo, 7, 50, "BR", &mut rng)],
-            },
-            ActivityDump {
-                account: AccountId(0),
-                at: SimTime::from_secs(200),
-                rows: vec![row(&geo, 7, 150, "BR", &mut rng)],
-            },
-        ];
+        let seen = pages(&[
+            &[row(&geo, 7, 50, "BR", &mut rng)],
+            &[row(&geo, 7, 150, "BR", &mut rng)],
+        ]);
         let mut col = NotificationCollector::new();
         col.receive(Notification {
             account: AccountId(0),
@@ -783,7 +765,7 @@ mod tests {
                 text: "payment info".into(),
             },
         });
-        let ds = DatasetBuilder::new(&geo, &dumps, &col)
+        let ds = DatasetBuilder::new(&geo, seen, &col)
             .with_accounts(vec![meta(0)])
             .build();
         assert_eq!(ds.accesses.len(), 1);
@@ -822,21 +804,10 @@ mod tests {
             },
         };
         assert_eq!(tor_row.location.city, INFRA_CITY);
-        let dumps = vec![
-            ActivityDump {
-                account: AccountId(0),
-                at: SimTime::from_secs(100),
-                rows: vec![early],
-            },
-            // Rows run oldest first, as `ActivityPage::rows` yields them.
-            ActivityDump {
-                account: AccountId(0),
-                at: SimTime::from_secs(200),
-                rows: vec![tor_row, middle, newest.clone()],
-            },
-        ];
+        // Rows run oldest first, as `ActivityPage::rows` yields them.
+        let seen = pages(&[&[early], &[tor_row, middle, newest]]);
         let col = NotificationCollector::new();
-        let ds = DatasetBuilder::new(&geo, &dumps, &col)
+        let ds = DatasetBuilder::new(&geo, seen, &col)
             .with_accounts(vec![meta(0)])
             .build();
         assert_eq!(ds.accesses.len(), 2);
@@ -858,7 +829,7 @@ mod tests {
     }
 
     #[test]
-    fn own_cookies_and_infra_are_filtered() {
+    fn infra_accesses_are_filtered() {
         let geo = geolocator();
         let mut rng = Rng::seed_from(3);
         let infra_ip = AddressPlan::sample_infra(&mut rng);
@@ -872,14 +843,9 @@ mod tests {
                 os: Os::Linux,
             },
         };
-        let dumps = vec![ActivityDump {
-            account: AccountId(0),
-            at: SimTime::from_secs(20),
-            rows: vec![infra_row, row(&geo, 5, 15, "US", &mut rng)],
-        }];
+        let seen = pages(&[&[infra_row, row(&geo, 5, 15, "US", &mut rng)]]);
         let col = NotificationCollector::new();
-        let ds = DatasetBuilder::new(&geo, &dumps, &col)
-            .with_own_cookies(&[CookieId(99)])
+        let ds = DatasetBuilder::new(&geo, seen, &col)
             .with_accounts(vec![meta(0)])
             .build();
         assert_eq!(ds.accesses.len(), 1);
@@ -900,13 +866,9 @@ mod tests {
             }
         }
         let london_row = london_row.expect("London is the heaviest GB city");
-        let dumps = vec![ActivityDump {
-            account: AccountId(0),
-            at: SimTime::from_secs(20),
-            rows: vec![london_row],
-        }];
+        let seen = pages(&[&[london_row]]);
         let col = NotificationCollector::new();
-        let ds = DatasetBuilder::new(&geo, &dumps, &col)
+        let ds = DatasetBuilder::new(&geo, seen, &col)
             .with_accounts(vec![meta(0)])
             .build();
         assert!(ds.accesses.is_empty());
@@ -927,13 +889,9 @@ mod tests {
                 os: Os::Windows,
             },
         };
-        let dumps = vec![ActivityDump {
-            account: AccountId(0),
-            at: SimTime::from_secs(40),
-            rows: vec![tor_row],
-        }];
+        let seen = pages(&[&[tor_row]]);
         let col = NotificationCollector::new();
-        let ds = DatasetBuilder::new(&geo, &dumps, &col)
+        let ds = DatasetBuilder::new(&geo, seen, &col)
             .with_accounts(vec![meta(0)])
             .build();
         assert_eq!(ds.accesses.len(), 1);
@@ -945,18 +903,14 @@ mod tests {
     fn hijack_attributed_to_last_cookie_before_detection() {
         let geo = geolocator();
         let mut rng = Rng::seed_from(6);
-        let dumps = vec![ActivityDump {
-            account: AccountId(0),
-            at: SimTime::from_secs(300),
-            rows: vec![
-                row(&geo, 1, 50, "US", &mut rng),
-                row(&geo, 2, 200, "RU", &mut rng),
-            ],
-        }];
+        let seen = pages(&[&[
+            row(&geo, 1, 50, "US", &mut rng),
+            row(&geo, 2, 200, "RU", &mut rng),
+        ]]);
         let col = NotificationCollector::new();
         let mut m = meta(0);
         m.hijack_detected_secs = Some(250);
-        let ds = DatasetBuilder::new(&geo, &dumps, &col)
+        let ds = DatasetBuilder::new(&geo, seen, &col)
             .with_accounts(vec![m])
             .build();
         let hijackers: Vec<u64> = ds
@@ -972,17 +926,12 @@ mod tests {
     fn json_roundtrip() {
         let geo = geolocator();
         let mut rng = Rng::seed_from(7);
-        let dumps = vec![ActivityDump {
-            account: AccountId(0),
-            at: SimTime::from_secs(20),
-            rows: vec![row(&geo, 5, 15, "DE", &mut rng)],
-        }];
+        let seen = pages(&[&[row(&geo, 5, 15, "DE", &mut rng)]]);
         let col = NotificationCollector::new();
-        let ds = DatasetBuilder::new(&geo, &dumps, &col)
+        let ds = DatasetBuilder::new(&geo, seen, &col)
             .with_accounts(vec![meta(0)])
             .build();
-        let json = ds.to_json();
-        let back = Dataset::from_json(&json).unwrap();
+        let back = through_jsonl(&ds);
         assert_eq!(back.accesses, ds.accesses);
         assert_eq!(back.accounts, ds.accounts);
     }
@@ -1015,7 +964,7 @@ mod tests {
                 until_secs: 6_000,
             },
         ];
-        let ds = DatasetBuilder::new(&geo, &[], &col)
+        let ds = DatasetBuilder::new(&geo, Sightings::default(), &col)
             .with_accounts(vec![m])
             .with_gaps(gaps, 1_100)
             .build();
@@ -1038,7 +987,7 @@ mod tests {
             from_secs: 400,
             until_secs: 800,
         }];
-        let ds = DatasetBuilder::new(&geo, &[], &col)
+        let ds = DatasetBuilder::new(&geo, Sightings::default(), &col)
             .with_accounts(vec![m])
             .with_gaps(gaps, 10_000)
             .build();
@@ -1050,13 +999,13 @@ mod tests {
     fn gapless_build_keeps_legacy_json_shape() {
         let geo = geolocator();
         let col = NotificationCollector::new();
-        let ds = DatasetBuilder::new(&geo, &[], &col)
+        let ds = DatasetBuilder::new(&geo, Sightings::default(), &col)
             .with_accounts(vec![meta(0)])
             .build();
         let json = ds.to_json();
         assert!(!json.contains("\"gaps\""));
         assert!(!json.contains("\"coverage\""));
-        let back = Dataset::from_json(&json).unwrap();
+        let back = through_jsonl(&ds);
         assert_eq!(back.accounts, ds.accounts);
         assert!(back.gaps.is_empty());
     }
@@ -1071,13 +1020,13 @@ mod tests {
             from_secs: 10,
             until_secs: 20,
         }];
-        let ds = DatasetBuilder::new(&geo, &[], &col)
+        let ds = DatasetBuilder::new(&geo, Sightings::default(), &col)
             .with_accounts(vec![meta(0)])
             .with_gaps(gaps, 100)
             .build();
         let json = ds.to_json();
         assert!(json.contains("\"gaps\""));
-        let back = Dataset::from_json(&json).unwrap();
+        let back = through_jsonl(&ds);
         assert_eq!(back.gaps, ds.gaps);
         assert_eq!(back.accounts, ds.accounts);
     }
@@ -1086,22 +1035,13 @@ mod tests {
     fn outlet_filtering_and_counts() {
         let geo = geolocator();
         let mut rng = Rng::seed_from(8);
-        let dumps = vec![
-            ActivityDump {
-                account: AccountId(0),
-                at: SimTime::from_secs(20),
-                rows: vec![row(&geo, 5, 15, "DE", &mut rng)],
-            },
-            ActivityDump {
-                account: AccountId(1),
-                at: SimTime::from_secs(20),
-                rows: vec![row(&geo, 6, 16, "FR", &mut rng)],
-            },
-        ];
+        let mut seen = Sightings::default();
+        seen.fold_page(AccountId(0), &[row(&geo, 5, 15, "DE", &mut rng)]);
+        seen.fold_page(AccountId(1), &[row(&geo, 6, 16, "FR", &mut rng)]);
         let col = NotificationCollector::new();
         let mut m1 = meta(0);
         m1.outlet = "malware".into();
-        let ds = DatasetBuilder::new(&geo, &dumps, &col)
+        let ds = DatasetBuilder::new(&geo, seen, &col)
             .with_accounts(vec![m1, meta(1)])
             .build();
         assert_eq!(ds.accesses_for_outlet("malware").count(), 1);

@@ -19,7 +19,8 @@
 //!   or locations, so external scripts periodically log into each account
 //!   from the monitoring infrastructure and read the visitor-activity
 //!   page. The paper dumped each page to disk for offline parsing; here
-//!   every changed page is archived in memory as typed activity rows.
+//!   each changed page's rows are folded per (account, cookie) as they
+//!   are scraped, and the page itself is not kept.
 //!
 //! [`dataset`] merges both streams into the parsed access-metadata
 //! dataset the paper publishes, applying the same filters (drop accesses
@@ -35,7 +36,7 @@ pub mod scraper;
 pub mod script;
 
 pub use collector::{Notification, NotificationCollector, NotificationKind};
-pub use dataset::{Dataset, DatasetBuilder, GapRecord, ParsedAccess};
+pub use dataset::{Dataset, DatasetBuilder, GapRecord, ParsedAccess, Sightings};
 pub use export::{DatasetWriter, JsonlRead, Truncated};
 pub use scraper::{ScrapeOutcome, Scraper};
 pub use script::{ScriptRuntime, ScriptState};

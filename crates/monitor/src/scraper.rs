@@ -3,7 +3,9 @@
 //! Apps Script cannot see login IPs or geolocation, so the paper drove a
 //! browser from the monitoring infrastructure, logged into each honey
 //! account on a schedule, navigated to the visitor-activity page, and
-//! dumped it to disk for offline parsing. The scraper is also how the
+//! dumped it to disk for offline parsing. This scraper parses in line
+//! instead: each page whose foreign rows changed is folded into the
+//! run's [`Sightings`] and not kept. The scraper is also how the
 //! researchers *detect* hijacks (its login starts failing) and blocks
 //! (the provider refuses the login with a suspension error).
 //!
@@ -15,6 +17,7 @@
 //! `confirm_failures` times in consecutive sweeps, and records every
 //! known blind window as a gap for the coverage analysis.
 
+use crate::dataset::Sightings;
 use pwnd_faults::{FaultPlan, RetryPolicy};
 use pwnd_net::access::{ConnectionInfo, CookieId};
 use pwnd_net::ip::AddressPlan;
@@ -28,8 +31,8 @@ use pwnd_webmail::service::{LoginError, WebmailService};
 /// Result of one scrape attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScrapeOutcome {
-    /// Page read successfully (and dumped if it changed; see
-    /// [`Scraper::dumps`]).
+    /// Page read successfully (and folded into the sightings if it
+    /// changed; see [`Scraper::take_sightings`]).
     Ok,
     /// Login failed with the researcher password — the account has been
     /// hijacked (password changed by an attacker).
@@ -52,19 +55,6 @@ enum HardFailure {
     Blocked,
 }
 
-/// One archived page: the typed rows of a scrape that saw the page
-/// change, kept in memory until the dataset is built (where the paper
-/// wrote the page to disk for offline parsing).
-#[derive(Clone, Debug)]
-pub struct ActivityDump {
-    /// Which account was scraped.
-    pub account: AccountId,
-    /// When the scrape ran.
-    pub at: SimTime,
-    /// The rows visible at scrape time.
-    pub rows: Vec<ActivityRow>,
-}
-
 /// Everything the scraper keeps about one account. Account ids are dense,
 /// so the scraper holds one slot per id.
 #[derive(Default)]
@@ -72,13 +62,12 @@ struct Slot {
     /// The password the researchers recorded; `None` for an id that was
     /// never registered. The scraper logs in by account id.
     password: Option<String>,
-    /// One stable browser cookie (the scraper is a device too, and its
-    /// accesses must be filterable from the dataset).
+    /// One stable browser cookie (the scraper is a device too; its rows
+    /// are left out of every fold, so it never reaches the dataset).
     cookie: Option<CookieId>,
-    /// Fingerprint of the last-dumped page, so identical consecutive
-    /// scrapes are not stored twice (the dataset build would fold them
-    /// away anyway; a 7-month run scrapes tens of thousands of unchanged
-    /// pages).
+    /// Fingerprint of the last folded page's foreign rows, so identical
+    /// consecutive scrapes are not folded twice (a 7-month run scrapes
+    /// tens of thousands of unchanged pages).
     last_page: Option<Vec<(u64, u64)>>,
     hijack_detected: Option<SimTime>,
     block_detected: Option<SimTime>,
@@ -101,7 +90,8 @@ impl Slot {
 pub struct Scraper {
     /// Per-account state, indexed by account id.
     slots: Vec<Slot>,
-    dumps: Vec<ActivityDump>,
+    /// Every changed page's foreign rows, folded per (account, cookie).
+    sightings: Sightings,
     /// Consecutive same-class hard failures required before classifying.
     /// 1 (the default) reproduces the historical trust-the-first-error
     /// behavior; raising it makes a transient provider error no longer
@@ -120,7 +110,7 @@ impl Scraper {
     pub fn new(rng: Rng) -> Scraper {
         Scraper {
             slots: Vec::new(),
-            dumps: Vec::new(),
+            sightings: Sightings::default(),
             confirm_failures: 1,
             gaps: Vec::new(),
             fault_plan: FaultPlan::none(),
@@ -130,9 +120,9 @@ impl Scraper {
         }
     }
 
-    /// Attach a telemetry sink (`monitor.scrapes`, `monitor.scrape_dumps`,
-    /// detection counters, retry histograms, and one `scrape` trace per
-    /// sweep).
+    /// Attach a telemetry sink: `monitor.scrapes`, `monitor.scrape_dumps`
+    /// (one per changed page folded), detection counters, retry
+    /// histograms, and one `scrape` trace per sweep.
     pub fn set_telemetry(&mut self, sink: TelemetrySink) {
         self.telemetry = sink;
     }
@@ -176,8 +166,8 @@ impl Scraper {
     }
 
     /// Scrape one account now, retrying transient failures with backoff.
-    /// Retries advance simulated time, so a scrape that flakes twice dumps
-    /// a page stamped a few minutes after `at`.
+    /// Retries advance simulated time, so a scrape that flakes twice reads
+    /// the page a few minutes after `at`.
     pub fn scrape(
         &mut self,
         service: &mut WebmailService,
@@ -258,8 +248,9 @@ impl Scraper {
     }
 
     /// One actual login + page read. The service opens no session for it;
-    /// the page is borrowed from the service and copied only when it
-    /// changed since the last dump.
+    /// the page is borrowed from the service, and its foreign rows are
+    /// folded into the sightings only when they changed since the last
+    /// fold.
     fn try_login(
         &mut self,
         service: &mut WebmailService,
@@ -285,7 +276,7 @@ impl Scraper {
         let (cookie, page) = service.read_activity(account, password, &conn, at)?;
         slot.cookie = Some(cookie);
         // "parse" covers digesting the activity page (fingerprint, dedupe,
-        // dump) — the per-account unit of work.
+        // fold) — the per-account unit of work.
         let _parse = self.telemetry.subspan("parse", &[]);
         // The scrape's own login can trip the abuse detector and block the
         // account before the page loads. The retry loop treats that as a
@@ -293,27 +284,20 @@ impl Scraper {
         let Some(page) = page else {
             return Err(LoginError::Maintenance);
         };
-        // The scraper's own login mutates the page; fingerprint only
-        // foreign rows so quiet accounts dedupe.
-        let foreign = || {
-            page.rows()
-                .filter(|r| r.cookie != cookie)
-                .map(|r| (r.cookie.0, r.at.as_secs()))
-        };
+        // The scraper's own login mutates the page; only foreign rows are
+        // fingerprinted (so quiet accounts dedupe) and folded (so the
+        // scraper's cookie never reaches the dataset).
+        let foreign = || page.rows().filter(|r| r.cookie != cookie);
+        let key = |r: &ActivityRow| (r.cookie.0, r.at.as_secs());
         let unchanged = slot
             .last_page
             .as_ref()
-            .is_some_and(|last| last.iter().copied().eq(foreign()));
+            .is_some_and(|last| last.iter().copied().eq(foreign().map(key)));
         if !unchanged {
             let last = slot.last_page.get_or_insert_with(Vec::new);
             last.clear();
-            last.extend(foreign());
-            self.dumps.push(ActivityDump {
-                account,
-                at,
-                // The dump archives its own snapshot of a changed page.
-                rows: page.rows().cloned().collect(),
-            });
+            last.extend(foreign().map(key));
+            self.sightings.fold_page(account, foreign());
             self.telemetry.count("monitor.scrape_dumps");
         }
         Ok(())
@@ -425,10 +409,10 @@ impl Scraper {
         }
     }
 
-    /// Every archived page, in scrape order: what
-    /// [`DatasetBuilder`](crate::DatasetBuilder) folds into accesses.
-    pub fn dumps(&self) -> &[ActivityDump] {
-        &self.dumps
+    /// Hand over the sightings folded so far, leaving none behind: what
+    /// [`DatasetBuilder`](crate::DatasetBuilder) turns into accesses.
+    pub fn take_sightings(&mut self) -> Sightings {
+        std::mem::take(&mut self.sightings)
     }
 
     /// When the scraper first noticed a hijack on `account`, if it did.
@@ -450,13 +434,6 @@ impl Scraper {
     /// horizon.
     pub fn gaps(&self) -> &[(AccountId, SimTime, SimTime)] {
         &self.gaps
-    }
-
-    /// The scraper's own cookies (the dataset filter needs them).
-    pub fn own_cookies(&self) -> Vec<CookieId> {
-        let mut v: Vec<CookieId> = self.slots.iter().filter_map(|slot| slot.cookie).collect();
-        v.sort_unstable();
-        v
     }
 }
 
@@ -506,6 +483,16 @@ mod tests {
         (svc, scraper, id)
     }
 
+    /// Changed pages folded so far (`monitor.scrape_dumps`).
+    fn folded(sink: &TelemetrySink) -> u64 {
+        sink.report().metrics.counter("monitor.scrape_dumps")
+    }
+
+    /// The scraper's own cookie on `account`, once it has logged in.
+    fn own_cookie(scraper: &Scraper, account: AccountId) -> Option<CookieId> {
+        scraper.slots.get(account.0 as usize)?.cookie
+    }
+
     fn hijack(svc: &mut WebmailService, at: u64) {
         let ip = svc
             .geolocator()
@@ -545,9 +532,8 @@ mod tests {
             scraper.scrape(&mut svc, id, SimTime::from_secs(200)),
             ScrapeOutcome::Ok
         );
-        assert_eq!(scraper.dumps().len(), 1);
-        let rows = &scraper.dumps()[0].rows;
-        assert!(rows.iter().any(|r| r.location.country == Some("BR")));
+        let mut rows = scraper.sightings.rows();
+        assert!(rows.any(|(account, r)| account == id.0 && r.location.country == Some("BR")));
     }
 
     #[test]
@@ -569,8 +555,7 @@ mod tests {
             scraper.scrape(&mut svc, id, SimTime::from_secs(20)),
             ScrapeOutcome::Ok
         );
-        let rows = &scraper.dumps()[0].rows;
-        assert_eq!(scraper.own_cookies(), vec![rows[0].cookie]);
+        let own = own_cookie(&scraper, id).unwrap();
         assert_eq!(svc.total_accesses_recorded(id), 2);
         let conn = ConnectionInfo::new(
             AddressPlan::sample_infra(&mut Rng::seed_from(5)),
@@ -586,15 +571,54 @@ mod tests {
             .rows()
             .map(|r| r.cookie)
             .collect();
-        assert_eq!(page[..2], [rows[0].cookie, rows[0].cookie]);
+        assert_eq!(page[..2], [own, own]);
     }
 
     #[test]
     fn scraper_uses_stable_cookie() {
         let (mut svc, mut scraper, id) = world();
         scraper.scrape(&mut svc, id, SimTime::from_secs(10));
+        let first = own_cookie(&scraper, id);
+        assert!(first.is_some());
         scraper.scrape(&mut svc, id, SimTime::from_secs(20));
-        assert_eq!(scraper.own_cookies().len(), 1);
+        assert_eq!(own_cookie(&scraper, id), first);
+    }
+
+    #[test]
+    fn own_cookie_is_never_folded_and_unchanged_pages_fold_once() {
+        let (mut svc, mut scraper, id) = world();
+        let sink = TelemetrySink::enabled();
+        scraper.set_telemetry(sink.clone());
+        // The first read folds the page even with no foreign row on it.
+        scraper.scrape_all(&mut svc, SimTime::from_secs(10));
+        assert_eq!(folded(&sink), 1);
+        // The scraper's own logins alone leave the foreign rows as they
+        // were: nothing folds again.
+        for t in [20u64, 30, 40] {
+            scraper.scrape_all(&mut svc, SimTime::from_secs(t));
+        }
+        assert_eq!(folded(&sink), 1);
+        // A foreign login changes the page: one more fold.
+        let ip = svc
+            .geolocator()
+            .plan()
+            .sample_host("BR", &mut Rng::seed_from(1));
+        let loc = svc.geolocator().locate(ip);
+        let conn = ConnectionInfo::new(
+            ip,
+            ClientConfig::plain(Browser::Chrome, Os::Windows),
+            loc.point,
+        );
+        svc.login("h@honeymail.example", "pw", &conn, SimTime::from_secs(45))
+            .unwrap();
+        for t in [50u64, 60, 70] {
+            scraper.scrape_all(&mut svc, SimTime::from_secs(t));
+        }
+        assert_eq!(folded(&sink), 2);
+        let own = own_cookie(&scraper, id).unwrap();
+        let cookies: Vec<CookieId> = scraper.sightings.rows().map(|(_, r)| r.cookie).collect();
+        assert_eq!(cookies.len(), 1);
+        assert!(!cookies.contains(&own));
     }
 
     #[test]
@@ -611,9 +635,11 @@ mod tests {
             Some(SimTime::from_secs(100))
         );
         // scrape_all skips it afterwards.
-        let dumps_before = scraper.dumps().len();
+        let sink = TelemetrySink::enabled();
+        scraper.set_telemetry(sink.clone());
         scraper.scrape_all(&mut svc, SimTime::from_secs(200));
-        assert_eq!(scraper.dumps().len(), dumps_before);
+        assert_eq!(sink.report().metrics.counter("monitor.scrapes"), 0);
+        assert_eq!(folded(&sink), 0);
     }
 
     #[test]
@@ -640,11 +666,11 @@ mod tests {
             ScrapeOutcome::BlockedDetected
         );
         // The login went through and blocked the account before the page
-        // was read: nothing was dumped, but the scraper's device is known.
+        // was read: nothing was folded, but the scraper's device is known.
         assert_eq!(svc.account(id).state, AccountState::Blocked { at });
         assert_eq!(svc.total_accesses_recorded(id), 1);
-        assert!(scraper.dumps().is_empty());
-        assert_eq!(scraper.own_cookies().len(), 1);
+        assert_eq!(scraper.sightings.rows().count(), 0);
+        assert!(own_cookie(&scraper, id).is_some());
         // The unread page counted as a transient failure, and the retry's
         // login found the block, stamped at the retried time.
         let retry = RetryPolicy::default();
@@ -756,8 +782,14 @@ mod tests {
             .expect("some seed yields an outage");
         let window = plan.scraper_outages()[0];
         scraper.set_fault_plan(plan);
+        let sink = TelemetrySink::enabled();
+        scraper.set_telemetry(sink.clone());
         scraper.scrape_all(&mut svc, window.start);
-        assert!(scraper.dumps().is_empty(), "outage sweep must not scrape");
+        assert_eq!(
+            sink.report().metrics.counter("monitor.scrapes"),
+            0,
+            "outage sweep must not scrape"
+        );
         // Next sweep after the outage closes the blind window.
         let after = window.end + SimDuration::hours(1);
         scraper.scrape_all(&mut svc, after);
@@ -786,7 +818,7 @@ mod tests {
             Some(&3)
         );
         assert_eq!(metrics.counter("monitor.scrapes"), 3);
-        assert!(scraper.dumps().is_empty());
+        assert_eq!(folded(&sink), 0);
         assert_eq!(
             scraper.accounts().collect::<Vec<_>>(),
             vec![id, AccountId(3)]
@@ -806,7 +838,9 @@ mod tests {
     #[test]
     fn scrape_all_covers_registered_accounts() {
         let (mut svc, mut scraper, _) = world();
+        let sink = TelemetrySink::enabled();
+        scraper.set_telemetry(sink.clone());
         scraper.scrape_all(&mut svc, SimTime::ZERO + SimDuration::hours(1));
-        assert_eq!(scraper.dumps().len(), 1);
+        assert_eq!(folded(&sink), 1);
     }
 }

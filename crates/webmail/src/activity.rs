@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// One row of the activity page.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct ActivityRow {
     /// The access cookie (one per unique device).
     pub cookie: CookieId,

@@ -168,24 +168,53 @@ proptest! {
         ),
         switches in proptest::collection::vec(pick(&SWITCHES), 0..3),
     ) {
-        let mut expected = Args::default();
-        let mut argv = vec![command.clone()];
-        for (flag, n) in &pairs {
-            let value = set(&mut expected, flag, *n);
-            argv.extend([flag.clone(), value]);
-        }
-        for s in switches {
-            match s.as_str() {
-                "--quick" => expected.quick = true,
-                "--filter-on" => expected.filter_on = true,
-                "--decoys" => expected.decoys = true,
-                "--profile" => expected.profile = true,
-                _ => expected.print_routes = true,
-            }
-            argv.push(s);
-        }
-        prop_assert_eq!(parse(&argv), Ok(Invocation::Command(command, Box::new(expected))));
+        last_value_wins(command, &pairs, &switches)?;
     }
+}
+
+/// `parse` keeps the last value of each flag in `pairs` and sets every
+/// switch. The one combination it refuses for in-range values is
+/// `fleet` given both `--out-dir` and `--telemetry-out`.
+fn last_value_wins(
+    command: String,
+    pairs: &[(String, u64)],
+    switches: &[String],
+) -> Result<(), TestCaseError> {
+    let mut expected = Args::default();
+    let mut argv = vec![command.clone()];
+    for (flag, n) in pairs {
+        let value = set(&mut expected, flag, *n);
+        argv.extend([flag.clone(), value]);
+    }
+    for s in switches {
+        match s.as_str() {
+            "--quick" => expected.quick = true,
+            "--filter-on" => expected.filter_on = true,
+            "--decoys" => expected.decoys = true,
+            "--profile" => expected.profile = true,
+            _ => expected.print_routes = true,
+        }
+        argv.push(s.clone());
+    }
+    let want =
+        if command == "fleet" && expected.out_dir.is_some() && expected.telemetry_out.is_some() {
+            Err("pwnd fleet: --telemetry-out is not supported with --out-dir".to_string())
+        } else {
+            Ok(Invocation::Command(command, Box::new(expected)))
+        };
+    prop_assert_eq!(parse(&argv), want);
+    Ok(())
+}
+
+#[test]
+fn fleet_with_out_dir_and_telemetry_out_is_refused() {
+    let pairs = [
+        ("--telemetry-out".to_string(), 1),
+        ("--out-dir".to_string(), 2),
+        ("--out-dir".to_string(), 3),
+    ];
+    last_value_wins("fleet".to_string(), &pairs, &[]).unwrap();
+    last_value_wins("export".to_string(), &pairs, &[]).unwrap();
 }
 
 #[test]

@@ -4,6 +4,8 @@
 use pwnd::analysis::figures;
 use pwnd::analysis::tables::{origin_stats, overview, table1};
 use pwnd::leak::plan::OutletKind;
+use pwnd::monitor::export::read_jsonl;
+use pwnd::monitor::DatasetWriter;
 use pwnd::{Experiment, ExperimentConfig, RunOutput};
 use std::sync::OnceLock;
 
@@ -284,11 +286,17 @@ fn malware_campaign_log_covers_all_credentials() {
 #[test]
 fn dataset_json_roundtrip_preserves_everything() {
     let out = run();
-    let json = out.dataset_json();
-    let back = pwnd::monitor::dataset::Dataset::from_json(&json).unwrap();
+    let mut writer = DatasetWriter::new(Vec::new());
+    writer.write_dataset(&out.dataset).unwrap();
+    let jsonl = String::from_utf8(writer.finish().unwrap()).unwrap();
+    let read = read_jsonl(&jsonl).unwrap();
+    assert_eq!(read.truncated, None);
+    let back = read.dataset;
     assert_eq!(back.accesses, out.dataset.accesses);
     assert_eq!(back.accounts, out.dataset.accounts);
     assert_eq!(back.opened_texts, out.dataset.opened_texts);
+    assert_eq!(back.gaps, out.dataset.gaps);
+    assert_eq!(back.to_json(), out.dataset_json());
 }
 
 #[test]
