@@ -277,54 +277,29 @@ fn serve_connection(
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
+    let mut line = String::new();
     loop {
-        let mut request_line = String::new();
-        // Retry partial reads across timeouts: `read_line` keeps the
-        // bytes it already appended, so the line assembles across
-        // timeout boundaries.
-        loop {
-            match reader.read_line(&mut request_line) {
-                Ok(0) => return Ok(()), // peer closed
-                Ok(_) if request_line.ends_with('\n') => break,
-                Ok(_) => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if stop.load(Ordering::Relaxed) {
-                        return Ok(());
-                    }
-                }
-                Err(e) => return Err(e),
-            }
+        line.clear();
+        if !read_full_line(&mut reader, &mut line, stop)? {
+            return Ok(());
         }
+        let request_line = std::mem::take(&mut line);
         // Drain headers; we only need Connection.
         let mut keep_alive = true;
         loop {
-            let mut header = String::new();
-            match reader.read_line(&mut header) {
-                Ok(0) => return Ok(()),
-                Ok(_) => {
-                    let h = header.trim();
-                    if h.is_empty() {
-                        break;
-                    }
-                    if let Some(v) = h
-                        .strip_prefix("Connection:")
-                        .or(h.strip_prefix("connection:"))
-                    {
-                        keep_alive = !v.trim().eq_ignore_ascii_case("close");
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if stop.load(Ordering::Relaxed) {
-                        return Ok(());
-                    }
-                }
-                Err(e) => return Err(e),
+            line.clear();
+            if !read_full_line(&mut reader, &mut line, stop)? {
+                return Ok(());
+            }
+            let h = line.trim();
+            if h.is_empty() {
+                break;
+            }
+            if let Some(v) = h
+                .strip_prefix("Connection:")
+                .or(h.strip_prefix("connection:"))
+            {
+                keep_alive = !v.trim().eq_ignore_ascii_case("close");
             }
         }
 
@@ -370,6 +345,32 @@ fn serve_connection(
         write_response(&mut out, status, reason(status), &body, &extra, keep_alive)?;
         if !keep_alive || stop.load(Ordering::Relaxed) {
             return Ok(());
+        }
+    }
+}
+
+/// Read one complete `\n`-terminated line into `line`, retrying across
+/// read timeouts: `read_line` keeps the bytes it already appended, so
+/// a line split by a pause still assembles whole. `Ok(false)` when the
+/// peer closed or the server is stopping.
+fn read_full_line(
+    reader: &mut impl BufRead,
+    line: &mut String,
+    stop: &AtomicBool,
+) -> io::Result<bool> {
+    loop {
+        match reader.read_line(line) {
+            Ok(0) => return Ok(false),
+            Ok(_) if line.ends_with('\n') => return Ok(true),
+            Ok(_) => {}
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                if stop.load(Ordering::Relaxed) {
+                    return Ok(false);
+                }
+            }
+            Err(e) => return Err(e),
         }
     }
 }

@@ -21,9 +21,9 @@
 //!    keep-alive, token-bucket rate limiting with `Retry-After`, and
 //!    graceful shutdown). See `API.md` at the workspace root for the
 //!    full endpoint reference.
-//! 4. [`loadgen`] hammers a running server with concurrent closed-loop
-//!    clients and reports throughput and latency percentiles — the
-//!    `pwnd serve-bench` workload.
+//! 4. [`loadgen::query_mix`] is the deterministic `/v1` request mix
+//!    that load against the daemon replays (pwndbench's open loop and
+//!    the concurrent-clients test).
 //!
 //! ## Determinism contract
 //!
@@ -45,7 +45,6 @@ pub mod store;
 
 pub use http::{RateLimit, Route, ServeOptions, Server, ROUTES};
 pub use index::{QueryIndex, StoreMeta};
-pub use loadgen::{LoadgenOptions, LoadgenReport};
 pub use store::{
     shard_file_name, Manifest, ShardEntry, ShardState, VerifiedStore, MANIFEST_FILE,
     MANIFEST_FORMAT,

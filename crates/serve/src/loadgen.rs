@@ -1,117 +1,12 @@
-//! The `pwnd serve-bench` workload: closed-loop concurrent clients.
+//! The deterministic query mix that load against the daemon replays.
 //!
-//! Each client thread owns one keep-alive connection and issues its
-//! next request the moment the previous response lands (closed-loop:
-//! offered load adapts to service rate, so the measured throughput is
-//! the server's actual capacity at that concurrency, not a guess).
-//! Clients walk a deterministic query mix — the three aggregate
-//! endpoints plus sampled per-account and range lookups, each client
-//! starting at a different offset so the instantaneous mix is diverse
-//! — and record per-request wall-clock latency. The merged report
-//! carries throughput, a status histogram, and latency percentiles;
-//! `--json` emits the `pwnd-serve-bench/1` document recorded in the
-//! BENCH trajectory.
+//! [`query_mix`] turns an index into a fixed list of `/v1` paths: the
+//! three aggregate endpoints plus sampled per-account and range
+//! lookups. pwndbench's open-loop `serve_open_loop` workload and the
+//! concurrent-clients test in `tests/serve_queries.rs` both cycle it,
+//! so they load the daemon with the same requests.
 
 use crate::index::QueryIndex;
-use pwnd_telemetry::json::Json;
-use pwnd_telemetry::Table;
-use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Instant;
-
-/// Load-generator configuration.
-#[derive(Clone, Debug)]
-pub struct LoadgenOptions {
-    /// Concurrent client connections (keep ≤ the server's worker
-    /// threads — each connection pins a worker for its lifetime).
-    pub clients: usize,
-    /// Total requests across all clients.
-    pub requests: u64,
-}
-
-impl Default for LoadgenOptions {
-    fn default() -> LoadgenOptions {
-        LoadgenOptions {
-            clients: 4,
-            requests: 10_000,
-        }
-    }
-}
-
-/// Merged results of one load-generator run.
-#[derive(Clone, Debug)]
-pub struct LoadgenReport {
-    /// Client connections used.
-    pub clients: usize,
-    /// Requests completed.
-    pub requests: u64,
-    /// Responses by HTTP status code.
-    pub statuses: BTreeMap<u16, u64>,
-    /// Responses with a 5xx status (the CI floor requires zero).
-    pub server_errors: u64,
-    /// Wall-clock duration of the whole run.
-    pub elapsed_secs: f64,
-    /// Completed requests per second.
-    pub throughput_rps: f64,
-    /// Median request latency, microseconds.
-    pub p50_us: u64,
-    /// 90th-percentile latency, microseconds.
-    pub p90_us: u64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: u64,
-    /// Worst observed latency, microseconds.
-    pub max_us: u64,
-}
-
-impl LoadgenReport {
-    /// Human-readable summary table.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(&["serve-bench metric", "value"]).numeric();
-        t.row(["clients", &self.clients.to_string()]);
-        t.row(["requests", &self.requests.to_string()]);
-        for (status, n) in &self.statuses {
-            t.row([&format!("responses {status}"), &n.to_string()]);
-        }
-        t.row(["server errors (5xx)", &self.server_errors.to_string()]);
-        t.row(["elapsed (s)", &format!("{:.3}", self.elapsed_secs)]);
-        t.row(["throughput (req/s)", &format!("{:.0}", self.throughput_rps)]);
-        t.row(["latency p50 (us)", &self.p50_us.to_string()]);
-        t.row(["latency p90 (us)", &self.p90_us.to_string()]);
-        t.row(["latency p99 (us)", &self.p99_us.to_string()]);
-        t.row(["latency max (us)", &self.max_us.to_string()]);
-        t
-    }
-
-    /// The `pwnd-serve-bench/1` JSON document.
-    pub fn to_json(&self) -> String {
-        let statuses = Json::Obj(
-            self.statuses
-                .iter()
-                .map(|(s, n)| (s.to_string(), Json::U(*n)))
-                .collect(),
-        );
-        let mut text = Json::Obj(vec![
-            (
-                "format".to_string(),
-                Json::Str("pwnd-serve-bench/1".to_string()),
-            ),
-            ("clients".to_string(), Json::U(self.clients as u64)),
-            ("requests".to_string(), Json::U(self.requests)),
-            ("statuses".to_string(), statuses),
-            ("server_errors".to_string(), Json::U(self.server_errors)),
-            ("elapsed_secs".to_string(), Json::F(self.elapsed_secs)),
-            ("throughput_rps".to_string(), Json::F(self.throughput_rps)),
-            ("p50_us".to_string(), Json::U(self.p50_us)),
-            ("p90_us".to_string(), Json::U(self.p90_us)),
-            ("p99_us".to_string(), Json::U(self.p99_us)),
-            ("max_us".to_string(), Json::U(self.max_us)),
-        ])
-        .pretty();
-        text.push('\n');
-        text
-    }
-}
 
 /// The deterministic query mix: every aggregate endpoint, then up to
 /// `samples` account lookups (timeline and accesses alternating over
@@ -144,174 +39,16 @@ pub fn query_mix(index: &QueryIndex, samples: usize) -> Vec<String> {
     mix
 }
 
-/// Run the closed-loop workload against a listening server: `clients`
-/// threads, each cycling `paths` (starting at its own offset) over one
-/// keep-alive connection until the request budget is spent.
-pub fn run(addr: SocketAddr, paths: &[String], opts: &LoadgenOptions) -> io::Result<LoadgenReport> {
-    if paths.is_empty() {
-        return Err(io::Error::other("loadgen: empty query mix"));
-    }
-    let clients = opts.clients.max(1);
-    let per_client = opts.requests / clients as u64;
-    let remainder = opts.requests % clients as u64;
-
-    let started = Instant::now();
-    let mut threads = Vec::with_capacity(clients);
-    for c in 0..clients {
-        let budget = per_client + u64::from((c as u64) < remainder);
-        let paths = paths.to_vec();
-        threads.push(std::thread::spawn(
-            move || -> io::Result<Vec<(u16, u64)>> {
-                let mut results = Vec::with_capacity(budget as usize);
-                let stream = TcpStream::connect(addr)?;
-                stream.set_nodelay(true)?;
-                let mut reader = BufReader::new(stream.try_clone()?);
-                let mut out = stream;
-                for i in 0..budget {
-                    let path = &paths[(c + i as usize) % paths.len()];
-                    let t0 = Instant::now();
-                    out.write_all(
-                        format!(
-                            "GET {path} HTTP/1.1\r\nHost: pwnd\r\nConnection: keep-alive\r\n\r\n"
-                        )
-                        .as_bytes(),
-                    )?;
-                    let status = read_response(&mut reader)?;
-                    results.push((
-                        status,
-                        u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    ));
-                }
-                Ok(results)
-            },
-        ));
-    }
-
-    let mut statuses: BTreeMap<u16, u64> = BTreeMap::new();
-    let mut latencies: Vec<u64> = Vec::with_capacity(opts.requests as usize);
-    for t in threads {
-        let results = t
-            .join()
-            .map_err(|_| io::Error::other("loadgen: client thread panicked"))??;
-        for (status, us) in results {
-            *statuses.entry(status).or_insert(0) += 1;
-            latencies.push(us);
-        }
-    }
-    let elapsed_secs = started.elapsed().as_secs_f64();
-    latencies.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let rank = ((latencies.len() as f64) * p).ceil() as usize;
-        latencies[rank.clamp(1, latencies.len()) - 1]
-    };
-    let requests = latencies.len() as u64;
-    Ok(LoadgenReport {
-        clients,
-        requests,
-        server_errors: statuses
-            .iter()
-            .filter(|(s, _)| **s >= 500)
-            .map(|(_, n)| n)
-            .sum(),
-        throughput_rps: if elapsed_secs > 0.0 {
-            requests as f64 / elapsed_secs
-        } else {
-            0.0
-        },
-        p50_us: pct(0.50),
-        p90_us: pct(0.90),
-        p99_us: pct(0.99),
-        max_us: latencies.last().copied().unwrap_or(0),
-        elapsed_secs,
-        statuses,
-    })
-}
-
-/// Read one HTTP/1.1 response off a keep-alive connection: status
-/// line, headers (for `Content-Length`), exactly that many body bytes.
-/// Returns the status code.
-fn read_response<R: BufRead + Read>(reader: &mut R) -> io::Result<u16> {
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed mid-conversation",
-        ));
-    }
-    let status = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| io::Error::other(format!("malformed status line: {status_line:?}")))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed inside headers",
-            ));
-        }
-        let h = header.trim();
-        if h.is_empty() {
-            break;
-        }
-        if let Some(v) = h
-            .strip_prefix("Content-Length:")
-            .or(h.strip_prefix("content-length:"))
-        {
-            content_length = v
-                .trim()
-                .parse()
-                .map_err(|_| io::Error::other("bad Content-Length"))?;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok(status)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{ServeOptions, Server};
     use crate::index::StoreMeta;
     use pwnd_monitor::dataset::Dataset;
-    use std::sync::Arc;
 
     #[test]
     fn mix_always_contains_the_aggregate_endpoints() {
         let idx = QueryIndex::from_dataset(&Dataset::default(), StoreMeta::default());
         let mix = query_mix(&idx, 8);
         assert_eq!(mix, vec!["/v1/healthz", "/v1/stats", "/v1/outlets"]);
-    }
-
-    #[test]
-    fn loadgen_round_trips_against_a_live_server() {
-        let idx = Arc::new(QueryIndex::from_dataset(
-            &Dataset::default(),
-            StoreMeta::default(),
-        ));
-        let server = Server::bind("127.0.0.1:0", Arc::clone(&idx), ServeOptions::default())
-            .expect("bind ephemeral");
-        let mix = query_mix(&idx, 4);
-        let report = run(
-            server.addr(),
-            &mix,
-            &LoadgenOptions {
-                clients: 2,
-                requests: 40,
-            },
-        )
-        .expect("loadgen");
-        server.shutdown();
-        assert_eq!(report.requests, 40);
-        assert_eq!(report.server_errors, 0);
-        assert_eq!(report.statuses.get(&200), Some(&40));
-        assert!(report.throughput_rps > 0.0);
-        assert!(report.to_json().contains("pwnd-serve-bench/1"));
     }
 }

@@ -12,8 +12,6 @@
 //! pwnd report  --input PATH
 //! pwnd serve   --input DIR [--addr HOST:PORT] [--jobs N] [--rate N] [--profile]
 //! pwnd serve   --print-routes
-//! pwnd serve-bench --input DIR [--clients N] [--requests N] [--jobs N] [--rate N]
-//!              [--min-throughput N] [--json FILE]
 //! pwnd leaks   [--seed N]
 //! pwnd truth   [--seed N]
 //! ```
@@ -186,7 +184,6 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
             print!("{}", cli::overview_table(&ov));
         }
         "serve" => serve(args)?,
-        "serve-bench" => serve_bench(args)?,
         "leaks" => {
             let out = experiment(args, false);
             println!("acct  outlet   site                     day        content");
@@ -282,19 +279,6 @@ fn fleet(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The fleet store behind `serve` and `serve-bench`, indexed.
-fn load_index(
-    command: &str,
-    input: Option<&str>,
-) -> Result<std::sync::Arc<pwnd::serve::QueryIndex>, String> {
-    let input = input.ok_or_else(|| {
-        format!("pwnd {command}: --input DIR is required (a fleet store directory)")
-    })?;
-    pwnd::serve::QueryIndex::from_store(std::path::Path::new(input))
-        .map(std::sync::Arc::new)
-        .map_err(|e| format!("pwnd {command}: {e}"))
-}
-
 /// `pwnd serve`: the /v1 daemon over a fleet store, until stdin closes.
 fn serve(args: &Args) -> Result<(), String> {
     if args.print_routes {
@@ -305,7 +289,13 @@ fn serve(args: &Args) -> Result<(), String> {
         }
         return Ok(());
     }
-    let index = load_index("serve", args.input.as_deref())?;
+    let input = args
+        .input
+        .as_deref()
+        .ok_or("pwnd serve: --input DIR is required (a fleet store directory)")?;
+    let index = pwnd::serve::QueryIndex::from_store(std::path::Path::new(input))
+        .map(std::sync::Arc::new)
+        .map_err(|e| format!("pwnd serve: {e}"))?;
     let sink = if args.profile {
         TelemetrySink::enabled()
     } else {
@@ -323,8 +313,7 @@ fn serve(args: &Args) -> Result<(), String> {
     let server = pwnd::serve::Server::bind(&args.addr, index, opts)
         .map_err(|e| format!("pwnd serve: cannot bind {}: {e}", args.addr))?;
     eprintln!(
-        "pwnd serve: {} on http://{}/ ({threads} threads{}); EOF on stdin stops it",
-        args.input.as_deref().unwrap_or_default(),
+        "pwnd serve: {input} on http://{}/ ({threads} threads{}); EOF on stdin stops it",
         server.addr(),
         match args.rate {
             Some(n) => format!(", rate limit {n}/s"),
@@ -339,56 +328,6 @@ fn serve(args: &Args) -> Result<(), String> {
     eprintln!("pwnd serve: stopped");
     if args.profile {
         println!("{}", sink.report().render());
-    }
-    Ok(())
-}
-
-/// `pwnd serve-bench`: hammer an in-process daemon over the store and
-/// report throughput + latency percentiles.
-fn serve_bench(args: &Args) -> Result<(), String> {
-    let index = load_index("serve-bench", args.input.as_deref())?;
-    let opts = pwnd::serve::ServeOptions {
-        // Every closed-loop client pins a worker for the whole run, so
-        // the pool must cover them all.
-        threads: args.jobs.clamp(4, 64).max(args.clients),
-        rate: args.rate.map(pwnd::serve::RateLimit::per_second),
-        telemetry: TelemetrySink::disabled(),
-    };
-    let server = pwnd::serve::Server::bind("127.0.0.1:0", index.clone(), opts)
-        .map_err(|e| format!("pwnd serve-bench: cannot bind: {e}"))?;
-    let mix = pwnd::serve::loadgen::query_mix(&index, 16);
-    let result = pwnd::serve::loadgen::run(
-        server.addr(),
-        &mix,
-        &pwnd::serve::LoadgenOptions {
-            clients: args.clients,
-            requests: args.requests,
-        },
-    );
-    server.shutdown();
-    let report = result.map_err(|e| format!("pwnd serve-bench: {e}"))?;
-    print!("{}", report.table().render());
-    if let Some(path) = &args.json {
-        std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if report.server_errors > 0 {
-        return Err(format!(
-            "pwnd serve-bench: {} server error(s) (5xx) — failing",
-            report.server_errors
-        ));
-    }
-    if let Some(floor) = args.min_throughput {
-        if report.throughput_rps < floor {
-            return Err(format!(
-                "pwnd serve-bench: throughput {:.0} req/s is below the {floor:.0} req/s floor",
-                report.throughput_rps
-            ));
-        }
-        eprintln!(
-            "pwnd serve-bench: {:.0} req/s clears the {floor:.0} req/s floor",
-            report.throughput_rps
-        );
     }
     Ok(())
 }

@@ -29,8 +29,6 @@ commands:
   report   §4.1 overview of an exported dataset or an on-disk fleet store
   serve    breach-intelligence query daemon: serve the /v1 JSON API over a
            fleet store (see API.md); stops on EOF on stdin
-  serve-bench  load-generate against an in-process daemon over a fleet store
-           and report throughput + latency percentiles
   leaks    the leak plan actually executed
   truth    ground-truth vs observed audit
 
@@ -46,8 +44,8 @@ flags:
                    (serve) print request telemetry on shutdown
   --jobs N         (sweep/chaos/fleet) worker threads, 1-256 (default: all
                    cores); --jobs 1 is the sequential path, output is identical;
-                   (serve/serve-bench) HTTP worker threads (floored at 4),
-                   which also bound concurrent connections
+                   (serve) HTTP worker threads (floored at 4), which also
+                   bound concurrent connections
   --accounts N     (fleet) honey-account population (default 1000), sharded
                    into 100-account sub-experiments
   --out FILE       (export) output path (default dataset.json);
@@ -63,45 +61,23 @@ flags:
   --input PATH     (profile) analyse a streamed --telemetry-out JSONL file
                    offline instead of running an experiment;
                    (report) a fleet store directory or a JSONL dataset file;
-                   (serve/serve-bench) the fleet store directory to serve
+                   (serve) the fleet store directory to serve
   --telemetry-out FILE (fleet) stream one telemetry report line per shard
                    there while the fleet runs (forces telemetry on)
   --seeds N        (sweep) number of seeds, 1 to 10000 (default 8)
   --addr HOST:PORT (serve) listen address (default 127.0.0.1:8080; port 0
                    binds an ephemeral port, printed on startup)
-  --rate N         (serve/serve-bench) token-bucket rate limit: N requests/s
-                   sustained with an N-request burst; excess gets 429 with
-                   Retry-After (default: unlimited)
+  --rate N         (serve) token-bucket rate limit: N requests/s sustained
+                   with an N-request burst; excess gets 429 with Retry-After
+                   (default: unlimited)
   --print-routes   (serve) print the registered /v1 routes and exit
-  --clients N      (serve-bench) concurrent client connections, 1-256 (default 4)
-  --requests N     (serve-bench) total requests across all clients, 1 to
-                   10000000 (default 10000)
-  --min-throughput N (serve-bench) exit nonzero below N requests/s (the CI
-                   floor); 5xx responses always fail the run
-  --json FILE      (serve-bench) write the JSON report there
   -h, --help       print this help";
 
 /// Every `pwnd` command name.
-pub const COMMANDS: [&str; 12] = [
-    "run",
-    "trace",
-    "profile",
-    "export",
-    "sweep",
-    "chaos",
-    "fleet",
-    "report",
-    "serve",
-    "serve-bench",
-    "leaks",
+pub const COMMANDS: [&str; 11] = [
+    "run", "trace", "profile", "export", "sweep", "chaos", "fleet", "report", "serve", "leaks",
     "truth",
 ];
-
-/// The most `serve-bench --clients`: each client thread pins a worker.
-pub const MAX_CLIENTS: usize = 256;
-
-/// The most `serve-bench --requests`: each keeps a latency sample.
-pub const MAX_REQUESTS: u64 = 10_000_000;
 
 /// The most `--jobs` a batch command takes: each job is a thread.
 pub const MAX_JOBS: usize = 256;
@@ -161,14 +137,6 @@ pub struct Args {
     pub rate: Option<u32>,
     /// `--print-routes`.
     pub print_routes: bool,
-    /// `--clients N`, at most [`MAX_CLIENTS`].
-    pub clients: usize,
-    /// `--requests N`, at most [`MAX_REQUESTS`].
-    pub requests: u64,
-    /// `--min-throughput N`.
-    pub min_throughput: Option<f64>,
-    /// `--json FILE`.
-    pub json: Option<String>,
 }
 
 impl Default for Args {
@@ -195,10 +163,6 @@ impl Default for Args {
             addr: "127.0.0.1:8080".to_string(),
             rate: None,
             print_routes: false,
-            clients: 4,
-            requests: 10_000,
-            min_throughput: None,
-            json: None,
         }
     }
 }
@@ -229,10 +193,7 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
             "--accounts" => a.accounts = number(f, it)?,
             "--seeds" => a.seeds = number(f, it)?,
             "--limit" => a.limit = number(f, it)?,
-            "--clients" => a.clients = number(f, it)?,
-            "--requests" => a.requests = number(f, it)?,
             "--rate" => a.rate = Some(number(f, it)?),
-            "--min-throughput" => a.min_throughput = Some(number(f, it)?),
             "--out" => a.out = Some(value(f, it)?),
             "--out-dir" => a.out_dir = Some(value(f, it)?),
             "--trace-out" => a.trace_out = Some(value(f, it)?),
@@ -240,7 +201,6 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
             "--collapsed" => a.collapsed = Some(value(f, it)?),
             "--input" => a.input = Some(value(f, it)?),
             "--telemetry-out" => a.telemetry_out = Some(value(f, it)?),
-            "--json" => a.json = Some(value(f, it)?),
             "--addr" => a.addr = value(f, it)?,
             "--faults" => {
                 let v = value(f, it)?;
@@ -258,10 +218,7 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
     }
     // Reject here what the engine would otherwise clamp or choke on: the
     // batch commands size a runner or a worker pool by --jobs.
-    let batch = matches!(
-        command.as_str(),
-        "fleet" | "sweep" | "chaos" | "serve" | "serve-bench"
-    );
+    let batch = matches!(command.as_str(), "fleet" | "sweep" | "chaos" | "serve");
     let bad = if batch && a.jobs == 0 {
         "--jobs must be at least 1 (zero worker threads cannot run anything)".to_string()
     } else if batch && a.jobs > MAX_JOBS {
@@ -272,10 +229,6 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
         "--accounts must be at least 1 (an empty fleet produces no dataset)".to_string()
     } else if command == "fleet" && a.out_dir.is_some() && a.telemetry_out.is_some() {
         "--telemetry-out is not supported with --out-dir".to_string()
-    } else if !(1..=MAX_CLIENTS).contains(&a.clients) {
-        format!("--clients must be 1 to {MAX_CLIENTS}")
-    } else if !(1..=MAX_REQUESTS).contains(&a.requests) {
-        format!("--requests must be 1 to {MAX_REQUESTS}")
     } else {
         return Ok(Invocation::Command(command.clone(), Box::new(a)));
     };

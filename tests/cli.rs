@@ -2,24 +2,19 @@
 //! and the exit codes and streams of the built binary.
 
 use proptest::prelude::*;
-use pwnd::cli::{
-    parse, Args, Invocation, COMMANDS, MAX_CLIENTS, MAX_JOBS, MAX_REQUESTS, MAX_SEEDS, USAGE,
-};
+use pwnd::cli::{parse, Args, Invocation, COMMANDS, MAX_JOBS, MAX_SEEDS, USAGE};
 use pwnd::FaultProfile;
 use std::process::{Command, Output};
 
-const NUMBER_FLAGS: [&str; 9] = [
+const NUMBER_FLAGS: [&str; 6] = [
     "--seed",
     "--jobs",
     "--accounts",
     "--seeds",
     "--limit",
-    "--clients",
-    "--requests",
     "--rate",
-    "--min-throughput",
 ];
-const TEXT_FLAGS: [&str; 10] = [
+const TEXT_FLAGS: [&str; 9] = [
     "--out",
     "--out-dir",
     "--trace-out",
@@ -27,7 +22,6 @@ const TEXT_FLAGS: [&str; 10] = [
     "--collapsed",
     "--input",
     "--telemetry-out",
-    "--json",
     "--addr",
     "--faults",
 ];
@@ -79,10 +73,7 @@ fn set(a: &mut Args, flag: &str, n: u64) -> String {
         "--accounts" => a.accounts = small as u32,
         "--seeds" => a.seeds = small,
         "--limit" => a.limit = small as usize,
-        "--clients" => a.clients = small as usize,
-        "--requests" => a.requests = small,
         "--rate" => a.rate = Some(small as u32),
-        "--min-throughput" => a.min_throughput = Some(small as f64),
         "--out" => a.out = Some(text.clone()),
         "--out-dir" => a.out_dir = Some(text.clone()),
         "--trace-out" => a.trace_out = Some(text.clone()),
@@ -90,7 +81,6 @@ fn set(a: &mut Args, flag: &str, n: u64) -> String {
         "--collapsed" => a.collapsed = Some(text.clone()),
         "--input" => a.input = Some(text.clone()),
         "--telemetry-out" => a.telemetry_out = Some(text.clone()),
-        "--json" => a.json = Some(text.clone()),
         "--addr" => a.addr = text.clone(),
         "--faults" => {
             let name = ["none", "light", "heavy"][n as usize % 3];
@@ -121,12 +111,10 @@ proptest! {
             }
             Ok(Invocation::Command(command, a)) => {
                 prop_assert!(COMMANDS.contains(&command.as_str()), "{command}");
-                prop_assert!((1..=MAX_CLIENTS).contains(&a.clients));
-                prop_assert!((1..=MAX_REQUESTS).contains(&a.requests));
                 if command == "sweep" {
                     prop_assert!((1..=MAX_SEEDS).contains(&a.seeds));
                 }
-                if ["fleet", "sweep", "chaos", "serve", "serve-bench"].contains(&command.as_str()) {
+                if ["fleet", "sweep", "chaos", "serve"].contains(&command.as_str()) {
                     prop_assert!((1..=MAX_JOBS).contains(&a.jobs));
                 }
             }
@@ -218,23 +206,6 @@ fn fleet_with_out_dir_and_telemetry_out_is_refused() {
 }
 
 #[test]
-fn serve_bench_sizes_are_bounded() {
-    let parse_line = |line: &str| parse(&line.split(' ').map(String::from).collect::<Vec<_>>());
-    let clients = format!("pwnd serve-bench: --clients must be 1 to {MAX_CLIENTS}");
-    let requests = format!("pwnd serve-bench: --requests must be 1 to {MAX_REQUESTS}");
-    for (line, msg) in [
-        ("serve-bench --clients 0", &clients),
-        ("serve-bench --clients 257", &clients),
-        ("serve-bench --requests 0", &requests),
-        ("serve-bench --requests 10000001", &requests),
-        ("serve-bench --requests 18446744073709551615", &requests),
-    ] {
-        assert_eq!(parse_line(line).as_ref(), Err(msg), "{line}");
-    }
-    assert!(parse_line("serve-bench --clients 256 --requests 10000000").is_ok());
-}
-
-#[test]
 fn batch_sizes_are_bounded() {
     // Parse only: no run starts and no thread is spawned here.
     let parse_line = |line: &str| parse(&line.split(' ').map(String::from).collect::<Vec<_>>());
@@ -245,7 +216,7 @@ fn batch_sizes_are_bounded() {
     assert!(parse_line("sweep --seeds 10000").is_ok());
     // Only the sweep runs one experiment per seed.
     assert!(parse_line("chaos --seeds 0").is_ok());
-    for command in ["fleet", "sweep", "chaos", "serve", "serve-bench"] {
+    for command in ["fleet", "sweep", "chaos", "serve"] {
         let jobs = format!("pwnd {command}: --jobs must be at most {MAX_JOBS}");
         for n in ["257", "100000", "18446744073709551615"] {
             let line = format!("{command} --jobs {n}");
@@ -306,11 +277,13 @@ fn bad_command_lines_exit_one_with_usage_on_stderr() {
 }
 
 #[test]
-fn serve_bench_with_zero_clients_exits_one() {
-    let out = pwnd(&["serve-bench", "--input", "store", "--clients", "0"]);
+fn sweep_with_zero_seeds_exits_one() {
+    // Out of range is caught at parse time, so no run starts.
+    let out = pwnd(&["sweep", "--seeds", "0"]);
     assert_eq!(out.status.code(), Some(1));
     assert_eq!(
         String::from_utf8_lossy(&out.stderr),
-        format!("pwnd serve-bench: --clients must be 1 to {MAX_CLIENTS}\n")
+        format!("pwnd sweep: --seeds must be 1 to {MAX_SEEDS}\n")
     );
+    assert!(out.stdout.is_empty());
 }

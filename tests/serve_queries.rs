@@ -1,18 +1,20 @@
 //! End-to-end tests of the breach-intelligence query daemon (`pwnd
 //! serve`): every versioned endpoint is byte-stable across server
 //! restarts, `/v1/stats` agrees exactly with the offline `pwnd report`
-//! aggregates, concurrent clients never observe a 5xx, and the token
-//! bucket answers overload with `429` + `Retry-After`.
+//! aggregates, concurrent clients never observe a 5xx, the token
+//! bucket answers overload with `429` + `Retry-After`, and a request
+//! split by a pause longer than the read timeout is read whole.
 
 use pwnd::core::fleet::FleetConfig;
-use pwnd::serve::loadgen::{self, LoadgenOptions};
+use pwnd::serve::loadgen::query_mix;
 use pwnd::serve::{QueryIndex, RateLimit, ServeOptions, Server, ROUTES};
 use pwnd::store::{run_fleet_store, store_overview};
 use std::fs;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A fresh scratch directory under the system temp dir, unique per
 /// test name so concurrently running tests never collide.
@@ -39,6 +41,37 @@ impl Response {
     }
 }
 
+/// Read one `Content-Length`-framed response off a connection, which
+/// may stay open for the next one.
+fn read_response(reader: &mut impl BufRead) -> Response {
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read a response line");
+        assert!(line.ends_with('\n'), "connection closed mid-head: {line:?}");
+        if line == "\r\n" {
+            break;
+        }
+        lines.push(line.trim_end().to_owned());
+    }
+    let status_line = lines.remove(0);
+    let status: u16 = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|c| c.parse().ok())
+        .unwrap_or_else(|| panic!("unparseable status line: {status_line}"));
+    let mut response = Response {
+        status,
+        headers: lines,
+        body: String::new(),
+    };
+    let length = response.header("Content-Length").expect("Content-Length");
+    let mut body = vec![0; length.parse().expect("numeric Content-Length")];
+    reader.read_exact(&mut body).expect("read the body");
+    response.body = String::from_utf8(body).expect("UTF-8 body");
+    response
+}
+
 /// Issue one `GET` (or another method) over a fresh connection.
 fn request(server: &Server, method: &str, path: &str) -> Response {
     let mut stream = TcpStream::connect(server.addr()).expect("connect to the daemon");
@@ -47,21 +80,7 @@ fn request(server: &Server, method: &str, path: &str) -> Response {
         "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
     )
     .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read full response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
-    let mut lines = head.lines();
-    let status_line = lines.next().expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable status line: {status_line}"));
-    Response {
-        status,
-        headers: lines.map(str::to_owned).collect(),
-        body: body.to_owned(),
-    }
+    read_response(&mut BufReader::new(stream))
 }
 
 fn get(server: &Server, path: &str) -> Response {
@@ -192,14 +211,63 @@ fn concurrent_clients_see_no_server_errors() {
     // for its lifetime, so the pool must be at least as wide.
     let server = spawn(&index, 6);
 
-    let paths = loadgen::query_mix(&index, 8);
-    let opts = LoadgenOptions {
-        clients: 6,
-        requests: 600,
-    };
-    let report = loadgen::run(server.addr(), &paths, &opts).unwrap();
-    assert_eq!(report.server_errors, 0, "statuses: {:?}", report.statuses);
-    assert_eq!(report.statuses.get(&200).copied(), Some(600));
+    // 6 clients, 100 requests each over one keep-alive connection,
+    // each client starting the shared query mix at its own offset.
+    let paths = Arc::new(query_mix(&index, 8));
+    let clients: Vec<_> = (0..6)
+        .map(|c| {
+            let (addr, paths) = (server.addr(), Arc::clone(&paths));
+            std::thread::spawn(move || {
+                let mut out = TcpStream::connect(addr).expect("connect to the daemon");
+                let mut reader = BufReader::new(out.try_clone().unwrap());
+                (0..100)
+                    .map(|i| {
+                        let path = &paths[(c + i) % paths.len()];
+                        write!(out, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+                        (path.clone(), read_response(&mut reader).status)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut answered = 0;
+    for client in clients {
+        for (path, status) in client.join().expect("client thread") {
+            assert_eq!(status, 200, "{path}");
+            answered += 1;
+        }
+    }
+    assert_eq!(answered, 600);
+    server.shutdown();
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_header_split_across_a_read_timeout_is_read_whole() {
+    let dir = test_dir("split");
+    run_fleet_store(&FleetConfig::new(13, 20, 1), &dir).unwrap();
+    let index = Arc::new(QueryIndex::from_store(&dir).unwrap());
+    let server = spawn(&index, 4);
+
+    // The daemon's read timeout is 250 ms; pause longer than that in
+    // the middle of the Connection header.
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    write!(stream, "GET /v1/healthz HTTP/1.1\r\nHost: t\r\nConnec").unwrap();
+    std::thread::sleep(Duration::from_millis(600));
+    write!(stream, "tion: close\r\n\r\n").unwrap();
+    let mut reader = BufReader::new(stream);
+    let response = read_response(&mut reader);
+    assert_eq!(response.status, 200);
+    assert_eq!(response.header("Connection"), Some("close"));
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("the daemon closes the connection");
+    assert!(rest.is_empty(), "{rest:?}");
     server.shutdown();
 
     let _ = fs::remove_dir_all(&dir);
