@@ -138,7 +138,8 @@ proptest! {
 
     /// `d_A` as seeding counts it (mailboxes by the generator from its
     /// own draws, decoys email by email) equals, word for word, an
-    /// email-by-email count of the same mail, and gives, row for row and
+    /// email-by-email count of the same mail (each seeded email rendered
+    /// from its batch's text arena), and gives, row for row and
     /// bit for bit, the table that tokenizing the old concatenated corpus
     /// text (each email's `full_text()` and a newline) gave: for
     /// generated mailboxes of both archetypes with decoys, extra stop
@@ -160,7 +161,7 @@ proptest! {
         let mut emails = Vec::new();
         let mut d_a = TermCounts::new();
         for (i, owner) in owners.iter().enumerate() {
-            emails.extend(generator.generate_mailbox(owner, &peers, 5, 15, &mut rng, &mut d_a));
+            emails.extend(generator.generate_mailbox(owner, &peers, 5, 15, &mut rng, &mut d_a).to_emails());
             let decoys = generate_decoys(owner, 1_000_000 + i as u64 * 10, &mut rng);
             for d in &decoys {
                 d_a.add_email(&d.email);

@@ -491,7 +491,7 @@ impl Experiment {
                         &mut d_a,
                     )
                 };
-                let mailbox_len = mailbox.len();
+                let mailbox_len = mailbox.emails.len();
                 {
                     let _stage = self.telemetry.subspan("index", &[]);
                     service.seed_mailbox(id, mailbox);
@@ -508,7 +508,9 @@ impl Experiment {
                         }
                     }
                     let _stage = self.telemetry.subspan("index", &[]);
-                    service.seed_mailbox(id, decoys.into_iter().map(|d| d.email).collect());
+                    for d in decoys {
+                        service.deliver(id, d.email);
+                    }
                 }
                 let index_stage = self.telemetry.subspan("index", &[]);
                 service.set_send_from_override(id, "sinkhole@monitor.example");
@@ -1038,16 +1040,16 @@ fn run_action(
             // OpenUnread in the plan).
             let account = AccountId(state.plan.account);
             let addr = service.account(account).address.clone();
-            service.seed_mailbox(
+            service.deliver(
                 account,
-                vec![Email {
+                Email {
                     id: EmailId(30_000_000 + state.plan.account as u64),
                     from: format!("no-reply@{svc_name}"),
                     to: vec![addr],
                     subject: format!("Welcome to {svc_name} - confirm your registration"),
                     body: "Click the confirmation link to activate your forum account.".into(),
                     timestamp: MailTime::from_sim(t),
-                }],
+                },
             );
         }
     }

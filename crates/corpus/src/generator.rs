@@ -9,6 +9,11 @@
 //! paper describes (exposed as [`translate_timestamps`] so it can be
 //! tested on its own).
 //!
+//! A mailbox is one [`SeededMail`]: subjects and bodies written straight
+//! into one text arena (a thread's `RE:` line once, shared by its
+//! emails), an address table, and a fixed-size [`SeededEmail`] record of
+//! ranges and indices per message, with no heap string per field.
+//!
 //! The generator also counts TF-IDF document `d_A` (§4.3.5) from its
 //! own draws, so the text it writes is never read back. This is exact
 //! because every subject and body is a sequence of pieces — a fixed
@@ -27,9 +32,14 @@ use crate::tokenize::TermCounts;
 use crate::vocab::{FILLER, SUBJECT_TEMPLATES};
 use pwnd_sim::dist::Zipf;
 use pwnd_sim::Rng;
+use std::ops::Range;
 
 /// How many days of mailbox history precede the leak.
 pub const HISTORY_WINDOW_DAYS: f64 = 90.0;
+
+/// Arena bytes reserved per email: above the mean body plus its share of
+/// a subject line, so an arena seldom grows.
+const ARENA_BYTES_PER_EMAIL: usize = 352;
 
 /// Probability that a given message carries a sensitive term.
 const SENSITIVE_MESSAGE_RATE: f64 = 0.05;
@@ -71,6 +81,57 @@ pub fn translate_timestamps(original: &[i64], window_days: f64) -> Vec<MailTime>
             MailTime((start + frac * window_secs) as i64)
         })
         .collect()
+}
+
+/// One seeded email: where its text lies in its batch's arena and who
+/// sent and received it, as indices into the batch's address table.
+#[derive(Clone, Debug)]
+pub struct SeededEmail {
+    /// Message id.
+    pub id: EmailId,
+    /// Send time.
+    pub timestamp: MailTime,
+    /// Sender, an index into [`SeededMail::addresses`].
+    pub from: u16,
+    /// The one recipient, an index into [`SeededMail::addresses`].
+    pub to: u16,
+    /// The subject line's bytes in [`SeededMail::text`], shared by a thread.
+    pub subject: Range<u32>,
+    /// The body's bytes in [`SeededMail::text`].
+    pub body: Range<u32>,
+}
+
+/// One generated mailbox: its text arena, its address table and one
+/// record per email, in chronological order.
+#[derive(Clone, Debug, Default)]
+pub struct SeededMail {
+    /// Every subject line and body, back to back.
+    pub text: String,
+    /// Index 0 is the owner, then the peers in the order given.
+    pub addresses: Vec<String>,
+    /// One record per email.
+    pub emails: Vec<SeededEmail>,
+}
+
+/// The bytes of `range` in `text`.
+pub fn slice<'a>(text: &'a str, range: &Range<u32>) -> &'a str {
+    &text[range.start as usize..range.end as usize]
+}
+
+impl SeededMail {
+    /// Every email as an owned [`Email`], in order.
+    pub fn to_emails(&self) -> Vec<Email> {
+        let address = |i: u16| self.addresses[usize::from(i)].clone();
+        let emails = self.emails.iter().map(|e| Email {
+            id: e.id,
+            from: address(e.from),
+            to: vec![address(e.to)],
+            subject: slice(&self.text, &e.subject).to_string(),
+            body: slice(&self.text, &e.body).to_string(),
+            timestamp: e.timestamp,
+        });
+        emails.collect()
+    }
 }
 
 /// How many times one mailbox's bodies used each vocabulary slot. The
@@ -184,44 +245,46 @@ impl CorpusGenerator {
         s.push('.');
     }
 
-    fn subject(&self, rng: &mut Rng) -> String {
-        let template = *rng.choose(SUBJECT_TEMPLATES);
-        let mut out = String::with_capacity(template.len() + 16);
-        let mut rest = template;
+    /// Append a thread's subject line (`RE: `, then a drawn subject) to
+    /// `text`; returns its range.
+    fn subject(&self, rng: &mut Rng, text: &mut String) -> Range<u32> {
+        let start = text.len() as u32;
+        text.push_str("RE: ");
+        let mut rest = *rng.choose(SUBJECT_TEMPLATES);
         while let Some(pos) = rest.find("{}") {
             let word = *rng.choose(self.archetype.core_vocab());
-            out.push_str(&rest[..pos]);
-            out.push_str(word);
+            text.push_str(&rest[..pos]);
+            text.push_str(word);
             rest = &rest[pos + 2..];
         }
-        out.push_str(rest);
-        out
+        text.push_str(rest);
+        start..text.len() as u32
     }
 
-    /// Write one body (greeting, sentences, signature) into `scratch`,
-    /// then copy it out into a `String` of exactly its length.
+    /// Append one body (greeting, sentences, signature) to `text`;
+    /// returns its range.
     fn body(
         &mut self,
         rng: &mut Rng,
         owner_first: &str,
         sender_name: &str,
-        scratch: &mut String,
-    ) -> String {
+        text: &mut String,
+    ) -> Range<u32> {
+        let start = text.len() as u32;
         let n_sentences = rng.range_u64(2, 6) as usize;
-        scratch.clear();
-        scratch.push_str(GREETING);
-        scratch.push_str(owner_first);
-        scratch.push(',');
+        text.push_str(GREETING);
+        text.push_str(owner_first);
+        text.push(',');
         for _ in 0..n_sentences {
             let sensitive = rng.chance(SENSITIVE_MESSAGE_RATE);
-            scratch.push('\n');
-            self.sentence(rng, sensitive, scratch);
+            text.push('\n');
+            self.sentence(rng, sensitive, text);
         }
-        scratch.push_str(SIGN_OFF);
-        scratch.push_str(sender_name);
-        scratch.push('\n');
-        scratch.push_str(self.archetype.organization());
-        scratch.as_str().into()
+        text.push_str(SIGN_OFF);
+        text.push_str(sender_name);
+        text.push('\n');
+        text.push_str(self.archetype.organization());
+        start..text.len() as u32
     }
 
     /// Generate one seeded mailbox for `owner`, exchanging mail with
@@ -243,7 +306,7 @@ impl CorpusGenerator {
         max_emails: usize,
         rng: &mut Rng,
         d_a: &mut TermCounts,
-    ) -> Vec<Email> {
+    ) -> SeededMail {
         assert!(min_emails <= max_emails && min_emails > 0);
         assert!(!peers.is_empty(), "mailbox needs at least one peer");
         let target = rng.range_u64(min_emails as u64, max_emails as u64 + 1) as usize;
@@ -268,56 +331,59 @@ impl CorpusGenerator {
         }
         let times = translate_timestamps(&originals, HISTORY_WINDOW_DAYS);
 
-        // Addresses and names are formatted once per mailbox; each email
-        // then copies the ones it carries.
-        let owner_address = owner.webmail_address();
+        // Addresses and names are formatted once per mailbox. The owner
+        // is address 0, peer `p` address `p + 1`.
+        assert!(peers.len() < usize::from(u16::MAX), "too many peers");
         let owner_name = owner.full_name();
         let domain = self.archetype.domain();
-        let peer_addresses: Vec<String> = peers
-            .iter()
-            .map(|p| format!("{}@{domain}", p.handle))
-            .collect();
+        let mut addresses = Vec::with_capacity(peers.len() + 1);
+        addresses.push(owner.webmail_address());
+        addresses.extend(peers.iter().map(|p| format!("{}@{domain}", p.handle)));
         let peer_names: Vec<String> = peers.iter().map(Persona::full_name).collect();
 
         self.tally.reset(peers.len());
-        let mut scratch = String::new();
+        let mut text = String::with_capacity(target * ARENA_BYTES_PER_EMAIL);
         let mut bytes = 0;
         // This first subject is drawn but never carried: the first email
-        // always starts a new one.
-        let mut subject = self.subject(rng);
+        // always starts a new one, which overwrites it.
+        let mut subject = self.subject(rng, &mut text);
         let mut carried = 0;
         let mut last_peer = usize::MAX;
-        let mut out = Vec::with_capacity(target);
+        let mut emails = Vec::with_capacity(target);
         for (i, &(peer_idx, owner_sends)) in plans.iter().enumerate() {
             if peer_idx != last_peer {
                 // "RE: " has no word and ends in a space, so an email's
                 // subject line has the words of the thread's subject.
-                d_a.add_times(&subject, carried);
-                subject = self.subject(rng);
+                d_a.add_times(slice(&text, &subject), carried);
+                if carried == 0 {
+                    text.truncate(subject.start as usize);
+                }
+                subject = self.subject(rng, &mut text);
                 carried = 0;
                 last_peer = peer_idx;
             }
             carried += 1;
-            let peer_address = &peer_addresses[peer_idx];
+            let peer = peer_idx as u16 + 1;
             let (from, to, sender_name) = if owner_sends {
                 self.tally.owner_signatures += 1;
-                (&owner_address, peer_address, &owner_name)
+                (0, peer, &owner_name)
             } else {
                 self.tally.peer_signatures[peer_idx] += 1;
-                (peer_address, &owner_address, &peer_names[peer_idx])
+                (peer, 0, &peer_names[peer_idx])
             };
-            let email = Email {
-                id: self.fresh_id(),
-                from: from.into(),
-                to: vec![to.into()], // lint:allow(alloc-hot): the recipient list is the Email's own field
-                subject: format!("RE: {subject}"), // lint:allow(alloc-hot): per-message subject is the Email's own field
-                body: self.body(rng, owner.first, sender_name, &mut scratch),
+            let id = self.fresh_id();
+            let body = self.body(rng, owner.first, sender_name, &mut text);
+            bytes += subject.len() + 1 + body.len() + 1;
+            emails.push(SeededEmail {
+                id,
                 timestamp: times[i],
-            };
-            bytes += email.subject.len() + 1 + email.body.len() + 1;
-            out.push(email);
+                from,
+                to,
+                subject: subject.start..subject.end,
+                body,
+            });
         }
-        d_a.add_times(&subject, carried);
+        d_a.add_times(slice(&text, &subject), carried);
 
         let tally = &self.tally;
         for (pieces, counts) in [
@@ -334,17 +400,21 @@ impl CorpusGenerator {
         for (name, &n) in peer_names.iter().zip(&tally.peer_signatures) {
             d_a.add_times(name, n);
         }
-        let emails = out.len() as u64;
+        let n = emails.len() as u64;
         for piece in [
             GREETING,
             owner.first,
             SIGN_OFF,
             self.archetype.organization(),
         ] {
-            d_a.add_times(piece, emails);
+            d_a.add_times(piece, n);
         }
         d_a.add_len(bytes);
-        out
+        SeededMail {
+            text,
+            addresses,
+            emails,
+        }
     }
 }
 
@@ -365,7 +435,9 @@ mod tests {
     fn mailbox_size_in_paper_range() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::new();
-        let mb = g.generate_mailbox(&owner, &peers, 200, 300, &mut rng, &mut TermCounts::new());
+        let mb = g
+            .generate_mailbox(&owner, &peers, 200, 300, &mut rng, &mut TermCounts::new())
+            .to_emails();
         assert!((200..=300).contains(&mb.len()), "{}", mb.len());
     }
 
@@ -373,12 +445,34 @@ mod tests {
     fn timestamps_sorted_and_before_epoch() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::new();
-        let mb = g.generate_mailbox(&owner, &peers, 200, 300, &mut rng, &mut TermCounts::new());
+        let mb = g
+            .generate_mailbox(&owner, &peers, 200, 300, &mut rng, &mut TermCounts::new())
+            .to_emails();
         assert!(mb.windows(2).all(|w| w[0].timestamp <= w[1].timestamp));
         for e in &mb {
             assert!(e.timestamp.0 < 0, "seeded email after epoch");
             assert!(e.timestamp.as_days_f64() >= -(HISTORY_WINDOW_DAYS + 1.0));
         }
+    }
+
+    #[test]
+    fn threads_share_one_subject_line_and_the_arena_holds_nothing_else() {
+        let (owner, peers, mut rng) = setup();
+        let mut d_a = TermCounts::new();
+        let mb =
+            CorpusGenerator::new().generate_mailbox(&owner, &peers, 200, 300, &mut rng, &mut d_a);
+        // A thread's emails are consecutive and share one range.
+        let mut lines: Vec<&Range<u32>> = mb.emails.iter().map(|e| &e.subject).collect();
+        lines.dedup();
+        assert!(lines.len() < mb.emails.len(), "no thread has a reply");
+        let written: usize = lines.iter().map(|r| r.len()).sum::<usize>()
+            + mb.emails.iter().map(|e| e.body.len()).sum::<usize>();
+        assert_eq!(written, mb.text.len());
+        // `d_a` still counts each email's own subject line.
+        let emails = mb.to_emails();
+        assert!(emails.iter().all(|e| e.subject.starts_with("RE: ")));
+        let per_email: usize = emails.iter().map(|e| e.full_text().len() + 1).sum();
+        assert_eq!(d_a.len(), per_email);
     }
 
     #[test]
@@ -405,7 +499,9 @@ mod tests {
     fn every_message_involves_owner() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::new();
-        let mb = g.generate_mailbox(&owner, &peers, 200, 250, &mut rng, &mut TermCounts::new());
+        let mb = g
+            .generate_mailbox(&owner, &peers, 200, 250, &mut rng, &mut TermCounts::new())
+            .to_emails();
         let addr = owner.webmail_address();
         for e in &mb {
             assert!(e.from == addr || e.to.contains(&addr));
@@ -416,7 +512,9 @@ mod tests {
     fn corpus_mentions_energy_but_never_bitcoin_or_enron() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::new();
-        let mb = g.generate_mailbox(&owner, &peers, 250, 300, &mut rng, &mut TermCounts::new());
+        let mb = g
+            .generate_mailbox(&owner, &peers, 250, 300, &mut rng, &mut TermCounts::new())
+            .to_emails();
         let all: String = mb.iter().map(|e| e.full_text().to_lowercase()).collect();
         assert!(all.contains("energy"));
         assert!(all.contains("transfer"));
@@ -428,7 +526,9 @@ mod tests {
     fn sensitive_terms_are_rare_but_present() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::new();
-        let mb = g.generate_mailbox(&owner, &peers, 250, 300, &mut rng, &mut TermCounts::new());
+        let mb = g
+            .generate_mailbox(&owner, &peers, 250, 300, &mut rng, &mut TermCounts::new())
+            .to_emails();
         let with_payment = mb
             .iter()
             .filter(|e| {
@@ -449,7 +549,9 @@ mod tests {
     fn activist_mail_is_signed_by_the_coalition() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::with_archetype(Archetype::Activist);
-        let mb = g.generate_mailbox(&owner, &peers, 20, 30, &mut rng, &mut TermCounts::new());
+        let mb = g
+            .generate_mailbox(&owner, &peers, 20, 30, &mut rng, &mut TermCounts::new())
+            .to_emails();
         for e in &mb {
             assert!(e.body.ends_with("\nOpen Voices Coalition"), "{}", e.body);
             assert!(!e.body.contains("Meridian Power Group"));
@@ -460,8 +562,12 @@ mod tests {
     fn ids_are_unique_across_mailboxes() {
         let (owner, peers, mut rng) = setup();
         let mut g = CorpusGenerator::new();
-        let a = g.generate_mailbox(&owner, &peers, 200, 210, &mut rng, &mut TermCounts::new());
-        let b = g.generate_mailbox(&owner, &peers, 200, 210, &mut rng, &mut TermCounts::new());
+        let a = g
+            .generate_mailbox(&owner, &peers, 200, 210, &mut rng, &mut TermCounts::new())
+            .to_emails();
+        let b = g
+            .generate_mailbox(&owner, &peers, 200, 210, &mut rng, &mut TermCounts::new())
+            .to_emails();
         let mut ids: Vec<u64> = a.iter().chain(&b).map(|e| e.id.0).collect();
         ids.sort_unstable();
         ids.dedup();

@@ -107,7 +107,7 @@ proptest! {
         let owner = factory.generate(Some(DecoyRegion::Uk), &mut rng);
         let peers = factory.generate_batch(4, |_| None, &mut rng);
         let mut generator = CorpusGenerator::new();
-        let mb = generator.generate_mailbox(&owner, &peers, 20, 30, &mut rng, &mut TermCounts::new());
+        let mb = generator.generate_mailbox(&owner, &peers, 20, 30, &mut rng, &mut TermCounts::new()).to_emails();
         prop_assert!((20..=30).contains(&mb.len()));
         let addr = owner.webmail_address();
         for w in mb.windows(2) {

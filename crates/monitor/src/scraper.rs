@@ -467,16 +467,16 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
-        svc.seed_mailbox(
+        svc.deliver(
             id,
-            vec![Email {
+            Email {
                 id: EmailId(1),
                 from: "p@x".into(),
                 to: vec!["h@honeymail.example".into()],
                 subject: "s".into(),
                 body: "b".into(),
                 timestamp: MailTime(-5),
-            }],
+            },
         );
         let mut scraper = Scraper::new(rng.fork(9));
         scraper.register(id, "pw");

@@ -277,8 +277,7 @@ impl ScriptRuntime {
                 WebmailEvent::EmailOpened { email, at, .. } => {
                     let text = service
                         .mailbox(account)
-                        .get(*email)
-                        .map(|e| e.email.full_text())
+                        .full_text(*email)
                         .unwrap_or_default();
                     Some((
                         NotificationKind::Opened {
@@ -310,8 +309,7 @@ impl ScriptRuntime {
                 WebmailEvent::DraftCreated { email, at, .. } => {
                     let text = service
                         .mailbox(account)
-                        .get(*email)
-                        .map(|e| e.email.full_text())
+                        .full_text(*email)
                         .unwrap_or_default();
                     Some((
                         NotificationKind::DraftCopy {
@@ -413,9 +411,9 @@ impl ScriptRuntime {
         self.telemetry.count("monitor.quota_notices");
         // The platform emails the account owner directly; the notice lands
         // in the honey inbox where an attacker may open it (§4.4).
-        service.seed_mailbox(
+        service.deliver(
             account,
-            vec![Email {
+            Email {
                 id,
                 from: "apps-script-notifications@platform.example".into(),
                 to: vec![service.account(account).address.clone()],
@@ -424,7 +422,7 @@ impl ScriptRuntime {
                        Executions exceeded the daily quota for this account."
                     .into(),
                 timestamp: MailTime::from_sim(at),
-            }],
+            },
         );
     }
 
@@ -508,16 +506,16 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
-        svc.seed_mailbox(
+        svc.deliver(
             id,
-            vec![Email {
+            Email {
                 id: EmailId(1),
                 from: "p@x".into(),
                 to: vec!["h@honeymail.example".into()],
                 subject: "payment".into(),
                 body: "account payment details".into(),
                 timestamp: MailTime(-100),
-            }],
+            },
         );
         rt.install(id, ScriptLocation::HiddenSpreadsheet);
         id
@@ -651,9 +649,14 @@ mod tests {
         assert_eq!(after, before + 1, "exactly one quota notice per day");
         let notice_id = svc
             .mailbox(acct)
-            .iter()
-            .find(|e| e.email.subject.contains("Apps Script"))
-            .map(|e| e.email.id)
+            .list(pwnd_webmail::mailbox::Folder::Inbox)
+            .into_iter()
+            .find(|&id| {
+                svc.mailbox(acct)
+                    .full_text(id)
+                    .unwrap()
+                    .contains("Apps Script")
+            })
             .unwrap();
         // An attacker can open the notice — and that open is itself
         // reported (the §4.4 case study).

@@ -22,8 +22,8 @@
 use crate::index::{QueryIndex, RANGE_PREFIX_LEN};
 use pwnd_telemetry::json::Json;
 use pwnd_telemetry::TelemetrySink;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -263,6 +263,11 @@ impl Server {
     }
 }
 
+/// Longest request line read, `\n` included; a longer one gets `414`.
+const MAX_REQUEST_LINE: usize = 8 * 1024;
+/// Most header bytes read per request, blank line included; more get `431`.
+const MAX_HEADER_BYTES: usize = 16 * 1024;
+
 /// Serve one connection until the peer closes, an error occurs, or
 /// shutdown is requested. Read timeouts keep the keep-alive loop
 /// responsive to shutdown without busy-waiting.
@@ -277,33 +282,45 @@ fn serve_connection(
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
-    let mut line = String::new();
+    let mut request = Vec::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        if !read_full_line(&mut reader, &mut line, stop)? {
+        request.clear();
+        if !read_full_line(&mut reader, &mut request, MAX_REQUEST_LINE, stop)? {
             return Ok(());
         }
-        let request_line = std::mem::take(&mut line);
+        if !request.ends_with(b"\n") {
+            let refusal = (414, "uri_too_long", "request line over 8 KiB");
+            return refuse(reader, out, refusal, sink);
+        }
         // Drain headers; we only need Connection.
         let mut keep_alive = true;
+        let mut header_bytes = 0;
         loop {
             line.clear();
-            if !read_full_line(&mut reader, &mut line, stop)? {
+            let room = MAX_HEADER_BYTES - header_bytes;
+            if !read_full_line(&mut reader, &mut line, room, stop)? {
                 return Ok(());
             }
-            let h = line.trim();
+            if !line.ends_with(b"\n") {
+                let refusal = (431, "headers_too_large", "request headers over 16 KiB");
+                return refuse(reader, out, refusal, sink);
+            }
+            header_bytes += line.len();
+            let h = line.trim_ascii();
             if h.is_empty() {
                 break;
             }
             if let Some(v) = h
-                .strip_prefix("Connection:")
-                .or(h.strip_prefix("connection:"))
+                .strip_prefix(b"Connection:")
+                .or(h.strip_prefix(b"connection:"))
             {
-                keep_alive = !v.trim().eq_ignore_ascii_case("close");
+                keep_alive = !v.trim_ascii().eq_ignore_ascii_case(b"close");
             }
         }
 
         let started = Instant::now();
+        let request_line = String::from_utf8_lossy(&request);
         let mut parts = request_line.split_whitespace();
         let (method, path) = match (parts.next(), parts.next()) {
             (Some(m), Some(p)) => (m, p),
@@ -349,19 +366,22 @@ fn serve_connection(
     }
 }
 
-/// Read one complete `\n`-terminated line into `line`, retrying across
-/// read timeouts: `read_line` keeps the bytes it already appended, so
-/// a line split by a pause still assembles whole. `Ok(false)` when the
-/// peer closed or the server is stopping.
+/// Read one `\n`-terminated line into `line`, retrying across read
+/// timeouts: `read_until` keeps the bytes it already appended, so a line
+/// split by a pause still assembles whole. `Ok(true)` once the line is
+/// whole or `limit` bytes long (then it has no `\n`), `Ok(false)` when
+/// the peer closed or the server is stopping.
 fn read_full_line(
     reader: &mut impl BufRead,
-    line: &mut String,
+    line: &mut Vec<u8>,
+    limit: usize,
     stop: &AtomicBool,
 ) -> io::Result<bool> {
     loop {
-        match reader.read_line(line) {
+        let room = (limit - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', line) {
+            Ok(_) if line.ends_with(b"\n") || line.len() >= limit => return Ok(true),
             Ok(0) => return Ok(false),
-            Ok(_) if line.ends_with('\n') => return Ok(true),
             Ok(_) => {}
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -373,6 +393,24 @@ fn read_full_line(
             Err(e) => return Err(e),
         }
     }
+}
+
+/// Refuse a request too large to read with an error envelope and close.
+/// Closing with unread input resets the connection, which can destroy
+/// the reply before the peer reads it: so stop writing, then discard up
+/// to 4 MiB until the peer closes or pauses past the read timeout.
+fn refuse(
+    reader: impl Read,
+    mut out: TcpStream,
+    (status, label, message): (u16, &str, &str),
+    sink: &TelemetrySink,
+) -> io::Result<()> {
+    sink.count_labeled("serve.responses", status_label(status));
+    let body = error_body(status, label, message);
+    write_response(&mut out, status, reason(status), &body, &[], false)?;
+    out.shutdown(Shutdown::Write)?;
+    let _ = io::copy(&mut reader.take(4 << 20), &mut io::sink());
+    Ok(())
 }
 
 /// Dispatch a GET path: `(status, telemetry label, body)`. The label
@@ -463,7 +501,9 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        414 => "URI Too Long",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     }
 }
@@ -475,7 +515,9 @@ fn status_label(status: u16) -> &'static str {
         400 => "400",
         404 => "404",
         405 => "405",
+        414 => "414",
         429 => "429",
+        431 => "431",
         _ => "5xx",
     }
 }

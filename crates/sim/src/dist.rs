@@ -164,6 +164,7 @@ impl Zipf {
     }
 
     /// Draw a 0-based rank (0 is the most frequent).
+    #[inline]
     pub fn sample(&self, rng: &mut Rng) -> usize {
         self.rank(rng.f64())
     }
@@ -172,6 +173,7 @@ impl Zipf {
     /// first rank whose CDF value is at least `u`, capped at the last
     /// rank. Every rank before `guide[⌊u·256⌋]` has a CDF value below
     /// `⌊u·256⌋ / 256 ≤ u`, so the walk starts there.
+    #[inline]
     pub fn rank(&self, u: f64) -> usize {
         let last = self.cdf.len() - 1;
         // `as` saturates: a negative `u` reads slot 0.

@@ -83,6 +83,7 @@ impl Rng {
 
     /// Uniform integer in `[0, n)` using Lemire's unbiased method.
     /// Panics if `n == 0`.
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is undefined");
         // Lemire's nearly-divisionless rejection method.
@@ -101,17 +102,20 @@ impl Rng {
     }
 
     /// Uniform integer in `[lo, hi)`. Panics if `lo >= hi`.
+    #[inline]
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "range_u64: empty range");
         lo + self.below(hi - lo)
     }
 
     /// Uniform index into a slice of length `len`. Panics if `len == 0`.
+    #[inline]
     pub fn index(&mut self, len: usize) -> usize {
         self.below(len as u64) as usize
     }
 
     /// Bernoulli draw: `true` with probability `p` (clamped to `[0,1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false
@@ -123,6 +127,7 @@ impl Rng {
     }
 
     /// Pick a uniformly random element of `items`. Panics on empty input.
+    #[inline]
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.index(items.len())]
     }

@@ -22,7 +22,7 @@
 //! * [`security`] — login risk analysis (the "suspicious login filter"
 //!   Google disabled for the honey accounts) and the abuse detector that
 //!   blocked 42 of them;
-//! * [`mta`] — message routing and the sinkhole mailserver;
+//! * [`mta`] — the sinkhole mailserver;
 //! * [`events`] — the event stream Apps-Script hooks subscribe to;
 //! * [`service`] — the façade tying everything together.
 //!

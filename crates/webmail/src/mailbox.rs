@@ -3,14 +3,24 @@
 //! Mirrors the Gmail surface described in the paper's §2: an Inbox with
 //! unread messages in boldface (the `read` flag), starring, labels,
 //! a Drafts folder for unsent content, and a Sent folder.
+//!
+//! A mailbox keeps all its text in one append-only arena and all its
+//! addresses in one table; an [`Entry`] holds ranges and indices into
+//! them. It takes a [`SeededMail`] batch's arena over whole, so a
+//! thread's subject line stays stored once. Search and rules read the
+//! arena in place; an owned [`Email`] is built only where one is handed
+//! out ([`Mailbox::open`], [`Mailbox::email`], [`Mailbox::promote_draft`]).
 
-use pwnd_corpus::email::{Email, EmailId};
-use std::collections::{BTreeMap, HashSet};
+use pwnd_corpus::email::{Email, EmailId, MailTime};
+use pwnd_corpus::generator::{slice, SeededMail};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// The folder an entry lives in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Folder {
     /// Received mail.
+    #[default]
     Inbox,
     /// Sent mail.
     Sent,
@@ -18,19 +28,26 @@ pub enum Folder {
     Drafts,
 }
 
-/// A message plus its mailbox metadata.
-#[derive(Clone, Debug)]
+/// A message's mailbox metadata. Its sender and recipients are indices
+/// into the mailbox's address table, its subject and body byte ranges
+/// of the mailbox's arena.
+#[derive(Clone, Debug, Default)]
 pub struct Entry {
-    /// The message.
-    pub email: Email,
+    /// Send (or draft-creation) time.
+    pub timestamp: MailTime,
+    from: u32,
+    to: Range<u32>,
+    subject: Range<u32>,
+    body: Range<u32>,
     /// Which folder it lives in.
     pub folder: Folder,
     /// Whether it has been opened.
     pub read: bool,
     /// Whether it is starred.
     pub starred: bool,
-    /// User-assigned labels.
-    pub labels: HashSet<String>,
+    /// User-assigned labels, each once, in the order applied; no heap
+    /// block until one lands.
+    pub labels: Vec<String>,
     /// Whether provider search sees it: delivered mail and drafts are
     /// searchable (a draft stays so after it is sent); mail composed and
     /// sent in one step is not.
@@ -40,6 +57,9 @@ pub struct Entry {
 /// A single account's mail store.
 #[derive(Clone, Debug, Default)]
 pub struct Mailbox {
+    /// Every subject and body; a replaced entry's text stays.
+    text: String,
+    addresses: Vec<String>,
     entries: BTreeMap<EmailId, Entry>,
 }
 
@@ -49,61 +69,106 @@ impl Mailbox {
         Mailbox::default()
     }
 
+    /// Deliver a generated batch into the Inbox, unread.
+    pub fn seed(&mut self, mail: SeededMail) {
+        let (base, address_base) = (self.text.len() as u32, self.addresses.len() as u32);
+        if self.text.is_empty() {
+            self.text = mail.text;
+        } else {
+            self.text.push_str(&mail.text);
+        }
+        self.addresses.extend(mail.addresses);
+        let shift = |r: Range<u32>| r.start + base..r.end + base;
+        for e in mail.emails {
+            let to = address_base + u32::from(e.to);
+            let entry = Entry {
+                timestamp: e.timestamp,
+                from: address_base + u32::from(e.from),
+                to: to..to + 1,
+                subject: shift(e.subject),
+                body: shift(e.body),
+                searchable: true,
+                ..Entry::default()
+            };
+            self.entries.insert(e.id, entry);
+        }
+    }
+
+    /// Append `email`'s addresses and text, then file it.
+    fn insert(&mut self, email: Email, folder: Folder, searchable: bool) {
+        let from = self.addresses.len() as u32;
+        self.addresses.push(email.from);
+        self.addresses.extend(email.to);
+        let to = from + 1..self.addresses.len() as u32;
+        let mut push = |s: &str| {
+            let start = self.text.len() as u32;
+            self.text.push_str(s);
+            start..self.text.len() as u32
+        };
+        let (subject, body) = (push(&email.subject), push(&email.body));
+        let entry = Entry {
+            timestamp: email.timestamp,
+            from,
+            to,
+            subject,
+            body,
+            folder,
+            read: folder != Folder::Inbox,
+            searchable,
+            ..Entry::default()
+        };
+        self.entries.insert(email.id, entry);
+    }
+
     /// Deliver a message into the Inbox, unread.
     pub fn deliver(&mut self, email: Email) {
-        let id = email.id;
-        self.entries.insert(
-            id,
-            Entry {
-                email,
-                folder: Folder::Inbox,
-                read: false,
-                starred: false,
-                labels: HashSet::new(), // lint:allow(alloc-hot): empty label set; allocates only when a label lands
-                searchable: true,
-            },
-        );
+        self.insert(email, Folder::Inbox, true);
     }
 
     /// Store a draft.
     pub fn store_draft(&mut self, email: Email) {
-        let id = email.id;
-        self.entries.insert(
-            id,
-            Entry {
-                email,
-                folder: Folder::Drafts,
-                read: true,
-                starred: false,
-                labels: HashSet::new(),
-                searchable: true,
-            },
-        );
+        self.insert(email, Folder::Drafts, true);
     }
 
     /// Record a sent message in the Sent folder. A sent draft replaces
     /// its draft entry and stays searchable.
     pub fn record_sent(&mut self, email: Email) {
-        let id = email.id;
-        let searchable = self.entries.get(&id).is_some_and(|e| e.searchable);
-        self.entries.insert(
-            id,
-            Entry {
-                email,
-                folder: Folder::Sent,
-                read: true,
-                starred: false,
-                labels: HashSet::new(), // lint:allow(alloc-hot): empty label set; allocates only when a label lands
-                searchable,
-            },
-        );
+        let searchable = self.entries.get(&email.id).is_some_and(|e| e.searchable);
+        self.insert(email, Folder::Sent, searchable);
     }
 
-    /// Open a message: marks it read, returns it. `None` if absent.
-    pub fn open(&mut self, id: EmailId) -> Option<&Email> {
-        let e = self.entries.get_mut(&id)?;
-        e.read = true;
-        Some(&e.email)
+    /// Open a message: marks it read, returns a copy. `None` if absent.
+    pub fn open(&mut self, id: EmailId) -> Option<Email> {
+        self.entries.get_mut(&id)?.read = true;
+        self.email(id)
+    }
+
+    /// A copy of a message, without side effects. `None` if absent.
+    pub fn email(&self, id: EmailId) -> Option<Email> {
+        let e = self.entries.get(&id)?;
+        let (from, subject, body) = self.parts(id)?;
+        let to = &self.addresses[e.to.start as usize..e.to.end as usize];
+        Some(Email {
+            id,
+            from: from.to_string(), // lint:allow(alloc-hot): a message is handed out as an owned copy
+            to: to.to_vec(), // lint:allow(alloc-hot): a message is handed out as an owned copy
+            subject: subject.to_string(), // lint:allow(alloc-hot): a message is handed out as an owned copy
+            body: body.to_string(), // lint:allow(alloc-hot): a message is handed out as an owned copy
+            timestamp: e.timestamp,
+        })
+    }
+
+    /// A message's sender, subject and body, read in place.
+    pub(crate) fn parts(&self, id: EmailId) -> Option<(&str, &str, &str)> {
+        let e = self.entries.get(&id)?;
+        let (subject, body) = (slice(&self.text, &e.subject), slice(&self.text, &e.body));
+        Some((&self.addresses[e.from as usize], subject, body))
+    }
+
+    /// Exactly [`Email::full_text`] of a message. `None` if absent.
+    pub fn full_text(&self, id: EmailId) -> Option<String> {
+        let (_, subject, body) = self.parts(id)?;
+        Some([subject, body].join("\n"))
     }
 
     /// Star a message. Returns `false` if absent.
@@ -117,11 +182,13 @@ impl Mailbox {
         }
     }
 
-    /// Apply a label. Returns `false` if absent.
+    /// Apply a label (once). Returns `false` if absent.
     pub fn label(&mut self, id: EmailId, label: &str) -> bool {
         match self.entries.get_mut(&id) {
             Some(e) => {
-                e.labels.insert(label.to_string()); // lint:allow(alloc-hot): the mailbox owns its label strings
+                if !e.labels.iter().any(|l| l == label) {
+                    e.labels.push(label.to_string()); // lint:allow(alloc-hot): the mailbox owns its label strings
+                }
                 true
             }
             None => false,
@@ -134,7 +201,7 @@ impl Mailbox {
         match self.entries.get_mut(&id) {
             Some(e) if e.folder == Folder::Drafts => {
                 e.folder = Folder::Sent;
-                Some(e.email.clone())
+                self.email(id)
             }
             _ => None,
         }
@@ -152,7 +219,7 @@ impl Mailbox {
             .iter()
             .filter(|(_, e)| e.folder == folder)
             .collect();
-        v.sort_by_key(|(_, e)| std::cmp::Reverse(e.email.timestamp));
+        v.sort_by_key(|(_, e)| std::cmp::Reverse(e.timestamp));
         v.into_iter().map(|(id, _)| *id).collect()
     }
 
@@ -164,17 +231,21 @@ impl Mailbox {
             .collect()
     }
 
-    /// All entries, in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.values()
-    }
-
-    /// The messages provider search scans, in id order.
-    pub fn searchable(&self) -> impl Iterator<Item = &Email> {
+    /// What provider search scans, in id order: each searchable
+    /// message's id, time, subject and body.
+    pub fn searchable(&self) -> impl Iterator<Item = (EmailId, MailTime, &str, &str)> {
+        let text = &self.text;
         self.entries
-            .values()
-            .filter(|e| e.searchable)
-            .map(|e| &e.email)
+            .iter()
+            .filter(|(_, e)| e.searchable)
+            .map(|(&id, e)| {
+                (
+                    id,
+                    e.timestamp,
+                    slice(text, &e.subject),
+                    slice(text, &e.body),
+                )
+            })
     }
 
     /// Message count across all folders.
@@ -242,7 +313,9 @@ mod tests {
         assert!(mb.label(EmailId(1), "important"));
         let e = mb.get(EmailId(1)).unwrap();
         assert!(e.starred);
-        assert!(e.labels.contains("important"));
+        assert!(mb.label(EmailId(1), "important"));
+        let e = mb.get(EmailId(1)).unwrap();
+        assert_eq!(e.labels, ["important"]);
         assert!(!mb.star(EmailId(2)));
         assert!(!mb.label(EmailId(2), "x"));
     }

@@ -1,31 +1,17 @@
-//! Message routing and the sinkhole mailserver.
+//! The sinkhole mailserver.
 //!
 //! The researchers changed each honey account's default send-from address
 //! to point at a mailserver under their control: every message an
 //! attacker sends is delivered *only* to that sinkhole, which "simply
 //! dumps the emails to disk and does not forward them to the intended
-//! destination" (§3.1). [`MailRouter`] implements both paths — internal
-//! delivery between service accounts and the sinkhole diversion — and
-//! [`Sinkhole`] is the dump-to-disk store (in-memory here, exportable).
+//! destination" (§3.1). [`Sinkhole`] is the dump-to-disk store
+//! (in-memory here, exportable). Mail from an account without the
+//! override is recorded as sent and goes nowhere: the simulated provider
+//! delivers no mail beyond its own mailboxes.
 
 use crate::account::AccountId;
 use pwnd_corpus::email::Email;
 use pwnd_sim::SimTime;
-use std::collections::HashMap;
-
-/// Where a message ended up.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Delivery {
-    /// Delivered to another account on this service.
-    Internal(AccountId),
-    /// Diverted to the researchers' sinkhole (never reaches the intended
-    /// recipient).
-    Sinkholed,
-    /// Would have left the service toward the open Internet. Only happens
-    /// when no send-from override is configured; honey accounts never
-    /// produce this.
-    External,
-}
 
 /// A message captured by the sinkhole.
 #[derive(Clone, Debug)]
@@ -71,59 +57,6 @@ impl Sinkhole {
     }
 }
 
-/// Routes outbound messages.
-#[derive(Clone, Debug, Default)]
-pub struct MailRouter {
-    /// address -> internal account.
-    directory: HashMap<String, AccountId>,
-}
-
-impl MailRouter {
-    /// An empty router.
-    pub fn new() -> MailRouter {
-        MailRouter::default()
-    }
-
-    /// Register an internal address.
-    pub fn register(&mut self, address: String, account: AccountId) {
-        self.directory.insert(address, account);
-    }
-
-    /// Resolve an internal address.
-    pub fn resolve(&self, address: &str) -> Option<AccountId> {
-        self.directory.get(address).copied()
-    }
-
-    /// Route one outbound message from `sender`. If the sender has a
-    /// send-from override the message is sinkholed regardless of
-    /// recipients; otherwise each recipient routes independently.
-    pub fn route(
-        &self,
-        sender: AccountId,
-        has_override: bool,
-        email: &Email,
-        at: SimTime,
-        sinkhole: &mut Sinkhole,
-    ) -> Vec<Delivery> {
-        if has_override {
-            sinkhole.capture(SinkholedMessage {
-                from_account: sender,
-                at,
-                email: email.clone(), // lint:allow(alloc-hot): the sinkhole archives its own copy of the message
-            });
-            return vec![Delivery::Sinkholed]; // lint:allow(alloc-hot): one-element verdict is the fn's return value
-        }
-        email
-            .to
-            .iter()
-            .map(|rcpt| match self.resolve(rcpt) {
-                Some(acct) => Delivery::Internal(acct),
-                None => Delivery::External,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,48 +75,15 @@ mod tests {
 
     #[test]
     fn override_sinkholes_everything() {
-        let router = MailRouter::new();
         let mut sink = Sinkhole::new();
-        let deliveries = router.route(
-            AccountId(1),
-            true,
-            &email(vec!["victim@gmail.example", "other@x.example"]),
-            SimTime::ZERO,
-            &mut sink,
-        );
-        assert_eq!(deliveries, vec![Delivery::Sinkholed]);
+        assert!(sink.is_empty());
+        sink.capture(SinkholedMessage {
+            from_account: AccountId(1),
+            at: SimTime::ZERO,
+            email: email(vec!["victim@gmail.example", "other@x.example"]),
+        });
         assert_eq!(sink.len(), 1);
         // Intended recipients are preserved for analysis.
         assert_eq!(sink.messages()[0].email.to.len(), 2);
-    }
-
-    #[test]
-    fn internal_delivery_resolves() {
-        let mut router = MailRouter::new();
-        router.register("bob@honeymail.example".into(), AccountId(7));
-        let mut sink = Sinkhole::new();
-        let deliveries = router.route(
-            AccountId(1),
-            false,
-            &email(vec!["bob@honeymail.example"]),
-            SimTime::ZERO,
-            &mut sink,
-        );
-        assert_eq!(deliveries, vec![Delivery::Internal(AccountId(7))]);
-        assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn unknown_recipients_route_external() {
-        let router = MailRouter::new();
-        let mut sink = Sinkhole::new();
-        let deliveries = router.route(
-            AccountId(1),
-            false,
-            &email(vec!["stranger@elsewhere.example"]),
-            SimTime::ZERO,
-            &mut sink,
-        );
-        assert_eq!(deliveries, vec![Delivery::External]);
     }
 }

@@ -11,8 +11,9 @@
 //! * an attacker-created rule (auto-forward, auto-archive of security
 //!   notices) is a classic persistence trick — the paper observed none,
 //!   but the capability must exist for that observation to mean anything.
-
-use pwnd_corpus::email::Email;
+//!
+//! Rules read a message's sender, subject and body as string slices, so
+//! they run on a mailbox's text arena in place.
 
 /// What part of a message a rule matches on.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,14 +27,15 @@ pub enum Matcher {
 }
 
 impl Matcher {
-    /// Whether this matcher fires for `email`.
-    pub fn matches(&self, email: &Email) -> bool {
+    /// Whether this matcher fires for a message with this sender,
+    /// subject and body.
+    pub fn matches(&self, from: &str, subject: &str, body: &str) -> bool {
         let has =
             |haystack: &str, needle: &str| haystack.to_lowercase().contains(&needle.to_lowercase());
         match self {
-            Matcher::FromContains(n) => has(&email.from, n),
-            Matcher::SubjectContains(n) => has(&email.subject, n),
-            Matcher::BodyContains(n) => has(&email.body, n),
+            Matcher::FromContains(n) => has(from, n),
+            Matcher::SubjectContains(n) => has(subject, n),
+            Matcher::BodyContains(n) => has(body, n),
         }
     }
 }
@@ -85,11 +87,12 @@ impl RuleSet {
         self.rules.is_empty()
     }
 
-    /// The actions that fire for `email`, in rule order.
-    pub fn actions_for(&self, email: &Email) -> Vec<&RuleAction> {
+    /// The actions that fire for a message with this sender, subject
+    /// and body, in rule order.
+    pub fn actions_for(&self, from: &str, subject: &str, body: &str) -> Vec<&RuleAction> {
         self.rules
             .iter()
-            .filter(|r| r.matcher.matches(email))
+            .filter(|r| r.matcher.matches(from, subject, body))
             .map(|r| &r.action)
             .collect()
     }
@@ -98,28 +101,16 @@ impl RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwnd_corpus::email::{EmailId, MailTime};
-
-    fn email(from: &str, subject: &str, body: &str) -> Email {
-        Email {
-            id: EmailId(1),
-            from: from.into(),
-            to: vec!["me@x".into()],
-            subject: subject.into(),
-            body: body.into(),
-            timestamp: MailTime(0),
-        }
-    }
 
     #[test]
     fn matchers_are_case_insensitive() {
         let m = Matcher::SubjectContains("Invoice".into());
-        assert!(m.matches(&email("a@x", "your INVOICE is ready", "")));
-        assert!(!m.matches(&email("a@x", "lunch", "")));
+        assert!(m.matches("a@x", "your INVOICE is ready", ""));
+        assert!(!m.matches("a@x", "lunch", ""));
         let f = Matcher::FromContains("payroll@".into());
-        assert!(f.matches(&email("PAYROLL@corp.example", "x", "")));
+        assert!(f.matches("PAYROLL@corp.example", "x", ""));
         let b = Matcher::BodyContains("wire transfer".into());
-        assert!(b.matches(&email("a@x", "s", "the Wire Transfer cleared")));
+        assert!(b.matches("a@x", "s", "the Wire Transfer cleared"));
     }
 
     #[test]
@@ -133,8 +124,7 @@ mod tests {
             matcher: Matcher::FromContains("boss@".into()),
             action: RuleAction::Star,
         });
-        let e = email("boss@corp.example", "weekly report", "numbers inside");
-        let actions = rs.actions_for(&e);
+        let actions = rs.actions_for("boss@corp.example", "weekly report", "numbers inside");
         assert_eq!(
             actions,
             vec![&RuleAction::ApplyLabel("reports".into()), &RuleAction::Star]
@@ -148,7 +138,7 @@ mod tests {
             matcher: Matcher::BodyContains("bitcoin".into()),
             action: RuleAction::MarkRead,
         });
-        assert!(rs.actions_for(&email("a@x", "s", "plain mail")).is_empty());
+        assert!(rs.actions_for("a@x", "s", "plain mail").is_empty());
         assert_eq!(rs.len(), 1);
         assert!(!rs.is_empty());
     }

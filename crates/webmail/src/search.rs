@@ -13,10 +13,12 @@
 //!
 //! A paper run seeds ~1.3M tokens across 100 mailboxes and answers about
 //! a hundred searches, so there is no inverted index: each query scans
-//! the account's searchable mail directly. Per email, the subject and
-//! body are folded to ASCII lowercase in one reused buffer, and each
-//! query term is found with `match_indices` and accepted only where the
-//! bytes on both sides are not ASCII-alphanumeric. That is exact for the
+//! the account's searchable mail directly, reading each subject and body
+//! in place from the mailbox's text arena (see [`crate::mailbox`]). Per
+//! email, the two are copied into one reused buffer, joined by a space
+//! and folded to ASCII lowercase, and each query term is found with
+//! `match_indices` and accepted only where the bytes on both sides are
+//! not ASCII-alphanumeric. That is exact for the
 //! search token model — a term is a maximal run of ASCII alphanumerics,
 //! compared ASCII-case-insensitively — because ASCII case folding never
 //! moves a run boundary and every byte of a multi-byte UTF-8 character
@@ -73,14 +75,14 @@ pub fn search(mailbox: &Mailbox, query: &str) -> Vec<EmailId> {
     terms.dedup();
     let mut text = String::new();
     let mut hits = Vec::new();
-    for email in mailbox.searchable() {
+    for (id, timestamp, subject, body) in mailbox.searchable() {
         text.clear();
-        text.push_str(&email.subject);
+        text.push_str(subject);
         text.push(' ');
-        text.push_str(&email.body);
+        text.push_str(body);
         text.make_ascii_lowercase();
         if terms.iter().all(|t| contains_token(&text, t)) {
-            hits.push((std::cmp::Reverse(email.timestamp), email.id));
+            hits.push((std::cmp::Reverse(timestamp), id));
         }
     }
     hits.sort_unstable();

@@ -5,7 +5,7 @@
 //! periodic activity-page scrapes) and the attackers (logins, searches,
 //! opens, stars, drafts, sends, password changes). It owns every
 //! subsystem — mailboxes, search query logs, activity pages, the risk
-//! engine, the abuse detector, the mail router and sinkhole — and emits
+//! engine, the abuse detector, the sinkhole — and emits
 //! [`WebmailEvent`]s that the monitoring crate turns into script
 //! notifications.
 
@@ -13,11 +13,12 @@ use crate::account::{Account, AccountId, AccountState};
 use crate::activity::{ActivityPage, ActivityRow};
 use crate::events::WebmailEvent;
 use crate::mailbox::{Folder, Mailbox};
-use crate::mta::{MailRouter, Sinkhole};
+use crate::mta::{Sinkhole, SinkholedMessage};
 use crate::rules::{Rule, RuleAction, RuleSet};
 use crate::search::{self, QueryLogEntry};
 use crate::security::{AbuseDetector, ContentFlags, LoginSignals, RiskEngine, SecurityPolicy};
 use pwnd_corpus::email::{Email, EmailId, MailTime};
+use pwnd_corpus::generator::SeededMail;
 use pwnd_net::access::{ConnectionInfo, CookieId};
 use pwnd_net::geo::{nearest_km, GeoPoint};
 use pwnd_net::geolocate::Geolocator;
@@ -130,7 +131,6 @@ pub struct WebmailService {
     sessions: BTreeMap<SessionId, Session>,
     risk: RiskEngine,
     abuse: AbuseDetector,
-    router: MailRouter,
     sinkhole: Sinkhole,
     events: Vec<WebmailEvent>,
     signup_counts: HashMap<Ipv4Addr, u32>,
@@ -159,7 +159,6 @@ impl WebmailService {
             sessions: BTreeMap::new(),
             risk,
             abuse,
-            router: MailRouter::new(),
             sinkhole: Sinkhole::new(),
             events: Vec::new(),
             signup_counts: HashMap::new(),
@@ -231,7 +230,6 @@ impl WebmailService {
             self.config.activity_page_capacity,
         ));
         self.habitual.push(Vec::new());
-        self.router.register(address.to_string(), id);
         Ok(id)
     }
 
@@ -241,31 +239,48 @@ impl WebmailService {
         self.signup_counts.insert(ip, 0);
     }
 
-    /// Seed a mailbox with corpus emails (researcher setup step). Each
-    /// delivery runs through the account's automation rules, exactly as
-    /// a real incoming message would (§2: rules "automatically process
+    /// Seed a mailbox with a generated batch (researcher setup step).
+    /// Each message runs through the account's automation rules, exactly
+    /// as a real incoming message would (§2: rules "automatically process
     /// received emails").
-    pub fn seed_mailbox(&mut self, account: AccountId, emails: Vec<Email>) {
+    pub fn seed_mailbox(&mut self, account: AccountId, mail: SeededMail) {
         let idx = account.0 as usize;
-        for email in emails {
-            let id = email.id;
-            let actions: Vec<RuleAction> = self.rules[idx]
-                .actions_for(&email)
-                .into_iter()
-                .cloned()
-                .collect();
-            self.mailboxes[idx].deliver(email);
-            for action in actions {
-                match action {
-                    RuleAction::ApplyLabel(label) => {
-                        self.mailboxes[idx].label(id, &label);
-                    }
-                    RuleAction::MarkRead => {
-                        self.mailboxes[idx].open(id);
-                    }
-                    RuleAction::Star => {
-                        self.mailboxes[idx].star(id);
-                    }
+        let ids: Vec<EmailId> = if self.rules[idx].is_empty() {
+            Vec::new()
+        } else {
+            mail.emails.iter().map(|e| e.id).collect()
+        };
+        self.mailboxes[idx].seed(mail);
+        for id in ids {
+            self.apply_rules(idx, id);
+        }
+    }
+
+    /// Deliver one message into an account's Inbox, through its
+    /// automation rules.
+    pub fn deliver(&mut self, account: AccountId, email: Email) {
+        let idx = account.0 as usize;
+        let id = email.id;
+        self.mailboxes[idx].deliver(email);
+        self.apply_rules(idx, id);
+    }
+
+    /// Run the account's rules over one message, in rule order.
+    fn apply_rules(&mut self, idx: usize, id: EmailId) {
+        let mailbox = &mut self.mailboxes[idx];
+        let Some((from, subject, body)) = mailbox.parts(id) else {
+            return;
+        };
+        for action in self.rules[idx].actions_for(from, subject, body) {
+            match action {
+                RuleAction::ApplyLabel(label) => {
+                    mailbox.label(id, label);
+                }
+                RuleAction::MarkRead => {
+                    mailbox.open(id);
+                }
+                RuleAction::Star => {
+                    mailbox.star(id);
                 }
             }
         }
@@ -489,8 +504,7 @@ impl WebmailService {
         let (account, cookie, _) = self.session(session)?;
         let email = self.mailboxes[account.0 as usize]
             .open(id)
-            .ok_or(OpError::NoSuchEmail)?
-            .clone(); // lint:allow(alloc-hot): the API returns an owned copy by contract
+            .ok_or(OpError::NoSuchEmail)?;
         self.events.push(WebmailEvent::EmailOpened {
             account,
             email: id,
@@ -614,9 +628,13 @@ impl WebmailService {
         let id = email.id;
         let recipients = email.to.len();
         let flags = Self::content_flags(&email.subject, &email.body, recipients);
-        let has_override = self.accounts[idx].send_from_override.is_some();
-        self.router
-            .route(account, has_override, &email, at, &mut self.sinkhole);
+        if self.accounts[idx].send_from_override.is_some() {
+            self.sinkhole.capture(SinkholedMessage {
+                from_account: account,
+                at,
+                email: email.clone(), // lint:allow(alloc-hot): the sinkhole archives its own copy of the message
+            });
+        }
         self.mailboxes[idx].record_sent(email);
         self.events.push(WebmailEvent::EmailSent {
             account,
@@ -738,11 +756,6 @@ impl WebmailService {
         &self.accounts[id.0 as usize]
     }
 
-    /// Number of accounts.
-    pub fn account_count(&self) -> usize {
-        self.accounts.len()
-    }
-
     /// Mailbox (ground truth; the monitor goes through sessions instead).
     pub fn mailbox(&self, id: AccountId) -> &Mailbox {
         &self.mailboxes[id.0 as usize]
@@ -783,6 +796,7 @@ impl WebmailService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pwnd_corpus::generator::SeededEmail;
     use pwnd_net::geo::GeoDb;
     use pwnd_net::ip::AddressPlan;
     use pwnd_net::tor::TorDirectory;
@@ -834,13 +848,8 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
-        svc.seed_mailbox(
-            id,
-            vec![
-                seeded_email(1, "quarterly energy transfer report"),
-                seeded_email(2, "the payment account details are below"),
-            ],
-        );
+        svc.deliver(id, seeded_email(1, "quarterly energy transfer report"));
+        svc.deliver(id, seeded_email(2, "the payment account details are below"));
         svc.set_send_from_override(id, "sinkhole@monitor.example");
         id
     }
@@ -1336,33 +1345,59 @@ mod tests {
             },
         );
         assert_eq!(svc.rule_count(id), 2);
+        svc.deliver(
+            id,
+            Email {
+                id: EmailId(1),
+                from: "peer@x".into(),
+                to: vec!["r@honeymail.example".into()],
+                subject: "Invoice attached".into(),
+                body: "see attachment".into(),
+                timestamp: MailTime(-50),
+            },
+        );
+        // A seeded batch runs through the same rules: its one email
+        // comes from a noreply sender and its thread is about invoices.
+        let text = "RE: invoice run\nweekly digest";
         svc.seed_mailbox(
             id,
-            vec![
-                Email {
-                    id: EmailId(1),
-                    from: "peer@x".into(),
-                    to: vec!["r@honeymail.example".into()],
-                    subject: "Invoice attached".into(),
-                    body: "see attachment".into(),
-                    timestamp: MailTime(-50),
-                },
-                Email {
+            SeededMail {
+                text: text.into(),
+                addresses: vec![
+                    "r@honeymail.example".into(),
+                    "noreply@newsletter.example".into(),
+                ],
+                emails: vec![SeededEmail {
                     id: EmailId(2),
-                    from: "noreply@newsletter.example".into(),
-                    to: vec!["r@honeymail.example".into()],
-                    subject: "weekly digest".into(),
-                    body: "news".into(),
                     timestamp: MailTime(-40),
-                },
-            ],
+                    from: 1,
+                    to: 0,
+                    subject: 0..15,
+                    body: 16..text.len() as u32,
+                }],
+            },
         );
         let labelled = svc.mailbox(id).get(EmailId(1)).unwrap();
-        assert!(labelled.labels.contains("finance"));
+        assert_eq!(labelled.labels, ["finance"]);
         assert!(!labelled.read);
         let digested = svc.mailbox(id).get(EmailId(2)).unwrap();
         assert!(digested.read, "MarkRead rule must have fired");
-        assert!(digested.labels.is_empty());
+        assert_eq!(digested.labels, ["finance"]);
+        let opened = svc.mailbox(id).email(EmailId(2)).unwrap();
+        assert_eq!(
+            (
+                opened.from.as_str(),
+                opened.to,
+                opened.subject.as_str(),
+                opened.body.as_str()
+            ),
+            (
+                "noreply@newsletter.example",
+                vec!["r@honeymail.example".to_string()],
+                "RE: invoice run",
+                "weekly digest"
+            )
+        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use pwnd_corpus::email::{Email, EmailId, MailTime};
+use pwnd_corpus::generator::{SeededEmail, SeededMail};
 use pwnd_net::access::ConnectionInfo;
 use pwnd_net::geo::GeoDb;
 use pwnd_net::geolocate::Geolocator;
@@ -15,6 +16,7 @@ use pwnd_webmail::activity::ActivityPage;
 use pwnd_webmail::mailbox::{Folder, Mailbox};
 use pwnd_webmail::search::search;
 use pwnd_webmail::service::{OpError, ServiceConfig, WebmailService};
+use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -70,8 +72,8 @@ proptest! {
         for folder in [Folder::Inbox, Folder::Sent, Folder::Drafts] {
             let ids = mb.list(folder);
             for w in ids.windows(2) {
-                let a = mb.get(w[0]).unwrap().email.timestamp;
-                let b = mb.get(w[1]).unwrap().email.timestamp;
+                let a = mb.get(w[0]).unwrap().timestamp;
+                let b = mb.get(w[1]).unwrap().timestamp;
                 prop_assert!(a >= b);
             }
         }
@@ -293,6 +295,184 @@ proptest! {
         }
         for query in &queries {
             prop_assert_eq!(search(&mb, query), naive_search(&emails, query), "query {:?}", query);
+        }
+    }
+}
+
+/// One step that changes a mailbox, for the arena equivalence case.
+#[derive(Clone, Debug)]
+enum MailOp {
+    /// A seeded batch: thread subjects, then `(id, time, thread, body,
+    /// owner sends)` per email.
+    Seed(Vec<String>, Vec<(u64, i64, usize, String, bool)>),
+    /// Inbound mail from the `usize`-th sender to `usize` recipients.
+    Deliver(u64, i64, String, String, usize, usize),
+    /// A draft to `usize` recipients.
+    Draft(u64, i64, String, String, usize),
+    /// Send the draft with this id, if there is one.
+    SendDraft(u64),
+    /// Mail composed and sent in one step.
+    Send(u64, i64, String, String),
+}
+
+/// Text from a tiny alphabet, so query terms collide with prefixes,
+/// suffixes and infixes of longer runs, mixed with digits, punctuation,
+/// newlines and multi-byte characters.
+const MAIL_TEXT: &str = "[abAB1 ,.\néÜ]{0,14}";
+const SENDERS: [&str; 3] = ["ab@x", "owner@honeymail.example", "Ü@x"];
+
+fn mail_op() -> impl Strategy<Value = MailOp> {
+    let id = || 0u64..24;
+    let time = || -400i64..400;
+    prop_oneof![
+        (
+            proptest::collection::vec(MAIL_TEXT, 1..4),
+            proptest::collection::vec((id(), time(), 0usize..4, MAIL_TEXT, any::<bool>()), 0..8),
+        )
+            .prop_map(|(subjects, emails)| MailOp::Seed(subjects, emails)),
+        ((id(), time()), MAIL_TEXT, MAIL_TEXT, 0usize..3, 0usize..3)
+            .prop_map(|((i, t), s, b, from, to)| MailOp::Deliver(i, t, s, b, from, to)),
+        (id(), time(), MAIL_TEXT, MAIL_TEXT, 0usize..3)
+            .prop_map(|(i, t, s, b, to)| MailOp::Draft(i, t, s, b, to)),
+        id().prop_map(MailOp::SendDraft),
+        (id(), time(), MAIL_TEXT, MAIL_TEXT).prop_map(|(i, t, s, b)| MailOp::Send(i, t, s, b)),
+    ]
+}
+
+fn owned(id: u64, t: i64, subject: &str, body: &str, from: usize, to: usize) -> Email {
+    Email {
+        id: EmailId(id),
+        from: SENDERS[from].into(),
+        to: SENDERS[..to].iter().map(|a| a.to_string()).collect(),
+        subject: subject.into(),
+        body: body.into(),
+        timestamp: MailTime(t),
+    }
+}
+
+/// What one stored message was before the arena: the owned email,
+/// whether search sees it, and whether it is a draft.
+type Stored = (Email, bool, bool);
+
+/// The old per-`Email` search: fold each searchable email's subject,
+/// a space and its body to ASCII lowercase, split the result into
+/// ASCII-alphanumeric runs and keep the emails holding every query
+/// term; newest first, ids breaking ties.
+fn per_email_search(mail: &BTreeMap<EmailId, Stored>, query: &str) -> Vec<EmailId> {
+    let terms: Vec<String> = query
+        .split(|c: char| !c.is_ascii_alphanumeric())
+        .filter(|t| !t.is_empty())
+        .map(|t| t.to_ascii_lowercase())
+        .collect();
+    if terms.is_empty() {
+        return Vec::new();
+    }
+    let mut hits: Vec<(std::cmp::Reverse<MailTime>, EmailId)> = mail
+        .iter()
+        .filter(|(_, (e, searchable, _))| {
+            let text = format!("{} {}", e.subject, e.body).to_ascii_lowercase();
+            let words: std::collections::HashSet<&str> = text
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .filter(|w| !w.is_empty())
+                .collect();
+            *searchable && terms.iter().all(|t| words.contains(t.as_str()))
+        })
+        .map(|(&id, (e, _, _))| (std::cmp::Reverse(e.timestamp), id))
+        .collect();
+    hits.sort();
+    hits.into_iter().map(|(_, id)| id).collect()
+}
+
+proptest! {
+    /// Search over a mailbox's text arena equals the old per-`Email`
+    /// scan, and every stored message comes back out of the arena as the
+    /// email that went in, for mailboxes built from any mix of seeded
+    /// batches (threads sharing one subject line), delivered mail,
+    /// drafts, sent drafts and directly sent mail, with ids that collide
+    /// and replace. Queries mix case, punctuation and multi-byte
+    /// characters, and some join the end of a subject to the start of a
+    /// body, a term no email holds because the two are separate texts.
+    #[test]
+    fn arena_search_equals_per_email_search(
+        ops in proptest::collection::vec(mail_op(), 0..16),
+        queries in proptest::collection::vec("[abAB1 ,!éÜ]{0,8}", 1..6),
+        seam in any::<u64>(),
+    ) {
+        let mut mb = Mailbox::new();
+        let mut model: BTreeMap<EmailId, Stored> = BTreeMap::new();
+        for op in ops {
+            match op {
+                MailOp::Seed(subjects, emails) => {
+                    let mut mail = SeededMail {
+                        addresses: vec![SENDERS[1].into(), SENDERS[0].into()],
+                        ..SeededMail::default()
+                    };
+                    let mut lines = Vec::new();
+                    for subject in &subjects {
+                        let start = mail.text.len() as u32;
+                        mail.text.push_str(subject);
+                        lines.push(start..mail.text.len() as u32);
+                    }
+                    for (id, t, thread, body, owner_sends) in emails {
+                        let start = mail.text.len() as u32;
+                        mail.text.push_str(&body);
+                        let (from, to) = if owner_sends { (0, 1) } else { (1, 0) };
+                        let e = SeededEmail {
+                            id: EmailId(id),
+                            timestamp: MailTime(t),
+                            from,
+                            to,
+                            subject: lines[thread % lines.len()].clone(),
+                            body: start..mail.text.len() as u32,
+                        };
+                        mail.emails.push(e);
+                    }
+                    for e in mail.to_emails() {
+                        model.insert(e.id, (e, true, false));
+                    }
+                    mb.seed(mail);
+                }
+                MailOp::Deliver(id, t, subject, body, from, to) => {
+                    let e = owned(id, t, &subject, &body, from, to);
+                    model.insert(e.id, (e.clone(), true, false));
+                    mb.deliver(e);
+                }
+                MailOp::Draft(id, t, subject, body, to) => {
+                    let e = owned(id, t, &subject, &body, 1, to);
+                    model.insert(e.id, (e.clone(), true, true));
+                    mb.store_draft(e);
+                }
+                MailOp::SendDraft(id) => {
+                    if let Some(sent) = mb.promote_draft(EmailId(id)) {
+                        let stored = model.get_mut(&EmailId(id)).expect("a draft the model holds");
+                        prop_assert!(stored.2, "promoted a non-draft");
+                        prop_assert_eq!(&sent, &stored.0);
+                        stored.2 = false;
+                        mb.record_sent(sent);
+                    }
+                }
+                MailOp::Send(id, t, subject, body) => {
+                    let e = owned(id, t, &subject, &body, 1, 1);
+                    let searchable = model.get(&e.id).is_some_and(|s| s.1);
+                    model.insert(e.id, (e.clone(), searchable, false));
+                    mb.record_sent(e);
+                }
+            }
+        }
+        prop_assert_eq!(mb.len(), model.len());
+        for (&id, (e, _, _)) in &model {
+            prop_assert_eq!(mb.email(id), Some(e.clone()));
+            prop_assert_eq!(mb.full_text(id), Some(e.full_text()));
+        }
+        let mut queries = queries;
+        // A term across the seam of some stored email's subject and body.
+        if let Some((e, _, _)) = model.values().nth(seam as usize % model.len().max(1)) {
+            let tail: String = e.subject.chars().rev().take_while(char::is_ascii_alphanumeric).collect();
+            let head: String = e.body.chars().take_while(char::is_ascii_alphanumeric).collect();
+            queries.push(tail.chars().rev().collect::<String>() + &head);
+        }
+        for query in &queries {
+            prop_assert_eq!(search(&mb, query), per_email_search(&model, query), "query {:?}", query);
         }
     }
 }

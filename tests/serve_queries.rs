@@ -2,8 +2,10 @@
 //! serve`): every versioned endpoint is byte-stable across server
 //! restarts, `/v1/stats` agrees exactly with the offline `pwnd report`
 //! aggregates, concurrent clients never observe a 5xx, the token
-//! bucket answers overload with `429` + `Retry-After`, and a request
-//! split by a pause longer than the read timeout is read whole.
+//! bucket answers overload with `429` + `Retry-After`, a request
+//! split by a pause longer than the read timeout is read whole, and an
+//! oversized request line or header block is refused with `414` or
+//! `431`.
 
 use pwnd::core::fleet::FleetConfig;
 use pwnd::serve::loadgen::query_mix;
@@ -320,6 +322,51 @@ fn token_bucket_answers_overload_with_429_and_retry_after() {
         limited >= 1,
         "11 instant requests at 2 req/s must trip the limiter"
     );
+    server.shutdown();
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn oversized_request_lines_and_headers_get_4xx_envelopes() {
+    let dir = test_dir("oversized");
+    run_fleet_store(&FleetConfig::new(5, 20, 1), &dir).unwrap();
+    let index = Arc::new(QueryIndex::from_store(&dir).unwrap());
+    let server = spawn(&index, 4);
+
+    // 1 MiB with no newline, after a request line's start (414: the
+    // line is capped at 8 KiB) or after a whole request line (431: the
+    // headers are capped at 16 KiB).
+    let mib = vec![b'a'; 1 << 20];
+    for (head, status, label) in [
+        ("GET /", 414, "uri_too_long"),
+        (
+            "GET /v1/healthz HTTP/1.1\r\nX-Pad: ",
+            431,
+            "headers_too_large",
+        ),
+    ] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(head.as_bytes()).unwrap();
+        // The daemon stops reading soon after it answers, so the
+        // tail of the write may fail.
+        let _ = stream.write_all(&mib);
+        let response = read_response(&mut BufReader::new(stream));
+        assert_eq!(response.status, status, "{}", response.body);
+        assert!(
+            response
+                .body
+                .contains(&format!("\"code\": {status},\n    \"status\": \"{label}\"")),
+            "{}",
+            response.body
+        );
+        assert_eq!(response.header("Connection"), Some("close"));
+        // The daemon still answers a request on a fresh connection.
+        assert_eq!(get(&server, "/v1/healthz").status, 200);
+    }
     server.shutdown();
 
     let _ = fs::remove_dir_all(&dir);

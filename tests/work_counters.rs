@@ -18,16 +18,16 @@ use std::cell::Cell;
 
 /// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) one
 /// untraced `ExperimentConfig::quick(2016)` run may make. Measured at
-/// exactly 75,779 under the `cargo test` (debug) profile with rustc
-/// 1.95.0, once the scraper folded changed pages into per-cookie
-/// sightings instead of archiving them; the ceiling is that count plus
-/// 0.9%.
-const ALLOC_CEILING: u64 = 76_500;
+/// exactly 48,826 under the `cargo test` (debug) profile with rustc
+/// 1.95.0, once each mailbox kept its seeded mail in one text arena
+/// instead of heap strings per email field; the ceiling is that count
+/// plus 0.97%.
+const ALLOC_CEILING: u64 = 49_300;
 
 /// The same for one untraced `ExperimentConfig::paper(2016)` run:
-/// measured at exactly 215,795, ceiling that count plus 0.9%. The
-/// seeded mail accounts for most of it; ROADMAP item 5 aims at 150,000.
-const PAPER_ALLOC_CEILING: u64 = 217_800;
+/// measured at exactly 57,774, ceiling that count plus 0.91%. It was
+/// 215,795 while every seeded email held its own strings.
+const PAPER_ALLOC_CEILING: u64 = 58_300;
 
 thread_local! {
     /// Whether allocations on this thread are being counted. Only the
