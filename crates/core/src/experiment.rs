@@ -949,7 +949,7 @@ fn run_action(
             };
             for &id in hits.iter().take(*open_top) {
                 match service.open_email(session, id, t) {
-                    Ok(_) => state.last_opened = Some(id),
+                    Ok(()) => state.last_opened = Some(id),
                     Err(e) => return blocked(e),
                 }
             }
@@ -961,7 +961,7 @@ fn run_action(
             };
             for &id in inbox.iter().take(*max) {
                 match service.open_email(session, id, t) {
-                    Ok(_) => state.last_opened = Some(id),
+                    Ok(()) => state.last_opened = Some(id),
                     Err(e) => return blocked(e),
                 }
             }
@@ -973,7 +973,7 @@ fn run_action(
             };
             for &id in drafts.iter().take(*max) {
                 match service.open_email(session, id, t) {
-                    Ok(_) => state.last_opened = Some(id),
+                    Ok(()) => state.last_opened = Some(id),
                     Err(e) => return blocked(e),
                 }
             }
@@ -986,12 +986,12 @@ fn run_action(
             }
         }
         Action::CreateDraft { to, subject, body } => {
-            if let Err(e) = service.create_draft(session, to.clone(), subject, body, t) {
+            if let Err(e) = service.create_draft(session, to, subject, body, t) {
                 return blocked(e);
             }
         }
         Action::SendEmail { to, subject, body } => {
-            match service.send_email(session, to.clone(), subject, body, t) {
+            match service.send_email(session, to, subject, body, t) {
                 Ok(_) | Err(SendError::NoRecipients) => {}
                 Err(SendError::Op(e)) => return blocked(e),
             }
@@ -1003,19 +1003,18 @@ fn run_action(
             interval_secs,
         } => {
             let mut st = t;
-            for i in 0..*count {
+            for _ in 0..*count {
                 // lint:allow(alloc-hot): each burst message gets a fresh unique recipient — the address is the event's payload
-                let to = vec![format!(
+                let to = [format!(
                     "mark{:06x}@spamlist.example",
                     rng.next_u64() as u32
                 )];
-                match service.send_email(session, to, subject, body, st) {
+                match service.send_email(session, &to, subject, body, st) {
                     Ok(_) => {}
                     Err(SendError::Op(_)) => return Err(()), // blocked: burst over
                     Err(SendError::NoRecipients) => unreachable!(),
                 }
                 st += SimDuration::from_secs(*interval_secs);
-                let _ = i;
             }
         }
         Action::ChangePassword { new_password } => {

@@ -7,9 +7,10 @@
 //! A mailbox keeps all its text in one append-only arena and all its
 //! addresses in one table; an [`Entry`] holds ranges and indices into
 //! them. It takes a [`SeededMail`] batch's arena over whole, so a
-//! thread's subject line stays stored once. Search and rules read the
-//! arena in place; an owned [`Email`] is built only where one is handed
-//! out ([`Mailbox::open`], [`Mailbox::email`], [`Mailbox::promote_draft`]).
+//! thread's subject line stays stored once. Every other message enters
+//! through [`Mailbox::file`], which copies borrowed parts into the arena
+//! and the table, and every read is a [`Message`] borrowed from them:
+//! the mailbox never hands out an owned [`Email`].
 
 use pwnd_corpus::email::{Email, EmailId, MailTime};
 use pwnd_corpus::generator::{slice, SeededMail};
@@ -48,10 +49,24 @@ pub struct Entry {
     /// User-assigned labels, each once, in the order applied; no heap
     /// block until one lands.
     pub labels: Vec<String>,
-    /// Whether provider search sees it: delivered mail and drafts are
-    /// searchable (a draft stays so after it is sent); mail composed and
-    /// sent in one step is not.
-    pub searchable: bool,
+}
+
+/// A message's parts, borrowed: what [`Mailbox::file`] stores and what
+/// [`Mailbox::message`] reads back in place.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Message<'a> {
+    /// Send (or draft-creation) time.
+    pub timestamp: MailTime,
+    /// Sender address.
+    pub from: &'a str,
+    /// Recipient addresses.
+    pub to: &'a [String],
+    /// Subject line.
+    pub subject: &'a str,
+    /// Plain-text body.
+    pub body: &'a str,
+    /// Which folder it lives in.
+    pub folder: Folder,
 }
 
 /// A single account's mail store.
@@ -87,99 +102,90 @@ impl Mailbox {
                 to: to..to + 1,
                 subject: shift(e.subject),
                 body: shift(e.body),
-                searchable: true,
                 ..Entry::default()
             };
             self.entries.insert(e.id, entry);
         }
     }
 
-    /// Append `email`'s addresses and text, then file it.
-    fn insert(&mut self, email: Email, folder: Folder, searchable: bool) {
+    /// Store a message under `id`, replacing any entry it had: its
+    /// addresses go to the table and its text to the arena. Mail filed
+    /// in the Inbox is unread; drafts and sent mail are read.
+    pub fn file(&mut self, id: EmailId, message: Message<'_>) {
         let from = self.addresses.len() as u32;
-        self.addresses.push(email.from);
-        self.addresses.extend(email.to);
+        let addresses = std::iter::once(message.from).chain(message.to.iter().map(String::as_str));
+        self.addresses.extend(addresses.map(|a| a.to_string())); // lint:allow(alloc-hot): the address table owns a copy of each address
         let to = from + 1..self.addresses.len() as u32;
         let mut push = |s: &str| {
             let start = self.text.len() as u32;
             self.text.push_str(s);
             start..self.text.len() as u32
         };
-        let (subject, body) = (push(&email.subject), push(&email.body));
+        let (subject, body) = (push(message.subject), push(message.body));
         let entry = Entry {
-            timestamp: email.timestamp,
+            timestamp: message.timestamp,
             from,
             to,
             subject,
             body,
-            folder,
-            read: folder != Folder::Inbox,
-            searchable,
+            folder: message.folder,
+            read: message.folder != Folder::Inbox,
             ..Entry::default()
         };
-        self.entries.insert(email.id, entry);
+        self.entries.insert(id, entry);
     }
 
-    /// Deliver a message into the Inbox, unread.
-    pub fn deliver(&mut self, email: Email) {
-        self.insert(email, Folder::Inbox, true);
+    /// Deliver a copy of `email` into the Inbox, unread.
+    pub fn deliver(&mut self, email: &Email) {
+        let message = Message {
+            timestamp: email.timestamp,
+            from: &email.from,
+            to: &email.to,
+            subject: &email.subject,
+            body: &email.body,
+            folder: Folder::Inbox,
+        };
+        self.file(email.id, message);
     }
 
-    /// Store a draft.
-    pub fn store_draft(&mut self, email: Email) {
-        self.insert(email, Folder::Drafts, true);
+    /// A message's parts, read in place. `None` if absent.
+    pub fn message(&self, id: EmailId) -> Option<Message<'_>> {
+        self.entries.get(&id).map(|e| self.view(e))
     }
 
-    /// Record a sent message in the Sent folder. A sent draft replaces
-    /// its draft entry and stays searchable.
-    pub fn record_sent(&mut self, email: Email) {
-        let searchable = self.entries.get(&email.id).is_some_and(|e| e.searchable);
-        self.insert(email, Folder::Sent, searchable);
+    /// Every message in id order, read in place.
+    pub fn messages(&self) -> impl Iterator<Item = (EmailId, Message<'_>)> {
+        self.entries.iter().map(|(&id, e)| (id, self.view(e)))
     }
 
-    /// Open a message: marks it read, returns a copy. `None` if absent.
-    pub fn open(&mut self, id: EmailId) -> Option<Email> {
-        self.entries.get_mut(&id)?.read = true;
-        self.email(id)
-    }
-
-    /// A copy of a message, without side effects. `None` if absent.
-    pub fn email(&self, id: EmailId) -> Option<Email> {
-        let e = self.entries.get(&id)?;
-        let (from, subject, body) = self.parts(id)?;
-        let to = &self.addresses[e.to.start as usize..e.to.end as usize];
-        Some(Email {
-            id,
-            from: from.to_string(), // lint:allow(alloc-hot): a message is handed out as an owned copy
-            to: to.to_vec(), // lint:allow(alloc-hot): a message is handed out as an owned copy
-            subject: subject.to_string(), // lint:allow(alloc-hot): a message is handed out as an owned copy
-            body: body.to_string(), // lint:allow(alloc-hot): a message is handed out as an owned copy
+    fn view<'a>(&'a self, e: &Entry) -> Message<'a> {
+        Message {
             timestamp: e.timestamp,
-        })
-    }
-
-    /// A message's sender, subject and body, read in place.
-    pub(crate) fn parts(&self, id: EmailId) -> Option<(&str, &str, &str)> {
-        let e = self.entries.get(&id)?;
-        let (subject, body) = (slice(&self.text, &e.subject), slice(&self.text, &e.body));
-        Some((&self.addresses[e.from as usize], subject, body))
+            from: &self.addresses[e.from as usize],
+            to: &self.addresses[e.to.start as usize..e.to.end as usize],
+            subject: slice(&self.text, &e.subject),
+            body: slice(&self.text, &e.body),
+            folder: e.folder,
+        }
     }
 
     /// Exactly [`Email::full_text`] of a message. `None` if absent.
     pub fn full_text(&self, id: EmailId) -> Option<String> {
-        let (_, subject, body) = self.parts(id)?;
-        Some([subject, body].join("\n"))
+        let m = self.message(id)?;
+        Some([m.subject, m.body].join("\n"))
+    }
+
+    /// Mark a message read (opened). Returns `false` if absent.
+    pub fn mark_read(&mut self, id: EmailId) -> bool {
+        self.entries.get_mut(&id).map(|e| e.read = true).is_some()
     }
 
     /// Star a message. Returns `false` if absent.
     pub fn star(&mut self, id: EmailId) -> bool {
-        match self.entries.get_mut(&id) {
-            Some(e) => {
-                e.starred = true;
-                true
-            }
-            None => false,
-        }
+        self.entries
+            .get_mut(&id)
+            .map(|e| e.starred = true)
+            .is_some()
     }
 
     /// Apply a label (once). Returns `false` if absent.
@@ -192,18 +198,6 @@ impl Mailbox {
                 true
             }
             None => false,
-        }
-    }
-
-    /// Move a draft out of Drafts into Sent (on successful send).
-    /// Returns the message, or `None` if `id` is not a draft.
-    pub fn promote_draft(&mut self, id: EmailId) -> Option<Email> {
-        match self.entries.get_mut(&id) {
-            Some(e) if e.folder == Folder::Drafts => {
-                e.folder = Folder::Sent;
-                self.email(id)
-            }
-            _ => None,
         }
     }
 
@@ -229,23 +223,6 @@ impl Mailbox {
             .into_iter()
             .filter(|id| !self.entries[id].read)
             .collect()
-    }
-
-    /// What provider search scans, in id order: each searchable
-    /// message's id, time, subject and body.
-    pub fn searchable(&self) -> impl Iterator<Item = (EmailId, MailTime, &str, &str)> {
-        let text = &self.text;
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.searchable)
-            .map(|(&id, e)| {
-                (
-                    id,
-                    e.timestamp,
-                    slice(text, &e.subject),
-                    slice(text, &e.body),
-                )
-            })
     }
 
     /// Message count across all folders.
@@ -275,10 +252,21 @@ mod tests {
         }
     }
 
+    fn composed(ts: i64, folder: Folder) -> Message<'static> {
+        Message {
+            timestamp: MailTime(ts),
+            from: "x@example.com",
+            to: &[],
+            subject: "composed",
+            body: "body",
+            folder,
+        }
+    }
+
     #[test]
     fn delivered_mail_is_unread_in_inbox() {
         let mut mb = Mailbox::new();
-        mb.deliver(email(1, -100));
+        mb.deliver(&email(1, -100));
         assert_eq!(mb.unread(), vec![EmailId(1)]);
         assert_eq!(mb.list(Folder::Inbox), vec![EmailId(1)]);
         assert!(mb.list(Folder::Sent).is_empty());
@@ -287,18 +275,18 @@ mod tests {
     #[test]
     fn open_marks_read() {
         let mut mb = Mailbox::new();
-        mb.deliver(email(1, -100));
-        assert!(mb.open(EmailId(1)).is_some());
+        mb.deliver(&email(1, -100));
+        assert!(mb.mark_read(EmailId(1)));
         assert!(mb.unread().is_empty());
-        assert!(mb.open(EmailId(99)).is_none());
+        assert!(!mb.mark_read(EmailId(99)));
     }
 
     #[test]
     fn inbox_lists_newest_first() {
         let mut mb = Mailbox::new();
-        mb.deliver(email(1, -300));
-        mb.deliver(email(2, -100));
-        mb.deliver(email(3, -200));
+        mb.deliver(&email(1, -300));
+        mb.deliver(&email(2, -100));
+        mb.deliver(&email(3, -200));
         assert_eq!(
             mb.list(Folder::Inbox),
             vec![EmailId(2), EmailId(3), EmailId(1)]
@@ -308,7 +296,7 @@ mod tests {
     #[test]
     fn star_and_label() {
         let mut mb = Mailbox::new();
-        mb.deliver(email(1, 0));
+        mb.deliver(&email(1, 0));
         assert!(mb.star(EmailId(1)));
         assert!(mb.label(EmailId(1), "important"));
         let e = mb.get(EmailId(1)).unwrap();
@@ -323,20 +311,20 @@ mod tests {
     #[test]
     fn draft_lifecycle() {
         let mut mb = Mailbox::new();
-        mb.store_draft(email(5, 10));
+        mb.file(EmailId(5), composed(10, Folder::Drafts));
         assert_eq!(mb.list(Folder::Drafts), vec![EmailId(5)]);
-        let sent = mb.promote_draft(EmailId(5)).unwrap();
-        assert_eq!(sent.id, EmailId(5));
+        assert_eq!(mb.message(EmailId(5)), Some(composed(10, Folder::Drafts)));
+        // Filing under a draft's id replaces it.
+        mb.file(EmailId(5), composed(20, Folder::Sent));
         assert!(mb.list(Folder::Drafts).is_empty());
         assert_eq!(mb.list(Folder::Sent), vec![EmailId(5)]);
-        // Promoting a non-draft is a no-op.
-        assert!(mb.promote_draft(EmailId(5)).is_none());
+        assert_eq!(mb.len(), 1);
     }
 
     #[test]
     fn record_sent_lands_in_sent() {
         let mut mb = Mailbox::new();
-        mb.record_sent(email(7, 20));
+        mb.file(EmailId(7), composed(20, Folder::Sent));
         assert_eq!(mb.list(Folder::Sent), vec![EmailId(7)]);
         assert!(mb.get(EmailId(7)).unwrap().read);
     }

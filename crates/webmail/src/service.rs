@@ -12,7 +12,7 @@
 use crate::account::{Account, AccountId, AccountState};
 use crate::activity::{ActivityPage, ActivityRow};
 use crate::events::WebmailEvent;
-use crate::mailbox::{Folder, Mailbox};
+use crate::mailbox::{Folder, Mailbox, Message};
 use crate::mta::{Sinkhole, SinkholedMessage};
 use crate::rules::{Rule, RuleAction, RuleSet};
 use crate::search::{self, QueryLogEntry};
@@ -260,24 +260,23 @@ impl WebmailService {
     /// automation rules.
     pub fn deliver(&mut self, account: AccountId, email: Email) {
         let idx = account.0 as usize;
-        let id = email.id;
-        self.mailboxes[idx].deliver(email);
-        self.apply_rules(idx, id);
+        self.mailboxes[idx].deliver(&email);
+        self.apply_rules(idx, email.id);
     }
 
     /// Run the account's rules over one message, in rule order.
     fn apply_rules(&mut self, idx: usize, id: EmailId) {
         let mailbox = &mut self.mailboxes[idx];
-        let Some((from, subject, body)) = mailbox.parts(id) else {
+        let Some(m) = mailbox.message(id) else {
             return;
         };
-        for action in self.rules[idx].actions_for(from, subject, body) {
+        for action in self.rules[idx].actions_for(m.from, m.subject, m.body) {
             match action {
                 RuleAction::ApplyLabel(label) => {
                     mailbox.label(id, label);
                 }
                 RuleAction::MarkRead => {
-                    mailbox.open(id);
+                    mailbox.mark_read(id);
                 }
                 RuleAction::Star => {
                     mailbox.star(id);
@@ -494,17 +493,18 @@ impl WebmailService {
         Ok(self.mailboxes[account.0 as usize].list(folder))
     }
 
-    /// Open (read) a message. Emits [`WebmailEvent::EmailOpened`].
+    /// Open (read) a message: marks it read. Emits
+    /// [`WebmailEvent::EmailOpened`].
     pub fn open_email(
         &mut self,
         session: SessionId,
         id: EmailId,
         at: SimTime,
-    ) -> Result<Email, OpError> {
+    ) -> Result<(), OpError> {
         let (account, cookie, _) = self.session(session)?;
-        let email = self.mailboxes[account.0 as usize]
-            .open(id)
-            .ok_or(OpError::NoSuchEmail)?;
+        if !self.mailboxes[account.0 as usize].mark_read(id) {
+            return Err(OpError::NoSuchEmail);
+        }
         self.events.push(WebmailEvent::EmailOpened {
             account,
             email: id,
@@ -512,7 +512,7 @@ impl WebmailService {
             at,
         });
         self.telemetry.count("webmail.opens");
-        Ok(email)
+        Ok(())
     }
 
     /// Star a message. Emits [`WebmailEvent::EmailStarred`].
@@ -536,8 +536,9 @@ impl WebmailService {
         Ok(())
     }
 
-    /// Search the mailbox's seeded mail and drafts (see
-    /// [`search::search`]). The query is logged provider-side only.
+    /// Search the mailbox's mail outside Sent: seeded and delivered mail
+    /// and drafts (see [`search::search`]). The query is logged
+    /// provider-side only.
     pub fn search(
         &mut self,
         session: SessionId,
@@ -580,22 +581,23 @@ impl WebmailService {
     pub fn create_draft(
         &mut self,
         session: SessionId,
-        to: Vec<String>,
+        to: &[String],
         subject: &str,
         body: &str,
         at: SimTime,
     ) -> Result<EmailId, OpError> {
         let (account, cookie, _) = self.session(session)?;
+        let idx = account.0 as usize;
         let id = self.fresh_email_id();
-        let email = Email {
-            id,
-            from: self.accounts[account.0 as usize].address.clone(),
-            to,
-            subject: subject.to_string(),
-            body: body.to_string(),
+        let draft = Message {
             timestamp: MailTime::from_sim(at),
+            from: &self.accounts[idx].address,
+            to,
+            subject,
+            body,
+            folder: Folder::Drafts,
         };
-        self.mailboxes[account.0 as usize].store_draft(email);
+        self.mailboxes[idx].file(id, draft);
         self.events.push(WebmailEvent::DraftCreated {
             account,
             email: id,
@@ -617,45 +619,13 @@ impl WebmailService {
         }
     }
 
-    fn dispatch(
-        &mut self,
-        account: AccountId,
-        cookie: CookieId,
-        email: Email,
-        at: SimTime,
-    ) -> EmailId {
-        let idx = account.0 as usize;
-        let id = email.id;
-        let recipients = email.to.len();
-        let flags = Self::content_flags(&email.subject, &email.body, recipients);
-        if self.accounts[idx].send_from_override.is_some() {
-            self.sinkhole.capture(SinkholedMessage {
-                from_account: account,
-                at,
-                email: email.clone(), // lint:allow(alloc-hot): the sinkhole archives its own copy of the message
-            });
-        }
-        self.mailboxes[idx].record_sent(email);
-        self.events.push(WebmailEvent::EmailSent {
-            account,
-            email: id,
-            cookie,
-            at,
-            recipients,
-        });
-        self.telemetry.count("webmail.sends");
-        if self.abuse.note_send(account, at, recipients, flags) {
-            self.block_account(account, at);
-        }
-        id
-    }
-
-    /// Compose and send a message. Emits [`WebmailEvent::EmailSent`]; may
-    /// trigger an abuse block.
+    /// Compose and send a message: it is filed in Sent and, from an
+    /// account with the send-from override, logged by the sinkhole.
+    /// Emits [`WebmailEvent::EmailSent`]; may trigger an abuse block.
     pub fn send_email(
         &mut self,
         session: SessionId,
-        to: Vec<String>,
+        to: &[String],
         subject: &str,
         body: &str,
         at: SimTime,
@@ -664,33 +634,38 @@ impl WebmailService {
             return Err(SendError::NoRecipients);
         }
         let (account, cookie, _) = self.session(session).map_err(SendError::Op)?;
+        let idx = account.0 as usize;
         let id = self.fresh_email_id();
-        let email = Email {
-            id,
-            from: self.accounts[account.0 as usize].address.clone(), // lint:allow(alloc-hot): the Email owns its sender address
-            to,
-            subject: subject.to_string(), // lint:allow(alloc-hot): the Email owns its subject
-            body: body.to_string(),       // lint:allow(alloc-hot): the Email owns its body
+        let sent = Message {
             timestamp: MailTime::from_sim(at),
+            from: &self.accounts[idx].address,
+            to,
+            subject,
+            body,
+            folder: Folder::Sent,
         };
-        Ok(self.dispatch(account, cookie, email, at))
-    }
-
-    /// Send an existing draft.
-    pub fn send_draft(
-        &mut self,
-        session: SessionId,
-        draft: EmailId,
-        at: SimTime,
-    ) -> Result<EmailId, SendError> {
-        let (account, cookie, _) = self.session(session).map_err(SendError::Op)?;
-        let email = self.mailboxes[account.0 as usize]
-            .promote_draft(draft)
-            .ok_or(SendError::Op(OpError::NoSuchEmail))?;
-        if email.to.is_empty() {
-            return Err(SendError::NoRecipients);
+        self.mailboxes[idx].file(id, sent);
+        if self.accounts[idx].send_from_override.is_some() {
+            self.sinkhole.capture(SinkholedMessage {
+                from_account: account,
+                at,
+                email: id,
+            });
         }
-        Ok(self.dispatch(account, cookie, email, at))
+        let recipients = to.len();
+        self.events.push(WebmailEvent::EmailSent {
+            account,
+            email: id,
+            cookie,
+            at,
+            recipients,
+        });
+        self.telemetry.count("webmail.sends");
+        let flags = Self::content_flags(subject, body, recipients);
+        if self.abuse.note_send(account, at, recipients, flags) {
+            self.block_account(account, at);
+        }
+        Ok(id)
     }
 
     /// Change the account password (hijack when done by an attacker).
@@ -904,10 +879,11 @@ mod tests {
             .search(session, "payment", SimTime::from_secs(70))
             .unwrap();
         assert_eq!(hits, vec![EmailId(2)]);
-        let opened = svc
-            .open_email(session, hits[0], SimTime::from_secs(80))
+        svc.open_email(session, hits[0], SimTime::from_secs(80))
             .unwrap();
+        let opened = svc.mailbox(id).message(hits[0]).unwrap();
         assert!(opened.body.contains("payment"));
+        assert!(svc.mailbox(id).get(hits[0]).unwrap().read);
         svc.star_email(session, hits[0], SimTime::from_secs(85))
             .unwrap();
 
@@ -989,7 +965,7 @@ mod tests {
             .unwrap();
         svc.send_email(
             session,
-            vec!["victim@other.example".into()],
+            &["victim@other.example".into()],
             "hello",
             "legit message",
             SimTime::from_secs(20),
@@ -1040,7 +1016,7 @@ mod tests {
             let at = SimTime::from_secs(20 + i * 10);
             match svc.send_email(
                 session,
-                vec![format!("v{i}@spamtarget.example")],
+                &[format!("v{i}@spamtarget.example")],
                 "ca$h now",
                 "click here",
                 at,
@@ -1132,39 +1108,48 @@ mod tests {
     }
 
     #[test]
-    fn drafts_promote_to_sent() {
+    fn sinkhole_logs_overridden_sends_as_sent_entries() {
         let (mut svc, mut rng) = service();
-        setup_account(&mut svc);
-        let c = conn(&svc, &mut rng, "GB");
-        let (session, _) = svc
-            .login(
-                "honey@honeymail.example",
+        let honey = setup_account(&mut svc);
+        let plain = svc
+            .create_account(
+                "plain@honeymail.example",
                 "pw123456",
-                &c,
-                SimTime::from_secs(1),
+                Ipv4Addr::new(198, 51, 0, 2),
+                SimTime::ZERO,
             )
             .unwrap();
-        let draft = svc
-            .create_draft(
-                session,
-                vec!["x@y.example".into()],
-                "draft subject",
-                "draft body",
-                SimTime::from_secs(2),
-            )
-            .unwrap();
+        let c = conn(&svc, &mut rng, "GB");
+        let to = ["victim@gmail.example".to_string(), "other@x.example".into()];
+        for (i, address) in ["honey@honeymail.example", "plain@honeymail.example"]
+            .into_iter()
+            .enumerate()
+        {
+            let at = SimTime::from_secs(10 * i as u64 + 1);
+            let (session, _) = svc.login(address, "pw123456", &c, at).unwrap();
+            svc.send_email(session, &to, "hello", "body", at).unwrap();
+            assert_eq!(
+                svc.open_email(session, EmailId(999), at),
+                Err(OpError::NoSuchEmail)
+            );
+        }
+        // Only the overridden account's send is logged, and the record
+        // names its Sent entry, every intended recipient intact.
+        let [record] = svc.sinkhole().messages() else {
+            panic!("want one sinkhole record: {:?}", svc.sinkhole().messages());
+        };
         assert_eq!(
-            svc.list_folder(session, Folder::Drafts).unwrap(),
-            vec![draft]
+            (record.from_account, record.at),
+            (honey, SimTime::from_secs(1))
         );
-        svc.send_draft(session, draft, SimTime::from_secs(3))
-            .unwrap();
-        assert!(svc.list_folder(session, Folder::Drafts).unwrap().is_empty());
-        assert!(svc
-            .list_folder(session, Folder::Sent)
-            .unwrap()
-            .contains(&draft));
-        assert_eq!(svc.sinkhole().len(), 1);
+        let mailbox = svc.mailbox(honey);
+        assert_eq!(mailbox.get(record.email).unwrap().folder, Folder::Sent);
+        let sent = mailbox.message(record.email).unwrap();
+        assert_eq!(
+            (sent.from, sent.to, sent.subject),
+            ("honey@honeymail.example", &to[..], "hello")
+        );
+        assert_eq!(svc.mailbox(plain).list(Folder::Sent).len(), 1);
     }
 
     #[test]
@@ -1180,30 +1165,19 @@ mod tests {
                 SimTime::from_secs(1),
             )
             .unwrap();
-        let to = || vec!["x@y.example".to_string()];
+        let to = ["x@y.example".to_string()];
         let draft = svc
             .create_draft(
                 session,
-                to(),
+                &to,
                 "Payment draft",
                 "wire the PAYMENT today",
                 SimTime::from_secs(2),
             )
             .unwrap();
-        let sent_draft = svc
-            .create_draft(
-                session,
-                to(),
-                "Re: payment",
-                "account closed",
-                SimTime::from_secs(3),
-            )
-            .unwrap();
-        svc.send_draft(session, sent_draft, SimTime::from_secs(4))
-            .unwrap();
         svc.send_email(
             session,
-            to(),
+            &to,
             "payment",
             "payment account energy",
             SimTime::from_secs(5),
@@ -1212,8 +1186,8 @@ mod tests {
 
         let queries: [(&str, Vec<EmailId>); 5] = [
             // Drafts carry sim-time stamps, so they outrank seeded mail.
-            ("PAYMENT", vec![sent_draft, draft, EmailId(2)]),
-            ("payment, Account!", vec![sent_draft, EmailId(2)]),
+            ("PAYMENT", vec![draft, EmailId(2)]),
+            ("payment, Account!", vec![EmailId(2)]),
             ("Energy-Transfer", vec![EmailId(1)]),
             ("payme", vec![]),
             ("?!", vec![]),
@@ -1383,17 +1357,12 @@ mod tests {
         let digested = svc.mailbox(id).get(EmailId(2)).unwrap();
         assert!(digested.read, "MarkRead rule must have fired");
         assert_eq!(digested.labels, ["finance"]);
-        let opened = svc.mailbox(id).email(EmailId(2)).unwrap();
+        let opened = svc.mailbox(id).message(EmailId(2)).unwrap();
         assert_eq!(
-            (
-                opened.from.as_str(),
-                opened.to,
-                opened.subject.as_str(),
-                opened.body.as_str()
-            ),
+            (opened.from, opened.to, opened.subject, opened.body),
             (
                 "noreply@newsletter.example",
-                vec!["r@honeymail.example".to_string()],
+                &["r@honeymail.example".to_string()][..],
                 "RE: invoice run",
                 "weekly digest"
             )
@@ -1418,7 +1387,7 @@ mod tests {
             sends = i + 1;
             let r = svc.send_email(
                 session,
-                vec![format!("victim{i}@am.example")],
+                &[format!("victim{i}@am.example")],
                 "I know what you did",
                 "send 2 bitcoin to wallet 1abc or I expose you",
                 SimTime::from_secs(10 + i * 5),

@@ -13,7 +13,7 @@ use pwnd_net::useragent::{Browser, ClientConfig, Os};
 use pwnd_sim::{Rng, SimDuration, SimTime};
 use pwnd_webmail::account::AccountId;
 use pwnd_webmail::activity::ActivityPage;
-use pwnd_webmail::mailbox::{Folder, Mailbox};
+use pwnd_webmail::mailbox::{Folder, Mailbox, Message};
 use pwnd_webmail::search::search;
 use pwnd_webmail::service::{OpError, ServiceConfig, WebmailService};
 use std::collections::BTreeMap;
@@ -24,7 +24,6 @@ enum Op {
     Open(u64),
     Star(u64),
     Draft(u64, i64),
-    Promote(u64),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -33,7 +32,6 @@ fn op() -> impl Strategy<Value = Op> {
         (0u64..40).prop_map(Op::Open),
         (0u64..40).prop_map(Op::Star),
         (0u64..40, -500i64..500).prop_map(|(i, t)| Op::Draft(i, t)),
-        (0u64..40).prop_map(Op::Promote),
     ]
 }
 
@@ -48,6 +46,18 @@ fn email(id: u64, ts: i64) -> Email {
     }
 }
 
+/// `e`'s parts, as filed in `folder`.
+fn message(e: &Email, folder: Folder) -> Message<'_> {
+    Message {
+        timestamp: e.timestamp,
+        from: &e.from,
+        to: &e.to,
+        subject: &e.subject,
+        body: &e.body,
+        folder,
+    }
+}
+
 proptest! {
     /// Any operation sequence leaves the mailbox consistent: folders
     /// partition the entries, listings are sorted newest-first, unread ⊆
@@ -57,11 +67,10 @@ proptest! {
         let mut mb = Mailbox::new();
         for o in ops {
             match o {
-                Op::Deliver(i, t) => mb.deliver(email(i, t)),
-                Op::Open(i) => { let _ = mb.open(EmailId(i)); }
+                Op::Deliver(i, t) => mb.deliver(&email(i, t)),
+                Op::Open(i) => { let _ = mb.mark_read(EmailId(i)); }
                 Op::Star(i) => { let _ = mb.star(EmailId(i)); }
-                Op::Draft(i, t) => mb.store_draft(email(i, t)),
-                Op::Promote(i) => { let _ = mb.promote_draft(EmailId(i)); }
+                Op::Draft(i, t) => mb.file(EmailId(i), message(&email(i, t), Folder::Drafts)),
             }
         }
         let inbox = mb.list(Folder::Inbox);
@@ -87,7 +96,7 @@ proptest! {
         // (Re-open everything and check.)
         let all: Vec<EmailId> = inbox.iter().chain(&sent).chain(&drafts).copied().collect();
         for id in all {
-            mb.open(id);
+            prop_assert!(mb.mark_read(id));
             prop_assert!(mb.get(id).unwrap().read);
         }
     }
@@ -144,7 +153,7 @@ proptest! {
         let ransom = format!("{prefix} send 2 bitcoin now {suffix}");
         let mut sends = 0;
         for i in 0..30u64 {
-            match svc.send_email(session, vec!["v@x".into()], "hi", &ransom, SimTime::from_secs(10 + i)) {
+            match svc.send_email(session, &["v@x".into()], "hi", &ransom, SimTime::from_secs(10 + i)) {
                 Ok(_) => sends += 1,
                 Err(_) => break,
             }
@@ -247,7 +256,7 @@ proptest! {
             .collect();
         let mut mb = Mailbox::new();
         for e in &emails {
-            mb.deliver(e.clone());
+            mb.deliver(e);
         }
         for (qi, q) in queries.iter().enumerate() {
             // Indexes past VOCAB map to an unindexed word; odd slots get
@@ -291,7 +300,7 @@ proptest! {
             .collect();
         let mut mb = Mailbox::new();
         for e in &emails {
-            mb.deliver(e.clone());
+            mb.deliver(e);
         }
         for query in &queries {
             prop_assert_eq!(search(&mb, query), naive_search(&emails, query), "query {:?}", query);
@@ -309,8 +318,6 @@ enum MailOp {
     Deliver(u64, i64, String, String, usize, usize),
     /// A draft to `usize` recipients.
     Draft(u64, i64, String, String, usize),
-    /// Send the draft with this id, if there is one.
-    SendDraft(u64),
     /// Mail composed and sent in one step.
     Send(u64, i64, String, String),
 }
@@ -334,7 +341,6 @@ fn mail_op() -> impl Strategy<Value = MailOp> {
             .prop_map(|((i, t), s, b, from, to)| MailOp::Deliver(i, t, s, b, from, to)),
         (id(), time(), MAIL_TEXT, MAIL_TEXT, 0usize..3)
             .prop_map(|(i, t, s, b, to)| MailOp::Draft(i, t, s, b, to)),
-        id().prop_map(MailOp::SendDraft),
         (id(), time(), MAIL_TEXT, MAIL_TEXT).prop_map(|(i, t, s, b)| MailOp::Send(i, t, s, b)),
     ]
 }
@@ -350,11 +356,12 @@ fn owned(id: u64, t: i64, subject: &str, body: &str, from: usize, to: usize) -> 
     }
 }
 
-/// What one stored message was before the arena: the owned email,
-/// whether search sees it, and whether it is a draft.
-type Stored = (Email, bool, bool);
+/// What one stored message was before the arena: the owned email and
+/// its folder.
+type Stored = (Email, Folder);
 
-/// The old per-`Email` search: fold each searchable email's subject,
+/// The old per-`Email` search: fold the subject of each email outside
+/// Sent,
 /// a space and its body to ASCII lowercase, split the result into
 /// ASCII-alphanumeric runs and keep the emails holding every query
 /// term; newest first, ids breaking ties.
@@ -369,15 +376,15 @@ fn per_email_search(mail: &BTreeMap<EmailId, Stored>, query: &str) -> Vec<EmailI
     }
     let mut hits: Vec<(std::cmp::Reverse<MailTime>, EmailId)> = mail
         .iter()
-        .filter(|(_, (e, searchable, _))| {
+        .filter(|(_, (e, folder))| {
             let text = format!("{} {}", e.subject, e.body).to_ascii_lowercase();
             let words: std::collections::HashSet<&str> = text
                 .split(|c: char| !c.is_ascii_alphanumeric())
                 .filter(|w| !w.is_empty())
                 .collect();
-            *searchable && terms.iter().all(|t| words.contains(t.as_str()))
+            *folder != Folder::Sent && terms.iter().all(|t| words.contains(t.as_str()))
         })
-        .map(|(&id, (e, _, _))| (std::cmp::Reverse(e.timestamp), id))
+        .map(|(&id, (e, _))| (std::cmp::Reverse(e.timestamp), id))
         .collect();
     hits.sort();
     hits.into_iter().map(|(_, id)| id).collect()
@@ -385,11 +392,11 @@ fn per_email_search(mail: &BTreeMap<EmailId, Stored>, query: &str) -> Vec<EmailI
 
 proptest! {
     /// Search over a mailbox's text arena equals the old per-`Email`
-    /// scan, and every stored message comes back out of the arena as the
-    /// email that went in, for mailboxes built from any mix of seeded
-    /// batches (threads sharing one subject line), delivered mail,
-    /// drafts, sent drafts and directly sent mail, with ids that collide
-    /// and replace. Queries mix case, punctuation and multi-byte
+    /// scan, and every stored message reads back out of the arena, as a
+    /// borrowed view and as full text, as the email that went in, for
+    /// mailboxes built from any mix of seeded batches (threads sharing
+    /// one subject line), delivered mail, drafts and sent mail, with ids
+    /// that collide and replace. Queries mix case, punctuation and multi-byte
     /// characters, and some join the end of a subject to the start of a
     /// body, a term no email holds because the two are separate texts.
     #[test]
@@ -428,45 +435,35 @@ proptest! {
                         mail.emails.push(e);
                     }
                     for e in mail.to_emails() {
-                        model.insert(e.id, (e, true, false));
+                        model.insert(e.id, (e, Folder::Inbox));
                     }
                     mb.seed(mail);
                 }
                 MailOp::Deliver(id, t, subject, body, from, to) => {
                     let e = owned(id, t, &subject, &body, from, to);
-                    model.insert(e.id, (e.clone(), true, false));
-                    mb.deliver(e);
+                    mb.deliver(&e);
+                    model.insert(e.id, (e, Folder::Inbox));
                 }
                 MailOp::Draft(id, t, subject, body, to) => {
                     let e = owned(id, t, &subject, &body, 1, to);
-                    model.insert(e.id, (e.clone(), true, true));
-                    mb.store_draft(e);
-                }
-                MailOp::SendDraft(id) => {
-                    if let Some(sent) = mb.promote_draft(EmailId(id)) {
-                        let stored = model.get_mut(&EmailId(id)).expect("a draft the model holds");
-                        prop_assert!(stored.2, "promoted a non-draft");
-                        prop_assert_eq!(&sent, &stored.0);
-                        stored.2 = false;
-                        mb.record_sent(sent);
-                    }
+                    mb.file(e.id, message(&e, Folder::Drafts));
+                    model.insert(e.id, (e, Folder::Drafts));
                 }
                 MailOp::Send(id, t, subject, body) => {
                     let e = owned(id, t, &subject, &body, 1, 1);
-                    let searchable = model.get(&e.id).is_some_and(|s| s.1);
-                    model.insert(e.id, (e.clone(), searchable, false));
-                    mb.record_sent(e);
+                    mb.file(e.id, message(&e, Folder::Sent));
+                    model.insert(e.id, (e, Folder::Sent));
                 }
             }
         }
         prop_assert_eq!(mb.len(), model.len());
-        for (&id, (e, _, _)) in &model {
-            prop_assert_eq!(mb.email(id), Some(e.clone()));
+        for (&id, (e, folder)) in &model {
+            prop_assert_eq!(mb.message(id), Some(message(e, *folder)));
             prop_assert_eq!(mb.full_text(id), Some(e.full_text()));
         }
         let mut queries = queries;
         // A term across the seam of some stored email's subject and body.
-        if let Some((e, _, _)) = model.values().nth(seam as usize % model.len().max(1)) {
+        if let Some((e, _)) = model.values().nth(seam as usize % model.len().max(1)) {
             let tail: String = e.subject.chars().rev().take_while(char::is_ascii_alphanumeric).collect();
             let head: String = e.body.chars().take_while(char::is_ascii_alphanumeric).collect();
             queries.push(tail.chars().rev().collect::<String>() + &head);
