@@ -59,3 +59,31 @@ impl Sinkhole {
         self.messages.is_empty()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn override_sinkholes_everything() {
+        let mut sink = Sinkhole::new();
+        assert!(sink.is_empty());
+        let first = SinkholedMessage {
+            from_account: AccountId(1),
+            at: SimTime::ZERO,
+            email: EmailId(7),
+        };
+        let second = SinkholedMessage {
+            from_account: AccountId(2),
+            at: SimTime::from_secs(5),
+            email: EmailId(3),
+        };
+        sink.capture(first);
+        sink.capture(second);
+        assert_eq!(sink.len(), 2);
+        assert!(!sink.is_empty());
+        // Every captured send is kept, in capture order; the intended
+        // recipients stay on the sender's Sent entry the record names.
+        assert_eq!(sink.messages(), &[first, second]);
+    }
+}
