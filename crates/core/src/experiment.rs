@@ -161,7 +161,6 @@ impl Experiment {
             &mut service,
             &mut runtime,
             &mut scraper,
-            &geo,
             &mut rng_setup,
             &mut rng_corpus,
         );
@@ -266,7 +265,6 @@ impl Experiment {
                         &mut runtime,
                         &geolocator,
                         &mut blacklist,
-                        &mut ground_truth,
                         &mut rng_attack,
                         horizon,
                     );
@@ -391,13 +389,6 @@ impl Experiment {
         let dataset: Dataset = builder.build();
         drop(span);
 
-        // Peak-state accounting for the fleet engine: interned webmail
-        // state plus the built dataset, bytes counted from the
-        // collections themselves — never the OS or the wall clock.
-        let rss_proxy_bytes = (service.interned_state_bytes() + dataset.heap_bytes()) as u64;
-        self.telemetry
-            .gauge_max("experiment.rss_proxy_bytes", rss_proxy_bytes);
-
         RunOutput {
             dataset,
             ground_truth,
@@ -406,7 +397,6 @@ impl Experiment {
             extra_stopwords,
             blacklist,
             telemetry: self.telemetry.clone(),
-            rss_proxy_bytes,
         }
     }
 
@@ -415,7 +405,6 @@ impl Experiment {
         service: &mut WebmailService,
         runtime: &mut ScriptRuntime,
         scraper: &mut Scraper,
-        geo: &GeoDb,
         rng_setup: &mut Rng,
         rng_corpus: &mut Rng,
     ) -> (Vec<HoneyAccount>, TermCounts, Vec<String>) {
@@ -437,7 +426,6 @@ impl Experiment {
         // Setup happened in the weeks before the leak.
         let creation_time = SimTime::ZERO;
         let mut signup_ip = AddressPlan::sample_infra(rng_setup);
-        let _ = geo; // personas sample cities through the factory's own GeoDb
 
         for group in &cfg.plan.groups {
             for i in 0..group.count {
@@ -849,7 +837,6 @@ fn execute_visit(
     runtime: &mut ScriptRuntime,
     geolocator: &Geolocator,
     blacklist: &mut Blacklist,
-    _ground_truth: &mut GroundTruth,
     rng: &mut Rng,
     horizon: SimTime,
 ) {

@@ -29,13 +29,13 @@
 //! ## Memory
 //!
 //! Shards are mapped in-worker ([`Runner::run_map`]) down to what the
-//! sink keeps plus byte accounting; the corpus text and ground truth
-//! never survive the worker. `fleet.peak_rss_proxy` reports the
-//! high-water per-shard resident state (interner + collections, counted
-//! from the data structures — the wall clock and the OS are never
-//! consulted). The in-memory fleet holds the merged dataset and, with
-//! telemetry on, one report per shard, so its memory grows with the
-//! fleet; the store holds only the shards in flight.
+//! sink keeps; the mailboxes, corpus text and ground truth never
+//! survive the worker. The in-memory fleet holds the merged dataset
+//! and, with telemetry on, one report per shard, so its memory grows
+//! with the fleet; the store holds only the shards in flight. Memory
+//! is measured from outside the program (the process's peak RSS, as
+//! `pwndbench` reports it), never counted here, so the summary table
+//! stays a pure function of the config.
 
 use crate::config::ExperimentConfig;
 use crate::runner::Runner;
@@ -178,9 +178,6 @@ pub struct FleetOutput {
     pub shards: usize,
     /// Worker threads the shards ran across.
     pub jobs: usize,
-    /// High-water per-shard resident state, in bytes (interned webmail
-    /// state + built dataset, from collection accounting).
-    pub peak_rss_proxy: u64,
 }
 
 impl FleetOutput {
@@ -215,8 +212,8 @@ impl FleetOutput {
         Ok(self.shard_reports.len() as u64)
     }
 
-    /// The fleet summary table: population, shard layout, access and
-    /// detection totals, and the peak-state byte accounting.
+    /// The fleet summary table: population, shard layout, and access
+    /// and detection totals.
     pub fn summary_table(&self) -> Table {
         let hijacks = self
             .dataset
@@ -248,11 +245,6 @@ impl FleetOutput {
         t.row(["emails opened", &opened.to_string()]);
         t.row(["hijacks detected", &hijacks.to_string()]);
         t.row(["blocks detected", &blocks.to_string()]);
-        t.row(["peak shard state (bytes)", &self.peak_rss_proxy.to_string()]);
-        t.row([
-            "merged dataset (bytes)",
-            &self.dataset.heap_bytes().to_string(),
-        ]);
         t
     }
 }
@@ -275,8 +267,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetOutput {
     let fleet_sink = TelemetrySink::enabled();
     fleet_sink.gauge_set("fleet.accounts", u64::from(cfg.accounts));
     fleet_sink.gauge_set("fleet.shards", run.shard_reports.len() as u64);
-    fleet_sink.gauge_max("fleet.peak_rss_proxy", run.peak_rss_proxy);
-    fleet_sink.gauge_max("fleet.merged_dataset_bytes", dataset.heap_bytes() as u64);
 
     FleetOutput {
         dataset,
@@ -285,12 +275,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetOutput {
         shards: run.shard_reports.len(),
         shard_reports: run.shard_reports,
         jobs: run.jobs,
-        peak_rss_proxy: run.peak_rss_proxy,
     }
 }
 
 /// What [`run_fleet_shards`] returns: each shard's sink result, the
-/// shards' own telemetry, the batch telemetry and accounting.
+/// shards' own telemetry and the batch telemetry.
 #[derive(Debug)]
 pub struct ShardRun<T> {
     /// `on_shard`'s result per spec, in spec order.
@@ -303,8 +292,6 @@ pub struct ShardRun<T> {
     pub telemetry: TelemetryReport,
     /// Worker threads the shards ran across.
     pub jobs: usize,
-    /// High-water per-shard resident state, in bytes.
-    pub peak_rss_proxy: u64,
 }
 
 /// Run the given shards of a fleet on the runner. In the worker that
@@ -356,7 +343,7 @@ where
             g.account += spec.account_base;
         }
         // Once the batch is dead, later shards are dropped unseen.
-        let kept = if latched().is_some() {
+        if latched().is_some() {
             None
         } else {
             on_shard(spec, dataset)
@@ -364,8 +351,7 @@ where
                     latched().get_or_insert(e);
                 })
                 .ok()
-        };
-        (kept, output.rss_proxy_bytes)
+        }
     });
     if let Some(e) = error
         .into_inner()
@@ -373,17 +359,15 @@ where
     {
         return Err(e);
     }
-    let peak_rss_proxy = batch.outputs.iter().map(|(_, rss)| *rss).max().unwrap_or(0);
     Ok(ShardRun {
         outputs: batch
             .outputs
             .into_iter()
-            .map(|(kept, _)| kept.expect("no error latched, so every shard was kept"))
+            .map(|kept| kept.expect("no error latched, so every shard was kept"))
             .collect(),
         shard_reports: batch.reports,
         telemetry: batch.telemetry,
         jobs: batch.jobs,
-        peak_rss_proxy,
     })
 }
 
@@ -423,9 +407,7 @@ mod tests {
         assert!(ids.iter().take(100).all(|&id| id < 100));
         assert!(ids.iter().skip(100).all(|&id| (100..150).contains(&id)));
         assert!(out.dataset.accesses.iter().all(|a| a.account < 150));
-        assert!(out.peak_rss_proxy > 0);
         assert_eq!(out.telemetry.metrics.gauge("fleet.accounts"), 150);
-        assert!(out.telemetry.metrics.gauge("fleet.peak_rss_proxy") > 0);
         let rendered = out.summary_table().render();
         assert!(rendered.contains("accounts"));
         assert!(rendered.contains("150"));
@@ -490,7 +472,6 @@ mod tests {
             Ok((spec.index, writer.finish()?))
         })
         .expect("collecting into memory cannot fail");
-        assert!(run.peak_rss_proxy > 0);
         let indices: Vec<usize> = run.outputs.iter().map(|(i, _)| *i).collect();
         assert_eq!(indices, vec![0, 1, 2], "outputs come back in spec order");
 

@@ -72,11 +72,6 @@ pub struct RunOutput {
     /// with [`Experiment::with_telemetry`](crate::experiment::Experiment::with_telemetry)).
     /// Still live: [`RunOutput::analysis`] adds its own root span.
     pub telemetry: TelemetrySink,
-    /// Byte-size proxy for the run's peak resident state: the webmail
-    /// service's interned hot state plus the built dataset, from pure
-    /// collection accounting (never the OS). The fleet engine reports
-    /// the high-water across shards as `fleet.peak_rss_proxy`.
-    pub rss_proxy_bytes: u64,
 }
 
 impl RunOutput {

@@ -196,31 +196,6 @@ impl Dataset {
         self.accounts.iter().find(|a| a.account == account)
     }
 
-    /// Approximate heap bytes held by this dataset: record vectors plus
-    /// every owned string. Pure collection accounting (no OS calls) —
-    /// one input to the fleet engine's `fleet.peak_rss_proxy` metric.
-    pub fn heap_bytes(&self) -> usize {
-        let access_strings = |a: &ParsedAccess| {
-            a.ip.len()
-                + a.country.as_deref().map_or(0, str::len)
-                + a.city.len()
-                + a.browser.len()
-                + a.os.len()
-        };
-        self.accesses.len() * std::mem::size_of::<ParsedAccess>()
-            + self.accesses.iter().map(access_strings).sum::<usize>()
-            + self.accounts.len() * std::mem::size_of::<AccountRecord>()
-            + self
-                .accounts
-                .iter()
-                .map(|a| a.outlet.len() + a.advertised_region.as_deref().map_or(0, str::len))
-                .sum::<usize>()
-            + self.opened_texts.len() * std::mem::size_of::<String>()
-            + self.opened_texts.iter().map(String::len).sum::<usize>()
-            + self.gaps.len() * std::mem::size_of::<GapRecord>()
-            + self.gaps.iter().map(|g| g.kind.len()).sum::<usize>()
-    }
-
     /// Number of distinct accounts that received at least one access.
     pub fn accounts_with_accesses(&self) -> usize {
         self.accesses

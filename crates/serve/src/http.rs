@@ -311,11 +311,11 @@ fn serve_connection(
             if h.is_empty() {
                 break;
             }
-            if let Some(v) = h
-                .strip_prefix(b"Connection:")
-                .or(h.strip_prefix(b"connection:"))
-            {
-                keep_alive = !v.trim_ascii().eq_ignore_ascii_case(b"close");
+            // Field names are case-insensitive (RFC 9110 §5.1).
+            if let Some((name, v)) = h.split_first_chunk::<11>() {
+                if name.eq_ignore_ascii_case(b"connection:") {
+                    keep_alive = !v.trim_ascii().eq_ignore_ascii_case(b"close");
+                }
             }
         }
 

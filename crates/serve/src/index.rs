@@ -262,9 +262,11 @@ impl QueryIndex {
                 classes,
             };
             if let Some(entry) = table.get_mut(&a.account) {
-                let outlet = strings.resolve(entry.outlet).to_string();
                 entry.accesses.push(row);
-                let agg = outlets.entry(outlet).or_default();
+                // The account loop above made every outlet's aggregate.
+                let Some(agg) = outlets.get_mut(strings.resolve(entry.outlet)) else {
+                    continue;
+                };
                 agg.accesses += 1;
                 agg.emails_opened += u64::from(a.opened);
                 agg.emails_sent += u64::from(a.sent);
@@ -279,9 +281,11 @@ impl QueryIndex {
             entry
                 .accesses
                 .sort_by_key(|r| (r.first_seen_secs, r.cookie));
-            if !entry.accesses.is_empty() {
-                let outlet = strings.resolve(entry.outlet).to_string();
-                outlets.entry(outlet).or_default().accounts_accessed += 1;
+            if entry.accesses.is_empty() {
+                continue;
+            }
+            if let Some(agg) = outlets.get_mut(strings.resolve(entry.outlet)) {
+                agg.accounts_accessed += 1;
             }
         }
         for g in gaps {

@@ -120,20 +120,6 @@ impl Interner {
             .enumerate()
             .map(|(i, s)| (Symbol(i as u32), s.as_ref()))
     }
-
-    /// Approximate heap footprint of the arena in bytes: string bytes
-    /// (counted once — the map keys share the same allocations) plus
-    /// the `Vec` and map-entry bookkeeping. Used by the fleet engine's
-    /// `fleet.peak_rss_proxy` accounting, which deliberately never
-    /// reads the wall clock or the OS.
-    pub fn heap_bytes(&self) -> usize {
-        let string_bytes: usize = self.strings.iter().map(|s| s.len()).sum();
-        // Per entry: one `Arc<str>` header (strong+weak counts), the
-        // `Vec` slot (ptr+len), and a conservative B-tree entry cost
-        // (key ptr+len, u32 value, node overhead amortized).
-        let per_entry = 16 + 16 + (16 + 4 + 8);
-        string_bytes + self.strings.len() * per_entry
-    }
 }
 
 #[cfg(test)]
@@ -175,15 +161,6 @@ mod tests {
         arena.intern("a");
         let order: Vec<&str> = arena.iter().map(|(_, s)| s).collect();
         assert_eq!(order, vec!["z", "a"]);
-    }
-
-    #[test]
-    fn heap_bytes_grows_with_content() {
-        let mut arena = Interner::new();
-        let empty = arena.heap_bytes();
-        assert_eq!(empty, 0);
-        arena.intern("0123456789");
-        assert!(arena.heap_bytes() >= 10);
     }
 
     #[test]

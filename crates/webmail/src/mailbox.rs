@@ -109,13 +109,20 @@ impl Mailbox {
     }
 
     /// Store a message under `id`, replacing any entry it had: its
-    /// addresses go to the table and its text to the arena. Mail filed
-    /// in the Inbox is unread; drafts and sent mail are read.
+    /// addresses go to the table and its text to the arena. A sender
+    /// equal to table entry 0 (a seeded mailbox's owner) is filed as
+    /// index 0 rather than copied again. Mail filed in the Inbox is
+    /// unread; drafts and sent mail are read.
     pub fn file(&mut self, id: EmailId, message: Message<'_>) {
-        let from = self.addresses.len() as u32;
-        let addresses = std::iter::once(message.from).chain(message.to.iter().map(String::as_str));
-        self.addresses.extend(addresses.map(|a| a.to_string())); // lint:allow(alloc-hot): the address table owns a copy of each address
-        let to = from + 1..self.addresses.len() as u32;
+        let from = if self.addresses.first().is_some_and(|a| a == message.from) {
+            0
+        } else {
+            self.addresses.push(message.from.to_string()); // lint:allow(alloc-hot): only a sender other than the owner is copied
+            self.addresses.len() as u32 - 1
+        };
+        let to_start = self.addresses.len() as u32;
+        self.addresses.extend_from_slice(message.to);
+        let to = to_start..self.addresses.len() as u32;
         let mut push = |s: &str| {
             let start = self.text.len() as u32;
             self.text.push_str(s);
@@ -327,5 +334,36 @@ mod tests {
         mb.file(EmailId(7), composed(20, Folder::Sent));
         assert_eq!(mb.list(Folder::Sent), vec![EmailId(7)]);
         assert!(mb.get(EmailId(7)).unwrap().read);
+    }
+
+    #[test]
+    fn mail_from_the_owner_reuses_table_entry_zero() {
+        let mut mb = Mailbox::new();
+        mb.seed(SeededMail {
+            addresses: vec!["x@example.com".into(), "peer@example.com".into()],
+            ..SeededMail::default()
+        });
+        let to = ["y@example.com".to_string(), "z@example.com".to_string()];
+        let sent = Message {
+            to: &to,
+            ..composed(20, Folder::Sent)
+        };
+        mb.file(EmailId(7), sent);
+        // Only the two recipients were added, as one run after the seed.
+        assert_eq!(mb.addresses.len(), 4);
+        assert_eq!(mb.message(EmailId(7)), Some(sent));
+        // A sender other than the owner is still copied in.
+        mb.file(
+            EmailId(8),
+            Message {
+                from: "peer@example.com",
+                ..composed(30, Folder::Drafts)
+            },
+        );
+        assert_eq!(mb.addresses.len(), 5);
+        assert_eq!(
+            mb.message(EmailId(8)).map(|m| m.from),
+            Some("peer@example.com")
+        );
     }
 }

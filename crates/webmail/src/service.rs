@@ -111,6 +111,9 @@ struct Session {
     via_tor: bool,
 }
 
+/// Phrases that mark a sent message as extortion, in lowercase.
+const EXTORTION_KEYWORDS: [&str; 4] = ["bitcoin", "ransom", "expose you", "payment or"];
+
 /// The simulated webmail provider.
 pub struct WebmailService {
     config: ServiceConfig,
@@ -138,6 +141,8 @@ pub struct WebmailService {
     next_session: u64,
     next_cookie: u64,
     next_email_id: u64,
+    /// Reused buffer for [`WebmailService::content_flags`]' folded text.
+    scratch: String,
     telemetry: TelemetrySink,
 }
 
@@ -168,6 +173,7 @@ impl WebmailService {
             // High base so attacker-composed mail never collides with
             // corpus-generated ids.
             next_email_id: 10_000_000,
+            scratch: String::new(),
             telemetry: TelemetrySink::disabled(),
         }
     }
@@ -557,20 +563,6 @@ impl WebmailService {
         Ok(hits)
     }
 
-    /// Approximate heap bytes of the service's interned state: the
-    /// address arena plus every provider-side query log. Pure byte-size
-    /// accounting (no OS, no wall clock); the fleet engine reports the
-    /// high-water of this across shards as `fleet.peak_rss_proxy`.
-    pub fn interned_state_bytes(&self) -> usize {
-        let logs: usize = self
-            .query_logs
-            .iter()
-            .flatten()
-            .map(|q| q.query.len() + std::mem::size_of::<QueryLogEntry>())
-            .sum();
-        self.addresses.heap_bytes() + logs
-    }
-
     fn fresh_email_id(&mut self) -> EmailId {
         let id = EmailId(self.next_email_id);
         self.next_email_id += 1;
@@ -608,11 +600,24 @@ impl WebmailService {
         Ok(id)
     }
 
-    fn content_flags(subject: &str, body: &str, recipients: usize) -> ContentFlags {
-        let text = format!("{subject} {body}").to_lowercase(); // lint:allow(alloc-hot): one scratch string per send; keywords may span the subject/body seam
-        let extortion = ["bitcoin", "ransom", "expose you", "payment or"]
-            .iter()
-            .any(|kw| text.contains(kw));
+    /// Flag a message's content. The subject and body are joined by a
+    /// space, since a keyword may span the seam, and folded to ASCII
+    /// lowercase in `scratch`. That flags exactly what a Unicode fold
+    /// would: the one non-ASCII character that lowercases to a keyword
+    /// letter, `İ`, becomes `i` plus U+0307, so it could only end a
+    /// match, and no keyword ends in `i`.
+    fn content_flags(
+        scratch: &mut String,
+        subject: &str,
+        body: &str,
+        recipients: usize,
+    ) -> ContentFlags {
+        scratch.clear();
+        scratch.push_str(subject);
+        scratch.push(' ');
+        scratch.push_str(body);
+        scratch.make_ascii_lowercase();
+        let extortion = EXTORTION_KEYWORDS.iter().any(|kw| scratch.contains(kw));
         ContentFlags {
             extortion,
             bulk_recipients: recipients > 5,
@@ -661,7 +666,7 @@ impl WebmailService {
             recipients,
         });
         self.telemetry.count("webmail.sends");
-        let flags = Self::content_flags(subject, body, recipients);
+        let flags = Self::content_flags(&mut self.scratch, subject, body, recipients);
         if self.abuse.note_send(account, at, recipients, flags) {
             self.block_account(account, at);
         }
@@ -771,6 +776,7 @@ impl WebmailService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use pwnd_corpus::generator::SeededEmail;
     use pwnd_net::geo::GeoDb;
     use pwnd_net::ip::AddressPlan;
@@ -1398,5 +1404,61 @@ mod tests {
         }
         assert!(sends <= 12, "extortion spam lasted {sends} sends");
         assert!(!svc.account(id).state.is_active());
+    }
+
+    #[test]
+    fn content_flags_match_across_the_seam_and_ignore_dotted_capital_i() {
+        let mut scratch = String::new();
+        let mut flagged = |subject: &str, body: &str| {
+            WebmailService::content_flags(&mut scratch, subject, body, 1).extortion
+        };
+        assert!(flagged("Or I will EXPOSE", "You"));
+        assert!(flagged("", "send BitCoin now"));
+        assert!(!flagged("B\u{130}TCOIN", ""));
+        assert!(!flagged("invoice", "payment"));
+    }
+
+    /// One piece of message text: a keyword with random case (its `i`s
+    /// sometimes written `İ`), `İ`, the Kelvin sign, ASCII, or any
+    /// scalar value.
+    fn piece() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0..EXTORTION_KEYWORDS.len(), any::<u64>()).prop_map(|(k, bits)| {
+                EXTORTION_KEYWORDS[k]
+                    .chars()
+                    .enumerate()
+                    .map(|(i, c)| match (bits >> (2 * i)) & 3 {
+                        0 if c == 'i' => '\u{130}',
+                        1 => c.to_ascii_uppercase(),
+                        _ => c,
+                    })
+                    .collect()
+            }),
+            Just("\u{130}".to_string()),
+            Just("\u{212A}".to_string()),
+            "[a-zA-Z ]{1,3}",
+            (0u32..0x11_0000).prop_map(|v| char::from_u32(v).unwrap_or('\u{FFFD}').to_string()),
+        ]
+    }
+
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(piece(), 0..8).prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        /// Folding `subject + ' ' + body` to ASCII lowercase flags
+        /// exactly the texts that Unicode `to_lowercase` flags.
+        #[test]
+        fn ascii_fold_flags_what_the_unicode_fold_flags(
+            messages in proptest::collection::vec((text(), text()), 1..40),
+        ) {
+            let mut scratch = String::new();
+            for (subject, body) in &messages {
+                let unicode = format!("{subject} {body}").to_lowercase();
+                let expected = EXTORTION_KEYWORDS.iter().any(|kw| unicode.contains(kw));
+                let flags = WebmailService::content_flags(&mut scratch, subject, body, 1);
+                prop_assert_eq!(flags.extortion, expected, "{:?} / {:?}", subject, body);
+            }
+        }
     }
 }

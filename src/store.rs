@@ -163,9 +163,6 @@ pub struct StoreRun {
     pub manifest_recovered: bool,
     /// Worker threads used.
     pub jobs: usize,
-    /// High-water per-shard resident state, in bytes (0 when every
-    /// shard was skipped).
-    pub peak_rss_proxy: u64,
     /// Merged telemetry: the runner batch (when enabled) plus the
     /// always-on `fleet.*` series, including `fleet.shards_skipped`
     /// and `fleet.shards_recovered`.
@@ -189,7 +186,6 @@ impl StoreRun {
         ]);
         t.row(["shards run", &self.shards_run.to_string()]);
         t.row(["jobs", &self.jobs.to_string()]);
-        t.row(["peak shard state (bytes)", &self.peak_rss_proxy.to_string()]);
         t
     }
 }
@@ -297,7 +293,6 @@ pub fn run_fleet_store(cfg: &FleetConfig, dir: &Path) -> io::Result<StoreRun> {
     sink.count_by("fleet.shards_skipped", skipped);
     sink.count_by("fleet.shards_recovered", recovered);
     sink.count_by("fleet.shards_run", run.outputs.len() as u64);
-    sink.gauge_max("fleet.peak_rss_proxy", run.peak_rss_proxy);
 
     Ok(StoreRun {
         dir: dir.to_path_buf(),
@@ -308,7 +303,6 @@ pub fn run_fleet_store(cfg: &FleetConfig, dir: &Path) -> io::Result<StoreRun> {
         shards_run: run.outputs.len(),
         manifest_recovered,
         jobs: run.jobs,
-        peak_rss_proxy: run.peak_rss_proxy,
         telemetry: TelemetryReport::merge(&[run.telemetry, sink.report()]),
     })
 }

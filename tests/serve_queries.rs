@@ -3,7 +3,8 @@
 //! restarts, `/v1/stats` agrees exactly with the offline `pwnd report`
 //! aggregates, concurrent clients never observe a 5xx, the token
 //! bucket answers overload with `429` + `Retry-After`, a request
-//! split by a pause longer than the read timeout is read whole, and an
+//! split by a pause longer than the read timeout is read whole, a
+//! `Connection: close` header is honoured in any letter case, and an
 //! oversized request line or header block is refused with `414` or
 //! `431`.
 
@@ -270,6 +271,38 @@ fn a_header_split_across_a_read_timeout_is_read_whole() {
         .read_to_end(&mut rest)
         .expect("the daemon closes the connection");
     assert!(rest.is_empty(), "{rest:?}");
+    server.shutdown();
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_connection_header_in_any_case_closes_the_connection() {
+    let dir = test_dir("header-case");
+    run_fleet_store(&FleetConfig::new(13, 20, 1), &dir).unwrap();
+    let index = Arc::new(QueryIndex::from_store(&dir).unwrap());
+    let server = spawn(&index, 4);
+
+    for header in ["CONNECTION: close", "CoNNection: close"] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        write!(
+            stream,
+            "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n{header}\r\n\r\n"
+        )
+        .unwrap();
+        let mut reader = BufReader::new(stream);
+        let response = read_response(&mut reader);
+        assert_eq!(response.status, 200);
+        assert_eq!(response.header("Connection"), Some("close"), "{header}");
+        let mut rest = Vec::new();
+        reader
+            .read_to_end(&mut rest)
+            .unwrap_or_else(|e| panic!("{header}: no EOF after the response: {e}"));
+        assert!(rest.is_empty(), "{rest:?}");
+    }
     server.shutdown();
 
     let _ = fs::remove_dir_all(&dir);
