@@ -1,20 +1,23 @@
-//! Streaming (single-pass-per-record-kind) analysis over large stores.
+//! Streaming analysis over large stores.
 //!
 //! The in-memory [`overview`](crate::tables::overview) walks a complete
 //! [`Dataset`](pwnd_monitor::dataset::Dataset); at fleet-store scale the
 //! dataset never exists in RAM — records arrive one at a time from
 //! per-shard JSONL files. [`OverviewBuilder`] accepts exactly those
-//! records incrementally and produces the same
-//! [`Overview`]: feed every account record
-//! first (the outlet lookup accesses need), then every access.
-//! `overview()` itself is now a thin wrapper over this builder, so the
-//! streaming and in-memory paths cannot drift apart.
+//! records incrementally, in any order, and produces the same
+//! [`Overview`]: it tallies accesses per account as they arrive and
+//! attributes the tallies to outlets only in
+//! [`finish`](OverviewBuilder::finish), so one pass over a store or a
+//! merged JSONL file is enough. `overview()` itself is a thin wrapper
+//! over this builder, so the streaming and in-memory paths cannot
+//! drift apart.
 
 use crate::tables::Overview;
 use pwnd_monitor::dataset::{AccountRecord, ParsedAccess};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
-/// Incremental [`Overview`] accumulator.
+/// Incremental [`Overview`] accumulator; records may arrive in any
+/// order.
 ///
 /// ```
 /// use pwnd_analysis::stream::OverviewBuilder;
@@ -24,15 +27,15 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// ```
 #[derive(Default)]
 pub struct OverviewBuilder {
-    /// account id → outlet, from the account records seen so far.
+    /// account id → outlet, from the account records seen so far (a
+    /// later record for the same account wins).
     outlets: HashMap<u32, String>,
-    accessed_by_outlet: BTreeMap<String, HashSet<u32>>,
-    accesses_by_outlet: BTreeMap<String, usize>,
+    /// account id → accesses seen so far.
+    accesses_per_account: BTreeMap<u32, usize>,
     total_accesses: usize,
     emails_opened: u64,
     emails_sent: u64,
     drafts_created: u64,
-    accessed_accounts: HashSet<u32>,
     accounts_blocked: usize,
     accounts_hijacked: usize,
 }
@@ -43,10 +46,8 @@ impl OverviewBuilder {
         OverviewBuilder::default()
     }
 
-    /// Absorb one per-account metadata record. Accounts must be added
-    /// before the accesses that reference them, or those accesses fall
-    /// out of the per-outlet maps (matching how the in-memory overview
-    /// treats an access with no account record).
+    /// Absorb one per-account metadata record. An access whose account
+    /// has no record counts in the totals but in no outlet.
     pub fn add_account(&mut self, rec: &AccountRecord) {
         self.outlets.insert(rec.account, rec.outlet.clone());
         if rec.block_detected_secs.is_some() {
@@ -63,30 +64,32 @@ impl OverviewBuilder {
         self.emails_opened += u64::from(a.opened);
         self.emails_sent += u64::from(a.sent);
         self.drafts_created += u64::from(a.drafts);
-        self.accessed_accounts.insert(a.account);
-        if let Some(outlet) = self.outlets.get(&a.account) {
-            self.accessed_by_outlet
-                .entry(outlet.clone())
-                .or_default()
-                .insert(a.account);
-            *self.accesses_by_outlet.entry(outlet.clone()).or_insert(0) += 1;
-        }
+        *self.accesses_per_account.entry(a.account).or_insert(0) += 1;
     }
 
-    /// The finished §4.1 overview.
+    /// The finished §4.1 overview: each account's access tally goes
+    /// to the outlet of its account record.
     pub fn finish(self) -> Overview {
+        let mut per_outlet: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+        for (account, &accesses) in &self.accesses_per_account {
+            if let Some(outlet) = self.outlets.get(account) {
+                let (accounts, total) = per_outlet.entry(outlet).or_default();
+                *accounts += 1;
+                *total += accesses;
+            }
+        }
+        let (accessed_by_outlet, accesses_by_outlet) = per_outlet
+            .into_iter()
+            .map(|(o, (accounts, accesses))| ((o.to_string(), accounts), (o.to_string(), accesses)))
+            .unzip();
         Overview {
             total_accesses: self.total_accesses,
             emails_opened: self.emails_opened,
             emails_sent: self.emails_sent,
             drafts_created: self.drafts_created,
-            accounts_accessed: self.accessed_accounts.len(),
-            accessed_by_outlet: self
-                .accessed_by_outlet
-                .into_iter()
-                .map(|(k, v)| (k, v.len()))
-                .collect(),
-            accesses_by_outlet: self.accesses_by_outlet,
+            accounts_accessed: self.accesses_per_account.len(),
+            accessed_by_outlet,
+            accesses_by_outlet,
             accounts_blocked: self.accounts_blocked,
             accounts_hijacked: self.accounts_hijacked,
         }
@@ -146,19 +149,25 @@ mod tests {
             opened_texts: vec![],
             gaps: vec![],
         };
+        let streamed = overview(&ds);
+        // Accesses before accounts, and the two kinds interleaved, give
+        // the same overview as accounts first.
         let mut b = OverviewBuilder::new();
-        for r in &ds.accounts {
+        ds.accesses.iter().for_each(|a| b.add_access(a));
+        ds.accounts.iter().for_each(|r| b.add_account(r));
+        assert_eq!(b.finish(), streamed);
+        let mut b = OverviewBuilder::new();
+        for (a, r) in ds.accesses.iter().zip(&ds.accounts) {
+            b.add_access(a);
             b.add_account(r);
         }
-        for a in &ds.accesses {
-            b.add_access(a);
-        }
-        let streamed = b.finish();
-        assert_eq!(streamed, overview(&ds));
+        b.add_access(&ds.accesses[3]);
+        assert_eq!(b.finish(), streamed);
         // Account 9 has no record: counted in totals, absent per outlet.
         assert_eq!(streamed.total_accesses, 4);
         assert_eq!(streamed.accounts_accessed, 3);
         assert_eq!(streamed.accesses_by_outlet.get("paste"), Some(&2));
+        assert_eq!(streamed.accessed_by_outlet.get("forum"), Some(&1));
         assert_eq!(streamed.accesses_by_outlet.get("malware"), None);
         assert_eq!(streamed.accounts_blocked, 1);
     }

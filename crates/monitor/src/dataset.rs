@@ -703,10 +703,9 @@ mod tests {
         let mut writer = DatasetWriter::new(Vec::new());
         writer.write_dataset(ds).unwrap();
         let bytes = writer.finish().unwrap();
-        let read = read_jsonl(std::str::from_utf8(&bytes).unwrap()).unwrap();
-        assert_eq!(read.truncated, None);
-        assert_eq!(read.dataset.to_json(), ds.to_json());
-        read.dataset
+        let read = read_jsonl("stream", &bytes[..]).unwrap();
+        assert_eq!(read.to_json(), ds.to_json());
+        read
     }
 
     fn meta(account: u32) -> AccountRecord {

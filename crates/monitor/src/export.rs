@@ -8,18 +8,22 @@
 //! with its record type, written straight to any [`std::io::Write`] sink,
 //! so peak memory is one record, not one dataset.
 //!
-//! The stream is lossless: [`read_jsonl`] re-assembles a [`Dataset`]
-//! whose [`Dataset::to_json`] is byte-identical to the in-memory export
+//! Every reader of such a stream — a fleet-store shard, a merged export —
+//! goes through one line reader, [`for_each_line`], which holds one line
+//! of at most [`MAX_LINE_BYTES`] in a reused buffer. The stream is
+//! lossless: [`read_jsonl`] re-assembles a [`Dataset`] whose
+//! [`Dataset::to_json`] is byte-identical to the in-memory export
 //! (proven by `tests/fleet_scale.rs`). Record order within a type is
 //! preserved; the writer may interleave types freely because re-assembly
-//! groups by tag.
+//! groups by tag. A stream cut mid-record (a truncated write) is an error
+//! naming the cut line, not a shorter dataset.
 
 use crate::dataset::{AccountRecord, Dataset, GapRecord, ParsedAccess};
 use pwnd_telemetry::json::{Json, JsonError};
-use std::io::{self, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// The canonical JSONL record-kind tags: the single `pub const` table
-/// shared by [`DatasetWriter`] (emit), [`read_jsonl`] (consume),
+/// shared by [`DatasetWriter`] (emit), [`decode_record`] (consume),
 /// [`record_tag`] callers, and the fleet store's streaming merge. Every
 /// tag string in the workspace comes from here — `pwnd-lint`'s
 /// `schema-drift` rule checks that each tag is both written and read,
@@ -319,78 +323,82 @@ impl<'a> Compact<'a> {
     }
 }
 
-/// Evidence of a truncated write: the final line of a stream was not a
-/// complete record.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Truncated {
-    /// 1-based line number of the partial line.
-    pub line: usize,
-    /// Length of the unparseable fragment, in bytes.
-    pub bytes: usize,
-}
+/// Longest JSONL line the reader accepts, in bytes before its `\n`. The
+/// longest written lines measure under 1 KiB, and a line is held whole
+/// in memory, so the cap bounds what one line of an outside file takes.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// What [`read_jsonl`] recovered from a stream.
-#[derive(Debug)]
-pub struct JsonlRead {
-    /// Every complete record, grouped by tag in arrival order.
-    pub dataset: Dataset,
-    /// Present when the stream ended mid-record (a truncated write):
-    /// `dataset` then holds the records up to the cut. Callers that
-    /// require an intact stream must treat this as corruption.
-    pub truncated: Option<Truncated>,
-}
-
-/// Re-assemble a [`Dataset`] from a JSONL stream produced by
-/// [`DatasetWriter`]. Records are grouped by tag with their relative
-/// order preserved, so for an intact stream
-/// `read_jsonl(stream)?.dataset.to_json()` is byte-identical to the
-/// `to_json()` of the dataset that was streamed. Blank lines are
-/// ignored.
-///
-/// A final line that is not valid JSON is the signature of a write cut
-/// mid-record: the records before it are returned with a [`Truncated`]
-/// marker instead of failing the whole stream. Everything else —
-/// malformed JSON mid-stream, an unknown tag, a record missing fields —
-/// is an error naming the line and record kind.
+/// The one JSONL line reader: call `f(1-based line number, line)` for
+/// every line of `reader`, endings stripped as [`BufRead::lines`] strips
+/// them and blank lines included. A line longer than [`MAX_LINE_BYTES`],
+/// non-UTF-8 bytes, and a non-blank line without a tag from
+/// [`RECORD_TAGS`] are errors naming `name` and the line. Peak memory is
+/// one line, in one reused buffer.
 // lint:jsonl-consume
-pub fn read_jsonl(stream: &str) -> Result<JsonlRead, JsonError> {
-    let mut ds = Dataset::default();
-    let mut truncated = None;
-    let mut lines = stream.lines().enumerate();
-    while let Some((lineno, raw)) = lines.next() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
+pub fn for_each_line(
+    name: &str,
+    mut reader: impl BufRead,
+    mut f: impl FnMut(usize, &str) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut buf = Vec::new();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    for lineno in 1.. {
+        buf.clear();
+        if reader.by_ref().take(limit).read_until(b'\n', &mut buf)? == 0 {
+            break;
         }
-        let n = lineno + 1;
-        match decode_record(line) {
-            Ok(Record::Access(a)) => ds.accesses.push(a),
-            Ok(Record::Account(a)) => ds.accounts.push(a),
-            Ok(Record::OpenedText(t)) => ds.opened_texts.push(t),
-            Ok(Record::Gap(g)) => ds.gaps.push(g),
-            // Only a last data line that is not JSON at all is a cut write.
-            Err(_)
-                if lines.clone().all(|(_, l)| l.trim().is_empty())
-                    && Json::parse(line).is_err() =>
-            {
-                truncated = Some(Truncated {
-                    line: n,
-                    bytes: raw.len(),
-                });
-                break;
-            }
-            Err(e) => {
-                return Err(JsonError {
-                    msg: format!("line {n}: {}", e.msg),
-                    at: e.at,
-                })
-            }
+        let line = buf.strip_suffix(b"\n");
+        if line.is_none() && buf.len() > MAX_LINE_BYTES {
+            return Err(line_error(name, lineno, "line longer than 1 MiB"));
         }
+        let line = line.map_or(&*buf, |l| l.strip_suffix(b"\r").unwrap_or(l));
+        let line = std::str::from_utf8(line).map_err(|_| line_error(name, lineno, "not UTF-8"))?;
+        if record_tag(line).is_none() && !line.trim().is_empty() {
+            let what = format!("no record tag from {RECORD_TAGS:?}");
+            return Err(line_error(name, lineno, &what));
+        }
+        f(lineno, line)?;
     }
-    Ok(JsonlRead {
-        dataset: ds,
-        truncated,
+    Ok(())
+}
+
+fn line_error(name: &str, lineno: usize, what: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{name}: line {lineno}: {what}"),
+    )
+}
+
+/// Every record of the given `kinds` in `reader`, in stream order,
+/// decoded by [`decode_record`]. A line that does not decode, such as
+/// the last of a stream cut mid-record, fails as in [`for_each_line`].
+pub fn for_each_record(
+    name: &str,
+    reader: impl BufRead,
+    kinds: &[&str],
+    mut f: impl FnMut(Record),
+) -> io::Result<()> {
+    for_each_line(name, reader, |lineno, line| {
+        if record_tag(line).is_some_and(|tag| kinds.contains(&tag)) {
+            let record = decode_record(line).map_err(|e| line_error(name, lineno, &e.msg))?;
+            f(record);
+        }
+        Ok(())
     })
+}
+
+/// Re-assemble a [`Dataset`] from a [`DatasetWriter`] stream, every
+/// record decoded by [`for_each_record`] and grouped by tag in stream
+/// order, so its `to_json()` is byte-identical to the streamed one's.
+pub fn read_jsonl(name: &str, reader: impl BufRead) -> io::Result<Dataset> {
+    let mut ds = Dataset::default();
+    for_each_record(name, reader, &RECORD_TAGS, |record| match record {
+        Record::Access(a) => ds.accesses.push(a),
+        Record::Account(a) => ds.accounts.push(a),
+        Record::OpenedText(t) => ds.opened_texts.push(t),
+        Record::Gap(g) => ds.gaps.push(g),
+    })?;
+    Ok(ds)
 }
 
 #[cfg(test)]
@@ -445,9 +453,8 @@ mod tests {
         w.write_dataset(&ds).unwrap();
         assert_eq!(w.records_written(), 4);
         let bytes = w.finish().unwrap();
-        let back = read_jsonl(std::str::from_utf8(&bytes).unwrap()).unwrap();
-        assert!(back.truncated.is_none());
-        assert_eq!(back.dataset.to_json(), ds.to_json());
+        let back = read_jsonl("stream", &bytes[..]).unwrap();
+        assert_eq!(back.to_json(), ds.to_json());
     }
 
     #[test]
@@ -476,16 +483,17 @@ mod tests {
         w.opened_text(&ds.opened_texts[0]).unwrap();
         w.access(&ds.accesses[0]).unwrap();
         let bytes = w.finish().unwrap();
-        let back = read_jsonl(std::str::from_utf8(&bytes).unwrap()).unwrap();
-        assert_eq!(back.dataset.to_json(), ds.to_json());
+        let back = read_jsonl("stream", &bytes[..]).unwrap();
+        assert_eq!(back.to_json(), ds.to_json());
     }
 
     #[test]
     fn blank_lines_ignored_unknown_tags_rejected() {
-        assert!(read_jsonl("\n\n").unwrap().dataset.accesses.is_empty());
-        let err = read_jsonl("{\"record\":\"bogus\",\"value\":1}\n").unwrap_err();
-        assert!(err.msg.contains("unknown record tag"));
-        assert!(read_jsonl("{\"value\":1}\n").is_err());
+        let read = |text: &str| read_jsonl("stream", text.as_bytes());
+        assert!(read("\n\n").unwrap().accesses.is_empty());
+        let err = read("{\"record\":\"bogus\",\"value\":1}\n").unwrap_err();
+        assert!(err.to_string().contains("line 1: no record tag"), "{err}");
+        assert!(read("{\"value\":1}\n").is_err());
     }
 
     #[test]
@@ -498,37 +506,69 @@ mod tests {
             String::from_utf8(w.finish().unwrap()).unwrap()
         };
         let stream = format!("{good}{{\"record\":\"access\",\"value\":{{}}}}\n");
-        let err = read_jsonl(&stream).unwrap_err();
-        assert!(err.msg.starts_with("line 2: access record:"), "{}", err.msg);
+        let err = read_jsonl("stream", stream.as_bytes())
+            .unwrap_err()
+            .to_string();
+        assert!(err.starts_with("stream: line 2: access record:"), "{err}");
 
-        // Malformed JSON *mid-stream* is corruption, not truncation.
+        // So is malformed JSON.
         let stream = format!("{{\"record\":\"access\",\"val\n{good}");
-        let err = read_jsonl(&stream).unwrap_err();
+        let err = read_jsonl("stream", stream.as_bytes())
+            .unwrap_err()
+            .to_string();
         assert!(
-            err.msg.starts_with("line 1: malformed record:"),
-            "{}",
-            err.msg
+            err.starts_with("stream: line 1: malformed record:"),
+            "{err}"
         );
     }
 
     #[test]
-    fn trailing_partial_line_returns_records_so_far_with_marker() {
+    fn a_cut_final_line_is_an_error_naming_it() {
         let ds = sample();
         let mut w = DatasetWriter::new(Vec::new());
         w.write_dataset(&ds).unwrap();
-        let full = String::from_utf8(w.finish().unwrap()).unwrap();
+        let full = w.finish().unwrap();
         // Cut the stream mid-way through the final record.
-        let cut = full.len() - 20;
-        let truncated = &full[..cut];
-        let back = read_jsonl(truncated).unwrap();
-        let marker = back.truncated.expect("cut mid-record must be flagged");
-        assert_eq!(marker.line, 4);
-        assert!(marker.bytes > 0);
-        // Everything before the cut survived.
-        assert_eq!(back.dataset.accesses.len(), 1);
-        assert_eq!(back.dataset.accounts.len(), 1);
-        assert_eq!(back.dataset.opened_texts.len(), 1);
-        assert!(back.dataset.gaps.is_empty());
+        let cut = &full[..full.len() - 20];
+        let err = read_jsonl("d.jsonl", cut).unwrap_err().to_string();
+        assert!(
+            err.starts_with("d.jsonl: line 4: malformed record:"),
+            "{err}"
+        );
+        // Cut inside the tag itself: the line has no record tag.
+        let last = full[..full.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        let cut = &full[..last + 5];
+        let err = read_jsonl("d.jsonl", cut).unwrap_err().to_string();
+        assert!(err.starts_with("d.jsonl: line 4: no record tag"), "{err}");
+    }
+
+    #[test]
+    fn a_line_longer_than_the_cap_is_an_error_without_reading_on() {
+        let tag = "{\"record\":\"gap\"";
+        let longest = format!("{tag}{}\n", "x".repeat(MAX_LINE_BYTES - tag.len()));
+        let mut seen = 0;
+        for_each_line("s", longest.as_bytes(), |_, line| {
+            seen = line.len();
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, MAX_LINE_BYTES);
+        let longer = format!("{tag}{}\n", "x".repeat(MAX_LINE_BYTES + 1 - tag.len()));
+        let err = for_each_line("s", longer.as_bytes(), |_, _| Ok(())).unwrap_err();
+        assert_eq!(err.to_string(), "s: line 1: line longer than 1 MiB");
+        // Reading stops at the cap: a long line is never buffered whole.
+        let mut long = io::BufReader::new(io::repeat(b'x').take(8 << 20));
+        let err = for_each_line("s", &mut long, |_, _| Ok(())).unwrap_err();
+        assert_eq!(err.to_string(), "s: line 1: line longer than 1 MiB");
+        assert!(
+            long.get_ref().limit() > 6 << 20,
+            "{} left",
+            long.get_ref().limit()
+        );
     }
 
     #[test]
@@ -552,8 +592,8 @@ mod tests {
         let mut w = DatasetWriter::new(Vec::new());
         w.write_dataset(&ds).unwrap();
         let bytes = w.finish().unwrap();
-        let back = read_jsonl(std::str::from_utf8(&bytes).unwrap()).unwrap();
-        let json = back.dataset.to_json();
+        let back = read_jsonl("stream", &bytes[..]).unwrap();
+        let json = back.to_json();
         assert!(!json.contains("\"gaps\""));
         assert_eq!(json, ds.to_json());
     }

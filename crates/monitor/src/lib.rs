@@ -37,6 +37,6 @@ pub mod script;
 
 pub use collector::{Notification, NotificationCollector, NotificationKind};
 pub use dataset::{Dataset, DatasetBuilder, GapRecord, ParsedAccess, Sightings};
-pub use export::{DatasetWriter, JsonlRead, Truncated};
+pub use export::DatasetWriter;
 pub use scraper::{ScrapeOutcome, Scraper};
 pub use script::{ScriptRuntime, ScriptState};

@@ -5,12 +5,15 @@
 //! nobody can tell the difference: on lines [`DatasetWriter`] wrote, and
 //! on those lines with any single byte changed, inserted or removed, or
 //! cut short, it gives the record `Json::parse` + `from_json_value`
-//! gives, or fails where that fails — and never panics.
+//! gives, or fails where that fails — and never panics. The JSONL line
+//! reader and `read_jsonl` take any bytes cut anywhere without a panic,
+//! and accept a stream only when every record line in it decodes.
 
 use proptest::prelude::*;
 use pwnd_monitor::dataset::{AccountRecord, Dataset, GapRecord, ParsedAccess};
-use pwnd_monitor::export::{decode_record, read_jsonl, tags, DatasetWriter, Record};
+use pwnd_monitor::export::{decode_record, for_each_line, read_jsonl, tags, DatasetWriter, Record};
 use pwnd_telemetry::json::Json;
+use std::io::BufRead;
 
 /// A splitmix64 stream: one proptest seed drives a whole dataset.
 struct Gen(u64);
@@ -224,40 +227,73 @@ proptest! {
         }
     }
 
-    /// A stream cut anywhere reads back as the records before the cut,
-    /// plus a truncation marker on the cut line when it is partial.
+    /// Arbitrary bytes cut at an arbitrary point (written lines with
+    /// bytes changed, inserted or removed, or plain noise) never panic
+    /// the line reader or `read_jsonl`. An `Ok` read decoded every
+    /// non-blank line, and an error names a line inside the input, no
+    /// later than the line reader's own.
     #[test]
-    fn read_jsonl_flags_a_cut_stream_and_keeps_what_precedes_it(
-        seed in any::<u64>(),
-        cut_seed in any::<u64>(),
-    ) {
+    fn line_reader_and_read_jsonl_take_only_whole_records(seed in any::<u64>()) {
         let mut g = Gen(seed);
-        let mut ds = g.dataset();
-        // Non-finite floats are written as null and do not read back.
-        for a in &mut ds.accesses {
-            a.lat = if a.lat.is_finite() { a.lat } else { 0.5 };
-            a.lon = if a.lon.is_finite() { a.lon } else { 0.5 };
-        }
-        let lines = written_lines(&ds);
-        let stream: String = lines.iter().map(|l| format!("{l}\n")).collect();
-        let cut = (cut_seed % (stream.len() as u64 + 1)) as usize;
-        prop_assume!(stream.is_char_boundary(cut));
-        let head = &stream[..cut];
-        let read = read_jsonl(head).unwrap();
-        let whole_lines = head.matches('\n').count();
-        let partial = head.rsplit('\n').next().unwrap_or("");
-        match &read.truncated {
-            Some(marker) => {
-                prop_assert_eq!(marker.line, whole_lines + 1);
-                prop_assert_eq!(marker.bytes, partial.len());
+        let mut bytes: Vec<u8> = if g.below(8) == 0 {
+            (0..g.below(300)).map(|_| mutation_byte(&mut g)).collect()
+        } else {
+            let lines = written_lines(&g.dataset());
+            lines.iter().flat_map(|l| [l.as_bytes(), b"\n"].concat()).collect()
+        };
+        for _ in 0..g.below(4) {
+            let pos = g.below(bytes.len() as u64 + 1) as usize;
+            match g.below(3) {
+                0 if pos < bytes.len() => bytes[pos] = mutation_byte(&mut g),
+                1 => bytes.insert(pos, mutation_byte(&mut g)),
+                _ if pos < bytes.len() => {
+                    bytes.remove(pos);
+                }
+                _ => {}
             }
-            // A cut between the last '}' and its newline leaves a whole line.
-            None => prop_assert!(partial.is_empty() || lines.contains(&partial.to_string())),
         }
-        let mut w = DatasetWriter::new(Vec::new());
-        w.write_dataset(&read.dataset).unwrap();
-        let reread = String::from_utf8(w.finish().unwrap()).unwrap();
-        let kept = whole_lines + usize::from(read.truncated.is_none() && !partial.is_empty());
-        prop_assert_eq!(reread.lines().count(), kept);
+        let mut cut = g.below(bytes.len() as u64 + 1) as usize;
+        if g.flip() {
+            // Half the cuts fall at a line end, where a stream can read whole.
+            cut = bytes[..cut].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        }
+        let input = &bytes[..cut];
+        let newlines = input.iter().filter(|&&b| b == b'\n').count();
+        let lines_in_input = newlines + usize::from(!input.is_empty() && !input.ends_with(b"\n"));
+        let line_of = |e: std::io::Error| -> Result<usize, TestCaseError> {
+            let msg = e.to_string();
+            let n = msg.strip_prefix("in: line ").and_then(|rest| rest.split(':').next());
+            let n = n.and_then(|n| n.parse::<usize>().ok());
+            prop_assert!(n.is_some_and(|n| (1..=lines_in_input).contains(&n)), "{}", msg);
+            Ok(n.unwrap_or(0))
+        };
+
+        let mut last = 0;
+        let scanned = for_each_line("in", input, |n, _| {
+            last = n;
+            Ok(())
+        });
+        match read_jsonl("in", input) {
+            Ok(ds) => {
+                prop_assert!(scanned.is_ok());
+                prop_assert_eq!(last, lines_in_input);
+                let mut records = 0;
+                for line in input.lines() {
+                    let line = line.expect("an Ok read saw only UTF-8");
+                    if !line.trim().is_empty() {
+                        prop_assert!(decode_record(&line).is_ok(), "{:?}", line);
+                        records += 1;
+                    }
+                }
+                let read = ds.accesses.len() + ds.accounts.len() + ds.opened_texts.len();
+                prop_assert_eq!(read + ds.gaps.len(), records);
+            }
+            Err(e) => {
+                let at = line_of(e)?;
+                if let Err(e) = scanned {
+                    prop_assert!(at <= line_of(e)?);
+                }
+            }
+        }
     }
 }

@@ -5,9 +5,10 @@
 //! connections off an `mpsc` queue. Workers speak just enough
 //! HTTP/1.1 for the API: `GET` requests, keep-alive connections,
 //! `Content-Length`-framed JSON responses. One worker owns one
-//! connection until the peer closes it (or the server shuts down), so
-//! the pool size bounds concurrent connections; size
-//! [`ServeOptions::threads`] to the expected client count.
+//! connection until the peer closes it, leaves it idle for 2 s between
+//! requests, or the server shuts down, so the pool size bounds
+//! concurrent connections; size [`ServeOptions::threads`] to the
+//! expected client count.
 //!
 //! Request handling is deliberately boring: parse the request line,
 //! consult the token bucket, dispatch on the route table
@@ -267,10 +268,15 @@ impl Server {
 const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// Most header bytes read per request, blank line included; more get `431`.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
+/// How long after accept or its last response a connection may hold its
+/// worker before the first byte of a request line; a begun request is
+/// not timed, so slow senders keep their connection.
+const IDLE_DEADLINE: Duration = Duration::from_secs(2);
 
-/// Serve one connection until the peer closes, an error occurs, or
-/// shutdown is requested. Read timeouts keep the keep-alive loop
-/// responsive to shutdown without busy-waiting.
+/// Serve one connection until the peer closes, stays idle past
+/// [`IDLE_DEADLINE`], an error occurs, or shutdown is requested. Read
+/// timeouts keep the keep-alive loop responsive to both without
+/// busy-waiting.
 fn serve_connection(
     stream: TcpStream,
     index: &QueryIndex,
@@ -286,7 +292,8 @@ fn serve_connection(
     let mut line = Vec::new();
     loop {
         request.clear();
-        if !read_full_line(&mut reader, &mut request, MAX_REQUEST_LINE, stop)? {
+        let until = Some(Instant::now() + IDLE_DEADLINE);
+        if !read_full_line(&mut reader, &mut request, MAX_REQUEST_LINE, until, stop)? {
             return Ok(());
         }
         if !request.ends_with(b"\n") {
@@ -299,7 +306,7 @@ fn serve_connection(
         loop {
             line.clear();
             let room = MAX_HEADER_BYTES - header_bytes;
-            if !read_full_line(&mut reader, &mut line, room, stop)? {
+            if !read_full_line(&mut reader, &mut line, room, None, stop)? {
                 return Ok(());
             }
             if !line.ends_with(b"\n") {
@@ -370,11 +377,13 @@ fn serve_connection(
 /// timeouts: `read_until` keeps the bytes it already appended, so a line
 /// split by a pause still assembles whole. `Ok(true)` once the line is
 /// whole or `limit` bytes long (then it has no `\n`), `Ok(false)` when
-/// the peer closed or the server is stopping.
+/// the peer closed, the server is stopping, or `idle_until` passed with
+/// `line` still empty.
 fn read_full_line(
     reader: &mut impl BufRead,
     line: &mut Vec<u8>,
     limit: usize,
+    idle_until: Option<Instant>,
     stop: &AtomicBool,
 ) -> io::Result<bool> {
     loop {
@@ -386,7 +395,8 @@ fn read_full_line(
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if stop.load(Ordering::Relaxed) {
+                let idle = line.is_empty() && idle_until.is_some_and(|t| Instant::now() >= t);
+                if idle || stop.load(Ordering::Relaxed) {
                     return Ok(false);
                 }
             }

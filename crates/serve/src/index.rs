@@ -199,21 +199,13 @@ impl QueryIndex {
     /// ```
     pub fn from_dataset(ds: &Dataset, meta: StoreMeta) -> QueryIndex {
         let (accounts, accesses, gaps) = (&ds.accounts, &ds.accesses, &ds.gaps);
-        // The shared overview: accounts strictly before accesses, the
-        // order OverviewBuilder requires and `pwnd report` uses.
+        // The overview `pwnd report` prints, from the same records.
         let mut ob = OverviewBuilder::new();
-        for rec in accounts {
-            ob.add_account(rec);
-        }
-        for a in accesses {
-            ob.add_access(a);
-        }
-        let overview = ob.finish();
-
         let mut strings = Interner::new();
         let mut table: BTreeMap<u32, AccountEntry> = BTreeMap::new();
         let mut outlets: BTreeMap<String, OutletAggregate> = BTreeMap::new();
         for rec in accounts {
+            ob.add_account(rec);
             let outlet = strings.intern(&rec.outlet);
             table.insert(
                 rec.account,
@@ -227,7 +219,11 @@ impl QueryIndex {
                     gaps: Vec::new(),
                 },
             );
-            let agg = outlets.entry(rec.outlet.clone()).or_default();
+            // One key per distinct outlet: allocate only for a new one.
+            let agg = match outlets.get_mut(rec.outlet.as_str()) {
+                Some(agg) => agg,
+                None => outlets.entry(rec.outlet.clone()).or_default(),
+            };
             agg.accounts += 1;
             if rec.hijack_detected_secs.is_some() {
                 agg.accounts_hijacked += 1;
@@ -240,6 +236,7 @@ impl QueryIndex {
         let mut class_totals = [0u64; 4];
         let mut range_accesses: BTreeMap<u32, u64> = BTreeMap::new();
         for a in accesses {
+            ob.add_access(a);
             let classes = classify(a);
             class_totals[dominant_index(classes)] += 1;
             *range_accesses.entry(a.account).or_insert(0) += 1;
@@ -316,7 +313,7 @@ impl QueryIndex {
         QueryIndex {
             strings,
             accounts: table,
-            overview,
+            overview: ob.finish(),
             class_totals,
             outlets,
             ranges,

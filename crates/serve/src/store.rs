@@ -13,10 +13,10 @@
 
 use pwnd_core::fleet::ShardSpec;
 use pwnd_core::hash::{hex, Sha256};
-use pwnd_monitor::export::{decode_record, record_tag, Record, RECORD_TAGS};
+use pwnd_monitor::export::{self, Record};
 use pwnd_telemetry::json::Json;
 use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, Read};
+use std::io::{self, BufReader, Read};
 use std::path::{Path, PathBuf};
 
 /// Manifest format tag; bump on any incompatible layout change so old
@@ -280,65 +280,40 @@ impl VerifiedStore {
         })
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The verified manifest.
     pub fn manifest(&self) -> &Manifest {
         &self.manifest
     }
 
-    /// Stream every line of every shard file in shard order, calling
-    /// `f(shard entry, 1-based line number, line)`; endings go as with
-    /// [`BufRead::lines`]. Non-UTF-8 bytes, and a non-blank line without
-    /// a tag from [`RECORD_TAGS`], are errors naming the shard file and
-    /// line. Peak memory is one line, in one reused buffer.
+    /// Stream every line of every shard file in shard order through
+    /// [`export::for_each_line`], calling `f(shard entry, 1-based line
+    /// number, line)`; its errors name the shard file and line.
     pub fn for_each_line(
         &self,
         mut f: impl FnMut(&ShardEntry, usize, &str) -> io::Result<()>,
     ) -> io::Result<()> {
-        let mut buf = String::new();
         for e in &self.manifest.shards {
-            let mut reader = BufReader::new(File::open(self.dir.join(&e.file))?);
-            for lineno in 1.. {
-                buf.clear();
-                if reader.read_line(&mut buf)? == 0 {
-                    break;
-                }
-                let line = buf.strip_suffix('\n');
-                let line = line.map_or(&*buf, |l| l.strip_suffix('\r').unwrap_or(l));
-                if record_tag(line).is_none() && !line.trim().is_empty() {
-                    return Err(io::Error::other(format!(
-                        "{}: line {lineno}: no record tag from {RECORD_TAGS:?}",
-                        e.file
-                    )));
-                }
-                f(e, lineno, line)?;
-            }
+            let reader = BufReader::new(File::open(self.dir.join(&e.file))?);
+            export::for_each_line(&e.file, reader, |lineno, line| f(e, lineno, line))?;
         }
         Ok(())
     }
 
     /// Every record of the given `kinds`, in shard order, decoded by
-    /// [`decode_record`]; a line that does not decode fails as above.
+    /// [`export::for_each_record`] in one pass over each shard file.
     pub fn for_each_record(&self, kinds: &[&str], mut f: impl FnMut(Record)) -> io::Result<()> {
-        self.for_each_line(|e, lineno, line| {
-            if record_tag(line).is_some_and(|tag| kinds.contains(&tag)) {
-                let record = decode_record(line).map_err(|err| {
-                    io::Error::other(format!("{}: line {lineno}: {}", e.file, err.msg))
-                })?;
-                f(record);
-            }
-            Ok(())
-        })
+        for e in &self.manifest.shards {
+            let reader = BufReader::new(File::open(self.dir.join(&e.file))?);
+            export::for_each_record(&e.file, reader, kinds, &mut f)?;
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufRead;
 
     fn sample_manifest() -> Manifest {
         Manifest {

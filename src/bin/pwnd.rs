@@ -158,29 +158,19 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
         }
         "fleet" => fleet(args)?,
         "report" => {
-            // §4.1 overview without loading the dataset whole: a store streams
-            // shard by shard; a JSONL file is verified complete first.
+            // §4.1 overview in one pass, one record line in memory: a store
+            // streams shard by shard, a JSONL file line by line.
             let input = args.input.as_deref().ok_or(
                 "pwnd report: --input PATH is required \
                  (a fleet store directory or a JSONL dataset file)",
             )?;
             let path = std::path::Path::new(input);
             let ov = if path.is_dir() {
-                pwnd::store::store_overview(path).map_err(|e| format!("pwnd report: {e}"))?
+                pwnd::store::store_overview(path)
             } else {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("pwnd report: cannot read {input}: {e}"))?;
-                let read = pwnd::monitor::export::read_jsonl(&text)
-                    .map_err(|e| format!("pwnd report: {input}: {e}"))?;
-                if let Some(t) = &read.truncated {
-                    return Err(format!(
-                        "pwnd report: {input}: truncated write — line {} is a partial \
-                         record ({} bytes); re-export the dataset",
-                        t.line, t.bytes
-                    ));
-                }
-                overview(&read.dataset)
+                pwnd::store::jsonl_overview(path)
             };
+            let ov = ov.map_err(|e| format!("pwnd report: {e}"))?;
             print!("{}", cli::overview_table(&ov));
         }
         "serve" => serve(args)?,

@@ -52,10 +52,10 @@ use pwnd_analysis::stream::OverviewBuilder;
 use pwnd_analysis::tables::Overview;
 use pwnd_core::fleet::{run_fleet_shards, FleetConfig, ShardSpec};
 use pwnd_core::hash::Sha256;
-use pwnd_monitor::export::{record_tag, tags, DatasetWriter, Record, RECORD_TAGS};
+use pwnd_monitor::export::{self, record_tag, tags, DatasetWriter, Record, RECORD_TAGS};
 use pwnd_telemetry::{Table, TelemetryReport, TelemetrySink};
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex; // lint:allow(lock-discipline): manifest guard for the resumable fleet run
 
@@ -332,18 +332,34 @@ pub fn merge_store_jsonl<W: Write>(dir: &Path, mut out: W) -> io::Result<u64> {
 }
 
 /// Stream the §4.1 overview out of a verified store without ever
-/// materializing the dataset: one pass over every shard file for the
-/// account records, one for the accesses.
+/// materializing the dataset: after [`VerifiedStore::open`]'s hash pass,
+/// one pass over every shard file decodes its account and access
+/// records.
 // lint:jsonl-consume
 pub fn store_overview(dir: &Path) -> io::Result<Overview> {
     let store = VerifiedStore::open(dir)?;
+    overview_of(|f| store.for_each_record(&[tags::ACCOUNT, tags::ACCESS], f))
+}
+
+/// The §4.1 overview of a JSONL dataset file, such as a merged store,
+/// in one pass. Every record line is decoded, so a malformed or cut
+/// record is an error naming the file and line.
+pub fn jsonl_overview(path: &Path) -> io::Result<Overview> {
+    let name = path.display().to_string();
+    let file = File::open(path)
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot read {name}: {e}")))?;
+    overview_of(|f| export::for_each_record(&name, BufReader::new(file), &RECORD_TAGS, f))
+}
+
+/// Feed the records `read` yields into one [`OverviewBuilder`].
+fn overview_of(
+    read: impl FnOnce(&mut dyn FnMut(Record)) -> io::Result<()>,
+) -> io::Result<Overview> {
     let mut b = OverviewBuilder::new();
-    for kind in [tags::ACCOUNT, tags::ACCESS] {
-        store.for_each_record(&[kind], |record| match record {
-            Record::Account(a) => b.add_account(&a),
-            Record::Access(a) => b.add_access(&a),
-            _ => {}
-        })?;
-    }
+    read(&mut |record| match record {
+        Record::Account(a) => b.add_account(&a),
+        Record::Access(a) => b.add_access(&a),
+        Record::OpenedText(_) | Record::Gap(_) => {}
+    })?;
     Ok(b.finish())
 }

@@ -287,3 +287,48 @@ fn sweep_with_zero_seeds_exits_one() {
     );
     assert!(out.stdout.is_empty());
 }
+
+#[test]
+fn report_refuses_a_line_longer_than_the_reader_cap() {
+    let path = std::env::temp_dir().join(format!("pwnd-cli-{}-long.jsonl", std::process::id()));
+    std::fs::write(&path, vec![b'x'; 2 << 20]).unwrap();
+    let out = pwnd(&["report", "--input", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.ends_with("-long.jsonl: line 1: line longer than 1 MiB\n"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+}
+
+/// The same 2 MiB through a pipe, which shows how much the reader takes:
+/// it stops at its 1 MiB line cap, so writing the rest fails.
+#[cfg(unix)]
+#[test]
+fn report_stops_reading_a_long_line_at_the_cap() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pwnd"))
+        .args(["report", "--input", "/dev/stdin"])
+        .stdin(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pwnd");
+    let mut stdin = child.stdin.take().unwrap();
+    let chunk = [b'x'; 64 << 10];
+    let mut written = 0;
+    while written < 2 << 20 && stdin.write_all(&chunk).is_ok() {
+        written += chunk.len();
+    }
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.ends_with("line 1: line longer than 1 MiB\n"),
+        "{stderr}"
+    );
+    assert!(written < 2 << 20, "the reader took all {written} bytes");
+}

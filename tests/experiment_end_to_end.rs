@@ -288,10 +288,8 @@ fn dataset_json_roundtrip_preserves_everything() {
     let out = run();
     let mut writer = DatasetWriter::new(Vec::new());
     writer.write_dataset(&out.dataset).unwrap();
-    let jsonl = String::from_utf8(writer.finish().unwrap()).unwrap();
-    let read = read_jsonl(&jsonl).unwrap();
-    assert_eq!(read.truncated, None);
-    let back = read.dataset;
+    let jsonl = writer.finish().unwrap();
+    let back = read_jsonl("stream", &jsonl[..]).unwrap();
     assert_eq!(back.accesses, out.dataset.accesses);
     assert_eq!(back.accounts, out.dataset.accounts);
     assert_eq!(back.opened_texts, out.dataset.opened_texts);

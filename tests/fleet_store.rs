@@ -10,7 +10,8 @@ use pwnd::core::fleet::{run_fleet, FleetConfig};
 use pwnd::core::hash::Sha256;
 use pwnd::serve::QueryIndex;
 use pwnd::store::{
-    merge_store_jsonl, run_fleet_store, shard_file_name, store_overview, Manifest, MANIFEST_FILE,
+    jsonl_overview, merge_store_jsonl, run_fleet_store, shard_file_name, store_overview, Manifest,
+    MANIFEST_FILE,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -50,6 +51,26 @@ fn store_survives_truncation_bitflip_deletion_and_manifest_loss() {
     assert!(!run.manifest_recovered);
     assert_eq!(merged(&dir), scratch);
     assert_eq!(store_overview(&dir).unwrap(), overview(&reference.dataset));
+    // `pwnd report --input` over the merged file reads the same numbers.
+    let merged_file = dir.with_extension("jsonl");
+    fs::write(&merged_file, &scratch).unwrap();
+    assert_eq!(
+        jsonl_overview(&merged_file).unwrap(),
+        overview(&reference.dataset)
+    );
+    // No hash vouches for the file, so every record kind is decoded.
+    let lineno = scratch.iter().filter(|&&b| b == b'\n').count() + 1;
+    fs::write(
+        &merged_file,
+        [&scratch[..], b"{\"record\":\"gap\"}\n"].concat(),
+    )
+    .unwrap();
+    let err = jsonl_overview(&merged_file).unwrap_err().to_string();
+    assert!(
+        err.ends_with(&format!(".jsonl: line {lineno}: gap record: missing value")),
+        "{err}"
+    );
+    let _ = fs::remove_file(&merged_file);
 
     // Resume over a healthy store runs nothing.
     let resume = run_fleet_store(&cfg, &dir).unwrap();
@@ -185,6 +206,7 @@ fn every_store_reader_rejects_a_line_it_cannot_classify() {
                 .unwrap_err(),
             store_overview(&dir).map(drop).unwrap_err(),
             QueryIndex::from_store(&dir).map(drop).unwrap_err(),
+            jsonl_overview(&shard).map(drop).unwrap_err(),
         ];
         for err in errors {
             assert!(err.to_string().contains(&at), "{stray}: {err}");

@@ -3,7 +3,8 @@
 //! restarts, `/v1/stats` agrees exactly with the offline `pwnd report`
 //! aggregates, concurrent clients never observe a 5xx, the token
 //! bucket answers overload with `429` + `Retry-After`, a request
-//! split by a pause longer than the read timeout is read whole, a
+//! split by a pause longer than the read timeout is read whole, idle
+//! connections are closed before they can starve the worker pool, a
 //! `Connection: close` header is honoured in any letter case, and an
 //! oversized request line or header block is refused with `414` or
 //! `431`.
@@ -17,7 +18,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A fresh scratch directory under the system temp dir, unique per
 /// test name so concurrently running tests never collide.
@@ -271,6 +272,50 @@ fn a_header_split_across_a_read_timeout_is_read_whole() {
         .read_to_end(&mut rest)
         .expect("the daemon closes the connection");
     assert!(rest.is_empty(), "{rest:?}");
+    server.shutdown();
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn idle_connections_cannot_starve_the_worker_pool() {
+    let dir = test_dir("idle");
+    run_fleet_store(&FleetConfig::new(13, 20, 1), &dir).unwrap();
+    let index = Arc::new(QueryIndex::from_store(&dir).unwrap());
+    let threads = 4;
+    let server = spawn(&index, threads);
+
+    // One connection per worker. All but the first send nothing; the
+    // first sends part of its request line and stalls past the idle
+    // deadline, which only bounds the wait for a request's first byte.
+    let started = Instant::now();
+    let held: Vec<TcpStream> = (0..threads)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
+        .collect();
+    write!(&held[0], "GET /v1/hea").unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    write!(
+        stream,
+        "GET /v1/healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
+    assert_eq!(read_response(&mut BufReader::new(stream)).status, 200);
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_secs(3), "answered after {waited:?}");
+
+    // The silent connections were closed; the slow one is still served.
+    for mut idle in &held[1..] {
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(idle.read(&mut [0; 1]).unwrap(), 0, "closed by the daemon");
+    }
+    std::thread::sleep(Duration::from_millis(2500).saturating_sub(started.elapsed()));
+    let mut slow = &held[0];
+    slow.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write!(slow, "lthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+    assert_eq!(read_response(&mut BufReader::new(slow)).status, 200);
     server.shutdown();
 
     let _ = fs::remove_dir_all(&dir);
