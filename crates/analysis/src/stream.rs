@@ -14,7 +14,7 @@
 
 use crate::tables::Overview;
 use pwnd_monitor::dataset::{AccountRecord, ParsedAccess};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Incremental [`Overview`] accumulator; records may arrive in any
 /// order.
@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, HashMap};
 pub struct OverviewBuilder {
     /// account id → outlet, from the account records seen so far (a
     /// later record for the same account wins).
-    outlets: HashMap<u32, String>,
+    outlets: BTreeMap<u32, String>,
     /// account id → accesses seen so far.
     accesses_per_account: BTreeMap<u32, usize>,
     total_accesses: usize,

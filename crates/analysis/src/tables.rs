@@ -2,7 +2,7 @@
 
 use pwnd_monitor::dataset::Dataset;
 use pwnd_net::dnsbl::Blacklist;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 /// The §4.1 headline statistics.
@@ -110,8 +110,8 @@ pub struct OriginStats {
 /// Compute origin statistics; `blacklist` is the post-hoc Spamhaus check.
 pub fn origin_stats(ds: &Dataset, blacklist: Option<&Blacklist>) -> OriginStats {
     let mut tor_by_outlet: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-    let mut countries: HashSet<String> = HashSet::new();
-    let mut blacklisted: HashSet<Ipv4Addr> = HashSet::new();
+    let mut countries: BTreeSet<String> = BTreeSet::new();
+    let mut blacklisted: BTreeSet<Ipv4Addr> = BTreeSet::new();
     for a in &ds.accesses {
         let outlet = ds
             .account_record(a.account)

@@ -38,12 +38,12 @@ use pwnd_webmail::mailbox::Folder;
 use pwnd_webmail::service::{
     LoginError, OpError, SendError, ServiceConfig, SessionId, SignupError, WebmailService,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Per-account malware custody: the stealing C&C, the exfiltration time,
 /// and the market's planned sale waves.
-type SalesByAccount = HashMap<u32, (CncId, SimTime, Vec<Sale>)>;
+type SalesByAccount = BTreeMap<u32, (CncId, SimTime, Vec<Sale>)>;
 
 /// A runnable experiment.
 pub struct Experiment {
@@ -683,7 +683,7 @@ impl Experiment {
         }
 
         // Market sales per C&C (the campaign's loot map is ordered).
-        let mut sales_per_account: SalesByAccount = HashMap::new();
+        let mut sales_per_account: SalesByAccount = BTreeMap::new();
         for (&cnc, loot) in campaign.loot() {
             let (sales, _unsold) = market.plan_sales(loot.entries(), rng);
             for sale in &sales {

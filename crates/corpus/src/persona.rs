@@ -10,7 +10,7 @@
 use crate::names::{COMPANY_DOMAIN, FIRST_NAMES, LAST_NAMES};
 use pwnd_net::geo::{City, GeoDb, UK_MIDPOINT, US_MIDPOINT};
 use pwnd_sim::Rng;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Which decoy region a persona is advertised to live in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -94,7 +94,7 @@ impl Persona {
 /// Generates distinct personas.
 pub struct PersonaFactory {
     geo: GeoDb,
-    used_handles: HashSet<String>,
+    used_handles: BTreeSet<String>,
     counter: u32,
 }
 
@@ -109,7 +109,7 @@ impl PersonaFactory {
     pub fn new() -> PersonaFactory {
         PersonaFactory {
             geo: GeoDb::new(),
-            used_handles: HashSet::new(),
+            used_handles: BTreeSet::new(),
             counter: 0,
         }
     }
@@ -179,7 +179,7 @@ mod tests {
         let mut f = PersonaFactory::new();
         let mut rng = Rng::seed_from(1);
         let batch = f.generate_batch(200, |_| None, &mut rng);
-        let handles: HashSet<_> = batch.iter().map(|p| p.handle.clone()).collect();
+        let handles: BTreeSet<_> = batch.iter().map(|p| p.handle.clone()).collect();
         assert_eq!(handles.len(), 200);
     }
 

@@ -11,7 +11,7 @@
 //! once per distinct word.
 
 use crate::email::Email;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Minimum term length kept by the pipeline.
@@ -67,7 +67,7 @@ fn is_header_stopword(term: &str) -> bool {
 /// A reusable tokenizer configuration.
 #[derive(Clone, Debug, Default)]
 pub struct Tokenizer {
-    extra_stop: HashSet<String>,
+    extra_stop: BTreeSet<String>,
 }
 
 impl Tokenizer {
@@ -202,7 +202,8 @@ fn letter_bits(word: u64) -> u64 {
 /// [`TermCounts::terms`] reads the counts out.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TermCounts {
-    counts: HashMap<Box<str>, u64, BuildHasherDefault<WordHasher>>,
+    // lint:allow(hash-order): per-word hot path of corpus indexing; `terms` reads it via a BTreeMap
+    counts: std::collections::HashMap<Box<str>, u64, BuildHasherDefault<WordHasher>>,
     bytes: usize,
 }
 

@@ -8,45 +8,12 @@
 //! findings the models already carry.
 
 use crate::findings::{Finding, LintReport};
-use crate::lexer::{has_segment, Token, TokenKind};
+use crate::lexer::{has_segment, TokenKind};
 use crate::model::{self, FileModel};
 use crate::rules;
 use crate::source::SourceFile;
 pub use crate::workspace_rules::WorkspaceCtx;
 use std::collections::BTreeSet;
-
-/// Iterator-producing methods on hash containers: calling one of these
-/// starts an order-dependent stream.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "into_keys",
-    "values",
-    "values_mut",
-    "into_values",
-    "drain",
-];
-
-/// Chain terminals whose result does not depend on iteration order.
-const ORDER_INSENSITIVE: &[&str] = &[
-    "count",
-    "sum",
-    "product",
-    "min",
-    "max",
-    "min_by_key",
-    "max_by_key",
-    "any",
-    "all",
-    "len",
-    "is_empty",
-];
-
-/// Collect targets that neutralize iteration order: re-keyed maps/sets
-/// (content equality is order-free) and explicitly ordered containers.
-const ORDER_SAFE_COLLECT: &[&str] = &["BTreeMap", "BTreeSet", "HashMap", "HashSet"];
 
 /// Keywords that cannot be the base of an indexing expression.
 const NON_INDEX_KEYWORDS: &[&str] = &[
@@ -64,8 +31,8 @@ pub fn analyze_file(path: &str, content: &str) -> FileModel {
     check_token_bans(&sf, rules::WALL_CLOCK, wall_clock_ban, &mut raw);
     check_token_bans(&sf, rules::AMBIENT_RNG, ambient_rng_ban, &mut raw);
     check_token_bans(&sf, rules::ENV_IO, env_io_ban, &mut raw);
+    check_token_bans(&sf, rules::HASH_ORDER, hash_order_ban, &mut raw);
     check_panic_hazard(&sf, &mut raw);
-    check_hash_order(&sf, &mut raw);
     raw.sort();
     raw.dedup();
     model::build(&sf, raw)
@@ -233,6 +200,17 @@ fn wall_clock_ban(id: &str) -> Option<String> {
     ))
 }
 
+fn hash_order_ban(id: &str) -> Option<String> {
+    if has_segment(id, "HashMap") || has_segment(id, "HashSet") {
+        Some(format!(
+            "`{id}` iterates in a random per-process order; use BTreeMap/BTreeSet, or \
+             mark a lookup-only use with a reasoned `lint:allow(hash-order)`"
+        ))
+    } else {
+        None
+    }
+}
+
 fn ambient_rng_ban(id: &str) -> Option<String> {
     let banned = [
         "thread_rng",
@@ -262,8 +240,8 @@ fn env_io_ban(id: &str) -> Option<String> {
         "env::",
         "fs::",
     ];
-    let segments = ["TcpStream", "TcpListener", "UdpSocket", "OpenOptions"];
-    if prefixes.iter().any(|p| id.starts_with(p)) || segments.iter().any(|s| has_segment(id, s)) {
+    let type_names = ["TcpStream", "TcpListener", "UdpSocket", "OpenOptions"];
+    if prefixes.iter().any(|p| id.starts_with(p)) || type_names.iter().any(|s| has_segment(id, s)) {
         Some(format!(
             "`{id}` touches the environment/filesystem/network; pure crates compute, \
              the pwnd binary performs IO"
@@ -338,250 +316,6 @@ fn check_panic_hazard(sf: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Statement-ish segmentation of a function body: split at `;` and at
-/// block-closing `}` when the bracket depth returns to zero. A `for`
-/// loop therefore forms one segment containing its header and body.
-fn segments(toks: &[Token], body: (usize, usize)) -> Vec<(usize, usize)> {
-    let (open, close) = body;
-    let mut segs = Vec::new();
-    let mut start = open + 1;
-    let mut depth = 0i32;
-    for (k, t) in toks.iter().enumerate().take(close).skip(open + 1) {
-        match t.kind {
-            TokenKind::Punct('(' | '[' | '{') => depth += 1,
-            TokenKind::Punct(')' | ']') => depth -= 1,
-            TokenKind::Punct('}') => {
-                depth -= 1;
-                if depth <= 0 {
-                    segs.push((start, k));
-                    start = k + 1;
-                    depth = 0;
-                }
-            }
-            TokenKind::Punct(';') if depth <= 0 => {
-                segs.push((start, k));
-                start = k + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < close {
-        segs.push((start, close - 1));
-    }
-    segs.retain(|&(s, e)| s <= e);
-    segs
-}
-
-/// The `let`-bound name of a segment, if it is a `let` statement.
-fn let_binding(toks: &[Token], seg: (usize, usize)) -> Option<String> {
-    let mut k = seg.0;
-    if toks.get(k).and_then(Token::ident) != Some("let") {
-        return None;
-    }
-    k += 1;
-    if toks.get(k).and_then(Token::ident) == Some("mut") {
-        k += 1;
-    }
-    toks.get(k).and_then(Token::ident).map(String::from)
-}
-
-/// Whether the segment's `let` ascription names an ordered container.
-fn let_type_is_ordered(toks: &[Token], seg: (usize, usize)) -> bool {
-    let Some(_) = let_binding(toks, seg) else {
-        return false;
-    };
-    for k in seg.0..=seg.1.min(seg.0 + 12) {
-        if !toks[k].is_punct(':') {
-            continue;
-        }
-        // Type window until `=`.
-        for t in toks[k + 1..=seg.1].iter() {
-            match &t.kind {
-                TokenKind::Punct('=') => return false,
-                TokenKind::Ident(s) if has_segment(s, "BTreeMap") || has_segment(s, "BTreeSet") => {
-                    return true
-                }
-                _ => {}
-            }
-        }
-    }
-    false
-}
-
-/// Whether tokens after `pos` within the segment make the iteration
-/// order-safe: an order-insensitive terminal, or a collect into an
-/// order-safe container (turbofish).
-fn chain_is_safe(toks: &[Token], pos: usize, seg_end: usize) -> bool {
-    for k in pos..=seg_end {
-        if let Some(id) = toks[k].ident() {
-            let last = id.rsplit("::").next().unwrap_or(id);
-            if ORDER_INSENSITIVE.contains(&last) {
-                return true;
-            }
-            if last == "collect" || id.ends_with("::collect") {
-                // `collect::<Target<…>>` — look for the turbofish target.
-                for t in toks[k + 1..=seg_end.min(k + 8)].iter() {
-                    if let TokenKind::Ident(s) = &t.kind {
-                        return ORDER_SAFE_COLLECT.iter().any(|c| has_segment(s, c));
-                    }
-                    if matches!(t.kind, TokenKind::Punct('(')) {
-                        return false; // plain `.collect()` — target unknown
-                    }
-                }
-            }
-        }
-    }
-    false
-}
-
-/// Whether one of the next `n` segments sorts the binding `name`.
-fn sorted_soon(
-    toks: &[Token],
-    segs: &[(usize, usize)],
-    after: usize,
-    name: &str,
-    n: usize,
-) -> bool {
-    for &(s, e) in segs.iter().skip(after + 1).take(n) {
-        for k in s..e {
-            if toks[k].ident() == Some(name)
-                && toks.get(k + 1).is_some_and(|t| t.is_punct('.'))
-                && toks
-                    .get(k + 2)
-                    .and_then(Token::ident)
-                    .is_some_and(|m| m.starts_with("sort"))
-            {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Hash-order hazard: iteration of a known hash container inside a
-/// function that is `pub` or reaches a serialization/display/telemetry
-/// sink, unless the chain is order-insensitive, collected into an
-/// order-safe container, or sorted within the next two statements.
-fn check_hash_order(sf: &SourceFile, out: &mut Vec<Finding>) {
-    if !rules::applies(rules::HASH_ORDER, &sf.krate, &sf.path) {
-        return;
-    }
-    for f in &sf.fns {
-        if f.is_test || sf.is_test_token(f.body.0) {
-            continue;
-        }
-        if !(f.is_pub || f.reaches_sink) {
-            continue;
-        }
-        let segs = segments(&sf.tokens, f.body);
-        for (si, &(s, e)) in segs.iter().enumerate() {
-            for hit in iteration_sites(sf, s, e) {
-                let safe = match hit.kind {
-                    IterKind::Chain => {
-                        chain_is_safe(&sf.tokens, hit.pos + 1, e)
-                            || let_type_is_ordered(&sf.tokens, (s, e))
-                            || let_binding(&sf.tokens, (s, e))
-                                .is_some_and(|b| sorted_soon(&sf.tokens, &segs, si, &b, 2))
-                    }
-                    // A `for` loop body consumes elements in hash order.
-                    IterKind::ForLoop => false,
-                };
-                if !safe {
-                    out.push(Finding {
-                        path: sf.path.clone(),
-                        line: sf.tokens[hit.pos].line,
-                        rule: rules::HASH_ORDER.to_string(),
-                        message: format!(
-                            "iteration over hash container `{}` in `{}` ({}) is \
-                             observation-order-dependent; sort the items, use a BTree \
-                             container, or collect into an order-safe target",
-                            hit.name,
-                            f.name,
-                            if f.reaches_sink {
-                                "reaches serialized/rendered output"
-                            } else {
-                                "pub — callers may serialize the result"
-                            }
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-enum IterKind {
-    /// `name.iter()`-style chain.
-    Chain,
-    /// `for … in [&]name {` loop.
-    ForLoop,
-}
-
-struct IterSite {
-    pos: usize,
-    name: String,
-    kind: IterKind,
-}
-
-/// Find hash-container iteration sites within a segment.
-fn iteration_sites(sf: &SourceFile, s: usize, e: usize) -> Vec<IterSite> {
-    let toks = &sf.tokens;
-    let mut sites = Vec::new();
-    let is_for = toks.get(s).and_then(Token::ident) == Some("for");
-    let in_pos = if is_for {
-        (s..=e).find(|&k| toks[k].ident() == Some("in"))
-    } else {
-        None
-    };
-    let header_end = if is_for {
-        (s..=e).find(|&k| toks[k].is_punct('{')).unwrap_or(e)
-    } else {
-        e
-    };
-    for k in s..=e {
-        let Some(name) = toks[k].ident() else {
-            continue;
-        };
-        let projected = k > 0 && toks[k - 1].is_punct('.');
-        if !sf.is_hash_base(name, projected) {
-            continue;
-        }
-        // `name.iter()` / `self.name.keys()` …
-        if toks.get(k + 1).is_some_and(|t| t.is_punct('.')) {
-            if let Some(m) = toks.get(k + 2).and_then(Token::ident) {
-                if ITER_METHODS.contains(&m) && toks.get(k + 3).is_some_and(|t| t.is_punct('(')) {
-                    // An iterator chain in a `for` header feeds the loop
-                    // body element by element — that is loop consumption,
-                    // not a chain with a terminal.
-                    let kind = if is_for && k < header_end {
-                        IterKind::ForLoop
-                    } else {
-                        IterKind::Chain
-                    };
-                    sites.push(IterSite {
-                        pos: k,
-                        name: name.to_string(),
-                        kind,
-                    });
-                    continue;
-                }
-            }
-        }
-        // `for pat in &name {` — the hash name is the loop's iterated
-        // expression (directly, or behind `&`/`&mut`/`self.`).
-        if let Some(ip) = in_pos {
-            if k > ip && k < header_end && toks.get(k + 1).is_some_and(|t| t.is_punct('{')) {
-                sites.push(IterSite {
-                    pos: k,
-                    name: name.to_string(),
-                    kind: IterKind::ForLoop,
-                });
-            }
-        }
-    }
-    sites
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,22 +329,11 @@ mod tests {
     }
 
     #[test]
-    fn segments_split_statements_and_blocks() {
-        let sf = SourceFile::new(
-            "crates/x/src/lib.rs",
-            "fn f() { let a = 1; for x in v { g(x); } let b = 2; }",
-        );
-        let f = &sf.fns[0];
-        let segs = segments(&sf.tokens, f.body);
-        assert_eq!(segs.len(), 3, "{segs:?}");
-    }
-
-    #[test]
-    fn sink_gating_spares_private_pure_fns() {
+    fn private_fn_hash_map_is_flagged() {
         let src = "fn quiet(m: &HashMap<u32, u32>) -> Vec<u32> {\n\
                    m.values().copied().collect()\n}";
         let r = lint_one("crates/webmail/src/x.rs", src);
-        assert!(rules_of(&r).is_empty(), "{:?}", r.findings);
+        assert_eq!(rules_of(&r), vec!["hash-order"]);
     }
 
     #[test]
@@ -619,24 +342,6 @@ mod tests {
                    m.values().copied().collect()\n}";
         let r = lint_one("crates/webmail/src/x.rs", src);
         assert_eq!(rules_of(&r), vec!["hash-order"]);
-    }
-
-    #[test]
-    fn collect_then_sort_is_safe() {
-        let src = "pub fn ordered(m: &HashMap<u32, u32>) -> Vec<u32> {\n\
-                   let mut v: Vec<u32> = m.values().copied().collect();\n\
-                   v.sort_unstable();\n v\n}";
-        let r = lint_one("crates/webmail/src/x.rs", src);
-        assert!(rules_of(&r).is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn order_insensitive_terminals_are_safe() {
-        let src = "pub fn total(m: &HashMap<u32, u32>) -> u64 {\n\
-                   m.values().map(|&v| v as u64).sum()\n}\n\
-                   pub fn n(m: &HashSet<u32>) -> usize { m.iter().count() }";
-        let r = lint_one("crates/webmail/src/x.rs", src);
-        assert!(rules_of(&r).is_empty(), "{:?}", r.findings);
     }
 
     #[test]

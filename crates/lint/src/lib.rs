@@ -9,8 +9,8 @@
 //! the workspace and enforces the named invariants from DESIGN.md:
 //!
 //! - [`rules::WALL_CLOCK`] — no host-time reads in deterministic crates.
-//! - [`rules::HASH_ORDER`] — no unordered-container iteration on paths
-//!   that reach serialization, display, or telemetry export.
+//! - [`rules::HASH_ORDER`] — no `HashMap`/`HashSet` outside test code;
+//!   ordered work uses `BTreeMap`/`BTreeSet`.
 //! - [`rules::AMBIENT_RNG`] — all randomness flows from the seeded
 //!   streams in `pwnd-sim`.
 //! - [`rules::ENV_IO`] — pure crates touch no environment, filesystem,
@@ -30,7 +30,7 @@
 //!
 //! There is no `syn` here (the build environment is offline), so the
 //! pass runs on a hand-rolled token stream ([`lexer`]) with file-local
-//! heuristics ([`source`], [`engine`]). The design bias is to
+//! token checks ([`source`], [`engine`]). The design bias is to
 //! over-approximate: a rare false positive costs one explicit, reasoned
 //! `lint:allow`; a false negative costs a nondeterministic run that may
 //! go unnoticed for months.

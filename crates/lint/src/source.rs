@@ -1,10 +1,9 @@
 //! Per-file analysis context built on top of the token stream: crate
-//! attribution, `#[cfg(test)]` region tracking, function spans with
-//! visibility and sink-reachability, hash-container name inference, and
-//! `lint:allow` directive parsing.
+//! attribution, `#[cfg(test)]` region tracking, function spans, and
+//! `lint:allow` and role directive parsing.
 
-use crate::lexer::{self, has_segment, Comment, Lexed, Token, TokenKind};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::lexer::{self, Comment, Lexed, Token, TokenKind};
+use std::collections::BTreeSet;
 
 /// A parsed `// lint:allow(rule-id): reason` directive.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,22 +74,10 @@ pub struct FnInfo {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Whether it is `pub` (any visibility qualifier counts).
-    pub is_pub: bool,
     /// Whether it is test code (`#[test]` fn or inside `#[cfg(test)]`).
     pub is_test: bool,
     /// Token index range of the body, inclusive of both braces.
     pub body: (usize, usize),
-    /// Whether the body directly contains a serialization/display/export
-    /// marker (before call-closure propagation).
-    pub direct_sink: bool,
-    /// Whether this function reaches a sink, after propagating through
-    /// same-file calls. Filled by [`SourceFile::new`].
-    pub reaches_sink: bool,
-    /// Whether the return type mentions `HashMap`/`HashSet`.
-    pub returns_hash: bool,
-    /// Names of same-file functions this body calls.
-    pub calls: BTreeSet<String>,
 }
 
 /// One analyzed source file.
@@ -109,13 +96,6 @@ pub struct SourceFile {
     pub in_test: Vec<bool>,
     /// Functions in the file.
     pub fns: Vec<FnInfo>,
-    /// Identifiers known (or inferred) to hold `HashMap`/`HashSet`.
-    pub hash_names: BTreeSet<String>,
-    /// The subset of [`Self::hash_names`] whose only evidence is a
-    /// `let` binding. A local cannot be reached through a projection, so
-    /// `self.accounts.iter()` is not tainted by a `let accounts:
-    /// HashSet` elsewhere in the file.
-    pub hash_locals: BTreeSet<String>,
     /// Valid suppression directives.
     pub allows: Vec<AllowDirective>,
     /// Malformed suppression directives.
@@ -139,40 +119,12 @@ pub fn crate_of(path: &str) -> String {
     }
 }
 
-/// Sink markers: an identifier (last path segment) that means "this
-/// function renders, serializes, or exports data whose order an observer
-/// can see". Deliberately over-approximate — marking too much only makes
-/// the hash-order rule stricter.
-const SINK_IDENTS: &[&str] = &[
-    "format",
-    "write",
-    "writeln",
-    "print",
-    "println",
-    "eprint",
-    "eprintln",
-    "push_str",
-    "to_json",
-    "to_json_value",
-    "pretty",
-    "render",
-    "trace_with",
-    "trace_jsonl",
-    "serialize",
-    "fmt",
-];
-
-/// Function-name fragments that make a function a sink by declaration.
-const SINK_FN_NAME_FRAGMENTS: &[&str] = &["json", "render", "export", "report", "fmt", "table"];
-
 impl SourceFile {
     /// Analyze one file.
     pub fn new(path: &str, src: &str) -> SourceFile {
         let Lexed { tokens, comments } = lexer::lex(src);
         let in_test = mark_test_regions(&tokens, path);
-        let mut fns = find_fns(&tokens, &in_test);
-        let (hash_names, hash_locals) = collect_hash_names(&tokens, &fns);
-        propagate_sinks(&mut fns);
+        let fns = find_fns(&tokens, &in_test);
         let (allows, bad_allows) = parse_allows(&comments, &tokens);
         let roles = parse_roles(&comments, &tokens);
         SourceFile {
@@ -182,8 +134,6 @@ impl SourceFile {
             comments,
             in_test,
             fns,
-            hash_names,
-            hash_locals,
             allows,
             bad_allows,
             roles,
@@ -193,13 +143,6 @@ impl SourceFile {
     /// Whether the token at `idx` is inside test code.
     pub fn is_test_token(&self, idx: usize) -> bool {
         self.in_test.get(idx).copied().unwrap_or(false)
-    }
-
-    /// Whether `name` is a hash-typed iteration base at a given site.
-    /// `projected` means the base is reached through `.` (e.g.
-    /// `self.name`), which a `let`-bound local can never be.
-    pub fn is_hash_base(&self, name: &str, projected: bool) -> bool {
-        self.hash_names.contains(name) && !(projected && self.hash_locals.contains(name))
     }
 }
 
@@ -318,229 +261,31 @@ fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
 
 fn find_fns(tokens: &[Token], in_test: &[bool]) -> Vec<FnInfo> {
     let mut fns = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if tokens[i].ident() == Some("fn") {
-            let Some(name) = tokens.get(i + 1).and_then(Token::ident) else {
-                i += 1;
-                continue;
-            };
-            // Visibility: a `pub` in the few tokens before `fn`, stopping
-            // at the previous item boundary.
-            let mut is_pub = false;
-            for k in (i.saturating_sub(8)..i).rev() {
-                match &tokens[k].kind {
-                    TokenKind::Punct(';' | '{' | '}') => break,
-                    TokenKind::Ident(s) if s == "pub" => {
-                        is_pub = true;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            // Return type between `->` and the body `{` (or `;`).
-            let mut returns_hash = false;
-            let mut body_open = None;
-            let mut saw_arrow = false;
-            for k in i + 2..tokens.len() {
-                match &tokens[k].kind {
-                    TokenKind::Punct('{') => {
-                        body_open = Some(k);
-                        break;
-                    }
-                    TokenKind::Punct(';') => break,
-                    TokenKind::Punct('>') if tokens[k.saturating_sub(1)].is_punct('-') => {
-                        saw_arrow = true;
-                    }
-                    TokenKind::Ident(s)
-                        if saw_arrow
-                            && (has_segment(s, "HashMap") || has_segment(s, "HashSet")) =>
-                    {
-                        returns_hash = true;
-                    }
-                    _ => {}
-                }
-            }
-            let Some(open) = body_open else {
-                i += 2;
-                continue;
-            };
-            let Some(close) = matching_brace(tokens, open) else {
-                i += 2;
-                continue;
-            };
+    // Every `fn` token is scanned, including those inside a body: nested
+    // fns are items too.
+    for (i, t) in tokens.iter().enumerate() {
+        if t.ident() != Some("fn") {
+            continue;
+        }
+        let Some(name) = tokens.get(i + 1).and_then(Token::ident) else {
+            continue;
+        };
+        // The body is the first `{` before any `;` (a `;` first means a
+        // bodiless trait or extern declaration).
+        let body = (i + 2..tokens.len())
+            .find(|&k| tokens[k].is_punct('{') || tokens[k].is_punct(';'))
+            .filter(|&k| tokens[k].is_punct('{'))
+            .and_then(|open| Some((open, matching_brace(tokens, open)?)));
+        if let Some(body) = body {
             fns.push(FnInfo {
                 name: name.to_string(),
-                line: tokens[i].line,
-                is_pub,
+                line: t.line,
                 is_test: in_test.get(i).copied().unwrap_or(false),
-                body: (open, close),
-                direct_sink: false,
-                reaches_sink: false,
-                returns_hash,
-                calls: BTreeSet::new(),
+                body,
             });
-            i += 2; // keep scanning inside the body: nested fns are items too
-        } else {
-            i += 1;
-        }
-    }
-    // Fill direct sinks and the call lists.
-    let names: BTreeSet<String> = fns.iter().map(|f| f.name.clone()).collect();
-    for f in &mut fns {
-        if SINK_FN_NAME_FRAGMENTS.iter().any(|p| f.name.contains(p)) {
-            f.direct_sink = true;
-        }
-        for k in f.body.0..=f.body.1 {
-            if let Some(id) = tokens[k].ident() {
-                let last = id.rsplit("::").next().unwrap_or(id);
-                if SINK_IDENTS.contains(&last) {
-                    f.direct_sink = true;
-                }
-                if names.contains(last)
-                    && tokens.get(k + 1).is_some_and(|t| t.is_punct('('))
-                    && last != f.name
-                {
-                    f.calls.insert(last.to_string());
-                }
-            }
         }
     }
     fns
-}
-
-/// Propagate sink-reachability through same-file calls to a fixpoint.
-fn propagate_sinks(fns: &mut [FnInfo]) {
-    let mut reach: BTreeMap<String, bool> = fns
-        .iter()
-        .map(|f| (f.name.clone(), f.direct_sink))
-        .collect();
-    loop {
-        let mut changed = false;
-        for f in fns.iter() {
-            if reach.get(&f.name) == Some(&true) {
-                continue;
-            }
-            if f.calls.iter().any(|c| reach.get(c) == Some(&true)) {
-                reach.insert(f.name.clone(), true);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    for f in fns.iter_mut() {
-        f.reaches_sink = reach.get(&f.name).copied().unwrap_or(f.direct_sink);
-    }
-}
-
-/// Infer identifiers that hold hash containers:
-/// * `name: …HashMap<…>` anywhere (struct fields, fn params, let
-///   ascriptions, struct-literal fields initialized from a constructor);
-/// * `let [mut] name = …HashMap::new()/…collect::<HashMap…>` and
-///   `let [mut] name = hash_returning_fn(…)`.
-fn collect_hash_names(tokens: &[Token], fns: &[FnInfo]) -> (BTreeSet<String>, BTreeSet<String>) {
-    let hash_fns: BTreeSet<&str> = fns
-        .iter()
-        .filter(|f| f.returns_hash)
-        .map(|f| f.name.as_str())
-        .collect();
-    let mut decls = BTreeSet::new();
-    let mut locals = BTreeSet::new();
-    for i in 0..tokens.len() {
-        // `name : Type` — require a plain identifier, a single `:` (not
-        // `::`), and a type window mentioning a hash container.
-        if let Some(name) = tokens[i].ident() {
-            if name.contains("::") {
-                continue;
-            }
-            let colon = tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                && !tokens.get(i + 2).is_some_and(|t| t.is_punct(':'));
-            if colon && type_window_has_hash(tokens, i + 2) {
-                // `let [mut] name: Hash…` is a local; anything else
-                // (struct field, fn param) is a declaration reachable
-                // through projections like `self.name`.
-                let before = |k: usize| {
-                    i.checked_sub(k)
-                        .and_then(|j| tokens.get(j))
-                        .and_then(Token::ident)
-                };
-                let is_let = before(1) == Some("let")
-                    || (before(1) == Some("mut") && before(2) == Some("let"));
-                if is_let {
-                    locals.insert(name.to_string());
-                } else {
-                    decls.insert(name.to_string());
-                }
-                continue;
-            }
-            // `let [mut] name = rhs ;`
-            if tokens[i].ident() == Some("let") {
-                let mut j = i + 1;
-                if tokens.get(j).and_then(Token::ident) == Some("mut") {
-                    j += 1;
-                }
-                let Some(bound) = tokens.get(j).and_then(Token::ident) else {
-                    continue;
-                };
-                // Skip over a type ascription (possibly an alias hiding a
-                // hash type) to the `=`, so the rhs still gets scanned.
-                let mut eq = j + 1;
-                if tokens.get(eq).is_some_and(|t| t.is_punct(':')) {
-                    while eq < tokens.len().min(j + 40)
-                        && !tokens[eq].is_punct('=')
-                        && !tokens[eq].is_punct(';')
-                    {
-                        eq += 1;
-                    }
-                }
-                if tokens.get(eq).is_some_and(|t| t.is_punct('=')) {
-                    let j = eq; // rhs scan starts after the `=`
-                    let mut depth = 0i32;
-                    let window = tokens.len().min(j + 80);
-                    for t in tokens.iter().take(window).skip(j + 1) {
-                        match &t.kind {
-                            TokenKind::Punct('(' | '[' | '{') => depth += 1,
-                            TokenKind::Punct(')' | ']' | '}') => depth -= 1,
-                            TokenKind::Punct(';') if depth <= 0 => break,
-                            TokenKind::Ident(s)
-                                if has_segment(s, "HashMap")
-                                    || has_segment(s, "HashSet")
-                                    || hash_fns.contains(s.as_str()) =>
-                            {
-                                locals.insert(bound.to_string());
-                                break;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let names: BTreeSet<String> = decls.union(&locals).cloned().collect();
-    let locals_only: BTreeSet<String> = locals.difference(&decls).cloned().collect();
-    (names, locals_only)
-}
-
-/// Scan a type window after `name:` for `HashMap`/`HashSet`, stopping at
-/// separators outside angle brackets.
-fn type_window_has_hash(tokens: &[Token], start: usize) -> bool {
-    let mut angle = 0i32;
-    for t in tokens.iter().skip(start).take(30) {
-        match &t.kind {
-            TokenKind::Punct('<') => angle += 1,
-            TokenKind::Punct('>') => angle -= 1,
-            TokenKind::Punct(',' | ')') if angle <= 0 => return false,
-            TokenKind::Punct(';' | '{' | '}' | '=') => return false,
-            TokenKind::Ident(s) if has_segment(s, "HashMap") || has_segment(s, "HashSet") => {
-                return true
-            }
-            _ => {}
-        }
-    }
-    false
 }
 
 /// Parse `lint:allow(rule): reason` directives out of comments. A
@@ -670,55 +415,6 @@ mod tests {
         let helper = f.fns.iter().find(|f| f.name == "helper").unwrap();
         assert!(!live.is_test);
         assert!(helper.is_test);
-    }
-
-    #[test]
-    fn hash_names_from_field_param_and_let() {
-        let src = "struct S { m: HashMap<u32, u32> }\n\
-                   fn f(set: &HashSet<u8>) { let mut local: HashMap<u8,u8> = HashMap::new();\n\
-                   let built = HashSet::new(); let plain = 3; }";
-        let f = SourceFile::new("crates/x/src/lib.rs", src);
-        for n in ["m", "set", "local", "built"] {
-            assert!(f.hash_names.contains(n), "missing {n}");
-        }
-        assert!(!f.hash_names.contains("plain"));
-    }
-
-    #[test]
-    fn hash_returning_fn_taints_let() {
-        let src = "fn counts() -> HashMap<String, u64> { HashMap::new() }\n\
-                   fn g() { let ca = counts(); }";
-        let f = SourceFile::new("crates/x/src/lib.rs", src);
-        assert!(f.hash_names.contains("ca"));
-    }
-
-    #[test]
-    fn sink_propagates_through_calls() {
-        let src = "fn emit(s: &str) { println!(\"{s}\"); }\n\
-                   fn outer() { emit(\"x\"); }\n\
-                   fn pure_helper() -> u32 { 1 }";
-        let f = SourceFile::new("crates/x/src/lib.rs", src);
-        assert!(
-            f.fns
-                .iter()
-                .find(|x| x.name == "emit")
-                .unwrap()
-                .reaches_sink
-        );
-        assert!(
-            f.fns
-                .iter()
-                .find(|x| x.name == "outer")
-                .unwrap()
-                .reaches_sink
-        );
-        assert!(
-            !f.fns
-                .iter()
-                .find(|x| x.name == "pure_helper")
-                .unwrap()
-                .reaches_sink
-        );
     }
 
     #[test]

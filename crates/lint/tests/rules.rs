@@ -38,14 +38,22 @@ fn wall_clock_rule_fires_on_seeded_violations() {
 }
 
 #[test]
-fn hash_order_rule_flags_observable_iteration_only() {
+fn hash_order_rule_bans_hash_containers_outside_tests() {
     let src = include_str!("fixtures/hash_order.rs");
     let r = lint_fixture("crates/analysis/src/bad.rs", src);
     let lines = lines_for(&r, "hash-order");
     assert!(lines.contains(&6), "pub fn leaky: {lines:?}");
-    assert!(lines.contains(&11), "for-loop in render: {lines:?}");
-    // Sorted, re-homed, order-insensitive, and private/pure uses stay quiet.
-    assert_eq!(lines, vec![6, 11], "{lines:?}");
+    assert!(lines.contains(&10), "for-loop in render: {lines:?}");
+    assert!(lines.contains(&33), "private_helper: {lines:?}");
+    // Every line that names a hash container is flagged, however the
+    // container is used; the allowed lookup (42), the BTreeMap fn and
+    // the test module stay quiet.
+    assert_eq!(lines, vec![4, 6, 10, 19, 25, 29, 33, 37], "{lines:?}");
+    let suppressed: Vec<u32> = r.suppressed.iter().map(|f| f.line).collect();
+    assert_eq!(suppressed, vec![42], "{:?}", r.suppressed);
+    // Root test and example trees are out of scope.
+    let r = lint_fixture("tests/bad.rs", src);
+    assert!(lines_for(&r, "hash-order").is_empty());
 }
 
 #[test]

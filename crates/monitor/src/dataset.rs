@@ -25,7 +25,7 @@ use pwnd_net::ip::AddressPlan;
 use pwnd_telemetry::json::{Json, JsonError};
 use pwnd_webmail::account::AccountId;
 use pwnd_webmail::activity::ActivityRow;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 /// One unique access: a device cookie observed on a honey account.
@@ -180,7 +180,7 @@ impl Dataset {
         &'a self,
         outlet: &'a str,
     ) -> impl Iterator<Item = &'a ParsedAccess> {
-        let accounts: HashSet<u32> = self
+        let accounts: BTreeSet<u32> = self
             .accounts
             .iter()
             .filter(|a| a.outlet == outlet)
@@ -201,7 +201,7 @@ impl Dataset {
         self.accesses
             .iter()
             .map(|a| a.account)
-            .collect::<HashSet<_>>()
+            .collect::<BTreeSet<_>>()
             .len()
     }
 }

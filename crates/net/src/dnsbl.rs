@@ -9,7 +9,7 @@
 //! can ask "was this IP listed at access time?".
 
 use pwnd_sim::SimTime;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Why an address was listed.
@@ -35,7 +35,7 @@ pub struct Listing {
 /// An append-only IP blacklist.
 #[derive(Clone, Debug, Default)]
 pub struct Blacklist {
-    entries: HashMap<Ipv4Addr, Listing>,
+    entries: BTreeMap<Ipv4Addr, Listing>,
 }
 
 impl Blacklist {

@@ -10,7 +10,7 @@
 
 use crate::ip::TOR_BLOCK;
 use pwnd_sim::Rng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Countries hosting exit relays, with rough consensus-weight shares.
@@ -32,7 +32,7 @@ const EXIT_COUNTRIES: &[(&str, f64)] = &[
 #[derive(Clone, Debug)]
 pub struct TorDirectory {
     exits: Vec<Ipv4Addr>,
-    countries: HashMap<Ipv4Addr, &'static str>,
+    countries: BTreeMap<Ipv4Addr, &'static str>,
 }
 
 impl TorDirectory {
@@ -43,8 +43,7 @@ impl TorDirectory {
         assert!(n > 0 && n <= 60_000, "exit count out of range");
         let weights: Vec<f64> = EXIT_COUNTRIES.iter().map(|&(_, w)| w).collect();
         let mut exits = Vec::with_capacity(n);
-        let mut countries = HashMap::with_capacity(n);
-        let mut used = std::collections::HashSet::with_capacity(n);
+        let mut countries = BTreeMap::new();
         while exits.len() < n {
             let ip = Ipv4Addr::new(
                 TOR_BLOCK,
@@ -52,7 +51,7 @@ impl TorDirectory {
                 rng.below(256) as u8,
                 (1 + rng.below(254)) as u8,
             );
-            if !used.insert(ip) {
+            if countries.contains_key(&ip) {
                 continue;
             }
             let country = EXIT_COUNTRIES[rng.choose_weighted(&weights)].0;

@@ -26,7 +26,7 @@ use pwnd_net::useragent;
 use pwnd_sim::intern::Interner;
 use pwnd_sim::SimTime;
 use pwnd_telemetry::TelemetrySink;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Login session handle.
@@ -136,7 +136,7 @@ pub struct WebmailService {
     abuse: AbuseDetector,
     sinkhole: Sinkhole,
     events: Vec<WebmailEvent>,
-    signup_counts: HashMap<Ipv4Addr, u32>,
+    signup_counts: BTreeMap<Ipv4Addr, u32>,
     maintenance: Vec<(SimTime, SimTime)>,
     next_session: u64,
     next_cookie: u64,
@@ -166,7 +166,7 @@ impl WebmailService {
             abuse,
             sinkhole: Sinkhole::new(),
             events: Vec::new(),
-            signup_counts: HashMap::new(),
+            signup_counts: BTreeMap::new(),
             maintenance: Vec::new(),
             next_session: 1,
             next_cookie: 1,

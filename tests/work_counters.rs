@@ -18,20 +18,22 @@ use std::cell::Cell;
 
 /// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) one
 /// untraced `ExperimentConfig::quick(2016)` run may make. Measured at
-/// exactly 34,608 under the `cargo test` (debug) profile with rustc
-/// 1.95.0, once a mailbox filed mail from its owner under the seeded
-/// owner address and the extortion check folded into a reused buffer;
-/// the ceiling is that count plus 0.84%. It was 40,222 while each send
-/// and draft copied its sender and built two strings for the check,
-/// and 48,826 while each send built an owned email and each open
-/// copied one out.
+/// exactly 34,665 under the `cargo test` (debug) profile with rustc
+/// 1.95.0, once the lookup-only maps and sets became B-trees; the
+/// ceiling is that count plus 0.68%. It was 34,608 while they were
+/// hash tables (a B-tree allocates a node per few keys where a hash
+/// table allocates one table), 40,222 while each send and draft copied
+/// its sender and built two strings for the extortion check, and
+/// 48,826 while each send built an owned email and each open copied
+/// one out.
 const ALLOC_CEILING: u64 = 34_900;
 
 /// The same for one untraced `ExperimentConfig::paper(2016)` run:
-/// measured at exactly 43,690, ceiling that count plus 0.82%. It was
-/// 49,253 with a sender copy and two check strings per send, 57,774
-/// with owned copies per send and open, and 215,795 while every
-/// seeded email held its own strings.
+/// measured at exactly 43,909, ceiling that count plus 0.32%. It was
+/// 43,690 with hash tables for the lookup-only maps and sets, 49,253
+/// with a sender copy and two check strings per send, 57,774 with
+/// owned copies per send and open, and 215,795 while every seeded
+/// email held its own strings.
 const PAPER_ALLOC_CEILING: u64 = 44_050;
 
 thread_local! {
