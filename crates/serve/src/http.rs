@@ -3,18 +3,19 @@
 //! Dependency-free by design — a std [`TcpListener`], an acceptor
 //! thread, and a bounded pool of worker threads pulling accepted
 //! connections off an `mpsc` queue. Workers speak just enough
-//! HTTP/1.1 for the API: `GET` requests, keep-alive connections,
-//! `Content-Length`-framed JSON responses. One worker owns one
-//! connection until the peer closes it, leaves it idle for 2 s between
-//! requests, or the server shuts down, so the pool size bounds
-//! concurrent connections; size [`ServeOptions::threads`] to the
-//! expected client count.
+//! HTTP/1.1 for the API: bodiless `GET` requests, keep-alive and
+//! pipelining, `Content-Length`-framed JSON responses. One worker owns
+//! one connection until the peer closes it, fails to send a whole
+//! request head within 2 s of accept or of the last response, or the
+//! server shuts down, so the pool size bounds concurrent connections;
+//! size [`ServeOptions::threads`] to the expected client count.
 //!
-//! Request handling is deliberately boring: parse the request line,
-//! consult the token bucket, dispatch on the route table
-//! ([`ROUTES`]), let the [`QueryIndex`] render the body. Every error
-//! path returns the JSON error envelope documented in `API.md`
-//! (`{"error": {"code", "status", "message"}}`). Per-request
+//! Request handling is deliberately boring: read into one buffer per
+//! connection, frame it with the pure `parse_request` (which refuses
+//! bodies and oversized heads), consult the token bucket, dispatch on
+//! the route table ([`ROUTES`]), let the [`QueryIndex`] render the
+//! body. Every error path returns the JSON error envelope documented in
+//! `API.md` (`{"error": {"code", "status", "message"}}`). Per-request
 //! telemetry — `serve.requests{route}`, `serve.responses{status}`,
 //! and the `serve.latency_us{route}` histograms — goes through the
 //! same [`TelemetrySink`] the simulation uses, and is reported by the
@@ -23,7 +24,7 @@
 use crate::index::{QueryIndex, RANGE_PREFIX_LEN};
 use pwnd_telemetry::json::Json;
 use pwnd_telemetry::TelemetrySink;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -264,21 +265,119 @@ impl Server {
     }
 }
 
-/// Longest request line read, `\n` included; a longer one gets `414`.
+/// Longest request line, `\n` included; a longer one gets `414`.
 const MAX_REQUEST_LINE: usize = 8 * 1024;
-/// Most header bytes read per request, blank line included; more get `431`.
+/// Most header bytes per request, blank line included; more get `431`.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
-/// How long after accept or its last response a connection may hold its
-/// worker before the first byte of a request line; a begun request is
-/// not timed, so slow senders keep their connection.
-const IDLE_DEADLINE: Duration = Duration::from_secs(2);
+/// How long a connection has, from accept or from its last response, to
+/// send a whole request head; also how long a refused connection's
+/// input is discarded at most.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
-/// Serve one connection until the peer closes, stays idle past
-/// [`IDLE_DEADLINE`], an error occurs, or shutdown is requested. Read
-/// timeouts keep the keep-alive loop responsive to both without
-/// busy-waiting.
+/// An error answered with the JSON envelope (see [`error_body`]): HTTP
+/// status, envelope `status` code, message. The parser's refusals
+/// (`400`, `408`, `413`, `414`, `431`) also close the connection.
+type ApiError = (u16, &'static str, &'static str);
+const BAD_REQUEST: ApiError = (400, "bad_request", "malformed request line");
+const INVALID_ACCOUNT: ApiError = (400, "invalid_account", "account id must be a decimal u32");
+const INVALID_PREFIX: ApiError = (
+    400,
+    "invalid_prefix",
+    "range prefix must be 5 uppercase hex characters",
+);
+const NOT_FOUND: ApiError = (404, "not_found", "no such endpoint; see API.md");
+const UNKNOWN_ACCOUNT: ApiError = (404, "unknown_account", "no such account in this store");
+const METHOD_NOT_ALLOWED: ApiError = (405, "method_not_allowed", "only GET is supported");
+const REQUEST_TIMEOUT: ApiError = (408, "request_timeout", "request head not sent within 2 s");
+const CONTENT_TOO_LARGE: ApiError = (413, "content_too_large", "the API takes no request body");
+const URI_TOO_LONG: ApiError = (414, "uri_too_long", "request line over 8 KiB");
+const RATE_LIMITED: ApiError = (429, "rate_limited", "rate limit exceeded; slow down");
+const HEADERS_TOO_LARGE: ApiError = (431, "headers_too_large", "request headers over 16 KiB");
+
+/// What [`parse_request`] makes of the bytes a connection has sent.
+#[derive(Debug, PartialEq, Eq)]
+enum Parsed<'a> {
+    /// No whole request head yet, and the bytes are within the caps.
+    NeedMore,
+    /// A whole request head.
+    Request(Request<'a>),
+    /// A request refused with an error envelope and a close.
+    Reject(ApiError),
+}
+
+/// A whole request head, the first `consumed` bytes of the buffer.
+#[derive(Debug, PartialEq, Eq)]
+struct Request<'a> {
+    method: &'a str,
+    path: &'a str,
+    keep_alive: bool,
+    consumed: usize,
+}
+
+/// Frame the first request in `buf`. Pure and monotone: once a prefix of
+/// a byte stream gives a `Request` or a `Reject`, every longer prefix
+/// gives the same, so where reads split the stream never matters. Past
+/// the caps it never asks for more, so a connection holds at most
+/// `MAX_REQUEST_LINE + MAX_HEADER_BYTES` bytes plus one read. The API is
+/// GET-only, so any request body is refused rather than framed.
+fn parse_request(buf: &[u8]) -> Parsed<'_> {
+    let line_end = match line_len(buf, MAX_REQUEST_LINE, URI_TOO_LONG) {
+        Ok(len) => len,
+        Err(parsed) => return parsed,
+    };
+    let line = std::str::from_utf8(&buf[..line_end]).unwrap_or_default();
+    let mut parts = line.split_ascii_whitespace();
+    let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
+        return Parsed::Reject(BAD_REQUEST);
+    };
+    let (mut at, mut keep_alive) = (line_end, true);
+    loop {
+        let room = line_end + MAX_HEADER_BYTES - at;
+        let len = match line_len(&buf[at..], room, HEADERS_TOO_LARGE) {
+            Ok(len) => len,
+            Err(parsed) => return parsed,
+        };
+        let header = buf[at..at + len].trim_ascii();
+        at += len;
+        if header.is_empty() {
+            return Parsed::Request(Request {
+                method,
+                path,
+                keep_alive,
+                consumed: at,
+            });
+        }
+        // Field names are case-insensitive (RFC 9110 §5.1).
+        let (name, value) = header.split_at(header.iter().position(|&b| b == b':').unwrap_or(0));
+        let value = value.get(1..).unwrap_or_default().trim_ascii();
+        if name.eq_ignore_ascii_case(b"connection") {
+            keep_alive = !value.eq_ignore_ascii_case(b"close");
+        } else if name.eq_ignore_ascii_case(b"transfer-encoding")
+            || name.eq_ignore_ascii_case(b"content-length") && value != b"0"
+        {
+            return Parsed::Reject(CONTENT_TOO_LARGE);
+        }
+    }
+}
+
+/// The length of the first line of `bytes`, `\n` included, if it ends
+/// within `cap` bytes; else `NeedMore` while it still may, or `refusal`.
+fn line_len(bytes: &[u8], cap: usize, refusal: ApiError) -> Result<usize, Parsed<'static>> {
+    match bytes.iter().take(cap).position(|&b| b == b'\n') {
+        Some(i) => Ok(i + 1),
+        None if bytes.len() < cap => Err(Parsed::NeedMore),
+        None => Err(Parsed::Reject(refusal)),
+    }
+}
+
+/// Serve one connection until the peer closes, misses
+/// [`REQUEST_DEADLINE`], an error occurs, or shutdown is requested. Bytes
+/// are read into one buffer that [`parse_request`] frames; requests
+/// already in it are answered in order without another read. Read
+/// timeouts keep the loop responsive to the deadline and to shutdown
+/// without busy-waiting.
 fn serve_connection(
-    stream: TcpStream,
+    mut stream: TcpStream,
     index: &QueryIndex,
     stop: &AtomicBool,
     limiter: Option<&Limiter>,
@@ -286,140 +385,68 @@ fn serve_connection(
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(250)))?;
     stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut out = stream;
-    let mut request = Vec::new();
-    let mut line = Vec::new();
+    let (mut buf, mut chunk) = (Vec::new(), [0; 4096]);
+    let mut deadline = Instant::now() + REQUEST_DEADLINE;
     loop {
-        request.clear();
-        let until = Some(Instant::now() + IDLE_DEADLINE);
-        if !read_full_line(&mut reader, &mut request, MAX_REQUEST_LINE, until, stop)? {
-            return Ok(());
-        }
-        if !request.ends_with(b"\n") {
-            let refusal = (414, "uri_too_long", "request line over 8 KiB");
-            return refuse(reader, out, refusal, sink);
-        }
-        // Drain headers; we only need Connection.
-        let mut keep_alive = true;
-        let mut header_bytes = 0;
-        loop {
-            line.clear();
-            let room = MAX_HEADER_BYTES - header_bytes;
-            if !read_full_line(&mut reader, &mut line, room, None, stop)? {
-                return Ok(());
-            }
-            if !line.ends_with(b"\n") {
-                let refusal = (431, "headers_too_large", "request headers over 16 KiB");
-                return refuse(reader, out, refusal, sink);
-            }
-            header_bytes += line.len();
-            let h = line.trim_ascii();
-            if h.is_empty() {
-                break;
-            }
-            // Field names are case-insensitive (RFC 9110 §5.1).
-            if let Some((name, v)) = h.split_first_chunk::<11>() {
-                if name.eq_ignore_ascii_case(b"connection:") {
-                    keep_alive = !v.trim_ascii().eq_ignore_ascii_case(b"close");
+        let request = match parse_request(&buf) {
+            Parsed::Request(request) => request,
+            Parsed::Reject(refusal) => return refuse(stream, refusal, sink),
+            Parsed::NeedMore if stop.load(Ordering::Relaxed) => return Ok(()),
+            Parsed::NeedMore if Instant::now() < deadline => {
+                match stream.read(&mut chunk) {
+                    Ok(0) => return Ok(()),
+                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                    Err(e) => return Err(e),
                 }
+                continue;
             }
-        }
-
-        let started = Instant::now();
-        let request_line = String::from_utf8_lossy(&request);
-        let mut parts = request_line.split_whitespace();
-        let (method, path) = match (parts.next(), parts.next()) {
-            (Some(m), Some(p)) => (m, p),
-            _ => {
-                let body = error_body(400, "bad_request", "malformed request line");
-                write_response(&mut out, 400, "Bad Request", &body, &[], false)?;
-                return Ok(());
-            }
+            // Past the deadline: close a silent connection, refuse a begun request.
+            Parsed::NeedMore if buf.is_empty() => return Ok(()),
+            Parsed::NeedMore => return refuse(stream, REQUEST_TIMEOUT, sink),
         };
 
-        let (status, label, body, extra): (u16, &str, String, Vec<(&str, String)>) =
-            if method != "GET" {
-                (
-                    405,
-                    "method_not_allowed",
-                    error_body(405, "method_not_allowed", "only GET is supported"),
-                    vec![("Allow", "GET".to_string())],
-                )
-            } else if let Some(retry) = limiter.map(Limiter::try_take).and_then(Result::err) {
-                (
-                    429,
-                    "rate_limited",
-                    error_body(429, "rate_limited", "rate limit exceeded; slow down"),
-                    vec![("Retry-After", retry.to_string())],
-                )
-            } else {
-                let (status, label, body) = route(index, path);
-                (status, label, body, Vec::new())
-            };
+        let started = Instant::now();
+        let mut extra = Vec::new();
+        let (status, label, body) = if request.method != "GET" {
+            extra.push(("Allow", "GET".to_string()));
+            error(METHOD_NOT_ALLOWED, "method_not_allowed")
+        } else if let Some(retry) = limiter.map(Limiter::try_take).and_then(Result::err) {
+            extra.push(("Retry-After", retry.to_string()));
+            error(RATE_LIMITED, "rate_limited")
+        } else {
+            route(index, request.path)
+        };
 
         sink.count_labeled("serve.requests", label);
-        sink.count_labeled("serve.responses", status_label(status));
+        sink.count_labeled("serve.responses", status_text(status).1);
         sink.observe_labeled(
             "serve.latency_us",
             label,
             u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
         );
 
-        write_response(&mut out, status, reason(status), &body, &extra, keep_alive)?;
-        if !keep_alive || stop.load(Ordering::Relaxed) {
+        write_response(&mut stream, status, &body, &extra, request.keep_alive)?;
+        if !request.keep_alive || stop.load(Ordering::Relaxed) {
             return Ok(());
         }
+        buf.drain(..request.consumed);
+        deadline = Instant::now() + REQUEST_DEADLINE;
     }
 }
 
-/// Read one `\n`-terminated line into `line`, retrying across read
-/// timeouts: `read_until` keeps the bytes it already appended, so a line
-/// split by a pause still assembles whole. `Ok(true)` once the line is
-/// whole or `limit` bytes long (then it has no `\n`), `Ok(false)` when
-/// the peer closed, the server is stopping, or `idle_until` passed with
-/// `line` still empty.
-fn read_full_line(
-    reader: &mut impl BufRead,
-    line: &mut Vec<u8>,
-    limit: usize,
-    idle_until: Option<Instant>,
-    stop: &AtomicBool,
-) -> io::Result<bool> {
-    loop {
-        let room = (limit - line.len()) as u64;
-        match reader.by_ref().take(room).read_until(b'\n', line) {
-            Ok(_) if line.ends_with(b"\n") || line.len() >= limit => return Ok(true),
-            Ok(0) => return Ok(false),
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                let idle = line.is_empty() && idle_until.is_some_and(|t| Instant::now() >= t);
-                if idle || stop.load(Ordering::Relaxed) {
-                    return Ok(false);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Refuse a request too large to read with an error envelope and close.
-/// Closing with unread input resets the connection, which can destroy
-/// the reply before the peer reads it: so stop writing, then discard up
-/// to 4 MiB until the peer closes or pauses past the read timeout.
-fn refuse(
-    reader: impl Read,
-    mut out: TcpStream,
-    (status, label, message): (u16, &str, &str),
-    sink: &TelemetrySink,
-) -> io::Result<()> {
-    sink.count_labeled("serve.responses", status_label(status));
-    let body = error_body(status, label, message);
-    write_response(&mut out, status, reason(status), &body, &[], false)?;
-    out.shutdown(Shutdown::Write)?;
-    let _ = io::copy(&mut reader.take(4 << 20), &mut io::sink());
+/// Answer a refused request with its error envelope and close. Closing
+/// with unread input resets the connection, which can destroy the reply
+/// before the peer reads it: so stop writing, then discard up to 4 MiB
+/// for at most [`REQUEST_DEADLINE`], until the peer closes or pauses past
+/// the read timeout.
+fn refuse(mut stream: TcpStream, refusal: ApiError, sink: &TelemetrySink) -> io::Result<()> {
+    sink.count_labeled("serve.responses", status_text(refusal.0).1);
+    write_response(&mut stream, refusal.0, &error_body(refusal), &[], false)?;
+    stream.shutdown(Shutdown::Write)?;
+    let (until, mut scratch) = (Instant::now() + REQUEST_DEADLINE, [0; 4096]);
+    let mut rest = stream.take(4 << 20);
+    while Instant::now() < until && rest.read(&mut scratch).is_ok_and(|n| n > 0) {}
     Ok(())
 }
 
@@ -440,28 +467,12 @@ fn route(index: &QueryIndex, path: &str) -> (u16, &'static str, String) {
             } else {
                 "/v1/account/{id}/accesses"
             };
-            match id.parse::<u32>() {
-                Err(_) => (
-                    400,
-                    pattern,
-                    error_body(400, "invalid_account", "account id must be a decimal u32"),
-                ),
-                Ok(id) => {
-                    let body = if *tail == "timeline" {
-                        index.timeline_json(id)
-                    } else {
-                        index.accesses_json(id)
-                    };
-                    match body {
-                        Some(body) => (200, pattern, body),
-                        None => (
-                            404,
-                            pattern,
-                            error_body(404, "unknown_account", "no such account in this store"),
-                        ),
-                    }
-                }
-            }
+            let body = match id.parse::<u32>() {
+                Err(_) => return error(INVALID_ACCOUNT, pattern),
+                Ok(id) if *tail == "timeline" => index.timeline_json(id),
+                Ok(id) => index.accesses_json(id),
+            };
+            body.map_or_else(|| error(UNKNOWN_ACCOUNT, pattern), |b| (200, pattern, b))
         }
         ["v1", "range", prefix] => {
             let valid = prefix.len() == RANGE_PREFIX_LEN
@@ -471,27 +482,20 @@ fn route(index: &QueryIndex, path: &str) -> (u16, &'static str, String) {
             if valid {
                 (200, "/v1/range/{prefix}", index.range_json(prefix))
             } else {
-                (
-                    400,
-                    "/v1/range/{prefix}",
-                    error_body(
-                        400,
-                        "invalid_prefix",
-                        "range prefix must be 5 uppercase hex characters",
-                    ),
-                )
+                error(INVALID_PREFIX, "/v1/range/{prefix}")
             }
         }
-        _ => (
-            404,
-            "unmatched",
-            error_body(404, "not_found", "no such endpoint; see API.md"),
-        ),
+        _ => error(NOT_FOUND, "unmatched"),
     }
 }
 
+/// `e` as a routed response: `(status, telemetry label, body)`.
+fn error(e: ApiError, label: &'static str) -> (u16, &'static str, String) {
+    (e.0, label, error_body(e))
+}
+
 /// The JSON error envelope every non-2xx response carries.
-fn error_body(code: u16, status: &str, message: &str) -> String {
+fn error_body((code, status, message): ApiError) -> String {
     let mut text = Json::Obj(vec![(
         "error".to_string(),
         Json::Obj(vec![
@@ -505,43 +509,32 @@ fn error_body(code: u16, status: &str, message: &str) -> String {
     text
 }
 
-fn reason(status: u16) -> &'static str {
+/// The reason phrase and the `serve.responses` counter label of `status`.
+fn status_text(status: u16) -> (&'static str, &'static str) {
     match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        414 => "URI Too Long",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        _ => "Internal Server Error",
-    }
-}
-
-/// Stable status label for the `serve.responses` counter.
-fn status_label(status: u16) -> &'static str {
-    match status {
-        200 => "200",
-        400 => "400",
-        404 => "404",
-        405 => "405",
-        414 => "414",
-        429 => "429",
-        431 => "431",
-        _ => "5xx",
+        200 => ("OK", "200"),
+        400 => ("Bad Request", "400"),
+        404 => ("Not Found", "404"),
+        405 => ("Method Not Allowed", "405"),
+        408 => ("Request Timeout", "408"),
+        413 => ("Content Too Large", "413"),
+        414 => ("URI Too Long", "414"),
+        429 => ("Too Many Requests", "429"),
+        431 => ("Request Header Fields Too Large", "431"),
+        _ => ("Internal Server Error", "5xx"),
     }
 }
 
 fn write_response(
     out: &mut TcpStream,
     status: u16,
-    reason: &str,
     body: &str,
     extra: &[(&str, String)],
     keep_alive: bool,
 ) -> io::Result<()> {
     let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
+        status_text(status).0,
         body.len()
     );
     for (name, value) in extra {
@@ -563,6 +556,8 @@ fn write_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use pwnd_monitor::dataset::Dataset;
 
     fn empty_index() -> QueryIndex {
@@ -616,5 +611,161 @@ mod tests {
         assert!(l.try_take().is_ok());
         let retry = l.try_take().unwrap_err();
         assert!(retry >= 1);
+    }
+
+    /// Feed `stream` to the parser as a connection does, one read per
+    /// piece between the `cuts`: every outcome until the connection would
+    /// close, each checked for the parser's invariants.
+    fn drive(stream: &[u8], cuts: &[usize]) -> Result<Vec<String>, TestCaseError> {
+        let mut ends: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+        ends.push(stream.len());
+        ends.sort_unstable();
+        let (mut buf, mut fed, mut seen) = (Vec::new(), 0, Vec::new());
+        for end in ends {
+            buf.extend_from_slice(&stream[fed..end]);
+            fed = end;
+            loop {
+                let parsed = parse_request(&buf);
+                match &parsed {
+                    Parsed::NeedMore => {
+                        // Within the caps: a request line that can still end
+                        // within 8 KiB, and headers within 16 KiB after it.
+                        let line_end = buf.iter().position(|&b| b == b'\n');
+                        let line_end = line_end.map_or(buf.len() + 1, |i| i + 1);
+                        prop_assert!(line_end <= MAX_REQUEST_LINE, "{} bytes", buf.len());
+                        prop_assert!(
+                            buf.len() < line_end + MAX_HEADER_BYTES,
+                            "{} bytes",
+                            buf.len()
+                        );
+                        break;
+                    }
+                    Parsed::Request(r) => prop_assert!(r.consumed > 0 && r.consumed <= buf.len()),
+                    Parsed::Reject(e) => {
+                        let body = Json::parse(&error_body(*e)).expect("the envelope is JSON");
+                        let error = body.get("error").expect("an error object");
+                        prop_assert_eq!(error.get("code").and_then(Json::as_u64), Some(e.0.into()));
+                        prop_assert_eq!(error.get("status").and_then(Json::as_str), Some(e.1));
+                        prop_assert!(status_text(e.0).1 != "5xx", "{e:?} has no status row");
+                    }
+                }
+                seen.push(format!("{parsed:?}"));
+                let consumed = match parsed {
+                    Parsed::Request(r) if r.keep_alive => r.consumed,
+                    _ => return Ok(seen),
+                };
+                buf.drain(..consumed);
+            }
+        }
+        Ok(seen)
+    }
+
+    /// Read boundaries: anywhere, and often just around the caps.
+    fn cuts() -> impl Strategy<Value = Vec<usize>> {
+        let line = MAX_REQUEST_LINE - 8..MAX_REQUEST_LINE + 8;
+        let head = MAX_HEADER_BYTES..MAX_HEADER_BYTES + 256;
+        vec(prop_oneof![any::<usize>(), line, head], 0..20)
+    }
+
+    /// Byte streams of HTTP-like tokens and arbitrary bytes, sometimes
+    /// with a run long enough to cross a cap.
+    fn noise() -> impl Strategy<Value = Vec<u8>> {
+        let token = prop_oneof![
+            any::<u8>().prop_map(|b| vec![b]),
+            any::<u8>().prop_map(|b| vec![b]),
+            Just(b"GET /v1/healthz HTTP/1.1".to_vec()),
+            Just(b"POST / ".to_vec()),
+            Just(b"\r\n".to_vec()),
+            Just(b"\n".to_vec()),
+            Just(b" ".to_vec()),
+            Just(b"Connection: close".to_vec()),
+            Just(b"Content-Length: 0".to_vec()),
+            Just(b"Content-Length: 3".to_vec()),
+            Just(b"Transfer-Encoding: chunked".to_vec()),
+            (0usize..30_000).prop_map(|n| vec![b'a'; n]),
+        ];
+        vec(token, 0..40).prop_map(|tokens| tokens.concat())
+    }
+
+    /// Well-formed pipelined requests, with header names in random case,
+    /// and the outcomes the parser owes them.
+    fn pipeline() -> impl Strategy<Value = (Vec<u8>, Vec<String>)> {
+        let header = (0usize..6, any::<u64>());
+        let request = (0usize..3, 0usize..3, vec(header, 0..5));
+        vec(request, 1..6).prop_map(|requests| {
+            let (mut stream, mut expected) = (Vec::new(), Vec::new());
+            for (method, path, headers) in requests {
+                let (method, path) = (
+                    ["GET", "POST", "HEAD"][method],
+                    ["/", "/v1/healthz", "/x?y"][path],
+                );
+                let mut head = format!("{method} {path} HTTP/1.1\r\n");
+                let (mut keep_alive, mut refused) = (true, false);
+                for (kind, case) in headers {
+                    let (name, value) = [
+                        ("Host", "t"),
+                        ("Connection", "close"),
+                        ("Connection", "keep-alive"),
+                        ("Content-Length", "0"),
+                        ("Content-Length", "5"),
+                        ("Transfer-Encoding", "chunked"),
+                    ][kind];
+                    keep_alive = if kind == 1 {
+                        false
+                    } else {
+                        keep_alive || kind == 2
+                    };
+                    refused |= kind >= 4;
+                    let line = format!("{name}: {value}\r\n");
+                    head.extend(line.chars().enumerate().map(|(i, c)| {
+                        match case >> (i % 64) & 1 {
+                            0 => c.to_ascii_lowercase(),
+                            _ => c.to_ascii_uppercase(),
+                        }
+                    }));
+                }
+                head.push_str("\r\n");
+                stream.extend_from_slice(head.as_bytes());
+                if refused {
+                    expected.push(format!("{:?}", Parsed::Reject(CONTENT_TOO_LARGE)));
+                    break;
+                }
+                let consumed = head.len();
+                let request = Request {
+                    method,
+                    path,
+                    keep_alive,
+                    consumed,
+                };
+                expected.push(format!("{:?}", Parsed::Request(request)));
+                if !keep_alive {
+                    break;
+                }
+            }
+            (stream, expected)
+        })
+    }
+
+    proptest! {
+        /// Arbitrary streams: no panic, `consumed` within the buffer, no
+        /// `NeedMore` past the caps, every reject a JSON envelope with
+        /// its own code, and the same outcomes wherever reads split it.
+        #[test]
+        fn parse_request_is_bounded_and_blind_to_read_boundaries(
+            stream in noise(),
+            cuts in cuts(),
+        ) {
+            prop_assert_eq!(drive(&stream, &cuts)?, drive(&stream, &[])?);
+        }
+
+        /// Well-formed pipelines give one outcome per request, in order,
+        /// stopping at the first close or refusal, however reads split them.
+        #[test]
+        fn pipelined_requests_parse_in_order_across_any_cuts(
+            (stream, expected) in pipeline(),
+            cuts in cuts(),
+        ) {
+            prop_assert_eq!(drive(&stream, &cuts)?, expected);
+        }
     }
 }

@@ -47,5 +47,5 @@ pub use http::{RateLimit, Route, ServeOptions, Server, ROUTES};
 pub use index::{QueryIndex, StoreMeta};
 pub use store::{
     shard_file_name, Manifest, ShardEntry, ShardState, VerifiedStore, MANIFEST_FILE,
-    MANIFEST_FORMAT,
+    MANIFEST_FORMAT, MAX_MANIFEST_BYTES,
 };

@@ -15,7 +15,7 @@ use pwnd_core::fleet::ShardSpec;
 use pwnd_core::hash::{hex, Sha256};
 use pwnd_monitor::export::{self, Record};
 use pwnd_telemetry::json::Json;
-use std::fs::{self, File};
+use std::fs::File;
 use std::io::{self, BufReader, Read};
 use std::path::{Path, PathBuf};
 
@@ -25,6 +25,11 @@ pub const MANIFEST_FORMAT: &str = "pwnd-fleet-store/1";
 
 /// The manifest file name inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
+
+/// Largest manifest any reader takes, in bytes. A 30-shard store writes
+/// about 11 KB (about 370 B per shard), so the cap fits some 45,000
+/// shards; it only bounds what a damaged or hostile file can cost.
+pub const MAX_MANIFEST_BYTES: u64 = 16 << 20;
 
 /// The on-disk file name of shard `index`.
 pub fn shard_file_name(index: usize) -> String {
@@ -153,6 +158,25 @@ impl Manifest {
         })
     }
 
+    /// Read the manifest text of the store at `dir`, reading no more than
+    /// [`MAX_MANIFEST_BYTES`]. A larger file, or one that is not UTF-8, is
+    /// an [`io::ErrorKind::InvalidData`] error.
+    pub fn read_text(dir: &Path) -> io::Result<String> {
+        let file = File::open(dir.join(MANIFEST_FILE))?;
+        if file.metadata()?.len() > MAX_MANIFEST_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{MANIFEST_FILE} is over the {} MiB cap",
+                    MAX_MANIFEST_BYTES >> 20
+                ),
+            ));
+        }
+        let mut text = String::new();
+        file.take(MAX_MANIFEST_BYTES).read_to_string(&mut text)?;
+        Ok(text)
+    }
+
     /// The shard claim at `index`, if any.
     pub fn entry(&self, index: usize) -> Option<&ShardEntry> {
         self.shards.iter().find(|e| e.spec.index == index)
@@ -231,7 +255,7 @@ impl VerifiedStore {
     /// exist, parse, and claim a contiguous shard range `0..n` whose
     /// files all hash clean.
     pub fn open(dir: &Path) -> io::Result<VerifiedStore> {
-        let text = fs::read_to_string(dir.join(MANIFEST_FILE)).map_err(|e| {
+        let text = Manifest::read_text(dir).map_err(|e| {
             io::Error::new(
                 e.kind(),
                 format!(
@@ -313,6 +337,7 @@ impl VerifiedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
     use std::io::BufRead;
 
     fn sample_manifest() -> Manifest {
@@ -453,5 +478,22 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let err = VerifiedStore::open(&dir).unwrap_err();
         assert!(err.to_string().contains("not a fleet store"), "{err}");
+    }
+
+    #[test]
+    fn open_refuses_an_over_cap_manifest_naming_the_cap() {
+        let dir = std::env::temp_dir().join(format!("pwnd-serve-cap-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        // Sparse: no byte of it is written.
+        let file = File::create(dir.join(MANIFEST_FILE)).unwrap();
+        file.set_len(MAX_MANIFEST_BYTES + 1).unwrap();
+        let err = VerifiedStore::open(&dir).unwrap_err();
+        assert!(err.to_string().contains("over the 16 MiB cap"), "{err}");
+        // At the cap the file is read, and fails as a corrupt manifest.
+        file.set_len(MAX_MANIFEST_BYTES).unwrap();
+        let err = VerifiedStore::open(&dir).unwrap_err();
+        assert!(err.to_string().contains("is corrupt"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -45,7 +45,7 @@
 
 pub use pwnd_serve::store::{
     file_sha256, shard_file_name, shard_state, Manifest, ShardEntry, ShardState, VerifiedStore,
-    MANIFEST_FILE, MANIFEST_FORMAT,
+    MANIFEST_FILE, MANIFEST_FORMAT, MAX_MANIFEST_BYTES,
 };
 
 use pwnd_analysis::stream::OverviewBuilder;
@@ -101,16 +101,17 @@ impl FleetStore {
     }
 
     /// Load the manifest. Returns `(manifest, quarantined)`: a missing
-    /// manifest is `(None, false)` (fresh store); an unreadable or
-    /// malformed one is quarantined as `manifest.json.corrupt` and
-    /// reported as `(None, true)` — every shard then re-runs, because
-    /// without the manifest no shard file can be trusted.
+    /// manifest is `(None, false)` (fresh store); one over
+    /// [`MAX_MANIFEST_BYTES`], not UTF-8 or malformed is quarantined as
+    /// `manifest.json.corrupt` and reported as `(None, true)` — every
+    /// shard then re-runs, because without the manifest no shard file
+    /// can be trusted.
     pub fn load_manifest(&self) -> io::Result<(Option<Manifest>, bool)> {
-        let text = match fs::read_to_string(self.path(MANIFEST_FILE)) {
+        let text = match Manifest::read_text(&self.dir) {
             Ok(text) => text,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((None, false)),
-            // Non-UTF-8 bytes are corruption like any other, not a
-            // reason to refuse to run.
+            // Non-UTF-8 bytes, or more than the reader's cap, are
+            // corruption like any other, not a reason to refuse to run.
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 self.quarantine(MANIFEST_FILE)?;
                 return Ok((None, true));

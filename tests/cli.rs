@@ -303,6 +303,33 @@ fn report_refuses_a_line_longer_than_the_reader_cap() {
     assert!(out.stdout.is_empty());
 }
 
+/// `report` and `serve` refuse a store whose manifest is over the
+/// reader's cap, and the message names the cap.
+#[test]
+fn report_and_serve_refuse_an_over_cap_manifest() {
+    let dir = std::env::temp_dir().join(format!("pwnd-cli-{}-cap", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = std::fs::File::create(dir.join(pwnd::store::MANIFEST_FILE)).unwrap();
+    manifest
+        .set_len(pwnd::store::MAX_MANIFEST_BYTES + 1)
+        .unwrap();
+    let input = dir.to_str().unwrap();
+    for args in [
+        vec!["report", "--input", input],
+        vec!["serve", "--input", input, "--addr", "127.0.0.1:0"],
+    ] {
+        let out = pwnd(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("pwnd {}: ", args[0])) && stderr.contains("16 MiB cap"),
+            "{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The same 2 MiB through a pipe, which shows how much the reader takes:
 /// it stops at its 1 MiB line cap, so writing the rest fails.
 #[cfg(unix)]

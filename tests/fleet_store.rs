@@ -10,8 +10,8 @@ use pwnd::core::fleet::{run_fleet, FleetConfig};
 use pwnd::core::hash::Sha256;
 use pwnd::serve::QueryIndex;
 use pwnd::store::{
-    jsonl_overview, merge_store_jsonl, run_fleet_store, shard_file_name, store_overview, Manifest,
-    MANIFEST_FILE,
+    jsonl_overview, merge_store_jsonl, run_fleet_store, shard_file_name, store_overview,
+    FleetStore, Manifest, MANIFEST_FILE, MAX_MANIFEST_BYTES,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -124,6 +124,22 @@ fn store_survives_truncation_bitflip_deletion_and_manifest_loss() {
     assert!(dir.join(format!("{MANIFEST_FILE}.corrupt")).exists());
     assert_eq!(merged(&dir), scratch);
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A manifest over the reader's cap is quarantined like a corrupt one,
+/// without reading it: the writer then starts the store afresh.
+#[test]
+fn an_over_cap_manifest_is_quarantined_like_a_corrupt_one() {
+    let dir = test_dir("over-cap");
+    let store = FleetStore::open(&dir).unwrap();
+    // Sparse: no byte of it is written.
+    let file = fs::File::create(dir.join(MANIFEST_FILE)).unwrap();
+    file.set_len(MAX_MANIFEST_BYTES + 1).unwrap();
+    assert_eq!(store.load_manifest().unwrap(), (None, true));
+    assert!(!dir.join(MANIFEST_FILE).exists());
+    let quarantined = fs::metadata(dir.join(format!("{MANIFEST_FILE}.corrupt"))).unwrap();
+    assert_eq!(quarantined.len(), MAX_MANIFEST_BYTES + 1);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -4,7 +4,9 @@
 //! aggregates, concurrent clients never observe a 5xx, the token
 //! bucket answers overload with `429` + `Retry-After`, a request
 //! split by a pause longer than the read timeout is read whole, idle
-//! connections are closed before they can starve the worker pool, a
+//! connections and slow drips are cut off at the request deadline
+//! before they can starve the worker pool, a request body is refused
+//! with `413` instead of being read as the next request, a
 //! `Connection: close` header is honoured in any letter case, and an
 //! oversized request line or header block is refused with `414` or
 //! `431`.
@@ -277,22 +279,9 @@ fn a_header_split_across_a_read_timeout_is_read_whole() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn idle_connections_cannot_starve_the_worker_pool() {
-    let dir = test_dir("idle");
-    run_fleet_store(&FleetConfig::new(13, 20, 1), &dir).unwrap();
-    let index = Arc::new(QueryIndex::from_store(&dir).unwrap());
-    let threads = 4;
-    let server = spawn(&index, threads);
-
-    // One connection per worker. All but the first send nothing; the
-    // first sends part of its request line and stalls past the idle
-    // deadline, which only bounds the wait for a request's first byte.
-    let started = Instant::now();
-    let held: Vec<TcpStream> = (0..threads)
-        .map(|_| TcpStream::connect(server.addr()).unwrap())
-        .collect();
-    write!(&held[0], "GET /v1/hea").unwrap();
+/// Ask for `/v1/healthz` over a fresh connection and return how long
+/// after `started` the answer came.
+fn answer_time_behind(server: &Server, started: Instant) -> Duration {
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -303,19 +292,153 @@ fn idle_connections_cannot_starve_the_worker_pool() {
     )
     .unwrap();
     assert_eq!(read_response(&mut BufReader::new(stream)).status, 200);
-    let waited = started.elapsed();
+    started.elapsed()
+}
+
+/// The daemon's reply to a connection that stalled mid-request: one
+/// `408` with `Connection: close`, then EOF.
+fn assert_timed_out(stalled: &TcpStream) {
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut reader = BufReader::new(stalled);
+    let response = read_response(&mut reader);
+    assert_eq!(response.status, 408, "{}", response.body);
+    assert!(response.body.contains("\"status\": \"request_timeout\""));
+    assert_eq!(response.header("Connection"), Some("close"));
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("EOF after the 408");
+    assert!(rest.is_empty(), "{rest:?}");
+}
+
+#[test]
+fn idle_connections_cannot_starve_the_worker_pool() {
+    let dir = test_dir("idle");
+    run_fleet_store(&FleetConfig::new(13, 20, 1), &dir).unwrap();
+    let index = Arc::new(QueryIndex::from_store(&dir).unwrap());
+    let threads = 4;
+    let server = spawn(&index, threads);
+
+    // One connection per worker. All but the first send nothing; the
+    // first sends part of its request line and stalls past the request
+    // deadline.
+    let started = Instant::now();
+    let held: Vec<TcpStream> = (0..threads)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
+        .collect();
+    write!(&held[0], "GET /v1/hea").unwrap();
+    let waited = answer_time_behind(&server, started);
     assert!(waited < Duration::from_secs(3), "answered after {waited:?}");
 
-    // The silent connections were closed; the slow one is still served.
+    // The silent connections were closed without a response; the
+    // stalled one got a 408.
     for mut idle in &held[1..] {
         idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         assert_eq!(idle.read(&mut [0; 1]).unwrap(), 0, "closed by the daemon");
     }
-    std::thread::sleep(Duration::from_millis(2500).saturating_sub(started.elapsed()));
-    let mut slow = &held[0];
-    slow.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    write!(slow, "lthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
-    assert_eq!(read_response(&mut BufReader::new(slow)).status, 200);
+    assert_timed_out(&held[0]);
+    server.shutdown();
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn slow_drips_get_408_and_cannot_starve_the_worker_pool() {
+    let dir = test_dir("drip");
+    run_fleet_store(&FleetConfig::new(13, 20, 1), &dir).unwrap();
+    let index = Arc::new(QueryIndex::from_store(&dir).unwrap());
+    let threads = 4;
+    let server = spawn(&index, threads);
+
+    // Every worker holds a connection that sent one byte and stalls.
+    let started = Instant::now();
+    let drips: Vec<TcpStream> = (0..threads)
+        .map(|_| {
+            let mut drip = TcpStream::connect(server.addr()).unwrap();
+            drip.write_all(b"G").unwrap();
+            drip
+        })
+        .collect();
+    let waited = answer_time_behind(&server, started);
+    assert!(waited < Duration::from_secs(3), "answered after {waited:?}");
+    for drip in &drips {
+        assert_timed_out(drip);
+    }
+    server.shutdown();
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_request_body_is_refused_not_read_as_a_request() {
+    let dir = test_dir("body");
+    run_fleet_store(&FleetConfig::new(13, 20, 1), &dir).unwrap();
+    let index = Arc::new(QueryIndex::from_store(&dir).unwrap());
+    let server = spawn(&index, 4);
+
+    // The body is itself a whole request; a daemon that ignored
+    // Content-Length would answer it as a second one.
+    let smuggled = "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    for framing in [
+        format!("Content-Length: {}", smuggled.len()),
+        "Transfer-Encoding: chunked".to_owned(),
+    ] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        write!(
+            stream,
+            "POST /v1/healthz HTTP/1.1\r\nHost: t\r\n{framing}\r\n\r\n{smuggled}"
+        )
+        .unwrap();
+        let mut reader = BufReader::new(stream);
+        let response = read_response(&mut reader);
+        assert_eq!(response.status, 413, "{framing}: {}", response.body);
+        assert!(response.body.contains("\"status\": \"content_too_large\""));
+        assert_eq!(response.header("Connection"), Some("close"));
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("EOF after the 413");
+        assert!(rest.is_empty(), "{framing}: a second response: {rest:?}");
+    }
+    server.shutdown();
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let dir = test_dir("pipeline");
+    run_fleet_store(&FleetConfig::new(13, 20, 1), &dir).unwrap();
+    let index = Arc::new(QueryIndex::from_store(&dir).unwrap());
+    let server = spawn(&index, 4);
+
+    // Three requests in one write, the last closing the connection.
+    let paths = ["/v1/stats", "/v2/nothing", "/v1/healthz"];
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut pipeline = String::new();
+    for (i, path) in paths.iter().enumerate() {
+        let close = if i + 1 == paths.len() {
+            "Connection: close\r\n"
+        } else {
+            ""
+        };
+        pipeline.push_str(&format!("GET {path} HTTP/1.1\r\nHost: t\r\n{close}\r\n"));
+    }
+    stream.write_all(pipeline.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream);
+    for path in paths {
+        let response = read_response(&mut reader);
+        assert_eq!(response.body, get(&server, path).body, "{path}");
+    }
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("EOF after the last response");
+    assert!(rest.is_empty(), "{rest:?}");
     server.shutdown();
 
     let _ = fs::remove_dir_all(&dir);
