@@ -7,6 +7,9 @@
 //! from, the fictitious organization, and the sensitive terms a targeted
 //! attacker would hunt for.
 
+use crate::generator::OPENERS;
+use crate::vocab::{self, FILLER};
+
 /// Who the honey personas pretend to be.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Archetype {
@@ -63,7 +66,34 @@ pub const ACTIVIST_SENSITIVE: &[&str] = &[
     "safehouse",
 ];
 
+/// `parts` concatenated, checked to fill a table of `u8` codes.
+const fn code_table<const N: usize>(parts: [&[&'static str]; 4]) -> [&'static str; N] {
+    let (mut table, mut i, mut p, mut k) = ([""; N], 0, 0, 0);
+    while p < parts.len() {
+        if k < parts[p].len() {
+            (table[i], i, k) = (parts[p][k], i + 1, k + 1);
+        } else {
+            (p, k) = (p + 1, 0);
+        }
+    }
+    assert!(i == N && N <= 256, "the parts fill a table of u8 codes");
+    table
+}
+
+static CORPORATE_CODES: [&str; 109] =
+    code_table([&OPENERS, vocab::CORE_BUSINESS, vocab::SENSITIVE, FILLER]);
+static ACTIVIST_CODES: [&str; 102] =
+    code_table([&OPENERS, ACTIVIST_CORE, ACTIVIST_SENSITIVE, FILLER]);
+
 impl Archetype {
+    /// Seeded sentence pieces by code: [`OPENERS`], core, sensitive, filler.
+    pub fn code_table(self) -> &'static [&'static str] {
+        match self {
+            Archetype::CorporateEmployee => &CORPORATE_CODES,
+            Archetype::Activist => &ACTIVIST_CODES,
+        }
+    }
+
     /// The corpus-dominant vocabulary for this archetype.
     pub fn core_vocab(self) -> &'static [&'static str] {
         match self {
@@ -100,6 +130,15 @@ impl Archetype {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn code_tables_are_the_vocabularies_in_order() {
+        for a in [Archetype::CorporateEmployee, Archetype::Activist] {
+            let parts = [&OPENERS[..], a.core_vocab(), a.sensitive_vocab(), FILLER];
+            assert_eq!(a.code_table(), parts.concat());
+        }
+        assert_eq!(Archetype::CorporateEmployee.code_table().len(), 109);
+    }
 
     #[test]
     fn default_is_the_paper_setup() {

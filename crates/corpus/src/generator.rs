@@ -9,21 +9,19 @@
 //! paper describes (exposed as [`translate_timestamps`] so it can be
 //! tested on its own).
 //!
-//! A mailbox is one [`SeededMail`]: subjects and bodies written straight
-//! into one text arena (a thread's `RE:` line once, shared by its
-//! emails), an address table, and a fixed-size [`SeededEmail`] record of
-//! ranges and indices per message, with no heap string per field.
+//! A mailbox is one [`SeededMail`]. A body is [`GREETING`], the owner's
+//! first name, sentences of an [`OPENERS`] entry and vocabulary words,
+//! [`SIGN_OFF`], the sender's name and the organization. Only the
+//! sentences vary, so a body is stored as `u8` codes into its
+//! archetype's [code table](Archetype::code_table) and rendered only
+//! where a message leaves its mailbox ([`SeededBody::write_text`]).
+//! Subject lines stay text, a thread's `RE:` line stored once.
 //!
-//! The generator also counts TF-IDF document `d_A` (§4.3.5) from its
-//! own draws, so the text it writes is never read back. This is exact
-//! because every subject and body is a sequence of pieces — a fixed
-//! piece ([`GREETING`], an [`OPENERS`] entry, [`SIGN_OFF`]), a
-//! vocabulary word, a name, the organization — joined so that at least
-//! one of the two bytes at every join is not a letter (a space, comma,
-//! full stop or newline). No run of letters crosses a join, so the
-//! [words](crate::tokenize::for_each_word) of a text are the words of
-//! its pieces, and counting each piece as often as it was written
-//! counts the text.
+//! The generator counts TF-IDF document `d_A` (§4.3.5) from its draws,
+//! and search matches a body by its codes. Both are exact because one
+//! byte at every join of pieces is a space, comma, full stop or newline,
+//! so no [word](crate::tokenize::for_each_word) or search token crosses
+//! a join (`tests/piece_joins.rs` checks every piece and name).
 
 use crate::archetype::Archetype;
 use crate::email::{Email, EmailId, MailTime};
@@ -37,9 +35,10 @@ use std::ops::Range;
 /// How many days of mailbox history precede the leak.
 pub const HISTORY_WINDOW_DAYS: f64 = 90.0;
 
-/// Arena bytes reserved per email: above the mean body plus its share of
-/// a subject line, so an arena seldom grows.
-const ARENA_BYTES_PER_EMAIL: usize = 352;
+/// Codes and subject bytes reserved per email: above the means of about
+/// 34 and 10, so a mailbox's seldom grow.
+const CODES_PER_EMAIL: usize = 40;
+const SUBJECT_BYTES_PER_EMAIL: usize = 16;
 
 /// Probability that a given message carries a sensitive term.
 const SENSITIVE_MESSAGE_RATE: f64 = 0.05;
@@ -83,8 +82,8 @@ pub fn translate_timestamps(original: &[i64], window_days: f64) -> Vec<MailTime>
         .collect()
 }
 
-/// One seeded email: where its text lies in its batch's arena and who
-/// sent and received it, as indices into the batch's address table.
+/// One seeded email: where its subject and body lie in its batch and
+/// who sent and received it, as indices into the batch's address table.
 #[derive(Clone, Debug)]
 pub struct SeededEmail {
     /// Message id.
@@ -95,18 +94,45 @@ pub struct SeededEmail {
     pub from: u16,
     /// The one recipient, an index into [`SeededMail::addresses`].
     pub to: u16,
-    /// The subject line's bytes in [`SeededMail::text`], shared by a thread.
+    /// The subject line's bytes in [`SeededMail::subjects`].
     pub subject: Range<u32>,
-    /// The body's bytes in [`SeededMail::text`].
+    /// The body's piece codes in [`SeededBodies::codes`].
     pub body: Range<u32>,
 }
 
-/// One generated mailbox: its text arena, its address table and one
-/// record per email, in chronological order.
+/// A batch's bodies: sentences as piece codes, and the names around them.
+#[derive(Clone, Debug, Default)]
+pub struct SeededBodies {
+    /// Whose code table the codes index.
+    pub archetype: Archetype,
+    /// Every body's [`Archetype::code_table`] indices, back to back.
+    pub codes: Vec<u8>,
+    /// The owner's first name, in every greeting.
+    pub owner_first: &'static str,
+    /// The first and last name of each address, in its signatures.
+    pub names: Vec<(&'static str, &'static str)>,
+}
+
+impl SeededBodies {
+    /// The body whose sentences are `codes`, sent by address `from`.
+    pub fn body(&self, from: u16, codes: &Range<u32>) -> SeededBody<'_> {
+        SeededBody {
+            codes: &self.codes[codes.start as usize..codes.end as usize],
+            archetype: self.archetype,
+            owner_first: self.owner_first,
+            sender: self.names[usize::from(from)],
+        }
+    }
+}
+
+/// One generated mailbox: its bodies, subject lines, address table and
+/// one record per email, in chronological order.
 #[derive(Clone, Debug, Default)]
 pub struct SeededMail {
-    /// Every subject line and body, back to back.
-    pub text: String,
+    /// Every body, as piece codes.
+    pub bodies: SeededBodies,
+    /// Every subject line, back to back.
+    pub subjects: String,
     /// Index 0 is the owner, then the peers in the order given.
     pub addresses: Vec<String>,
     /// One record per email.
@@ -119,57 +145,75 @@ pub fn slice<'a>(text: &'a str, range: &Range<u32>) -> &'a str {
 }
 
 impl SeededMail {
-    /// Every email as an owned [`Email`], in order.
+    /// Every email as an owned [`Email`], in order, its body rendered.
     pub fn to_emails(&self) -> Vec<Email> {
         let address = |i: u16| self.addresses[usize::from(i)].clone();
         let emails = self.emails.iter().map(|e| Email {
             id: e.id,
             from: address(e.from),
             to: vec![address(e.to)],
-            subject: slice(&self.text, &e.subject).to_string(),
-            body: slice(&self.text, &e.body).to_string(),
+            subject: slice(&self.subjects, &e.subject).to_string(),
+            body: {
+                let mut body = String::new();
+                self.bodies.body(e.from, &e.body).write_text(&mut body);
+                body
+            },
             timestamp: e.timestamp,
         });
         emails.collect()
     }
 }
 
-/// How many times one mailbox's bodies used each vocabulary slot. The
-/// greeting, sign-off and organization appear once per email, so they
-/// need no tally of their own.
-struct Tally {
-    openers: [u64; OPENERS.len()],
-    core: Vec<u64>,
-    sensitive: Vec<u64>,
-    /// By filler rank.
-    filler: Vec<u64>,
-    owner_signatures: u64,
-    /// By peer.
-    peer_signatures: Vec<u64>,
+/// A seeded body, borrowed. Its text is `GREETING owner_first,`, each
+/// sentence on its own line (an opener code starts one; pieces joined by
+/// spaces, then a full stop), then `SIGN_OFF first last\norganization`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SeededBody<'a> {
+    /// The sentences, as [`Archetype::code_table`] indices.
+    pub codes: &'a [u8],
+    /// Whose code table and organization.
+    pub archetype: Archetype,
+    /// The mailbox owner's first name.
+    pub owner_first: &'a str,
+    /// The sender's first and last name.
+    pub sender: (&'a str, &'a str),
 }
 
-impl Tally {
-    fn new(archetype: Archetype) -> Tally {
-        Tally {
-            openers: [0; OPENERS.len()],
-            core: vec![0; archetype.core_vocab().len()],
-            sensitive: vec![0; archetype.sensitive_vocab().len()],
-            filler: vec![0; FILLER.len()],
-            owner_signatures: 0,
-            peer_signatures: Vec::new(),
+impl SeededBody<'_> {
+    /// Call `f` on each piece and separator of the text, in order.
+    fn for_each_part(&self, mut f: impl FnMut(&str)) {
+        let table = self.archetype.code_table();
+        for part in [GREETING, self.owner_first, ","] {
+            f(part);
+        }
+        for (i, &code) in self.codes.iter().enumerate() {
+            let opener = usize::from(code) < OPENERS.len();
+            f(match (opener, i) {
+                (true, 0) => "\n",
+                (true, _) => ".\n",
+                (false, _) => " ",
+            });
+            f(table[usize::from(code)]);
+        }
+        if !self.codes.is_empty() {
+            f(".");
+        }
+        let ((first, last), org) = (self.sender, self.archetype.organization());
+        for part in [SIGN_OFF, first, " ", last, "\n", org] {
+            f(part);
         }
     }
 
-    /// Zero every slot, with one signature slot for each of `peers`
-    /// peers.
-    fn reset(&mut self, peers: usize) {
-        self.openers = [0; OPENERS.len()];
-        self.core.fill(0);
-        self.sensitive.fill(0);
-        self.filler.fill(0);
-        self.owner_signatures = 0;
-        self.peer_signatures.clear();
-        self.peer_signatures.resize(peers, 0);
+    /// Append the text to `out`.
+    pub fn write_text(&self, out: &mut String) {
+        self.for_each_part(|part| out.push_str(part));
+    }
+
+    /// The byte length of the text, without writing it.
+    pub fn text_len(&self) -> usize {
+        let mut len = 0;
+        self.for_each_part(|part| len += part.len());
+        len
     }
 }
 
@@ -178,7 +222,6 @@ pub struct CorpusGenerator {
     next_id: u64,
     filler: Zipf,
     archetype: Archetype,
-    tally: Tally,
 }
 
 impl Default for CorpusGenerator {
@@ -200,7 +243,6 @@ impl CorpusGenerator {
             next_id: 1,
             filler: Zipf::new(FILLER.len(), 1.05),
             archetype,
-            tally: Tally::new(archetype),
         }
     }
 
@@ -210,39 +252,29 @@ impl CorpusGenerator {
         id
     }
 
-    /// Append one sentence to `s`, tallying each piece by its slot.
-    /// Words go straight into the body being written: no per-word or
-    /// per-sentence `String`, no join.
-    fn sentence(&mut self, rng: &mut Rng, sensitive: bool, s: &mut String) {
-        let opener = rng.index(OPENERS.len());
-        self.tally.openers[opener] += 1;
-        s.push_str(OPENERS[opener]);
+    /// Append one sentence's codes: an opener, core words, sensitive
+    /// words when `sensitive`, then filler. Every code table fits a `u8`.
+    fn sentence(&self, rng: &mut Rng, sensitive: bool, codes: &mut Vec<u8>) {
+        codes.push(rng.index(OPENERS.len()) as u8);
         let core = self.archetype.core_vocab();
+        let mut base = OPENERS.len();
         let n_core = rng.range_u64(2, 5) as usize;
         for _ in 0..n_core {
-            let k = rng.index(core.len());
-            self.tally.core[k] += 1;
-            s.push(' ');
-            s.push_str(core[k]);
+            codes.push((base + rng.index(core.len())) as u8);
         }
+        base += core.len();
         if sensitive {
             let pool = self.archetype.sensitive_vocab();
             let n_sensitive = rng.range_u64(2, 5) as usize;
             for _ in 0..n_sensitive {
-                let k = rng.index(pool.len());
-                self.tally.sensitive[k] += 1;
-                s.push(' ');
-                s.push_str(pool[k]);
+                codes.push((base + rng.index(pool.len())) as u8);
             }
         }
+        base += self.archetype.sensitive_vocab().len();
         let n_fill = rng.range_u64(3, 9) as usize;
         for _ in 0..n_fill {
-            let k = self.filler.sample(rng);
-            self.tally.filler[k] += 1;
-            s.push(' ');
-            s.push_str(FILLER[k]);
+            codes.push((base + self.filler.sample(rng)) as u8);
         }
-        s.push('.');
     }
 
     /// Append a thread's subject line (`RE: `, then a drawn subject) to
@@ -261,30 +293,15 @@ impl CorpusGenerator {
         start..text.len() as u32
     }
 
-    /// Append one body (greeting, sentences, signature) to `text`;
-    /// returns its range.
-    fn body(
-        &mut self,
-        rng: &mut Rng,
-        owner_first: &str,
-        sender_name: &str,
-        text: &mut String,
-    ) -> Range<u32> {
-        let start = text.len() as u32;
+    /// Append one body's sentences to `codes`; returns their range.
+    fn body(&self, rng: &mut Rng, codes: &mut Vec<u8>) -> Range<u32> {
+        let start = codes.len() as u32;
         let n_sentences = rng.range_u64(2, 6) as usize;
-        text.push_str(GREETING);
-        text.push_str(owner_first);
-        text.push(',');
         for _ in 0..n_sentences {
             let sensitive = rng.chance(SENSITIVE_MESSAGE_RATE);
-            text.push('\n');
-            self.sentence(rng, sensitive, text);
+            self.sentence(rng, sensitive, codes);
         }
-        text.push_str(SIGN_OFF);
-        text.push_str(sender_name);
-        text.push('\n');
-        text.push_str(self.archetype.organization());
-        start..text.len() as u32
+        start..codes.len() as u32
     }
 
     /// Generate one seeded mailbox for `owner`, exchanging mail with
@@ -296,7 +313,7 @@ impl CorpusGenerator {
     /// Counts the mailbox into TF-IDF document `d_a` as each email's
     /// subject line, then its body (what [`TermCounts::add_email`] of
     /// each email would count), from the pieces drawn rather than the
-    /// text written; see the module docs for why that is exact.
+    /// text they render to; see the module docs for why that is exact.
     // lint:hot-root
     pub fn generate_mailbox(
         &mut self,
@@ -331,50 +348,52 @@ impl CorpusGenerator {
         }
         let times = translate_timestamps(&originals, HISTORY_WINDOW_DAYS);
 
-        // Addresses and names are formatted once per mailbox. The owner
+        // Addresses are formatted once per mailbox. The owner
         // is address 0, peer `p` address `p + 1`.
         assert!(peers.len() < usize::from(u16::MAX), "too many peers");
-        let owner_name = owner.full_name();
         let domain = self.archetype.domain();
         let mut addresses = Vec::with_capacity(peers.len() + 1);
         addresses.push(owner.webmail_address());
         addresses.extend(peers.iter().map(|p| format!("{}@{domain}", p.handle)));
-        let peer_names: Vec<String> = peers.iter().map(Persona::full_name).collect();
+        let names = std::iter::once(owner)
+            .chain(peers)
+            .map(|p| (p.first, p.last))
+            .collect();
 
-        self.tally.reset(peers.len());
-        let mut text = String::with_capacity(target * ARENA_BYTES_PER_EMAIL);
-        let mut bytes = 0;
+        let mut mail = SeededMail {
+            bodies: SeededBodies {
+                archetype: self.archetype,
+                codes: Vec::with_capacity(target * CODES_PER_EMAIL),
+                owner_first: owner.first,
+                names,
+            },
+            subjects: String::with_capacity(target * SUBJECT_BYTES_PER_EMAIL),
+            addresses,
+            emails: Vec::with_capacity(target),
+        };
         // This first subject is drawn but never carried: the first email
         // always starts a new one, which overwrites it.
-        let mut subject = self.subject(rng, &mut text);
+        let mut subject = self.subject(rng, &mut mail.subjects);
         let mut carried = 0;
         let mut last_peer = usize::MAX;
-        let mut emails = Vec::with_capacity(target);
         for (i, &(peer_idx, owner_sends)) in plans.iter().enumerate() {
             if peer_idx != last_peer {
                 // "RE: " has no word and ends in a space, so an email's
                 // subject line has the words of the thread's subject.
-                d_a.add_times(slice(&text, &subject), carried);
+                d_a.add_times(slice(&mail.subjects, &subject), carried);
                 if carried == 0 {
-                    text.truncate(subject.start as usize);
+                    mail.subjects.truncate(subject.start as usize);
                 }
-                subject = self.subject(rng, &mut text);
+                subject = self.subject(rng, &mut mail.subjects);
                 carried = 0;
                 last_peer = peer_idx;
             }
             carried += 1;
             let peer = peer_idx as u16 + 1;
-            let (from, to, sender_name) = if owner_sends {
-                self.tally.owner_signatures += 1;
-                (0, peer, &owner_name)
-            } else {
-                self.tally.peer_signatures[peer_idx] += 1;
-                (peer, 0, &peer_names[peer_idx])
-            };
+            let (from, to) = if owner_sends { (0, peer) } else { (peer, 0) };
             let id = self.fresh_id();
-            let body = self.body(rng, owner.first, sender_name, &mut text);
-            bytes += subject.len() + 1 + body.len() + 1;
-            emails.push(SeededEmail {
+            let body = self.body(rng, &mut mail.bodies.codes);
+            mail.emails.push(SeededEmail {
                 id,
                 timestamp: times[i],
                 from,
@@ -383,22 +402,25 @@ impl CorpusGenerator {
                 body,
             });
         }
-        d_a.add_times(slice(&text, &subject), carried);
+        d_a.add_times(slice(&mail.subjects, &subject), carried);
 
-        let tally = &self.tally;
-        for (pieces, counts) in [
-            (&OPENERS[..], &tally.openers[..]),
-            (self.archetype.core_vocab(), &tally.core),
-            (self.archetype.sensitive_vocab(), &tally.sensitive),
-            (FILLER, &tally.filler),
-        ] {
-            for (piece, &n) in pieces.iter().zip(counts) {
-                d_a.add_times(piece, n);
-            }
+        let emails = &mail.emails;
+        let bytes = emails
+            .iter()
+            .map(|e| e.subject.len() + mail.bodies.body(e.from, &e.body).text_len() + 2);
+        d_a.add_len(bytes.sum());
+        let mut uses = [0u64; 256];
+        for &code in &mail.bodies.codes {
+            uses[usize::from(code)] += 1;
         }
-        d_a.add_times(&owner_name, tally.owner_signatures);
-        for (name, &n) in peer_names.iter().zip(&tally.peer_signatures) {
-            d_a.add_times(name, n);
+        for (piece, &n) in self.archetype.code_table().iter().zip(&uses) {
+            d_a.add_times(piece, n);
+        }
+        // A space joins the names, so they count as the full name would.
+        for (a, &(first, last)) in mail.bodies.names.iter().enumerate() {
+            let n = emails.iter().filter(|e| usize::from(e.from) == a).count() as u64;
+            d_a.add_times(first, n);
+            d_a.add_times(last, n);
         }
         let n = emails.len() as u64;
         for piece in [
@@ -409,12 +431,7 @@ impl CorpusGenerator {
         ] {
             d_a.add_times(piece, n);
         }
-        d_a.add_len(bytes);
-        SeededMail {
-            text,
-            addresses,
-            emails,
-        }
+        mail
     }
 }
 
@@ -456,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_share_one_subject_line_and_the_arena_holds_nothing_else() {
+    fn threads_share_one_subject_line_and_nothing_else_is_stored() {
         let (owner, peers, mut rng) = setup();
         let mut d_a = TermCounts::new();
         let mb =
@@ -465,14 +482,42 @@ mod tests {
         let mut lines: Vec<&Range<u32>> = mb.emails.iter().map(|e| &e.subject).collect();
         lines.dedup();
         assert!(lines.len() < mb.emails.len(), "no thread has a reply");
-        let written: usize = lines.iter().map(|r| r.len()).sum::<usize>()
-            + mb.emails.iter().map(|e| e.body.len()).sum::<usize>();
-        assert_eq!(written, mb.text.len());
-        // `d_a` still counts each email's own subject line.
+        let written: usize = lines.iter().map(|r| r.len()).sum();
+        assert_eq!(written, mb.subjects.len());
+        let coded: usize = mb.emails.iter().map(|e| e.body.len()).sum();
+        assert_eq!(coded, mb.bodies.codes.len());
+        // `d_a` still counts each email's own subject line and its
+        // rendered body, whose length `text_len` gives unrendered.
         let emails = mb.to_emails();
         assert!(emails.iter().all(|e| e.subject.starts_with("RE: ")));
+        for (e, record) in emails.iter().zip(&mb.emails) {
+            assert_eq!(
+                e.body.len(),
+                mb.bodies.body(record.from, &record.body).text_len()
+            );
+        }
         let per_email: usize = emails.iter().map(|e| e.full_text().len() + 1).sum();
         assert_eq!(d_a.len(), per_email);
+        let mut counted = TermCounts::new();
+        emails.iter().for_each(|e| counted.add_email(e));
+        assert_eq!(d_a, counted);
+    }
+
+    #[test]
+    fn bodies_render_the_greeting_sentences_and_signature() {
+        let body = SeededBody {
+            codes: &[0, 6, 36, 1, 48],
+            archetype: Archetype::CorporateEmployee,
+            owner_first: "Mary",
+            sender: ("John", "Smith"),
+        };
+        // Opener 0, core word 0, sensitive word 0; opener 1, filler 0.
+        let text = "Hi Mary,\nPlease find transfer account.\nAs discussed, with.\n\
+                    Thanks,\nJohn Smith\nMeridian Power Group";
+        let mut rendered = String::new();
+        body.write_text(&mut rendered);
+        assert_eq!(rendered, text);
+        assert_eq!(body.text_len(), text.len());
     }
 
     #[test]

@@ -37,5 +37,5 @@ pub mod vocab;
 
 pub use archetype::Archetype;
 pub use email::{Email, EmailId, MailTime};
-pub use generator::{CorpusGenerator, SeededEmail, SeededMail};
+pub use generator::{CorpusGenerator, SeededBodies, SeededEmail, SeededMail};
 pub use persona::{DecoyRegion, Persona};

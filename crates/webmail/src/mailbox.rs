@@ -4,16 +4,16 @@
 //! unread messages in boldface (the `read` flag), starring, labels,
 //! a Drafts folder for unsent content, and a Sent folder.
 //!
-//! A mailbox keeps all its text in one append-only arena and all its
-//! addresses in one table; an [`Entry`] holds ranges and indices into
-//! them. It takes a [`SeededMail`] batch's arena over whole, so a
-//! thread's subject line stays stored once. Every other message enters
+//! A mailbox keeps its text in one append-only arena and its addresses
+//! in one table; an [`Entry`] holds ranges and indices into them. It
+//! takes a [`SeededMail`] batch's subject lines whole, so a thread's
+//! subject stays stored once, and its bodies as codes, rendered only
+//! where a message leaves the mailbox. Every other message enters
 //! through [`Mailbox::file`], which copies borrowed parts into the arena
-//! and the table, and every read is a [`Message`] borrowed from them:
-//! the mailbox never hands out an owned [`Email`].
+//! and the table. Every read is a borrowed [`Message`], never an [`Email`].
 
 use pwnd_corpus::email::{Email, EmailId, MailTime};
-use pwnd_corpus::generator::{slice, SeededMail};
+use pwnd_corpus::generator::{slice, SeededBodies, SeededBody, SeededMail};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -31,7 +31,7 @@ pub enum Folder {
 
 /// A message's mailbox metadata. Its sender and recipients are indices
 /// into the mailbox's address table, its subject and body byte ranges
-/// of the mailbox's arena.
+/// of the mailbox's arena, but a seeded body's a range of batch codes.
 #[derive(Clone, Debug, Default)]
 pub struct Entry {
     /// Send (or draft-creation) time.
@@ -40,6 +40,8 @@ pub struct Entry {
     to: Range<u32>,
     subject: Range<u32>,
     body: Range<u32>,
+    /// A seeded body's batch and the sender's index in it.
+    seeded: Option<(u16, u16)>,
     /// Which folder it lives in.
     pub folder: Folder,
     /// Whether it has been opened.
@@ -49,6 +51,25 @@ pub struct Entry {
     /// User-assigned labels, each once, in the order applied; no heap
     /// block until one lands.
     pub labels: Vec<String>,
+}
+
+/// A message body, borrowed: text in place, or piece codes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Body<'a> {
+    /// Text.
+    Text(&'a str),
+    /// A seeded body.
+    Seeded(SeededBody<'a>),
+}
+
+impl Body<'_> {
+    /// Append the text to `out`.
+    pub fn write_text(&self, out: &mut String) {
+        match self {
+            Body::Text(text) => out.push_str(text),
+            Body::Seeded(body) => body.write_text(out),
+        }
+    }
 }
 
 /// A message's parts, borrowed: what [`Mailbox::file`] stores and what
@@ -63,8 +84,8 @@ pub struct Message<'a> {
     pub to: &'a [String],
     /// Subject line.
     pub subject: &'a str,
-    /// Plain-text body.
-    pub body: &'a str,
+    /// Body.
+    pub body: Body<'a>,
     /// Which folder it lives in.
     pub folder: Folder,
 }
@@ -72,9 +93,11 @@ pub struct Message<'a> {
 /// A single account's mail store.
 #[derive(Clone, Debug, Default)]
 pub struct Mailbox {
-    /// Every subject and body; a replaced entry's text stays.
+    /// Every subject and text body; a replaced entry's text stays.
     text: String,
     addresses: Vec<String>,
+    /// Each seeded batch's bodies; a replaced entry's codes stay.
+    batches: Vec<SeededBodies>,
     entries: BTreeMap<EmailId, Entry>,
 }
 
@@ -87,13 +110,15 @@ impl Mailbox {
     /// Deliver a generated batch into the Inbox, unread.
     pub fn seed(&mut self, mail: SeededMail) {
         let (base, address_base) = (self.text.len() as u32, self.addresses.len() as u32);
+        let shift = |r: Range<u32>| r.start + base..r.end + base;
         if self.text.is_empty() {
-            self.text = mail.text;
+            self.text = mail.subjects;
         } else {
-            self.text.push_str(&mail.text);
+            self.text.push_str(&mail.subjects);
         }
         self.addresses.extend(mail.addresses);
-        let shift = |r: Range<u32>| r.start + base..r.end + base;
+        let batch = u16::try_from(self.batches.len()).expect("under 65,536 batches");
+        self.batches.push(mail.bodies);
         for e in mail.emails {
             let to = address_base + u32::from(e.to);
             let entry = Entry {
@@ -101,7 +126,8 @@ impl Mailbox {
                 from: address_base + u32::from(e.from),
                 to: to..to + 1,
                 subject: shift(e.subject),
-                body: shift(e.body),
+                body: e.body,
+                seeded: Some((batch, e.from)),
                 ..Entry::default()
             };
             self.entries.insert(e.id, entry);
@@ -109,10 +135,10 @@ impl Mailbox {
     }
 
     /// Store a message under `id`, replacing any entry it had: its
-    /// addresses go to the table and its text to the arena. A sender
-    /// equal to table entry 0 (a seeded mailbox's owner) is filed as
-    /// index 0 rather than copied again. Mail filed in the Inbox is
-    /// unread; drafts and sent mail are read.
+    /// addresses go to the table and its subject and rendered body to
+    /// the arena. A sender equal to table entry 0 (a seeded mailbox's
+    /// owner) is filed as index 0 rather than copied again. Mail filed
+    /// in the Inbox is unread; drafts and sent mail are read.
     pub fn file(&mut self, id: EmailId, message: Message<'_>) {
         let from = if self.addresses.first().is_some_and(|a| a == message.from) {
             0
@@ -123,18 +149,16 @@ impl Mailbox {
         let to_start = self.addresses.len() as u32;
         self.addresses.extend_from_slice(message.to);
         let to = to_start..self.addresses.len() as u32;
-        let mut push = |s: &str| {
-            let start = self.text.len() as u32;
-            self.text.push_str(s);
-            start..self.text.len() as u32
-        };
-        let (subject, body) = (push(message.subject), push(message.body));
+        let start = self.text.len() as u32;
+        self.text.push_str(message.subject);
+        let middle = self.text.len() as u32;
+        message.body.write_text(&mut self.text);
         let entry = Entry {
             timestamp: message.timestamp,
             from,
             to,
-            subject,
-            body,
+            subject: start..middle,
+            body: middle..self.text.len() as u32,
             folder: message.folder,
             read: message.folder != Folder::Inbox,
             ..Entry::default()
@@ -149,7 +173,7 @@ impl Mailbox {
             from: &email.from,
             to: &email.to,
             subject: &email.subject,
-            body: &email.body,
+            body: Body::Text(&email.body),
             folder: Folder::Inbox,
         };
         self.file(email.id, message);
@@ -166,12 +190,18 @@ impl Mailbox {
     }
 
     fn view<'a>(&'a self, e: &Entry) -> Message<'a> {
+        let body = match e.seeded {
+            None => Body::Text(slice(&self.text, &e.body)),
+            Some((batch, from)) => {
+                Body::Seeded(self.batches[usize::from(batch)].body(from, &e.body))
+            }
+        };
         Message {
             timestamp: e.timestamp,
             from: &self.addresses[e.from as usize],
             to: &self.addresses[e.to.start as usize..e.to.end as usize],
             subject: slice(&self.text, &e.subject),
-            body: slice(&self.text, &e.body),
+            body,
             folder: e.folder,
         }
     }
@@ -179,7 +209,15 @@ impl Mailbox {
     /// Exactly [`Email::full_text`] of a message. `None` if absent.
     pub fn full_text(&self, id: EmailId) -> Option<String> {
         let m = self.message(id)?;
-        Some([m.subject, m.body].join("\n"))
+        let body_len = match m.body {
+            Body::Text(text) => text.len(),
+            Body::Seeded(body) => body.text_len(),
+        };
+        let mut text = String::with_capacity(m.subject.len() + 1 + body_len);
+        text.push_str(m.subject);
+        text.push('\n');
+        m.body.write_text(&mut text);
+        Some(text)
     }
 
     /// Mark a message read (opened). Returns `false` if absent.
@@ -265,7 +303,7 @@ mod tests {
             from: "x@example.com",
             to: &[],
             subject: "composed",
-            body: "body",
+            body: Body::Text("body"),
             folder,
         }
     }

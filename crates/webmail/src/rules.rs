@@ -12,8 +12,8 @@
 //!   notices) is a classic persistence trick — the paper observed none,
 //!   but the capability must exist for that observation to mean anything.
 //!
-//! Rules read a message's sender, subject and body as string slices, so
-//! they run on a mailbox's text arena in place.
+//! Rules read a message's sender, subject and body as string slices: the
+//! mailbox's text arena in place, or a seeded body rendered for them.
 
 /// What part of a message a rule matches on.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -11,22 +11,24 @@
 //!
 //! ## Scanning instead of indexing
 //!
-//! A paper run seeds ~1.3M tokens across 100 mailboxes and answers about
-//! a hundred searches, so there is no inverted index: each query scans
-//! every message outside the Sent folder (seeded and delivered mail and
-//! drafts), reading each subject and body in place from the mailbox's
-//! text arena (see [`crate::mailbox`]). Per email, the two are copied
-//! into one reused buffer, joined by a space and folded to ASCII
-//! lowercase, and each query term is found with `match_indices` and
-//! accepted only where the bytes on both sides are not
-//! ASCII-alphanumeric. That is exact for the
-//! search token model — a term is a maximal run of ASCII alphanumerics,
-//! compared ASCII-case-insensitively — because ASCII case folding never
-//! moves a run boundary and every byte of a multi-byte UTF-8 character
-//! is a separator.
+//! A paper run answers about a hundred searches, so there is no
+//! inverted index: each query scans one mailbox's messages outside the
+//! Sent folder. A term is a maximal run of ASCII alphanumerics, compared
+//! ASCII-case-insensitively: text is folded to ASCII lowercase in one
+//! reused buffer, and a term is found with `match_indices` and accepted
+//! only where the bytes on both sides are not ASCII-alphanumeric. That
+//! is exact: ASCII case folding never moves a run boundary, and every
+//! byte of a multi-byte UTF-8 character is a separator.
+//!
+//! A seeded body holds a term exactly when one of its pieces does (see
+//! [`pwnd_corpus::generator`]), so it is never rendered: each term
+//! becomes a 256-bit mask of the code-table pieces holding it, and only
+//! the subject and the frame (the body without its codes) are folded.
 
-use crate::mailbox::{Folder, Mailbox};
+use crate::mailbox::{Body, Folder, Mailbox};
 use pwnd_corpus::email::EmailId;
+use pwnd_corpus::generator::SeededBody;
+use pwnd_corpus::Archetype;
 use pwnd_sim::SimTime;
 
 /// One logged query (provider-side ground truth).
@@ -58,31 +60,72 @@ fn contains_token(text: &str, term: &str) -> bool {
     })
 }
 
+/// Bit `k` is set when code `k`'s piece of `archetype` holds `term`.
+fn piece_mask(archetype: Archetype, term: &str, scratch: &mut String) -> [u64; 4] {
+    let mut mask = [0; 4];
+    for (k, piece) in archetype.code_table().iter().enumerate() {
+        scratch.clear();
+        scratch.push_str(piece);
+        scratch.make_ascii_lowercase();
+        if contains_token(scratch, term) {
+            mask[k / 64] |= 1 << (k % 64);
+        }
+    }
+    mask
+}
+
 /// Run `query` over the mail in `mailbox` outside the Sent folder:
 /// conjunctive term match, case-insensitive, results ranked
 /// newest-first (Gmail's default) with the id as tie-break. A query with no terms matches nothing.
 /// Logging the query is the caller's job.
 // lint:hot-root
 pub fn search(mailbox: &Mailbox, query: &str) -> Vec<EmailId> {
-    let mut terms: Vec<String> = query
+    // Each term with its piece mask for the archetype `masked`.
+    let mut terms: Vec<(String, [u64; 4])> = query
         .split(|c: char| !c.is_ascii_alphanumeric())
         .filter(|t| !t.is_empty())
-        .map(|t| t.to_ascii_lowercase())
+        .map(|t| (t.to_ascii_lowercase(), [0; 4]))
         .collect();
     if terms.is_empty() {
         return Vec::new();
     }
     terms.sort_unstable();
     terms.dedup();
-    let mut text = String::new();
+    let mut text = String::with_capacity(128); // fits a seeded subject and frame
+    let mut masked = None;
     let mut hits = Vec::new();
     for (id, m) in mailbox.messages().filter(|(_, m)| m.folder != Folder::Sent) {
+        if let Body::Seeded(body) = m.body {
+            if masked != Some(body.archetype) {
+                for (term, mask) in &mut terms {
+                    *mask = piece_mask(body.archetype, term, &mut text);
+                }
+                masked = Some(body.archetype);
+            }
+        }
         text.clear();
         text.push_str(m.subject);
         text.push(' ');
-        text.push_str(m.body);
+        let codes = match m.body {
+            Body::Text(body) => {
+                text.push_str(body);
+                &[][..]
+            }
+            Body::Seeded(body) => {
+                SeededBody { codes: &[], ..body }.write_text(&mut text);
+                body.codes
+            }
+        };
         text.make_ascii_lowercase();
-        if terms.iter().all(|t| contains_token(&text, t)) {
+        let in_codes = |mask: &[u64; 4]| {
+            codes
+                .iter()
+                .any(|&c| mask[usize::from(c / 64)] >> (c % 64) & 1 != 0)
+        };
+        if terms
+            .iter()
+            .all(|(term, mask)| in_codes(mask) || contains_token(&text, term))
+        {
             hits.push((std::cmp::Reverse(m.timestamp), id));
         }
     }

@@ -12,7 +12,7 @@
 use crate::account::{Account, AccountId, AccountState};
 use crate::activity::{ActivityPage, ActivityRow};
 use crate::events::WebmailEvent;
-use crate::mailbox::{Folder, Mailbox, Message};
+use crate::mailbox::{Body, Folder, Mailbox, Message};
 use crate::mta::{Sinkhole, SinkholedMessage};
 use crate::rules::{Rule, RuleAction, RuleSet};
 use crate::search::{self, QueryLogEntry};
@@ -270,13 +270,22 @@ impl WebmailService {
         self.apply_rules(idx, email.id);
     }
 
-    /// Run the account's rules over one message, in rule order.
+    /// Run the account's rules over one message, in rule order. A
+    /// seeded body is rendered for them into a scratch buffer.
     fn apply_rules(&mut self, idx: usize, id: EmailId) {
         let mailbox = &mut self.mailboxes[idx];
         let Some(m) = mailbox.message(id) else {
             return;
         };
-        for action in self.rules[idx].actions_for(m.from, m.subject, m.body) {
+        let mut scratch = String::new();
+        let body = match m.body {
+            Body::Text(text) => text,
+            seeded => {
+                seeded.write_text(&mut scratch);
+                &scratch
+            }
+        };
+        for action in self.rules[idx].actions_for(m.from, m.subject, body) {
             match action {
                 RuleAction::ApplyLabel(label) => {
                     mailbox.label(id, label);
@@ -586,7 +595,7 @@ impl WebmailService {
             from: &self.accounts[idx].address,
             to,
             subject,
-            body,
+            body: Body::Text(body),
             folder: Folder::Drafts,
         };
         self.mailboxes[idx].file(id, draft);
@@ -646,7 +655,7 @@ impl WebmailService {
             from: &self.accounts[idx].address,
             to,
             subject,
-            body,
+            body: Body::Text(body),
             folder: Folder::Sent,
         };
         self.mailboxes[idx].file(id, sent);
@@ -777,7 +786,7 @@ impl WebmailService {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use pwnd_corpus::generator::SeededEmail;
+    use pwnd_corpus::generator::{SeededBodies, SeededEmail};
     use pwnd_net::geo::GeoDb;
     use pwnd_net::ip::AddressPlan;
     use pwnd_net::tor::TorDirectory;
@@ -887,8 +896,8 @@ mod tests {
         assert_eq!(hits, vec![EmailId(2)]);
         svc.open_email(session, hits[0], SimTime::from_secs(80))
             .unwrap();
-        let opened = svc.mailbox(id).message(hits[0]).unwrap();
-        assert!(opened.body.contains("payment"));
+        let opened = svc.mailbox(id).full_text(hits[0]).unwrap();
+        assert!(opened.contains("payment"));
         assert!(svc.mailbox(id).get(hits[0]).unwrap().read);
         svc.star_email(session, hits[0], SimTime::from_secs(85))
             .unwrap();
@@ -1337,12 +1346,26 @@ mod tests {
             },
         );
         // A seeded batch runs through the same rules: its one email
-        // comes from a noreply sender and its thread is about invoices.
-        let text = "RE: invoice run\nweekly digest";
+        // comes from a noreply sender, its thread is about invoices and
+        // its rendered body asks the reader to find something.
+        svc.add_rule(
+            id,
+            crate::rules::Rule {
+                matcher: crate::rules::Matcher::BodyContains("please find".into()),
+                action: crate::rules::RuleAction::Star,
+            },
+        );
         svc.seed_mailbox(
             id,
             SeededMail {
-                text: text.into(),
+                bodies: SeededBodies {
+                    archetype: pwnd_corpus::Archetype::CorporateEmployee,
+                    // "Please find", then "transfer".
+                    codes: vec![0, 6],
+                    owner_first: "Rae",
+                    names: vec![("Rae", "Owner"), ("Weekly", "Digest")],
+                },
+                subjects: "RE: invoice run".into(),
                 addresses: vec![
                     "r@honeymail.example".into(),
                     "noreply@newsletter.example".into(),
@@ -1353,25 +1376,31 @@ mod tests {
                     from: 1,
                     to: 0,
                     subject: 0..15,
-                    body: 16..text.len() as u32,
+                    body: 0..2,
                 }],
             },
         );
         let labelled = svc.mailbox(id).get(EmailId(1)).unwrap();
         assert_eq!(labelled.labels, ["finance"]);
         assert!(!labelled.read);
+        assert!(!labelled.starred);
         let digested = svc.mailbox(id).get(EmailId(2)).unwrap();
         assert!(digested.read, "MarkRead rule must have fired");
+        assert!(digested.starred, "the rule must see the rendered body");
         assert_eq!(digested.labels, ["finance"]);
         let opened = svc.mailbox(id).message(EmailId(2)).unwrap();
         assert_eq!(
-            (opened.from, opened.to, opened.subject, opened.body),
+            (opened.from, opened.to, opened.subject),
             (
                 "noreply@newsletter.example",
                 &["r@honeymail.example".to_string()][..],
                 "RE: invoice run",
-                "weekly digest"
             )
+        );
+        assert_eq!(
+            svc.mailbox(id).full_text(EmailId(2)).unwrap(),
+            "RE: invoice run\nHi Rae,\nPlease find transfer.\nThanks,\nWeekly Digest\n\
+             Meridian Power Group"
         );
     }
 

@@ -3,7 +3,11 @@
 
 use proptest::prelude::*;
 use pwnd_corpus::email::{Email, EmailId, MailTime};
-use pwnd_corpus::generator::{SeededEmail, SeededMail};
+use pwnd_corpus::generator::{CorpusGenerator, GREETING, SIGN_OFF};
+use pwnd_corpus::names::{FIRST_NAMES, LAST_NAMES};
+use pwnd_corpus::persona::PersonaFactory;
+use pwnd_corpus::tokenize::TermCounts;
+use pwnd_corpus::Archetype;
 use pwnd_net::access::ConnectionInfo;
 use pwnd_net::geo::GeoDb;
 use pwnd_net::geolocate::Geolocator;
@@ -13,7 +17,7 @@ use pwnd_net::useragent::{Browser, ClientConfig, Os};
 use pwnd_sim::{Rng, SimDuration, SimTime};
 use pwnd_webmail::account::AccountId;
 use pwnd_webmail::activity::ActivityPage;
-use pwnd_webmail::mailbox::{Folder, Mailbox, Message};
+use pwnd_webmail::mailbox::{Body, Folder, Mailbox, Message};
 use pwnd_webmail::search::search;
 use pwnd_webmail::service::{OpError, ServiceConfig, WebmailService};
 use std::collections::BTreeMap;
@@ -53,7 +57,7 @@ fn message(e: &Email, folder: Folder) -> Message<'_> {
         from: &e.from,
         to: &e.to,
         subject: &e.subject,
-        body: &e.body,
+        body: Body::Text(&e.body),
         folder,
     }
 }
@@ -308,12 +312,13 @@ proptest! {
     }
 }
 
-/// One step that changes a mailbox, for the arena equivalence case.
+/// One step that changes a mailbox, for the stored-form equivalence
+/// case.
 #[derive(Clone, Debug)]
 enum MailOp {
-    /// A seeded batch: thread subjects, then `(id, time, thread, body,
-    /// owner sends)` per email.
-    Seed(Vec<String>, Vec<(u64, i64, usize, String, bool)>),
+    /// A batch from `generate_mailbox`: the seed of its personas and
+    /// draws, whether the activist archetype, and its size.
+    Seed(u64, bool, usize),
     /// Inbound mail from the `usize`-th sender to `usize` recipients.
     Deliver(u64, i64, String, String, usize, usize),
     /// A draft to `usize` recipients.
@@ -327,22 +332,66 @@ enum MailOp {
 /// newlines and multi-byte characters.
 const MAIL_TEXT: &str = "[abAB1 ,.\néÜ]{0,14}";
 const SENDERS: [&str; 3] = ["ab@x", "owner@honeymail.example", "Ü@x"];
+const ARCHETYPES: [Archetype; 2] = [Archetype::CorporateEmployee, Archetype::Activist];
 
 fn mail_op() -> impl Strategy<Value = MailOp> {
-    let id = || 0u64..24;
+    // Generated ids start at 1, so seeded, delivered and filed mail
+    // replace one another.
+    let id = || 0u64..40;
     let time = || -400i64..400;
     prop_oneof![
-        (
-            proptest::collection::vec(MAIL_TEXT, 1..4),
-            proptest::collection::vec((id(), time(), 0usize..4, MAIL_TEXT, any::<bool>()), 0..8),
-        )
-            .prop_map(|(subjects, emails)| MailOp::Seed(subjects, emails)),
+        (any::<u64>(), any::<bool>(), 1usize..12)
+            .prop_map(|(seed, activist, n)| MailOp::Seed(seed, activist, n)),
         ((id(), time()), MAIL_TEXT, MAIL_TEXT, 0usize..3, 0usize..3)
             .prop_map(|((i, t), s, b, from, to)| MailOp::Deliver(i, t, s, b, from, to)),
         (id(), time(), MAIL_TEXT, MAIL_TEXT, 0usize..3)
             .prop_map(|(i, t, s, b, to)| MailOp::Draft(i, t, s, b, to)),
         (id(), time(), MAIL_TEXT, MAIL_TEXT).prop_map(|(i, t, s, b)| MailOp::Send(i, t, s, b)),
     ]
+}
+
+/// A code-table piece of either archetype.
+fn piece() -> impl Strategy<Value = String> {
+    (0usize..2, 0usize..256).prop_map(|(a, k)| {
+        let table = ARCHETYPES[a].code_table();
+        table[k % table.len()].to_string()
+    })
+}
+
+/// One query fragment: a code-table piece (twice as likely as the
+/// rest), a persona name, a word of the shared frame, or arbitrary
+/// text.
+fn query_part() -> impl Strategy<Value = String> {
+    prop_oneof![
+        piece(),
+        piece(),
+        (0..FIRST_NAMES.len()).prop_map(|i| FIRST_NAMES[i].to_string()),
+        (0..LAST_NAMES.len()).prop_map(|i| LAST_NAMES[i].to_string()),
+        (0usize..5).prop_map(|i| {
+            let frame = [GREETING, SIGN_OFF, "Meridian", "Coalition", "RE:"];
+            frame[i].to_string()
+        }),
+        "[abAB1 ,!éÜ]{0,8}",
+    ]
+}
+
+/// A query of one to three fragments, in one of four cases and joined
+/// by a space or punctuation.
+fn query() -> impl Strategy<Value = String> {
+    (
+        proptest::collection::vec(query_part(), 1..4),
+        0u8..4,
+        any::<bool>(),
+    )
+        .prop_map(|(parts, case, punctuated)| {
+            let query = parts.join(if punctuated { ", " } else { " " });
+            match case {
+                0 => query,
+                1 => query.to_ascii_lowercase(),
+                2 => query.to_ascii_uppercase(),
+                _ => format!("({query})!"),
+            }
+        })
 }
 
 fn owned(id: u64, t: i64, subject: &str, body: &str, from: usize, to: usize) -> Email {
@@ -356,13 +405,26 @@ fn owned(id: u64, t: i64, subject: &str, body: &str, from: usize, to: usize) -> 
     }
 }
 
-/// What one stored message was before the arena: the owned email and
-/// its folder.
+/// What one stored message is, as an owned email, and its folder.
 type Stored = (Email, Folder);
 
+/// A message read back out of a mailbox, owned, its body rendered.
+fn read_back(id: EmailId, m: Message<'_>) -> Stored {
+    let mut body = String::new();
+    m.body.write_text(&mut body);
+    let email = Email {
+        id,
+        from: m.from.into(),
+        to: m.to.to_vec(),
+        subject: m.subject.into(),
+        body,
+        timestamp: m.timestamp,
+    };
+    (email, m.folder)
+}
+
 /// The old per-`Email` search: fold the subject of each email outside
-/// Sent,
-/// a space and its body to ASCII lowercase, split the result into
+/// Sent, a space and its body to ASCII lowercase, split the result into
 /// ASCII-alphanumeric runs and keep the emails holding every query
 /// term; newest first, ids breaking ties.
 fn per_email_search(mail: &BTreeMap<EmailId, Stored>, query: &str) -> Vec<EmailId> {
@@ -391,51 +453,41 @@ fn per_email_search(mail: &BTreeMap<EmailId, Stored>, query: &str) -> Vec<EmailI
 }
 
 proptest! {
-    /// Search over a mailbox's text arena equals the old per-`Email`
-    /// scan, and every stored message reads back out of the arena, as a
-    /// borrowed view and as full text, as the email that went in, for
-    /// mailboxes built from any mix of seeded batches (threads sharing
-    /// one subject line), delivered mail, drafts and sent mail, with ids
-    /// that collide and replace. Queries mix case, punctuation and multi-byte
-    /// characters, and some join the end of a subject to the start of a
-    /// body, a term no email holds because the two are separate texts.
+    /// Search over a mailbox's stored forms (seeded bodies as piece
+    /// codes, other mail as arena text) equals the old per-`Email` scan
+    /// of the rendered mail, and every stored message reads back, as a
+    /// borrowed view and as full text, as the email that went in: for
+    /// mailboxes built from any mix of generated batches, delivered
+    /// mail, drafts and sent mail, with ids that collide and replace.
+    /// Queries mix code-table pieces, names and arbitrary text in any
+    /// case and with punctuation. Each seeded batch adds its owner's
+    /// first name and each sender's names, and one query joins the end
+    /// of a subject to the start of a body, a term no email holds
+    /// because the two are separate texts.
     #[test]
     fn arena_search_equals_per_email_search(
-        ops in proptest::collection::vec(mail_op(), 0..16),
-        queries in proptest::collection::vec("[abAB1 ,!éÜ]{0,8}", 1..6),
+        ops in proptest::collection::vec(mail_op(), 0..12),
+        queries in proptest::collection::vec(query(), 1..8),
         seam in any::<u64>(),
     ) {
         let mut mb = Mailbox::new();
         let mut model: BTreeMap<EmailId, Stored> = BTreeMap::new();
+        let mut queries = queries;
         for op in ops {
             match op {
-                MailOp::Seed(subjects, emails) => {
-                    let mut mail = SeededMail {
-                        addresses: vec![SENDERS[1].into(), SENDERS[0].into()],
-                        ..SeededMail::default()
-                    };
-                    let mut lines = Vec::new();
-                    for subject in &subjects {
-                        let start = mail.text.len() as u32;
-                        mail.text.push_str(subject);
-                        lines.push(start..mail.text.len() as u32);
-                    }
-                    for (id, t, thread, body, owner_sends) in emails {
-                        let start = mail.text.len() as u32;
-                        mail.text.push_str(&body);
-                        let (from, to) = if owner_sends { (0, 1) } else { (1, 0) };
-                        let e = SeededEmail {
-                            id: EmailId(id),
-                            timestamp: MailTime(t),
-                            from,
-                            to,
-                            subject: lines[thread % lines.len()].clone(),
-                            body: start..mail.text.len() as u32,
-                        };
-                        mail.emails.push(e);
-                    }
+                MailOp::Seed(seed, activist, n) => {
+                    let mut rng = Rng::seed_from(seed);
+                    let mut personas = PersonaFactory::new();
+                    let owner = personas.generate(None, &mut rng);
+                    let peers = personas.generate_batch(3, |_| None, &mut rng);
+                    let mut generator = CorpusGenerator::with_archetype(ARCHETYPES[usize::from(activist)]);
+                    let mail = generator.generate_mailbox(&owner, &peers, n, n, &mut rng, &mut TermCounts::new());
                     for e in mail.to_emails() {
                         model.insert(e.id, (e, Folder::Inbox));
+                    }
+                    queries.push(mail.bodies.owner_first.to_ascii_uppercase());
+                    for &(first, last) in &mail.bodies.names {
+                        queries.extend([format!("{first} {last}"), last.to_string()]);
                     }
                     mb.seed(mail);
                 }
@@ -457,11 +509,11 @@ proptest! {
             }
         }
         prop_assert_eq!(mb.len(), model.len());
-        for (&id, (e, folder)) in &model {
-            prop_assert_eq!(mb.message(id), Some(message(e, *folder)));
-            prop_assert_eq!(mb.full_text(id), Some(e.full_text()));
+        for (&id, stored) in &model {
+            let m = mb.message(id).expect("stored");
+            prop_assert_eq!(&read_back(id, m), stored);
+            prop_assert_eq!(mb.full_text(id), Some(stored.0.full_text()));
         }
-        let mut queries = queries;
         // A term across the seam of some stored email's subject and body.
         if let Some((e, _)) = model.values().nth(seam as usize % model.len().max(1)) {
             let tail: String = e.subject.chars().rev().take_while(char::is_ascii_alphanumeric).collect();

@@ -77,6 +77,9 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
             println!("{}", out.analysis().render());
             if args.profile {
                 println!("{}", out.telemetry_report().render());
+                if let Some(line) = cli::peak_rss_line() {
+                    println!("{line}");
+                }
             }
         }
         "trace" => {

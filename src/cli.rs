@@ -40,6 +40,7 @@ flags:
   --faults NAME    fault profile: none | light | heavy (default none);
                    for chaos, the profile whose rates are scaled (default heavy)
   --profile        (run/fleet) print phase timings and the metrics summary;
+                   (run, on Linux) then the peak RSS (VmHWM);
                    (sweep/chaos) print the runner speedup breakdown too;
                    (serve) print request telemetry on shutdown
   --jobs N         (sweep/chaos/fleet) worker threads, 1-256 (default: all
@@ -350,6 +351,15 @@ pub fn batch_profile_report<T>(batch: &Batch<T>) -> String {
     }
     out.push_str(&batch.telemetry.render());
     out
+}
+
+/// The `--profile` line `peak RSS (VmHWM)  N.N MiB`: this process's
+/// peak resident set so far, from `/proc/self/status` (Linux only).
+pub fn peak_rss_line() -> Option<String> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = kib.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(format!("peak RSS (VmHWM)  {:.1} MiB", kib / 1024.0))
 }
 
 // ---- `pwnd profile` and `pwnd trace` rendering ------------------------
