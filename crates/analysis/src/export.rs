@@ -184,7 +184,8 @@ mod tests {
 
     #[test]
     fn export_covers_every_figure() {
-        let analysis = FullAnalysis::compute(&Dataset::default(), &TermCounts::new(), &[], None);
+        let analysis =
+            FullAnalysis::compute(&Dataset::default(), &TermCounts::new(), &[], None, |_| ());
         let files = figures_to_csv(&analysis);
         let names: Vec<&str> = files.iter().map(|f| f.name.as_str()).collect();
         for expected in [

@@ -91,17 +91,31 @@ fn coverage_stats(ds: &Dataset) -> Option<CoverageStats> {
 impl FullAnalysis {
     /// Run the entire pipeline. `d_a` holds the word counts of every
     /// seeded email (document `d_A`); `extra_stopwords` carries the honey
-    /// handles and monitor markers the paper stripped.
-    pub fn compute(
+    /// handles and monitor markers the paper stripped. Each of the three
+    /// stages runs while the value `stage` returns for its name is held:
+    /// `tfidf` (Table 2), `cvm` (Figure 6 and its tests) and `figures`
+    /// (every other table and figure). A caller times the stages with a
+    /// span guard, or passes `|_| ()`.
+    pub fn compute<G>(
         ds: &Dataset,
         d_a: &TermCounts,
         extra_stopwords: &[String],
         blacklist: Option<&Blacklist>,
+        mut stage: impl FnMut(&'static str) -> G,
     ) -> FullAnalysis {
-        let tokenizer = Tokenizer::new().with_extra_stopwords(extra_stopwords.iter());
-        let opened_text = ds.opened_texts.join("\n");
-        let fig6 = figures::fig6(ds);
-        let cvm = figures::cvm_tests(&fig6);
+        let tfidf = {
+            let _stage = stage("tfidf");
+            let tokenizer = Tokenizer::new().with_extra_stopwords(extra_stopwords.iter());
+            let opened_text = ds.opened_texts.join("\n");
+            TfidfTable::build(d_a, &opened_text, &tokenizer)
+        };
+        let (fig6, cvm) = {
+            let _stage = stage("cvm");
+            let fig6 = figures::fig6(ds);
+            let cvm = figures::cvm_tests(&fig6);
+            (fig6, cvm)
+        };
+        let _stage = stage("figures");
         FullAnalysis {
             overview: overview(ds),
             table1: table1(ds),
@@ -113,7 +127,7 @@ impl FullAnalysis {
             fig6,
             cvm,
             origins: origin_stats(ds, blacklist),
-            tfidf: TfidfTable::build(d_a, &opened_text, &tokenizer),
+            tfidf,
             sophistication: sophistication(ds),
             extended: extended(ds),
             coverage: coverage_stats(ds),
@@ -413,7 +427,7 @@ mod tests {
     #[test]
     fn renders_on_empty_dataset() {
         let ds = Dataset::default();
-        let a = FullAnalysis::compute(&ds, &TermCounts::new(), &[], None);
+        let a = FullAnalysis::compute(&ds, &TermCounts::new(), &[], None, |_| ());
         let text = a.render();
         assert!(text.contains("== Overview"));
         assert!(text.contains("Table 2"));
@@ -444,7 +458,7 @@ mod tests {
             from_secs: 100,
             until_secs: 200,
         });
-        let a = FullAnalysis::compute(&ds, &TermCounts::new(), &[], None);
+        let a = FullAnalysis::compute(&ds, &TermCounts::new(), &[], None, |_| ());
         let c = a.coverage.as_ref().expect("coverage stats present");
         assert_eq!(c.accounts, 3);
         assert_eq!(c.degraded_accounts, 2);

@@ -2,7 +2,7 @@
 
 use crate::profiles::{OutletProfile, EUROPE_RADIUS_KM};
 use pwnd_corpus::persona::DecoyRegion;
-use pwnd_net::geo::{City, GeoDb, UK_MIDPOINT};
+use pwnd_net::geo::{City, GeoDb, NearPool, UK_MIDPOINT};
 use pwnd_net::useragent::{self, Browser, ClientConfig, Os};
 use pwnd_sim::Rng;
 
@@ -53,15 +53,66 @@ pub const ATTACKER_COUNTRIES: &[(&str, f64)] = &[
     ("MX", 0.8),
 ];
 
+/// [`ATTACKER_COUNTRIES`]' weights, in order.
+const ATTACKER_WEIGHTS: [f64; ATTACKER_COUNTRIES.len()] = {
+    let mut weights = [0.0; ATTACKER_COUNTRIES.len()];
+    let mut i = 0;
+    while i < weights.len() {
+        weights[i] = ATTACKER_COUNTRIES[i].1;
+        i += 1;
+    }
+    weights
+};
+
+/// The gazetteer pools an attacker population draws its cities from,
+/// built once and held for a run: the Europe-clustered homes, and each
+/// region's malleable proxies within each radius a profile uses (built
+/// the first time that radius is drawn from).
+#[derive(Clone, Debug)]
+pub struct IdentityPools<'g> {
+    geo: &'g GeoDb,
+    europe: NearPool,
+    /// Proxy pools by region and radius (its bits).
+    proxies: Vec<(DecoyRegion, u64, NearPool)>,
+}
+
+impl<'g> IdentityPools<'g> {
+    /// The pools over `geo`.
+    pub fn new(geo: &'g GeoDb) -> IdentityPools<'g> {
+        IdentityPools {
+            geo,
+            europe: geo.near(UK_MIDPOINT, EUROPE_RADIUS_KM),
+            proxies: Vec::new(),
+        }
+    }
+
+    /// The cities within `radius_km` of `region`'s midpoint.
+    fn proxies(&mut self, region: DecoyRegion, radius_km: f64) -> &NearPool {
+        let key = (region, radius_km.to_bits());
+        let i = match self.proxies.iter().position(|p| (p.0, p.1) == key) {
+            Some(i) => i,
+            None => {
+                let pool = self.geo.near(region.midpoint(), radius_km);
+                self.proxies.push((key.0, key.1, pool));
+                self.proxies.len() - 1
+            }
+        };
+        &self.proxies[i].2
+    }
+}
+
 /// Sample an attacker's home city: Europe-clustered with the profile's
 /// probability, otherwise from the worldwide criminal-population pool.
-pub fn sample_home(profile: &OutletProfile, geo: &GeoDb, rng: &mut Rng) -> &'static City {
+pub fn sample_home(
+    profile: &OutletProfile,
+    pools: &IdentityPools<'_>,
+    rng: &mut Rng,
+) -> &'static City {
     if rng.chance(profile.europe_home_probability) {
-        geo.sample_near(UK_MIDPOINT, EUROPE_RADIUS_KM, rng)
+        pools.europe.sample(rng)
     } else {
-        let weights: Vec<f64> = ATTACKER_COUNTRIES.iter().map(|&(_, w)| w).collect();
-        let country = ATTACKER_COUNTRIES[rng.choose_weighted(&weights)].0;
-        geo.sample_in(country, rng)
+        let country = ATTACKER_COUNTRIES[rng.choose_weighted(&ATTACKER_WEIGHTS)].0;
+        pools.geo.sample_in(country, rng)
     }
 }
 
@@ -87,10 +138,10 @@ pub fn sample_device(profile: &OutletProfile, rng: &mut Rng) -> ClientConfig {
 pub fn sample_identity(
     profile: &OutletProfile,
     advertised: Option<DecoyRegion>,
-    geo: &GeoDb,
+    pools: &mut IdentityPools<'_>,
     rng: &mut Rng,
 ) -> AttackerIdentity {
-    let home_city = sample_home(profile, geo, rng);
+    let home_city = sample_home(profile, pools, rng);
     let client = sample_device(profile, rng);
     if rng.chance(profile.tor_probability) {
         return AttackerIdentity {
@@ -106,7 +157,7 @@ pub fn sample_identity(
                 DecoyRegion::Uk => profile.malleable_radius_uk_km,
                 DecoyRegion::Us => profile.malleable_radius_us_km,
             };
-            let proxy = geo.sample_near(region.midpoint(), radius, rng);
+            let proxy = pools.proxies(region, radius).sample(rng);
             return AttackerIdentity {
                 home_city,
                 origin: OriginPolicy::City(proxy),
@@ -132,10 +183,11 @@ mod tests {
     fn malware_identities_are_tor_and_cloaked() {
         let mut rng = Rng::seed_from(1);
         let geo = GeoDb::new();
+        let mut pools = IdentityPools::new(&geo);
         let p = OutletProfile::malware();
         let mut tor = 0;
         for _ in 0..500 {
-            let id = sample_identity(&p, None, &geo, &mut rng);
+            let id = sample_identity(&p, None, &mut pools, &mut rng);
             if id.origin == OriginPolicy::Tor {
                 tor += 1;
             }
@@ -148,11 +200,12 @@ mod tests {
     fn malleable_paste_attackers_connect_near_midpoint() {
         let mut rng = Rng::seed_from(2);
         let geo = GeoDb::new();
+        let mut pools = IdentityPools::new(&geo);
         let p = OutletProfile::paste();
         let mut malleable = 0;
         let mut total_non_tor = 0;
         for _ in 0..1_000 {
-            let id = sample_identity(&p, Some(DecoyRegion::Us), &geo, &mut rng);
+            let id = sample_identity(&p, Some(DecoyRegion::Us), &mut pools, &mut rng);
             if id.origin == OriginPolicy::Tor {
                 continue;
             }
@@ -173,9 +226,10 @@ mod tests {
     fn no_advertised_location_means_no_malleability() {
         let mut rng = Rng::seed_from(3);
         let geo = GeoDb::new();
+        let mut pools = IdentityPools::new(&geo);
         let p = OutletProfile::paste();
         for _ in 0..300 {
-            let id = sample_identity(&p, None, &geo, &mut rng);
+            let id = sample_identity(&p, None, &mut pools, &mut rng);
             assert!(!id.malleable);
             if let OriginPolicy::City(c) = id.origin {
                 assert_eq!(c.name, id.home_city.name);
@@ -187,10 +241,11 @@ mod tests {
     fn homes_are_europe_heavy() {
         let mut rng = Rng::seed_from(4);
         let geo = GeoDb::new();
+        let pools = IdentityPools::new(&geo);
         let p = OutletProfile::paste();
         let near = (0..1_000)
             .filter(|_| {
-                let h = sample_home(&p, &geo, &mut rng);
+                let h = sample_home(&p, &pools, &mut rng);
                 haversine_km(h.point, UK_MIDPOINT) <= EUROPE_RADIUS_KM
             })
             .count();

@@ -7,11 +7,10 @@
 //! behavioural model can be tested without a service instance.
 
 use crate::behavior::{SessionShape, TaxonomyClass};
-use crate::identity::AttackerIdentity;
+use crate::identity::{AttackerIdentity, IdentityPools};
 use crate::profiles::OutletProfile;
 use crate::search_model::{sample_queries, sample_queries_from};
 use pwnd_corpus::persona::DecoyRegion;
-use pwnd_net::geo::GeoDb;
 use pwnd_sim::{Rng, SimDuration, SimTime};
 
 /// One action inside a visit.
@@ -202,10 +201,10 @@ pub fn build_access_plan(
     account: u32,
     advertised: Option<DecoyRegion>,
     start: SimTime,
-    geo: &GeoDb,
+    pools: &mut IdentityPools<'_>,
     rng: &mut Rng,
 ) -> AccessPlan {
-    let identity = crate::identity::sample_identity(profile, advertised, geo, rng);
+    let identity = crate::identity::sample_identity(profile, advertised, pools, rng);
     let class = profile.sample_taxonomy(rng);
     let shape = SessionShape::for_class(class);
 
@@ -312,6 +311,7 @@ pub fn build_access_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pwnd_net::geo::GeoDb;
 
     fn build(class_forcing_seed: u64) -> AccessPlan {
         let mut rng = Rng::seed_from(class_forcing_seed);
@@ -321,7 +321,7 @@ mod tests {
             0,
             Some(DecoyRegion::Uk),
             SimTime::from_secs(1_000),
-            &geo,
+            &mut IdentityPools::new(&geo),
             &mut rng,
         )
     }
@@ -363,7 +363,7 @@ mod tests {
                 0,
                 None,
                 SimTime::from_secs(3 * 3600), // 03:00 UTC
-                &geo,
+                &mut IdentityPools::new(&geo),
                 &mut rng,
             );
             let lon = p.identity.home_city.point.lon;

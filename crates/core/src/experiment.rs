@@ -4,7 +4,7 @@ use crate::config::ExperimentConfig;
 use crate::output::{GroundTruth, RunOutput};
 use pwnd_attacker::arrivals::{forum_arrivals, malware_arrivals, paste_arrivals};
 use pwnd_attacker::case_studies;
-use pwnd_attacker::identity::OriginPolicy;
+use pwnd_attacker::identity::{IdentityPools, OriginPolicy};
 use pwnd_attacker::plan::{build_access_plan, AccessPlan, Action};
 use pwnd_attacker::profiles::OutletProfile;
 use pwnd_corpus::decoy::generate_decoys;
@@ -174,8 +174,14 @@ impl Experiment {
 
         // --- Attacker access plans ----------------------------------------
         let span = self.telemetry.span("attack-plans");
-        let mut accesses =
-            self.build_accesses(&accounts, &malware_sales, horizon, &geo, &mut rng_attack);
+        let mut pools = IdentityPools::new(&geo);
+        let mut accesses = self.build_accesses(
+            &accounts,
+            &malware_sales,
+            horizon,
+            &mut pools,
+            &mut rng_attack,
+        );
         if cfg.case_studies {
             accesses.extend(self.case_study_accesses(&accounts, &geo, &mut rng_attack));
         }
@@ -711,7 +717,7 @@ impl Experiment {
         accounts: &[HoneyAccount],
         malware_sales: &SalesByAccount,
         horizon: SimTime,
-        geo: &GeoDb,
+        pools: &mut IdentityPools<'_>,
         rng: &mut Rng,
     ) -> Vec<AccessPlan> {
         let popular = PasteSite::popular();
@@ -740,7 +746,7 @@ impl Experiment {
                             account.id.0,
                             account.advertised,
                             t,
-                            geo,
+                            pools,
                             rng,
                         ));
                     }
@@ -757,7 +763,7 @@ impl Experiment {
                             account.id.0,
                             account.advertised,
                             t,
-                            geo,
+                            pools,
                             rng,
                         ));
                     }
@@ -773,7 +779,7 @@ impl Experiment {
                             account.id.0,
                             None,
                             a.at,
-                            geo,
+                            pools,
                             rng,
                         ));
                     }

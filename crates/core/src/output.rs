@@ -75,7 +75,8 @@ pub struct RunOutput {
 }
 
 impl RunOutput {
-    /// Run the full §4 analysis pipeline over the dataset.
+    /// Run the full §4 analysis pipeline over the dataset, each stage
+    /// timed in a child span of `analysis`: `tfidf`, `cvm` and `figures`.
     pub fn analysis(&self) -> FullAnalysis {
         let _span = self.telemetry.span("analysis");
         FullAnalysis::compute(
@@ -83,6 +84,7 @@ impl RunOutput {
             &self.corpus_text,
             &self.extra_stopwords,
             Some(&self.blacklist),
+            |stage| self.telemetry.span(stage),
         )
     }
 

@@ -11,7 +11,7 @@ use crate::generator::OPENERS;
 use crate::vocab::{self, FILLER};
 
 /// Who the honey personas pretend to be.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Archetype {
     /// Employees of a fictitious energy-trading company (the paper's
     /// setup; Enron-like corpus).

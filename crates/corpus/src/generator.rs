@@ -21,7 +21,11 @@
 //! and search matches a body by its codes. Both are exact because one
 //! byte at every join of pieces is a space, comma, full stop or newline,
 //! so no [word](crate::tokenize::for_each_word) or search token crosses
-//! a join (`tests/piece_joins.rs` checks every piece and name).
+//! a join (`tests/piece_joins.rs` checks every piece and name). A
+//! mailbox adds its code-table pieces to `d_A` as use counts, which
+//! [`TermCounts`] sums over the run and splits into words once, when
+//! read; its byte length is arithmetic on those counts, not a walk of
+//! each rendered body.
 
 use crate::archetype::Archetype;
 use crate::email::{Email, EmailId, MailTime};
@@ -314,6 +318,8 @@ impl CorpusGenerator {
     /// subject line, then its body (what [`TermCounts::add_email`] of
     /// each email would count), from the pieces drawn rather than the
     /// text they render to; see the module docs for why that is exact.
+    /// The code-table pieces go in as use counts
+    /// ([`TermCounts::add_piece_uses`]).
     // lint:hot-root
     pub fn generate_mailbox(
         &mut self,
@@ -404,21 +410,20 @@ impl CorpusGenerator {
         }
         d_a.add_times(slice(&mail.subjects, &subject), carried);
 
-        let emails = &mail.emails;
-        let bytes = emails
-            .iter()
-            .map(|e| e.subject.len() + mail.bodies.body(e.from, &e.body).text_len() + 2);
-        d_a.add_len(bytes.sum());
+        let table = self.archetype.code_table();
         let mut uses = [0u64; 256];
         for &code in &mail.bodies.codes {
             uses[usize::from(code)] += 1;
         }
-        for (piece, &n) in self.archetype.code_table().iter().zip(&uses) {
-            d_a.add_times(piece, n);
+        let uses = &uses[..table.len()];
+        d_a.add_piece_uses(table, uses);
+        let emails = &mail.emails;
+        let mut sent = vec![0u64; mail.bodies.names.len()];
+        for e in emails {
+            sent[usize::from(e.from)] += 1;
         }
         // A space joins the names, so they count as the full name would.
-        for (a, &(first, last)) in mail.bodies.names.iter().enumerate() {
-            let n = emails.iter().filter(|e| usize::from(e.from) == a).count() as u64;
+        for (&(first, last), &n) in mail.bodies.names.iter().zip(&sent) {
             d_a.add_times(first, n);
             d_a.add_times(last, n);
         }
@@ -431,7 +436,44 @@ impl CorpusGenerator {
         ] {
             d_a.add_times(piece, n);
         }
+        d_a.add_len(Self::text_bytes(&mail, uses, &sent));
         mail
+    }
+
+    /// The bytes `mail`'s emails add to `d_A`, each its subject line and
+    /// body with a newline after each, from how often each piece was
+    /// used (`uses`) and each address sent (`sent`), without rendering or
+    /// walking a body. Every body holds sentences, and each starts with
+    /// an opener: its pieces and the separator before each, then one
+    /// byte more per opener (`.\n` before each one after the first is a
+    /// byte longer than a space, and one full stop ends the body).
+    fn text_bytes(mail: &SeededMail, uses: &[u64], sent: &[u64]) -> usize {
+        let bodies = &mail.bodies;
+        let table = bodies.archetype.code_table();
+        let pieces: u64 = table
+            .iter()
+            .zip(uses)
+            .map(|(p, &n)| n * (p.len() as u64 + 1))
+            .sum();
+        let openers: u64 = uses[..OPENERS.len()].iter().sum();
+        let signatures: u64 = bodies
+            .names
+            .iter()
+            .zip(sent)
+            .map(|(&(first, last), &n)| n * (first.len() + 1 + last.len()) as u64)
+            .sum();
+        let subjects: usize = mail.emails.iter().map(|e| e.subject.len()).sum();
+        // Each email's fixed parts: the greeting, the owner's name and
+        // its comma, the sign-off, the line before the organization and
+        // the organization, and the newlines after subject and body.
+        let frame = GREETING.len()
+            + bodies.owner_first.len()
+            + 1
+            + SIGN_OFF.len()
+            + 1
+            + bodies.archetype.organization().len()
+            + 2;
+        subjects + mail.emails.len() * frame + (pieces + openers + signatures) as usize
     }
 }
 
@@ -501,6 +543,25 @@ mod tests {
         let mut counted = TermCounts::new();
         emails.iter().for_each(|e| counted.add_email(e));
         assert_eq!(d_a, counted);
+    }
+
+    #[test]
+    fn mailboxes_counted_into_one_document_count_as_their_text() {
+        let (owner, peers, mut rng) = setup();
+        let mut d_a = TermCounts::new();
+        let mut text = TermCounts::new();
+        for archetype in [Archetype::CorporateEmployee, Archetype::Activist] {
+            let mut g = CorpusGenerator::with_archetype(archetype);
+            for (min, max) in [(20, 40), (1, 3), (60, 90)] {
+                let mb = g.generate_mailbox(&owner, &peers[..3], min, max, &mut rng, &mut d_a);
+                mb.to_emails().iter().for_each(|e| text.add_email(e));
+            }
+        }
+        let tokenizer = crate::tokenize::Tokenizer::new();
+        assert_eq!(d_a.len(), text.len());
+        assert_eq!(d_a.terms(&tokenizer), text.terms(&tokenizer));
+        assert_eq!(d_a.get("transfer"), text.get("transfer"));
+        assert_eq!(d_a, text);
     }
 
     #[test]

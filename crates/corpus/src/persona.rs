@@ -8,7 +8,7 @@
 //! the midpoints of those locations").
 
 use crate::names::{COMPANY_DOMAIN, FIRST_NAMES, LAST_NAMES};
-use pwnd_net::geo::{City, GeoDb, UK_MIDPOINT, US_MIDPOINT};
+use pwnd_net::geo::{City, GeoDb, NearPool, UK_MIDPOINT, US_MIDPOINT};
 use pwnd_sim::Rng;
 use std::collections::BTreeSet;
 
@@ -93,10 +93,15 @@ impl Persona {
 
 /// Generates distinct personas.
 pub struct PersonaFactory {
-    geo: GeoDb,
+    /// The cities within [`HOME_RADIUS_KM`] of each region's midpoint,
+    /// UK then US.
+    homes: [NearPool; 2],
     used_handles: BTreeSet<String>,
     counter: u32,
 }
+
+/// How far from its region's midpoint a persona may live.
+const HOME_RADIUS_KM: f64 = 600.0;
 
 impl Default for PersonaFactory {
     fn default() -> Self {
@@ -107,8 +112,10 @@ impl Default for PersonaFactory {
 impl PersonaFactory {
     /// A factory over the built-in gazetteer.
     pub fn new() -> PersonaFactory {
+        let geo = GeoDb::new();
+        let home = |region: DecoyRegion| geo.near(region.midpoint(), HOME_RADIUS_KM);
         PersonaFactory {
-            geo: GeoDb::new(),
+            homes: [home(DecoyRegion::Uk), home(DecoyRegion::Us)],
             used_handles: BTreeSet::new(),
             counter: 0,
         }
@@ -116,7 +123,7 @@ impl PersonaFactory {
 
     /// Generate one persona. `region` controls the advertised decoy
     /// location; personas without one still live somewhere (their city is
-    /// sampled near a midpoint at 600 km so the account history looks
+    /// sampled within 600 km of a midpoint so the account history looks
     /// plausible, but the leak never mentions it).
     pub fn generate(&mut self, region: Option<DecoyRegion>, rng: &mut Rng) -> Persona {
         let first = *rng.choose(FIRST_NAMES);
@@ -146,8 +153,12 @@ impl PersonaFactory {
             DecoyRegion::Us
         });
         // Advertised decoy cities are picked so the group's centroid is
-        // the midpoint; sampling within 600 km of it approximates that.
-        let home_city = self.geo.sample_near(effective.midpoint(), 600.0, rng);
+        // the midpoint; sampling near it approximates that.
+        let homes = match effective {
+            DecoyRegion::Uk => &self.homes[0],
+            DecoyRegion::Us => &self.homes[1],
+        };
+        let home_city = homes.sample(rng);
         Persona {
             first,
             last,

@@ -200,11 +200,38 @@ fn letter_bits(word: u64) -> u64 {
 /// document's text. Words are counted as written; case is
 /// folded and stop terms dropped once per distinct word, when
 /// [`TermCounts::terms`] reads the counts out.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// A code table's pieces are counted as how often each was used
+/// ([`TermCounts::add_piece_uses`]), summed over every mailbox, and
+/// split into words only when the counts are read: a run's mailboxes all
+/// draw from one or two tables, so each piece's words are counted once
+/// per run rather than once per mailbox. Every read ([`terms`], [`get`],
+/// `==`) sees the words the uses stand for.
+///
+/// [`terms`]: TermCounts::terms
+/// [`get`]: TermCounts::get
+#[derive(Clone, Debug, Default)]
 pub struct TermCounts {
     // lint:allow(hash-order): per-word hot path of corpus indexing; `terms` reads it via a BTreeMap
     counts: std::collections::HashMap<Box<str>, u64, BuildHasherDefault<WordHasher>>,
+    /// Piece-use totals per code table, not yet split into words.
+    pieces: Vec<PieceUses>,
     bytes: usize,
+}
+
+/// How many times each piece of one code table was written.
+#[derive(Clone, Debug)]
+struct PieceUses {
+    table: &'static [&'static str],
+    uses: Vec<u64>,
+}
+
+impl PartialEq for TermCounts {
+    /// Equal when the same bytes were counted and the same words, the
+    /// piece uses split into words on both sides.
+    fn eq(&self, other: &TermCounts) -> bool {
+        self.bytes == other.bytes && self.words() == other.words()
+    }
 }
 
 impl TermCounts {
@@ -235,6 +262,43 @@ impl TermCounts {
         });
     }
 
+    /// Count piece `k` of `table` `uses[k]` times over, leaving the byte
+    /// length alone: what `add_times(table[k], uses[k])` for every `k`
+    /// counts, kept as totals per piece until the counts are read.
+    /// Panics if `uses` is longer than `table`.
+    pub fn add_piece_uses(&mut self, table: &'static [&'static str], uses: &[u64]) {
+        assert!(uses.len() <= table.len(), "a use count per piece");
+        let i = match self
+            .pieces
+            .iter()
+            .position(|p| std::ptr::eq(p.table, table))
+        {
+            Some(i) => i,
+            None => {
+                self.pieces.push(PieceUses {
+                    table,
+                    uses: vec![0; table.len()],
+                });
+                self.pieces.len() - 1
+            }
+        };
+        for (total, &n) in self.pieces[i].uses.iter_mut().zip(uses) {
+            *total += n;
+        }
+    }
+
+    /// Every word's count as written, in word order, the piece uses
+    /// split into words.
+    fn words(&self) -> BTreeMap<&str, u64> {
+        let mut words: BTreeMap<&str, u64> = self.counts.iter().map(|(w, &n)| (&**w, n)).collect();
+        for p in &self.pieces {
+            for (piece, &n) in p.table.iter().zip(&p.uses).filter(|(_, &n)| n > 0) {
+                for_each_word(piece, |w| *words.entry(w).or_insert(0) += n);
+            }
+        }
+        words
+    }
+
     /// Grow the byte length by `bytes` without counting any words.
     pub fn add_len(&mut self, bytes: usize) {
         self.bytes += bytes;
@@ -251,13 +315,8 @@ impl TermCounts {
     /// The document's terms under `tokenizer`, with their counts, in term
     /// order: what counting `tokenizer.tokenize` of the whole text gives.
     pub fn terms(&self, tokenizer: &Tokenizer) -> BTreeMap<String, u64> {
-        let words = self
-            .counts
-            .iter()
-            .map(|(w, &n)| (&**w, n))
-            .collect::<BTreeMap<&str, u64>>();
         let mut terms = BTreeMap::new();
-        for (word, n) in words {
+        for (word, n) in self.words() {
             *terms.entry(word.to_ascii_lowercase()).or_insert(0) += n;
         }
         terms.retain(|t, _| !tokenizer.is_stopword(t));
@@ -266,10 +325,10 @@ impl TermCounts {
 
     /// Occurrences of `term`, in any case.
     pub fn get(&self, term: &str) -> u64 {
-        self.counts
-            .iter()
+        self.words()
+            .into_iter()
             .filter(|(w, _)| w.eq_ignore_ascii_case(term))
-            .map(|(_, &c)| c)
+            .map(|(_, c)| c)
             .sum()
     }
 

@@ -7,6 +7,19 @@
 //! a fixed gazetteer of real-world cities across ~30 countries, with
 //! population-style sampling weights so attacker origins look like a
 //! plausible mix of large population centres.
+//!
+//! ## Pools built once
+//!
+//! Personas' homes and attackers' proxies are drawn from the cities near
+//! a midpoint, and attackers' homes and geolocated blocks from the
+//! cities of one country. Those city sets depend only on the gazetteer,
+//! so they are built once and held, never filtered again per draw:
+//! [`GeoDb`] indexes every country's cities when it is made, and
+//! [`GeoDb::near`] returns a [`NearPool`] a caller keeps for the run. A
+//! [`CityPool`] keeps its weights' total, summed in gazetteer order as
+//! [`Rng::choose_weighted`] would sum them, so a draw from a held pool
+//! takes the same random number and returns the same city as filtering
+//! the gazetteer and drawing would.
 
 use pwnd_sim::Rng;
 
@@ -173,10 +186,74 @@ pub const CITIES: &[City] = &[
     city("Melbourne", "AU", -37.8136, 144.9631, 5.0),
 ];
 
+/// Cities with their weights, in gazetteer order, and the weights'
+/// total summed in that order: what [`Rng::choose_weighted`] draws from,
+/// held so each draw neither collects the weights nor sums them.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CityPool {
+    cities: Vec<&'static City>,
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl CityPool {
+    /// The pool of `cities`, kept in the order given. Panics if it is
+    /// empty.
+    fn new(cities: Vec<&'static City>) -> CityPool {
+        assert!(!cities.is_empty(), "a city pool needs a city");
+        let weights: Vec<f64> = cities.iter().map(|c| c.weight).collect();
+        let total = weights.iter().sum();
+        CityPool {
+            cities,
+            weights,
+            total,
+        }
+    }
+
+    /// The cities, in gazetteer order.
+    pub fn cities(&self) -> &[&'static City] {
+        &self.cities
+    }
+
+    /// The weights' total, summed in gazetteer order.
+    pub fn total(&self) -> f64 {
+        self.total
+    }
+
+    /// Draw a city, weighted: one [`Rng::choose_weighted`] draw.
+    pub fn sample(&self, rng: &mut Rng) -> &'static City {
+        self.cities[rng.choose_weighted_summed(&self.weights, self.total)]
+    }
+}
+
+/// The cities within a radius of a point, held for repeated draws; see
+/// [`GeoDb::near`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum NearPool {
+    /// The cities in range.
+    InRange(CityPool),
+    /// No city is in range: the nearest one, which a draw returns
+    /// without taking a random number.
+    Nearest(&'static City),
+}
+
+impl NearPool {
+    /// Draw a city: a weighted draw from the cities in range, or the
+    /// nearest city and no draw when none is.
+    pub fn sample(&self, rng: &mut Rng) -> &'static City {
+        match self {
+            NearPool::InRange(pool) => pool.sample(rng),
+            NearPool::Nearest(city) => city,
+        }
+    }
+}
+
 /// A queryable view over the gazetteer with weighted sampling.
 #[derive(Clone, Debug)]
 pub struct GeoDb {
     cities: &'static [City],
+    /// Each country's pool, sorted by country code.
+    countries: Vec<(&'static str, CityPool)>,
 }
 
 impl Default for GeoDb {
@@ -186,9 +263,22 @@ impl Default for GeoDb {
 }
 
 impl GeoDb {
-    /// The built-in world gazetteer.
+    /// The built-in world gazetteer, its per-country index built.
     pub fn new() -> GeoDb {
-        GeoDb { cities: CITIES }
+        let mut codes: Vec<&'static str> = CITIES.iter().map(|c| c.country).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        let countries = codes
+            .into_iter()
+            .map(|code| {
+                let cities = CITIES.iter().filter(|c| c.country == code).collect();
+                (code, CityPool::new(cities))
+            })
+            .collect();
+        GeoDb {
+            cities: CITIES,
+            countries,
+        }
     }
 
     /// All cities.
@@ -196,20 +286,23 @@ impl GeoDb {
         self.cities
     }
 
-    /// All cities in `country` (ISO alpha-2).
-    pub fn cities_in(&self, country: &str) -> Vec<&'static City> {
-        self.cities
-            .iter()
-            .filter(|c| c.country == country)
-            .collect()
+    /// The pool of `country`'s cities (ISO alpha-2), or `None` if the
+    /// gazetteer has none.
+    pub fn country(&self, country: &str) -> Option<&CityPool> {
+        self.countries
+            .binary_search_by(|&(code, _)| code.cmp(country))
+            .ok()
+            .map(|i| &self.countries[i].1)
+    }
+
+    /// All cities in `country` (ISO alpha-2), in gazetteer order.
+    pub fn cities_in(&self, country: &str) -> &[&'static City] {
+        self.country(country).map_or(&[], CityPool::cities)
     }
 
     /// Number of distinct countries in the gazetteer.
     pub fn country_count(&self) -> usize {
-        let mut cs: Vec<&str> = self.cities.iter().map(|c| c.country).collect();
-        cs.sort_unstable();
-        cs.dedup();
-        cs.len()
+        self.countries.len()
     }
 
     /// Look up a city by exact name.
@@ -226,33 +319,33 @@ impl GeoDb {
     /// Sample a city within `country`, weighted. Panics if the country has
     /// no cities in the gazetteer.
     pub fn sample_in(&self, country: &str, rng: &mut Rng) -> &'static City {
-        let pool = self.cities_in(country);
-        assert!(!pool.is_empty(), "no cities for country {country}");
-        let weights: Vec<f64> = pool.iter().map(|c| c.weight).collect();
-        pool[rng.choose_weighted(&weights)]
+        self.country(country)
+            .unwrap_or_else(|| panic!("no cities for country {country}"))
+            .sample(rng)
     }
 
-    /// Sample a city within `max_km` of `center`, weighted; falls back to
-    /// the globally nearest city if none is within range.
-    pub fn sample_near(&self, center: GeoPoint, max_km: f64, rng: &mut Rng) -> &'static City {
-        let pool: Vec<&'static City> = self
+    /// The cities within `max_km` of `center`, in gazetteer order, or
+    /// the globally nearest city if none is within range. A caller that
+    /// draws near one point many times holds the pool.
+    pub fn near(&self, center: GeoPoint, max_km: f64) -> NearPool {
+        let in_range: Vec<&'static City> = self
             .cities
             .iter()
             .filter(|c| haversine_km(c.point, center) <= max_km)
             .collect();
-        if pool.is_empty() {
-            return self
-                .cities
-                .iter()
-                .min_by(|a, b| {
-                    haversine_km(a.point, center)
-                        .partial_cmp(&haversine_km(b.point, center))
-                        .expect("distances are finite")
-                })
-                .expect("gazetteer is non-empty");
+        if !in_range.is_empty() {
+            return NearPool::InRange(CityPool::new(in_range));
         }
-        let weights: Vec<f64> = pool.iter().map(|c| c.weight).collect();
-        pool[rng.choose_weighted(&weights)]
+        let nearest = self
+            .cities
+            .iter()
+            .min_by(|a, b| {
+                haversine_km(a.point, center)
+                    .partial_cmp(&haversine_km(b.point, center))
+                    .expect("distances are finite")
+            })
+            .expect("gazetteer is non-empty");
+        NearPool::Nearest(nearest)
     }
 }
 
@@ -316,7 +409,7 @@ mod tests {
         let db = GeoDb::new();
         let mut rng = Rng::seed_from(2);
         for _ in 0..200 {
-            let c = db.sample_near(UK_MIDPOINT, 1000.0, &mut rng);
+            let c = db.near(UK_MIDPOINT, 1000.0).sample(&mut rng);
             assert!(haversine_km(c.point, UK_MIDPOINT) <= 1000.0, "{}", c.name);
         }
     }
@@ -330,7 +423,7 @@ mod tests {
             lat: -40.0,
             lon: -20.0,
         };
-        let c = db.sample_near(remote, 1.0, &mut rng);
+        let c = db.near(remote, 1.0).sample(&mut rng);
         // Falls back to the nearest gazetteer city rather than panicking.
         assert!(!c.name.is_empty());
     }

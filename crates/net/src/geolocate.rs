@@ -86,21 +86,23 @@ impl Geolocator {
     /// database maps each block to one fixed city, weighted toward the
     /// large ones. We hash the /24 so hosts in one block co-locate.
     fn city_for(&self, country: &str, ip: Ipv4Addr) -> &'static City {
-        let pool = self.geo.cities_in(country);
-        assert!(!pool.is_empty(), "country {country} has no cities");
+        let pool = self
+            .geo
+            .country(country)
+            .unwrap_or_else(|| panic!("country {country} has no cities"));
         let o = ip.octets();
         let h = (o[0] as u64) << 16 | (o[1] as u64) << 8 | o[2] as u64;
         // Weight by city weight using the hash as a fixed-point fraction.
-        let total: f64 = pool.iter().map(|c| c.weight).sum();
-        let mut target =
-            (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64 * total;
-        for c in &pool {
+        let mut target = (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64
+            * pool.total();
+        let cities = pool.cities();
+        for c in cities {
             target -= c.weight;
             if target < 0.0 {
                 return c;
             }
         }
-        pool[pool.len() - 1]
+        cities[cities.len() - 1]
     }
 
     /// Sample a host address that geolocates to (or as near as the address

@@ -1,7 +1,7 @@
 //! Property-based tests for the network substrate.
 
 use proptest::prelude::*;
-use pwnd_net::geo::{haversine_km, nearest_km, GeoDb, GeoPoint};
+use pwnd_net::geo::{haversine_km, nearest_km, City, GeoDb, GeoPoint, NearPool, CITIES};
 use pwnd_net::ip::AddressPlan;
 use pwnd_net::tor::TorDirectory;
 use pwnd_net::useragent::{parse_browser, parse_os, render_user_agent, Browser, Os};
@@ -16,6 +16,28 @@ fn lon() -> impl Strategy<Value = f64> {
 }
 fn point() -> impl Strategy<Value = GeoPoint> {
     (lat(), lon()).prop_map(|(lat, lon)| GeoPoint { lat, lon })
+}
+
+/// A draw near `center` as it was made before pools were held: filter
+/// the gazetteer, collect the weights, draw; the nearest city and no
+/// draw when none is in range.
+fn filter_and_draw(center: GeoPoint, max_km: f64, rng: &mut Rng) -> &'static City {
+    let pool: Vec<&'static City> = CITIES
+        .iter()
+        .filter(|c| haversine_km(c.point, center) <= max_km)
+        .collect();
+    if pool.is_empty() {
+        return CITIES
+            .iter()
+            .min_by(|a, b| {
+                haversine_km(a.point, center)
+                    .partial_cmp(&haversine_km(b.point, center))
+                    .expect("finite distances")
+            })
+            .expect("non-empty gazetteer");
+    }
+    let weights: Vec<f64> = pool.iter().map(|c| c.weight).collect();
+    pool[rng.choose_weighted(&weights)]
 }
 
 proptest! {
@@ -73,6 +95,62 @@ proptest! {
             prop_assert!(!AddressPlan::is_infra(ip));
             prop_assert!(!AddressPlan::in_tor_block(ip));
         }
+    }
+
+    /// A held pool draws the same city as filtering the gazetteer and
+    /// drawing, draw after draw from one RNG state, for any center and
+    /// radius; a radius of a kilometre in the South Atlantic holds no
+    /// city and takes the nearest-city fallback.
+    #[test]
+    fn held_near_pool_draws_as_filter_and_draw(
+        center in point(),
+        max_km in 0.0..6_000.0f64,
+        empty in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (center, max_km) = if empty {
+            (GeoPoint { lat: -40.0, lon: -20.0 }, 1.0)
+        } else {
+            (center, max_km)
+        };
+        let pool = GeoDb::new().near(center, max_km);
+        if empty {
+            prop_assert!(matches!(pool, NearPool::Nearest(_)));
+        }
+        let mut held = Rng::seed_from(seed);
+        let mut filtered = Rng::seed_from(seed);
+        for _ in 0..8 {
+            prop_assert_eq!(pool.sample(&mut held).name, filter_and_draw(center, max_km, &mut filtered).name);
+        }
+        prop_assert_eq!(held.next_u64(), filtered.next_u64());
+    }
+
+    /// The per-country index holds each country's cities in gazetteer
+    /// order, its weight total is their sum bit for bit, and a draw from
+    /// it is the draw from the filtered weights.
+    #[test]
+    fn country_index_matches_the_filtered_gazetteer(seed in any::<u64>()) {
+        let geo = GeoDb::new();
+        let mut codes: Vec<&str> = CITIES.iter().map(|c| c.country).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        prop_assert_eq!(geo.country_count(), codes.len());
+        let mut held = Rng::seed_from(seed);
+        let mut filtered = Rng::seed_from(seed);
+        for code in codes {
+            let cities: Vec<&'static City> = CITIES.iter().filter(|c| c.country == code).collect();
+            prop_assert_eq!(geo.cities_in(code), &cities[..]);
+            let weights: Vec<f64> = cities.iter().map(|c| c.weight).collect();
+            let total: f64 = cities.iter().map(|c| c.weight).sum();
+            let pool = geo.country(code).expect("indexed");
+            prop_assert_eq!(pool.total().to_bits(), total.to_bits());
+            prop_assert_eq!(
+                geo.sample_in(code, &mut held).name,
+                cities[filtered.choose_weighted(&weights)].name
+            );
+        }
+        prop_assert!(geo.cities_in("ZZ").is_empty());
+        prop_assert!(geo.country("ZZ").is_none());
     }
 
     /// UA render → parse is the identity on (browser, os) for all

@@ -135,7 +135,14 @@ impl Rng {
     /// Pick an index according to non-negative `weights` (need not sum to 1).
     /// Panics if weights are empty or sum to zero.
     pub fn choose_weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+        self.choose_weighted_summed(weights, weights.iter().sum())
+    }
+
+    /// [`Rng::choose_weighted`] with the weights' sum already known:
+    /// `total` must be `weights.iter().sum()`, added up in that order, for
+    /// the draw to be the same. A caller that draws from one set of
+    /// weights many times sums them once.
+    pub fn choose_weighted_summed(&mut self, weights: &[f64], total: f64) -> usize {
         assert!(
             total > 0.0 && total.is_finite(),
             "choose_weighted: weights must have a positive finite sum"

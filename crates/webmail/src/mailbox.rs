@@ -189,6 +189,17 @@ impl Mailbox {
         self.entries.iter().map(|(&id, e)| (id, self.view(e)))
     }
 
+    /// [`Mailbox::messages`], a seeded message with its batch and its
+    /// sender's index there: the pair fixes its body's frame (greeting
+    /// and signature), so a reader can handle each frame once.
+    pub fn messages_with_frames(
+        &self,
+    ) -> impl Iterator<Item = (EmailId, Message<'_>, Option<(u16, u16)>)> {
+        self.entries
+            .iter()
+            .map(|(&id, e)| (id, self.view(e), e.seeded))
+    }
+
     fn view<'a>(&'a self, e: &Entry) -> Message<'a> {
         let body = match e.seeded {
             None => Body::Text(slice(&self.text, &e.body)),

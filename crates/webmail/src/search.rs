@@ -23,13 +23,21 @@
 //! A seeded body holds a term exactly when one of its pieces does (see
 //! [`pwnd_corpus::generator`]), so it is never rendered: each term
 //! becomes a 256-bit mask of the code-table pieces holding it, and only
-//! the subject and the frame (the body without its codes) are folded.
+//! the subject and the frame (the body without its codes: greeting,
+//! owner's first name, signature) are folded. A term's mask depends only
+//! on the code table, so [`PieceMasks`] keeps it for every later search.
+//! A seeded message's subject line is its thread's and its frame is its
+//! sender's, so one search folds and scans each subject once per thread
+//! and each frame once per sender, not once per message. Subject and
+//! frame are separate texts in the scan: a space joins them in the
+//! rendered message, and no token spans a space.
 
 use crate::mailbox::{Body, Folder, Mailbox};
 use pwnd_corpus::email::EmailId;
 use pwnd_corpus::generator::SeededBody;
 use pwnd_corpus::Archetype;
 use pwnd_sim::SimTime;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One logged query (provider-side ground truth).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -61,76 +69,153 @@ fn contains_token(text: &str, term: &str) -> bool {
 }
 
 /// Bit `k` is set when code `k`'s piece of `archetype` holds `term`.
-fn piece_mask(archetype: Archetype, term: &str, scratch: &mut String) -> [u64; 4] {
+fn piece_mask(archetype: Archetype, term: &str) -> [u64; 4] {
     let mut mask = [0; 4];
+    let mut piece_text = String::new();
     for (k, piece) in archetype.code_table().iter().enumerate() {
-        scratch.clear();
-        scratch.push_str(piece);
-        scratch.make_ascii_lowercase();
-        if contains_token(scratch, term) {
+        piece_text.clear();
+        piece_text.push_str(piece);
+        piece_text.make_ascii_lowercase();
+        if contains_token(&piece_text, term) {
             mask[k / 64] |= 1 << (k % 64);
         }
     }
     mask
 }
 
+/// Bit `i` is set when the text `write` puts in `buf`, folded, holds
+/// `terms[i]`.
+fn terms_written(buf: &mut String, terms: &[String], write: impl FnOnce(&mut String)) -> u64 {
+    buf.clear();
+    write(buf);
+    buf.make_ascii_lowercase();
+    let held = terms.iter().map(|term| contains_token(buf, term));
+    held.enumerate()
+        .fold(0, |found, (i, held)| found | u64::from(held) << i)
+}
+
 /// Run `query` over the mail in `mailbox` outside the Sent folder:
 /// conjunctive term match, case-insensitive, results ranked
 /// newest-first (Gmail's default) with the id as tie-break. A query with no terms matches nothing.
-/// Logging the query is the caller's job.
-// lint:hot-root
+/// Logging the query is the caller's job. A caller that searches more
+/// than once keeps a [`PieceMasks`] and calls [`PieceMasks::search`].
 pub fn search(mailbox: &Mailbox, query: &str) -> Vec<EmailId> {
-    // Each term with its piece mask for the archetype `masked`.
-    let mut terms: Vec<(String, [u64; 4])> = query
-        .split(|c: char| !c.is_ascii_alphanumeric())
-        .filter(|t| !t.is_empty())
-        .map(|t| (t.to_ascii_lowercase(), [0; 4]))
-        .collect();
-    if terms.is_empty() {
-        return Vec::new();
+    PieceMasks::default().search(mailbox, query)
+}
+
+/// Each searched term's piece mask for each archetype, kept from one
+/// search to the next.
+#[derive(Clone, Debug, Default)]
+pub struct PieceMasks {
+    masks: BTreeMap<Archetype, BTreeMap<String, [u64; 4]>>,
+}
+
+impl PieceMasks {
+    /// [`search`], reading and keeping the piece masks here.
+    // lint:hot-root
+    pub fn search(&mut self, mailbox: &Mailbox, query: &str) -> Vec<EmailId> {
+        let mut terms: Vec<String> = query
+            .split(|c: char| !c.is_ascii_alphanumeric())
+            .filter(|t| !t.is_empty())
+            .map(str::to_ascii_lowercase)
+            .collect();
+        if terms.is_empty() {
+            return Vec::new();
+        }
+        terms.sort_unstable();
+        terms.dedup();
+        self.search_terms(mailbox, &terms)
     }
-    terms.sort_unstable();
-    terms.dedup();
-    let mut text = String::with_capacity(128); // fits a seeded subject and frame
-    let mut masked = None;
-    let mut hits = Vec::new();
-    for (id, m) in mailbox.messages().filter(|(_, m)| m.folder != Folder::Sent) {
-        if let Body::Seeded(body) = m.body {
-            if masked != Some(body.archetype) {
-                for (term, mask) in &mut terms {
-                    *mask = piece_mask(body.archetype, term, &mut text);
+
+    /// The mail holding every one of `terms`, ranked: a scan for the
+    /// first 64 terms (one bit each), the rest kept by a search of their
+    /// own.
+    fn search_terms(&mut self, mailbox: &Mailbox, terms: &[String]) -> Vec<EmailId> {
+        let (head, rest) = terms.split_at(terms.len().min(64));
+        let mut hits = self.scan(mailbox, head);
+        if !rest.is_empty() {
+            let also: BTreeSet<EmailId> = self.search_terms(mailbox, rest).into_iter().collect();
+            hits.retain(|id| also.contains(id));
+        }
+        hits
+    }
+
+    /// The piece mask of `term` for `archetype`, computed the first time
+    /// it is asked for.
+    fn mask(&mut self, archetype: Archetype, term: &str) -> [u64; 4] {
+        let masks = self.masks.entry(archetype).or_default();
+        match masks.get(term) {
+            Some(&mask) => mask,
+            None => *masks
+                .entry(term.to_string())
+                .or_insert_with(|| piece_mask(archetype, term)),
+        }
+    }
+
+    /// The ranked mail holding every one of `terms` (at most 64).
+    fn scan(&mut self, mailbox: &Mailbox, terms: &[String]) -> Vec<EmailId> {
+        let all = u64::MAX >> (64 - terms.len());
+        // Fits a seeded frame.
+        let mut buf = String::with_capacity(128);
+        // For the archetype last seen, the terms each code's piece holds.
+        let mut pieces: Option<(Archetype, [u64; 256])> = None;
+        // The terms the last seeded subject line holds.
+        let mut subject: Option<(&str, u64)> = None;
+        // The terms each seeded frame holds, by batch and sender.
+        let mut frames: BTreeMap<(u16, u16), u64> = BTreeMap::new();
+        let mut hits = Vec::new();
+        let messages = mailbox.messages_with_frames();
+        for (id, m, frame) in messages.filter(|(_, m, _)| m.folder != Folder::Sent) {
+            let found = match (m.body, frame) {
+                (Body::Seeded(body), Some(frame)) => {
+                    if pieces.as_ref().is_none_or(|p| p.0 != body.archetype) {
+                        let mut by_code = [0u64; 256];
+                        for (i, term) in terms.iter().enumerate() {
+                            let mask = self.mask(body.archetype, term);
+                            for (code, bits) in by_code.iter_mut().enumerate() {
+                                *bits |= (mask[code / 64] >> (code % 64) & 1) << i;
+                            }
+                        }
+                        pieces = Some((body.archetype, by_code));
+                    }
+                    let by_code = &pieces.as_ref().expect("built above").1;
+                    let codes = body.codes.iter();
+                    let mut found = codes.fold(0, |f, &c| f | by_code[usize::from(c)]);
+                    if found != all {
+                        let held = match subject {
+                            Some((line, held)) if std::ptr::eq(line, m.subject) => held,
+                            _ => {
+                                let held = terms_written(&mut buf, terms, |buf| {
+                                    buf.push_str(m.subject);
+                                });
+                                subject = Some((m.subject, held));
+                                held
+                            }
+                        };
+                        found |= held;
+                    }
+                    if found != all {
+                        found |= *frames.entry(frame).or_insert_with(|| {
+                            terms_written(&mut buf, terms, |buf| {
+                                SeededBody { codes: &[], ..body }.write_text(buf);
+                            })
+                        });
+                    }
+                    found
                 }
-                masked = Some(body.archetype);
+                (body, _) => terms_written(&mut buf, terms, |buf| {
+                    buf.push_str(m.subject);
+                    buf.push(' ');
+                    body.write_text(buf);
+                }),
+            };
+            if found == all {
+                hits.push((std::cmp::Reverse(m.timestamp), id));
             }
         }
-        text.clear();
-        text.push_str(m.subject);
-        text.push(' ');
-        let codes = match m.body {
-            Body::Text(body) => {
-                text.push_str(body);
-                &[][..]
-            }
-            Body::Seeded(body) => {
-                SeededBody { codes: &[], ..body }.write_text(&mut text);
-                body.codes
-            }
-        };
-        text.make_ascii_lowercase();
-        let in_codes = |mask: &[u64; 4]| {
-            codes
-                .iter()
-                .any(|&c| mask[usize::from(c / 64)] >> (c % 64) & 1 != 0)
-        };
-        if terms
-            .iter()
-            .all(|(term, mask)| in_codes(mask) || contains_token(&text, term))
-        {
-            hits.push((std::cmp::Reverse(m.timestamp), id));
-        }
+        hits.sort_unstable();
+        hits.into_iter().map(|(_, id)| id).collect()
     }
-    hits.sort_unstable();
-    hits.into_iter().map(|(_, id)| id).collect()
 }
 
 #[cfg(test)]
@@ -197,6 +282,20 @@ mod tests {
         assert!(search(&mb, "payme").is_empty());
         assert!(search(&mb, "payment2").is_empty());
         assert_eq!(search(&mb, "x2payment"), vec![EmailId(1)]);
+    }
+
+    #[test]
+    fn queries_past_sixty_four_terms_need_every_term() {
+        let words: Vec<String> = (0..70).map(|i| format!("w{i}")).collect();
+        let mut mb = Mailbox::new();
+        mb.deliver(&mk(1, "all", &words.join(" ")));
+        mb.deliver(&mk(2, "all but the last", &words[..69].join(" ")));
+        mb.deliver(&mk(3, "all but the first", &words[1..].join(" ")));
+        assert_eq!(search(&mb, &words.join(" ")), vec![EmailId(1)]);
+        assert_eq!(
+            search(&mb, &words[1..69].join(",")),
+            vec![EmailId(3), EmailId(2), EmailId(1)]
+        );
     }
 
     #[test]

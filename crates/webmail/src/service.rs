@@ -15,7 +15,7 @@ use crate::events::WebmailEvent;
 use crate::mailbox::{Body, Folder, Mailbox, Message};
 use crate::mta::{Sinkhole, SinkholedMessage};
 use crate::rules::{Rule, RuleAction, RuleSet};
-use crate::search::{self, QueryLogEntry};
+use crate::search::{PieceMasks, QueryLogEntry};
 use crate::security::{AbuseDetector, ContentFlags, LoginSignals, RiskEngine, SecurityPolicy};
 use pwnd_corpus::email::{Email, EmailId, MailTime};
 use pwnd_corpus::generator::SeededMail;
@@ -122,6 +122,8 @@ pub struct WebmailService {
     mailboxes: Vec<Mailbox>,
     /// Provider-side search log per account.
     query_logs: Vec<Vec<QueryLogEntry>>,
+    /// Every searched term's piece masks, kept for later searches.
+    piece_masks: PieceMasks,
     /// Interned account addresses. Only account addresses are interned,
     /// in creation order, so a symbol's id is its account's id.
     addresses: Interner,
@@ -157,6 +159,7 @@ impl WebmailService {
             accounts: Vec::new(),
             mailboxes: Vec::new(),
             query_logs: Vec::new(),
+            piece_masks: PieceMasks::default(),
             addresses: Interner::new(),
             rules: Vec::new(),
             activity: Vec::new(),
@@ -552,7 +555,7 @@ impl WebmailService {
     }
 
     /// Search the mailbox's mail outside Sent: seeded and delivered mail
-    /// and drafts (see [`search::search`]). The query is logged
+    /// and drafts (see [`crate::search::search`]). The query is logged
     /// provider-side only.
     pub fn search(
         &mut self,
@@ -563,7 +566,7 @@ impl WebmailService {
         let (account, _, _) = self.session(session)?;
         self.telemetry.count("webmail.searches");
         let idx = account.0 as usize;
-        let hits = search::search(&self.mailboxes[idx], query);
+        let hits = self.piece_masks.search(&self.mailboxes[idx], query);
         self.query_logs[idx].push(QueryLogEntry {
             at,
             query: query.to_string(),

@@ -526,6 +526,131 @@ proptest! {
     }
 }
 
+/// Words for the delivered mail and drafts of the kept-masks case: code
+/// pieces, organization and frame words, and words no seeded mail holds.
+const TEXT_WORDS: &[&str] = &[
+    "transfer",
+    "account",
+    "energy",
+    "with",
+    "Meridian",
+    "Coalition",
+    "Thanks",
+    "Hi",
+    "payment",
+    "neverseeded",
+    "RE",
+    "x2",
+];
+
+/// The alphanumeric runs of `text`.
+fn runs(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !c.is_ascii_alphanumeric())
+        .filter(|w| !w.is_empty())
+}
+
+proptest! {
+    /// A service answering every query twice, its piece masks kept from
+    /// one search to the next, gives what the per-email scan of the
+    /// rendered mail gives. The mailbox holds two to four seeded batches
+    /// of one archetype (several senders each, threads sharing one
+    /// subject line) beside delivered text mail and drafts; the queries
+    /// hold terms found only in a sender's name, only in the
+    /// organization, only in a subject line or only in the codes, alone
+    /// and two at a time.
+    #[test]
+    fn kept_masks_search_equals_per_email_search(
+        activist in any::<bool>(),
+        batches in proptest::collection::vec((any::<u64>(), 3usize..6, 4usize..20), 2..5),
+        texts in proptest::collection::vec(
+            (proptest::collection::vec(0..TEXT_WORDS.len(), 0..4),
+             proptest::collection::vec(0..TEXT_WORDS.len(), 0..8),
+             any::<bool>()),
+            0..6,
+        ),
+        picks in proptest::collection::vec(any::<usize>(), 8..9),
+    ) {
+        let geo = GeoDb::new();
+        let plan = AddressPlan::new(&geo);
+        let mut rng = Rng::seed_from(7);
+        let tor = TorDirectory::generate(16, &mut rng);
+        let mut svc = WebmailService::new(ServiceConfig::default(), Geolocator::new(plan, geo, tor));
+        let account = svc
+            .create_account("h@honeymail.example", "pw", std::net::Ipv4Addr::new(198, 51, 0, 1), SimTime::ZERO)
+            .unwrap();
+        let archetype = ARCHETYPES[usize::from(activist)];
+        // One generator for every batch, so ids stay distinct.
+        let mut generator = CorpusGenerator::with_archetype(archetype);
+        let (mut names, mut subject_words, mut code_words) = (Vec::new(), Vec::new(), Vec::new());
+        for &(seed, peers, n) in &batches {
+            let mut batch_rng = Rng::seed_from(seed);
+            let mut personas = PersonaFactory::new();
+            let owner = personas.generate(None, &mut batch_rng);
+            let peers = personas.generate_batch(peers, |_| None, &mut batch_rng);
+            let mail = generator.generate_mailbox(&owner, &peers, n, n, &mut batch_rng, &mut TermCounts::new());
+            names.extend(mail.bodies.names.iter().map(|&(_, last)| last.to_string()));
+            for e in &mail.emails {
+                let line = pwnd_corpus::generator::slice(&mail.subjects, &e.subject);
+                subject_words.extend(runs(line).map(str::to_string));
+            }
+            code_words.extend(mail.bodies.codes.iter().map(|&c| archetype.code_table()[usize::from(c)]));
+            svc.seed_mailbox(account, mail);
+        }
+        let pieces: std::collections::BTreeSet<String> = ARCHETYPES
+            .iter()
+            .flat_map(|a| a.code_table().iter().flat_map(|p| runs(p)))
+            .map(str::to_ascii_lowercase)
+            .collect();
+        subject_words.retain(|w| !pieces.contains(&w.to_ascii_lowercase()));
+        let ip = svc.geolocator().plan().sample_host("GB", &mut rng);
+        let loc = svc.geolocator().locate(ip);
+        let conn = ConnectionInfo::new(ip, ClientConfig::plain(Browser::Chrome, Os::Windows), loc.point);
+        let (session, _) = svc.login("h@honeymail.example", "pw", &conn, SimTime::from_secs(1)).unwrap();
+        for (i, (subject, body, draft)) in texts.iter().enumerate() {
+            let words = |ws: &[usize]| ws.iter().map(|&w| TEXT_WORDS[w]).collect::<Vec<_>>().join(" ");
+            let (subject, body) = (words(subject), words(body));
+            let at = SimTime::from_secs(2 + i as u64);
+            if *draft {
+                svc.create_draft(session, &["x@y.example".to_string()], &subject, &body, at).unwrap();
+            } else {
+                let email = Email {
+                    id: EmailId(50_000_000 + i as u64),
+                    from: "ab@x".into(),
+                    to: vec!["h@honeymail.example".into()],
+                    subject,
+                    body,
+                    timestamp: MailTime(i as i64 * 60 - 3_000),
+                };
+                svc.deliver(account, email);
+            }
+        }
+
+        let pick = |words: &[String], i: usize| words[picks[i] % words.len()].clone();
+        let name = pick(&names, 0);
+        let org = ["Meridian", "Coalition", "Voices"][picks[1] % 3].to_string();
+        let code = code_words[picks[2] % code_words.len()].to_string();
+        let mut queries = vec![name.clone(), org.clone(), code.clone(), pick(&names, 3)];
+        queries.extend([format!("{name} {code}"), format!("{org}, {code}"), format!("{name} {org}")]);
+        if !subject_words.is_empty() {
+            let subject = pick(&subject_words, 4);
+            queries.extend([subject.clone(), format!("{subject} {code}"), format!("{subject} {name}")]);
+        }
+        let mail: BTreeMap<EmailId, Stored> = svc
+            .mailbox(account)
+            .messages()
+            .map(|(id, m)| (id, read_back(id, m)))
+            .collect();
+        let want: Vec<Vec<EmailId>> = queries.iter().map(|q| per_email_search(&mail, q)).collect();
+        for round in 0..2u64 {
+            for (i, (query, want)) in queries.iter().zip(&want).enumerate() {
+                let at = SimTime::from_secs(100 + round * 100 + i as u64);
+                let got = svc.search(session, query, at).unwrap();
+                prop_assert_eq!(&got, want, "round {} query {:?}", round, query);
+            }
+        }
+    }
+}
+
 /// The honey accounts of an equivalence case; both share one password.
 const HONEY: [&str; 2] = ["a@honeymail.example", "h@honeymail.example"];
 const HONEY_PASSWORD: &str = "pw";

@@ -3,9 +3,9 @@
 //! Two properties the `pwnd profile` feature rests on:
 //!
 //! 1. **Attribution is near-total**: on a quick run, the span tree
-//!    accounts for ≥95% of the `event-loop` and `scrape` phase wall
-//!    time through *named* child spans — the breakdown is not mostly
-//!    "unattributed self time".
+//!    accounts for ≥95% of the `event-loop`, `scrape` and `analysis`
+//!    phase wall time through *named* child spans — the breakdown is not
+//!    mostly "unattributed self time".
 //! 2. **Observation is free of side effects**: the exported dataset of
 //!    a fault-free run is byte-identical with telemetry enabled vs
 //!    disabled (the crate-level guarantee, re-proven here at the
@@ -26,10 +26,11 @@ fn quick_run_attributes_hot_phases_to_named_children() {
     let sink = TelemetrySink::enabled();
     let _ = Experiment::new(ExperimentConfig::quick(2016))
         .with_telemetry(sink.clone())
-        .run();
+        .run()
+        .analysis();
     let report = sink.report();
 
-    for phase in ["event-loop", "scrape"] {
+    for phase in ["event-loop", "scrape", "analysis"] {
         let attr = report
             .spans
             .attribution(phase)
@@ -64,6 +65,12 @@ fn quick_run_attributes_hot_phases_to_named_children() {
             .node(&format!("event-loop;{n}"))
             .is_some_and(|node| node.count > 0)
     }));
+
+    // The analysis ran each of its stages once.
+    for stage in ["tfidf", "cvm", "figures"] {
+        let node = report.spans.node(&format!("analysis;{stage}"));
+        assert!(node.is_some_and(|n| n.count == 1), "analysis;{stage}");
+    }
 
     // Scrape operations broke down into the per-operation spans.
     assert!(report

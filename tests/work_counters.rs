@@ -18,24 +18,27 @@ use std::cell::Cell;
 
 /// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) one
 /// untraced `ExperimentConfig::quick(2016)` run may make. Measured at
-/// exactly 31,879 under the `cargo test` (debug) profile with rustc
-/// 1.95.0, once seeded bodies became piece codes and sender names
-/// static name pairs; the ceiling is that count plus 235. It was 34,665
-/// while every body was text and each mailbox formatted its peers' full
-/// names, 34,608 while the lookup-only maps and sets were hash tables
-/// (a B-tree allocates a node per few keys where a hash table allocates
-/// one table), 40,222 while each send and draft copied its sender and
-/// built two strings for the extortion check, and 48,826 while each
-/// send built an owned email and each open copied one out.
-const ALLOC_CEILING: u64 = 32_114;
+/// exactly 27,005 under the `cargo test` (debug) profile with rustc
+/// 1.95.0, once the gazetteer's city pools and search's piece masks
+/// were built once per run; the ceiling is that count plus 235. It was
+/// 31,879 while each draw near a point, each geolocation and each
+/// search collected them again, 34,665 while every body was text and
+/// each mailbox formatted its peers' full names, 34,608 while the
+/// lookup-only maps and sets were hash tables (a B-tree allocates a
+/// node per few keys where a hash table allocates one table), 40,222
+/// while each send and draft copied its sender and built two strings
+/// for the extortion check, and 48,826 while each send built an owned
+/// email and each open copied one out.
+const ALLOC_CEILING: u64 = 27_240;
 
 /// The same for one untraced `ExperimentConfig::paper(2016)` run:
-/// measured at exactly 41,145, ceiling that count plus 141. It was
+/// measured at exactly 35,518, ceiling that count plus 141. It was
+/// 41,145 with city pools and piece masks built per draw and search,
 /// 43,909 with text bodies and formatted peer names, 43,690 with hash
 /// tables for the lookup-only maps and sets, 49,253 with a sender copy
 /// and two check strings per send, 57,774 with owned copies per send
 /// and open, and 215,795 while every seeded email held its own strings.
-const PAPER_ALLOC_CEILING: u64 = 41_286;
+const PAPER_ALLOC_CEILING: u64 = 35_659;
 
 thread_local! {
     /// Whether allocations on this thread are being counted. Only the
