@@ -913,9 +913,6 @@ fn execute_visit(
 }
 
 // The event loop's per-event dispatch: one call = one simulated action.
-// Anchoring alloc-hot here (not at the visit loop above) means only
-// allocation that repeats *within* one event gets flagged.
-// lint:hot-root
 fn run_action(
     state: &mut AccessState,
     action: &Action,
@@ -997,7 +994,7 @@ fn run_action(
         } => {
             let mut st = t;
             for _ in 0..*count {
-                // lint:allow(alloc-hot): each burst message gets a fresh unique recipient — the address is the event's payload
+                // Each burst message gets a fresh unique recipient.
                 let to = [format!(
                     "mark{:06x}@spamlist.example",
                     rng.next_u64() as u32

@@ -320,7 +320,6 @@ impl CorpusGenerator {
     /// text they render to; see the module docs for why that is exact.
     /// The code-table pieces go in as use counts
     /// ([`TermCounts::add_piece_uses`]).
-    // lint:hot-root
     pub fn generate_mailbox(
         &mut self,
         owner: &Persona,

@@ -18,6 +18,12 @@
 //! - [`rules::PANIC_HAZARD`] — the resilient monitor parse/retry paths
 //!   stay panic-free.
 //!
+//! Three more rules need cross-file facts and run over per-file models
+//! ([`model`], [`workspace_rules`]): [`rules::LAYERING`],
+//! [`rules::SCHEMA_DRIFT`] and [`rules::LOCK_DISCIPLINE`]. Allocation on
+//! the hot path is not a lint rule: it is measured, against committed
+//! ceilings, by the root package's `tests/work_counters.rs`.
+//!
 //! False positives are suppressed *in the source*, with a reason:
 //!
 //! ```text

@@ -1,15 +1,11 @@
 //! Pass 1 of the workspace engine: distill each [`SourceFile`] into a
 //! compact [`FileModel`].
 //!
-//! The workspace rules (`layering`, `alloc-hot`, `schema-drift`,
-//! `lock-discipline`) need *cross-file* facts — who imports whom, which
-//! functions call which, where record tags are defined versus used —
-//! that no single token stream holds. A `FileModel` carries everything
-//! pass 2 needs and nothing else (no tokens).
-//!
-//! Everything here is an over-approximation by design: a call edge that
-//! does not really exist only makes `alloc-hot` stricter, and a missed
-//! edge costs one explicit `lint:hot-root` closer to the allocation.
+//! The workspace rules (`layering`, `schema-drift`, `lock-discipline`)
+//! need *cross-file* facts — who imports whom, where record tags are
+//! defined versus used, which modules hold locks — that no single token
+//! stream holds. A `FileModel` carries everything pass 2 needs and
+//! nothing else (no tokens).
 
 use crate::findings::Finding;
 use crate::lexer::{Token, TokenKind};
@@ -37,20 +33,10 @@ pub struct FnModel {
     pub line: u32,
     /// Test code (skipped by every workspace rule).
     pub is_test: bool,
-    /// Marked `lint:hot-root`: an `alloc-hot` reachability anchor.
-    pub hot_root: bool,
     /// Marked `lint:jsonl-emit`.
     pub jsonl_emit: bool,
     /// Marked `lint:jsonl-consume`.
     pub jsonl_consume: bool,
-    /// Bare names this body calls (stoplist-filtered, lowercase-initial
-    /// only), each with whether the call site sits inside a loop — the
-    /// cross-file call-graph edges, resolved in pass 2.
-    pub calls: BTreeSet<(String, bool)>,
-    /// `(line, what, in_loop)` candidate allocation sites in the body.
-    /// `alloc-hot` only fires when the allocation repeats: the site is
-    /// in a loop, or the fn was reached through an in-loop call edge.
-    pub alloc_sites: Vec<(u32, String, bool)>,
     /// ALL_CAPS path tails referenced in the body (`tags::ACCESS` →
     /// `ACCESS`) — how emit/consume sites prove they use the tag table.
     pub tag_refs: BTreeSet<String>,
@@ -124,184 +110,6 @@ const LOCK_SEGMENTS: &[&str] = &[
     "AtomicIsize",
     "mpsc",
     "available_parallelism",
-];
-
-/// Call-graph stoplist: method names so ubiquitous that a bare-name
-/// match would connect everything to everything. Edges through these
-/// are dropped; a hot path through one of them needs its own
-/// `lint:hot-root` on the callee.
-const CALL_STOPLIST: &[&str] = &[
-    "new",
-    "default",
-    "clone",
-    "fmt",
-    "from",
-    "into",
-    "try_from",
-    "try_into",
-    "get",
-    "get_mut",
-    "insert",
-    "remove",
-    "push",
-    "pop",
-    "len",
-    "is_empty",
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "next",
-    "map",
-    "filter",
-    "filter_map",
-    "flat_map",
-    "flatten",
-    "and_then",
-    "or_else",
-    "unwrap",
-    "unwrap_or",
-    "unwrap_or_else",
-    "unwrap_or_default",
-    "expect",
-    "ok",
-    "err",
-    "ok_or",
-    "ok_or_else",
-    "collect",
-    "extend",
-    "contains",
-    "contains_key",
-    "sort",
-    "sort_by",
-    "sort_by_key",
-    "sort_unstable",
-    "sort_unstable_by",
-    "sort_unstable_by_key",
-    "binary_search",
-    "binary_search_by",
-    "min",
-    "max",
-    "min_by_key",
-    "max_by_key",
-    "sum",
-    "count",
-    "any",
-    "all",
-    "find",
-    "position",
-    "fold",
-    "for_each",
-    "rev",
-    "take",
-    "skip",
-    "zip",
-    "chain",
-    "enumerate",
-    "last",
-    "first",
-    "split",
-    "join",
-    "trim",
-    "starts_with",
-    "ends_with",
-    "replace",
-    "parse",
-    "to_string",
-    "to_owned",
-    "to_vec",
-    "as_str",
-    "as_ref",
-    "as_bytes",
-    "as_slice",
-    "entry",
-    "or_insert",
-    "or_insert_with",
-    "keys",
-    "values",
-    "drain",
-    "retain",
-    "clear",
-    "write",
-    "writeln",
-    "write_all",
-    "flush",
-    "push_str",
-    "with_capacity",
-    "saturating_add",
-    "saturating_sub",
-    "saturating_mul",
-    "wrapping_add",
-    "checked_add",
-    "checked_sub",
-    "checked_mul",
-    "checked_div",
-    "cmp",
-    "partial_cmp",
-    "eq",
-    "ne",
-    "hash",
-    "drop",
-    "clamp",
-    "abs",
-    "floor",
-    "ceil",
-    "round",
-    "sqrt",
-    "ln",
-    "exp",
-    "powi",
-    "powf",
-    "pow",
-    "is_some",
-    "is_none",
-    "is_ok",
-    "is_err",
-    "copied",
-    "cloned",
-    "windows",
-    "chunks",
-    "swap",
-    "get_or_insert_with",
-    "then",
-    "then_some",
-    "min_by",
-    "max_by",
-    "dedup",
-    "truncate",
-    "resize",
-    "partition_point",
-    "lock",
-    "read",
-    "read_to_string",
-    "lines",
-    "chars",
-    "bytes",
-    "splitn",
-    "split_once",
-    "strip_prefix",
-    "strip_suffix",
-    "to_ascii_lowercase",
-    "to_lowercase",
-    "to_uppercase",
-    "finish",
-    "finalize",
-    "update",
-];
-
-/// Allocation shapes `alloc-hot` flags in hot-reachable code: the
-/// remedies (reused buffers, `with_capacity` hoisted out of the loop,
-/// borrowing) are deliberately *not* in this list.
-const ALLOC_METHODS: &[&str] = &["to_string", "to_owned", "to_vec", "clone"];
-const ALLOC_CTORS: &[(&str, &str)] = &[
-    ("String", "new"),
-    ("String", "from"),
-    ("Vec", "new"),
-    ("VecDeque", "new"),
-    ("HashMap", "new"),
-    ("HashSet", "new"),
-    ("BTreeMap", "new"),
-    ("BTreeSet", "new"),
-    ("Box", "new"),
 ];
 
 /// Distill a lexed+analyzed file into its model. `local_findings` are
@@ -384,17 +192,7 @@ fn collect_locks(sf: &SourceFile, m: &mut FileModel) {
     }
 }
 
-/// Whether a bare callee name survives the call-graph filter.
-fn is_call_candidate(last: &str) -> bool {
-    !CALL_STOPLIST.contains(&last)
-        && last
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_lowercase() || c == '_')
-}
-
-/// Per-fn distillation: roles, calls, allocation sites, tag references,
-/// string literals.
+/// Per-fn distillation: roles, tag references, string literals.
 fn collect_fns(sf: &SourceFile, m: &mut FileModel) {
     // A role directive marks the first fn at or just below its
     // `applies_to` line (a small gap tolerates attributes between the
@@ -415,71 +213,22 @@ fn collect_fns(sf: &SourceFile, m: &mut FileModel) {
             name: f.name.clone(),
             line: f.line,
             is_test: f.is_test || sf.is_test_token(f.body.0),
-            hot_root: role_for(f.line, Role::HotRoot),
             jsonl_emit: role_for(f.line, Role::JsonlEmit),
             jsonl_consume: role_for(f.line, Role::JsonlConsume),
             ..FnModel::default()
         };
-        let toks = &sf.tokens;
-        // Loop-region tracking: a brace stack where each frame remembers
-        // whether its `{` was opened by `for`/`while`/`loop`. An
-        // allocation only *repeats* when some enclosing frame is a loop.
-        let mut frames: Vec<bool> = Vec::new();
-        let mut pending_loop = false;
-        for k in f.body.0 + 1..f.body.1 {
-            match &toks[k].kind {
-                TokenKind::Punct('{') => {
-                    frames.push(pending_loop);
-                    pending_loop = false;
-                }
-                TokenKind::Punct('}') => {
-                    frames.pop();
-                }
-                _ => {}
-            }
-            let in_loop = frames.iter().any(|&l| l);
-            match &toks[k].kind {
-                TokenKind::Str(s) => fm.str_lits.push((s.clone(), toks[k].line)),
+        for t in &sf.tokens[f.body.0 + 1..f.body.1] {
+            match &t.kind {
+                TokenKind::Str(s) => fm.str_lits.push((s.clone(), t.line)),
                 TokenKind::Ident(id) => {
-                    if matches!(id.as_str(), "for" | "while" | "loop") {
-                        pending_loop = true;
-                    }
-                    let last = id.rsplit("::").next().unwrap_or(id);
-                    let is_method = k > 0 && toks[k - 1].is_punct('.');
-                    let after_fn_kw = k > 0 && toks[k - 1].ident() == Some("fn");
-                    let called = toks.get(k + 1).is_some_and(|t| t.is_punct('('));
-                    let is_macro = toks.get(k + 1).is_some_and(|t| t.is_punct('!'));
                     // ALL_CAPS path tails (tag-table references).
+                    let last = id.rsplit("::").next().unwrap_or(id);
                     if last.len() > 1
                         && last
                             .chars()
                             .all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit())
                     {
                         fm.tag_refs.insert(last.to_string());
-                    }
-                    // Allocation sites.
-                    if is_macro && (last == "format" || last == "vec") {
-                        fm.alloc_sites
-                            .push((toks[k].line, format!("{last}!"), in_loop));
-                    } else if is_method && called && ALLOC_METHODS.contains(&last) {
-                        fm.alloc_sites
-                            .push((toks[k].line, format!(".{last}()"), in_loop));
-                    } else if called {
-                        let mut segs = id.rsplit("::");
-                        let (tail, head) = (segs.next().unwrap_or(id), segs.next());
-                        if let Some(head) = head {
-                            if ALLOC_CTORS.iter().any(|&(t, f)| t == head && f == tail) {
-                                fm.alloc_sites.push((
-                                    toks[k].line,
-                                    format!("{head}::{tail}()"),
-                                    in_loop,
-                                ));
-                            }
-                        }
-                    }
-                    // Call-graph edges.
-                    if called && !is_macro && !after_fn_kw && is_call_candidate(last) {
-                        fm.calls.insert((last.to_string(), in_loop));
                     }
                 }
                 _ => {}
@@ -566,56 +315,16 @@ mod tests {
     #[test]
     fn fn_roles_calls_and_alloc_sites() {
         let src = "\
-// lint:hot-root
-pub fn hot(&self) -> String {
-    let s = self.name.to_string();
-    helper(s);
-    format!(\"{s}\")
+// lint:jsonl-emit
+pub fn emit(&self) -> String {
+    format!(\"{}\", self.name)
 }
 fn helper(x: String) { drop(x); }
 ";
         let m = model_of("crates/webmail/src/x.rs", src);
-        let hot = &m.fns[0];
-        assert!(hot.hot_root);
-        assert!(hot.calls.contains(&("helper".to_string(), false)));
-        assert_eq!(hot.alloc_sites.len(), 2, "{:?}", hot.alloc_sites);
-        assert!(!m.fns[1].hot_root);
-    }
-
-    #[test]
-    fn stoplist_drops_ubiquitous_names() {
-        let src = "fn f(v: Vec<u32>) { v.len(); v.sort(); scrape_once(); }";
-        let m = model_of("crates/monitor/src/x.rs", src);
-        assert_eq!(
-            m.fns[0].calls.iter().collect::<Vec<_>>(),
-            vec![&("scrape_once".to_string(), false)]
-        );
-    }
-
-    #[test]
-    fn loop_regions_mark_repeating_sites() {
-        let src = "\
-fn f(xs: &[u32]) -> String {
-    let once = String::new();
-    for x in xs {
-        let each = x.to_string();
-        step(each);
-    }
-    finishing_touch();
-    once
-}
-";
-        let m = model_of("crates/webmail/src/x.rs", src);
-        let f = &m.fns[0];
-        assert_eq!(
-            f.alloc_sites,
-            vec![
-                (2, "String::new()".to_string(), false),
-                (4, ".to_string()".to_string(), true),
-            ]
-        );
-        assert!(f.calls.contains(&("step".to_string(), true)));
-        assert!(f.calls.contains(&("finishing_touch".to_string(), false)));
+        assert!(m.fns[0].jsonl_emit);
+        assert!(!m.fns[0].jsonl_consume);
+        assert!(!m.fns[1].jsonl_emit);
     }
 
     #[test]

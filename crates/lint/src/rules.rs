@@ -37,8 +37,6 @@ pub const ENV_IO: &str = "env-io";
 pub const PANIC_HAZARD: &str = "panic-hazard";
 /// Dependency edges must match the `LAYERING.toml` manifest.
 pub const LAYERING: &str = "layering";
-/// No fresh allocation in functions reachable from a `lint:hot-root`.
-pub const ALLOC_HOT: &str = "alloc-hot";
 /// JSONL record tags and metric names must agree at emit/consume sites.
 pub const SCHEMA_DRIFT: &str = "schema-drift";
 /// Locks/atomics/threads only in manifest-approved modules.
@@ -79,11 +77,6 @@ pub const ALL_RULES: &[RuleMeta] = &[
         id: LAYERING,
         summary: "every pwnd-* dependency edge (Cargo.toml and source imports) must be \
                   allowed by LAYERING.toml, and every declared edge must be used",
-    },
-    RuleMeta {
-        id: ALLOC_HOT,
-        summary: "no format!/clone/to_string/fresh-collection allocation in functions \
-                  reachable from a lint:hot-root anchor over the cross-crate call graph",
     },
     RuleMeta {
         id: SCHEMA_DRIFT,
@@ -156,7 +149,7 @@ pub fn applies(rule: &str, krate: &str, path: &str) -> bool {
         // The workspace rules scope themselves over FileModels (test
         // crates and manifest-approved modules are excluded there); at
         // this per-file layer they apply everywhere.
-        LAYERING | ALLOC_HOT | SCHEMA_DRIFT | LOCK_DISCIPLINE => true,
+        LAYERING | SCHEMA_DRIFT | LOCK_DISCIPLINE => true,
         BAD_ALLOW | UNUSED_ALLOW => true,
         _ => false,
     }

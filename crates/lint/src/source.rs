@@ -31,8 +31,6 @@ pub struct BadAllow {
 /// What a role directive marks an item as.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Role {
-    /// `lint:hot-root` — this `fn` anchors `alloc-hot` reachability.
-    HotRoot,
     /// `lint:jsonl-tags` — this item is the canonical record-tag table.
     JsonlTags,
     /// `lint:jsonl-emit` — this `fn` writes tagged JSONL records.
@@ -45,7 +43,6 @@ impl Role {
     /// The directive spelling, as written in comments.
     pub fn name(self) -> &'static str {
         match self {
-            Role::HotRoot => "hot-root",
             Role::JsonlTags => "jsonl-tags",
             Role::JsonlEmit => "jsonl-emit",
             Role::JsonlConsume => "jsonl-consume",
@@ -100,7 +97,7 @@ pub struct SourceFile {
     pub allows: Vec<AllowDirective>,
     /// Malformed suppression directives.
     pub bad_allows: Vec<BadAllow>,
-    /// Role directives (`lint:hot-root`, `lint:jsonl-…`).
+    /// Role directives (`lint:jsonl-…`).
     pub roles: Vec<RoleDirective>,
 }
 
@@ -345,15 +342,14 @@ fn parse_allows(comments: &[Comment], tokens: &[Token]) -> (Vec<AllowDirective>,
     (allows, bad)
 }
 
-/// Parse role directives (`lint:hot-root`, `lint:jsonl-tags`,
-/// `lint:jsonl-emit`, `lint:jsonl-consume`) out of regular comments. An
-/// optional `: reason` tail is tolerated and ignored. The directive
-/// marks the first line at or below it that holds code, so it can sit
-/// above an item's doc comment or directly above the item.
+/// Parse role directives (`lint:jsonl-tags`, `lint:jsonl-emit`,
+/// `lint:jsonl-consume`) out of regular comments. An optional `: reason`
+/// tail is tolerated and ignored. The directive marks the first line at
+/// or below it that holds code, so it can sit above an item's doc
+/// comment or directly above the item.
 fn parse_roles(comments: &[Comment], tokens: &[Token]) -> Vec<RoleDirective> {
     let code_lines: BTreeSet<u32> = tokens.iter().map(|t| t.line).collect();
     const ROLES: &[(&str, Role)] = &[
-        ("lint:hot-root", Role::HotRoot),
         ("lint:jsonl-tags", Role::JsonlTags),
         ("lint:jsonl-emit", Role::JsonlEmit),
         ("lint:jsonl-consume", Role::JsonlConsume),
@@ -367,8 +363,8 @@ fn parse_roles(comments: &[Comment], tokens: &[Token]) -> Vec<RoleDirective> {
             let Some(pos) = c.text.find(spelling) else {
                 continue;
             };
-            // The directive must end the word there (`lint:hot-rooted`
-            // is not a directive; `lint:hot-root: reason` is).
+            // The directive must end the word there (`lint:jsonl-emitted`
+            // is not a directive; `lint:jsonl-emit: reason` is).
             let after = &c.text[pos + spelling.len()..];
             if after
                 .chars()
@@ -420,22 +416,22 @@ mod tests {
     #[test]
     fn role_directives_attach_past_doc_comments() {
         let src = "\
-// lint:hot-root: the search hot loop
+// lint:jsonl-consume: the trace reader
 /// Doc prose that must not absorb the directive.
-pub fn search() {}
+pub fn read() {}
 pub fn emit() {} // lint:jsonl-emit
-// lint:hot-rooted is not a directive
+// lint:jsonl-emitted is not a directive
 fn other() {}
 ";
-        let f = SourceFile::new("crates/webmail/src/x.rs", src);
+        let f = SourceFile::new("crates/monitor/src/x.rs", src);
         assert_eq!(f.roles.len(), 2, "{:?}", f.roles);
-        assert_eq!(f.roles[0].role, Role::HotRoot);
+        assert_eq!(f.roles[0].role, Role::JsonlConsume);
         // Skips the doc-comment line and lands on the fn itself.
         assert_eq!(f.roles[0].applies_to, 3);
         assert_eq!(f.roles[1].role, Role::JsonlEmit);
         assert_eq!(f.roles[1].applies_to, 4);
-        let search = f.fns.iter().find(|x| x.name == "search").unwrap();
-        assert_eq!(search.line, 3);
+        let read = f.fns.iter().find(|x| x.name == "read").unwrap();
+        assert_eq!(read.line, 3);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! - `layering` — every declared `pwnd-*` dependency and every
 //!   `pwnd_*` reference in non-test code must be an edge the
 //!   `LAYERING.toml` manifest allows; declared deps must be used.
-//! - `alloc-hot` — no fresh allocation in functions reachable from a
-//!   `lint:hot-root` anchor over the cross-crate call graph.
 //! - `schema-drift` — every JSONL record tag in the `lint:jsonl-tags`
 //!   table is both written and read; no emit/consume site re-inlines a
 //!   tag literal; no telemetry metric is read under a name nothing
@@ -18,7 +16,7 @@ use crate::findings::Finding;
 use crate::manifest::LayeringManifest;
 use crate::model::FileModel;
 use crate::rules;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// Workspace-level inputs for pass 2.
 #[derive(Clone, Debug, Default)]
@@ -42,7 +40,6 @@ pub fn run(models: &[FileModel], ctx: &WorkspaceCtx) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(ctx.extra.iter().cloned());
     check_layering(models, ctx, &mut out);
-    check_alloc_hot(models, ctx, &mut out);
     check_schema_drift(models, &mut out);
     check_lock_discipline(models, ctx, &mut out);
     out
@@ -128,100 +125,6 @@ fn check_layering(models: &[FileModel], ctx: &WorkspaceCtx, out: &mut Vec<Findin
                     ),
                 ));
             }
-        }
-    }
-}
-
-/// Flag allocation in functions reachable from `lint:hot-root` anchors.
-fn check_alloc_hot(models: &[FileModel], ctx: &WorkspaceCtx, out: &mut Vec<Finding>) {
-    // Callable index: bare name → (model idx, fn idx), non-test only.
-    let mut by_name: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
-    for (mi, m) in models.iter().enumerate() {
-        if is_test_crate(&m.krate) {
-            continue;
-        }
-        for (fi, f) in m.fns.iter().enumerate() {
-            if !f.is_test {
-                by_name.entry(&f.name).or_default().push((mi, fi));
-            }
-        }
-    }
-    // A crate may call into itself and its allowed deps (manifest first,
-    // declared Cargo deps as fallback when no manifest is loaded).
-    let deps_of = |krate: &str| -> BTreeSet<String> {
-        let mut s = BTreeSet::new();
-        s.insert(krate.to_string());
-        if let Some(allowed) = ctx.manifest.as_ref().and_then(|m| m.allowed_deps(krate)) {
-            s.extend(allowed.iter().cloned());
-        } else if let Some(cd) = ctx.cargo.iter().find(|c| c.krate == krate) {
-            s.extend(cd.deps.iter().map(|(d, _)| d.clone()));
-        }
-        s
-    };
-    // BFS from every hot root, remembering which root reached each fn
-    // and whether the path crossed an in-loop call edge. A fn reached
-    // once-per-event stays cold until a loop appears on the path — only
-    // *repeating* allocation is a finding: the site sits in a loop, or
-    // the whole fn is invoked from inside one.
-    let mut reached: BTreeMap<(usize, usize), (String, bool)> = BTreeMap::new();
-    let mut queue = VecDeque::new();
-    for (mi, m) in models.iter().enumerate() {
-        for (fi, f) in m.fns.iter().enumerate() {
-            if f.hot_root && !f.is_test && !is_test_crate(&m.krate) {
-                reached.insert((mi, fi), (f.name.clone(), false));
-                queue.push_back((mi, fi));
-            }
-        }
-    }
-    while let Some((mi, fi)) = queue.pop_front() {
-        let (root, looped) = reached[&(mi, fi)].clone();
-        let callers_deps = deps_of(&models[mi].krate);
-        for (callee, edge_in_loop) in &models[mi].fns[fi].calls {
-            let callee_looped = looped || *edge_in_loop;
-            for &(tmi, tfi) in by_name.get(callee.as_str()).into_iter().flatten() {
-                if !callers_deps.contains(&models[tmi].krate) {
-                    continue;
-                }
-                match reached.entry((tmi, tfi)) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert((root.clone(), callee_looped));
-                        queue.push_back((tmi, tfi));
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        // Upgrade cold→looped and re-propagate.
-                        if callee_looped && !e.get().1 {
-                            e.get_mut().1 = true;
-                            queue.push_back((tmi, tfi));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for (&(mi, fi), (root, looped)) in &reached {
-        let m = &models[mi];
-        let f = &m.fns[fi];
-        for (line, what, in_loop) in &f.alloc_sites {
-            if !(*looped || *in_loop) {
-                continue;
-            }
-            let via = if &f.name == root {
-                String::new()
-            } else if *looped {
-                format!(" (called in a loop reachable from hot root `{root}`)")
-            } else {
-                format!(" (reachable from hot root `{root}`)")
-            };
-            out.push(Finding {
-                path: m.path.clone(),
-                line: *line,
-                rule: rules::ALLOC_HOT.to_string(),
-                message: format!(
-                    "`{what}` allocates every iteration in hot-path fn `{}`{via}; \
-                     hoist the allocation out of the loop, reuse a buffer, or borrow",
-                    f.name
-                ),
-            });
         }
     }
 }

@@ -30,7 +30,8 @@ const FRAGMENTS: &[&str] = &[
     "/* block /* nested */ still block */",
     "/* unterminated",
     "// line comment lint:allow(wall-clock): reason",
-    "// lint:hot-root",
+    "// lint:jsonl-emit",
+    "// lint:jsonl-emitted",
     "::<Vec<u8>>",
     "std::time::Instant::now()",
     "let x = format!(\"{y}\");",

@@ -123,3 +123,38 @@ fn rule_filter_limits_the_run() {
     );
     assert!(r.findings.is_empty(), "{:?}", r.findings);
 }
+
+#[test]
+fn readme_rule_table_names_every_rule() {
+    let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = pwnd_lint::find_workspace_root(here).expect("workspace root");
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("read README.md");
+    let section = readme
+        .split("### The determinism & architecture linter")
+        .nth(1)
+        .expect("README has the linter section");
+    // One row per rule, in `ALL_RULES` order; the two suppression-audit
+    // rules share the last row as `bad-allow` / `unused-allow`.
+    let rows: Vec<Vec<&str>> = section
+        .lines()
+        .skip_while(|l| !l.starts_with("| rule |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| {
+            let cell = l.split('|').nth(1).unwrap_or("");
+            cell.split('/')
+                .map(|id| id.trim().trim_matches('`'))
+                .collect()
+        })
+        .collect();
+    let mut expected: Vec<Vec<&str>> = pwnd_lint::ALL_RULES
+        .iter()
+        .filter(|r| !matches!(r.id, "bad-allow" | "unused-allow"))
+        .map(|r| vec![r.id])
+        .collect();
+    expected.push(vec!["bad-allow", "unused-allow"]);
+    assert_eq!(
+        rows, expected,
+        "README's pwnd-lint rule table is out of date"
+    );
+}

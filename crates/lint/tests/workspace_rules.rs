@@ -3,8 +3,8 @@
 //! `lint:allow` — the same triple the per-file rules are held to in
 //! `rules.rs`. Fixtures are linted under synthetic in-scope paths with
 //! a hand-built [`WorkspaceCtx`], so the tests pin the cross-crate
-//! behavior (manifest DAG, call-graph reachability, emit/consume
-//! matching) without depending on the real workspace's state.
+//! behavior (manifest DAG, emit/consume matching, lock approval)
+//! without depending on the real workspace's state.
 
 use pwnd_lint::manifest::{parse_cargo_deps, LayeringManifest};
 use pwnd_lint::{lint_files_with, LintReport, WorkspaceCtx};
@@ -122,32 +122,6 @@ fn layering_rule_flags_undeclared_crates_and_dead_edges() {
         msgs.iter().any(|m| m.contains("remove the dead edge")),
         "{msgs:?}"
     );
-}
-
-#[test]
-fn alloc_hot_flags_only_repeating_allocation() {
-    let src = include_str!("fixtures/alloc_hot.rs");
-    let r = lint_fixture(&ctx(), "crates/corpus/src/hot.rs", src);
-    // Line 9: `format!` inside the root's own loop. Line 20: a
-    // straight-line `vec!` in `append_item`, which is *called* from
-    // inside the loop — the looped status must propagate across the
-    // call edge.
-    assert_eq!(lines_for(&r, "alloc-hot"), vec![9, 20]);
-    // The audited per-item label (line 12) is suppressed, not dropped.
-    assert_eq!(suppressed_lines_for(&r, "alloc-hot"), vec![12]);
-    // Straight-line allocation in the root (line 6) and in the
-    // once-per-event `compose_header` callee (line 25) stays quiet:
-    // reached once per event is not "repeats within one event".
-    for f in &r.findings {
-        assert!(f.line != 6 && f.line != 25, "cold site flagged: {f:?}");
-    }
-}
-
-#[test]
-fn alloc_hot_is_inert_without_a_hot_root() {
-    let src = include_str!("fixtures/alloc_hot.rs").replace("// lint:hot-root", "");
-    let r = lint_fixture(&ctx(), "crates/corpus/src/hot.rs", src.as_str());
-    assert!(lines_for(&r, "alloc-hot").is_empty());
 }
 
 #[test]

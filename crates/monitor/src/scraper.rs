@@ -359,7 +359,7 @@ impl Scraper {
             if at > start {
                 self.telemetry
                     .trace_with(start.as_secs(), "gap", Some(account.0), || {
-                        format!("scraper blind until t={}", at.as_secs()) // lint:allow(alloc-hot): lazy closure; runs only when tracing is on
+                        format!("scraper blind until t={}", at.as_secs())
                     });
                 self.gaps.push((account, start, at));
             }
@@ -369,7 +369,6 @@ impl Scraper {
     /// Scrape every registered account. During a scraper outage the whole
     /// sweep is skipped and every still-monitored account's blind window
     /// opens (if not already open).
-    // lint:hot-root
     pub fn scrape_all(&mut self, service: &mut WebmailService, at: SimTime) {
         // One "poll" span per sweep: the poll operation is one pass
         // over the whole account population. Its children attribute

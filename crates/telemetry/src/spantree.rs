@@ -65,9 +65,9 @@ impl SpanTree {
         }
         let idx = self.nodes.len();
         self.nodes.push(Node {
-            name: name.to_string(), // lint:allow(alloc-hot): first open of this span name only; re-entry returns above
+            name: name.to_string(),
             parent,
-            children: Vec::new(), // lint:allow(alloc-hot): empty child list; allocates only when a child opens
+            children: Vec::new(),
             total: Duration::ZERO,
             count: 0,
             sim_min: None,

@@ -143,7 +143,7 @@ impl Mailbox {
         let from = if self.addresses.first().is_some_and(|a| a == message.from) {
             0
         } else {
-            self.addresses.push(message.from.to_string()); // lint:allow(alloc-hot): only a sender other than the owner is copied
+            self.addresses.push(message.from.to_string());
             self.addresses.len() as u32 - 1
         };
         let to_start = self.addresses.len() as u32;
@@ -249,7 +249,7 @@ impl Mailbox {
         match self.entries.get_mut(&id) {
             Some(e) => {
                 if !e.labels.iter().any(|l| l == label) {
-                    e.labels.push(label.to_string()); // lint:allow(alloc-hot): the mailbox owns its label strings
+                    e.labels.push(label.to_string());
                 }
                 true
             }

@@ -112,7 +112,6 @@ pub struct PieceMasks {
 
 impl PieceMasks {
     /// [`search`], reading and keeping the piece masks here.
-    // lint:hot-root
     pub fn search(&mut self, mailbox: &Mailbox, query: &str) -> Vec<EmailId> {
         let mut terms: Vec<String> = query
             .split(|c: char| !c.is_ascii_alphanumeric())

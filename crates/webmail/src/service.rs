@@ -411,14 +411,14 @@ impl WebmailService {
                 .count_labeled("webmail.logins", "bad_credentials");
             self.telemetry
                 .trace_with(at.as_secs(), "login", Some(id.0), || {
-                    "bad_credentials".to_string() // lint:allow(alloc-hot): lazy closure; runs only when tracing is on
+                    "bad_credentials".to_string()
                 });
             return Err(LoginError::BadCredentials);
         }
         if !self.accounts[idx].state.is_active() {
             self.telemetry.count_labeled("webmail.logins", "blocked");
             self.telemetry
-                .trace_with(at.as_secs(), "login", Some(id.0), || "blocked".to_string()); // lint:allow(alloc-hot): lazy closure; runs only when tracing is on
+                .trace_with(at.as_secs(), "login", Some(id.0), || "blocked".to_string());
             return Err(LoginError::AccountBlocked);
         }
 
@@ -439,7 +439,7 @@ impl WebmailService {
             self.telemetry.count_labeled("webmail.logins", "rejected");
             self.telemetry
                 .trace_with(at.as_secs(), "login", Some(id.0), || {
-                    format!("rejected risk={score:.2}") // lint:allow(alloc-hot): lazy closure; runs only when tracing is on
+                    format!("rejected risk={score:.2}")
                 });
             return Err(LoginError::SuspiciousLogin);
         }
@@ -478,7 +478,7 @@ impl WebmailService {
         self.telemetry.count_labeled("webmail.logins", "ok");
         self.telemetry
             .trace_with(at.as_secs(), "login", Some(id.0), || {
-                format!("ok risk={score:.2}") // lint:allow(alloc-hot): lazy closure; runs only when tracing is on
+                format!("ok risk={score:.2}")
             });
         // Even allowed logins feed the abuse detector's trickle.
         if self.abuse.note_login_risk(id, score) {
