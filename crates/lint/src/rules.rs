@@ -4,17 +4,17 @@
 //! output feeds a run (`sim`, `core`, `webmail`, `monitor`, `attacker`,
 //! `leak`, `corpus`, `net`, `analysis`, `faults`). `telemetry` is exempt
 //! from the wall-clock ban only — wall-clock *profiling* is its job, and
-//! its design contract (no-op when disabled, never feeding sim state)
-//! is proven by its own tests. That exemption is what makes the span
-//! API lintable: a deterministic crate instruments itself through
-//! `sink.span(..)` / guard `.child(..)` / `sink.subspan(..)`, and every
-//! `Instant::now()` those imply — including the one taken when a
-//! `SpanGuard` drops — executes inside `pwnd-telemetry`, never at the
-//! call site. Span call sites therefore need no `lint:allow`; a literal
-//! clock read in a deterministic crate is still a finding. The `tests/` and
-//! `examples/` trees are test context and are skipped by every
-//! non-meta rule; the linter itself is a tool and may touch the
-//! filesystem.
+//! its design contract (a true no-op when disabled, where a span reads
+//! no clock; never feeding sim state) is proven by its own tests. That
+//! exemption is what makes the span API lintable: a deterministic crate
+//! instruments itself through `sink.span(..)` / guard `.child(..)` /
+//! `sink.subspan(..)`, and every `Instant::now()` those imply on an
+//! enabled sink — including the one taken when a `SpanGuard` drops —
+//! executes inside `pwnd-telemetry`, never at the call site. Span call
+//! sites therefore need no `lint:allow`; a literal clock read in a
+//! deterministic crate is still a finding. The `tests/` and `examples/`
+//! trees are test context and are skipped by every non-meta rule; the
+//! linter itself is a tool and may touch the filesystem.
 
 /// Metadata for one rule.
 #[derive(Clone, Copy, Debug)]

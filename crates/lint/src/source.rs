@@ -39,17 +39,6 @@ pub enum Role {
     JsonlConsume,
 }
 
-impl Role {
-    /// The directive spelling, as written in comments.
-    pub fn name(self) -> &'static str {
-        match self {
-            Role::JsonlTags => "jsonl-tags",
-            Role::JsonlEmit => "jsonl-emit",
-            Role::JsonlConsume => "jsonl-consume",
-        }
-    }
-}
-
 /// A parsed `// lint:<role>` directive. Placement follows `lint:allow`:
 /// trailing a code line it marks that line's item; on its own line it
 /// marks the next line that holds code (doc comments between the

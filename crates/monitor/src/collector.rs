@@ -3,9 +3,10 @@
 //! Delivery from the in-account scripts is *at-least-once*: the fault
 //! layer can lose a notification outright or redeliver it, so the
 //! collector deduplicates on the `(account, seq)` delivery id every
-//! script stamps on its messages. It also keeps a constant-time
-//! last-heartbeat index per account, which both block detection and the
-//! dead-window (coverage) analysis read.
+//! script stamps on its messages. Both that dedup index and the
+//! last-heartbeat index (which block detection and the dead-window
+//! coverage analysis read) are dense tables indexed by account id, so
+//! receiving a notification touches no tree.
 
 use pwnd_corpus::email::EmailId;
 use pwnd_faults::{FaultPlan, NotificationFate};
@@ -13,7 +14,6 @@ use pwnd_net::access::CookieId;
 use pwnd_sim::{SimDuration, SimTime};
 use pwnd_telemetry::TelemetrySink;
 use pwnd_webmail::account::AccountId;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// What a notification reports.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,19 +71,42 @@ pub struct Notification {
 #[derive(Clone, Debug, Default)]
 pub struct NotificationCollector {
     notifications: Vec<Notification>,
-    /// Delivery ids already stored, for at-least-once dedup. Ordered
-    /// container so any future iteration is deterministic by
-    /// construction (the determinism linter's hash-order rule).
-    seen: BTreeSet<(u32, u64)>,
-    /// Per-account last-heartbeat index, maintained on receive (the
-    /// dataset builder queries it once per account; the old
-    /// implementation re-scanned the whole notification vector per
-    /// call). Ordered for the same reason as `seen`.
-    last_heartbeat: BTreeMap<AccountId, SimTime>,
+    /// Per-account indexes, indexed by account id (ids are dense).
+    accounts: Vec<AccountIndex>,
     fault_plan: FaultPlan,
     duplicates: u64,
     lost: u64,
     telemetry: TelemetrySink,
+}
+
+/// What the collector indexes about one account as notifications arrive.
+#[derive(Clone, Debug, Default)]
+struct AccountIndex {
+    /// Sequence numbers already stored, ascending, for at-least-once
+    /// dedup. A script's seqs come from one increasing counter, so a
+    /// first delivery is an append; anything else is binary-searched,
+    /// which keeps exact set semantics for any arrival order.
+    seqs: Vec<u64>,
+    /// The latest heartbeat received (the dataset builder queries it
+    /// once per account).
+    last_heartbeat: Option<SimTime>,
+}
+
+impl AccountIndex {
+    /// Record `seq`; false when it was already stored.
+    fn insert_seq(&mut self, seq: u64) -> bool {
+        if self.seqs.last().is_none_or(|&last| seq > last) {
+            self.seqs.push(seq);
+            return true;
+        }
+        match self.seqs.binary_search(&seq) {
+            Ok(_) => false,
+            Err(at) => {
+                self.seqs.insert(at, seq);
+                true
+            }
+        }
+    }
 }
 
 impl NotificationCollector {
@@ -126,7 +149,14 @@ impl NotificationCollector {
     }
 
     fn deliver(&mut self, n: Notification) {
-        if !self.seen.insert((n.account.0, n.seq)) {
+        let idx = n.account.0 as usize;
+        if self.accounts.len() <= idx {
+            self.accounts.resize_with(idx + 1, AccountIndex::default);
+        }
+        let Some(index) = self.accounts.get_mut(idx) else {
+            return;
+        };
+        if !index.insert_seq(n.seq) {
             self.duplicates += 1;
             self.telemetry.count("monitor.duplicate_notifications");
             return;
@@ -140,10 +170,7 @@ impl NotificationCollector {
         };
         self.telemetry.count_labeled("monitor.notifications", kind);
         if matches!(n.kind, NotificationKind::Heartbeat) {
-            let hb = self.last_heartbeat.entry(n.account).or_insert(n.at);
-            if n.at > *hb {
-                *hb = n.at;
-            }
+            index.last_heartbeat = index.last_heartbeat.max(Some(n.at));
         }
         self.notifications.push(n);
     }
@@ -163,7 +190,9 @@ impl NotificationCollector {
     /// The last heartbeat seen from an account, if any. O(1): served
     /// from the index maintained on receive.
     pub fn last_heartbeat(&self, account: AccountId) -> Option<SimTime> {
-        self.last_heartbeat.get(&account).copied()
+        self.accounts
+            .get(account.0 as usize)
+            .and_then(|index| index.last_heartbeat)
     }
 
     /// Internal heartbeat dead windows for one account: spans between

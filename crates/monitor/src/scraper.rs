@@ -69,6 +69,9 @@ struct Slot {
     /// consecutive scrapes are not folded twice (a 7-month run scrapes
     /// tens of thousands of unchanged pages).
     last_page: Option<Vec<(u64, u64)>>,
+    /// The page's lifetime access count at the last read that returned
+    /// a page.
+    last_recorded: u64,
     hijack_detected: Option<SimTime>,
     block_detected: Option<SimTime>,
     /// Consecutive hard failures of the same class awaiting confirmation.
@@ -284,6 +287,16 @@ impl Scraper {
         let Some(page) = page else {
             return Err(LoginError::Maintenance);
         };
+        // A quiet account needs no walk: when the last page had no
+        // foreign rows and exactly one access (this login) was recorded
+        // since, the page still has none. Rows only leave by eviction,
+        // so no foreign row can appear without a recorded access.
+        let recorded = std::mem::replace(&mut slot.last_recorded, page.total_recorded());
+        if recorded + 1 == page.total_recorded()
+            && slot.last_page.as_ref().is_some_and(Vec::is_empty)
+        {
+            return Ok(());
+        }
         // The scraper's own login mutates the page; only foreign rows are
         // fingerprinted (so quiet accounts dedupe) and folded (so the
         // scraper's cookie never reaches the dataset).
@@ -618,6 +631,64 @@ mod tests {
         let cookies: Vec<CookieId> = scraper.sightings.rows().map(|(_, r)| r.cookie).collect();
         assert_eq!(cookies.len(), 1);
         assert!(!cookies.contains(&own));
+    }
+
+    /// A new device logging in from `country` at `at`; its cookie.
+    fn foreign_login(svc: &mut WebmailService, country: &str, at: u64) -> CookieId {
+        let ip = svc
+            .geolocator()
+            .plan()
+            .sample_host(country, &mut Rng::seed_from(at));
+        let loc = svc.geolocator().locate(ip);
+        let conn = ConnectionInfo::new(
+            ip,
+            ClientConfig::plain(Browser::Firefox, Os::Windows),
+            loc.point,
+        );
+        let (_, cookie) = svc
+            .login("h@honeymail.example", "pw", &conn, SimTime::from_secs(at))
+            .unwrap();
+        cookie
+    }
+
+    #[test]
+    fn quiet_sweeps_skip_the_walk_until_a_foreign_login() {
+        let (mut svc, mut scraper, id) = world();
+        let sink = TelemetrySink::enabled();
+        scraper.set_telemetry(sink.clone());
+        let first = foreign_login(&mut svc, "BR", 100);
+        let second = foreign_login(&mut svc, "RO", 110);
+        // The first read folds the two foreign rows (and the scraper's).
+        scraper.scrape_all(&mut svc, SimTime::from_secs(200));
+        assert_eq!(folded(&sink), 1);
+        // Each quiet sweep adds one scraper row. The foreign rows stay
+        // until the page is full and they are evicted, one a sweep: two
+        // more folds, the last of a page with no foreign row left. The
+        // sweeps after that take the no-walk path and fold nothing.
+        let capacity = ServiceConfig::default().activity_page_capacity;
+        let quiet = capacity as u64 + 2;
+        for sweep in 1..=quiet {
+            scraper.scrape_all(&mut svc, SimTime::from_secs(200 + 100 * sweep));
+        }
+        assert_eq!(folded(&sink), 3);
+        // A foreign login between two sweeps records two accesses before
+        // the next read, so that read walks the page and folds it; the
+        // one after walks it again (a foreign row is still on it) and
+        // finds nothing new.
+        let third = foreign_login(&mut svc, "US", 2_000);
+        scraper.scrape_all(&mut svc, SimTime::from_secs(2_100));
+        scraper.scrape_all(&mut svc, SimTime::from_secs(2_200));
+        assert_eq!(folded(&sink), 4);
+        let rows: Vec<(CookieId, u64)> = scraper
+            .sightings
+            .rows()
+            .map(|(account, r)| {
+                assert_eq!(account, id.0);
+                (r.cookie, r.at.as_secs())
+            })
+            .collect();
+        assert_eq!(rows, [(first, 100), (second, 110), (third, 2_000)]);
+        assert_eq!(sink.report().metrics.counter("monitor.scrapes"), quiet + 3);
     }
 
     #[test]

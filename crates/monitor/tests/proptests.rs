@@ -1,4 +1,5 @@
-//! Property tests for the typed JSONL decoder.
+//! Property tests for the typed JSONL decoder and the notification
+//! collector.
 //!
 //! [`decode_record`] reads the writer's compact layout field by field
 //! and hands every other line to the generic path. Its contract is that
@@ -8,11 +9,23 @@
 //! gives, or fails where that fails — and never panics. The JSONL line
 //! reader and `read_jsonl` take any bytes cut anywhere without a panic,
 //! and accept a stream only when every record line in it decodes.
+//!
+//! [`NotificationCollector`] dedupes on `(account, seq)` and indexes
+//! heartbeats through dense per-account tables; on any arrival order,
+//! with or without in-transit loss and redelivery, it stores, counts and
+//! answers exactly what a plain set-and-map model does.
 
 use proptest::prelude::*;
+use pwnd_corpus::email::EmailId;
+use pwnd_faults::{FaultPlan, FaultProfile, NotificationFate};
 use pwnd_monitor::dataset::{AccountRecord, Dataset, GapRecord, ParsedAccess};
 use pwnd_monitor::export::{decode_record, for_each_line, read_jsonl, tags, DatasetWriter, Record};
+use pwnd_monitor::{Notification, NotificationCollector, NotificationKind};
+use pwnd_net::access::CookieId;
+use pwnd_sim::{SimDuration, SimTime};
 use pwnd_telemetry::json::Json;
+use pwnd_webmail::account::AccountId;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufRead;
 
 /// A splitmix64 stream: one proptest seed drives a whole dataset.
@@ -189,7 +202,143 @@ fn mutation_byte(g: &mut Gen) -> u8 {
     }
 }
 
+/// A few accounts' notifications in arbitrary order: mostly fresh seqs
+/// from one increasing counter (some skipped, as if never sent), and
+/// repeats of earlier seqs on the same or another account.
+fn notifications(g: &mut Gen) -> Vec<Notification> {
+    let mut next_seq = 0u64;
+    (0..g.below(120))
+        .map(|_| {
+            let seq = match g.below(5) {
+                0 if next_seq > 0 => g.below(next_seq),
+                1 => {
+                    next_seq += 1 + g.below(4);
+                    next_seq
+                }
+                _ => {
+                    next_seq += 1;
+                    next_seq
+                }
+            };
+            let email = EmailId(g.below(50));
+            let kind = match g.below(6) {
+                0 => NotificationKind::Opened {
+                    email,
+                    text: "payment".into(),
+                },
+                1 => NotificationKind::Starred { email },
+                2 => NotificationKind::Sent {
+                    email,
+                    recipients: 2,
+                },
+                _ => NotificationKind::Heartbeat,
+            };
+            Notification {
+                account: AccountId([0, 1, 2, 5][g.below(4) as usize]),
+                at: SimTime::from_secs(g.below(20) * 43_200),
+                seq,
+                cookie: g.flip().then_some(CookieId(g.below(3))),
+                kind,
+            }
+        })
+        .collect()
+}
+
+/// The collector's contract, kept with a plain set and map.
+#[derive(Default)]
+struct CollectorModel {
+    stored: Vec<Notification>,
+    seen: BTreeSet<(u32, u64)>,
+    last_heartbeat: BTreeMap<u32, SimTime>,
+    duplicates: u64,
+    lost: u64,
+}
+
+impl CollectorModel {
+    fn receive(&mut self, plan: &FaultPlan, n: &Notification) {
+        match plan.notification_fate(n.account.0, n.seq) {
+            NotificationFate::Lose => self.lost += 1,
+            NotificationFate::Deliver => self.deliver(n),
+            NotificationFate::DeliverTwice => {
+                self.deliver(n);
+                self.deliver(n);
+            }
+        }
+    }
+
+    fn deliver(&mut self, n: &Notification) {
+        if !self.seen.insert((n.account.0, n.seq)) {
+            self.duplicates += 1;
+            return;
+        }
+        if n.kind == NotificationKind::Heartbeat {
+            let last = self.last_heartbeat.entry(n.account.0).or_insert(n.at);
+            *last = (*last).max(n.at);
+        }
+        self.stored.push(n.clone());
+    }
+
+    /// Consecutive received heartbeats of `account` further apart than
+    /// `min_gap`.
+    fn heartbeat_gaps(&self, account: u32, min_gap: SimDuration) -> Vec<(SimTime, SimTime)> {
+        let mut beats: Vec<SimTime> = self
+            .stored
+            .iter()
+            .filter(|n| n.account.0 == account && n.kind == NotificationKind::Heartbeat)
+            .map(|n| n.at)
+            .collect();
+        beats.sort_unstable();
+        beats
+            .windows(2)
+            .filter(|w| w[1].since(w[0]) > min_gap)
+            .map(|w| (w[0], w[1]))
+            .collect()
+    }
+}
+
 proptest! {
+    /// Under the default plan and under a lossy, duplicating one, the
+    /// collector stores, dedupes and indexes exactly as the model does.
+    #[test]
+    fn collector_matches_a_set_and_map_model(seed in any::<u64>()) {
+        let mut g = Gen(seed);
+        let input = notifications(&mut g);
+        let lossy = FaultProfile {
+            notification_loss_rate: 0.2,
+            notification_dup_rate: 0.3,
+            ..FaultProfile::none()
+        };
+        let plans = [
+            FaultPlan::default(),
+            FaultPlan::compile(seed, &lossy, SimDuration::days(30)),
+        ];
+        for plan in plans {
+            let mut collector = NotificationCollector::new();
+            collector.set_fault_plan(plan.clone());
+            let mut model = CollectorModel::default();
+            for n in &input {
+                collector.receive(n.clone());
+                model.receive(&plan, n);
+            }
+            prop_assert_eq!(collector.all(), &model.stored[..]);
+            prop_assert_eq!(collector.duplicates_detected(), model.duplicates);
+            prop_assert_eq!(collector.lost_in_transit(), model.lost);
+            for account in 0..8 {
+                prop_assert_eq!(
+                    collector.last_heartbeat(AccountId(account)),
+                    model.last_heartbeat.get(&account).copied()
+                );
+                for days in [0, 1, 3] {
+                    let min_gap = SimDuration::days(days);
+                    prop_assert_eq!(
+                        collector.heartbeat_gaps(AccountId(account), min_gap),
+                        model.heartbeat_gaps(account, min_gap)
+                    );
+                }
+            }
+        }
+    }
+
     /// On every line the writer writes, the typed decoder gives the
     /// generic path's record, or fails where it fails (a non-finite
     /// float is written as `null`, which no float field accepts).

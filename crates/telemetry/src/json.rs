@@ -8,6 +8,8 @@
 //! written with Rust's shortest-roundtrip `Display`, so parsing
 //! recovers the exact bit pattern.
 
+use std::fmt::Write as _;
+
 /// One JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -122,21 +124,17 @@ impl Json {
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_close, colon) = match indent {
-            Some(w) => (
-                "\n",
-                " ".repeat(w * (depth + 1)),
-                " ".repeat(w * depth),
-                ": ",
-            ),
-            None => ("", String::new(), String::new(), ":"),
-        };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U(v) => out.push_str(&v.to_string()),
-            Json::I(v) => out.push_str(&v.to_string()),
-            Json::F(v) => out.push_str(&fmt_f64(*v)),
+            // Writing to a `String` cannot fail.
+            Json::U(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Json::I(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Json::F(v) => write_f64(*v, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -148,12 +146,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad);
+                    newline(out, indent, depth + 1);
                     item.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad_close);
+                newline(out, indent, depth);
                 out.push(']');
             }
             Json::Obj(fields) => {
@@ -166,14 +162,12 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad);
+                    newline(out, indent, depth + 1);
                     write_escaped(key, out);
-                    out.push_str(colon);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
                     value.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad_close);
+                newline(out, indent, depth);
                 out.push('}');
             }
         }
@@ -200,36 +194,55 @@ impl Json {
     }
 }
 
-/// Shortest-roundtrip float formatting, always number-shaped (a bare
-/// integer-valued float gains `.0` so it re-parses as `F`).
-fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        // JSON has no Infinity/NaN; fall back to null, as serde_json does.
-        return "null".to_string();
-    }
-    let s = v.to_string();
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
+/// In pretty mode, a line break and the padding of nesting level
+/// `depth`; nothing in compact mode.
+fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
+    if let Some(w) = indent {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', w * depth));
     }
 }
 
+/// Shortest-roundtrip float formatting, always number-shaped (a bare
+/// integer-valued float gains `.0` so it re-parses as `F`).
+fn write_f64(v: f64, out: &mut String) {
+    if !v.is_finite() {
+        // JSON has no Infinity/NaN; fall back to null, as serde_json does.
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{v}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// `s` as a JSON string literal. Runs that need no escape are copied
+/// whole; every escaped character is ASCII, so a run never splits a
+/// multi-byte character.
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -499,6 +512,27 @@ mod tests {
         // Escaped input with a surrogate pair.
         let parsed = Json::parse(r#""🦀 é""#).unwrap();
         assert_eq!(parsed.as_str(), Some("🦀 é"));
+    }
+
+    #[test]
+    fn writes_escapes_and_numbers_byte_for_byte() {
+        let s = "a\u{1}é\"\\\n\r\t🦀\u{1f}z";
+        assert_eq!(
+            Json::Str(s.to_string()).compact(),
+            r#""a\u0001é\"\\\n\r\t🦀\u001fz""#
+        );
+        let nums = Json::Arr(vec![
+            Json::U(u64::MAX),
+            Json::I(-3),
+            Json::F(1.0),
+            Json::F(0.25),
+            Json::F(-2.5e-3),
+            Json::F(f64::NAN),
+        ]);
+        assert_eq!(
+            nums.compact(),
+            "[18446744073709551615,-3,1.0,0.25,-0.0025,null]"
+        );
     }
 
     #[test]

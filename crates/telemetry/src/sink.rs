@@ -196,7 +196,7 @@ impl TelemetrySink {
     /// enabled.
     pub fn subspan(&self, name: &'static str, labels: &[(&str, &str)]) -> SpanGuard {
         match &self.inner {
-            None => SpanGuard::noop(),
+            None => SpanGuard(None),
             Some(m) => SpanGuard::open(m, None, name, labels),
         }
     }
@@ -223,25 +223,23 @@ impl TelemetrySink {
 
 /// RAII guard for one profiling span (see [`TelemetrySink::span`],
 /// [`TelemetrySink::subspan`], and [`SpanGuard::child`]).
+///
+/// A disabled sink's guard is `None`: it reads no clock and takes no
+/// lock, so opening and dropping it costs one branch.
 #[must_use = "a span guard records its time when dropped"]
 #[derive(Debug)]
-pub struct SpanGuard {
-    sink: Option<Arc<Mutex<Inner>>>,
+pub struct SpanGuard(Option<LiveSpan>);
+
+/// An open span of an enabled sink.
+#[derive(Debug)]
+struct LiveSpan {
+    sink: Arc<Mutex<Inner>>,
     node: usize,
     depth: usize,
     started: Instant,
 }
 
 impl SpanGuard {
-    fn noop() -> SpanGuard {
-        SpanGuard {
-            sink: None,
-            node: 0,
-            depth: 0,
-            started: Instant::now(),
-        }
-    }
-
     /// Open `name{labels}` under `parent`, or under the innermost open
     /// span when `parent` is `None`, and push it on the span stack.
     fn open(
@@ -264,21 +262,21 @@ impl SpanGuard {
             i.stack.push(node);
             (node, i.stack.len() - 1)
         };
-        SpanGuard {
-            sink: Some(Arc::clone(m)),
+        SpanGuard(Some(LiveSpan {
+            sink: Arc::clone(m),
             node,
             depth,
             started,
-        }
+        }))
     }
 
     /// Open a span as an explicit child of this one, independent of
     /// whatever else is on the span stack. Labels join the tree path
     /// exactly as in [`TelemetrySink::subspan`].
     pub fn child(&self, name: &'static str, labels: &[(&str, &str)]) -> SpanGuard {
-        match &self.sink {
-            None => SpanGuard::noop(),
-            Some(m) => SpanGuard::open(m, Some(self.node), name, labels),
+        match &self.0 {
+            None => SpanGuard(None),
+            Some(live) => SpanGuard::open(&live.sink, Some(live.node), name, labels),
         }
     }
 
@@ -287,12 +285,12 @@ impl SpanGuard {
     /// spans that saw sim time emit one deterministic `span` trace
     /// event when they drop.
     pub fn sim(&self, at_secs: u64) {
-        if let Some(m) = &self.sink {
-            let mut guard = lock(m);
+        if let Some(live) = &self.0 {
+            let mut guard = lock(&live.sink);
             let Inner { spans, stack, .. } = &mut *guard;
             // Widening is idempotent, so a node both here and on the
             // stack is simply annotated twice.
-            spans.annotate_sim(self.node, at_secs);
+            spans.annotate_sim(live.node, at_secs);
             for &idx in stack.iter() {
                 spans.annotate_sim(idx, at_secs);
             }
@@ -302,19 +300,25 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(m) = self.sink.take() {
-            let elapsed = self.started.elapsed();
-            let mut i = lock(&m);
+        if let Some(LiveSpan {
+            sink,
+            node,
+            depth,
+            started,
+        }) = self.0.take()
+        {
+            let elapsed = started.elapsed();
+            let mut i = lock(&sink);
             // A guard dropped out of LIFO order (or leaked children)
             // still leaves the stack consistent: everything at or
             // above this span's depth is closed with it.
-            i.stack.truncate(self.depth);
-            i.spans.record(self.node, elapsed);
+            i.stack.truncate(depth);
+            i.spans.record(node, elapsed);
             // Only the deterministic facets reach the trace ring:
             // the path and the sim-time range, never wall clock.
-            if self.depth == 0 {
-                if let Some((min, max)) = i.spans.sim_range(self.node) {
-                    let path = i.spans.path_of(self.node);
+            if depth == 0 {
+                if let Some((min, max)) = i.spans.sim_range(node) {
+                    let path = i.spans.path_of(node);
                     i.trace.push(TraceEvent {
                         at_secs: max,
                         kind: "span".into(),
@@ -352,6 +356,19 @@ mod tests {
         assert!(report.metrics.counters.is_empty());
         assert!(report.trace.is_empty());
         assert!(report.spans.is_empty());
+    }
+
+    #[test]
+    fn disabled_guards_hold_no_start_instant() {
+        let sink = TelemetrySink::disabled();
+        let span = sink.span("event-loop");
+        let subspan = sink.subspan("event", &[("kind", "scrape")]);
+        let child = span.child("parse", &[]);
+        for guard in [&span, &subspan, &child] {
+            assert!(guard.0.is_none(), "a disabled guard read the clock");
+        }
+        let live = TelemetrySink::enabled().span("event-loop");
+        assert!(live.0.is_some());
     }
 
     #[test]
