@@ -18,11 +18,13 @@
 //! - [`rules::PANIC_HAZARD`] — the resilient monitor parse/retry paths
 //!   stay panic-free.
 //!
-//! Three more rules need cross-file facts and run over per-file models
-//! ([`model`], [`workspace_rules`]): [`rules::LAYERING`],
-//! [`rules::SCHEMA_DRIFT`] and [`rules::LOCK_DISCIPLINE`]. Allocation on
-//! the hot path is not a lint rule: it is measured, against committed
-//! ceilings, by the root package's `tests/work_counters.rs`.
+//! Two more rules need cross-file facts and run over per-file models
+//! ([`model`], [`workspace_rules`]): [`rules::LAYERING`] and
+//! [`rules::LOCK_DISCIPLINE`]. Two contracts are not lint rules. The
+//! JSONL record kinds are a type, `pwnd_monitor::export::RecordTag`,
+//! that the writer and every reader take and the decoder matches with
+//! no catch-all arm. Allocation on the hot path is measured, against
+//! committed ceilings, by the root package's `tests/work_counters.rs`.
 //!
 //! False positives are suppressed *in the source*, with a reason:
 //!

@@ -37,8 +37,6 @@ pub const ENV_IO: &str = "env-io";
 pub const PANIC_HAZARD: &str = "panic-hazard";
 /// Dependency edges must match the `LAYERING.toml` manifest.
 pub const LAYERING: &str = "layering";
-/// JSONL record tags and metric names must agree at emit/consume sites.
-pub const SCHEMA_DRIFT: &str = "schema-drift";
 /// Locks/atomics/threads only in manifest-approved modules.
 pub const LOCK_DISCIPLINE: &str = "lock-discipline";
 /// Malformed `lint:allow` directives.
@@ -77,12 +75,6 @@ pub const ALL_RULES: &[RuleMeta] = &[
         id: LAYERING,
         summary: "every pwnd-* dependency edge (Cargo.toml and source imports) must be \
                   allowed by LAYERING.toml, and every declared edge must be used",
-    },
-    RuleMeta {
-        id: SCHEMA_DRIFT,
-        summary: "every JSONL record tag is both written (lint:jsonl-emit) and read \
-                  (lint:jsonl-consume) via the tag-table consts; no metric is read \
-                  under a name nothing emits",
     },
     RuleMeta {
         id: LOCK_DISCIPLINE,
@@ -149,7 +141,7 @@ pub fn applies(rule: &str, krate: &str, path: &str) -> bool {
         // The workspace rules scope themselves over FileModels (test
         // crates and manifest-approved modules are excluded there); at
         // this per-file layer they apply everywhere.
-        LAYERING | SCHEMA_DRIFT | LOCK_DISCIPLINE => true,
+        LAYERING | LOCK_DISCIPLINE => true,
         BAD_ALLOW | UNUSED_ALLOW => true,
         _ => false,
     }

@@ -1,6 +1,6 @@
 //! Per-file analysis context built on top of the token stream: crate
-//! attribution, `#[cfg(test)]` region tracking, function spans, and
-//! `lint:allow` and role directive parsing.
+//! attribution, `#[cfg(test)]` region tracking, and `lint:allow`
+//! directive parsing.
 
 use crate::lexer::{self, Comment, Lexed, Token, TokenKind};
 use std::collections::BTreeSet;
@@ -28,44 +28,6 @@ pub struct BadAllow {
     pub why: String,
 }
 
-/// What a role directive marks an item as.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Role {
-    /// `lint:jsonl-tags` — this item is the canonical record-tag table.
-    JsonlTags,
-    /// `lint:jsonl-emit` — this `fn` writes tagged JSONL records.
-    JsonlEmit,
-    /// `lint:jsonl-consume` — this `fn` reads tagged JSONL records.
-    JsonlConsume,
-}
-
-/// A parsed `// lint:<role>` directive. Placement follows `lint:allow`:
-/// trailing a code line it marks that line's item; on its own line it
-/// marks the next line that holds code (doc comments between the
-/// directive and the item are skipped).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RoleDirective {
-    /// Line the directive's comment starts on.
-    pub line: u32,
-    /// First code line at or below the directive — the marked item.
-    pub applies_to: u32,
-    /// What the item is marked as.
-    pub role: Role,
-}
-
-/// One `fn` item found in the file.
-#[derive(Clone, Debug)]
-pub struct FnInfo {
-    /// Function name.
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Whether it is test code (`#[test]` fn or inside `#[cfg(test)]`).
-    pub is_test: bool,
-    /// Token index range of the body, inclusive of both braces.
-    pub body: (usize, usize),
-}
-
 /// One analyzed source file.
 #[derive(Clone, Debug)]
 pub struct SourceFile {
@@ -76,18 +38,12 @@ pub struct SourceFile {
     pub krate: String,
     /// The token stream.
     pub tokens: Vec<Token>,
-    /// All comments.
-    pub comments: Vec<Comment>,
     /// Per-token flag: inside test code.
     pub in_test: Vec<bool>,
-    /// Functions in the file.
-    pub fns: Vec<FnInfo>,
     /// Valid suppression directives.
     pub allows: Vec<AllowDirective>,
     /// Malformed suppression directives.
     pub bad_allows: Vec<BadAllow>,
-    /// Role directives (`lint:jsonl-…`).
-    pub roles: Vec<RoleDirective>,
 }
 
 /// Derive the short crate name from a workspace-relative path.
@@ -110,19 +66,14 @@ impl SourceFile {
     pub fn new(path: &str, src: &str) -> SourceFile {
         let Lexed { tokens, comments } = lexer::lex(src);
         let in_test = mark_test_regions(&tokens, path);
-        let fns = find_fns(&tokens, &in_test);
         let (allows, bad_allows) = parse_allows(&comments, &tokens);
-        let roles = parse_roles(&comments, &tokens);
         SourceFile {
             path: path.to_string(),
             krate: crate_of(path),
             tokens,
-            comments,
             in_test,
-            fns,
             allows,
             bad_allows,
-            roles,
         }
     }
 
@@ -245,35 +196,6 @@ fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
     None
 }
 
-fn find_fns(tokens: &[Token], in_test: &[bool]) -> Vec<FnInfo> {
-    let mut fns = Vec::new();
-    // Every `fn` token is scanned, including those inside a body: nested
-    // fns are items too.
-    for (i, t) in tokens.iter().enumerate() {
-        if t.ident() != Some("fn") {
-            continue;
-        }
-        let Some(name) = tokens.get(i + 1).and_then(Token::ident) else {
-            continue;
-        };
-        // The body is the first `{` before any `;` (a `;` first means a
-        // bodiless trait or extern declaration).
-        let body = (i + 2..tokens.len())
-            .find(|&k| tokens[k].is_punct('{') || tokens[k].is_punct(';'))
-            .filter(|&k| tokens[k].is_punct('{'))
-            .and_then(|open| Some((open, matching_brace(tokens, open)?)));
-        if let Some(body) = body {
-            fns.push(FnInfo {
-                name: name.to_string(),
-                line: t.line,
-                is_test: in_test.get(i).copied().unwrap_or(false),
-                body,
-            });
-        }
-    }
-    fns
-}
-
 /// Parse `lint:allow(rule): reason` directives out of comments. A
 /// directive on a line with code applies to that line; a directive on a
 /// comment-only line applies to the next line.
@@ -331,56 +253,6 @@ fn parse_allows(comments: &[Comment], tokens: &[Token]) -> (Vec<AllowDirective>,
     (allows, bad)
 }
 
-/// Parse role directives (`lint:jsonl-tags`, `lint:jsonl-emit`,
-/// `lint:jsonl-consume`) out of regular comments. An optional `: reason`
-/// tail is tolerated and ignored. The directive marks the first line at
-/// or below it that holds code, so it can sit above an item's doc
-/// comment or directly above the item.
-fn parse_roles(comments: &[Comment], tokens: &[Token]) -> Vec<RoleDirective> {
-    let code_lines: BTreeSet<u32> = tokens.iter().map(|t| t.line).collect();
-    const ROLES: &[(&str, Role)] = &[
-        ("lint:jsonl-tags", Role::JsonlTags),
-        ("lint:jsonl-emit", Role::JsonlEmit),
-        ("lint:jsonl-consume", Role::JsonlConsume),
-    ];
-    let mut roles = Vec::new();
-    for c in comments {
-        if c.text.starts_with('/') || c.text.starts_with('!') {
-            continue; // doc comments are prose
-        }
-        for &(spelling, role) in ROLES {
-            let Some(pos) = c.text.find(spelling) else {
-                continue;
-            };
-            // The directive must end the word there (`lint:jsonl-emitted`
-            // is not a directive; `lint:jsonl-emit: reason` is).
-            let after = &c.text[pos + spelling.len()..];
-            if after
-                .chars()
-                .next()
-                .is_some_and(|ch| ch.is_ascii_alphanumeric() || ch == '-')
-            {
-                continue;
-            }
-            let applies_to = if code_lines.contains(&c.line) {
-                c.line
-            } else {
-                code_lines
-                    .range(c.line + 1..)
-                    .next()
-                    .copied()
-                    .unwrap_or(c.line + 1)
-            };
-            roles.push(RoleDirective {
-                line: c.line,
-                applies_to,
-                role,
-            });
-        }
-    }
-    roles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,31 +268,14 @@ mod tests {
     fn cfg_test_region_is_marked() {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests { fn helper() {} }\n";
         let f = SourceFile::new("crates/x/src/lib.rs", src);
-        let live = f.fns.iter().find(|f| f.name == "live").unwrap();
-        let helper = f.fns.iter().find(|f| f.name == "helper").unwrap();
-        assert!(!live.is_test);
-        assert!(helper.is_test);
-    }
-
-    #[test]
-    fn role_directives_attach_past_doc_comments() {
-        let src = "\
-// lint:jsonl-consume: the trace reader
-/// Doc prose that must not absorb the directive.
-pub fn read() {}
-pub fn emit() {} // lint:jsonl-emit
-// lint:jsonl-emitted is not a directive
-fn other() {}
-";
-        let f = SourceFile::new("crates/monitor/src/x.rs", src);
-        assert_eq!(f.roles.len(), 2, "{:?}", f.roles);
-        assert_eq!(f.roles[0].role, Role::JsonlConsume);
-        // Skips the doc-comment line and lands on the fn itself.
-        assert_eq!(f.roles[0].applies_to, 3);
-        assert_eq!(f.roles[1].role, Role::JsonlEmit);
-        assert_eq!(f.roles[1].applies_to, 4);
-        let read = f.fns.iter().find(|x| x.name == "read").unwrap();
-        assert_eq!(read.line, 3);
+        let at = |name: &str| {
+            f.tokens
+                .iter()
+                .position(|t| t.ident() == Some(name))
+                .unwrap()
+        };
+        assert!(!f.is_test_token(at("live")));
+        assert!(f.is_test_token(at("helper")));
     }
 
     #[test]

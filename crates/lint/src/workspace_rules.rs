@@ -5,10 +5,6 @@
 //! - `layering` — every declared `pwnd-*` dependency and every
 //!   `pwnd_*` reference in non-test code must be an edge the
 //!   `LAYERING.toml` manifest allows; declared deps must be used.
-//! - `schema-drift` — every JSONL record tag in the `lint:jsonl-tags`
-//!   table is both written and read; no emit/consume site re-inlines a
-//!   tag literal; no telemetry metric is read under a name nothing
-//!   emits.
 //! - `lock-discipline` — locks, atomics, and threads only in the
 //!   modules the manifest's `[locks]` section approves.
 
@@ -16,7 +12,6 @@ use crate::findings::Finding;
 use crate::manifest::LayeringManifest;
 use crate::model::FileModel;
 use crate::rules;
-use std::collections::BTreeSet;
 
 /// Workspace-level inputs for pass 2.
 #[derive(Clone, Debug, Default)]
@@ -40,7 +35,6 @@ pub fn run(models: &[FileModel], ctx: &WorkspaceCtx) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(ctx.extra.iter().cloned());
     check_layering(models, ctx, &mut out);
-    check_schema_drift(models, &mut out);
     check_lock_discipline(models, ctx, &mut out);
     out
 }
@@ -122,119 +116,6 @@ fn check_layering(models: &[FileModel], ctx: &WorkspaceCtx, out: &mut Vec<Findin
                         "`pwnd_{short}` is not an allowed dependency of `{}` per \
                          LAYERING.toml",
                         m.krate
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// JSONL record tags and telemetry metric names: emit and consume sites
-/// must agree.
-fn check_schema_drift(models: &[FileModel], out: &mut Vec<Finding>) {
-    let finding = |path: &str, line: u32, message: String| Finding {
-        path: path.to_string(),
-        line,
-        rule: rules::SCHEMA_DRIFT.to_string(),
-        message,
-    };
-    // --- record tags ---------------------------------------------------
-    let defs: Vec<(&FileModel, &crate::model::TagDef)> = models
-        .iter()
-        .flat_map(|m| m.tag_defs.iter().map(move |d| (m, d)))
-        .collect();
-    let prod_fns = || {
-        models.iter().flat_map(|m| {
-            m.fns
-                .iter()
-                .filter(move |f| !f.is_test && !is_test_crate(&m.krate))
-                .map(move |f| (m, f))
-        })
-    };
-    if defs.is_empty() {
-        // Emit/consume markers without any tag table are themselves
-        // drift: the writer half of the contract is unverifiable.
-        for (m, f) in prod_fns() {
-            if f.jsonl_emit || f.jsonl_consume {
-                out.push(finding(
-                    &m.path,
-                    f.line,
-                    format!(
-                        "`{}` is marked lint:jsonl-{} but no lint:jsonl-tags table \
-                         exists in the file set",
-                        f.name,
-                        if f.jsonl_emit { "emit" } else { "consume" }
-                    ),
-                ));
-            }
-        }
-    }
-    for (dm, d) in &defs {
-        let refs_tag = |f: &crate::model::FnModel| {
-            f.tag_refs.contains(&d.name) || f.str_lits.iter().any(|(s, _)| s == &d.value)
-        };
-        let emitted = prod_fns().any(|(_, f)| f.jsonl_emit && refs_tag(f));
-        let consumed = prod_fns().any(|(_, f)| f.jsonl_consume && refs_tag(f));
-        if !emitted {
-            out.push(finding(
-                &dm.path,
-                d.line,
-                format!(
-                    "record tag `{}` ({}) is never written by any lint:jsonl-emit \
-                     site — dead schema, or an unmarked writer",
-                    d.value, d.name
-                ),
-            ));
-        }
-        if !consumed {
-            out.push(finding(
-                &dm.path,
-                d.line,
-                format!(
-                    "record tag `{}` ({}) is never read by any lint:jsonl-consume \
-                     site — emit-only records silently drop on the floor",
-                    d.value, d.name
-                ),
-            ));
-        }
-    }
-    // Inline literals equal to a table value inside marked fns.
-    for (m, f) in prod_fns() {
-        if !(f.jsonl_emit || f.jsonl_consume) {
-            continue;
-        }
-        for (s, line) in &f.str_lits {
-            if let Some((_, d)) = defs.iter().find(|(_, d)| &d.value == s) {
-                out.push(finding(
-                    &m.path,
-                    *line,
-                    format!(
-                        "inline record-tag literal \"{s}\" — use the `{}` const from \
-                         the tag table so renames stay atomic",
-                        d.name
-                    ),
-                ));
-            }
-        }
-    }
-    // --- telemetry metric names ----------------------------------------
-    let emitted: BTreeSet<&str> = models
-        .iter()
-        .filter(|m| !is_test_crate(&m.krate))
-        .flat_map(|m| m.metric_emits.iter().map(|(n, _)| n.as_str()))
-        .collect();
-    for m in models {
-        if is_test_crate(&m.krate) {
-            continue;
-        }
-        for (name, line) in &m.metric_consumes {
-            if !emitted.contains(name.as_str()) {
-                out.push(finding(
-                    &m.path,
-                    *line,
-                    format!(
-                        "metric `{name}` is read here but nothing emits it — stale \
-                         name, or the emitter renamed it"
                     ),
                 ));
             }

@@ -30,8 +30,6 @@ const FRAGMENTS: &[&str] = &[
     "/* block /* nested */ still block */",
     "/* unterminated",
     "// line comment lint:allow(wall-clock): reason",
-    "// lint:jsonl-emit",
-    "// lint:jsonl-emitted",
     "::<Vec<u8>>",
     "std::time::Instant::now()",
     "let x = format!(\"{y}\");",

@@ -3,7 +3,7 @@
 //! `lint:allow` — the same triple the per-file rules are held to in
 //! `rules.rs`. Fixtures are linted under synthetic in-scope paths with
 //! a hand-built [`WorkspaceCtx`], so the tests pin the cross-crate
-//! behavior (manifest DAG, emit/consume matching, lock approval)
+//! behavior (manifest DAG, lock approval)
 //! without depending on the real workspace's state.
 
 use pwnd_lint::manifest::{parse_cargo_deps, LayeringManifest};
@@ -122,19 +122,6 @@ fn layering_rule_flags_undeclared_crates_and_dead_edges() {
         msgs.iter().any(|m| m.contains("remove the dead edge")),
         "{msgs:?}"
     );
-}
-
-#[test]
-fn schema_drift_catches_orphan_tags_inline_literals_and_stale_metrics() {
-    let src = include_str!("fixtures/schema_drift.rs");
-    let r = lint_fixture(&ctx(), "crates/monitor/src/export_fixture.rs", src);
-    // Line 7: `ORPHAN` is emitted but never consumed. Line 16: a marked
-    // emit site re-inlines the literal "live". Line 25: a metric read
-    // under a name nothing emits.
-    assert_eq!(lines_for(&r, "schema-drift"), vec![7, 16, 25]);
-    // `LIVE` (written and read) and `fleet.ok` (emitted and read) are
-    // quiet; the audited future tag `GHOST` is suppressed.
-    assert_eq!(suppressed_lines_for(&r, "schema-drift"), vec![8]);
 }
 
 #[test]

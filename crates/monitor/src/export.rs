@@ -5,8 +5,8 @@
 //! fleet scale (100k accounts of accesses, account records, and opened
 //! texts). [`DatasetWriter`] emits the same records *incrementally*: each
 //! access/account/opened-text/gap becomes one compact JSON line tagged
-//! with its record type, written straight to any [`std::io::Write`] sink,
-//! so peak memory is one record, not one dataset.
+//! with its [`RecordTag`], written straight to any [`std::io::Write`]
+//! sink, so peak memory is one record, not one dataset.
 //!
 //! Every reader of such a stream — a fleet-store shard, a merged export —
 //! goes through one line reader, [`for_each_line`], which holds one line
@@ -22,28 +22,56 @@ use crate::dataset::{AccountRecord, Dataset, GapRecord, ParsedAccess};
 use pwnd_telemetry::json::{Json, JsonError};
 use std::io::{self, BufRead, Read, Write};
 
-/// The canonical JSONL record-kind tags: the single `pub const` table
-/// shared by [`DatasetWriter`] (emit), [`decode_record`] (consume),
-/// [`record_tag`] callers, and the fleet store's streaming merge. Every
-/// tag string in the workspace comes from here — `pwnd-lint`'s
-/// `schema-drift` rule checks that each tag is both written and read,
-/// and that no site re-introduces an inline literal.
-// lint:jsonl-tags
-pub mod tags {
+/// The kind of one JSONL record line, written as its `"record"` tag.
+/// [`DatasetWriter`] writes one tag per kind and [`decode_record`]
+/// matches every kind with no catch-all arm, so a new kind without a
+/// decoder does not compile. The other readers ([`record_tag`], the
+/// fleet store's streaming merge and the daemon's index) take the enum,
+/// so none of them can spell a tag of its own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecordTag {
     /// One parsed access (a session aggregated by the monitor).
-    pub const ACCESS: &str = "access";
+    Access,
     /// Per-account metadata (outlet, leak time, hijack/block marks).
-    pub const ACCOUNT: &str = "account";
+    Account,
     /// One opened-email text snapshot (TF-IDF input).
-    pub const OPENED_TEXT: &str = "opened_text";
+    OpenedText,
     /// One monitoring-gap interval (fault-injection coverage hole).
-    pub const GAP: &str = "gap";
+    Gap,
+}
+
+impl RecordTag {
+    /// Every tag, in [`Dataset::to_json`] serialization order. The fleet
+    /// store's streaming merge walks shard files once per tag in this
+    /// order, so concatenation reproduces the in-memory export byte for
+    /// byte.
+    pub const ALL: [RecordTag; 4] = [
+        RecordTag::Access,
+        RecordTag::Account,
+        RecordTag::OpenedText,
+        RecordTag::Gap,
+    ];
+
+    /// The tag as written after `"record":`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            RecordTag::Access => "access",
+            RecordTag::Account => "account",
+            RecordTag::OpenedText => "opened_text",
+            RecordTag::Gap => "gap",
+        }
+    }
+
+    /// The tag written as `tag`, if any; the match is exact.
+    pub fn parse(tag: &str) -> Option<RecordTag> {
+        RecordTag::ALL.into_iter().find(|t| t.as_str() == tag)
+    }
 }
 
 /// Incremental JSONL writer for dataset records.
 ///
 /// Each line is a two-key object `{"record": <tag>, "value": <record>}`
-/// with a tag from [`tags`], in the compact JSON rendering. Lines are
+/// with a [`RecordTag`], in the compact JSON rendering. Lines are
 /// written (and counted) as records arrive; nothing is buffered beyond
 /// the current line.
 pub struct DatasetWriter<W: Write> {
@@ -58,9 +86,9 @@ impl<W: Write> DatasetWriter<W> {
         DatasetWriter { out, records: 0 }
     }
 
-    fn line(&mut self, tag: &str, value: Json) -> io::Result<()> {
+    fn line(&mut self, tag: RecordTag, value: Json) -> io::Result<()> {
         let obj = Json::Obj(vec![
-            ("record".to_string(), Json::Str(tag.to_string())),
+            ("record".to_string(), Json::Str(tag.as_str().to_string())),
             ("value".to_string(), value),
         ]);
         self.out.write_all(obj.compact().as_bytes())?;
@@ -70,27 +98,23 @@ impl<W: Write> DatasetWriter<W> {
     }
 
     /// Emit one parsed access.
-    // lint:jsonl-emit
     pub fn access(&mut self, a: &ParsedAccess) -> io::Result<()> {
-        self.line(tags::ACCESS, a.to_json_value())
+        self.line(RecordTag::Access, a.to_json_value())
     }
 
     /// Emit one per-account metadata record.
-    // lint:jsonl-emit
     pub fn account(&mut self, a: &AccountRecord) -> io::Result<()> {
-        self.line(tags::ACCOUNT, a.to_json_value())
+        self.line(RecordTag::Account, a.to_json_value())
     }
 
     /// Emit one opened-email text snapshot.
-    // lint:jsonl-emit
     pub fn opened_text(&mut self, text: &str) -> io::Result<()> {
-        self.line(tags::OPENED_TEXT, Json::Str(text.to_string()))
+        self.line(RecordTag::OpenedText, Json::Str(text.to_string()))
     }
 
     /// Emit one monitoring-gap record.
-    // lint:jsonl-emit
     pub fn gap(&mut self, g: &GapRecord) -> io::Result<()> {
-        self.line(tags::GAP, g.to_json_value())
+        self.line(RecordTag::Gap, g.to_json_value())
     }
 
     /// Stream every record of an already-built dataset, in the same
@@ -124,21 +148,13 @@ impl<W: Write> DatasetWriter<W> {
     }
 }
 
-/// The record tags a [`DatasetWriter`] emits, in [`Dataset::to_json`]
-/// serialization order. The fleet store's streaming merge walks shard
-/// files once per tag in this order so concatenation reproduces the
-/// in-memory export byte for byte.
-pub const RECORD_TAGS: [&str; 4] = [tags::ACCESS, tags::ACCOUNT, tags::OPENED_TEXT, tags::GAP];
-
 /// The record tag of one JSONL line, without parsing the record — the
 /// streaming fleet-store merge classifies millions of lines with this.
 /// `None` unless the line starts with the writer's exact
-/// `{"record":"<tag>"` prefix and a tag from [`RECORD_TAGS`].
-// lint:jsonl-consume
-pub fn record_tag(line: &str) -> Option<&'static str> {
+/// `{"record":"<tag>"` prefix and a tag [`RecordTag::parse`] knows.
+pub fn record_tag(line: &str) -> Option<RecordTag> {
     let rest = line.strip_prefix(RECORD_PREFIX)?;
-    let tag = &rest[..rest.find('"')?];
-    RECORD_TAGS.into_iter().find(|&known| known == tag)
+    RecordTag::parse(&rest[..rest.find('"')?])
 }
 
 const RECORD_PREFIX: &str = "{\"record\":\"";
@@ -146,13 +162,13 @@ const RECORD_PREFIX: &str = "{\"record\":\"";
 /// One decoded JSONL record line.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Record {
-    /// A [`tags::ACCESS`] line.
+    /// A [`RecordTag::Access`] line.
     Access(ParsedAccess),
-    /// A [`tags::ACCOUNT`] line.
+    /// A [`RecordTag::Account`] line.
     Account(AccountRecord),
-    /// A [`tags::OPENED_TEXT`] line.
+    /// A [`RecordTag::OpenedText`] line.
     OpenedText(String),
-    /// A [`tags::GAP`] line.
+    /// A [`RecordTag::Gap`] line.
     Gap(GapRecord),
 }
 
@@ -162,7 +178,6 @@ pub enum Record {
 /// [`Json::parse`] and `from_json_value`, so the lines accepted and the
 /// records given are exactly that generic path's. Errors start
 /// `malformed record:` (not JSON), `<kind> record:` or name the tag.
-// lint:jsonl-consume
 pub fn decode_record(line: &str) -> Result<Record, JsonError> {
     if let Some(record) = decode_compact(line) {
         return Ok(record);
@@ -180,15 +195,17 @@ pub fn decode_record(line: &str) -> Result<Record, JsonError> {
     };
     let value = obj.get("value");
     let value = value.ok_or_else(|| kinded(error("missing value".to_string())))?;
-    match tag {
-        tags::ACCESS => ParsedAccess::from_json_value(value).map(Record::Access),
-        tags::ACCOUNT => AccountRecord::from_json_value(value).map(Record::Account),
-        tags::OPENED_TEXT => value
+    let Some(kind) = RecordTag::parse(tag) else {
+        return Err(error(format!("unknown record tag {tag:?}")));
+    };
+    match kind {
+        RecordTag::Access => ParsedAccess::from_json_value(value).map(Record::Access),
+        RecordTag::Account => AccountRecord::from_json_value(value).map(Record::Account),
+        RecordTag::OpenedText => value
             .as_str()
             .map(|text| Record::OpenedText(text.to_string()))
             .ok_or_else(|| error("value must be a string".to_string())),
-        tags::GAP => GapRecord::from_json_value(value).map(Record::Gap),
-        other => return Err(error(format!("unknown record tag {other:?}"))),
+        RecordTag::Gap => GapRecord::from_json_value(value).map(Record::Gap),
     }
     .map_err(kinded)
 }
@@ -197,11 +214,11 @@ pub fn decode_record(line: &str) -> Result<Record, JsonError> {
 /// from the writer's layout.
 fn decode_compact(line: &str) -> Option<Record> {
     let tag = record_tag(line)?;
-    let rest = line.get(RECORD_PREFIX.len() + tag.len()..)?;
+    let rest = line.get(RECORD_PREFIX.len() + tag.as_str().len()..)?;
     let rest = rest.strip_prefix("\",\"value\":")?;
     let mut c = Compact { rest, sep: "{" };
     let record = match tag {
-        tags::ACCESS => Record::Access(ParsedAccess {
+        RecordTag::Access => Record::Access(ParsedAccess {
             account: c.key("account")?.u32()?,
             cookie: c.key("cookie")?.u64()?,
             first_seen_secs: c.key("first_seen_secs")?.u64()?,
@@ -221,7 +238,7 @@ fn decode_compact(line: &str) -> Option<Record> {
             hijacker: c.key("hijacker")?.bool()?,
             has_location_row: c.key("has_location_row")?.bool()?,
         }),
-        tags::ACCOUNT => Record::Account(AccountRecord {
+        RecordTag::Account => Record::Account(AccountRecord {
             account: c.key("account")?.u32()?,
             outlet: c.key("outlet")?.string()?,
             advertised_region: c.key("advertised_region")?.opt(Compact::string)?,
@@ -233,17 +250,20 @@ fn decode_compact(line: &str) -> Option<Record> {
                 _ => Some(c.key("coverage")?.f64()?),
             },
         }),
-        tags::OPENED_TEXT => Record::OpenedText(c.string()?),
-        tags::GAP => Record::Gap(GapRecord {
+        RecordTag::OpenedText => Record::OpenedText(c.string()?),
+        RecordTag::Gap => Record::Gap(GapRecord {
             account: c.key("account")?.u32()?,
             kind: c.key("kind")?.string()?,
             from_secs: c.key("from_secs")?.u64()?,
             until_secs: c.key("until_secs")?.u64()?,
         }),
-        _ => return None,
     };
     // A bare string value has no object of its own to close.
-    let end = if tag == tags::OPENED_TEXT { "}" } else { "}}" };
+    let end = if tag == RecordTag::OpenedText {
+        "}"
+    } else {
+        "}}"
+    };
     (c.rest == end).then_some(record)
 }
 
@@ -332,9 +352,8 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// every line of `reader`, endings stripped as [`BufRead::lines`] strips
 /// them and blank lines included. A line longer than [`MAX_LINE_BYTES`],
 /// non-UTF-8 bytes, and a non-blank line without a tag from
-/// [`RECORD_TAGS`] are errors naming `name` and the line. Peak memory is
+/// [`RecordTag::ALL`] are errors naming `name` and the line. Peak memory is
 /// one line, in one reused buffer.
-// lint:jsonl-consume
 pub fn for_each_line(
     name: &str,
     mut reader: impl BufRead,
@@ -354,7 +373,10 @@ pub fn for_each_line(
         let line = line.map_or(&*buf, |l| l.strip_suffix(b"\r").unwrap_or(l));
         let line = std::str::from_utf8(line).map_err(|_| line_error(name, lineno, "not UTF-8"))?;
         if record_tag(line).is_none() && !line.trim().is_empty() {
-            let what = format!("no record tag from {RECORD_TAGS:?}");
+            let what = format!(
+                "no record tag from {:?}",
+                RecordTag::ALL.map(RecordTag::as_str)
+            );
             return Err(line_error(name, lineno, &what));
         }
         f(lineno, line)?;
@@ -375,7 +397,7 @@ fn line_error(name: &str, lineno: usize, what: &str) -> io::Error {
 pub fn for_each_record(
     name: &str,
     reader: impl BufRead,
-    kinds: &[&str],
+    kinds: &[RecordTag],
     mut f: impl FnMut(Record),
 ) -> io::Result<()> {
     for_each_line(name, reader, |lineno, line| {
@@ -392,7 +414,7 @@ pub fn for_each_record(
 /// order, so its `to_json()` is byte-identical to the streamed one's.
 pub fn read_jsonl(name: &str, reader: impl BufRead) -> io::Result<Dataset> {
     let mut ds = Dataset::default();
-    for_each_record(name, reader, &RECORD_TAGS, |record| match record {
+    for_each_record(name, reader, &RecordTag::ALL, |record| match record {
         Record::Access(a) => ds.accesses.push(a),
         Record::Account(a) => ds.accounts.push(a),
         Record::OpenedText(t) => ds.opened_texts.push(t),
@@ -492,7 +514,10 @@ mod tests {
         let read = |text: &str| read_jsonl("stream", text.as_bytes());
         assert!(read("\n\n").unwrap().accesses.is_empty());
         let err = read("{\"record\":\"bogus\",\"value\":1}\n").unwrap_err();
-        assert!(err.to_string().contains("line 1: no record tag"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "stream: line 1: no record tag from [\"access\", \"account\", \"opened_text\", \"gap\"]"
+        );
         assert!(read("{\"value\":1}\n").is_err());
     }
 
@@ -572,13 +597,34 @@ mod tests {
     }
 
     #[test]
-    fn record_tag_classifies_lines_without_parsing() {
+    fn every_record_tag_is_written_and_read_back() {
+        // One record of each kind: the writer emits every tag, in
+        // `RecordTag::ALL` order, and the reader decodes each of them.
         let ds = sample();
         let mut w = DatasetWriter::new(Vec::new());
         w.write_dataset(&ds).unwrap();
         let text = String::from_utf8(w.finish().unwrap()).unwrap();
         let tags: Vec<_> = text.lines().filter_map(record_tag).collect();
-        assert_eq!(tags, RECORD_TAGS.to_vec());
+        assert_eq!(tags, RecordTag::ALL);
+        let back = read_jsonl("stream", text.as_bytes()).unwrap();
+        assert_eq!(back.accesses, ds.accesses);
+        assert_eq!(back.accounts, ds.accounts);
+        assert_eq!(back.opened_texts, ds.opened_texts);
+        assert_eq!(back.gaps, ds.gaps);
+        for t in RecordTag::ALL {
+            assert_eq!(RecordTag::parse(t.as_str()), Some(t));
+        }
+        for other in ["Access", "", "gaps"] {
+            assert_eq!(RecordTag::parse(other), None, "{other:?}");
+        }
+    }
+
+    #[test]
+    fn record_tag_classifies_lines_without_parsing() {
+        assert_eq!(
+            record_tag("{\"record\":\"gap\",\"value\":1}"),
+            Some(RecordTag::Gap)
+        );
         assert_eq!(record_tag(""), None);
         assert_eq!(record_tag("{\"value\":1}"), None);
         assert_eq!(record_tag("{\"record\":\"acc"), None);

@@ -273,68 +273,42 @@ impl ScriptRuntime {
                     continue;
                 }
             }
-            let kind = match ev {
-                WebmailEvent::EmailOpened { email, at, .. } => {
+            let (kind, at, cookie) = match *ev {
+                WebmailEvent::EmailOpened {
+                    email, at, cookie, ..
+                } => {
                     let text = service
                         .mailbox(account)
-                        .full_text(*email)
+                        .full_text(email)
                         .unwrap_or_default();
-                    Some((
-                        NotificationKind::Opened {
-                            email: *email,
-                            text,
-                        },
-                        *at,
-                        cookie_of(ev),
-                    ))
+                    (NotificationKind::Opened { email, text }, at, cookie)
                 }
-                WebmailEvent::EmailStarred { email, at, .. } => Some((
-                    NotificationKind::Starred { email: *email },
-                    *at,
-                    cookie_of(ev),
-                )),
+                WebmailEvent::EmailStarred {
+                    email, at, cookie, ..
+                } => (NotificationKind::Starred { email }, at, cookie),
                 WebmailEvent::EmailSent {
                     email,
                     at,
+                    cookie,
                     recipients,
                     ..
-                } => Some((
-                    NotificationKind::Sent {
-                        email: *email,
-                        recipients: *recipients,
-                    },
-                    *at,
-                    cookie_of(ev),
-                )),
-                WebmailEvent::DraftCreated { email, at, .. } => {
+                } => (NotificationKind::Sent { email, recipients }, at, cookie),
+                WebmailEvent::DraftCreated {
+                    email, at, cookie, ..
+                } => {
                     let text = service
                         .mailbox(account)
-                        .full_text(*email)
+                        .full_text(email)
                         .unwrap_or_default();
-                    Some((
-                        NotificationKind::DraftCopy {
-                            email: *email,
-                            text,
-                        },
-                        *at,
-                        cookie_of(ev),
-                    ))
+                    (NotificationKind::DraftCopy { email, text }, at, cookie)
                 }
-                // Logins, password changes and blocks are invisible to
-                // Apps Script — only the scraper learns about those.
-                WebmailEvent::LoginSucceeded { .. }
-                | WebmailEvent::PasswordChanged { .. }
-                | WebmailEvent::AccountBlocked { .. } => None,
-            };
-            let Some((kind, at, cookie)) = kind else {
-                continue;
             };
             let seq = self.next_seq();
             collector.receive(Notification {
                 account,
                 at,
                 seq,
-                cookie,
+                cookie: Some(cookie),
                 kind,
             });
             if let Some(s) = state_mut(&mut self.scripts, account) {
@@ -457,18 +431,6 @@ fn state_mut(scripts: &mut [Option<ScriptState>], account: AccountId) -> Option<
 enum QuotaStatus {
     Ok,
     Exceeded,
-}
-
-fn cookie_of(ev: &WebmailEvent) -> Option<pwnd_net::access::CookieId> {
-    match *ev {
-        WebmailEvent::EmailOpened { cookie, .. }
-        | WebmailEvent::EmailStarred { cookie, .. }
-        | WebmailEvent::EmailSent { cookie, .. }
-        | WebmailEvent::DraftCreated { cookie, .. }
-        | WebmailEvent::LoginSucceeded { cookie, .. }
-        | WebmailEvent::PasswordChanged { cookie, .. } => Some(cookie),
-        WebmailEvent::AccountBlocked { .. } => None,
-    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,9 @@ use proptest::prelude::*;
 use pwnd_corpus::email::EmailId;
 use pwnd_faults::{FaultPlan, FaultProfile, NotificationFate};
 use pwnd_monitor::dataset::{AccountRecord, Dataset, GapRecord, ParsedAccess};
-use pwnd_monitor::export::{decode_record, for_each_line, read_jsonl, tags, DatasetWriter, Record};
+use pwnd_monitor::export::{
+    decode_record, for_each_line, read_jsonl, DatasetWriter, Record, RecordTag,
+};
 use pwnd_monitor::{Notification, NotificationCollector, NotificationKind};
 use pwnd_net::access::CookieId;
 use pwnd_sim::{SimDuration, SimTime};
@@ -164,16 +166,15 @@ fn written_lines(ds: &Dataset) -> Vec<String> {
 fn generic(line: &str) -> Option<Record> {
     let obj = Json::parse(line).ok()?;
     let value = obj.get("value")?;
-    match obj.get("record")?.as_str()? {
-        tags::ACCESS => ParsedAccess::from_json_value(value)
+    match RecordTag::parse(obj.get("record")?.as_str()?)? {
+        RecordTag::Access => ParsedAccess::from_json_value(value)
             .ok()
             .map(Record::Access),
-        tags::ACCOUNT => AccountRecord::from_json_value(value)
+        RecordTag::Account => AccountRecord::from_json_value(value)
             .ok()
             .map(Record::Account),
-        tags::OPENED_TEXT => value.as_str().map(|t| Record::OpenedText(t.to_string())),
-        tags::GAP => GapRecord::from_json_value(value).ok().map(Record::Gap),
-        _ => None,
+        RecordTag::OpenedText => value.as_str().map(|t| Record::OpenedText(t.to_string())),
+        RecordTag::Gap => GapRecord::from_json_value(value).ok().map(Record::Gap),
     }
 }
 

@@ -33,7 +33,7 @@ use pwnd_analysis::tables::Overview;
 use pwnd_analysis::taxonomy::{classify, AccessClasses};
 use pwnd_core::hash::Sha256;
 use pwnd_monitor::dataset::{Dataset, GapRecord};
-use pwnd_monitor::export::{tags, Record};
+use pwnd_monitor::export::{Record, RecordTag};
 use pwnd_sim::intern::{Interner, Symbol};
 use pwnd_telemetry::json::Json;
 use std::collections::BTreeMap;
@@ -167,7 +167,7 @@ impl QueryIndex {
     pub fn from_store(dir: &Path) -> io::Result<QueryIndex> {
         let store = VerifiedStore::open(dir)?;
         let mut ds = Dataset::default();
-        let served = [tags::ACCOUNT, tags::ACCESS, tags::GAP];
+        let served = [RecordTag::Account, RecordTag::Access, RecordTag::Gap];
         store.for_each_record(&served, |record| match record {
             Record::Account(a) => ds.accounts.push(a),
             Record::Access(a) => ds.accesses.push(a),

@@ -13,7 +13,7 @@
 
 use pwnd_core::fleet::ShardSpec;
 use pwnd_core::hash::{hex, Sha256};
-use pwnd_monitor::export::{self, Record};
+use pwnd_monitor::export::{self, Record, RecordTag};
 use pwnd_telemetry::json::Json;
 use std::fs::File;
 use std::io::{self, BufReader, Read};
@@ -325,7 +325,11 @@ impl VerifiedStore {
 
     /// Every record of the given `kinds`, in shard order, decoded by
     /// [`export::for_each_record`] in one pass over each shard file.
-    pub fn for_each_record(&self, kinds: &[&str], mut f: impl FnMut(Record)) -> io::Result<()> {
+    pub fn for_each_record(
+        &self,
+        kinds: &[RecordTag],
+        mut f: impl FnMut(Record),
+    ) -> io::Result<()> {
         for e in &self.manifest.shards {
             let reader = BufReader::new(File::open(self.dir.join(&e.file))?);
             export::for_each_record(&e.file, reader, kinds, &mut f)?;

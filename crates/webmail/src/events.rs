@@ -3,8 +3,9 @@
 //! Google Apps Script hooks fire on mailbox activity; our monitor crate
 //! consumes these events to synthesize the notifications the paper's
 //! scripts sent ("whenever an email is opened, sent, or starred", plus
-//! draft copies). Security events (blocks, hijacks) are also emitted so
-//! the experiment driver and ground-truth records stay in sync.
+//! draft copies). Nothing else is an event: logins, password changes and
+//! blocks are invisible to Apps Script, and ground truth reads them from
+//! account state and the visitor-activity page.
 
 use crate::account::AccountId;
 use pwnd_corpus::email::EmailId;
@@ -14,15 +15,6 @@ use pwnd_sim::SimTime;
 /// Something observable happened inside the service.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WebmailEvent {
-    /// A login succeeded.
-    LoginSucceeded {
-        /// Account logged into.
-        account: AccountId,
-        /// Device cookie of the access.
-        cookie: CookieId,
-        /// When.
-        at: SimTime,
-    },
     /// An email was opened (read).
     EmailOpened {
         /// Account.
@@ -69,50 +61,26 @@ pub enum WebmailEvent {
         /// When.
         at: SimTime,
     },
-    /// The account password was changed (hijack when done by an attacker).
-    PasswordChanged {
-        /// Account.
-        account: AccountId,
-        /// Device cookie of the changer.
-        cookie: CookieId,
-        /// When.
-        at: SimTime,
-        /// Whether the change came through a Tor exit.
-        via_tor: bool,
-    },
-    /// The abuse detector suspended the account.
-    AccountBlocked {
-        /// Account.
-        account: AccountId,
-        /// When.
-        at: SimTime,
-    },
 }
 
 impl WebmailEvent {
     /// The account this event concerns.
     pub fn account(&self) -> AccountId {
         match *self {
-            WebmailEvent::LoginSucceeded { account, .. }
-            | WebmailEvent::EmailOpened { account, .. }
+            WebmailEvent::EmailOpened { account, .. }
             | WebmailEvent::EmailStarred { account, .. }
             | WebmailEvent::EmailSent { account, .. }
-            | WebmailEvent::DraftCreated { account, .. }
-            | WebmailEvent::PasswordChanged { account, .. }
-            | WebmailEvent::AccountBlocked { account, .. } => account,
+            | WebmailEvent::DraftCreated { account, .. } => account,
         }
     }
 
     /// When the event happened.
     pub fn at(&self) -> SimTime {
         match *self {
-            WebmailEvent::LoginSucceeded { at, .. }
-            | WebmailEvent::EmailOpened { at, .. }
+            WebmailEvent::EmailOpened { at, .. }
             | WebmailEvent::EmailStarred { at, .. }
             | WebmailEvent::EmailSent { at, .. }
-            | WebmailEvent::DraftCreated { at, .. }
-            | WebmailEvent::PasswordChanged { at, .. }
-            | WebmailEvent::AccountBlocked { at, .. } => at,
+            | WebmailEvent::DraftCreated { at, .. } => at,
         }
     }
 }
@@ -127,11 +95,6 @@ mod tests {
         let t = SimTime::from_secs(99);
         let c = CookieId(1);
         let events = vec![
-            WebmailEvent::LoginSucceeded {
-                account: a,
-                cookie: c,
-                at: t,
-            },
             WebmailEvent::EmailOpened {
                 account: a,
                 email: EmailId(1),
@@ -157,13 +120,6 @@ mod tests {
                 cookie: c,
                 at: t,
             },
-            WebmailEvent::PasswordChanged {
-                account: a,
-                cookie: c,
-                at: t,
-                via_tor: true,
-            },
-            WebmailEvent::AccountBlocked { account: a, at: t },
         ];
         for e in events {
             assert_eq!(e.account(), a);

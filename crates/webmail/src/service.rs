@@ -352,9 +352,9 @@ impl WebmailService {
 
     /// Log in to `account` by id and read its visitor-activity page, the
     /// researchers' scrape. It is the same login as [`WebmailService::login`]:
-    /// it is recorded on the page, emits `LoginSucceeded` and feeds the
-    /// abuse detector. But it opens no session. An id with no account fails
-    /// with [`LoginError::BadCredentials`], as an unknown address does.
+    /// it is recorded on the page and feeds the abuse detector. But it
+    /// opens no session. An id with no account fails with
+    /// [`LoginError::BadCredentials`], as an unknown address does.
     ///
     /// Returns the cookie that identifies the device, and the page unless
     /// this very login tripped the abuse detector and blocked the account.
@@ -380,8 +380,8 @@ impl WebmailService {
     /// The login both populations share, on an already resolved account
     /// (`None`, or an id with no account, when the address is unknown).
     /// Checks maintenance, credentials, account state and risk, then
-    /// records the access and emits `LoginSucceeded`. Returns the account,
-    /// the device's cookie, and whether the login came through Tor.
+    /// records the access. Returns the account, the device's cookie, and
+    /// whether the login came through Tor.
     fn authenticate(
         &mut self,
         account: Option<AccountId>,
@@ -390,8 +390,8 @@ impl WebmailService {
         at: SimTime,
     ) -> Result<(AccountId, CookieId, bool), LoginError> {
         // Maintenance is checked before credentials: a provider that is
-        // down reveals nothing about the account, records nothing on the
-        // activity page, and emits no events.
+        // down reveals nothing about the account and records nothing on
+        // the activity page.
         if self.maintenance.iter().any(|&(s, e)| s <= at && at < e) {
             self.telemetry
                 .count_labeled("webmail.logins", "maintenance");
@@ -470,11 +470,6 @@ impl WebmailService {
             hab.drain(..excess);
         }
 
-        self.events.push(WebmailEvent::LoginSucceeded {
-            account: id,
-            cookie,
-            at,
-        });
         self.telemetry.count_labeled("webmail.logins", "ok");
         self.telemetry
             .trace_with(at.as_secs(), "login", Some(id.0), || {
@@ -694,17 +689,11 @@ impl WebmailService {
         new_password: &str,
         at: SimTime,
     ) -> Result<(), OpError> {
-        let (account, cookie, via_tor) = self.session(session)?;
+        let (account, _, via_tor) = self.session(session)?;
         let acct = &mut self.accounts[account.0 as usize];
         acct.password = new_password.to_string();
         acct.password_changes += 1;
         acct.last_password_change = Some(at);
-        self.events.push(WebmailEvent::PasswordChanged {
-            account,
-            cookie,
-            at,
-            via_tor,
-        });
         self.telemetry.count("webmail.hijacks");
         self.telemetry
             .trace_with(at.as_secs(), "hijack", Some(account.0), || {
@@ -730,8 +719,6 @@ impl WebmailService {
         let acct = &mut self.accounts[account.0 as usize];
         if acct.state.is_active() {
             acct.state = AccountState::Blocked { at };
-            self.events
-                .push(WebmailEvent::AccountBlocked { account, at });
             self.telemetry.count("webmail.blocks");
             self.telemetry.trace(at.as_secs(), "block", Some(account.0));
         }
@@ -906,7 +893,6 @@ mod tests {
             .unwrap();
 
         let events = svc.drain_events();
-        assert!(matches!(events[0], WebmailEvent::LoginSucceeded { .. }));
         assert!(events
             .iter()
             .any(|e| matches!(e, WebmailEvent::EmailOpened { email, .. } if *email == EmailId(2))));
@@ -1059,10 +1045,6 @@ mod tests {
             ),
             Err(LoginError::AccountBlocked)
         );
-        assert!(svc
-            .drain_events()
-            .iter()
-            .any(|e| matches!(e, WebmailEvent::AccountBlocked { account, .. } if *account == id)));
     }
 
     #[test]

@@ -52,7 +52,7 @@ use pwnd_analysis::stream::OverviewBuilder;
 use pwnd_analysis::tables::Overview;
 use pwnd_core::fleet::{run_fleet_shards, FleetConfig, ShardSpec};
 use pwnd_core::hash::Sha256;
-use pwnd_monitor::export::{self, record_tag, tags, DatasetWriter, Record, RECORD_TAGS};
+use pwnd_monitor::export::{self, record_tag, DatasetWriter, Record, RecordTag};
 use pwnd_telemetry::{Table, TelemetryReport, TelemetrySink};
 use std::fs::{self, File};
 use std::io::{self, BufReader, Write};
@@ -314,11 +314,10 @@ pub fn run_fleet_store(cfg: &FleetConfig, dir: &Path) -> io::Result<StoreRun> {
 /// of an uninterrupted in-memory run at the same seed/config. Walks
 /// the shard files once per record kind in shard order, copying raw
 /// lines — peak memory is one line. Returns records written.
-// lint:jsonl-consume
 pub fn merge_store_jsonl<W: Write>(dir: &Path, mut out: W) -> io::Result<u64> {
     let store = VerifiedStore::open(dir)?;
     let mut written = 0u64;
-    for tag in RECORD_TAGS {
+    for tag in RecordTag::ALL {
         store.for_each_line(|_, _, line| {
             if record_tag(line) == Some(tag) {
                 out.write_all(line.as_bytes())?;
@@ -336,10 +335,9 @@ pub fn merge_store_jsonl<W: Write>(dir: &Path, mut out: W) -> io::Result<u64> {
 /// materializing the dataset: after [`VerifiedStore::open`]'s hash pass,
 /// one pass over every shard file decodes its account and access
 /// records.
-// lint:jsonl-consume
 pub fn store_overview(dir: &Path) -> io::Result<Overview> {
     let store = VerifiedStore::open(dir)?;
-    overview_of(|f| store.for_each_record(&[tags::ACCOUNT, tags::ACCESS], f))
+    overview_of(|f| store.for_each_record(&[RecordTag::Account, RecordTag::Access], f))
 }
 
 /// The §4.1 overview of a JSONL dataset file, such as a merged store,
@@ -349,7 +347,7 @@ pub fn jsonl_overview(path: &Path) -> io::Result<Overview> {
     let name = path.display().to_string();
     let file = File::open(path)
         .map_err(|e| io::Error::new(e.kind(), format!("cannot read {name}: {e}")))?;
-    overview_of(|f| export::for_each_record(&name, BufReader::new(file), &RECORD_TAGS, f))
+    overview_of(|f| export::for_each_record(&name, BufReader::new(file), &RecordTag::ALL, f))
 }
 
 /// Feed the records `read` yields into one [`OverviewBuilder`].

@@ -1,9 +1,16 @@
-//! Output goldens for the quick run in the forms no other golden pins:
-//! the sha256 of `dataset_json()` and of `analysis().render()` for
-//! `ExperimentConfig::quick(2016)` as is, with decoys seeded, with the
-//! activist archetype, under `FaultProfile::heavy()`, and with the
-//! provider's login filter enabled.
+//! The fixed outputs, pinned: the seed-2016 paper run's dataset and
+//! report, the `/v1` bodies of the 300-account fleet store, and the
+//! quick run's dataset and report in the forms no other golden pins.
 //!
+//! The paper-run sha256 are the ones `pwndbench`'s `paper_run` checks,
+//! recorded from the same program. The `/v1` bodies are the files under
+//! `tests/golden/serve/`, which CI also compares with what the release
+//! binary serves from `pwnd fleet --accounts 300`.
+//!
+//! The quick-run pins are the sha256 of `dataset_json()` and of
+//! `analysis().render()` for `ExperimentConfig::quick(2016)` as is, with
+//! decoys seeded, with the activist archetype, under
+//! `FaultProfile::heavy()`, and with the provider's login filter enabled.
 //! The first three pairs were recorded before the corpus generator began
 //! counting TF-IDF's `d_A` from its own draws and before filler words
 //! were sampled from a guide table, so they pin that neither change moved
@@ -14,9 +21,16 @@
 //! handling. A change that means to alter the corpus, the analysis or
 //! the monitor updates them and says why.
 
+use pwnd::core::fleet::FleetConfig;
 use pwnd::core::hash::Sha256;
 use pwnd::corpus::Archetype;
+use pwnd::serve::{QueryIndex, ServeOptions, Server};
+use pwnd::store::run_fleet_store;
 use pwnd::{Experiment, ExperimentConfig, FaultProfile};
+use std::fs;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 
 /// Run `config` and return the sha256 of its dataset JSON and of its
 /// rendered analysis.
@@ -26,6 +40,65 @@ fn shas(config: ExperimentConfig) -> (String, String) {
         Sha256::digest_hex(out.dataset_json().as_bytes()),
         Sha256::digest_hex(out.analysis().render().as_bytes()),
     )
+}
+
+#[test]
+fn paper_run_outputs_are_pinned() {
+    let (dataset, report) = shas(ExperimentConfig::paper(2016));
+    assert_eq!(
+        dataset,
+        "33c4e953acdef7a1446be32dbcfc118a372911a2de987b7f3c9ab0addd374387"
+    );
+    assert_eq!(
+        report,
+        "e31da7bfb9afb523e612da7b73cd96a734ea87907516994d56ed584d0b8220dc"
+    );
+}
+
+/// `GET path` over one `Connection: close` request: the body of a 200.
+fn get(addr: SocketAddr, path: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect to the daemon");
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").expect("a full head");
+    assert!(head.starts_with("HTTP/1.1 200 "), "{path}: {head}");
+    body.to_string()
+}
+
+#[test]
+fn v1_bodies_of_the_300_account_store_are_pinned() {
+    // What CI's `pwnd fleet --accounts 300 --out-dir smoke-store` builds.
+    let dir = std::env::temp_dir().join(format!("pwnd-goldens-{}-v1", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    run_fleet_store(&FleetConfig::new(2016, 300, 1), &dir).unwrap();
+    let index = Arc::new(QueryIndex::from_store(&dir).unwrap());
+    let server = Server::bind("127.0.0.1:0", index, ServeOptions::default()).unwrap();
+    for (path, golden) in [
+        ("/v1/healthz", include_str!("golden/serve/healthz.json")),
+        ("/v1/stats", include_str!("golden/serve/stats.json")),
+        ("/v1/outlets", include_str!("golden/serve/outlets.json")),
+        (
+            "/v1/account/0/timeline",
+            include_str!("golden/serve/account-0-timeline.json"),
+        ),
+        (
+            "/v1/account/0/accesses",
+            include_str!("golden/serve/account-0-accesses.json"),
+        ),
+        (
+            "/v1/range/8B3DA",
+            include_str!("golden/serve/range-8B3DA.json"),
+        ),
+    ] {
+        assert_eq!(get(server.addr(), path), golden, "{path}");
+    }
+    server.shutdown();
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

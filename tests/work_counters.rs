@@ -18,10 +18,11 @@ use std::cell::Cell;
 
 /// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) one
 /// untraced `ExperimentConfig::quick(2016)` run may make. Measured at
-/// exactly 25,866 under the `cargo test` (debug) profile with rustc
-/// 1.95.0, once the notification collector's dedup and heartbeat
-/// indexes were per-account vectors; the ceiling is that count plus
-/// 235. It was 27,005 while they were B-trees, 31,879 while each draw near a point, each geolocation and each
+/// exactly 22,824 under the `cargo test` (debug) profile with rustc
+/// 1.95.0, once the service stopped queueing login, password-change and
+/// block events that nothing read; the ceiling is that count plus 235.
+/// It was 25,866 while it queued them, 27,005 while the notification
+/// collector's dedup and heartbeat indexes were B-trees, 31,879 while each draw near a point, each geolocation and each
 /// search collected them again, 34,665 while every body was text and
 /// each mailbox formatted its peers' full names, 34,608 while the
 /// lookup-only maps and sets were hash tables (a B-tree allocates a
@@ -29,31 +30,34 @@ use std::cell::Cell;
 /// while each send and draft copied its sender and built two strings
 /// for the extortion check, and 48,826 while each send built an owned
 /// email and each open copied one out.
-const ALLOC_CEILING: u64 = 26_101;
+const ALLOC_CEILING: u64 = 23_059;
 
 /// The same for one untraced `ExperimentConfig::paper(2016)` run:
-/// measured at exactly 33,271, ceiling that count plus 141. It was
-/// 35,518 with B-tree collector indexes, 41,145 with city pools and piece masks built per draw and search,
+/// measured at exactly 27,998, ceiling that count plus 141. It was
+/// 33,271 with login, password-change and block events queued, 35,518
+/// with B-tree collector indexes, 41,145 with city pools and piece masks built per draw and search,
 /// 43,909 with text bodies and formatted peer names, 43,690 with hash
 /// tables for the lookup-only maps and sets, 49,253 with a sender copy
 /// and two check strings per send, 57,774 with owned copies per send
 /// and open, and 215,795 while every seeded email held its own strings.
-const PAPER_ALLOC_CEILING: u64 = 33_412;
+const PAPER_ALLOC_CEILING: u64 = 28_139;
 
 /// Allocations one `ExperimentConfig::quick(2016)` run may make with
-/// `TelemetrySink::enabled()` attached: measured at exactly 62,604
+/// `TelemetrySink::enabled()` attached: measured at exactly 59,562
 /// under the same profile and toolchain, ceiling that count plus 557.
-/// It was 63,743 with B-tree collector indexes. The 36,738 beyond the
+/// It was 62,604 with login, password-change and block events queued,
+/// and 63,743 with B-tree collector indexes. The 36,738 beyond the
 /// untraced run are the trace events, metric keys and span nodes the
 /// live sink records; the untraced ceilings never count them, so
 /// trace-only allocation is held here.
-const TRACED_ALLOC_CEILING: u64 = 63_161;
+const TRACED_ALLOC_CEILING: u64 = 60_119;
 
 /// The same for one traced `ExperimentConfig::paper(2016)` run:
-/// measured at exactly 94,377, ceiling that count plus 776; it was
+/// measured at exactly 89,104, ceiling that count plus 776; it was
+/// 94,377 with login, password-change and block events queued, and
 /// 96,624 with B-tree collector indexes. The 61,106 beyond the untraced
 /// run are what ROADMAP item 2 sets out to cut.
-const TRACED_PAPER_ALLOC_CEILING: u64 = 95_153;
+const TRACED_PAPER_ALLOC_CEILING: u64 = 89_880;
 
 thread_local! {
     /// Whether allocations on this thread are being counted. Only the
