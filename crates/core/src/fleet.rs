@@ -29,20 +29,20 @@
 //! ## Memory
 //!
 //! Shards are mapped in-worker ([`Runner::run_map`]) down to what the
-//! sink keeps; the mailboxes, corpus text and ground truth never
+//! sink keeps; the mailboxes, corpus text, ground truth and trace never
 //! survive the worker. The in-memory fleet holds the merged dataset
-//! and, with telemetry on, one report per shard, so its memory grows
-//! with the fleet; the store holds only the shards in flight. Memory
-//! is measured from outside the program (the process's peak RSS, as
-//! `pwndbench` reports it), never counted here, so the summary table
-//! stays a pure function of the config.
+//! and, with telemetry on, each shard's metrics and span tree, so its
+//! memory grows with the fleet; the store holds only the shards in
+//! flight. Memory is measured from outside the program (the process's
+//! peak RSS, as `pwndbench` reports it), never counted here, so the
+//! summary table stays a pure function of the config.
 
 use crate::config::ExperimentConfig;
 use crate::runner::Runner;
 use pwnd_leak::plan::LeakPlan;
 use pwnd_monitor::dataset::Dataset;
 use pwnd_monitor::export::DatasetWriter;
-use pwnd_telemetry::{Table, TelemetryReport, TelemetrySink};
+use pwnd_telemetry::{Json, Table, TelemetryReport, TelemetrySink};
 use std::io::{self, Write};
 use std::sync::Mutex;
 
@@ -168,9 +168,9 @@ pub struct FleetOutput {
     /// Merged telemetry: per-shard reports (when enabled) plus the
     /// always-on `fleet.*` gauges.
     pub telemetry: TelemetryReport,
-    /// Each shard's own run report, in shard order, without the
-    /// in-process `runner.*` / `fleet.*` series. Empty reports unless
-    /// telemetry was enabled.
+    /// Each shard's own metrics and span tree, in shard order, without
+    /// the in-process `runner.*` / `fleet.*` series, and no trace.
+    /// Empty reports unless telemetry was enabled.
     pub shard_reports: Vec<TelemetryReport>,
     /// Total honey accounts simulated.
     pub accounts: u32,
@@ -198,14 +198,20 @@ impl FleetOutput {
         Ok(written)
     }
 
-    /// Write [`Self::shard_reports`] as JSON Lines into `out`, one
-    /// report per shard in shard order, returning the lines written.
-    /// Re-merging the lines (`TelemetryReport::merge` over
-    /// `TelemetryReport::from_json_line`) is what `pwnd profile
-    /// --input` does with a `--telemetry-out` file.
+    /// Write each shard's span tree as JSON Lines into `out`, one
+    /// `{"schema":"pwnd-telemetry/1","spans":[…]}` line per shard in
+    /// shard order, returning the lines written. `pwnd profile --input`
+    /// folds the lines back into the shards' merged span tree.
     pub fn write_telemetry_jsonl<W: Write>(&self, mut out: W) -> io::Result<u64> {
         for report in &self.shard_reports {
-            out.write_all(report.to_json_line().as_bytes())?;
+            let line = Json::Obj(vec![
+                (
+                    "schema".to_string(),
+                    Json::Str("pwnd-telemetry/1".to_string()),
+                ),
+                ("spans".to_string(), report.spans.to_json()),
+            ]);
+            out.write_all(line.compact().as_bytes())?;
             out.write_all(b"\n")?;
         }
         out.flush()?;
@@ -284,8 +290,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetOutput {
 pub struct ShardRun<T> {
     /// `on_shard`'s result per spec, in spec order.
     pub outputs: Vec<T>,
-    /// Each shard's own run report, in spec order (empty reports unless
-    /// [`FleetConfig::telemetry`] is on).
+    /// Each shard's own metrics and span tree, in spec order (empty
+    /// reports unless [`FleetConfig::telemetry`] is on).
     pub shard_reports: Vec<TelemetryReport>,
     /// Merged batch telemetry: the shard reports plus the `runner.*`
     /// series and spans.
@@ -374,6 +380,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pwnd_telemetry::SpanTreeSnapshot;
 
     #[test]
     fn shard_sizes_cover_the_population() {
@@ -421,23 +428,38 @@ mod tests {
             .write_telemetry_jsonl(&mut buf)
             .expect("in-memory write cannot fail");
         let text = String::from_utf8(buf).expect("JSONL is UTF-8");
-        let parsed: Vec<TelemetryReport> = text
+        let parsed: Vec<SpanTreeSnapshot> = text
             .lines()
-            .map(|l| TelemetryReport::from_json_line(l).expect("valid report line"))
+            .map(|l| {
+                let json = Json::parse(l).expect("valid JSON line");
+                // A line holds the schema and the span tree, nothing more.
+                let Json::Obj(fields) = &json else {
+                    panic!("line is an object: {l}");
+                };
+                let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(keys, ["schema", "spans"]);
+                SpanTreeSnapshot::from_json(&fields[1].1).expect("valid span tree")
+            })
             .collect();
-        // One line per shard, each the shard's own report, in shard order.
+        // One line per shard, each the shard's own span tree, in shard
+        // order; span trees, roots (the phases) included, survive exactly.
         assert_eq!(written, 3);
-        assert_eq!(parsed, out.shard_reports);
-        // Span trees, roots (the phases) included, survive exactly.
-        for (a, b) in parsed.iter().zip(&out.shard_reports) {
-            assert_eq!(a.spans, b.spans);
-        }
-        let merged = TelemetryReport::merge(&parsed);
-        assert!(merged.counter("webmail.logins") > 0);
-        assert!(!merged.spans.is_empty());
-        // The written view has no in-process-only series.
-        assert_eq!(merged.metrics.gauge("fleet.accounts"), 0);
-        assert_eq!(merged.counter("runner.runs"), 0);
+        let shard_spans: Vec<&SpanTreeSnapshot> =
+            out.shard_reports.iter().map(|r| &r.spans).collect();
+        assert_eq!(parsed.iter().collect::<Vec<_>>(), shard_spans);
+        assert!(parsed.iter().all(|s| !s.is_empty()));
+        // The shard reports hold each shard's metrics and no trace, and
+        // the fleet's merge sums them; the in-process-only series stay
+        // out of the shard reports.
+        let shards = TelemetryReport::merge(&out.shard_reports);
+        assert!(out.shard_reports.iter().all(|r| r.trace.is_empty()));
+        assert!(shards.counter("webmail.logins") > 0);
+        assert_eq!(
+            out.telemetry.counter("webmail.logins"),
+            shards.counter("webmail.logins")
+        );
+        assert_eq!(shards.metrics.gauge("fleet.accounts"), 0);
+        assert_eq!(shards.counter("runner.runs"), 0);
     }
 
     #[test]

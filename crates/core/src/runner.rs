@@ -21,11 +21,13 @@
 //!    are read out by index. Scheduling therefore reorders execution,
 //!    never output.
 //! 3. Telemetry is merged post hoc by [`TelemetryReport::merge`], whose
-//!    rules (sum counters, max gauges, interleave traces by sim time
-//!    then submission index) depend only on the per-run reports and the
-//!    submission order — not on which worker produced them. Wall-clock
-//!    span timings are the one scheduling-dependent artifact, and those
-//!    are excluded from report equality by design.
+//!    rules (sum counters and histograms, max gauges, fold span trees by
+//!    path) are order-free and depend only on the per-run reports — not
+//!    on which worker produced them. A trace belongs to one run: the
+//!    per-run reports a batch keeps hold metrics and spans, no trace, so
+//!    no rule orders trace events. Wall-clock span timings are the one
+//!    scheduling-dependent artifact, and those are excluded from report
+//!    equality by design.
 //!
 //! `runner_is_schedule_invariant` below proves the contract rather than
 //! asserting it: same batch, 1 job vs many, byte-identical datasets and
@@ -49,16 +51,17 @@ pub struct Runner {
 
 /// What a batch produced: one value per run in submission order — the
 /// [`RunOutput`] itself from [`Runner::run_all`], or whatever
-/// [`Runner::run_map`]'s `map` made of it — plus each run's telemetry
-/// report and their merge (empty unless the runner was built
-/// [`Runner::with_telemetry`]).
+/// [`Runner::run_map`]'s `map` made of it — plus each run's metrics and
+/// span tree and their merge (empty unless the runner was built
+/// [`Runner::with_telemetry`]). No report here holds a trace; a caller
+/// that wants one reads [`RunOutput::telemetry_report`].
 pub struct Batch<T = RunOutput> {
     /// One value per submitted config, in submission order.
     pub outputs: Vec<T>,
-    /// Each run's own telemetry report, in submission order: what
+    /// Each run's own metrics and span tree, in submission order: what
     /// `telemetry` merged, without the runner's series and spans.
     pub reports: Vec<TelemetryReport>,
-    /// Merged telemetry: per-run metrics and traces combined by
+    /// Merged telemetry: per-run metrics and span trees combined by
     /// [`TelemetryReport::merge`], plus the runner's own `runner.*`
     /// series and root spans.
     pub telemetry: TelemetryReport,
@@ -176,8 +179,9 @@ impl Runner {
     /// dropping the rest of each output while the batch is still
     /// running.
     ///
-    /// Each run's telemetry is snapshotted before `map` sees the output
-    /// and lands in [`Batch::reports`]. Ordering contract is identical
+    /// Each run's metrics and span tree are snapshotted before `map`
+    /// sees the output and land in [`Batch::reports`]; its trace stays
+    /// with the output. Ordering contract is identical
     /// to [`Runner::run_all`]: results and reports land in submission
     /// order whatever the schedule.
     pub fn run_map<T, F>(&self, configs: Vec<ExperimentConfig>, map: F) -> Batch<T>
@@ -222,13 +226,11 @@ impl Runner {
             .unzip();
 
         let telemetry = if self.telemetry {
-            // Merge order is pure submission order: run reports first
-            // (by index), then the workers' runner-span reports (by
-            // worker index), then the batch-level report. Only span
-            // wall-clocks differ between schedules, and those are
-            // excluded from report equality.
+            // The merge is order-free; only span wall-clocks differ
+            // between schedules, and those are excluded from report
+            // equality.
             reports.extend(worker_reports);
-            reports.push(batch_sink.report());
+            reports.push(batch_sink.report_without_trace());
             let merged = TelemetryReport::merge(&reports);
             reports.truncate(n);
             merged
@@ -253,9 +255,9 @@ impl Runner {
     }
 
     /// One worker: pull the next submitted config, run it, snapshot its
-    /// telemetry, map it, park the result in its submission slot; repeat
-    /// until the queue drains. Returns the worker's runner-span report
-    /// (queue waits, per-run wall-clock).
+    /// metrics and spans, map it, park the result in its submission
+    /// slot; repeat until the queue drains. Returns the worker's
+    /// runner-span report (queue waits, per-run wall-clock).
     fn worker_loop<T, F>(
         &self,
         queue: &Mutex<VecDeque<(usize, ExperimentConfig)>>,
@@ -282,18 +284,14 @@ impl Runner {
             let output = Experiment::new(config).with_telemetry(self.sink()).run();
             drop(run_span);
             // Snapshot before mapping: `map` may drop the output's sink.
-            let report = if self.telemetry {
-                output.telemetry_report()
-            } else {
-                TelemetryReport::default()
-            };
+            let report = output.telemetry.report_without_trace();
             let mapped = map(index, output);
             let mut slots = slots
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             slots[index] = Some((mapped, report));
         }
-        worker_sink.report()
+        worker_sink.report_without_trace()
     }
 }
 
@@ -383,9 +381,13 @@ mod tests {
                 .with_telemetry(true)
                 .run_map(quick_configs(50..54), |_, o| o.telemetry_report());
             assert_eq!(batch.reports.len(), 4);
-            // Each report is the snapshot of the run in its own slot.
+            // Each report is the metrics and span tree of the run in its
+            // own slot; the trace stays with the run's output.
             for (i, (mapped, report)) in batch.outputs.iter().zip(&batch.reports).enumerate() {
-                assert_eq!(mapped, report, "slot {i}");
+                assert_eq!(mapped.metrics, report.metrics, "slot {i}");
+                assert_eq!(mapped.spans.structure(), report.spans.structure());
+                assert!(!mapped.trace.is_empty(), "slot {i}");
+                assert!(report.trace.is_empty(), "slot {i}");
             }
             batch.reports
         };

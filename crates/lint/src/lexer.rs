@@ -2,11 +2,12 @@
 //!
 //! The build environment has no crates.io access, so there is no `syn`;
 //! instead this scanner produces a flat token stream with line numbers,
-//! skipping string/char literals (so `"Instant::now"` inside a string is
-//! not a finding) and collecting comments separately (so `lint:allow`
-//! directives can be parsed out of them). Consecutive identifiers joined
-//! by `::` are merged into a single path token (`std::time::Instant`),
-//! which is what the rules match against.
+//! reducing string/char literals to body-less tokens (so
+//! `"Instant::now"` inside a string is not a finding) and collecting
+//! comments separately (so `lint:allow` directives can be parsed out of
+//! them). Consecutive identifiers joined by `::` are merged into a single
+//! path token (`std::time::Instant`), which is what the rules match
+//! against.
 
 /// What a token is.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -18,12 +19,9 @@ pub enum TokenKind {
     /// that is *not* followed by an identifier (turbofish) is emitted as
     /// two `:` puncts.
     Punct(char),
-    /// A char, byte, or numeric literal (content dropped).
+    /// A char, byte, numeric or string (regular, raw, or byte) literal,
+    /// its content dropped: no rule matches inside a literal.
     Lit,
-    /// A string literal (regular, raw, or byte), with its uninterpreted
-    /// body. Rules never match identifiers against this, but the
-    /// workspace string registry (record tags, metric names) reads it.
-    Str(String),
 }
 
 /// One lexed token.
@@ -47,14 +45,6 @@ impl Token {
     /// Whether this token is the given punctuation character.
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct(c)
-    }
-
-    /// The body of a string literal, if this token is one.
-    pub fn str_lit(&self) -> Option<&str> {
-        match &self.kind {
-            TokenKind::Str(s) => Some(s),
-            _ => None,
-        }
     }
 }
 
@@ -146,30 +136,27 @@ pub fn lex(src: &str) -> Lexed {
             }
             '"' => {
                 let start_line = line;
-                let start = i + 1;
                 i = skip_string(&b, i, &mut line);
                 out.tokens.push(Token {
                     line: start_line,
-                    kind: TokenKind::Str(string_body(&b, start, i)),
+                    kind: TokenKind::Lit,
                 });
             }
             'r' | 'b' if raw_string_start(&b, i).is_some() => {
                 let start_line = line;
                 let (body_start, hashes) = raw_string_start(&b, i).unwrap_or((i + 1, 0));
                 i = skip_raw_string(&b, body_start, hashes, &mut line);
-                let end = i.saturating_sub(1 + hashes).max(body_start);
                 out.tokens.push(Token {
                     line: start_line,
-                    kind: TokenKind::Str(b[body_start..end.min(b.len())].iter().collect()),
+                    kind: TokenKind::Lit,
                 });
             }
             'b' if b.get(i + 1) == Some(&'"') => {
                 let start_line = line;
-                let start = i + 2;
                 i = skip_string(&b, i + 1, &mut line);
                 out.tokens.push(Token {
                     line: start_line,
-                    kind: TokenKind::Str(string_body(&b, start, i)),
+                    kind: TokenKind::Lit,
                 });
             }
             'b' if b.get(i + 1) == Some(&'\'') => {
@@ -291,15 +278,6 @@ fn skip_raw_string(b: &[char], mut i: usize, hashes: usize, line: &mut u32) -> u
     i
 }
 
-/// The body of a plain string literal given the index past its opening
-/// quote and the index past its closing quote. Escapes are kept verbatim
-/// (`\n` stays two chars): the registry matches identifier-like tag and
-/// metric names, which never contain escapes.
-fn string_body(b: &[char], start: usize, past_close: usize) -> String {
-    let end = past_close.saturating_sub(1).max(start);
-    b[start..end.min(b.len())].iter().collect()
-}
-
 /// Skip a `"…"` string starting at the opening quote; returns the index
 /// past the closing quote.
 fn skip_string(b: &[char], start: usize, line: &mut u32) -> usize {
@@ -354,35 +332,40 @@ mod tests {
     #[test]
     fn strings_and_chars_are_opaque() {
         let toks = lex(r#"let x = "Instant::now"; let c = 'a'; let l: &'static str = y;"#);
+        // A string's contents never lex as identifiers.
+        assert_eq!(idents(r#"let x = "Instant::now";"#), vec!["let", "x"]);
         assert!(toks
             .tokens
             .iter()
             .all(|t| t.ident() != Some("Instant::now")));
-        // Lifetimes vanish; char literals are Lit.
-        assert!(toks.tokens.iter().any(|t| t.kind == TokenKind::Lit));
-        // The string body is preserved for the registry, as a Str token
-        // that no identifier rule can match.
-        assert!(toks
-            .tokens
-            .iter()
-            .any(|t| t.str_lit() == Some("Instant::now")));
+        // Lifetimes vanish; string and char literals are body-less Lits.
+        let lits = toks.tokens.iter().filter(|t| t.kind == TokenKind::Lit);
+        assert_eq!(lits.count(), 2);
+        assert_eq!(
+            idents(r##"f(r#"HashMap"#, b"thread_rng", 'x'); g"##),
+            vec!["f", "g"]
+        );
     }
 
     #[test]
     fn string_bodies_are_captured() {
-        let l = lex(r##"w.line("access"); let raw = r#"tag"#; let by = b"gap";"##);
-        let strs: Vec<&str> = l.tokens.iter().filter_map(Token::str_lit).collect();
-        assert_eq!(strs, vec!["access", "tag", "gap"]);
-        // A multi-line string is attributed to its starting line.
-        let l = lex("let s = \"a\nb\";\nnext");
-        assert_eq!(
-            l.tokens.iter().find_map(|t| t.str_lit().map(|_| t.line)),
-            Some(1)
-        );
-        assert_eq!(
-            l.tokens.iter().filter_map(Token::str_lit).next(),
-            Some("a\nb")
-        );
+        // A string body, however many lines it spans, is captured in one
+        // literal token on the string's first line; what follows it is
+        // lexed on its own line.
+        let l = lex("let s = \"a\nHashMap\nb\";\nnext");
+        let lits: Vec<u32> = l
+            .tokens
+            .iter()
+            .filter(|t| t.kind == TokenKind::Lit)
+            .map(|t| t.line)
+            .collect();
+        assert_eq!(lits, vec![1]);
+        let next = l.tokens.iter().find(|t| t.ident() == Some("next"));
+        assert_eq!(next.map(|t| t.line), Some(4));
+        assert!(l.tokens.iter().all(|t| t.ident() != Some("HashMap")));
+        let raw = lex("let s = r#\"x\ny\"#; z");
+        let z = raw.tokens.iter().find(|t| t.ident() == Some("z"));
+        assert_eq!(z.map(|t| t.line), Some(2));
     }
 
     #[test]

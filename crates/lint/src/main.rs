@@ -88,13 +88,7 @@ fn main() -> ExitCode {
         }
     };
     if args.list_rules {
-        for r in pwnd_lint::ALL_RULES {
-            println!(
-                "{:<13} {}",
-                r.id,
-                r.summary.split_whitespace().collect::<Vec<_>>().join(" ")
-            );
-        }
+        print!("{}", pwnd_lint::rules::rule_list());
         return ExitCode::SUCCESS;
     }
     let root = match args.root.clone().or_else(|| {

@@ -91,6 +91,19 @@ pub const ALL_RULES: &[RuleMeta] = &[
     },
 ];
 
+/// The `--list-rules` text: one line per rule, its id padded to the
+/// longest id in [`ALL_RULES`] so every summary starts in one column,
+/// and its summary on one line.
+pub fn rule_list() -> String {
+    let width = ALL_RULES.iter().map(|r| r.id.len()).max().unwrap_or(0);
+    let mut out = String::new();
+    for r in ALL_RULES {
+        let summary = r.summary.split_whitespace().collect::<Vec<_>>().join(" ");
+        out.push_str(&format!("{:<width$}  {summary}\n", r.id));
+    }
+    out
+}
+
 /// Look up a rule id.
 pub fn is_known_rule(id: &str) -> bool {
     ALL_RULES.iter().any(|r| r.id == id)
@@ -179,5 +192,19 @@ mod tests {
         ));
         assert!(is_known_rule("hash-order"));
         assert!(!is_known_rule("made-up"));
+    }
+
+    #[test]
+    fn rule_list_starts_every_summary_in_one_column() {
+        let list = rule_list();
+        let lines: Vec<&str> = list.lines().collect();
+        assert_eq!(lines.len(), ALL_RULES.len());
+        let longest = ALL_RULES.iter().map(|r| r.id.len()).max().unwrap();
+        for (line, rule) in lines.iter().zip(ALL_RULES) {
+            let (id, summary) = line.split_at(longest + 2);
+            assert_eq!(id.trim_end(), rule.id, "{line}");
+            assert!(summary.starts_with(|c: char| !c.is_whitespace()), "{line}");
+            assert!(summary.starts_with(rule.summary.split_whitespace().next().unwrap()));
+        }
     }
 }

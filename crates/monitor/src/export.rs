@@ -20,7 +20,8 @@
 
 use crate::dataset::{AccountRecord, Dataset, GapRecord, ParsedAccess};
 use pwnd_telemetry::json::{Json, JsonError};
-use std::io::{self, BufRead, Read, Write};
+use pwnd_telemetry::jsonl::{self, line_error};
+use std::io::{self, BufRead, Write};
 
 /// The kind of one JSONL record line, written as its `"record"` tag.
 /// [`DatasetWriter`] writes one tag per kind and [`decode_record`]
@@ -343,35 +344,19 @@ impl<'a> Compact<'a> {
     }
 }
 
-/// Longest JSONL line the reader accepts, in bytes before its `\n`. The
-/// longest written lines measure under 1 KiB, and a line is held whole
-/// in memory, so the cap bounds what one line of an outside file takes.
-pub const MAX_LINE_BYTES: usize = 1 << 20;
+pub use pwnd_telemetry::jsonl::MAX_LINE_BYTES;
 
-/// The one JSONL line reader: call `f(1-based line number, line)` for
-/// every line of `reader`, endings stripped as [`BufRead::lines`] strips
-/// them and blank lines included. A line longer than [`MAX_LINE_BYTES`],
-/// non-UTF-8 bytes, and a non-blank line without a tag from
-/// [`RecordTag::ALL`] are errors naming `name` and the line. Peak memory is
-/// one line, in one reused buffer.
+/// The dataset stream's line reader: [`jsonl::for_each_line`], which
+/// refuses a line longer than [`MAX_LINE_BYTES`] and non-UTF-8 bytes,
+/// plus one check of its own: a non-blank line without a tag from
+/// [`RecordTag::ALL`] is an error too. Each error names `name` and the
+/// line. Peak memory is one line, in one reused buffer.
 pub fn for_each_line(
     name: &str,
-    mut reader: impl BufRead,
+    reader: impl BufRead,
     mut f: impl FnMut(usize, &str) -> io::Result<()>,
 ) -> io::Result<()> {
-    let mut buf = Vec::new();
-    let limit = MAX_LINE_BYTES as u64 + 1;
-    for lineno in 1.. {
-        buf.clear();
-        if reader.by_ref().take(limit).read_until(b'\n', &mut buf)? == 0 {
-            break;
-        }
-        let line = buf.strip_suffix(b"\n");
-        if line.is_none() && buf.len() > MAX_LINE_BYTES {
-            return Err(line_error(name, lineno, "line longer than 1 MiB"));
-        }
-        let line = line.map_or(&*buf, |l| l.strip_suffix(b"\r").unwrap_or(l));
-        let line = std::str::from_utf8(line).map_err(|_| line_error(name, lineno, "not UTF-8"))?;
+    jsonl::for_each_line(name, reader, |lineno, line| {
         if record_tag(line).is_none() && !line.trim().is_empty() {
             let what = format!(
                 "no record tag from {:?}",
@@ -379,16 +364,8 @@ pub fn for_each_line(
             );
             return Err(line_error(name, lineno, &what));
         }
-        f(lineno, line)?;
-    }
-    Ok(())
-}
-
-fn line_error(name: &str, lineno: usize, what: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("{name}: line {lineno}: {what}"),
-    )
+        f(lineno, line)
+    })
 }
 
 /// Every record of the given `kinds` in `reader`, in stream order,
@@ -426,6 +403,7 @@ pub fn read_jsonl(name: &str, reader: impl BufRead) -> io::Result<Dataset> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     fn sample() -> Dataset {
         Dataset {

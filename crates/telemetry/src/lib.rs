@@ -28,8 +28,14 @@
 //! `crates/core` has a test proving the exported dataset is
 //! byte-identical either way.
 //!
+//! A trace belongs to one run: [`TelemetryReport::merge`] combines
+//! metrics and span trees, never traces.
+//!
 //! The crate sits below `pwnd-sim` in the dependency order, so it speaks
-//! raw `u64` seconds rather than `SimTime` and has no dependencies.
+//! raw `u64` seconds rather than `SimTime` and has no dependencies. That
+//! makes it the home of the pieces every layer shares: the [`json`]
+//! codec, the [`Table`] renderer and the capped JSON Lines reader
+//! [`jsonl::for_each_line`].
 //!
 //! ```
 //! use pwnd_telemetry::TelemetrySink;
@@ -42,6 +48,7 @@
 //! ```
 
 pub mod json;
+pub mod jsonl;
 pub mod metrics;
 pub mod report;
 pub mod sink;

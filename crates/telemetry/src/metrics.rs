@@ -99,25 +99,6 @@ impl Histogram {
     pub fn max(&self) -> u64 {
         self.max
     }
-
-    /// Rebuild a histogram from its serialized parts (the inverse of
-    /// reading [`buckets`](Histogram::buckets) and the accessors) —
-    /// used by the telemetry JSON round trip.
-    pub fn from_parts(
-        buckets: impl IntoIterator<Item = (u32, u64)>,
-        count: u64,
-        sum: u64,
-        min: u64,
-        max: u64,
-    ) -> Histogram {
-        Histogram {
-            buckets: buckets.into_iter().collect(),
-            count,
-            sum,
-            min,
-            max,
-        }
-    }
 }
 
 /// Condensed view of one histogram.

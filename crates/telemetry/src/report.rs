@@ -1,11 +1,9 @@
 //! Point-in-time reports: what a run recorded, rendered for humans.
 
-use crate::json::Json;
-use crate::metrics::{Histogram, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::spantree::{SpanNode, SpanTreeSnapshot};
 use crate::table::Table;
 use crate::trace::TraceEvent;
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Everything a sink recorded, frozen at one instant.
@@ -58,41 +56,21 @@ impl TelemetryReport {
     ///
     /// * **counters** and **histograms** sum (order-free combinators);
     /// * **gauges** keep the highest value (high-water semantics);
-    /// * **traces** are interleaved by `(t_secs, input index)` — each
-    ///   input's trace is already time-ordered, so a stable k-way merge
-    ///   keyed on sim time with the submission index as tie-break gives
-    ///   one canonical stream, independent of which thread ran what;
     /// * **span trees** fold by path — totals and counts add, sim
     ///   ranges widen — an order-free, associative combinator like the
     ///   metric merges.
     ///
-    /// Because every rule depends only on the inputs and their submission
-    /// order — never on thread scheduling — the merged report for a batch
-    /// is itself a pure function of `(seeds, configs)`.
+    /// Traces are not merged: a trace belongs to one run, so the merged
+    /// report holds none. Every rule is order-free and depends only on
+    /// the inputs — never on thread scheduling — so the merged report
+    /// for a batch is itself a pure function of `(seeds, configs)`.
     pub fn merge(reports: &[TelemetryReport]) -> TelemetryReport {
-        let mut metrics = MetricsSnapshot::default();
-        let mut trace_dropped = 0u64;
-        let mut spans = SpanTreeSnapshot::default();
+        let mut merged = TelemetryReport::default();
         for r in reports {
-            metrics.merge_from(&r.metrics);
-            trace_dropped += r.trace_dropped;
-            spans.merge_from(&r.spans);
+            merged.metrics.merge_from(&r.metrics);
+            merged.spans.merge_from(&r.spans);
         }
-        // Stable k-way interleave: tag with (t_secs, input index) and
-        // sort; stability keeps each input's own order for equal stamps.
-        let mut tagged: Vec<(u64, usize, &TraceEvent)> = Vec::new();
-        for (i, r) in reports.iter().enumerate() {
-            for e in &r.trace {
-                tagged.push((e.at_secs, i, e));
-            }
-        }
-        tagged.sort_by_key(|&(t, i, _)| (t, i));
-        TelemetryReport {
-            metrics,
-            trace: tagged.into_iter().map(|(_, _, e)| e.clone()).collect(),
-            trace_dropped,
-            spans,
-        }
+        merged
     }
 
     /// The phase table (`--profile` and `pwnd profile` output): one
@@ -180,148 +158,8 @@ impl TelemetryReport {
         self.spans.top_spans_table(limit)
     }
 
-    /// JSON form of the whole report (durations in nanoseconds). The
-    /// inverse of [`from_json`](TelemetryReport::from_json).
-    pub fn to_json(&self) -> Json {
-        let metric_map = |m: &BTreeMap<String, u64>| {
-            Json::Obj(m.iter().map(|(k, &v)| (k.clone(), Json::U(v))).collect())
-        };
-        let histograms = Json::Obj(
-            self.metrics
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        Json::Obj(vec![
-                            (
-                                "buckets".to_string(),
-                                Json::Arr(
-                                    h.buckets()
-                                        .map(|(b, c)| {
-                                            Json::Arr(vec![Json::U(u64::from(b)), Json::U(c)])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                            ("count".to_string(), Json::U(h.count())),
-                            ("sum".to_string(), Json::U(h.sum())),
-                            ("min".to_string(), Json::U(h.min())),
-                            ("max".to_string(), Json::U(h.max())),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        Json::Obj(vec![
-            (
-                "schema".to_string(),
-                Json::Str("pwnd-telemetry/1".to_string()),
-            ),
-            ("counters".to_string(), metric_map(&self.metrics.counters)),
-            ("gauges".to_string(), metric_map(&self.metrics.gauges)),
-            ("histograms".to_string(), histograms),
-            (
-                "trace".to_string(),
-                Json::Arr(self.trace.iter().map(TraceEvent::to_json).collect()),
-            ),
-            ("trace_dropped".to_string(), Json::U(self.trace_dropped)),
-            ("spans".to_string(), self.spans.to_json()),
-        ])
-    }
-
-    /// Render as one compact JSON line — the fleet `--telemetry-out`
-    /// stream format (one report per shard, one line per report).
-    pub fn to_json_line(&self) -> String {
-        self.to_json().compact()
-    }
-
-    /// Parse a [`to_json`](TelemetryReport::to_json) value back into a
-    /// report. Round trip is exact: the reparsed report is `==` the
-    /// original and has the same span tree. A `phases` key, written by
-    /// older binaries, is ignored.
-    pub fn from_json(json: &Json) -> Result<TelemetryReport, String> {
-        let metric_map = |field: &str| -> Result<BTreeMap<String, u64>, String> {
-            match json.get(field) {
-                Some(Json::Obj(fields)) => fields
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_u64()
-                            .map(|v| (k.clone(), v))
-                            .ok_or_else(|| format!("{field}.{k}: expected integer"))
-                    })
-                    .collect(),
-                None => Ok(BTreeMap::new()),
-                Some(_) => Err(format!("{field}: expected object")),
-            }
-        };
-        let mut histograms = BTreeMap::new();
-        if let Some(Json::Obj(fields)) = json.get("histograms") {
-            for (k, v) in fields {
-                let part = |name: &str| {
-                    v.get(name)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("histograms.{k}: missing {name}"))
-                };
-                let mut buckets = Vec::new();
-                for pair in v
-                    .get("buckets")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| format!("histograms.{k}: missing buckets"))?
-                {
-                    let pair = pair.as_array().ok_or("histogram bucket: expected pair")?;
-                    match (
-                        pair.first().and_then(Json::as_u64),
-                        pair.get(1).and_then(Json::as_u64),
-                    ) {
-                        (Some(b), Some(c)) => buckets.push((b as u32, c)),
-                        _ => return Err("histogram bucket: expected two integers".into()),
-                    }
-                }
-                histograms.insert(
-                    k.clone(),
-                    Histogram::from_parts(
-                        buckets,
-                        part("count")?,
-                        part("sum")?,
-                        part("min")?,
-                        part("max")?,
-                    ),
-                );
-            }
-        }
-        let mut trace = Vec::new();
-        if let Some(arr) = json.get("trace").and_then(Json::as_array) {
-            for e in arr {
-                trace.push(TraceEvent::from_json(e)?);
-            }
-        }
-        let spans = match json.get("spans") {
-            Some(s) => SpanTreeSnapshot::from_json(s)?,
-            None => SpanTreeSnapshot::default(),
-        };
-        Ok(TelemetryReport {
-            metrics: MetricsSnapshot {
-                counters: metric_map("counters")?,
-                gauges: metric_map("gauges")?,
-                histograms,
-            },
-            trace,
-            trace_dropped: json
-                .get("trace_dropped")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            spans,
-        })
-    }
-
-    /// Parse one streamed JSONL line back into a report.
-    pub fn from_json_line(line: &str) -> Result<TelemetryReport, String> {
-        let json = Json::parse(line).map_err(|e| e.to_string())?;
-        TelemetryReport::from_json(&json)
-    }
-
-    /// Full human-readable rendering: phases, metrics, trace volume.
+    /// Full human-readable rendering: phases, metrics, and the trace
+    /// volume of a report that holds a trace (one run's, not a merge).
     pub fn render(&self) -> String {
         let mut out = String::new();
         if !self.spans.is_empty() {
@@ -329,11 +167,13 @@ impl TelemetryReport {
             out.push('\n');
         }
         out.push_str(&self.metrics_table());
-        out.push_str(&format!(
-            "\ntrace: {} events held, {} dropped\n",
-            self.trace.len(),
-            self.trace_dropped
-        ));
+        if !self.trace.is_empty() || self.trace_dropped > 0 {
+            out.push_str(&format!(
+                "\ntrace: {} events held, {} dropped\n",
+                self.trace.len(),
+                self.trace_dropped
+            ));
+        }
         out
     }
 }
@@ -370,23 +210,26 @@ mod tests {
     }
 
     #[test]
-    fn merge_interleaves_traces_and_sums_metrics() {
+    fn merge_sums_metrics_and_drops_traces() {
         let a = TelemetrySink::enabled();
         let b = TelemetrySink::enabled();
         a.count("runs");
         b.count("runs");
+        a.gauge_max("depth", 3);
+        b.gauge_max("depth", 7);
         a.trace(10, "login", Some(1));
-        a.trace(30, "login", Some(1));
-        b.trace(10, "scrape", None);
         b.trace(20, "scrape", None);
         drop(a.span("event-loop"));
         drop(b.span("event-loop"));
         drop(b.span("dataset"));
         let merged = TelemetryReport::merge(&[a.report(), b.report()]);
         assert_eq!(merged.counter("runs"), 2);
-        // Interleaved by time; input 0 wins the t=10 tie.
-        let kinds: Vec<&str> = merged.trace.iter().map(|e| e.kind.as_ref()).collect();
-        assert_eq!(kinds, vec!["login", "scrape", "scrape", "login"]);
+        assert_eq!(merged.metrics.gauge("depth"), 7);
+        // A trace belongs to one run: the merge holds none, and its
+        // rendering has no trace line.
+        assert!(merged.trace.is_empty());
+        assert_eq!(merged.trace_dropped, 0);
+        assert!(!merged.render().contains("trace:"));
         // Root spans fold by path.
         let roots: Vec<(&str, u64)> = merged
             .spans
@@ -394,10 +237,11 @@ mod tests {
             .map(|n| (n.path.as_str(), n.count))
             .collect();
         assert_eq!(roots, vec![("dataset", 1), ("event-loop", 2)]);
-        // Merging is submission-order-deterministic: same inputs, same
-        // report (equality ignores wall-clock span totals).
-        let again = TelemetryReport::merge(&[a.report(), b.report()]);
-        assert_eq!(merged, again);
+        // Merging is order-free: reversed inputs, same report (equality
+        // ignores wall-clock span totals).
+        let reversed = TelemetryReport::merge(&[b.report(), a.report()]);
+        assert_eq!(merged, reversed);
+        assert_eq!(merged.spans.structure(), reversed.spans.structure());
     }
 
     #[test]
@@ -417,30 +261,6 @@ mod tests {
             vec!["dataset", "event-loop", "event-loop;event{kind=visit}"]
         );
         assert_eq!(merged.spans.node("event-loop").unwrap().count, 2);
-    }
-
-    #[test]
-    fn json_line_round_trips_exactly() {
-        let sink = TelemetrySink::enabled();
-        sink.count_labeled("webmail.logins", "ok");
-        sink.gauge_max("queue.depth_high_water", 12);
-        sink.observe("security.risk_score_milli", 0);
-        sink.observe("security.risk_score_milli", 400);
-        sink.trace(5, "login", Some(1));
-        sink.trace_with(9, "sale", None, || "wave=1".to_string());
-        {
-            let outer = sink.span("event-loop");
-            outer.sim(5);
-            drop(outer.child("event", &[("kind", "visit")]));
-        }
-        let report = sink.report();
-        let line = report.to_json_line();
-        assert!(!line.contains('\n'));
-        let back = TelemetryReport::from_json_line(&line).unwrap();
-        assert_eq!(back, report, "metrics and trace survive the round trip");
-        assert_eq!(back.spans, report.spans);
-        // Serialization itself is deterministic.
-        assert_eq!(back.to_json_line(), line);
     }
 
     #[test]

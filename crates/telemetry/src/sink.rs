@@ -79,18 +79,12 @@ impl TelemetrySink {
         TelemetrySink { inner: None }
     }
 
-    /// A live sink with the default trace capacity.
+    /// A live sink holding at most
+    /// [`DEFAULT_TRACE_CAPACITY`](crate::trace::DEFAULT_TRACE_CAPACITY)
+    /// trace events.
     pub fn enabled() -> TelemetrySink {
-        TelemetrySink::with_trace_capacity(crate::trace::DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// A live sink holding at most `capacity` trace events.
-    pub fn with_trace_capacity(capacity: usize) -> TelemetrySink {
         TelemetrySink {
-            inner: Some(Arc::new(Mutex::new(Inner {
-                trace: TraceBuffer::with_capacity(capacity),
-                ..Inner::default()
-            }))),
+            inner: Some(Arc::new(Mutex::new(Inner::default()))),
         }
     }
 
@@ -153,7 +147,7 @@ impl TelemetrySink {
         self.with(|i| {
             i.trace.push(TraceEvent {
                 at_secs,
-                kind: kind.into(),
+                kind,
                 account,
                 detail: String::new(),
             })
@@ -172,7 +166,7 @@ impl TelemetrySink {
         self.with(|i| {
             i.trace.push(TraceEvent {
                 at_secs,
-                kind: kind.into(),
+                kind,
                 account,
                 detail: detail(),
             })
@@ -215,9 +209,16 @@ impl TelemetrySink {
         .unwrap_or_default()
     }
 
-    /// The trace as JSONL (one event per line); empty when disabled.
-    pub fn trace_jsonl(&self) -> String {
-        self.with(|i| i.trace.to_jsonl()).unwrap_or_default()
+    /// [`report`](Self::report) without the trace: the metrics and the
+    /// span tree, which are all a [`TelemetryReport::merge`] keeps. A
+    /// batch holds one of these per run, so it never copies a trace.
+    pub fn report_without_trace(&self) -> TelemetryReport {
+        self.with(|i| TelemetryReport {
+            metrics: i.metrics.snapshot(),
+            spans: i.spans.snapshot(),
+            ..TelemetryReport::default()
+        })
+        .unwrap_or_default()
     }
 }
 
@@ -321,7 +322,7 @@ impl Drop for SpanGuard {
                     let path = i.spans.path_of(node);
                     i.trace.push(TraceEvent {
                         at_secs: max,
-                        kind: "span".into(),
+                        kind: "span",
                         account: None,
                         detail: format!("{path} sim={min}..{max}"),
                     });
@@ -466,6 +467,5 @@ mod tests {
         let report = sink.report();
         assert_eq!(report.trace.len(), 2);
         assert_eq!(report.trace[1].detail, "wave=1");
-        assert_eq!(sink.trace_jsonl().lines().count(), 2);
     }
 }

@@ -7,19 +7,14 @@
 //! counted, never silently lost.
 
 use crate::json::Json;
-use std::borrow::Cow;
 
 /// One traced moment of the simulation.
-///
-/// `kind` is a `Cow` so live instrumentation pays nothing (static
-/// strings) while reports parsed back from streamed JSONL can carry
-/// owned kinds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulation time, seconds since the experiment epoch.
     pub at_secs: u64,
     /// Event kind (`"login"`, `"hijack"`, `"scrape"`, …).
-    pub kind: Cow<'static, str>,
+    pub kind: &'static str,
     /// Account index, when the event concerns one account.
     pub account: Option<u32>,
     /// Free-form detail (outcome, outlet, counts), possibly empty.
@@ -45,28 +40,6 @@ impl TraceEvent {
     /// Render as one compact JSON object (one JSONL line, no newline).
     pub fn to_json_line(&self) -> String {
         self.to_json().compact()
-    }
-
-    /// Parse the [`to_json`](TraceEvent::to_json) form back.
-    pub fn from_json(json: &Json) -> Result<TraceEvent, String> {
-        Ok(TraceEvent {
-            at_secs: json
-                .get("t_secs")
-                .and_then(Json::as_u64)
-                .ok_or("trace event: missing t_secs")?,
-            kind: Cow::Owned(
-                json.get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or("trace event: missing kind")?
-                    .to_string(),
-            ),
-            account: json.get("account").and_then(Json::as_u64).map(|a| a as u32),
-            detail: json
-                .get("detail")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-        })
     }
 }
 
@@ -113,29 +86,9 @@ impl TraceBuffer {
         self.events.iter()
     }
 
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the buffer holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Events evicted because the buffer was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Render the whole buffer as JSONL (one event per line).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_json_line());
-            out.push('\n');
-        }
-        out
     }
 
     /// Point-in-time copy of the held events.
@@ -151,25 +104,10 @@ mod tests {
     fn ev(at: u64) -> TraceEvent {
         TraceEvent {
             at_secs: at,
-            kind: "login".into(),
+            kind: "login",
             account: Some(7),
             detail: "ok".to_string(),
         }
-    }
-
-    #[test]
-    fn json_round_trips_owned_kinds() {
-        let original = ev(42);
-        let parsed = Json::parse(&original.to_json_line()).unwrap();
-        assert_eq!(TraceEvent::from_json(&parsed).unwrap(), original);
-        let bare = TraceEvent {
-            at_secs: 1,
-            kind: "scrape".into(),
-            account: None,
-            detail: String::new(),
-        };
-        let parsed = Json::parse(&bare.to_json_line()).unwrap();
-        assert_eq!(TraceEvent::from_json(&parsed).unwrap(), bare);
     }
 
     #[test]
@@ -178,7 +116,7 @@ mod tests {
         for t in 0..5 {
             b.push(ev(t));
         }
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.events().count(), 3);
         assert_eq!(b.dropped(), 2);
         let ts: Vec<u64> = b.events().map(|e| e.at_secs).collect();
         assert_eq!(ts, vec![2, 3, 4]);
@@ -190,12 +128,11 @@ mod tests {
         b.push(ev(42));
         b.push(TraceEvent {
             at_secs: 43,
-            kind: "scrape".into(),
+            kind: "scrape",
             account: None,
             detail: String::new(),
         });
-        let jsonl = b.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
+        let lines: Vec<String> = b.events().map(TraceEvent::to_json_line).collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(
             lines[0],
@@ -203,7 +140,7 @@ mod tests {
         );
         assert_eq!(lines[1], r#"{"t_secs":43,"kind":"scrape"}"#);
         for line in lines {
-            let parsed = Json::parse(line).expect("valid json");
+            let parsed = Json::parse(&line).expect("valid json");
             assert!(parsed.get("t_secs").and_then(Json::as_u64).is_some());
             assert!(parsed.get("kind").and_then(Json::as_str).is_some());
         }

@@ -5,7 +5,7 @@
 //! order-free facets — counters, gauges, histograms, and span trees —
 //! so sharded fleet telemetry can be folded in any order.
 //!
-//! Traces are deliberately submission-order-sensitive, so the
+//! Traces are not merged (a trace belongs to one run), so the
 //! permutation property compares metrics and spans, root spans (the
 //! phases) included.
 //!
@@ -134,19 +134,6 @@ proptest! {
         let rev = TelemetryReport::merge(&[c, b, a]);
         prop_assert_eq!(&fwd.metrics, &rev.metrics);
         prop_assert_eq!(&fwd.spans, &rev.spans);
-        prop_assert_eq!(fwd.trace_dropped, rev.trace_dropped);
-    }
-
-    /// A streamed report survives the JSONL round trip exactly,
-    /// whatever it recorded.
-    #[test]
-    fn json_line_round_trip_is_exact(ops in proptest::collection::vec((0u8..6, 0u64..10_000), 0..40)) {
-        let report = build_report(&ops);
-        let line = report.to_json_line();
-        let back = TelemetryReport::from_json_line(&line)
-            .map_err(TestCaseError::Fail)?;
-        prop_assert_eq!(&back, &report);
-        prop_assert_eq!(&back.spans, &report.spans);
     }
 
     /// Arbitrary bytes never panic the parser: every input is a value

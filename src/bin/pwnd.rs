@@ -19,7 +19,7 @@
 use pwnd::analysis::tables::overview;
 use pwnd::cli::{self, Args, Invocation};
 use pwnd::core::fleet::{run_fleet, FleetConfig};
-use pwnd::telemetry::{Table, TelemetrySink};
+use pwnd::telemetry::{Table, TelemetryReport, TelemetrySink};
 use pwnd::{Experiment, ExperimentConfig, FaultProfile, RunOutput, Runner};
 use std::process::ExitCode;
 
@@ -77,9 +77,7 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
             println!("{}", out.analysis().render());
             if args.profile {
                 println!("{}", out.telemetry_report().render());
-                if let Some(line) = cli::peak_rss_line() {
-                    println!("{line}");
-                }
+                print_peak_rss();
             }
         }
         "trace" => {
@@ -104,9 +102,13 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
             // run) or offline (a fleet's streamed --telemetry-out JSONL).
             let report = match &args.input {
                 Some(path) => {
-                    let text = std::fs::read_to_string(path)
+                    let file = std::fs::File::open(path)
                         .map_err(|e| format!("cannot read {path}: {e}"))?;
-                    cli::merge_telemetry_jsonl(&text).map_err(|e| format!("{path}: {e}"))?
+                    let reader = std::io::BufReader::new(file);
+                    TelemetryReport {
+                        spans: cli::merge_telemetry_jsonl(path, reader)?,
+                        ..TelemetryReport::default()
+                    }
                 }
                 None => experiment(args, true).telemetry_report(),
             };
@@ -142,7 +144,8 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
                 "paper: 326 accesses, 147 opened, 845 sent, 42 blocked, 36 hijacked, 90 accounts"
             );
             if args.profile {
-                print!("{}", cli::batch_profile_report(&batch));
+                println!("{}", cli::batch_profile_report(&batch));
+                print_peak_rss();
             }
         }
         "chaos" => {
@@ -156,7 +159,8 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
             print!("{}", cli::chaos_table(&batch.outputs));
             println!("factor 0.00 injects nothing; rates scale linearly up to the profile's own.");
             if args.profile {
-                print!("{}", cli::batch_profile_report(&batch));
+                println!("{}", cli::batch_profile_report(&batch));
+                print_peak_rss();
             }
         }
         "fleet" => fleet(args)?,
@@ -214,6 +218,14 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The `--profile` footer: this process's peak RSS, where the OS
+/// reports it (Linux).
+fn print_peak_rss() {
+    if let Some(line) = cli::peak_rss_line() {
+        println!("{line}");
+    }
+}
+
 /// `pwnd fleet`: one logical experiment sharded over the runner. The
 /// merge is deterministic, so summary and exports are byte-identical
 /// for any --jobs value (tests/fleet_scale.rs proves it).
@@ -242,12 +254,13 @@ fn fleet(args: &Args) -> Result<(), String> {
         }
         if args.profile {
             println!("{}", run.telemetry.render());
+            print_peak_rss();
         }
         return Ok(());
     }
-    // --telemetry-out needs the per-shard reports, so it turns telemetry
-    // on. The file is opened before the run so a bad path fails fast,
-    // and written after the join.
+    // --telemetry-out needs the per-shard span trees, so it turns
+    // telemetry on. The file is opened before the run so a bad path
+    // fails fast, and written after the join.
     let telemetry_file = match &args.telemetry_out {
         Some(path) => Some((path, create(path)?)),
         None => None,
@@ -268,6 +281,7 @@ fn fleet(args: &Args) -> Result<(), String> {
     }
     if args.profile {
         println!("{}", out.telemetry.render());
+        print_peak_rss();
     }
     Ok(())
 }

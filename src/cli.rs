@@ -11,7 +11,8 @@
 use pwnd_analysis::tables::Overview;
 use pwnd_core::{Batch, ExperimentConfig, RunOutput};
 use pwnd_faults::FaultProfile;
-use pwnd_telemetry::{Table, TelemetryReport, TraceEvent};
+use pwnd_telemetry::{jsonl, Json, SpanTreeSnapshot, Table, TelemetryReport, TraceEvent};
+use std::io::BufRead;
 use std::str::FromStr;
 
 /// The `pwnd --help` text.
@@ -40,8 +41,8 @@ flags:
   --faults NAME    fault profile: none | light | heavy (default none);
                    for chaos, the profile whose rates are scaled (default heavy)
   --profile        (run/fleet) print phase timings and the metrics summary;
-                   (run, on Linux) then the peak RSS (VmHWM);
                    (sweep/chaos) print the runner speedup breakdown too;
+                   (run/sweep/chaos/fleet, on Linux) then the peak RSS (VmHWM);
                    (serve) print request telemetry on shutdown
   --jobs N         (sweep/chaos/fleet) worker threads, 1-256 (default: all
                    cores); --jobs 1 is the sequential path, output is identical;
@@ -63,8 +64,8 @@ flags:
                    offline instead of running an experiment;
                    (report) a fleet store directory or a JSONL dataset file;
                    (serve) the fleet store directory to serve
-  --telemetry-out FILE (fleet) stream one telemetry report line per shard
-                   there while the fleet runs (forces telemetry on)
+  --telemetry-out FILE (fleet) write each shard's span tree there, one JSON
+                   line per shard (forces telemetry on)
   --seeds N        (sweep) number of seeds, 1 to 10000 (default 8)
   --addr HOST:PORT (serve) listen address (default 127.0.0.1:8080; port 0
                    binds an ephemeral port, printed on startup)
@@ -343,7 +344,8 @@ pub fn chaos_table(outputs: &[RunOutput]) -> String {
 }
 
 /// The `--profile` breakdown for a batch: the runner's speedup summary
-/// followed by the merged telemetry report.
+/// followed by the merged telemetry report (phases and metrics; a merge
+/// holds no trace).
 pub fn batch_profile_report<T>(batch: &Batch<T>) -> String {
     let mut out = String::new();
     if let Some(profile) = batch.profile() {
@@ -370,22 +372,35 @@ pub fn profile_report(report: &TelemetryReport, limit: usize) -> String {
     format!("{}\n{}", report.span_table(limit), report.phase_table())
 }
 
-/// Merge streamed `--telemetry-out` JSONL (one report per line, blank
-/// lines ignored) back into the fleet's shard-merged report.
-pub fn merge_telemetry_jsonl(text: &str) -> Result<TelemetryReport, String> {
-    let mut reports = Vec::new();
-    for (i, line) in text.lines().enumerate() {
+/// Fold a `--telemetry-out` file (one `{"schema":…,"spans":[…]}` object
+/// per shard line, blank lines ignored) into the fleet's merged span
+/// tree, one line in memory at a time through the capped line reader
+/// [`jsonl::for_each_line`]. Keys other than `spans`, such as the
+/// counters and trace that older binaries also wrote, are skipped.
+/// Errors name `name` and the line.
+pub fn merge_telemetry_jsonl(name: &str, reader: impl BufRead) -> Result<SpanTreeSnapshot, String> {
+    let mut spans = SpanTreeSnapshot::default();
+    let mut lines = 0;
+    jsonl::for_each_line(name, reader, |lineno, line| {
         if line.trim().is_empty() {
-            continue;
+            return Ok(());
         }
-        reports.push(
-            TelemetryReport::from_json_line(line).map_err(|e| format!("line {}: {e}", i + 1))?,
-        );
+        let error = |what: &str| jsonl::line_error(name, lineno, what);
+        let json = Json::parse(line).map_err(|e| error(&e.to_string()))?;
+        if !matches!(json, Json::Obj(_)) {
+            return Err(error("expected a JSON object"));
+        }
+        if let Some(tree) = json.get("spans") {
+            spans.merge_from(&SpanTreeSnapshot::from_json(tree).map_err(|e| error(&e))?);
+        }
+        lines += 1;
+        Ok(())
+    })
+    .map_err(|e| e.to_string())?;
+    if lines == 0 {
+        return Err(format!("{name}: no report lines found"));
     }
-    if reports.is_empty() {
-        return Err("no report lines found".to_string());
-    }
-    Ok(TelemetryReport::merge(&reports))
+    Ok(spans)
 }
 
 /// The `pwnd trace` JSONL stream: events whose kind or detail contains
@@ -554,28 +569,36 @@ mod tests {
 
     #[test]
     fn merge_telemetry_jsonl_round_trips_shard_lines() {
-        let shard = |seed: u64| {
-            let sink = TelemetrySink::enabled();
-            sink.count_by("runs", seed);
-            drop(sink.span("event-loop"));
-            sink.report()
-        };
-        let reports = [shard(1), shard(2)];
-        let text: String = reports.iter().map(|r| r.to_json_line() + "\n").collect();
-        let merged = merge_telemetry_jsonl(&text).unwrap();
-        assert_eq!(merged, TelemetryReport::merge(&reports));
-        assert_eq!(merged.counter("runs"), 3);
-        // Older binaries also wrote a flat `phases` array; it is ignored.
+        // Two shards: 100 accounts and a 20-account tail.
+        let out = run_fleet(&FleetConfig::new(7, 120, 2).with_telemetry(true));
+        let mut text = Vec::new();
+        assert_eq!(out.write_telemetry_jsonl(&mut text).unwrap(), 2);
+        let merged = merge_telemetry_jsonl("t", &text[..]).unwrap();
+        assert_eq!(merged, TelemetryReport::merge(&out.shard_reports).spans);
+        assert!(merged.node("event-loop").is_some());
+        // Older binaries also wrote counters, a trace and a flat
+        // `phases` array on each line; only `spans` is read.
         let old = concat!(
             r#"{"schema":"pwnd-telemetry/1","counters":{"runs":4},"gauges":{},"#,
-            r#""histograms":{},"trace":[],"trace_dropped":0,"#,
+            r#""histograms":{},"trace":[{"t_secs":5,"kind":"login"}],"trace_dropped":0,"#,
             r#""phases":[{"name":"event-loop","total_ns":1500,"entries":1}],"#,
             r#""spans":[{"path":"event-loop","total_ns":1500,"count":1}]}"#,
         );
-        let with_old = merge_telemetry_jsonl(&format!("{text}{old}\n")).unwrap();
-        assert_eq!(with_old.counter("runs"), 7);
-        assert_eq!(with_old.spans.node("event-loop").unwrap().count, 3);
-        assert!(merge_telemetry_jsonl("").is_err());
-        assert!(merge_telemetry_jsonl("not json\n").is_err());
+        let with_old = [&text[..], old.as_bytes(), b"\n\n"].concat();
+        let with_old = merge_telemetry_jsonl("t", &with_old[..]).unwrap();
+        assert_eq!(
+            with_old.node("event-loop").unwrap().count,
+            merged.node("event-loop").unwrap().count + 1
+        );
+        for (bad, why) in [
+            ("", "t: no report lines found"),
+            ("\n \n", "t: no report lines found"),
+            ("not json\n", "t: line 1: "),
+            ("{}\n5\n", "t: line 2: expected a JSON object"),
+            ("{\"spans\":{}}\n", "t: line 1: spans: expected array"),
+        ] {
+            let err = merge_telemetry_jsonl("t", bad.as_bytes()).unwrap_err();
+            assert!(err.starts_with(why), "{bad:?}: {err}");
+        }
     }
 }

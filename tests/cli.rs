@@ -2,7 +2,9 @@
 //! and the exit codes and streams of the built binary.
 
 use proptest::prelude::*;
-use pwnd::cli::{parse, Args, Invocation, COMMANDS, MAX_JOBS, MAX_SEEDS, USAGE};
+use pwnd::cli::{
+    merge_telemetry_jsonl, parse, Args, Invocation, COMMANDS, MAX_JOBS, MAX_SEEDS, USAGE,
+};
 use pwnd::FaultProfile;
 use std::process::{Command, Output};
 
@@ -160,6 +162,51 @@ proptest! {
     }
 }
 
+/// Pieces of `--telemetry-out` lines: fragments of well-formed span
+/// lines, JSON structure, line breaks and a byte that is not UTF-8, so
+/// random input reaches past the line reader and the JSON parser into
+/// the span decoder.
+const TELEMETRY_PIECES: [&[u8]; 11] = [
+    br#"{"schema":"pwnd-telemetry/1","spans":["#,
+    br#"{"path":"event-loop","total_ns":1500,"count":1}"#,
+    br#"{"path":"event-loop;scrape","total_ns":7,"count":2,"sim_min":1,"sim_max":9}"#,
+    br#""counters":{"runs":4},"trace":[{"t_secs":5,"kind":"login"}],"#,
+    b"]}",
+    b",",
+    b"\n",
+    b"\r\n",
+    b"{",
+    b"\"",
+    b"\xff",
+];
+
+proptest! {
+    /// `profile --input`'s reader gives a span tree or an error naming
+    /// the file for any bytes, and never panics.
+    #[test]
+    fn telemetry_reader_survives_garbage(
+        pieces in proptest::collection::vec((0usize..12, any::<u8>()), 0..40),
+    ) {
+        let mut input = Vec::new();
+        for (piece, byte) in pieces {
+            match TELEMETRY_PIECES.get(piece) {
+                Some(bytes) => input.extend_from_slice(bytes),
+                None => input.push(byte),
+            }
+        }
+        match merge_telemetry_jsonl("in", &input[..]) {
+            Ok(spans) => {
+                let text = std::str::from_utf8(&input);
+                prop_assert!(text.is_ok());
+                prop_assert!(text.unwrap_or_default().lines().any(|l| !l.trim().is_empty()));
+                let paths: Vec<&str> = spans.nodes.iter().map(|n| n.path.as_str()).collect();
+                prop_assert!(paths.windows(2).all(|w| w[0] < w[1]), "{:?}", paths);
+            }
+            Err(msg) => prop_assert!(msg.starts_with("in: "), "{}", msg),
+        }
+    }
+}
+
 /// `parse` keeps the last value of each flag in `pairs` and sets every
 /// switch. The one combination it refuses for in-range values is
 /// `fleet` given both `--out-dir` and `--telemetry-out`.
@@ -298,6 +345,24 @@ fn report_refuses_a_line_longer_than_the_reader_cap() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.ends_with("-long.jsonl: line 1: line longer than 1 MiB\n"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+}
+
+/// `profile --input` refuses a line over the reader's cap, such as the
+/// multi-megabyte trace-carrying lines older binaries wrote.
+#[test]
+fn profile_refuses_a_telemetry_line_longer_than_the_reader_cap() {
+    let path = std::env::temp_dir().join(format!("pwnd-cli-{}-long-t.jsonl", std::process::id()));
+    let line = format!("{{\"spans\":[],\"trace\":\"{}\"}}\n", "x".repeat(2 << 20));
+    std::fs::write(&path, line).unwrap();
+    let out = pwnd(&["profile", "--input", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.ends_with("-long-t.jsonl: line 1: line longer than 1 MiB\n"),
         "{stderr}"
     );
     assert!(out.stdout.is_empty());

@@ -4,10 +4,12 @@
 //! `--jobs` was — and the streaming export loses nothing relative to
 //! the in-memory JSON artifact.
 
+use pwnd::cli::merge_telemetry_jsonl;
 use pwnd::core::fleet::{run_fleet, FleetConfig};
 use pwnd::monitor::export::read_jsonl;
 use pwnd::telemetry::TelemetryReport;
 use pwnd::{Experiment, ExperimentConfig};
+use std::collections::BTreeSet;
 use std::process::Command;
 
 /// `pwnd fleet --accounts 500`: the merged dataset and every rendered
@@ -41,46 +43,66 @@ fn fleet_500_accounts_is_byte_identical_across_job_counts() {
     );
 }
 
-/// `pwnd fleet --telemetry-out`: the per-shard telemetry is one JSONL
-/// report line per shard, in shard order whatever the schedule, and
-/// re-merging the lines offline reproduces the in-process merge of the
-/// shard reports exactly — including the span tree and its roots.
+/// Longest `--telemetry-out` line allowed, bytes: a shard's span tree
+/// is about 2 KiB. A line that also carried the shard's trace events
+/// measured 2.2–2.4 MB.
+const MAX_TELEMETRY_LINE_BYTES: usize = 16 << 10;
+
+/// `pwnd fleet --telemetry-out` on 300 accounts: one short span-tree line
+/// per shard, in shard order whatever the schedule, and the span tree
+/// `pwnd profile --input` folds from the file is the in-process merge of
+/// the shards' span trees — the same collapsed path set, the same roots.
 #[test]
 fn streamed_fleet_telemetry_is_ordered_complete_and_remergeable() {
     let lines_of = |jobs: usize| {
-        let out = run_fleet(&FleetConfig::new(2016, 500, jobs).with_telemetry(true));
+        let out = run_fleet(&FleetConfig::new(2016, 300, jobs).with_telemetry(true));
         let mut stream = Vec::new();
         let written = out.write_telemetry_jsonl(&mut stream).unwrap();
-        let reports: Vec<TelemetryReport> = std::str::from_utf8(&stream)
-            .unwrap()
-            .lines()
-            .map(|l| TelemetryReport::from_json_line(l).unwrap())
-            .collect();
+        let text = String::from_utf8(stream).unwrap();
         assert_eq!(written, out.shards as u64);
-        assert_eq!(reports.len(), out.shards, "one report line per shard");
-        (out, reports)
+        assert_eq!(text.lines().count(), out.shards, "one line per shard");
+        for (i, line) in text.lines().enumerate() {
+            assert!(
+                line.len() <= MAX_TELEMETRY_LINE_BYTES,
+                "line {i} is {} bytes",
+                line.len()
+            );
+        }
+        (out, text)
     };
-    let (output, reports) = lines_of(4);
+    let (output, text) = lines_of(4);
     let (_, sequential) = lines_of(1);
+    let fold = |text: &str| merge_telemetry_jsonl("fleet-t.jsonl", text.as_bytes()).unwrap();
 
-    // Shard order, not completion order: line `i` is the report of the
-    // same line from the one-worker fleet (report equality compares
-    // metrics and trace). Shards run at different seeds, so a reordered
-    // line would differ.
-    assert_ne!(sequential[0], sequential[1]);
-    for (i, (line, seq)) in reports.iter().zip(&sequential).enumerate() {
-        assert_eq!(line, seq, "line {i}");
-        assert_eq!(line.spans.structure(), seq.spans.structure(), "line {i}");
+    // Shard order, not completion order: line `i` has the span structure
+    // (paths, counts, sim ranges) of the same line from the one-worker
+    // fleet. Shards run at different seeds, so a reordered line would
+    // differ.
+    let lines: Vec<&str> = text.lines().collect();
+    let seq_lines: Vec<&str> = sequential.lines().collect();
+    assert_ne!(
+        fold(seq_lines[0]).structure(),
+        fold(seq_lines[1]).structure()
+    );
+    for (i, (line, seq)) in lines.iter().zip(&seq_lines).enumerate() {
+        assert_eq!(fold(line).structure(), fold(seq).structure(), "line {i}");
     }
 
-    // The lines round-trip, and their merge is the in-process merge.
-    assert_eq!(reports, output.shard_reports);
-    let remerged = TelemetryReport::merge(&reports);
-    let in_process = TelemetryReport::merge(&output.shard_reports);
-    assert_eq!(remerged, in_process);
-    assert_eq!(remerged.spans.structure(), in_process.spans.structure());
-    assert!(remerged.spans.roots().eq(in_process.spans.roots()));
-    let dispatched = remerged.metrics.counter("sim.events_dispatched");
+    // The file folds to the in-process merge of the shard span trees.
+    let folded = fold(&text);
+    let in_process = TelemetryReport::merge(&output.shard_reports).spans;
+    let paths = |collapsed: String| -> BTreeSet<String> {
+        collapsed
+            .lines()
+            .map(|l| l.rsplit_once(' ').unwrap().0.to_string())
+            .collect()
+    };
+    assert_eq!(paths(folded.collapsed()), paths(in_process.collapsed()));
+    assert!(folded.roots().eq(in_process.roots()));
+    assert!(folded.node("event-loop").is_some());
+    assert_eq!(folded, in_process);
+    // The shard reports keep their metrics, and the fleet merge sums them.
+    let dispatched = TelemetryReport::merge(&output.shard_reports).counter("sim.events_dispatched");
     assert!(dispatched > 0, "shards really dispatched sim events");
     assert_eq!(
         output.telemetry.metrics.counter("sim.events_dispatched"),
@@ -88,7 +110,7 @@ fn streamed_fleet_telemetry_is_ordered_complete_and_remergeable() {
     );
 
     // Telemetry is an observation: the dataset matches the plain run.
-    let plain = run_fleet(&FleetConfig::new(2016, 500, 4));
+    let plain = run_fleet(&FleetConfig::new(2016, 300, 4));
     assert_eq!(plain.dataset_json(), output.dataset_json());
 }
 

@@ -1,6 +1,7 @@
 //! The fixed outputs, pinned: the seed-2016 paper run's dataset and
-//! report, the `/v1` bodies of the 300-account fleet store, and the
-//! quick run's dataset and report in the forms no other golden pins.
+//! report, the `/v1` bodies and the `pwnd report --input` table of the
+//! 300-account fleet store, and the quick run's dataset and report in
+//! the forms no other golden pins.
 //!
 //! The paper-run sha256 are the ones `pwndbench`'s `paper_run` checks,
 //! recorded from the same program. The `/v1` bodies are the files under
@@ -25,11 +26,12 @@ use pwnd::core::fleet::FleetConfig;
 use pwnd::core::hash::Sha256;
 use pwnd::corpus::Archetype;
 use pwnd::serve::{QueryIndex, ServeOptions, Server};
-use pwnd::store::run_fleet_store;
+use pwnd::store::{merge_store_jsonl, run_fleet_store};
 use pwnd::{Experiment, ExperimentConfig, FaultProfile};
 use std::fs;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::Command;
 use std::sync::Arc;
 
 /// Run `config` and return the sha256 of its dataset JSON and of its
@@ -98,6 +100,34 @@ fn v1_bodies_of_the_300_account_store_are_pinned() {
         assert_eq!(get(server.addr(), path), golden, "{path}");
     }
     server.shutdown();
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `pwnd report --input` over the 300-account store and over its merged
+/// JSONL prints `tests/golden/report-300.txt`, recorded from the program
+/// before the telemetry file lost its trace events.
+#[test]
+fn report_of_the_300_account_store_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("pwnd-goldens-{}-report", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let store = dir.join("store");
+    run_fleet_store(&FleetConfig::new(2016, 300, 2), &store).unwrap();
+    let merged = dir.join("merged.jsonl");
+    merge_store_jsonl(&store, fs::File::create(&merged).unwrap()).unwrap();
+    for input in [&store, &merged] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pwnd"))
+            .arg("report")
+            .arg("--input")
+            .arg(input)
+            .output()
+            .expect("pwnd starts");
+        assert!(out.status.success(), "{input:?}");
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            include_str!("golden/report-300.txt"),
+            "{input:?}"
+        );
+    }
     fs::remove_dir_all(&dir).unwrap();
 }
 
