@@ -66,7 +66,8 @@ pub const ACTIVIST_SENSITIVE: &[&str] = &[
     "safehouse",
 ];
 
-/// `parts` concatenated, checked to fill a table of `u8` codes.
+/// `parts` concatenated, checked to fill a table of at most
+/// [`MAX_CODES`] codes.
 const fn code_table<const N: usize>(parts: [&[&'static str]; 4]) -> [&'static str; N] {
     let (mut table, mut i, mut p, mut k) = ([""; N], 0, 0, 0);
     while p < parts.len() {
@@ -76,9 +77,14 @@ const fn code_table<const N: usize>(parts: [&[&'static str]; 4]) -> [&'static st
             (p, k) = (p + 1, 0);
         }
     }
-    assert!(i == N && N <= 256, "the parts fill a table of u8 codes");
+    assert!(i == N && N <= MAX_CODES, "the parts fit MAX_CODES codes");
     table
 }
+
+/// The most codes a code table holds: few enough that a code is a `u8`
+/// and a set of codes one `u128`, which is how search keeps each seeded
+/// message's codes.
+pub const MAX_CODES: usize = 128;
 
 static CORPORATE_CODES: [&str; 109] =
     code_table([&OPENERS, vocab::CORE_BUSINESS, vocab::SENSITIVE, FILLER]);

@@ -14,20 +14,23 @@
 //! [`SIGN_OFF`], the sender's name and the organization. Only the
 //! sentences vary, so a body is stored as `u8` codes into its
 //! archetype's [code table](Archetype::code_table) and rendered only
-//! where a message leaves its mailbox ([`SeededBody::write_text`]).
-//! Subject lines stay text, a thread's `RE:` line stored once.
+//! where a message leaves its mailbox ([`SeededBody::write_text`]). A
+//! subject line is [`SUBJECT_PREFIX`] and one of [`SUBJECT_TEMPLATES`]
+//! whose slots hold core-vocabulary words, so it is stored as
+//! [`SubjectCodes`]: the template's index and each word's code in the
+//! same table, rendered on read as a [`SeededSubject`].
 //!
 //! The generator counts TF-IDF document `d_A` (§4.3.5) from its draws,
-//! and search matches a body by its codes. Both are exact because one
+//! and search matches a message by its codes. Both are exact because one
 //! byte at every join of pieces is a space, comma, full stop or newline,
 //! so no [word](crate::tokenize::for_each_word) or search token crosses
-//! a join (`tests/piece_joins.rs` checks every piece and name). A
-//! mailbox adds its code-table pieces to `d_A` as use counts, which
-//! [`TermCounts`] sums over the run and splits into words once, when
-//! read; its byte length is arithmetic on those counts, not a walk of
-//! each rendered body.
+//! a join (`tests/piece_joins.rs` checks every piece, template and
+//! name). A mailbox adds its code-table pieces and subject templates to
+//! `d_A` as use counts, which [`TermCounts`] sums over the run and
+//! splits into words once, when read; its byte length is arithmetic on
+//! those counts, not a walk of each rendered message.
 
-use crate::archetype::Archetype;
+use crate::archetype::{Archetype, MAX_CODES};
 use crate::email::{Email, EmailId, MailTime};
 use crate::persona::Persona;
 use crate::tokenize::TermCounts;
@@ -35,14 +38,18 @@ use crate::vocab::{FILLER, SUBJECT_TEMPLATES};
 use pwnd_sim::dist::Zipf;
 use pwnd_sim::Rng;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// How many days of mailbox history precede the leak.
 pub const HISTORY_WINDOW_DAYS: f64 = 90.0;
 
-/// Codes and subject bytes reserved per email: above the means of about
-/// 34 and 10, so a mailbox's seldom grow.
+/// Codes reserved per email: above the mean of about 34, so a
+/// mailbox's seldom grow.
 const CODES_PER_EMAIL: usize = 40;
-const SUBJECT_BYTES_PER_EMAIL: usize = 16;
+
+/// The most codes one sentence takes: an opener, four core words, four
+/// sensitive words and eight filler words.
+const MAX_SENTENCE_CODES: usize = 17;
 
 /// Probability that a given message carries a sensitive term.
 const SENSITIVE_MESSAGE_RATE: f64 = 0.05;
@@ -62,6 +69,37 @@ pub const OPENERS: [&str; 6] = [
 
 /// What comes between a body's last sentence and the sender's name.
 pub const SIGN_OFF: &str = "\nThanks,\n";
+
+/// What every subject line starts with, before its template.
+pub const SUBJECT_PREFIX: &str = "RE: ";
+
+/// The most `{}` slots a subject template has.
+pub const SUBJECT_WORDS: usize = 2;
+
+/// How many `{}` slots each of [`SUBJECT_TEMPLATES`] has.
+static SUBJECT_SLOTS: [u8; SUBJECT_TEMPLATES.len()] = subject_slots(&SUBJECT_TEMPLATES);
+
+/// The `{}` slots of each template, checked to fit [`SUBJECT_WORDS`].
+const fn subject_slots<const N: usize>(templates: &[&str; N]) -> [u8; N] {
+    let mut slots = [0; N];
+    let mut t = 0;
+    while t < N {
+        let bytes = templates[t].as_bytes();
+        let mut i = 0;
+        while i + 1 < bytes.len() {
+            if bytes[i] == b'{' && bytes[i + 1] == b'}' {
+                slots[t] += 1;
+            }
+            i += 1;
+        }
+        assert!(
+            slots[t] as usize <= SUBJECT_WORDS,
+            "a template fits SUBJECT_WORDS"
+        );
+        t += 1;
+    }
+    slots
+}
 
 /// Order-preserving timestamp translation (§3.2): map original timestamps
 /// (arbitrary units, e.g. seconds in 2001) onto the `window_days` window
@@ -86,20 +124,20 @@ pub fn translate_timestamps(original: &[i64], window_days: f64) -> Vec<MailTime>
         .collect()
 }
 
-/// One seeded email: where its subject and body lie in its batch and
-/// who sent and received it, as indices into the batch's address table.
+/// One seeded email: its subject and where its body lies in its batch,
+/// and who sent and received it, as [`SeededMail::address`] indices.
 #[derive(Clone, Debug)]
 pub struct SeededEmail {
     /// Message id.
     pub id: EmailId,
     /// Send time.
     pub timestamp: MailTime,
-    /// Sender, an index into [`SeededMail::addresses`].
+    /// Sender: 0 the owner, `p + 1` peer `p`.
     pub from: u16,
-    /// The one recipient, an index into [`SeededMail::addresses`].
+    /// The one recipient, numbered as the sender.
     pub to: u16,
-    /// The subject line's bytes in [`SeededMail::subjects`].
-    pub subject: Range<u32>,
+    /// The subject line, as codes.
+    pub subject: SubjectCodes,
     /// The body's piece codes in [`SeededBodies::codes`].
     pub body: Range<u32>,
 }
@@ -127,18 +165,27 @@ impl SeededBodies {
             sender: self.names[usize::from(from)],
         }
     }
+
+    /// The subject line whose codes are `codes`.
+    pub fn subject(&self, codes: SubjectCodes) -> SeededSubject {
+        SeededSubject {
+            codes,
+            archetype: self.archetype,
+        }
+    }
 }
 
-/// One generated mailbox: its bodies, subject lines, address table and
-/// one record per email, in chronological order.
+/// One generated mailbox: its bodies, its addresses and one record per
+/// email, in chronological order.
 #[derive(Clone, Debug, Default)]
 pub struct SeededMail {
     /// Every body, as piece codes.
     pub bodies: SeededBodies,
-    /// Every subject line, back to back.
-    pub subjects: String,
-    /// Index 0 is the owner, then the peers in the order given.
-    pub addresses: Vec<String>,
+    /// The owner's address, address 0.
+    pub owner: String,
+    /// Peer `p`'s address, address `p + 1`: formatted once per
+    /// generator and shared by every mailbox that writes to those peers.
+    pub peers: Arc<[String]>,
     /// One record per email.
     pub emails: Vec<SeededEmail>,
 }
@@ -149,14 +196,26 @@ pub fn slice<'a>(text: &'a str, range: &Range<u32>) -> &'a str {
 }
 
 impl SeededMail {
-    /// Every email as an owned [`Email`], in order, its body rendered.
+    /// Address `i`: 0 the owner, `p + 1` peer `p`.
+    pub fn address(&self, i: u16) -> &String {
+        match i.checked_sub(1) {
+            None => &self.owner,
+            Some(p) => &self.peers[usize::from(p)],
+        }
+    }
+
+    /// Every email as an owned [`Email`], in order, its subject and
+    /// body rendered.
     pub fn to_emails(&self) -> Vec<Email> {
-        let address = |i: u16| self.addresses[usize::from(i)].clone();
         let emails = self.emails.iter().map(|e| Email {
             id: e.id,
-            from: address(e.from),
-            to: vec![address(e.to)],
-            subject: slice(&self.subjects, &e.subject).to_string(),
+            from: self.address(e.from).clone(),
+            to: vec![self.address(e.to).clone()],
+            subject: {
+                let mut subject = String::new();
+                self.bodies.subject(e.subject).write_text(&mut subject);
+                subject
+            },
             body: {
                 let mut body = String::new();
                 self.bodies.body(e.from, &e.body).write_text(&mut body);
@@ -165,6 +224,61 @@ impl SeededMail {
             timestamp: e.timestamp,
         });
         emails.collect()
+    }
+}
+
+/// A subject line as codes: [`SUBJECT_PREFIX`], then
+/// `SUBJECT_TEMPLATES[template]` with its `{}` slots filled, in order, by
+/// the [code-table](Archetype::code_table) pieces of `words`. A slot past
+/// the template's count is unused; the generator leaves it 0.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct SubjectCodes {
+    /// An index into [`SUBJECT_TEMPLATES`].
+    pub template: u8,
+    /// The slots' code-table indices.
+    pub words: [u8; SUBJECT_WORDS],
+}
+
+impl SubjectCodes {
+    /// The codes of the template's slots, in order.
+    pub fn words(&self) -> &[u8] {
+        &self.words[..usize::from(SUBJECT_SLOTS[usize::from(self.template)])]
+    }
+}
+
+/// A seeded subject line: its codes and whose code table they index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SeededSubject {
+    /// The template and words.
+    pub codes: SubjectCodes,
+    /// Whose code table the words index.
+    pub archetype: Archetype,
+}
+
+impl SeededSubject {
+    /// Call `f` on each piece of the text, in order: the prefix, then
+    /// the template's text between slots and the words in them.
+    fn for_each_part(&self, mut f: impl FnMut(&str)) {
+        let table = self.archetype.code_table();
+        f(SUBJECT_PREFIX);
+        let mut parts = SUBJECT_TEMPLATES[usize::from(self.codes.template)].split("{}");
+        f(parts.next().expect("split yields a first part"));
+        for (part, &word) in parts.zip(self.codes.words()) {
+            f(table[usize::from(word)]);
+            f(part);
+        }
+    }
+
+    /// Append the text to `out`.
+    pub fn write_text(&self, out: &mut String) {
+        self.for_each_part(|part| out.push_str(part));
+    }
+
+    /// The byte length of the text, without writing it.
+    pub fn text_len(&self) -> usize {
+        let mut len = 0;
+        self.for_each_part(|part| len += part.len());
+        len
     }
 }
 
@@ -226,6 +340,9 @@ pub struct CorpusGenerator {
     next_id: u64,
     filler: Zipf,
     archetype: Archetype,
+    /// The addresses of the peers last written to, kept for the next
+    /// mailbox that writes to the same peers.
+    peer_addresses: Arc<[String]>,
 }
 
 impl Default for CorpusGenerator {
@@ -247,6 +364,7 @@ impl CorpusGenerator {
             next_id: 1,
             filler: Zipf::new(FILLER.len(), 1.05),
             archetype,
+            peer_addresses: Arc::default(),
         }
     }
 
@@ -256,45 +374,73 @@ impl CorpusGenerator {
         id
     }
 
+    /// The addresses of `peers` at this archetype's domain, formatted
+    /// only when they are not the peers of the last call.
+    fn peer_addresses(&mut self, peers: &[Persona]) -> Arc<[String]> {
+        let domain = self.archetype.domain();
+        let at = |address: &str, handle: &str| {
+            let host = address
+                .strip_prefix(handle)
+                .and_then(|a| a.strip_prefix('@'));
+            host == Some(domain)
+        };
+        let kept = self.peer_addresses.len() == peers.len()
+            && (self.peer_addresses.iter())
+                .zip(peers)
+                .all(|(a, p)| at(a, &p.handle));
+        if !kept {
+            let addresses = peers.iter().map(|p| format!("{}@{domain}", p.handle));
+            self.peer_addresses = addresses.collect();
+        }
+        Arc::clone(&self.peer_addresses)
+    }
+
     /// Append one sentence's codes: an opener, core words, sensitive
     /// words when `sensitive`, then filler. Every code table fits a `u8`.
     fn sentence(&self, rng: &mut Rng, sensitive: bool, codes: &mut Vec<u8>) {
-        codes.push(rng.index(OPENERS.len()) as u8);
+        let mut sentence = [0u8; MAX_SENTENCE_CODES];
+        let mut n = 0;
+        let mut push = |code: usize| {
+            sentence[n] = code as u8;
+            n += 1;
+        };
+        push(rng.index(OPENERS.len()));
         let core = self.archetype.core_vocab();
         let mut base = OPENERS.len();
         let n_core = rng.range_u64(2, 5) as usize;
         for _ in 0..n_core {
-            codes.push((base + rng.index(core.len())) as u8);
+            push(base + rng.index(core.len()));
         }
         base += core.len();
         if sensitive {
             let pool = self.archetype.sensitive_vocab();
             let n_sensitive = rng.range_u64(2, 5) as usize;
             for _ in 0..n_sensitive {
-                codes.push((base + rng.index(pool.len())) as u8);
+                push(base + rng.index(pool.len()));
             }
         }
         base += self.archetype.sensitive_vocab().len();
         let n_fill = rng.range_u64(3, 9) as usize;
         for _ in 0..n_fill {
-            codes.push((base + self.filler.sample(rng)) as u8);
+            push(base + self.filler.sample(rng));
         }
+        codes.extend_from_slice(&sentence[..n]);
     }
 
-    /// Append a thread's subject line (`RE: `, then a drawn subject) to
-    /// `text`; returns its range.
-    fn subject(&self, rng: &mut Rng, text: &mut String) -> Range<u32> {
-        let start = text.len() as u32;
-        text.push_str("RE: ");
-        let mut rest = *rng.choose(SUBJECT_TEMPLATES);
-        while let Some(pos) = rest.find("{}") {
-            let word = *rng.choose(self.archetype.core_vocab());
-            text.push_str(&rest[..pos]);
-            text.push_str(word);
-            rest = &rest[pos + 2..];
+    /// Draw a thread's subject line: a template, then a core word for
+    /// each of its slots, in order.
+    fn subject(&self, rng: &mut Rng) -> SubjectCodes {
+        let template = rng.index(SUBJECT_TEMPLATES.len());
+        let core = self.archetype.core_vocab().len();
+        let mut subject = SubjectCodes {
+            template: template as u8,
+            ..SubjectCodes::default()
+        };
+        let slots = usize::from(SUBJECT_SLOTS[template]);
+        for word in &mut subject.words[..slots] {
+            *word = (OPENERS.len() + rng.index(core)) as u8;
         }
-        text.push_str(rest);
-        start..text.len() as u32
+        subject
     }
 
     /// Append one body's sentences to `codes`; returns their range.
@@ -318,7 +464,7 @@ impl CorpusGenerator {
     /// subject line, then its body (what [`TermCounts::add_email`] of
     /// each email would count), from the pieces drawn rather than the
     /// text they render to; see the module docs for why that is exact.
-    /// The code-table pieces go in as use counts
+    /// The code-table pieces and subject templates go in as use counts
     /// ([`TermCounts::add_piece_uses`]).
     pub fn generate_mailbox(
         &mut self,
@@ -353,13 +499,8 @@ impl CorpusGenerator {
         }
         let times = translate_timestamps(&originals, HISTORY_WINDOW_DAYS);
 
-        // Addresses are formatted once per mailbox. The owner
-        // is address 0, peer `p` address `p + 1`.
+        // The owner is address 0, peer `p` address `p + 1`.
         assert!(peers.len() < usize::from(u16::MAX), "too many peers");
-        let domain = self.archetype.domain();
-        let mut addresses = Vec::with_capacity(peers.len() + 1);
-        addresses.push(owner.webmail_address());
-        addresses.extend(peers.iter().map(|p| format!("{}@{domain}", p.handle)));
         let names = std::iter::once(owner)
             .chain(peers)
             .map(|p| (p.first, p.last))
@@ -372,28 +513,28 @@ impl CorpusGenerator {
                 owner_first: owner.first,
                 names,
             },
-            subjects: String::with_capacity(target * SUBJECT_BYTES_PER_EMAIL),
-            addresses,
+            owner: owner.webmail_address(),
+            peers: self.peer_addresses(peers),
             emails: Vec::with_capacity(target),
         };
+        // How often each template and each code-table word was written
+        // in a subject line: a thread's subject once per email.
+        let mut template_uses = [0u64; SUBJECT_TEMPLATES.len()];
+        let mut subject_uses = [0u64; MAX_CODES];
         // This first subject is drawn but never carried: the first email
-        // always starts a new one, which overwrites it.
-        let mut subject = self.subject(rng, &mut mail.subjects);
-        let mut carried = 0;
+        // always starts a thread, which draws its own.
+        self.subject(rng);
+        let mut subject = SubjectCodes::default();
         let mut last_peer = usize::MAX;
         for (i, &(peer_idx, owner_sends)) in plans.iter().enumerate() {
             if peer_idx != last_peer {
-                // "RE: " has no word and ends in a space, so an email's
-                // subject line has the words of the thread's subject.
-                d_a.add_times(slice(&mail.subjects, &subject), carried);
-                if carried == 0 {
-                    mail.subjects.truncate(subject.start as usize);
-                }
-                subject = self.subject(rng, &mut mail.subjects);
-                carried = 0;
+                subject = self.subject(rng);
                 last_peer = peer_idx;
             }
-            carried += 1;
+            template_uses[usize::from(subject.template)] += 1;
+            for &word in subject.words() {
+                subject_uses[usize::from(word)] += 1;
+            }
             let peer = peer_idx as u16 + 1;
             let (from, to) = if owner_sends { (0, peer) } else { (peer, 0) };
             let id = self.fresh_id();
@@ -403,18 +544,21 @@ impl CorpusGenerator {
                 timestamp: times[i],
                 from,
                 to,
-                subject: subject.start..subject.end,
+                subject,
                 body,
             });
         }
-        d_a.add_times(slice(&mail.subjects, &subject), carried);
 
         let table = self.archetype.code_table();
-        let mut uses = [0u64; 256];
+        let mut uses = [0u64; MAX_CODES];
         for &code in &mail.bodies.codes {
             uses[usize::from(code)] += 1;
         }
-        let uses = &uses[..table.len()];
+        let (uses, subject_uses) = (&uses[..table.len()], &subject_uses[..table.len()]);
+        // `SUBJECT_PREFIX` holds no word, and a template's `{}` joins no
+        // two words, so a template counts as the words between its slots.
+        d_a.add_piece_uses(&SUBJECT_TEMPLATES, &template_uses);
+        d_a.add_piece_uses(table, subject_uses);
         d_a.add_piece_uses(table, uses);
         let emails = &mail.emails;
         let mut sent = vec![0u64; mail.bodies.names.len()];
@@ -435,18 +579,39 @@ impl CorpusGenerator {
         ] {
             d_a.add_times(piece, n);
         }
-        d_a.add_len(Self::text_bytes(&mail, uses, &sent));
+        let subject_bytes = Self::subject_bytes(table, &template_uses, subject_uses);
+        d_a.add_len(subject_bytes + Self::body_bytes(&mail, uses, &sent));
         mail
     }
 
-    /// The bytes `mail`'s emails add to `d_A`, each its subject line and
-    /// body with a newline after each, from how often each piece was
-    /// used (`uses`) and each address sent (`sent`), without rendering or
-    /// walking a body. Every body holds sentences, and each starts with
-    /// an opener: its pieces and the separator before each, then one
-    /// byte more per opener (`.\n` before each one after the first is a
-    /// byte longer than a space, and one full stop ends the body).
-    fn text_bytes(mail: &SeededMail, uses: &[u64], sent: &[u64]) -> usize {
+    /// The bytes of the subject lines written `template_uses` times with
+    /// words written `word_uses` times: each template once per use, less
+    /// its slots, plus the prefix, and each word once per use.
+    fn subject_bytes(table: &[&str], template_uses: &[u64], word_uses: &[u64]) -> usize {
+        let templates: u64 = (SUBJECT_TEMPLATES.iter())
+            .zip(&SUBJECT_SLOTS)
+            .zip(template_uses)
+            .map(|((t, &slots), &n)| {
+                n * (SUBJECT_PREFIX.len() + t.len() - 2 * usize::from(slots)) as u64
+            })
+            .sum();
+        let words: u64 = table
+            .iter()
+            .zip(word_uses)
+            .map(|(w, &n)| n * w.len() as u64)
+            .sum();
+        (templates + words) as usize
+    }
+
+    /// The bytes `mail`'s emails add to `d_A` besides their subject
+    /// lines, each its body and a newline after subject and body, from
+    /// how often each piece was used (`uses`) and each address sent
+    /// (`sent`), without rendering or walking a body. Every body holds
+    /// sentences, and each starts with an opener: its pieces and the
+    /// separator before each, then one byte more per opener (`.\n` before
+    /// each one after the first is a byte longer than a space, and one
+    /// full stop ends the body).
+    fn body_bytes(mail: &SeededMail, uses: &[u64], sent: &[u64]) -> usize {
         let bodies = &mail.bodies;
         let table = bodies.archetype.code_table();
         let pieces: u64 = table
@@ -461,7 +626,6 @@ impl CorpusGenerator {
             .zip(sent)
             .map(|(&(first, last), &n)| n * (first.len() + 1 + last.len()) as u64)
             .sum();
-        let subjects: usize = mail.emails.iter().map(|e| e.subject.len()).sum();
         // Each email's fixed parts: the greeting, the owner's name and
         // its comma, the sign-off, the line before the organization and
         // the organization, and the newlines after subject and body.
@@ -472,7 +636,7 @@ impl CorpusGenerator {
             + 1
             + bodies.archetype.organization().len()
             + 2;
-        subjects + mail.emails.len() * frame + (pieces + openers + signatures) as usize
+        mail.emails.len() * frame + (pieces + openers + signatures) as usize
     }
 }
 
@@ -519,19 +683,21 @@ mod tests {
         let mut d_a = TermCounts::new();
         let mb =
             CorpusGenerator::new().generate_mailbox(&owner, &peers, 200, 300, &mut rng, &mut d_a);
-        // A thread's emails are consecutive and share one range.
-        let mut lines: Vec<&Range<u32>> = mb.emails.iter().map(|e| &e.subject).collect();
+        // A thread's emails are consecutive and share one subject.
+        let mut lines: Vec<SubjectCodes> = mb.emails.iter().map(|e| e.subject).collect();
         lines.dedup();
         assert!(lines.len() < mb.emails.len(), "no thread has a reply");
-        let written: usize = lines.iter().map(|r| r.len()).sum();
-        assert_eq!(written, mb.subjects.len());
         let coded: usize = mb.emails.iter().map(|e| e.body.len()).sum();
         assert_eq!(coded, mb.bodies.codes.len());
         // `d_a` still counts each email's own subject line and its
-        // rendered body, whose length `text_len` gives unrendered.
+        // rendered body, whose lengths `text_len` gives unrendered.
         let emails = mb.to_emails();
         assert!(emails.iter().all(|e| e.subject.starts_with("RE: ")));
         for (e, record) in emails.iter().zip(&mb.emails) {
+            assert_eq!(
+                e.subject.len(),
+                mb.bodies.subject(record.subject).text_len()
+            );
             assert_eq!(
                 e.body.len(),
                 mb.bodies.body(record.from, &record.body).text_len()
@@ -542,6 +708,86 @@ mod tests {
         let mut counted = TermCounts::new();
         emails.iter().for_each(|e| counted.add_email(e));
         assert_eq!(d_a, counted);
+    }
+
+    #[test]
+    fn subjects_render_the_prefix_template_and_words() {
+        let table = Archetype::CorporateEmployee.code_table();
+        let word = |w: &str| table.iter().position(|&p| p == w).unwrap() as u8;
+        for (template, words, text) in [
+            (
+                0,
+                [word("energy"), word("power")],
+                "RE: RE: energy power schedule",
+            ),
+            (1, [word("market"), 0], "RE: FW: market update"),
+            (
+                7,
+                [word("please"), word("about")],
+                "RE: Action required: please about",
+            ),
+        ] {
+            let subject = SeededSubject {
+                codes: SubjectCodes { template, words },
+                archetype: Archetype::CorporateEmployee,
+            };
+            let mut rendered = String::new();
+            subject.write_text(&mut rendered);
+            assert_eq!(rendered, text);
+            assert_eq!(subject.text_len(), text.len());
+        }
+        assert_eq!(SUBJECT_SLOTS, [2, 1, 2, 1, 1, 1, 1, 2]);
+    }
+
+    /// A thread's subject line as the generator wrote it before subject
+    /// lines were codes: text, drawn as it was drawn then.
+    fn written_subject(archetype: Archetype, rng: &mut Rng) -> String {
+        let mut text = String::from("RE: ");
+        let mut rest = *rng.choose(&SUBJECT_TEMPLATES);
+        while let Some(pos) = rest.find("{}") {
+            let word = *rng.choose(archetype.core_vocab());
+            text.push_str(&rest[..pos]);
+            text.push_str(word);
+            rest = &rest[pos + 2..];
+        }
+        text.push_str(rest);
+        text
+    }
+
+    proptest::proptest! {
+        /// Subject codes render the text the text-writing generator wrote
+        /// from the same draws, and take the same draws.
+        #[test]
+        fn subject_codes_render_the_written_subject(seed in proptest::prelude::any::<u64>(), activist in proptest::prelude::any::<bool>()) {
+            let archetype = [Archetype::CorporateEmployee, Archetype::Activist][usize::from(activist)];
+            let generator = CorpusGenerator::with_archetype(archetype);
+            let (mut coded, mut written) = (Rng::seed_from(seed), Rng::seed_from(seed));
+            for _ in 0..32 {
+                let codes = generator.subject(&mut coded);
+                let mut text = String::new();
+                SeededSubject { codes, archetype }.write_text(&mut text);
+                proptest::prop_assert_eq!(text, written_subject(archetype, &mut written));
+            }
+            proptest::prop_assert_eq!(coded.next_u64(), written.next_u64());
+        }
+    }
+
+    #[test]
+    fn mailboxes_of_the_same_peers_share_their_addresses() {
+        let (owner, peers, mut rng) = setup();
+        let mut g = CorpusGenerator::new();
+        let mut d_a = TermCounts::new();
+        let a = g.generate_mailbox(&owner, &peers, 5, 5, &mut rng, &mut d_a);
+        let b = g.generate_mailbox(&owner, &peers, 5, 5, &mut rng, &mut d_a);
+        assert!(Arc::ptr_eq(&a.peers, &b.peers));
+        let c = g.generate_mailbox(&owner, &peers[1..], 5, 5, &mut rng, &mut d_a);
+        assert!(!Arc::ptr_eq(&a.peers, &c.peers));
+        assert_eq!(a.peers[1..], c.peers[..]);
+        assert_eq!(a.address(0), &owner.webmail_address());
+        assert_eq!(
+            a.address(1),
+            &format!("{}@meridianpower.example", peers[0].handle)
+        );
     }
 
     #[test]

@@ -132,17 +132,19 @@ pub struct Zipf {
     cdf: Vec<f64>,
     /// `guide[k]` is the first rank whose CDF value is at least
     /// `k / GUIDE_LEN` (capped at the last rank).
-    guide: Vec<usize>,
+    guide: Vec<u16>,
 }
 
-/// Entries in [`Zipf`]'s guide table.
-const GUIDE_LEN: usize = 256;
+/// Entries in [`Zipf`]'s guide table: enough that the walk from a slot
+/// seldom takes a step, at two bytes an entry.
+const GUIDE_LEN: usize = 4_096;
 
 impl Zipf {
     /// Build the CDF and guide tables for `n` ranks with exponent `s`.
-    /// Panics if `n == 0` or `s < 0`.
+    /// Panics if `n == 0`, `n > 65,536` or `s < 0`.
     pub fn new(n: usize, s: f64) -> Zipf {
         assert!(n > 0, "Zipf needs at least one rank");
+        assert!(n <= 1 << 16, "Zipf ranks must fit the u16 guide table");
         assert!(s >= 0.0, "Zipf exponent must be non-negative");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -157,7 +159,7 @@ impl Zipf {
         let guide = (0..GUIDE_LEN)
             .map(|k| {
                 let floor = k as f64 / GUIDE_LEN as f64;
-                cdf.partition_point(|&p| p < floor).min(n - 1)
+                cdf.partition_point(|&p| p < floor).min(n - 1) as u16
             })
             .collect();
         Zipf { cdf, guide }
@@ -171,14 +173,15 @@ impl Zipf {
 
     /// The 0-based rank a uniform draw `u` in `[0, 1)` maps to: the
     /// first rank whose CDF value is at least `u`, capped at the last
-    /// rank. Every rank before `guide[⌊u·256⌋]` has a CDF value below
-    /// `⌊u·256⌋ / 256 ≤ u`, so the walk starts there.
+    /// rank. With `L` the guide's length, every rank before
+    /// `guide[⌊u·L⌋]` has a CDF value below `⌊u·L⌋ / L ≤ u`, so the walk
+    /// starts there.
     #[inline]
     pub fn rank(&self, u: f64) -> usize {
         let last = self.cdf.len() - 1;
         // `as` saturates: a negative `u` reads slot 0.
         let slot = ((u * GUIDE_LEN as f64) as usize).min(GUIDE_LEN - 1);
-        let mut i = self.guide[slot];
+        let mut i = usize::from(self.guide[slot]);
         while i < last && self.cdf[i] < u {
             i += 1;
         }
@@ -327,7 +330,7 @@ mod tests {
     proptest::proptest! {
         /// The guide-table walk returns the binary search's rank for any
         /// table, at an arbitrary `u` and at the values where an
-        /// off-by-one would show: each guide slot's lower edge `k/256`,
+        /// off-by-one would show: each guide slot's lower edge `k / GUIDE_LEN`,
         /// each CDF value and the float just below it, and the largest
         /// `f64` below 1.0.
         #[test]

@@ -6,16 +6,30 @@
 //!
 //! A mailbox keeps its text in one append-only arena and its addresses
 //! in one table; an [`Entry`] holds ranges and indices into them. It
-//! takes a [`SeededMail`] batch's subject lines whole, so a thread's
-//! subject stays stored once, and its bodies as codes, rendered only
-//! where a message leaves the mailbox. Every other message enters
+//! keeps a [`SeededMail`] batch as it came: subjects and bodies as
+//! codes, rendered only where a message leaves the mailbox, and the
+//! peer addresses its generator shares. Every other message enters
 //! through [`Mailbox::file`], which copies borrowed parts into the arena
-//! and the table. Every read is a borrowed [`Message`], never an [`Email`].
+//! and the table. Every read is a borrowed [`Message`], never an
+//! [`Email`].
+//!
+//! Search reads an index of the mailbox, built at its first search and
+//! kept: each seeded message's codes as one bit mask, with its frame and
+//! subject template, and the ids of the text mail search reads as text.
+//! [`Mailbox::file`] adds to it; a replaced entry or a new batch drops
+//! it, to be built again.
 
+use pwnd_corpus::archetype::MAX_CODES;
 use pwnd_corpus::email::{Email, EmailId, MailTime};
-use pwnd_corpus::generator::{slice, SeededBodies, SeededBody, SeededMail};
+use pwnd_corpus::generator::{
+    slice, SeededBodies, SeededBody, SeededMail, SeededSubject, SubjectCodes,
+};
+use pwnd_corpus::vocab::SUBJECT_TEMPLATES;
+use std::cell::OnceCell;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// The folder an entry lives in.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -29,28 +43,77 @@ pub enum Folder {
     Drafts,
 }
 
-/// A message's mailbox metadata. Its sender and recipients are indices
-/// into the mailbox's address table, its subject and body byte ranges
-/// of the mailbox's arena, but a seeded body's a range of batch codes.
-#[derive(Clone, Debug, Default)]
+/// A message's mailbox metadata and where its parts are.
+#[derive(Clone, Debug)]
 pub struct Entry {
     /// Send (or draft-creation) time.
     pub timestamp: MailTime,
-    from: u32,
-    to: Range<u32>,
-    subject: Range<u32>,
-    body: Range<u32>,
-    /// A seeded body's batch and the sender's index in it.
-    seeded: Option<(u16, u16)>,
+    content: Content,
     /// Which folder it lives in.
     pub folder: Folder,
     /// Whether it has been opened.
     pub read: bool,
     /// Whether it is starred.
     pub starred: bool,
-    /// User-assigned labels, each once, in the order applied; no heap
-    /// block until one lands.
-    pub labels: Vec<String>,
+}
+
+/// Where a message's parts are.
+#[derive(Clone, Debug)]
+enum Content {
+    /// Filed mail: sender and recipients in the address table, subject
+    /// and body in the arena.
+    Text {
+        from: u32,
+        to: Range<u32>,
+        subject: Range<u32>,
+        body: Range<u32>,
+    },
+    /// Seeded mail: its batch, sender and recipient as
+    /// [`SeededMail::address`] indices, subject codes and the range of
+    /// its body's codes.
+    Seeded {
+        batch: u16,
+        from: u16,
+        to: u16,
+        subject: SubjectCodes,
+        body: Range<u32>,
+    },
+}
+
+/// A seeded batch as the mailbox keeps it.
+#[derive(Clone, Debug)]
+struct Batch {
+    bodies: SeededBodies,
+    /// The owner's address in the address table.
+    owner: u32,
+    peers: Arc<[String]>,
+}
+
+/// A subject line, borrowed: text in place, or codes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Subject<'a> {
+    /// Text.
+    Text(&'a str),
+    /// A seeded subject line.
+    Seeded(SeededSubject),
+}
+
+impl Subject<'_> {
+    /// Append the text to `out`.
+    pub fn write_text(&self, out: &mut String) {
+        match self {
+            Subject::Text(text) => out.push_str(text),
+            Subject::Seeded(subject) => subject.write_text(out),
+        }
+    }
+
+    /// The byte length of the text, without writing it.
+    pub fn text_len(&self) -> usize {
+        match self {
+            Subject::Text(text) => text.len(),
+            Subject::Seeded(subject) => subject.text_len(),
+        }
+    }
 }
 
 /// A message body, borrowed: text in place, or piece codes.
@@ -70,6 +133,14 @@ impl Body<'_> {
             Body::Seeded(body) => body.write_text(out),
         }
     }
+
+    /// The byte length of the text, without writing it.
+    pub fn text_len(&self) -> usize {
+        match self {
+            Body::Text(text) => text.len(),
+            Body::Seeded(body) => body.text_len(),
+        }
+    }
 }
 
 /// A message's parts, borrowed: what [`Mailbox::file`] stores and what
@@ -83,22 +154,58 @@ pub struct Message<'a> {
     /// Recipient addresses.
     pub to: &'a [String],
     /// Subject line.
-    pub subject: &'a str,
+    pub subject: Subject<'a>,
     /// Body.
     pub body: Body<'a>,
     /// Which folder it lives in.
     pub folder: Folder,
 }
 
+/// What search reads of a mailbox: every message outside Sent, a seeded
+/// one as its codes and a text one by id.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SearchIndex {
+    /// Seeded mail in id order, each with its place in a ranking:
+    /// newest first, the id breaking ties.
+    pub(crate) seeded: Vec<(Reverse<MailTime>, EmailId)>,
+    /// Each seeded message's codes: bit `k` is set when code `k` is in
+    /// its body or fills a slot of its subject.
+    pub(crate) codes: Vec<u128>,
+    /// Each seeded message's frame (greeting and signature, fixed by
+    /// batch and sender; frames are numbered batch by batch) times the
+    /// template count, plus its subject template.
+    pub(crate) keys: Vec<u32>,
+    /// Text mail, in id order up to the build and in filing order after
+    /// it.
+    pub(crate) text: Vec<EmailId>,
+}
+
+/// Code `k`'s bit in a code mask: a lookup, which sets a bit faster than
+/// a variable shift of a `u128`.
+static CODE_BITS: [u128; MAX_CODES] = {
+    let mut bits = [0; MAX_CODES];
+    let mut k = 0;
+    while k < MAX_CODES {
+        bits[k] = 1 << k;
+        k += 1;
+    }
+    bits
+};
+
 /// A single account's mail store.
 #[derive(Clone, Debug, Default)]
 pub struct Mailbox {
-    /// Every subject and text body; a replaced entry's text stays.
+    /// Every text subject and body; a replaced entry's text stays.
     text: String,
     addresses: Vec<String>,
-    /// Each seeded batch's bodies; a replaced entry's codes stay.
-    batches: Vec<SeededBodies>,
+    /// Each seeded batch; a replaced entry's codes stay.
+    batches: Vec<Batch>,
     entries: BTreeMap<EmailId, Entry>,
+    /// User-assigned labels, each once, in the order applied: kept
+    /// beside the entries, since few messages carry one.
+    labels: BTreeMap<EmailId, Vec<String>>,
+    /// Built at the first search.
+    index: OnceCell<SearchIndex>,
 }
 
 impl Mailbox {
@@ -109,28 +216,30 @@ impl Mailbox {
 
     /// Deliver a generated batch into the Inbox, unread.
     pub fn seed(&mut self, mail: SeededMail) {
-        let (base, address_base) = (self.text.len() as u32, self.addresses.len() as u32);
-        let shift = |r: Range<u32>| r.start + base..r.end + base;
-        if self.text.is_empty() {
-            self.text = mail.subjects;
-        } else {
-            self.text.push_str(&mail.subjects);
-        }
-        self.addresses.extend(mail.addresses);
+        self.index.take();
         let batch = u16::try_from(self.batches.len()).expect("under 65,536 batches");
-        self.batches.push(mail.bodies);
+        self.addresses.push(mail.owner);
+        self.batches.push(Batch {
+            bodies: mail.bodies,
+            owner: self.addresses.len() as u32 - 1,
+            peers: mail.peers,
+        });
         for e in mail.emails {
-            let to = address_base + u32::from(e.to);
             let entry = Entry {
                 timestamp: e.timestamp,
-                from: address_base + u32::from(e.from),
-                to: to..to + 1,
-                subject: shift(e.subject),
-                body: e.body,
-                seeded: Some((batch, e.from)),
-                ..Entry::default()
+                content: Content::Seeded {
+                    batch,
+                    from: e.from,
+                    to: e.to,
+                    subject: e.subject,
+                    body: e.body,
+                },
+                folder: Folder::Inbox,
+                read: false,
+                starred: false,
             };
             self.entries.insert(e.id, entry);
+            self.labels.remove(&e.id);
         }
     }
 
@@ -150,20 +259,30 @@ impl Mailbox {
         self.addresses.extend_from_slice(message.to);
         let to = to_start..self.addresses.len() as u32;
         let start = self.text.len() as u32;
-        self.text.push_str(message.subject);
+        message.subject.write_text(&mut self.text);
         let middle = self.text.len() as u32;
         message.body.write_text(&mut self.text);
         let entry = Entry {
             timestamp: message.timestamp,
-            from,
-            to,
-            subject: start..middle,
-            body: middle..self.text.len() as u32,
+            content: Content::Text {
+                from,
+                to,
+                subject: start..middle,
+                body: middle..self.text.len() as u32,
+            },
             folder: message.folder,
             read: message.folder != Folder::Inbox,
-            ..Entry::default()
+            starred: false,
         };
-        self.entries.insert(id, entry);
+        self.labels.remove(&id);
+        let replaced = self.entries.insert(id, entry).is_some();
+        if replaced {
+            self.index.take();
+        } else if let Some(index) = self.index.get_mut() {
+            if message.folder != Folder::Sent {
+                index.text.push(id);
+            }
+        }
     }
 
     /// Deliver a copy of `email` into the Inbox, unread.
@@ -172,7 +291,7 @@ impl Mailbox {
             timestamp: email.timestamp,
             from: &email.from,
             to: &email.to,
-            subject: &email.subject,
+            subject: Subject::Text(&email.subject),
             body: Body::Text(&email.body),
             folder: Folder::Inbox,
         };
@@ -189,46 +308,113 @@ impl Mailbox {
         self.entries.iter().map(|(&id, e)| (id, self.view(e)))
     }
 
-    /// [`Mailbox::messages`], a seeded message with its batch and its
-    /// sender's index there: the pair fixes its body's frame (greeting
-    /// and signature), so a reader can handle each frame once.
-    pub fn messages_with_frames(
-        &self,
-    ) -> impl Iterator<Item = (EmailId, Message<'_>, Option<(u16, u16)>)> {
-        self.entries
-            .iter()
-            .map(|(&id, e)| (id, self.view(e), e.seeded))
-    }
-
-    fn view<'a>(&'a self, e: &Entry) -> Message<'a> {
-        let body = match e.seeded {
-            None => Body::Text(slice(&self.text, &e.body)),
-            Some((batch, from)) => {
-                Body::Seeded(self.batches[usize::from(batch)].body(from, &e.body))
+    fn view<'a>(&'a self, e: &'a Entry) -> Message<'a> {
+        let (from, to, subject, body) = match &e.content {
+            Content::Text {
+                from,
+                to,
+                subject,
+                body,
+            } => (
+                &self.addresses[*from as usize],
+                &self.addresses[to.start as usize..to.end as usize],
+                Subject::Text(slice(&self.text, subject)),
+                Body::Text(slice(&self.text, body)),
+            ),
+            Content::Seeded {
+                batch,
+                from,
+                to,
+                subject,
+                body,
+            } => {
+                let batch_mail = &self.batches[usize::from(*batch)];
+                (
+                    self.seeded_address(batch_mail, *from),
+                    std::slice::from_ref(self.seeded_address(batch_mail, *to)),
+                    Subject::Seeded(batch_mail.bodies.subject(*subject)),
+                    Body::Seeded(batch_mail.bodies.body(*from, body)),
+                )
             }
         };
         Message {
             timestamp: e.timestamp,
-            from: &self.addresses[e.from as usize],
-            to: &self.addresses[e.to.start as usize..e.to.end as usize],
-            subject: slice(&self.text, &e.subject),
+            from,
+            to,
+            subject,
             body,
             folder: e.folder,
+        }
+    }
+
+    /// Address `i` of `batch`: 0 the owner, `p + 1` peer `p`.
+    fn seeded_address<'a>(&'a self, batch: &'a Batch, i: u16) -> &'a String {
+        match i.checked_sub(1) {
+            None => &self.addresses[batch.owner as usize],
+            Some(p) => &batch.peers[usize::from(p)],
         }
     }
 
     /// Exactly [`Email::full_text`] of a message. `None` if absent.
     pub fn full_text(&self, id: EmailId) -> Option<String> {
         let m = self.message(id)?;
-        let body_len = match m.body {
-            Body::Text(text) => text.len(),
-            Body::Seeded(body) => body.text_len(),
-        };
-        let mut text = String::with_capacity(m.subject.len() + 1 + body_len);
-        text.push_str(m.subject);
+        let mut text = String::with_capacity(m.subject.text_len() + 1 + m.body.text_len());
+        m.subject.write_text(&mut text);
         text.push('\n');
         m.body.write_text(&mut text);
         Some(text)
+    }
+
+    /// What search reads, built the first time it is asked for.
+    pub(crate) fn search_index(&self) -> &SearchIndex {
+        self.index.get_or_init(|| {
+            // Seeded mail outside Sent is at most every entry.
+            let n = self.entries.len();
+            let mut index = SearchIndex {
+                seeded: Vec::with_capacity(n),
+                codes: Vec::with_capacity(n),
+                keys: Vec::with_capacity(n),
+                text: Vec::new(),
+            };
+            let mut frame_base = Vec::with_capacity(self.batches.len());
+            let mut frames = 0;
+            for b in &self.batches {
+                frame_base.push(frames);
+                frames += b.bodies.names.len() as u32;
+            }
+            let outside_sent = (self.entries.iter()).filter(|(_, e)| e.folder != Folder::Sent);
+            for (&id, e) in outside_sent {
+                let Content::Seeded {
+                    batch,
+                    from,
+                    subject,
+                    body,
+                    ..
+                } = &e.content
+                else {
+                    index.text.push(id);
+                    continue;
+                };
+                let bodies = &self.batches[usize::from(*batch)].bodies;
+                let or = |mask: u128, &code: &u8| mask | CODE_BITS[usize::from(code)];
+                let body_codes = &bodies.codes[body.start as usize..body.end as usize];
+                let mask = body_codes.iter().fold(0, or);
+                let mask = subject.words().iter().fold(mask, or);
+                let frame = frame_base[usize::from(*batch)] + u32::from(*from);
+                index.seeded.push((Reverse(e.timestamp), id));
+                index.codes.push(mask);
+                let templates = SUBJECT_TEMPLATES.len() as u32;
+                index
+                    .keys
+                    .push(frame * templates + u32::from(subject.template));
+            }
+            index
+        })
+    }
+
+    /// Each seeded batch's bodies, in batch order.
+    pub(crate) fn batches(&self) -> impl ExactSizeIterator<Item = &SeededBodies> {
+        self.batches.iter().map(|b| &b.bodies)
     }
 
     /// Mark a message read (opened). Returns `false` if absent.
@@ -246,15 +432,19 @@ impl Mailbox {
 
     /// Apply a label (once). Returns `false` if absent.
     pub fn label(&mut self, id: EmailId, label: &str) -> bool {
-        match self.entries.get_mut(&id) {
-            Some(e) => {
-                if !e.labels.iter().any(|l| l == label) {
-                    e.labels.push(label.to_string());
-                }
-                true
-            }
-            None => false,
+        if !self.entries.contains_key(&id) {
+            return false;
         }
+        let labels = self.labels.entry(id).or_default();
+        if !labels.iter().any(|l| l == label) {
+            labels.push(label.to_string());
+        }
+        true
+    }
+
+    /// A message's labels, each once, in the order applied.
+    pub fn labels(&self, id: EmailId) -> &[String] {
+        self.labels.get(&id).map_or(&[], Vec::as_slice)
     }
 
     /// Look up without side effects.
@@ -313,7 +503,7 @@ mod tests {
             timestamp: MailTime(ts),
             from: "x@example.com",
             to: &[],
-            subject: "composed",
+            subject: Subject::Text("composed"),
             body: Body::Text("body"),
             folder,
         }
@@ -358,8 +548,7 @@ mod tests {
         let e = mb.get(EmailId(1)).unwrap();
         assert!(e.starred);
         assert!(mb.label(EmailId(1), "important"));
-        let e = mb.get(EmailId(1)).unwrap();
-        assert_eq!(e.labels, ["important"]);
+        assert_eq!(mb.labels(EmailId(1)), ["important"]);
         assert!(!mb.star(EmailId(2)));
         assert!(!mb.label(EmailId(2), "x"));
     }
@@ -389,7 +578,8 @@ mod tests {
     fn mail_from_the_owner_reuses_table_entry_zero() {
         let mut mb = Mailbox::new();
         mb.seed(SeededMail {
-            addresses: vec!["x@example.com".into(), "peer@example.com".into()],
+            owner: "x@example.com".into(),
+            peers: Arc::from(["peer@example.com".to_string()]),
             ..SeededMail::default()
         });
         let to = ["y@example.com".to_string(), "z@example.com".to_string()];
@@ -398,8 +588,9 @@ mod tests {
             ..composed(20, Folder::Sent)
         };
         mb.file(EmailId(7), sent);
-        // Only the two recipients were added, as one run after the seed.
-        assert_eq!(mb.addresses.len(), 4);
+        // Only the two recipients were added, as one run after the
+        // owner; the peers stay in the batch.
+        assert_eq!(mb.addresses.len(), 3);
         assert_eq!(mb.message(EmailId(7)), Some(sent));
         // A sender other than the owner is still copied in.
         mb.file(
@@ -409,7 +600,7 @@ mod tests {
                 ..composed(30, Folder::Drafts)
             },
         );
-        assert_eq!(mb.addresses.len(), 5);
+        assert_eq!(mb.addresses.len(), 4);
         assert_eq!(
             mb.message(EmailId(8)).map(|m| m.from),
             Some("peer@example.com")

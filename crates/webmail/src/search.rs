@@ -9,32 +9,39 @@
 //! use it to validate the TF-IDF keyword-inference pipeline against what
 //! was really searched).
 //!
-//! ## Scanning instead of indexing
+//! ## Codes instead of text
 //!
-//! A paper run answers about a hundred searches, so there is no
-//! inverted index: each query scans one mailbox's messages outside the
-//! Sent folder. A term is a maximal run of ASCII alphanumerics, compared
-//! ASCII-case-insensitively: text is folded to ASCII lowercase in one
-//! reused buffer, and a term is found with `match_indices` and accepted
-//! only where the bytes on both sides are not ASCII-alphanumeric. That
-//! is exact: ASCII case folding never moves a run boundary, and every
-//! byte of a multi-byte UTF-8 character is a separator.
+//! A paper run answers about a hundred searches, so there is no inverted
+//! index: each query reads one mailbox's messages outside the Sent
+//! folder. A term is a maximal run of ASCII alphanumerics, compared
+//! ASCII-case-insensitively, and a text holds it when one of its own
+//! runs equals it. That needs no folded copy: every byte of a
+//! multi-byte UTF-8 character separates runs.
 //!
-//! A seeded body holds a term exactly when one of its pieces does (see
-//! [`pwnd_corpus::generator`]), so it is never rendered: each term
-//! becomes a 256-bit mask of the code-table pieces holding it, and only
-//! the subject and the frame (the body without its codes: greeting,
-//! owner's first name, signature) are folded. A term's mask depends only
-//! on the code table, so [`PieceMasks`] keeps it for every later search.
-//! A seeded message's subject line is its thread's and its frame is its
-//! sender's, so one search folds and scans each subject once per thread
-//! and each frame once per sender, not once per message. Subject and
-//! frame are separate texts in the scan: a space joins them in the
-//! rendered message, and no token spans a space.
+//! Seeded mail is decided by bit masks; its text is never rendered or
+//! folded. A seeded message holds a term exactly when one of its pieces
+//! does (see [`pwnd_corpus::generator`]): a code-table piece of its body
+//! or of its subject's slots, its subject template, or its frame (the
+//! body without its codes: greeting, owner's first name, signature). So:
+//!
+//! - each term gets a mask of the code-table pieces and of the templates
+//!   holding it, which depends only on the archetype, and [`PieceMasks`]
+//!   keeps it for every later search;
+//! - the mailbox keeps each seeded message's codes, body and subject
+//!   slots, as one mask, with its template and frame, built at its first
+//!   search and kept (its search index; [`Mailbox::file`] adds text mail
+//!   to it);
+//! - a search reads each frame once per sender, as the runs of its
+//!   names and of the parts every frame of the batch shares.
+//!
+//! A seeded message then costs a lookup of its frame and template and an
+//! `AND` per term. Text mail (delivered, drafts) is read as its subject,
+//! a space and its body, so no token spans the seam.
 
-use crate::mailbox::{Body, Folder, Mailbox};
+use crate::mailbox::Mailbox;
 use pwnd_corpus::email::EmailId;
-use pwnd_corpus::generator::SeededBody;
+use pwnd_corpus::generator::{GREETING, SIGN_OFF, SUBJECT_PREFIX};
+use pwnd_corpus::vocab::SUBJECT_TEMPLATES;
 use pwnd_corpus::Archetype;
 use pwnd_sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
@@ -50,48 +57,43 @@ pub struct QueryLogEntry {
     pub hits: usize,
 }
 
-/// Whether `text` holds `term` as a whole token: a match whose
-/// neighbouring bytes (if any) are not ASCII-alphanumeric. `term` is a
-/// non-empty ASCII-alphanumeric run, so a match that straddles a valid
-/// one is impossible and non-overlapping `match_indices` misses nothing.
-fn contains_token(text: &str, term: &str) -> bool {
-    // `str::contains` has a SIMD fast path that `match_indices` lacks,
-    // and most emails hold no occurrence at all: reject those first.
-    if !text.contains(term) {
-        return false;
-    }
-    let bytes = text.as_bytes();
-    text.match_indices(term).any(|(start, _)| {
-        let end = start + term.len();
-        (start == 0 || !bytes[start - 1].is_ascii_alphanumeric())
-            && (end == bytes.len() || !bytes[end].is_ascii_alphanumeric())
+/// Bit `i` is set when `text` holds `terms[i]` (ASCII lowercase) as a
+/// whole token: one of its maximal runs of ASCII alphanumerics, in any
+/// ASCII case. Every byte of a multi-byte character separates runs.
+fn tokens_held(text: &str, terms: &[String]) -> u64 {
+    let runs = text.as_bytes().split(|b| !b.is_ascii_alphanumeric());
+    runs.filter(|run| !run.is_empty()).fold(0, |found, run| {
+        let terms = terms.iter().enumerate();
+        terms.fold(found, |found, (i, term)| {
+            found | u64::from(run.eq_ignore_ascii_case(term.as_bytes())) << i
+        })
     })
 }
 
-/// Bit `k` is set when code `k`'s piece of `archetype` holds `term`.
-fn piece_mask(archetype: Archetype, term: &str) -> [u64; 4] {
-    let mut mask = [0; 4];
-    let mut piece_text = String::new();
-    for (k, piece) in archetype.code_table().iter().enumerate() {
-        piece_text.clear();
-        piece_text.push_str(piece);
-        piece_text.make_ascii_lowercase();
-        if contains_token(&piece_text, term) {
-            mask[k / 64] |= 1 << (k % 64);
-        }
-    }
-    mask
+/// Which pieces of an archetype's seeded mail hold a term.
+#[derive(Clone, Copy, Debug)]
+struct TermMask {
+    /// Bit `k` is set when code `k`'s piece holds the term.
+    pieces: u128,
+    /// Bit `t` is set when [`SUBJECT_PREFIX`] and template `t` hold it.
+    templates: u64,
 }
 
-/// Bit `i` is set when the text `write` puts in `buf`, folded, holds
-/// `terms[i]`.
-fn terms_written(buf: &mut String, terms: &[String], write: impl FnOnce(&mut String)) -> u64 {
-    buf.clear();
-    write(buf);
-    buf.make_ascii_lowercase();
-    let held = terms.iter().map(|term| contains_token(buf, term));
-    held.enumerate()
-        .fold(0, |found, (i, held)| found | u64::from(held) << i)
+impl TermMask {
+    fn new(archetype: Archetype, term: &str) -> TermMask {
+        let term = [term.to_string()];
+        let holds = |text: &str| tokens_held(text, &term) != 0;
+        let mut pieces = 0;
+        for (k, piece) in archetype.code_table().iter().enumerate() {
+            pieces |= u128::from(holds(piece)) << k;
+        }
+        let mut templates = 0;
+        for (t, template) in SUBJECT_TEMPLATES.iter().enumerate() {
+            let held = holds(SUBJECT_PREFIX) || holds(template);
+            templates |= u64::from(held) << t;
+        }
+        TermMask { pieces, templates }
+    }
 }
 
 /// Run `query` over the mail in `mailbox` outside the Sent folder:
@@ -103,15 +105,15 @@ pub fn search(mailbox: &Mailbox, query: &str) -> Vec<EmailId> {
     PieceMasks::default().search(mailbox, query)
 }
 
-/// Each searched term's piece mask for each archetype, kept from one
-/// search to the next.
+/// Each searched term's masks for each archetype, kept from one search
+/// to the next.
 #[derive(Clone, Debug, Default)]
 pub struct PieceMasks {
-    masks: BTreeMap<Archetype, BTreeMap<String, [u64; 4]>>,
+    masks: BTreeMap<Archetype, BTreeMap<String, TermMask>>,
 }
 
 impl PieceMasks {
-    /// [`search`], reading and keeping the piece masks here.
+    /// [`search`], reading and keeping the term masks here.
     pub fn search(&mut self, mailbox: &Mailbox, query: &str) -> Vec<EmailId> {
         let mut terms: Vec<String> = query
             .split(|c: char| !c.is_ascii_alphanumeric())
@@ -139,76 +141,76 @@ impl PieceMasks {
         hits
     }
 
-    /// The piece mask of `term` for `archetype`, computed the first time
-    /// it is asked for.
-    fn mask(&mut self, archetype: Archetype, term: &str) -> [u64; 4] {
+    /// The masks of `term` for `archetype`, made the first time they are
+    /// asked for.
+    fn mask(&mut self, archetype: Archetype, term: &str) -> TermMask {
         let masks = self.masks.entry(archetype).or_default();
         match masks.get(term) {
             Some(&mask) => mask,
             None => *masks
                 .entry(term.to_string())
-                .or_insert_with(|| piece_mask(archetype, term)),
+                .or_insert_with(|| TermMask::new(archetype, term)),
         }
     }
 
     /// The ranked mail holding every one of `terms` (at most 64).
     fn scan(&mut self, mailbox: &Mailbox, terms: &[String]) -> Vec<EmailId> {
         let all = u64::MAX >> (64 - terms.len());
-        // Fits a seeded frame.
-        let mut buf = String::with_capacity(128);
-        // For the archetype last seen, the terms each code's piece holds.
-        let mut pieces: Option<(Archetype, [u64; 256])> = None;
-        // The terms the last seeded subject line holds.
-        let mut subject: Option<(&str, u64)> = None;
-        // The terms each seeded frame holds, by batch and sender.
-        let mut frames: BTreeMap<(u16, u16), u64> = BTreeMap::new();
-        let mut hits = Vec::new();
-        let messages = mailbox.messages_with_frames();
-        for (id, m, frame) in messages.filter(|(_, m, _)| m.folder != Folder::Sent) {
-            let found = match (m.body, frame) {
-                (Body::Seeded(body), Some(frame)) => {
-                    if pieces.as_ref().is_none_or(|p| p.0 != body.archetype) {
-                        let mut by_code = [0u64; 256];
-                        for (i, term) in terms.iter().enumerate() {
-                            let mask = self.mask(body.archetype, term);
-                            for (code, bits) in by_code.iter_mut().enumerate() {
-                                *bits |= (mask[code / 64] >> (code % 64) & 1) << i;
-                            }
-                        }
-                        pieces = Some((body.archetype, by_code));
-                    }
-                    let by_code = &pieces.as_ref().expect("built above").1;
-                    let codes = body.codes.iter();
-                    let mut found = codes.fold(0, |f, &c| f | by_code[usize::from(c)]);
-                    if found != all {
-                        let held = match subject {
-                            Some((line, held)) if std::ptr::eq(line, m.subject) => held,
-                            _ => {
-                                let held = terms_written(&mut buf, terms, |buf| {
-                                    buf.push_str(m.subject);
-                                });
-                                subject = Some((m.subject, held));
-                                held
-                            }
-                        };
-                        found |= held;
-                    }
-                    if found != all {
-                        found |= *frames.entry(frame).or_insert_with(|| {
-                            terms_written(&mut buf, terms, |buf| {
-                                SeededBody { codes: &[], ..body }.write_text(buf);
-                            })
-                        });
-                    }
-                    found
+        let index = mailbox.search_index();
+        // Per batch, each term's piece mask; per frame, the terms it
+        // holds and its batch; per template, the terms it holds.
+        let mut pieces = Vec::with_capacity(mailbox.batches().len() * terms.len());
+        let mut frames = Vec::new();
+        let mut templates = [0u64; SUBJECT_TEMPLATES.len()];
+        for (batch, bodies) in mailbox.batches().enumerate() {
+            for (i, term) in terms.iter().enumerate() {
+                let mask = self.mask(bodies.archetype, term);
+                pieces.push(mask.pieces);
+                for (t, bits) in templates.iter_mut().enumerate() {
+                    *bits |= (mask.templates >> t & 1) << i;
                 }
-                (body, _) => terms_written(&mut buf, terms, |buf| {
-                    buf.push_str(m.subject);
-                    buf.push(' ');
-                    body.write_text(buf);
-                }),
-            };
+            }
+            // A frame's tokens are those of its parts, the sender's
+            // names and the parts every frame of the batch shares.
+            let shared = [
+                GREETING,
+                bodies.owner_first,
+                SIGN_OFF,
+                bodies.archetype.organization(),
+            ];
+            let shared = shared
+                .iter()
+                .fold(0, |held, part| held | tokens_held(part, terms));
+            for &(first, last) in &bodies.names {
+                let held = tokens_held(first, terms) | tokens_held(last, terms);
+                frames.push((shared | held, batch));
+            }
+        }
+        let mut hits = Vec::new();
+        let coded = index.seeded.iter().zip(&index.codes).zip(&index.keys);
+        for ((&rank, &codes), &key) in coded {
+            let key = key as usize;
+            let (held, batch) = frames[key / templates.len()];
+            let mut found = held | templates[key % templates.len()];
+            if found != all {
+                let masks = &pieces[batch * terms.len()..][..terms.len()];
+                for (i, &mask) in masks.iter().enumerate() {
+                    found |= u64::from(codes & mask != 0) << i;
+                }
+            }
             if found == all {
+                hits.push(rank);
+            }
+        }
+        // A space joins subject and body, so no token spans the seam.
+        let mut buf = String::new();
+        for &id in &index.text {
+            let m = mailbox.message(id).expect("indexed mail is stored");
+            buf.clear();
+            m.subject.write_text(&mut buf);
+            buf.push(' ');
+            m.body.write_text(&mut buf);
+            if tokens_held(&buf, terms) == all {
                 hits.push((std::cmp::Reverse(m.timestamp), id));
             }
         }

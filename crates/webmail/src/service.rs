@@ -12,7 +12,7 @@
 use crate::account::{Account, AccountId, AccountState};
 use crate::activity::{ActivityPage, ActivityRow};
 use crate::events::WebmailEvent;
-use crate::mailbox::{Body, Folder, Mailbox, Message};
+use crate::mailbox::{Body, Folder, Mailbox, Message, Subject};
 use crate::mta::{Sinkhole, SinkholedMessage};
 use crate::rules::{Rule, RuleAction, RuleSet};
 use crate::search::{PieceMasks, QueryLogEntry};
@@ -274,21 +274,24 @@ impl WebmailService {
     }
 
     /// Run the account's rules over one message, in rule order. A
-    /// seeded body is rendered for them into a scratch buffer.
+    /// seeded subject and body are rendered for them into a scratch
+    /// buffer.
     fn apply_rules(&mut self, idx: usize, id: EmailId) {
         let mailbox = &mut self.mailboxes[idx];
         let Some(m) = mailbox.message(id) else {
             return;
         };
         let mut scratch = String::new();
-        let body = match m.body {
-            Body::Text(text) => text,
-            seeded => {
-                seeded.write_text(&mut scratch);
-                &scratch
+        let (subject, body) = match (m.subject, m.body) {
+            (Subject::Text(subject), Body::Text(body)) => (subject, body),
+            (subject, body) => {
+                subject.write_text(&mut scratch);
+                let middle = scratch.len();
+                body.write_text(&mut scratch);
+                (&scratch[..middle], &scratch[middle..])
             }
         };
-        for action in self.rules[idx].actions_for(m.from, m.subject, body) {
+        for action in self.rules[idx].actions_for(m.from, subject, body) {
             match action {
                 RuleAction::ApplyLabel(label) => {
                     mailbox.label(id, label);
@@ -592,7 +595,7 @@ impl WebmailService {
             timestamp: MailTime::from_sim(at),
             from: &self.accounts[idx].address,
             to,
-            subject,
+            subject: Subject::Text(subject),
             body: Body::Text(body),
             folder: Folder::Drafts,
         };
@@ -652,7 +655,7 @@ impl WebmailService {
             timestamp: MailTime::from_sim(at),
             from: &self.accounts[idx].address,
             to,
-            subject,
+            subject: Subject::Text(subject),
             body: Body::Text(body),
             folder: Folder::Sent,
         };
@@ -776,7 +779,7 @@ impl WebmailService {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use pwnd_corpus::generator::{SeededBodies, SeededEmail};
+    use pwnd_corpus::generator::{SeededBodies, SeededEmail, SubjectCodes};
     use pwnd_net::geo::GeoDb;
     use pwnd_net::ip::AddressPlan;
     use pwnd_net::tor::TorDirectory;
@@ -1147,7 +1150,7 @@ mod tests {
         let sent = mailbox.message(record.email).unwrap();
         assert_eq!(
             (sent.from, sent.to, sent.subject),
-            ("honey@honeymail.example", &to[..], "hello")
+            ("honey@honeymail.example", &to[..], Subject::Text("hello"))
         );
         assert_eq!(svc.mailbox(plain).list(Folder::Sent).len(), 1);
     }
@@ -1307,7 +1310,7 @@ mod tests {
         svc.add_rule(
             id,
             crate::rules::Rule {
-                matcher: crate::rules::Matcher::SubjectContains("invoice".into()),
+                matcher: crate::rules::Matcher::SubjectContains("agreement".into()),
                 action: crate::rules::RuleAction::ApplyLabel("finance".into()),
             },
         );
@@ -1325,14 +1328,15 @@ mod tests {
                 id: EmailId(1),
                 from: "peer@x".into(),
                 to: vec!["r@honeymail.example".into()],
-                subject: "Invoice attached".into(),
+                subject: "Agreement attached".into(),
                 body: "see attachment".into(),
                 timestamp: MailTime(-50),
             },
         );
         // A seeded batch runs through the same rules: its one email
-        // comes from a noreply sender, its thread is about invoices and
-        // its rendered body asks the reader to find something.
+        // comes from a noreply sender, its rendered subject names an
+        // agreement and its rendered body asks the reader to find
+        // something.
         svc.add_rule(
             id,
             crate::rules::Rule {
@@ -1350,41 +1354,41 @@ mod tests {
                     owner_first: "Rae",
                     names: vec![("Rae", "Owner"), ("Weekly", "Digest")],
                 },
-                subjects: "RE: invoice run".into(),
-                addresses: vec![
-                    "r@honeymail.example".into(),
-                    "noreply@newsletter.example".into(),
-                ],
+                owner: "r@honeymail.example".into(),
+                peers: std::sync::Arc::from(["noreply@newsletter.example".to_string()]),
                 emails: vec![SeededEmail {
                     id: EmailId(2),
                     timestamp: MailTime(-40),
                     from: 1,
                     to: 0,
-                    subject: 0..15,
+                    // "{} agreement - draft" around "contract".
+                    subject: SubjectCodes {
+                        template: 4,
+                        words: [21, 0],
+                    },
                     body: 0..2,
                 }],
             },
         );
         let labelled = svc.mailbox(id).get(EmailId(1)).unwrap();
-        assert_eq!(labelled.labels, ["finance"]);
+        assert_eq!(svc.mailbox(id).labels(EmailId(1)), ["finance"]);
         assert!(!labelled.read);
         assert!(!labelled.starred);
         let digested = svc.mailbox(id).get(EmailId(2)).unwrap();
         assert!(digested.read, "MarkRead rule must have fired");
         assert!(digested.starred, "the rule must see the rendered body");
-        assert_eq!(digested.labels, ["finance"]);
+        assert_eq!(svc.mailbox(id).labels(EmailId(2)), ["finance"]);
         let opened = svc.mailbox(id).message(EmailId(2)).unwrap();
         assert_eq!(
-            (opened.from, opened.to, opened.subject),
+            (opened.from, opened.to),
             (
                 "noreply@newsletter.example",
                 &["r@honeymail.example".to_string()][..],
-                "RE: invoice run",
             )
         );
         assert_eq!(
             svc.mailbox(id).full_text(EmailId(2)).unwrap(),
-            "RE: invoice run\nHi Rae,\nPlease find transfer.\nThanks,\nWeekly Digest\n\
+            "RE: contract agreement - draft\nHi Rae,\nPlease find transfer.\nThanks,\nWeekly Digest\n\
              Meridian Power Group"
         );
     }

@@ -3,10 +3,11 @@
 
 use proptest::prelude::*;
 use pwnd_corpus::email::{Email, EmailId, MailTime};
-use pwnd_corpus::generator::{CorpusGenerator, GREETING, SIGN_OFF};
+use pwnd_corpus::generator::{CorpusGenerator, GREETING, SIGN_OFF, SUBJECT_PREFIX};
 use pwnd_corpus::names::{FIRST_NAMES, LAST_NAMES};
 use pwnd_corpus::persona::PersonaFactory;
 use pwnd_corpus::tokenize::TermCounts;
+use pwnd_corpus::vocab::SUBJECT_TEMPLATES;
 use pwnd_corpus::Archetype;
 use pwnd_net::access::ConnectionInfo;
 use pwnd_net::geo::GeoDb;
@@ -17,7 +18,7 @@ use pwnd_net::useragent::{Browser, ClientConfig, Os};
 use pwnd_sim::{Rng, SimDuration, SimTime};
 use pwnd_webmail::account::AccountId;
 use pwnd_webmail::activity::ActivityPage;
-use pwnd_webmail::mailbox::{Body, Folder, Mailbox, Message};
+use pwnd_webmail::mailbox::{Body, Folder, Mailbox, Message, Subject};
 use pwnd_webmail::search::search;
 use pwnd_webmail::service::{OpError, ServiceConfig, WebmailService};
 use std::collections::BTreeMap;
@@ -56,7 +57,7 @@ fn message(e: &Email, folder: Folder) -> Message<'_> {
         timestamp: e.timestamp,
         from: &e.from,
         to: &e.to,
-        subject: &e.subject,
+        subject: Subject::Text(&e.subject),
         body: Body::Text(&e.body),
         folder,
     }
@@ -358,13 +359,24 @@ fn piece() -> impl Strategy<Value = String> {
     })
 }
 
+/// A run of a subject template's text or of the prefix: a term only a
+/// seeded subject's template holds, or one it shares with the codes.
+fn template_run() -> impl Strategy<Value = String> {
+    (0..=SUBJECT_TEMPLATES.len(), any::<usize>()).prop_map(|(t, k)| {
+        let text = SUBJECT_TEMPLATES.get(t).unwrap_or(&SUBJECT_PREFIX);
+        let runs: Vec<&str> = runs(text).collect();
+        runs[k % runs.len()].to_string()
+    })
+}
+
 /// One query fragment: a code-table piece (twice as likely as the
-/// rest), a persona name, a word of the shared frame, or arbitrary
-/// text.
+/// rest), a subject template's word, a persona name, a word of the
+/// shared frame, or arbitrary text.
 fn query_part() -> impl Strategy<Value = String> {
     prop_oneof![
         piece(),
         piece(),
+        template_run(),
         (0..FIRST_NAMES.len()).prop_map(|i| FIRST_NAMES[i].to_string()),
         (0..LAST_NAMES.len()).prop_map(|i| LAST_NAMES[i].to_string()),
         (0usize..5).prop_map(|i| {
@@ -410,13 +422,14 @@ type Stored = (Email, Folder);
 
 /// A message read back out of a mailbox, owned, its body rendered.
 fn read_back(id: EmailId, m: Message<'_>) -> Stored {
-    let mut body = String::new();
+    let (mut subject, mut body) = (String::new(), String::new());
+    m.subject.write_text(&mut subject);
     m.body.write_text(&mut body);
     let email = Email {
         id,
         from: m.from.into(),
         to: m.to.to_vec(),
-        subject: m.subject.into(),
+        subject,
         body,
         timestamp: m.timestamp,
     };
@@ -453,17 +466,21 @@ fn per_email_search(mail: &BTreeMap<EmailId, Stored>, query: &str) -> Vec<EmailI
 }
 
 proptest! {
-    /// Search over a mailbox's stored forms (seeded bodies as piece
-    /// codes, other mail as arena text) equals the old per-`Email` scan
-    /// of the rendered mail, and every stored message reads back, as a
-    /// borrowed view and as full text, as the email that went in: for
+    /// Search over a mailbox's stored forms (seeded subjects and bodies
+    /// as codes, other mail as arena text) equals the old per-`Email`
+    /// scan of the rendered mail, and every stored message reads back, as
+    /// a borrowed view and as full text, as the email that went in: for
     /// mailboxes built from any mix of generated batches, delivered
     /// mail, drafts and sent mail, with ids that collide and replace.
-    /// Queries mix code-table pieces, names and arbitrary text in any
-    /// case and with punctuation. Each seeded batch adds its owner's
-    /// first name and each sender's names, and one query joins the end
+    /// Queries mix code-table pieces, subject template words, names and
+    /// arbitrary text in any case and with punctuation. Each seeded
+    /// batch adds its owner's first name, each sender's names and the
+    /// words in its first subject's slots, and one query joins the end
     /// of a subject to the start of a body, a term no email holds
-    /// because the two are separate texts.
+    /// because the two are separate texts. The first query also runs
+    /// after every step, so the search index the mailbox keeps from one
+    /// search to the next is checked as each step extends or replaces
+    /// what it indexed.
     #[test]
     fn arena_search_equals_per_email_search(
         ops in proptest::collection::vec(mail_op(), 0..12),
@@ -489,6 +506,9 @@ proptest! {
                     for &(first, last) in &mail.bodies.names {
                         queries.extend([format!("{first} {last}"), last.to_string()]);
                     }
+                    let table = mail.bodies.archetype.code_table();
+                    let slots = mail.emails.first().map_or(&[][..], |e| e.subject.words());
+                    queries.extend(slots.iter().map(|&w| table[usize::from(w)].to_string()));
                     mb.seed(mail);
                 }
                 MailOp::Deliver(id, t, subject, body, from, to) => {
@@ -507,6 +527,7 @@ proptest! {
                     model.insert(e.id, (e, Folder::Sent));
                 }
             }
+            prop_assert_eq!(search(&mb, &queries[0]), per_email_search(&model, &queries[0]));
         }
         prop_assert_eq!(mb.len(), model.len());
         for (&id, stored) in &model {
@@ -550,14 +571,15 @@ fn runs(text: &str) -> impl Iterator<Item = &str> {
 }
 
 proptest! {
-    /// A service answering every query twice, its piece masks kept from
-    /// one search to the next, gives what the per-email scan of the
-    /// rendered mail gives. The mailbox holds two to four seeded batches
+    /// A service answering every query twice, its term masks and the
+    /// mailbox's search index kept from one search to the next, gives
+    /// what the per-email scan of the rendered mail gives. The mailbox holds two to four seeded batches
     /// of one archetype (several senders each, threads sharing one
     /// subject line) beside delivered text mail and drafts; the queries
     /// hold terms found only in a sender's name, only in the
-    /// organization, only in a subject line or only in the codes, alone
-    /// and two at a time.
+    /// organization, only in a subject template, in a subject's slot
+    /// words or only in the codes, alone and two at a time. Mail
+    /// delivered between the two rounds must be found in the second.
     #[test]
     fn kept_masks_search_equals_per_email_search(
         activist in any::<bool>(),
@@ -568,7 +590,7 @@ proptest! {
              any::<bool>()),
             0..6,
         ),
-        picks in proptest::collection::vec(any::<usize>(), 8..9),
+        picks in proptest::collection::vec(any::<usize>(), 9..10),
     ) {
         let geo = GeoDb::new();
         let plan = AddressPlan::new(&geo);
@@ -582,6 +604,7 @@ proptest! {
         // One generator for every batch, so ids stay distinct.
         let mut generator = CorpusGenerator::with_archetype(archetype);
         let (mut names, mut subject_words, mut code_words) = (Vec::new(), Vec::new(), Vec::new());
+        let mut slot_words = Vec::new();
         for &(seed, peers, n) in &batches {
             let mut batch_rng = Rng::seed_from(seed);
             let mut personas = PersonaFactory::new();
@@ -590,8 +613,11 @@ proptest! {
             let mail = generator.generate_mailbox(&owner, &peers, n, n, &mut batch_rng, &mut TermCounts::new());
             names.extend(mail.bodies.names.iter().map(|&(_, last)| last.to_string()));
             for e in &mail.emails {
-                let line = pwnd_corpus::generator::slice(&mail.subjects, &e.subject);
-                subject_words.extend(runs(line).map(str::to_string));
+                let mut line = String::new();
+                mail.bodies.subject(e.subject).write_text(&mut line);
+                subject_words.extend(runs(&line).map(str::to_string));
+                let words = e.subject.words().iter();
+                slot_words.extend(words.map(|&w| archetype.code_table()[usize::from(w)]));
             }
             code_words.extend(mail.bodies.codes.iter().map(|&c| archetype.code_table()[usize::from(c)]));
             svc.seed_mailbox(account, mail);
@@ -635,13 +661,28 @@ proptest! {
             let subject = pick(&subject_words, 4);
             queries.extend([subject.clone(), format!("{subject} {code}"), format!("{subject} {name}")]);
         }
-        let mail: BTreeMap<EmailId, Stored> = svc
-            .mailbox(account)
-            .messages()
-            .map(|(id, m)| (id, read_back(id, m)))
-            .collect();
-        let want: Vec<Vec<EmailId>> = queries.iter().map(|q| per_email_search(&mail, q)).collect();
+        let slot = slot_words[picks[5] % slot_words.len()];
+        queries.extend([slot.to_string(), format!("{slot} {code}"), format!("{slot} {name}")]);
         for round in 0..2u64 {
+            if round == 1 {
+                // Mail filed after the first search goes into the index
+                // the mailbox kept from it.
+                let email = Email {
+                    id: EmailId(60_000_000),
+                    from: "ab@x".into(),
+                    to: vec!["h@honeymail.example".into()],
+                    subject: format!("{slot} {org}"),
+                    body: format!("{name} {code}"),
+                    timestamp: MailTime(-10),
+                };
+                svc.deliver(account, email);
+            }
+            let mail: BTreeMap<EmailId, Stored> = svc
+                .mailbox(account)
+                .messages()
+                .map(|(id, m)| (id, read_back(id, m)))
+                .collect();
+            let want: Vec<Vec<EmailId>> = queries.iter().map(|q| per_email_search(&mail, q)).collect();
             for (i, (query, want)) in queries.iter().zip(&want).enumerate() {
                 let at = SimTime::from_secs(100 + round * 100 + i as u64);
                 let got = svc.search(session, query, at).unwrap();

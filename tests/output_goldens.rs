@@ -1,10 +1,10 @@
-//! The fixed outputs, pinned: the seed-2016 paper run's dataset and
-//! report, the `/v1` bodies and the `pwnd report --input` table of the
-//! 300-account fleet store, and the quick run's dataset and report in
-//! the forms no other golden pins.
+//! The fixed outputs, pinned: the paper run's dataset and report at
+//! seeds 2016, 7 and 99, the `/v1` bodies and the `pwnd report --input`
+//! table of the 300-account fleet store, and the quick run's dataset and
+//! report in the forms no other golden pins.
 //!
-//! The paper-run sha256 are the ones `pwndbench`'s `paper_run` checks,
-//! recorded from the same program. The `/v1` bodies are the files under
+//! The seed-2016 paper-run sha256 are the ones `pwndbench`'s `paper_run`
+//! checks, recorded from the same program. The `/v1` bodies are the files under
 //! `tests/golden/serve/`, which CI also compares with what the release
 //! binary serves from `pwnd fleet --accounts 300`.
 //!
@@ -55,6 +55,30 @@ fn paper_run_outputs_are_pinned() {
         report,
         "e31da7bfb9afb523e612da7b73cd96a734ea87907516994d56ed584d0b8220dc"
     );
+}
+
+/// Seeds 7 and 99 in the paper configuration, recorded before seeded
+/// subject lines became codes, the CvM integral a trapezoid sum and
+/// filler sampling a longer guide table: more draws, threads and test
+/// statistics than the one seed-2016 pin reaches.
+#[test]
+fn paper_runs_at_other_seeds_are_pinned() {
+    for (seed, want_dataset, want_report) in [
+        (
+            7,
+            "6903c3a8e9b7c20e6629936012ce06c00e9c2075fb685810ef6e9e0c2a80dc24",
+            "91aaed7c2b6414f509c7efa5205d30afcc46f11790e8c26b7a4a888f5677ac3b",
+        ),
+        (
+            99,
+            "55258d349f646a5dcede4ac8d3c42a9be573dd368f69f7c8883386ae6dd60a86",
+            "da56d1b28f97389462db74dd25f8e4042a5d8002f4c35ed63c1355d9571615cd",
+        ),
+    ] {
+        let (dataset, report) = shas(ExperimentConfig::paper(seed));
+        assert_eq!(dataset, want_dataset, "seed {seed} dataset");
+        assert_eq!(report, want_report, "seed {seed} report");
+    }
 }
 
 /// `GET path` over one `Connection: close` request: the body of a 200.

@@ -18,46 +18,55 @@ use std::cell::Cell;
 
 /// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) one
 /// untraced `ExperimentConfig::quick(2016)` run may make. Measured at
-/// exactly 22,824 under the `cargo test` (debug) profile with rustc
-/// 1.95.0, once the service stopped queueing login, password-change and
-/// block events that nothing read; the ceiling is that count plus 235.
-/// It was 25,866 while it queued them, 27,005 while the notification
-/// collector's dedup and heartbeat indexes were B-trees, 31,879 while each draw near a point, each geolocation and each
-/// search collected them again, 34,665 while every body was text and
-/// each mailbox formatted its peers' full names, 34,608 while the
-/// lookup-only maps and sets were hash tables (a B-tree allocates a
-/// node per few keys where a hash table allocates one table), 40,222
-/// while each send and draft copied its sender and built two strings
-/// for the extortion check, and 48,826 while each send built an owned
-/// email and each open copied one out.
-const ALLOC_CEILING: u64 = 23_059;
+/// exactly 19,626 under the `cargo test` (debug) profile with rustc
+/// 1.95.0, once seeded subject lines became codes, a generator's
+/// mailboxes shared its peers' addresses and search read a kept index
+/// of codes; the ceiling is that count plus 235. It was 22,824 while
+/// each mailbox formatted its peers' addresses and held its subject
+/// lines as text and each search built its frame map, 25,866 while the
+/// service queued login, password-change and block events that nothing
+/// read, 27,005 while the notification collector's dedup and heartbeat
+/// indexes were B-trees, 31,879 while each draw near a point, each
+/// geolocation and each search collected them again, 34,665 while every
+/// body was text and each mailbox formatted its peers' full names,
+/// 34,608 while the lookup-only maps and sets were hash tables (a
+/// B-tree allocates a node per few keys where a hash table allocates
+/// one table), 40,222 while each send and draft copied its sender and
+/// built two strings for the extortion check, and 48,826 while each
+/// send built an owned email and each open copied one out.
+const ALLOC_CEILING: u64 = 19_861;
 
 /// The same for one untraced `ExperimentConfig::paper(2016)` run:
-/// measured at exactly 27,998, ceiling that count plus 141. It was
-/// 33,271 with login, password-change and block events queued, 35,518
-/// with B-tree collector indexes, 41,145 with city pools and piece masks built per draw and search,
+/// measured at exactly 24,548, ceiling that count plus 141. It was
+/// 27,998 with peer addresses formatted per mailbox, subject lines as
+/// text and a frame map per search, 33,271 with login, password-change
+/// and block events queued, 35,518 with B-tree collector indexes,
+/// 41,145 with city pools and piece masks built per draw and search,
 /// 43,909 with text bodies and formatted peer names, 43,690 with hash
 /// tables for the lookup-only maps and sets, 49,253 with a sender copy
 /// and two check strings per send, 57,774 with owned copies per send
 /// and open, and 215,795 while every seeded email held its own strings.
-const PAPER_ALLOC_CEILING: u64 = 28_139;
+const PAPER_ALLOC_CEILING: u64 = 24_689;
 
 /// Allocations one `ExperimentConfig::quick(2016)` run may make with
-/// `TelemetrySink::enabled()` attached: measured at exactly 59,562
+/// `TelemetrySink::enabled()` attached: measured at exactly 56,364
 /// under the same profile and toolchain, ceiling that count plus 557.
-/// It was 62,604 with login, password-change and block events queued,
-/// and 63,743 with B-tree collector indexes. The 36,738 beyond the
-/// untraced run are the trace events, metric keys and span nodes the
-/// live sink records; the untraced ceilings never count them, so
-/// trace-only allocation is held here.
-const TRACED_ALLOC_CEILING: u64 = 60_119;
+/// It was 59,562 with peer addresses formatted per mailbox, subject
+/// lines as text and a frame map per search, 62,604 with login,
+/// password-change and block events queued, and 63,743 with B-tree
+/// collector indexes. The 36,738 beyond the untraced run are the trace
+/// events, metric keys and span nodes the live sink records; the
+/// untraced ceilings never count them, so trace-only allocation is held
+/// here.
+const TRACED_ALLOC_CEILING: u64 = 56_921;
 
 /// The same for one traced `ExperimentConfig::paper(2016)` run:
-/// measured at exactly 89,104, ceiling that count plus 776; it was
-/// 94,377 with login, password-change and block events queued, and
-/// 96,624 with B-tree collector indexes. The 61,106 beyond the untraced
+/// measured at exactly 85,654, ceiling that count plus 776; it was
+/// 89,104 with peer addresses formatted per mailbox, subject lines as
+/// text and a frame map per search, 94,377 with login, password-change
+/// and block events queued, and 96,624 with B-tree collector indexes. The 61,106 beyond the untraced
 /// run are what ROADMAP item 2 sets out to cut.
-const TRACED_PAPER_ALLOC_CEILING: u64 = 89_880;
+const TRACED_PAPER_ALLOC_CEILING: u64 = 86_430;
 
 thread_local! {
     /// Whether allocations on this thread are being counted. Only the
