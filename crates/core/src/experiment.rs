@@ -1048,6 +1048,7 @@ fn run_action(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn quick_experiment_produces_plausible_world() {
@@ -1157,27 +1158,42 @@ mod tests {
 
     #[test]
     fn telemetry_does_not_perturb_the_run() {
+        // A traced run of quick(42) and the JSONL bytes its trace
+        // streamed.
+        let traced_run = || {
+            let bytes = Arc::new(Mutex::new(String::new()));
+            let out = Arc::clone(&bytes);
+            let sink = TelemetrySink::with_trace(move |e| {
+                let mut out = out.lock().unwrap();
+                e.write_json_line(&mut out);
+                out.push('\n');
+            });
+            let run = Experiment::new(ExperimentConfig::quick(42))
+                .with_telemetry(sink)
+                .run();
+            let trace = std::mem::take(&mut *bytes.lock().unwrap());
+            (run, trace)
+        };
         let plain = Experiment::new(ExperimentConfig::quick(42)).run();
-        let traced = Experiment::new(ExperimentConfig::quick(42))
-            .with_telemetry(TelemetrySink::enabled())
-            .run();
+        let (traced, trace) = traced_run();
         // The published artifact must be byte-identical whether or not
         // the run was instrumented.
         assert_eq!(plain.dataset_json(), traced.dataset_json());
 
         // Two instrumented runs of the same seed agree on every metric
-        // and trace record (report equality ignores wall-clock span totals).
-        let traced2 = Experiment::new(ExperimentConfig::quick(42))
-            .with_telemetry(TelemetrySink::enabled())
-            .run();
+        // (report equality ignores wall-clock span totals) and stream
+        // the same trace, byte for byte.
+        let (traced2, trace2) = traced_run();
         assert_eq!(traced.telemetry_report(), traced2.telemetry_report());
+        assert_eq!(trace, trace2);
 
         // And the instrumentation actually observed the run.
         let report = traced.telemetry_report();
         assert!(report.counter("sim.events_dispatched") > 0);
         assert!(report.counter("webmail.logins") > 0);
         assert!(report.counter("monitor.scrapes") > 0);
-        assert!(!report.trace.is_empty());
+        assert_eq!(report.trace_events, trace.lines().count() as u64);
+        assert!(report.trace_events > 0);
 
         // The span tree's deterministic structure — paths, entry
         // counts, sim ranges — is identical run to run, and a disabled
@@ -1195,9 +1211,8 @@ mod tests {
         assert!(events >= 3, "event kinds attributed under the loop");
         // The sim-annotated root phase leaves its deterministic span
         // trace event (path + sim range, no wall clock).
-        assert!(report
-            .trace
-            .iter()
-            .any(|e| e.kind == "span" && e.detail.starts_with("event-loop sim=")));
+        assert!(trace
+            .lines()
+            .any(|l| l.contains(r#""kind":"span","detail":"event-loop sim="#)));
     }
 }

@@ -168,9 +168,9 @@ pub struct FleetOutput {
     /// Merged telemetry: per-shard reports (when enabled) plus the
     /// always-on `fleet.*` gauges.
     pub telemetry: TelemetryReport,
-    /// Each shard's own metrics and span tree, in shard order, without
-    /// the in-process `runner.*` / `fleet.*` series, and no trace.
-    /// Empty reports unless telemetry was enabled.
+    /// Each shard's own report, in shard order, without the in-process
+    /// `runner.*` / `fleet.*` series. Empty reports unless telemetry was
+    /// enabled.
     pub shard_reports: Vec<TelemetryReport>,
     /// Total honey accounts simulated.
     pub accounts: u32,
@@ -290,8 +290,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetOutput {
 pub struct ShardRun<T> {
     /// `on_shard`'s result per spec, in spec order.
     pub outputs: Vec<T>,
-    /// Each shard's own metrics and span tree, in spec order (empty
-    /// reports unless [`FleetConfig::telemetry`] is on).
+    /// Each shard's own report, in spec order (empty reports unless
+    /// [`FleetConfig::telemetry`] is on).
     pub shard_reports: Vec<TelemetryReport>,
     /// Merged batch telemetry: the shard reports plus the `runner.*`
     /// series and spans.
@@ -448,11 +448,10 @@ mod tests {
             out.shard_reports.iter().map(|r| &r.spans).collect();
         assert_eq!(parsed.iter().collect::<Vec<_>>(), shard_spans);
         assert!(parsed.iter().all(|s| !s.is_empty()));
-        // The shard reports hold each shard's metrics and no trace, and
-        // the fleet's merge sums them; the in-process-only series stay
-        // out of the shard reports.
+        // The shard reports hold each shard's metrics, and the fleet's
+        // merge sums them; the in-process-only series stay out of the
+        // shard reports.
         let shards = TelemetryReport::merge(&out.shard_reports);
-        assert!(out.shard_reports.iter().all(|r| r.trace.is_empty()));
         assert!(shards.counter("webmail.logins") > 0);
         assert_eq!(
             out.telemetry.counter("webmail.logins"),

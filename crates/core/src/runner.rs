@@ -23,11 +23,10 @@
 //! 3. Telemetry is merged post hoc by [`TelemetryReport::merge`], whose
 //!    rules (sum counters and histograms, max gauges, fold span trees by
 //!    path) are order-free and depend only on the per-run reports — not
-//!    on which worker produced them. A trace belongs to one run: the
-//!    per-run reports a batch keeps hold metrics and spans, no trace, so
-//!    no rule orders trace events. Wall-clock span timings are the one
-//!    scheduling-dependent artifact, and those are excluded from report
-//!    equality by design.
+//!    on which worker produced them. A trace belongs to one run and no
+//!    sink here keeps one, so no rule orders trace events. Wall-clock
+//!    span timings are the one scheduling-dependent artifact, and those
+//!    are excluded from report equality by design.
 //!
 //! `runner_is_schedule_invariant` below proves the contract rather than
 //! asserting it: same batch, 1 job vs many, byte-identical datasets and
@@ -51,15 +50,17 @@ pub struct Runner {
 
 /// What a batch produced: one value per run in submission order — the
 /// [`RunOutput`] itself from [`Runner::run_all`], or whatever
-/// [`Runner::run_map`]'s `map` made of it — plus each run's metrics and
-/// span tree and their merge (empty unless the runner was built
-/// [`Runner::with_telemetry`]). No report here holds a trace; a caller
-/// that wants one reads [`RunOutput::telemetry_report`].
+/// [`Runner::run_map`]'s `map` made of it — plus each run's report
+/// (metrics, span tree, trace event count) and their merge (empty
+/// unless the runner was built [`Runner::with_telemetry`]). A batch's
+/// runs only count their trace events; nothing holds them, and only a
+/// sink built with `TelemetrySink::with_trace`, as `pwnd trace` builds
+/// one for a single run, ever sees them.
 pub struct Batch<T = RunOutput> {
     /// One value per submitted config, in submission order.
     pub outputs: Vec<T>,
-    /// Each run's own metrics and span tree, in submission order: what
-    /// `telemetry` merged, without the runner's series and spans.
+    /// Each run's own report, in submission order: what `telemetry`
+    /// merged, without the runner's series and spans.
     pub reports: Vec<TelemetryReport>,
     /// Merged telemetry: per-run metrics and span trees combined by
     /// [`TelemetryReport::merge`], plus the runner's own `runner.*`
@@ -179,9 +180,8 @@ impl Runner {
     /// dropping the rest of each output while the batch is still
     /// running.
     ///
-    /// Each run's metrics and span tree are snapshotted before `map`
-    /// sees the output and land in [`Batch::reports`]; its trace stays
-    /// with the output. Ordering contract is identical
+    /// Each run's report is snapshotted before `map` sees the output
+    /// and lands in [`Batch::reports`]. Ordering contract is identical
     /// to [`Runner::run_all`]: results and reports land in submission
     /// order whatever the schedule.
     pub fn run_map<T, F>(&self, configs: Vec<ExperimentConfig>, map: F) -> Batch<T>
@@ -230,7 +230,7 @@ impl Runner {
             // between schedules, and those are excluded from report
             // equality.
             reports.extend(worker_reports);
-            reports.push(batch_sink.report_without_trace());
+            reports.push(batch_sink.report());
             let merged = TelemetryReport::merge(&reports);
             reports.truncate(n);
             merged
@@ -255,7 +255,7 @@ impl Runner {
     }
 
     /// One worker: pull the next submitted config, run it, snapshot its
-    /// metrics and spans, map it, park the result in its submission
+    /// report, map it, park the result in its submission
     /// slot; repeat until the queue drains. Returns the worker's
     /// runner-span report (queue waits, per-run wall-clock).
     fn worker_loop<T, F>(
@@ -284,14 +284,14 @@ impl Runner {
             let output = Experiment::new(config).with_telemetry(self.sink()).run();
             drop(run_span);
             // Snapshot before mapping: `map` may drop the output's sink.
-            let report = output.telemetry.report_without_trace();
+            let report = output.telemetry.report();
             let mapped = map(index, output);
             let mut slots = slots
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             slots[index] = Some((mapped, report));
         }
-        worker_sink.report_without_trace()
+        worker_sink.report()
     }
 }
 
@@ -369,7 +369,7 @@ mod tests {
     fn disabled_telemetry_stays_silent() {
         let batch = Runner::new(2).run_all(quick_configs(40..42));
         assert!(batch.telemetry.metrics.counters.is_empty());
-        assert!(batch.telemetry.trace.is_empty());
+        assert_eq!(batch.telemetry.trace_events, 0);
         assert!(batch.profile().is_none());
         assert!(!batch.outputs[0].telemetry.is_enabled());
     }
@@ -381,13 +381,12 @@ mod tests {
                 .with_telemetry(true)
                 .run_map(quick_configs(50..54), |_, o| o.telemetry_report());
             assert_eq!(batch.reports.len(), 4);
-            // Each report is the metrics and span tree of the run in its
-            // own slot; the trace stays with the run's output.
+            // Each report is the report of the run in its own slot.
             for (i, (mapped, report)) in batch.outputs.iter().zip(&batch.reports).enumerate() {
                 assert_eq!(mapped.metrics, report.metrics, "slot {i}");
                 assert_eq!(mapped.spans.structure(), report.spans.structure());
-                assert!(!mapped.trace.is_empty(), "slot {i}");
-                assert!(report.trace.is_empty(), "slot {i}");
+                assert_eq!(mapped.trace_events, report.trace_events, "slot {i}");
+                assert!(report.trace_events > 0, "slot {i}");
             }
             batch.reports
         };

@@ -221,7 +221,7 @@ fn write_f64(v: f64, out: &mut String) {
 /// `s` as a JSON string literal. Runs that need no escape are copied
 /// whole; every escaped character is ASCII, so a run never splits a
 /// multi-byte character.
-fn write_escaped(s: &str, out: &mut String) {
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {

@@ -11,7 +11,8 @@
 //!    and log-bucketed histograms, optionally labelled
 //!    (`webmail.logins{outcome}`, `sim.events_dispatched{kind}`, …);
 //! 2. a **structured trace** ([`trace`]) of sim-time-stamped
-//!    [`TraceEvent`] records in a bounded ring buffer with JSONL export;
+//!    [`TraceEvent`] records, streamed to one consumer as they happen
+//!    ([`TelemetrySink::with_trace`]) and otherwise only counted;
 //! 3. a **hierarchical span tree** ([`spantree`]) aggregating nested
 //!    spans by path (`event-loop;event{kind=visit}`), with per-path
 //!    wall time, entry counts, sim-time ranges, self-vs-child
@@ -22,7 +23,8 @@
 //!
 //! A disabled sink (the default) holds no allocation at all: every
 //! recording method is a single `Option` branch, trace-detail closures
-//! are never evaluated, and span guards are empty. Crucially, telemetry
+//! are never evaluated, and span guards are empty. An enabled sink
+//! with no trace consumer skips those closures too. Crucially, telemetry
 //! **never consumes simulation RNG** and never feeds back into the
 //! model, so enabling or disabling it cannot change a run's outcome —
 //! `crates/core` has a test proving the exported dataset is
@@ -40,11 +42,17 @@
 //! ```
 //! use pwnd_telemetry::TelemetrySink;
 //!
-//! let sink = TelemetrySink::enabled();
+//! // Each trace event reaches the consumer as it is recorded.
+//! let sink = TelemetrySink::with_trace(|e| {
+//!     let mut line = String::new();
+//!     e.write_json_line(&mut line);
+//!     assert_eq!(line, r#"{"t_secs":86400,"kind":"login","account":3}"#);
+//! });
 //! sink.count_labeled("webmail.logins", "ok");
 //! sink.trace(86_400, "login", Some(3));
 //! let report = sink.report();
 //! assert_eq!(report.counter("webmail.logins"), 1);
+//! assert_eq!(report.trace_events, 1);
 //! ```
 
 pub mod json;

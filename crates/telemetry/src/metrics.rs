@@ -89,16 +89,6 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.sum
     }
-
-    /// Smallest observation (zero when empty).
-    pub fn min(&self) -> u64 {
-        self.min
-    }
-
-    /// Largest observation (zero when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
 }
 
 /// Condensed view of one histogram.

@@ -3,23 +3,24 @@
 use crate::metrics::MetricsSnapshot;
 use crate::spantree::{SpanNode, SpanTreeSnapshot};
 use crate::table::Table;
-use crate::trace::TraceEvent;
 use std::time::Duration;
 
 /// Everything a sink recorded, frozen at one instant.
 ///
-/// Equality compares metrics and trace only — span durations are wall
-/// clock and differ between identical runs by construction. (The span
-/// tree's deterministic *structure* can be compared via
-/// [`SpanTreeSnapshot::structure`].)
+/// Equality compares metrics only — span durations are wall clock and
+/// differ between identical runs by construction. (The span tree's
+/// deterministic *structure* can be compared via
+/// [`SpanTreeSnapshot::structure`].) The trace events themselves are
+/// never here: a sink streams them ([`TelemetrySink::with_trace`]) and
+/// keeps only their count.
+///
+/// [`TelemetrySink::with_trace`]: crate::TelemetrySink::with_trace
 #[derive(Clone, Debug, Default)]
 pub struct TelemetryReport {
     /// Counter / gauge / histogram snapshot.
     pub metrics: MetricsSnapshot,
-    /// Trace events currently in the ring, oldest first.
-    pub trace: Vec<TraceEvent>,
-    /// Trace events evicted because the ring was full.
-    pub trace_dropped: u64,
+    /// Trace events one run recorded; 0 in a merge.
+    pub trace_events: u64,
     /// Hierarchical span aggregate, sorted by path.
     pub spans: SpanTreeSnapshot,
 }
@@ -27,8 +28,6 @@ pub struct TelemetryReport {
 impl PartialEq for TelemetryReport {
     fn eq(&self, other: &Self) -> bool {
         self.metrics == other.metrics
-            && self.trace == other.trace
-            && self.trace_dropped == other.trace_dropped
     }
 }
 
@@ -61,9 +60,10 @@ impl TelemetryReport {
     ///   metric merges.
     ///
     /// Traces are not merged: a trace belongs to one run, so the merged
-    /// report holds none. Every rule is order-free and depends only on
-    /// the inputs — never on thread scheduling — so the merged report
-    /// for a batch is itself a pure function of `(seeds, configs)`.
+    /// report counts no trace events. Every rule is order-free and
+    /// depends only on the inputs — never on thread scheduling — so the
+    /// merged report for a batch is itself a pure function of
+    /// `(seeds, configs)`.
     pub fn merge(reports: &[TelemetryReport]) -> TelemetryReport {
         let mut merged = TelemetryReport::default();
         for r in reports {
@@ -152,14 +152,8 @@ impl TelemetryReport {
         out
     }
 
-    /// The top-spans table, sorted by total time descending; `limit`
-    /// bounds the rows (0 = all).
-    pub fn span_table(&self, limit: usize) -> String {
-        self.spans.top_spans_table(limit)
-    }
-
     /// Full human-readable rendering: phases, metrics, and the trace
-    /// volume of a report that holds a trace (one run's, not a merge).
+    /// event count of one run's report (a merge counts none).
     pub fn render(&self) -> String {
         let mut out = String::new();
         if !self.spans.is_empty() {
@@ -167,12 +161,8 @@ impl TelemetryReport {
             out.push('\n');
         }
         out.push_str(&self.metrics_table());
-        if !self.trace.is_empty() || self.trace_dropped > 0 {
-            out.push_str(&format!(
-                "\ntrace: {} events held, {} dropped\n",
-                self.trace.len(),
-                self.trace_dropped
-            ));
+        if self.trace_events > 0 {
+            out.push_str(&format!("\ntrace: {} events\n", self.trace_events));
         }
         out
     }
@@ -206,7 +196,7 @@ mod tests {
         assert!(text.contains("webmail.logins{ok}"));
         assert!(text.contains("queue.depth_high_water"));
         assert!(text.contains("security.risk_score_milli"));
-        assert!(text.contains("trace: 1 events held"));
+        assert!(text.contains("trace: 1 events"));
     }
 
     #[test]
@@ -225,10 +215,9 @@ mod tests {
         let merged = TelemetryReport::merge(&[a.report(), b.report()]);
         assert_eq!(merged.counter("runs"), 2);
         assert_eq!(merged.metrics.gauge("depth"), 7);
-        // A trace belongs to one run: the merge holds none, and its
+        // A trace belongs to one run: the merge counts none, and its
         // rendering has no trace line.
-        assert!(merged.trace.is_empty());
-        assert_eq!(merged.trace_dropped, 0);
+        assert_eq!(merged.trace_events, 0);
         assert!(!merged.render().contains("trace:"));
         // Root spans fold by path.
         let roots: Vec<(&str, u64)> = merged

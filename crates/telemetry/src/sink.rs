@@ -5,7 +5,9 @@
 //! every recording call is a single branch. An enabled sink shares one
 //! `Arc<Mutex<…>>` across every subsystem of a run, so the webmail
 //! service, the scraper, the leak outlets, and the event queue all feed
-//! the same registry, trace, and span tree.
+//! the same registry, trace, and span tree. No sink holds trace events:
+//! [`TelemetrySink::enabled`] counts them without building them, and
+//! [`TelemetrySink::with_trace`] hands each one to a consumer.
 //!
 //! ## Spans
 //!
@@ -19,14 +21,14 @@
 use crate::metrics::Registry;
 use crate::report::TelemetryReport;
 use crate::spantree::SpanTree;
-use crate::trace::{TraceBuffer, TraceEvent};
+use crate::trace::{TraceEvent, TraceStream};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 #[derive(Debug, Default)]
 struct Inner {
     metrics: Registry,
-    trace: TraceBuffer,
+    trace: TraceStream,
     spans: SpanTree,
     stack: Vec<usize>,
 }
@@ -79,12 +81,30 @@ impl TelemetrySink {
         TelemetrySink { inner: None }
     }
 
-    /// A live sink holding at most
-    /// [`DEFAULT_TRACE_CAPACITY`](crate::trace::DEFAULT_TRACE_CAPACITY)
-    /// trace events.
+    /// A live sink that records metrics and spans and counts trace
+    /// events without building them.
     pub fn enabled() -> TelemetrySink {
+        TelemetrySink::live(TraceStream::default())
+    }
+
+    /// A live sink, like [`enabled`](Self::enabled), that also hands
+    /// each trace event to `consumer` as it is recorded, in record
+    /// order (see the crate example). The sink's lock is held while
+    /// `consumer` runs, so it must not record into the same sink.
+    pub fn with_trace(consumer: impl FnMut(&TraceEvent) + Send + 'static) -> TelemetrySink {
+        TelemetrySink::live(TraceStream {
+            events: 0,
+            consumer: Some(Box::new(consumer)),
+        })
+    }
+
+    fn live(trace: TraceStream) -> TelemetrySink {
+        let inner = Inner {
+            trace,
+            ..Inner::default()
+        };
         TelemetrySink {
-            inner: Some(Arc::new(Mutex::new(Inner::default()))),
+            inner: Some(Arc::new(Mutex::new(inner))),
         }
     }
 
@@ -144,18 +164,12 @@ impl TelemetrySink {
 
     /// Record a trace event with no detail.
     pub fn trace(&self, at_secs: u64, kind: &'static str, account: Option<u32>) {
-        self.with(|i| {
-            i.trace.push(TraceEvent {
-                at_secs,
-                kind,
-                account,
-                detail: String::new(),
-            })
-        });
+        self.trace_with(at_secs, kind, account, String::new);
     }
 
     /// Record a trace event whose detail string is built only when the
-    /// sink is enabled — disabled runs never evaluate `detail`.
+    /// sink streams its trace ([`with_trace`](Self::with_trace)); every
+    /// other sink never evaluates `detail`.
     pub fn trace_with(
         &self,
         at_secs: u64,
@@ -164,7 +178,7 @@ impl TelemetrySink {
         detail: impl FnOnce() -> String,
     ) {
         self.with(|i| {
-            i.trace.push(TraceEvent {
+            i.trace.record(|| TraceEvent {
                 at_secs,
                 kind,
                 account,
@@ -197,26 +211,13 @@ impl TelemetrySink {
 
     // ---- export --------------------------------------------------------
 
-    /// Point-in-time report of everything recorded so far. Empty for a
-    /// disabled sink.
+    /// Point-in-time report of everything recorded so far: metrics,
+    /// span tree and the trace event count. Empty for a disabled sink.
     pub fn report(&self) -> TelemetryReport {
         self.with(|i| TelemetryReport {
             metrics: i.metrics.snapshot(),
-            trace: i.trace.snapshot(),
-            trace_dropped: i.trace.dropped(),
+            trace_events: i.trace.events,
             spans: i.spans.snapshot(),
-        })
-        .unwrap_or_default()
-    }
-
-    /// [`report`](Self::report) without the trace: the metrics and the
-    /// span tree, which are all a [`TelemetryReport::merge`] keeps. A
-    /// batch holds one of these per run, so it never copies a trace.
-    pub fn report_without_trace(&self) -> TelemetryReport {
-        self.with(|i| TelemetryReport {
-            metrics: i.metrics.snapshot(),
-            spans: i.spans.snapshot(),
-            ..TelemetryReport::default()
         })
         .unwrap_or_default()
     }
@@ -283,7 +284,7 @@ impl SpanGuard {
 
     /// Annotate this span (and every currently open ancestor) with a
     /// simulation timestamp, widening their sim-time ranges. Root
-    /// spans that saw sim time emit one deterministic `span` trace
+    /// spans that saw sim time record one deterministic `span` trace
     /// event when they drop.
     pub fn sim(&self, at_secs: u64) {
         if let Some(live) = &self.0 {
@@ -309,22 +310,27 @@ impl Drop for SpanGuard {
         }) = self.0.take()
         {
             let elapsed = started.elapsed();
-            let mut i = lock(&sink);
+            let mut guard = lock(&sink);
+            let Inner {
+                spans,
+                stack,
+                trace,
+                ..
+            } = &mut *guard;
             // A guard dropped out of LIFO order (or leaked children)
             // still leaves the stack consistent: everything at or
             // above this span's depth is closed with it.
-            i.stack.truncate(depth);
-            i.spans.record(node, elapsed);
-            // Only the deterministic facets reach the trace ring:
-            // the path and the sim-time range, never wall clock.
+            stack.truncate(depth);
+            spans.record(node, elapsed);
+            // Only the deterministic facets reach the trace: the path
+            // and the sim-time range, never wall clock.
             if depth == 0 {
-                if let Some((min, max)) = i.spans.sim_range(node) {
-                    let path = i.spans.path_of(node);
-                    i.trace.push(TraceEvent {
+                if let Some((min, max)) = spans.sim_range(node) {
+                    trace.record(|| TraceEvent {
                         at_secs: max,
                         kind: "span",
                         account: None,
-                        detail: format!("{path} sim={min}..{max}"),
+                        detail: format!("{} sim={min}..{max}", spans.path_of(node)),
                     });
                 }
             }
@@ -335,6 +341,14 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A streaming sink and the events it has handed over so far.
+    fn streamed() -> (TelemetrySink, Arc<Mutex<Vec<TraceEvent>>>) {
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let out = Arc::clone(&events);
+        let sink = TelemetrySink::with_trace(move |e| out.lock().unwrap().push(e.clone()));
+        (sink, events)
+    }
 
     #[test]
     fn disabled_sink_records_nothing_and_skips_closures() {
@@ -355,7 +369,7 @@ mod tests {
         drop(sink.subspan("poll", &[]));
         let report = sink.report();
         assert!(report.metrics.counters.is_empty());
-        assert!(report.trace.is_empty());
+        assert_eq!(report.trace_events, 0);
         assert!(report.spans.is_empty());
     }
 
@@ -408,7 +422,7 @@ mod tests {
 
     #[test]
     fn nesting_builds_paths_and_subspans_stay_out_of_phases() {
-        let sink = TelemetrySink::enabled();
+        let (sink, events) = streamed();
         {
             let loop_span = sink.span("event-loop");
             {
@@ -442,10 +456,12 @@ mod tests {
         assert_eq!((root.sim_min, root.sim_max), (Some(120), Some(240)));
         // A sim-annotated root phase span leaves one deterministic
         // trace event: path + sim range, no wall clock.
-        assert_eq!(report.trace.len(), 1);
-        assert_eq!(report.trace[0].kind, "span");
-        assert_eq!(report.trace[0].at_secs, 240);
-        assert_eq!(report.trace[0].detail, "event-loop sim=120..240");
+        assert_eq!(report.trace_events, 1);
+        let events = events.lock().unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, "span");
+        assert_eq!(events[0].at_secs, 240);
+        assert_eq!(events[0].detail, "event-loop sim=120..240");
     }
 
     #[test]
@@ -461,11 +477,25 @@ mod tests {
 
     #[test]
     fn trace_round_trips_through_report() {
-        let sink = TelemetrySink::enabled();
+        let (sink, events) = streamed();
         sink.trace(100, "login", Some(4));
         sink.trace_with(200, "sale", None, || "wave=1".to_string());
+        assert_eq!(sink.report().trace_events, 2);
+        let events = events.lock().unwrap();
+        assert_eq!(events.len(), 2);
+        assert_eq!((events[0].at_secs, events[0].account), (100, Some(4)));
+        assert_eq!(events[1].detail, "wave=1");
+    }
+
+    #[test]
+    fn an_enabled_sink_counts_trace_events_without_building_them() {
+        let sink = TelemetrySink::enabled();
+        sink.trace(1, "login", None);
+        sink.trace_with(2, "login", None, || unreachable!("a counted detail"));
+        sink.span("event-loop").sim(3);
         let report = sink.report();
-        assert_eq!(report.trace.len(), 2);
-        assert_eq!(report.trace[1].detail, "wave=1");
+        // Two traced events and the root span's `span` event.
+        assert_eq!(report.trace_events, 3);
+        assert!(report.render().contains("trace: 3 events"));
     }
 }

@@ -8,11 +8,11 @@
 //! `event-loop;event{kind=visit,class=Curious}` — with per-path wall
 //! time, entry count, and the sim-time range the span covered.
 //!
-//! Wall-clock totals live *only* here, never in the trace ring, so two
+//! Wall-clock totals live *only* here, never in the trace, so two
 //! identical runs still produce equal
-//! [`TelemetryReport`](crate::report::TelemetryReport)s: report
-//! equality compares the deterministic facets (metrics, trace) and the
-//! span tree's *structure* is deterministic too ([`SpanTreeSnapshot::structure`]).
+//! [`TelemetryReport`](crate::report::TelemetryReport)s and identical
+//! traces: report equality compares the metrics, and the span tree's
+//! *structure* is deterministic too ([`SpanTreeSnapshot::structure`]).
 //!
 //! Path segments are joined with `;` — the flamegraph collapsed-stack
 //! convention — so span names must not contain `;`.

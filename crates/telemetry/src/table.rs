@@ -39,12 +39,6 @@ impl Table {
         self
     }
 
-    /// Set one column's alignment.
-    pub fn align(mut self, column: usize, align: Align) -> Table {
-        self.aligns[column] = align;
-        self
-    }
-
     /// Append a data row; must match the header width.
     pub fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) -> &mut Table {
         let row: Vec<String> = cells.into_iter().map(Into::into).collect();

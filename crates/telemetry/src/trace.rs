@@ -1,12 +1,14 @@
-//! The structured trace: sim-time-stamped events in a bounded ring.
+//! The structured trace: sim-time-stamped events, streamed as they
+//! happen.
 //!
 //! Every interesting moment of a run — a login attempt with its risk
 //! verdict, a block, a hijack, a paste view, a market sale, a scrape —
-//! becomes one [`TraceEvent`]. The buffer is bounded so a 236-day run
-//! cannot exhaust memory; when full, the oldest events are dropped and
-//! counted, never silently lost.
+//! becomes one [`TraceEvent`], handed to the sink's consumer and then
+//! dropped. What to filter, keep or write is the consumer's business; a
+//! sink without one only counts the events.
 
-use crate::json::Json;
+use crate::json::write_escaped;
+use std::fmt::{self, Write};
 
 /// One traced moment of the simulation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,125 +24,84 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Render as one JSON object value.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("t_secs".to_string(), Json::U(self.at_secs)),
-            ("kind".to_string(), Json::Str(self.kind.to_string())),
-        ];
+    /// Append this event as one compact JSON object (one JSONL line, no
+    /// newline) to `out`: `t_secs` and `kind`, then `account` and
+    /// `detail` when present.
+    pub fn write_json_line(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{{\"t_secs\":{},\"kind\":", self.at_secs);
+        write_escaped(self.kind, out);
         if let Some(a) = self.account {
-            fields.push(("account".to_string(), Json::U(u64::from(a))));
+            let _ = write!(out, ",\"account\":{a}");
         }
         if !self.detail.is_empty() {
-            fields.push(("detail".to_string(), Json::Str(self.detail.clone())));
+            out.push_str(",\"detail\":");
+            write_escaped(&self.detail, out);
         }
-        Json::Obj(fields)
-    }
-
-    /// Render as one compact JSON object (one JSONL line, no newline).
-    pub fn to_json_line(&self) -> String {
-        self.to_json().compact()
+        out.push('}');
     }
 }
 
-/// Bounded ring buffer of trace events.
-#[derive(Clone, Debug)]
-pub struct TraceBuffer {
-    events: std::collections::VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
+/// The consumer a streaming sink hands each event to.
+type Consumer = Box<dyn FnMut(&TraceEvent) + Send>;
+
+/// A sink's trace: how many events it recorded and, when it streams,
+/// where each one goes.
+#[derive(Default)]
+pub(crate) struct TraceStream {
+    /// Events recorded so far.
+    pub(crate) events: u64,
+    /// Where each event goes; with none, no event is ever built.
+    pub(crate) consumer: Option<Consumer>,
 }
 
-/// Default trace capacity: ample for a paper run at the emission rates
-/// the instrumentation uses (per-tick, not per-account, for the chatty
-/// sources).
-pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
-
-impl Default for TraceBuffer {
-    fn default() -> Self {
-        TraceBuffer::with_capacity(DEFAULT_TRACE_CAPACITY)
+impl TraceStream {
+    /// Count one event and, when a consumer is attached, build it and
+    /// hand it over.
+    pub(crate) fn record(&mut self, event: impl FnOnce() -> TraceEvent) {
+        self.events += 1;
+        if let Some(consumer) = &mut self.consumer {
+            consumer(&event());
+        }
     }
 }
 
-impl TraceBuffer {
-    /// An empty buffer holding at most `capacity` events.
-    pub fn with_capacity(capacity: usize) -> TraceBuffer {
-        TraceBuffer {
-            events: std::collections::VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Append an event, evicting the oldest when full.
-    pub fn push(&mut self, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-
-    /// Events currently held, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Events evicted because the buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Point-in-time copy of the held events.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.iter().cloned().collect()
+impl fmt::Debug for TraceStream {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceStream")
+            .field("events", &self.events)
+            .finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(at: u64) -> TraceEvent {
-        TraceEvent {
-            at_secs: at,
-            kind: "login",
-            account: Some(7),
-            detail: "ok".to_string(),
-        }
-    }
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let mut b = TraceBuffer::with_capacity(3);
-        for t in 0..5 {
-            b.push(ev(t));
-        }
-        assert_eq!(b.events().count(), 3);
-        assert_eq!(b.dropped(), 2);
-        let ts: Vec<u64> = b.events().map(|e| e.at_secs).collect();
-        assert_eq!(ts, vec![2, 3, 4]);
-    }
+    use crate::json::Json;
 
     #[test]
     fn jsonl_lines_carry_timestamp_and_kind() {
-        let mut b = TraceBuffer::default();
-        b.push(ev(42));
-        b.push(TraceEvent {
-            at_secs: 43,
-            kind: "scrape",
-            account: None,
-            detail: String::new(),
-        });
-        let lines: Vec<String> = b.events().map(TraceEvent::to_json_line).collect();
-        assert_eq!(lines.len(), 2);
+        let mut text = String::new();
+        for (at_secs, kind, account, detail) in
+            [(42, "login", Some(7), "ok"), (43, "scrape", None, "")]
+        {
+            let detail = detail.to_string();
+            TraceEvent {
+                at_secs,
+                kind,
+                account,
+                detail,
+            }
+            .write_json_line(&mut text);
+            text.push('\n');
+        }
         assert_eq!(
-            lines[0],
-            r#"{"t_secs":42,"kind":"login","account":7,"detail":"ok"}"#
+            text,
+            "{\"t_secs\":42,\"kind\":\"login\",\"account\":7,\"detail\":\"ok\"}\n\
+             {\"t_secs\":43,\"kind\":\"scrape\"}\n"
         );
-        assert_eq!(lines[1], r#"{"t_secs":43,"kind":"scrape"}"#);
-        for line in lines {
-            let parsed = Json::parse(&line).expect("valid json");
+        for line in text.lines() {
+            let parsed = Json::parse(line).expect("valid json");
             assert!(parsed.get("t_secs").and_then(Json::as_u64).is_some());
             assert!(parsed.get("kind").and_then(Json::as_str).is_some());
         }

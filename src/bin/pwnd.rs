@@ -21,7 +21,10 @@ use pwnd::cli::{self, Args, Invocation};
 use pwnd::core::fleet::{run_fleet, FleetConfig};
 use pwnd::telemetry::{Table, TelemetryReport, TelemetrySink};
 use pwnd::{Experiment, ExperimentConfig, FaultProfile, RunOutput, Runner};
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
+use std::sync::{Arc, PoisonError};
 
 fn config_of(a: &Args) -> ExperimentConfig {
     let mut cfg = if a.quick {
@@ -49,6 +52,41 @@ fn experiment(args: &Args, traced: bool) -> RunOutput {
         TelemetrySink::disabled()
     };
     Experiment::new(config_of(args)).with_telemetry(sink).run()
+}
+
+/// `pwnd trace`: stream the run's trace events as JSONL lines to stdout
+/// or `--trace-out` as the run records them; no event is held unless
+/// `--limit` asks for a tail.
+fn trace(args: &Args) -> Result<(), String> {
+    let name = args.trace_out.as_deref().unwrap_or("stdout");
+    let out: Box<dyn Write + Send> = match &args.trace_out {
+        Some(path) => {
+            Box::new(File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?)
+        }
+        None => Box::new(std::io::stdout()),
+    };
+    let writer = cli::TraceWriter::new(BufWriter::new(out), args.filter.clone(), args.limit);
+    // lint:allow(lock-discipline): the sink's consumer and this command share the writer; one thread records and then finishes it, so the lock orders nothing
+    let writer = Arc::new(std::sync::Mutex::new(writer));
+    let consumer = Arc::clone(&writer);
+    let sink = TelemetrySink::with_trace(move |e| {
+        let mut consumer = consumer.lock().unwrap_or_else(PoisonError::into_inner);
+        consumer.push(e);
+    });
+    let report = Experiment::new(config_of(args))
+        .with_telemetry(sink)
+        .run()
+        .telemetry_report();
+    let kept = (writer.lock().unwrap_or_else(PoisonError::into_inner))
+        .finish()
+        .map_err(|e| format!("cannot write {name}: {e}"))?;
+    if args.trace_out.is_some() {
+        eprintln!(
+            "wrote {name} ({kept} events kept of {})",
+            report.trace_events
+        );
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -80,23 +118,7 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
                 print_peak_rss();
             }
         }
-        "trace" => {
-            let report = experiment(args, true).telemetry_report();
-            let jsonl = cli::filtered_trace_jsonl(&report, args.filter.as_deref(), args.limit);
-            match &args.trace_out {
-                Some(path) => {
-                    std::fs::write(path, &jsonl)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    eprintln!(
-                        "wrote {path} ({} events kept of {} held, {} dropped)",
-                        jsonl.lines().count(),
-                        report.trace.len(),
-                        report.trace_dropped
-                    );
-                }
-                None => print!("{jsonl}"),
-            }
-        }
+        "trace" => trace(args)?,
         "profile" => {
             // Where the wall time went, by span path: online (an instrumented
             // run) or offline (a fleet's streamed --telemetry-out JSONL).
@@ -155,7 +177,7 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
             let configs = cli::chaos_configs(&config_of(args), &base);
             let batch = Runner::new(args.jobs)
                 .with_telemetry(args.profile)
-                .run_all(configs);
+                .run_map(configs, |_, out| cli::ChaosRow::of(&out));
             print!("{}", cli::chaos_table(&batch.outputs));
             println!("factor 0.00 injects nothing; rates scale linearly up to the profile's own.");
             if args.profile {

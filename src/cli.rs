@@ -12,7 +12,8 @@ use pwnd_analysis::tables::Overview;
 use pwnd_core::{Batch, ExperimentConfig, RunOutput};
 use pwnd_faults::FaultProfile;
 use pwnd_telemetry::{jsonl, Json, SpanTreeSnapshot, Table, TelemetryReport, TraceEvent};
-use std::io::BufRead;
+use std::collections::VecDeque;
+use std::io::{self, BufRead, Write};
 use std::str::FromStr;
 
 /// The `pwnd --help` text.
@@ -307,14 +308,23 @@ pub fn sweep_table(overviews: &[Overview], base_seed: u64) -> String {
     table.render()
 }
 
-/// Render the chaos data-loss table from a batch's ordered outputs
-/// (one per entry of [`CHAOS_FACTORS`]).
-pub fn chaos_table(outputs: &[RunOutput]) -> String {
-    let mut table = Table::new(&[
-        "factor", "accesses", "lost", "dups", "gaps", "mean cov", "min cov",
-    ])
-    .numeric();
-    for (&factor, out) in CHAOS_FACTORS.iter().zip(outputs) {
+/// One run's row of the chaos table: accesses, notifications lost and
+/// duplicated, monitoring gaps, and the mean and least scrape coverage
+/// (1 with no covered account). The worker reduces each run to this, so
+/// a batch holds one row per factor, not the runs.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ChaosRow {
+    accesses: usize,
+    lost: u64,
+    dups: u64,
+    gaps: usize,
+    mean_cov: f64,
+    min_cov: f64,
+}
+
+impl ChaosRow {
+    /// Reduce one chaos run to its table row.
+    pub fn of(out: &RunOutput) -> ChaosRow {
         let gt = &out.ground_truth;
         let covs: Vec<f64> = out
             .dataset
@@ -322,22 +332,37 @@ pub fn chaos_table(outputs: &[RunOutput]) -> String {
             .iter()
             .filter_map(|a| a.coverage)
             .collect();
-        let (mean, min) = if covs.is_empty() {
-            (1.0, 1.0)
-        } else {
-            (
-                covs.iter().sum::<f64>() / covs.len() as f64,
-                covs.iter().copied().fold(f64::INFINITY, f64::min),
-            )
-        };
+        ChaosRow {
+            accesses: out.dataset.accesses.len(),
+            lost: gt.notifications_lost,
+            dups: gt.duplicate_notifications,
+            gaps: gt.monitoring_gaps,
+            mean_cov: match covs.len() {
+                0 => 1.0,
+                n => covs.iter().sum::<f64>() / n as f64,
+            },
+            // A coverage is a fraction, so folding from 1 changes nothing.
+            min_cov: covs.iter().copied().fold(1.0, f64::min),
+        }
+    }
+}
+
+/// Render the chaos data-loss table from a batch's ordered rows (one
+/// per entry of [`CHAOS_FACTORS`]).
+pub fn chaos_table(rows: &[ChaosRow]) -> String {
+    let mut table = Table::new(&[
+        "factor", "accesses", "lost", "dups", "gaps", "mean cov", "min cov",
+    ])
+    .numeric();
+    for (&factor, row) in CHAOS_FACTORS.iter().zip(rows) {
         table.row([
             format!("{factor:.2}"),
-            out.dataset.accesses.len().to_string(),
-            gt.notifications_lost.to_string(),
-            gt.duplicate_notifications.to_string(),
-            gt.monitoring_gaps.to_string(),
-            format!("{mean:.4}"),
-            format!("{min:.4}"),
+            row.accesses.to_string(),
+            row.lost.to_string(),
+            row.dups.to_string(),
+            row.gaps.to_string(),
+            format!("{:.4}", row.mean_cov),
+            format!("{:.4}", row.min_cov),
         ]);
     }
     table.render()
@@ -369,7 +394,11 @@ pub fn peak_rss_line() -> Option<String> {
 /// The `pwnd profile` report: the top-spans table, then the phase
 /// table of root spans. `limit` bounds the top-spans rows (0 = all).
 pub fn profile_report(report: &TelemetryReport, limit: usize) -> String {
-    format!("{}\n{}", report.span_table(limit), report.phase_table())
+    format!(
+        "{}\n{}",
+        report.spans.top_spans_table(limit),
+        report.phase_table()
+    )
 }
 
 /// Fold a `--telemetry-out` file (one `{"schema":…,"spans":[…]}` object
@@ -403,28 +432,74 @@ pub fn merge_telemetry_jsonl(name: &str, reader: impl BufRead) -> Result<SpanTre
     Ok(spans)
 }
 
-/// The `pwnd trace` JSONL stream: events whose kind or detail contains
-/// `filter` (all, when `None`), keeping only the last `limit` matches
-/// (0 = all).
-pub fn filtered_trace_jsonl(
-    report: &TelemetryReport,
-    filter: Option<&str>,
+/// The `pwnd trace` consumer: each event whose kind or detail contains
+/// `filter` (every event, when `None`) becomes one JSONL line, written
+/// as its event is recorded. With a `limit` of N > 0, only the last N
+/// lines are kept, and [`finish`](Self::finish) writes them.
+pub struct TraceWriter<W: Write> {
+    out: W,
+    filter: Option<String>,
     limit: usize,
-) -> String {
-    let matches =
-        |e: &&TraceEvent| filter.is_none_or(|f| e.kind.contains(f) || e.detail.contains(f));
-    let kept: Vec<&TraceEvent> = report.trace.iter().filter(matches).collect();
-    let start = if limit > 0 && kept.len() > limit {
-        kept.len() - limit
-    } else {
-        0
-    };
-    let mut out = String::new();
-    for e in &kept[start..] {
-        out.push_str(&e.to_json_line());
-        out.push('\n');
+    /// The kept lines, oldest first; with no limit, the last line
+    /// written, whose buffer the next line reuses.
+    lines: VecDeque<String>,
+    /// Lines written so far, or the first write error (after which
+    /// nothing more is written).
+    written: io::Result<u64>,
+}
+
+impl<W: Write> TraceWriter<W> {
+    /// A writer of the events that match `filter` to `out`, keeping only
+    /// the last `limit` (0 = all).
+    pub fn new(out: W, filter: Option<String>, limit: usize) -> TraceWriter<W> {
+        let (lines, written) = (VecDeque::new(), Ok(0));
+        TraceWriter {
+            out,
+            filter,
+            limit,
+            lines,
+            written,
+        }
     }
-    out
+
+    /// Take one event, as the sink records it.
+    pub fn push(&mut self, e: &TraceEvent) {
+        let f = self.filter.as_deref();
+        if f.is_some_and(|f| !e.kind.contains(f) && !e.detail.contains(f)) {
+            return;
+        }
+        let mut line = if self.lines.len() == self.limit.max(1) {
+            self.lines.pop_front().unwrap_or_default()
+        } else {
+            String::new()
+        };
+        line.clear();
+        e.write_json_line(&mut line);
+        line.push('\n');
+        if self.limit == 0 {
+            self.write(&line);
+        }
+        self.lines.push_back(line);
+    }
+
+    fn write(&mut self, line: &str) {
+        if let Ok(n) = self.written {
+            self.written = self.out.write_all(line.as_bytes()).map(|()| n + 1);
+        }
+    }
+
+    /// Write the kept lines and flush: the number of lines written, or
+    /// the first write error.
+    pub fn finish(&mut self) -> io::Result<u64> {
+        if self.limit > 0 {
+            for line in std::mem::take(&mut self.lines) {
+                self.write(&line);
+            }
+        }
+        let written = std::mem::replace(&mut self.written, Ok(0))?;
+        self.out.flush()?;
+        Ok(written)
+    }
 }
 
 // ---- the `pwnd report` table -----------------------------------------
@@ -539,19 +614,42 @@ mod tests {
 
     #[test]
     fn trace_filter_and_limit_select_the_tail() {
-        let sink = TelemetrySink::enabled();
-        for t in 0..10u64 {
-            sink.trace(t, if t % 2 == 0 { "login" } else { "scrape" }, Some(1));
-        }
-        let report = sink.report();
-        let all = filtered_trace_jsonl(&report, None, 0);
+        let written = |filter: Option<&str>, limit: usize| {
+            let mut w = TraceWriter::new(Vec::new(), filter.map(str::to_string), limit);
+            for t in 0..10u64 {
+                w.push(&TraceEvent {
+                    at_secs: t,
+                    kind: if t % 2 == 0 { "login" } else { "scrape" },
+                    account: Some(1),
+                    detail: if t == 3 {
+                        "after login".into()
+                    } else {
+                        String::new()
+                    },
+                });
+            }
+            let n = w.finish().unwrap();
+            let text = String::from_utf8(w.out).unwrap();
+            assert_eq!(text.lines().count() as u64, n);
+            text
+        };
+        let all = written(None, 0);
         assert_eq!(all.lines().count(), 10);
-        let logins = filtered_trace_jsonl(&report, Some("login"), 0);
-        assert_eq!(logins.lines().count(), 5);
-        let tail = filtered_trace_jsonl(&report, Some("login"), 2);
-        assert_eq!(tail.lines().count(), 2);
-        assert!(tail.contains("\"t_secs\":8"));
-        assert!(tail.contains("\"t_secs\":6"));
+        assert_eq!(
+            all.lines().next(),
+            Some(r#"{"t_secs":0,"kind":"login","account":1}"#)
+        );
+        // The filter matches a detail as well as a kind.
+        let logins = written(Some("login"), 0);
+        assert_eq!(logins.lines().count(), 6);
+        let tail = written(Some("login"), 2);
+        assert_eq!(
+            tail,
+            "{\"t_secs\":6,\"kind\":\"login\",\"account\":1}\n\
+             {\"t_secs\":8,\"kind\":\"login\",\"account\":1}\n"
+        );
+        // A limit above the matches keeps them all, in order.
+        assert_eq!(written(Some("login"), 50), logins);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The fixed outputs, pinned: the paper run's dataset and report at
 //! seeds 2016, 7 and 99, the `/v1` bodies and the `pwnd report --input`
-//! table of the 300-account fleet store, and the quick run's dataset and
-//! report in the forms no other golden pins.
+//! table of the 300-account fleet store, the quick run's dataset and
+//! report in the forms no other golden pins, and `pwnd trace`'s output.
 //!
 //! The seed-2016 paper-run sha256 are the ones `pwndbench`'s `paper_run`
 //! checks, recorded from the same program. The `/v1` bodies are the files under
@@ -229,4 +229,37 @@ fn quick_run_with_login_filter_outputs_are_pinned() {
         report,
         "93cc173ac0988ba26e67c89a1a11b6cdd6e59f7af3b59eff3b5126d3868bc359"
     );
+}
+
+/// The sha256 of `pwnd trace` stdout, recorded from the program while
+/// it still held every event in a 65,536-slot ring and printed the ring
+/// after the run. Each of these traces fits that ring (the seed-2016
+/// paper run holds 56,727 events), so they pin that streaming the events
+/// as they are recorded, through `--filter` and `--limit`, moved no byte.
+#[test]
+fn trace_output_is_pinned() {
+    for (args, want) in [
+        (
+            &["--quick", "--seed", "2016"][..],
+            "2351268cd2a56d0bc435e2ef720dc64178700157ef21d845c6f327b93def9fa8",
+        ),
+        (
+            &["--seed", "2016"][..],
+            "b4a2dcc31dc9cc8f2d35a7a4cd152b54323610056d1d0c8a1178918e421eb43b",
+        ),
+        (
+            &[
+                "--quick", "--seed", "7", "--filter", "login", "--limit", "50",
+            ][..],
+            "ce7c2d90b9e23acbe349e542a9ceb27598c55127954dd1c8cd5ef6c67e896c15",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pwnd"))
+            .arg("trace")
+            .args(args)
+            .output()
+            .expect("pwnd starts");
+        assert!(out.status.success(), "{args:?}");
+        assert_eq!(Sha256::digest_hex(&out.stdout), want, "{args:?}");
+    }
 }

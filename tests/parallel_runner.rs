@@ -7,12 +7,17 @@
 //! reimplementation of it.
 
 use pwnd::analysis::tables::{overview, Overview};
-use pwnd::cli::{chaos_configs, chaos_table, sweep_configs, sweep_table, CHAOS_FACTORS};
+use pwnd::cli::{chaos_configs, chaos_table, sweep_configs, sweep_table, ChaosRow, CHAOS_FACTORS};
 use pwnd::{Batch, ExperimentConfig, FaultProfile, Runner};
 
 /// Each run's overview, as `pwnd sweep` reduces it in the worker.
 fn overviews(batch: &Batch) -> Vec<Overview> {
     batch.outputs.iter().map(|o| overview(&o.dataset)).collect()
+}
+
+/// Each run's chaos row, as `pwnd chaos` reduces it in the worker.
+fn chaos_rows(batch: &Batch) -> Vec<ChaosRow> {
+    batch.outputs.iter().map(ChaosRow::of).collect()
 }
 
 #[test]
@@ -39,7 +44,13 @@ fn chaos_table_is_byte_identical_across_job_counts() {
     let par = Runner::new(4).run_all(chaos_configs(&base, &profile));
 
     assert_eq!(seq.outputs.len(), CHAOS_FACTORS.len());
-    assert_eq!(chaos_table(&seq.outputs), chaos_table(&par.outputs));
+    assert_eq!(
+        chaos_table(&chaos_rows(&seq)),
+        chaos_table(&chaos_rows(&par))
+    );
+    // The rows the binary reduces in the worker are the same rows.
+    let mapped = Runner::new(4).run_map(chaos_configs(&base, &profile), |_, o| ChaosRow::of(&o));
+    assert_eq!(mapped.outputs, chaos_rows(&seq));
     for (i, (a, b)) in seq.outputs.iter().zip(&par.outputs).enumerate() {
         assert_eq!(a.dataset_json(), b.dataset_json(), "factor slot {i}");
         assert_eq!(

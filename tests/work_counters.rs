@@ -49,24 +49,26 @@ const ALLOC_CEILING: u64 = 19_861;
 const PAPER_ALLOC_CEILING: u64 = 24_689;
 
 /// Allocations one `ExperimentConfig::quick(2016)` run may make with
-/// `TelemetrySink::enabled()` attached: measured at exactly 56,364
+/// `TelemetrySink::enabled()` attached: measured at exactly 22,648
 /// under the same profile and toolchain, ceiling that count plus 557.
-/// It was 59,562 with peer addresses formatted per mailbox, subject
-/// lines as text and a frame map per search, 62,604 with login,
-/// password-change and block events queued, and 63,743 with B-tree
-/// collector indexes. The 36,738 beyond the untraced run are the trace
-/// events, metric keys and span nodes the live sink records; the
-/// untraced ceilings never count them, so trace-only allocation is held
-/// here.
-const TRACED_ALLOC_CEILING: u64 = 56_921;
+/// The 3,022 beyond the untraced run are the metric keys and span nodes
+/// the live sink records; the untraced ceilings never count them, so
+/// telemetry-only allocation is held here. It was 56,364 while the sink
+/// built every trace event (and its detail string) into a ring that
+/// only `pwnd trace` read, 59,562 with peer addresses formatted per
+/// mailbox, subject lines as text and a frame map per search, 62,604
+/// with login, password-change and block events queued, and 63,743 with
+/// B-tree collector indexes.
+const TRACED_ALLOC_CEILING: u64 = 23_205;
 
 /// The same for one traced `ExperimentConfig::paper(2016)` run:
-/// measured at exactly 85,654, ceiling that count plus 776; it was
-/// 89,104 with peer addresses formatted per mailbox, subject lines as
-/// text and a frame map per search, 94,377 with login, password-change
-/// and block events queued, and 96,624 with B-tree collector indexes. The 61,106 beyond the untraced
-/// run are what ROADMAP item 2 sets out to cut.
-const TRACED_PAPER_ALLOC_CEILING: u64 = 86_430;
+/// measured at exactly 28,919, 4,371 beyond the untraced run, ceiling
+/// that count plus 776. It was 85,654 (61,106 beyond) while the sink
+/// built every trace event into a ring, 89,104 with peer addresses
+/// formatted per mailbox, subject lines as text and a frame map per
+/// search, 94,377 with login, password-change and block events queued,
+/// and 96,624 with B-tree collector indexes.
+const TRACED_PAPER_ALLOC_CEILING: u64 = 29_695;
 
 thread_local! {
     /// Whether allocations on this thread are being counted. Only the
