@@ -48,9 +48,9 @@ pub struct Runner {
     telemetry: bool,
 }
 
-/// What a batch produced: one value per run in submission order — the
-/// [`RunOutput`] itself from [`Runner::run_all`], or whatever
-/// [`Runner::run_map`]'s `map` made of it — plus each run's report
+/// What a batch produced: one value per run in submission order —
+/// whatever [`Runner::run_map`]'s `map` made of its [`RunOutput`], the
+/// output itself for `|_, output| output` — plus each run's report
 /// (metrics, span tree, trace event count) and their merge (empty
 /// unless the runner was built [`Runner::with_telemetry`]). A batch's
 /// runs only count their trace events; nothing holds them, and only a
@@ -155,24 +155,18 @@ impl Runner {
         self
     }
 
-    /// Run every config to completion and collect the outputs in
-    /// submission order.
+    /// Run every config and transform each [`RunOutput`] *inside the
+    /// worker* before it is parked in its submission slot.
     ///
     /// ```no_run
     /// use pwnd_core::{ExperimentConfig, Runner};
     ///
-    /// // Four seeds across four workers; outputs come back in
-    /// // submission order, byte-identical to a sequential loop.
+    /// // Four seeds across four workers; each run's access count comes
+    /// // back in submission order, as a sequential loop would give it.
     /// let configs: Vec<_> = (0..4).map(ExperimentConfig::quick).collect();
-    /// let batch = Runner::new(4).run_all(configs);
+    /// let batch = Runner::new(4).run_map(configs, |_, o| o.dataset.accesses.len());
     /// assert_eq!(batch.outputs.len(), 4);
     /// ```
-    pub fn run_all(&self, configs: Vec<ExperimentConfig>) -> Batch {
-        self.run_map(configs, |_, output| output)
-    }
-
-    /// Run every config and transform each [`RunOutput`] *inside the
-    /// worker* before it is parked in its submission slot.
     ///
     /// `map(index, output)` receives the run's submission index. The
     /// fleet pipeline uses it to rewrite each shard's account ids to
@@ -181,9 +175,8 @@ impl Runner {
     /// running.
     ///
     /// Each run's report is snapshotted before `map` sees the output
-    /// and lands in [`Batch::reports`]. Ordering contract is identical
-    /// to [`Runner::run_all`]: results and reports land in submission
-    /// order whatever the schedule.
+    /// and lands in [`Batch::reports`]. Results and reports land in
+    /// submission order whatever the schedule.
     pub fn run_map<T, F>(&self, configs: Vec<ExperimentConfig>, map: F) -> Batch<T>
     where
         T: Send,
@@ -309,7 +302,7 @@ mod tests {
         // Seeds diverge (proven by `different_seeds_differ`), so
         // matching each parallel output against its own sequential run
         // pins every slot to its submission index.
-        let batch = Runner::new(4).run_all(quick_configs(10..14));
+        let batch = Runner::new(4).run_map(quick_configs(10..14), |_, o| o);
         assert_eq!(batch.outputs.len(), 4);
         for (i, out) in batch.outputs.iter().enumerate() {
             let solo = Experiment::new(ExperimentConfig::quick(10 + i as u64)).run();
@@ -321,10 +314,10 @@ mod tests {
     fn runner_is_schedule_invariant() {
         let seq = Runner::new(1)
             .with_telemetry(true)
-            .run_all(quick_configs(20..24));
+            .run_map(quick_configs(20..24), |_, o| o);
         let par = Runner::new(4)
             .with_telemetry(true)
-            .run_all(quick_configs(20..24));
+            .run_map(quick_configs(20..24), |_, o| o);
         for (a, b) in seq.outputs.iter().zip(&par.outputs) {
             assert_eq!(a.dataset_json(), b.dataset_json());
         }
@@ -344,10 +337,10 @@ mod tests {
     fn merged_telemetry_sums_runs_and_stays_deterministic() {
         let a = Runner::new(3)
             .with_telemetry(true)
-            .run_all(quick_configs(30..33));
+            .run_map(quick_configs(30..33), |_, o| o);
         let b = Runner::new(3)
             .with_telemetry(true)
-            .run_all(quick_configs(30..33));
+            .run_map(quick_configs(30..33), |_, o| o);
         assert_eq!(a.telemetry, b.telemetry);
         assert_eq!(a.telemetry.counter("runner.runs"), 3);
         // Counters really are the sum over runs.
@@ -367,7 +360,7 @@ mod tests {
 
     #[test]
     fn disabled_telemetry_stays_silent() {
-        let batch = Runner::new(2).run_all(quick_configs(40..42));
+        let batch = Runner::new(2).run_map(quick_configs(40..42), |_, o| o);
         assert!(batch.telemetry.metrics.counters.is_empty());
         assert_eq!(batch.telemetry.trace_events, 0);
         assert!(batch.profile().is_none());
@@ -413,7 +406,9 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let batch = Runner::new(8).with_telemetry(true).run_all(Vec::new());
+        let batch = Runner::new(8)
+            .with_telemetry(true)
+            .run_map(Vec::new(), |_, o| o);
         assert!(batch.outputs.is_empty());
         assert_eq!(batch.telemetry.counter("runner.runs"), 0);
     }

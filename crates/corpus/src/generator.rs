@@ -26,9 +26,10 @@
 //! so no [word](crate::tokenize::for_each_word) or search token crosses
 //! a join (`tests/piece_joins.rs` checks every piece, template and
 //! name). A mailbox adds its code-table pieces and subject templates to
-//! `d_A` as use counts, which [`TermCounts`] sums over the run and
-//! splits into words once, when read; its byte length is arithmetic on
-//! those counts, not a walk of each rendered message.
+//! `d_A` as use counts, each code tallied as it is drawn, which
+//! [`TermCounts`] sums over the run and splits into words once, when
+//! read; its byte length is arithmetic on those counts, not a walk of
+//! each rendered message or of the drawn codes.
 
 use crate::archetype::{Archetype, MAX_CODES};
 use crate::email::{Email, EmailId, MailTime};
@@ -100,6 +101,9 @@ const fn subject_slots<const N: usize>(templates: &[&str; N]) -> [u8; N] {
     }
     slots
 }
+
+/// How often each code-table piece was written, by code.
+type Uses = [u64; MAX_CODES];
 
 /// Order-preserving timestamp translation (§3.2): map original timestamps
 /// (arbitrary units, e.g. seconds in 2001) onto the `window_days` window
@@ -396,12 +400,14 @@ impl CorpusGenerator {
     }
 
     /// Append one sentence's codes: an opener, core words, sensitive
-    /// words when `sensitive`, then filler. Every code table fits a `u8`.
-    fn sentence(&self, rng: &mut Rng, sensitive: bool, codes: &mut Vec<u8>) {
+    /// words when `sensitive`, then filler. Each code is counted into
+    /// `uses` as it is drawn. Every code table fits a `u8`.
+    fn sentence(&self, rng: &mut Rng, sensitive: bool, codes: &mut Vec<u8>, uses: &mut Uses) {
         let mut sentence = [0u8; MAX_SENTENCE_CODES];
         let mut n = 0;
         let mut push = |code: usize| {
             sentence[n] = code as u8;
+            uses[code] += 1;
             n += 1;
         };
         push(rng.index(OPENERS.len()));
@@ -443,13 +449,14 @@ impl CorpusGenerator {
         subject
     }
 
-    /// Append one body's sentences to `codes`; returns their range.
-    fn body(&self, rng: &mut Rng, codes: &mut Vec<u8>) -> Range<u32> {
+    /// Append one body's sentences to `codes`, counting them into
+    /// `uses`; returns their range.
+    fn body(&self, rng: &mut Rng, codes: &mut Vec<u8>, uses: &mut Uses) -> Range<u32> {
         let start = codes.len() as u32;
         let n_sentences = rng.range_u64(2, 6) as usize;
         for _ in 0..n_sentences {
             let sensitive = rng.chance(SENSITIVE_MESSAGE_RATE);
-            self.sentence(rng, sensitive, codes);
+            self.sentence(rng, sensitive, codes, uses);
         }
         start..codes.len() as u32
     }
@@ -520,7 +527,9 @@ impl CorpusGenerator {
         // How often each template and each code-table word was written
         // in a subject line: a thread's subject once per email.
         let mut template_uses = [0u64; SUBJECT_TEMPLATES.len()];
-        let mut subject_uses = [0u64; MAX_CODES];
+        let mut subject_uses: Uses = [0; MAX_CODES];
+        // How often each code-table piece was written in a body.
+        let mut uses: Uses = [0; MAX_CODES];
         // This first subject is drawn but never carried: the first email
         // always starts a thread, which draws its own.
         self.subject(rng);
@@ -538,7 +547,7 @@ impl CorpusGenerator {
             let peer = peer_idx as u16 + 1;
             let (from, to) = if owner_sends { (0, peer) } else { (peer, 0) };
             let id = self.fresh_id();
-            let body = self.body(rng, &mut mail.bodies.codes);
+            let body = self.body(rng, &mut mail.bodies.codes, &mut uses);
             mail.emails.push(SeededEmail {
                 id,
                 timestamp: times[i],
@@ -550,10 +559,6 @@ impl CorpusGenerator {
         }
 
         let table = self.archetype.code_table();
-        let mut uses = [0u64; MAX_CODES];
-        for &code in &mail.bodies.codes {
-            uses[usize::from(code)] += 1;
-        }
         let (uses, subject_uses) = (&uses[..table.len()], &subject_uses[..table.len()]);
         // `SUBJECT_PREFIX` holds no word, and a template's `{}` joins no
         // two words, so a template counts as the words between its slots.

@@ -126,7 +126,8 @@ impl Pareto {
 /// approximately Zipfian, which is what makes TF-IDF informative.
 /// Sampling inverts the CDF through Chen and Asau's guide table, so a
 /// draw costs a table lookup and, on average, a step or two forward
-/// instead of a binary search.
+/// instead of a binary search. A draw reads its guide slot from the raw
+/// integer, not from a float.
 #[derive(Clone, Debug)]
 pub struct Zipf {
     cdf: Vec<f64>,
@@ -135,9 +136,12 @@ pub struct Zipf {
     guide: Vec<u16>,
 }
 
+/// Bits of a uniform draw that index [`Zipf`]'s guide table.
+const GUIDE_BITS: u32 = 12;
+
 /// Entries in [`Zipf`]'s guide table: enough that the walk from a slot
 /// seldom takes a step, at two bytes an entry.
-const GUIDE_LEN: usize = 4_096;
+const GUIDE_LEN: usize = 1 << GUIDE_BITS;
 
 impl Zipf {
     /// Build the CDF and guide tables for `n` ranks with exponent `s`.
@@ -165,22 +169,32 @@ impl Zipf {
         Zipf { cdf, guide }
     }
 
-    /// Draw a 0-based rank (0 is the most frequent).
+    /// Draw a 0-based rank (0 is the most frequent): `rank(rng.f64())`
+    /// from the same one draw. For the raw draw `x`, [`Rng::f64`] is
+    /// `u = (x >> 11) · 2⁻⁵³`, so the guide slot `⌊u·4096⌋` is `x`'s top
+    /// 12 bits, read as an integer.
     #[inline]
     pub fn sample(&self, rng: &mut Rng) -> usize {
-        self.rank(rng.f64())
+        let x = rng.next_u64();
+        self.walk((x >> (64 - GUIDE_BITS)) as usize, Rng::unit_f64(x))
     }
 
     /// The 0-based rank a uniform draw `u` in `[0, 1)` maps to: the
     /// first rank whose CDF value is at least `u`, capped at the last
-    /// rank. With `L` the guide's length, every rank before
-    /// `guide[⌊u·L⌋]` has a CDF value below `⌊u·L⌋ / L ≤ u`, so the walk
-    /// starts there.
+    /// rank.
     #[inline]
     pub fn rank(&self, u: f64) -> usize {
-        let last = self.cdf.len() - 1;
         // `as` saturates: a negative `u` reads slot 0.
         let slot = ((u * GUIDE_LEN as f64) as usize).min(GUIDE_LEN - 1);
+        self.walk(slot, u)
+    }
+
+    /// The rank of `u` from guide slot `slot = ⌊u·L⌋`, `L` the guide's
+    /// length: every rank before `guide[slot]` has a CDF value below
+    /// `slot / L ≤ u`, so the walk starts there.
+    #[inline]
+    fn walk(&self, slot: usize, u: f64) -> usize {
+        let last = self.cdf.len() - 1;
         let mut i = usize::from(self.guide[slot]);
         while i < last && self.cdf[i] < u {
             i += 1;
@@ -342,6 +356,20 @@ mod tests {
             for v in edges.chain(cdf).chain([u, below(1.0)]) {
                 proptest::prop_assert_eq!(z.rank(v), searched_rank(&z, v), "n {} s {} u {}", n, s, v);
             }
+        }
+
+        /// A draw's integer guide slot lands where `rank` of the same
+        /// draw as an `f64` does, and takes the same one draw.
+        #[test]
+        fn zipf_sample_equals_rank_of_the_draw(seed in proptest::prelude::any::<u64>(), n in 1usize..300, s in 0.0f64..4.0) {
+            let z = Zipf::new(n, s);
+            let mut a = Rng::seed_from(seed);
+            let mut b = a.clone();
+            for _ in 0..64 {
+                proptest::prop_assert_eq!(z.sample(&mut a), z.rank(b.f64()), "n {} s {}", n, s);
+            }
+            // `Rng`'s debug form is its whole state.
+            proptest::prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
         }
     }
 

@@ -71,7 +71,14 @@ impl Rng {
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        Rng::unit_f64(self.next_u64())
+    }
+
+    /// The `f64` that [`Rng::f64`] makes of the raw draw `x`: its top 53
+    /// bits over 2⁵³.
+    #[inline]
+    pub fn unit_f64(x: u64) -> f64 {
+        (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform `f64` in `[lo, hi)`. Requires `lo <= hi`.

@@ -5,13 +5,17 @@
 //! a Drafts folder for unsent content, and a Sent folder.
 //!
 //! A mailbox keeps its text in one append-only arena and its addresses
-//! in one table; an [`Entry`] holds ranges and indices into them. It
-//! keeps a [`SeededMail`] batch as it came: subjects and bodies as
-//! codes, rendered only where a message leaves the mailbox, and the
-//! peer addresses its generator shares. Every other message enters
-//! through [`Mailbox::file`], which copies borrowed parts into the arena
-//! and the table. Every read is a borrowed [`Message`], never an
-//! [`Email`].
+//! in one table; an [`Entry`] holds ranges and indices into them. Its
+//! entries are one `Vec` kept sorted by id and looked up by binary
+//! search. An entry whose id is above the last, as the fresh, rising
+//! ids of a generated batch and of sent mail are, is pushed on the end
+//! without a search; any other lands at its sorted place or replaces
+//! its id's entry in place. It keeps a [`SeededMail`] batch as it came:
+//! subjects and bodies as codes, rendered only where a message leaves
+//! the mailbox, and the peer addresses its generator shares. Every
+//! other message enters through [`Mailbox::file`], which copies
+//! borrowed parts into the arena and the table. Every read is a
+//! borrowed [`Message`], never an [`Email`].
 //!
 //! Search reads an index of the mailbox, built at its first search and
 //! kept: each seeded message's codes as one bit mask, with its frame and
@@ -200,7 +204,8 @@ pub struct Mailbox {
     addresses: Vec<String>,
     /// Each seeded batch; a replaced entry's codes stay.
     batches: Vec<Batch>,
-    entries: BTreeMap<EmailId, Entry>,
+    /// Every message, in id order, each id once.
+    entries: Vec<(EmailId, Entry)>,
     /// User-assigned labels, each once, in the order applied: kept
     /// beside the entries, since few messages carry one.
     labels: BTreeMap<EmailId, Vec<String>>,
@@ -224,6 +229,7 @@ impl Mailbox {
             owner: self.addresses.len() as u32 - 1,
             peers: mail.peers,
         });
+        self.entries.reserve(mail.emails.len());
         for e in mail.emails {
             let entry = Entry {
                 timestamp: e.timestamp,
@@ -238,9 +244,40 @@ impl Mailbox {
                 read: false,
                 starred: false,
             };
-            self.entries.insert(e.id, entry);
             self.labels.remove(&e.id);
+            self.put(e.id, entry);
         }
+    }
+
+    /// Put `entry` under `id`, in place of any entry it had; returns
+    /// whether it replaced one. Generated and sent mail take fresh,
+    /// rising ids, so most entries land past the last without a search.
+    fn put(&mut self, id: EmailId, entry: Entry) -> bool {
+        if self.entries.last().is_none_or(|&(last, _)| last < id) {
+            self.entries.push((id, entry));
+            return false;
+        }
+        match self.find(id) {
+            Ok(i) => {
+                self.entries[i].1 = entry;
+                true
+            }
+            Err(i) => {
+                self.entries.insert(i, (id, entry));
+                false
+            }
+        }
+    }
+
+    /// Where `id`'s entry is, or where it would go.
+    fn find(&self, id: EmailId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&id, |&(id, _)| id)
+    }
+
+    /// `id`'s entry, to change in place.
+    fn entry_mut(&mut self, id: EmailId) -> Option<&mut Entry> {
+        let i = self.find(id).ok()?;
+        Some(&mut self.entries[i].1)
     }
 
     /// Store a message under `id`, replacing any entry it had: its
@@ -275,8 +312,7 @@ impl Mailbox {
             starred: false,
         };
         self.labels.remove(&id);
-        let replaced = self.entries.insert(id, entry).is_some();
-        if replaced {
+        if self.put(id, entry) {
             self.index.take();
         } else if let Some(index) = self.index.get_mut() {
             if message.folder != Folder::Sent {
@@ -300,12 +336,12 @@ impl Mailbox {
 
     /// A message's parts, read in place. `None` if absent.
     pub fn message(&self, id: EmailId) -> Option<Message<'_>> {
-        self.entries.get(&id).map(|e| self.view(e))
+        self.get(id).map(|e| self.view(e))
     }
 
     /// Every message in id order, read in place.
     pub fn messages(&self) -> impl Iterator<Item = (EmailId, Message<'_>)> {
-        self.entries.iter().map(|(&id, e)| (id, self.view(e)))
+        self.entries.iter().map(|(id, e)| (*id, self.view(e)))
     }
 
     fn view<'a>(&'a self, e: &'a Entry) -> Message<'a> {
@@ -383,7 +419,7 @@ impl Mailbox {
                 frames += b.bodies.names.len() as u32;
             }
             let outside_sent = (self.entries.iter()).filter(|(_, e)| e.folder != Folder::Sent);
-            for (&id, e) in outside_sent {
+            for &(id, ref e) in outside_sent {
                 let Content::Seeded {
                     batch,
                     from,
@@ -419,20 +455,17 @@ impl Mailbox {
 
     /// Mark a message read (opened). Returns `false` if absent.
     pub fn mark_read(&mut self, id: EmailId) -> bool {
-        self.entries.get_mut(&id).map(|e| e.read = true).is_some()
+        self.entry_mut(id).map(|e| e.read = true).is_some()
     }
 
     /// Star a message. Returns `false` if absent.
     pub fn star(&mut self, id: EmailId) -> bool {
-        self.entries
-            .get_mut(&id)
-            .map(|e| e.starred = true)
-            .is_some()
+        self.entry_mut(id).map(|e| e.starred = true).is_some()
     }
 
     /// Apply a label (once). Returns `false` if absent.
     pub fn label(&mut self, id: EmailId, label: &str) -> bool {
-        if !self.entries.contains_key(&id) {
+        if self.find(id).is_err() {
             return false;
         }
         let labels = self.labels.entry(id).or_default();
@@ -449,26 +482,27 @@ impl Mailbox {
 
     /// Look up without side effects.
     pub fn get(&self, id: EmailId) -> Option<&Entry> {
-        self.entries.get(&id)
+        let i = self.find(id).ok()?;
+        Some(&self.entries[i].1)
     }
 
     /// Ids in a folder, newest first (Gmail's default ordering).
     pub fn list(&self, folder: Folder) -> Vec<EmailId> {
-        let mut v: Vec<(&EmailId, &Entry)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.folder == folder)
-            .collect();
-        v.sort_by_key(|(_, e)| std::cmp::Reverse(e.timestamp));
-        v.into_iter().map(|(id, _)| *id).collect()
+        self.newest_first(|e| e.folder == folder)
     }
 
-    /// Unread ids in the Inbox (the boldface messages).
+    /// Unread ids in the Inbox (the boldface messages), newest first.
     pub fn unread(&self) -> Vec<EmailId> {
-        self.list(Folder::Inbox)
-            .into_iter()
-            .filter(|id| !self.entries[id].read)
-            .collect()
+        self.newest_first(|e| e.folder == Folder::Inbox && !e.read)
+    }
+
+    /// The ids of the entries `keep` accepts, newest first, the lower id
+    /// first among equal times.
+    fn newest_first(&self, keep: impl Fn(&Entry) -> bool) -> Vec<EmailId> {
+        let kept = self.entries.iter().filter(|(_, e)| keep(e));
+        let mut v: Vec<_> = kept.map(|(id, e)| (Reverse(e.timestamp), *id)).collect();
+        v.sort_unstable();
+        v.into_iter().map(|(_, id)| id).collect()
     }
 
     /// Message count across all folders.

@@ -547,6 +547,133 @@ proptest! {
     }
 }
 
+/// One step of the entry-model case.
+#[derive(Clone, Debug)]
+enum EntryOp {
+    /// A generated batch of `n` emails renumbered `first`, `first +
+    /// step`, …, in reverse when the flag is set: below, among or above
+    /// the ids already stored, rising, falling or (step 0) all one id.
+    Seed(u64, usize, u64, u64, bool),
+    /// Inbound mail.
+    Deliver(u64, i64),
+    /// Mail filed in a folder.
+    File(u64, i64, Folder),
+    MarkRead(u64),
+    Star(u64),
+    Label(u64, usize),
+}
+
+const LABELS: [&str; 2] = ["reports", "meetings"];
+
+fn entry_op() -> impl Strategy<Value = EntryOp> {
+    let id = || 0u64..80;
+    let folder = (0usize..3).prop_map(|f| [Folder::Inbox, Folder::Sent, Folder::Drafts][f]);
+    prop_oneof![
+        (any::<u64>(), 1usize..10, id(), 0u64..3, any::<bool>())
+            .prop_map(|(seed, n, first, step, back)| EntryOp::Seed(seed, n, first, step, back)),
+        (id(), -400i64..400).prop_map(|(i, t)| EntryOp::Deliver(i, t)),
+        (id(), -400i64..400, folder).prop_map(|(i, t, f)| EntryOp::File(i, t, f)),
+        id().prop_map(EntryOp::MarkRead),
+        id().prop_map(EntryOp::Star),
+        (id(), 0usize..2).prop_map(|(i, l)| EntryOp::Label(i, l)),
+    ]
+}
+
+/// What the model keeps of an entry: the message, its read and starred
+/// flags and its labels.
+type Modelled = (Stored, bool, bool, Vec<String>);
+
+/// Ids newest first, the lower id first among equal times, of the
+/// modelled entries `keep` accepts.
+fn model_list(
+    model: &BTreeMap<EmailId, Modelled>,
+    keep: impl Fn(&Modelled) -> bool,
+) -> Vec<EmailId> {
+    let mut v: Vec<_> = (model.iter())
+        .filter(|(_, m)| keep(m))
+        .map(|(&id, ((e, _), ..))| (std::cmp::Reverse(e.timestamp), id))
+        .collect();
+    v.sort();
+    v.into_iter().map(|(_, id)| id).collect()
+}
+
+proptest! {
+    /// The mailbox's id-sorted entries behave as a map from id to entry:
+    /// after any mix of seeded batches (appended past the last id or
+    /// placed among the others), filed and delivered mail under repeated
+    /// and out-of-order ids, and flag and label changes, every read
+    /// matches a `BTreeMap` model. A later entry under an id replaces the
+    /// earlier and drops its flags and labels.
+    #[test]
+    fn sorted_entries_match_a_map_model(ops in proptest::collection::vec(entry_op(), 0..40)) {
+        let mut mb = Mailbox::new();
+        let mut model: BTreeMap<EmailId, Modelled> = BTreeMap::new();
+        for op in ops {
+            match op {
+                EntryOp::Seed(seed, n, first, step, back) => {
+                    let mut rng = Rng::seed_from(seed);
+                    let mut personas = PersonaFactory::new();
+                    let owner = personas.generate(None, &mut rng);
+                    let peers = personas.generate_batch(2, |_| None, &mut rng);
+                    let mut mail = CorpusGenerator::new()
+                        .generate_mailbox(&owner, &peers, n, n, &mut rng, &mut TermCounts::new());
+                    for (k, e) in mail.emails.iter_mut().enumerate() {
+                        let k = if back { n - 1 - k } else { k } as u64;
+                        e.id = EmailId(first + k * step);
+                    }
+                    for e in mail.to_emails() {
+                        model.insert(e.id, ((e, Folder::Inbox), false, false, Vec::new()));
+                    }
+                    mb.seed(mail);
+                }
+                EntryOp::Deliver(id, t) => {
+                    let e = email(id, t);
+                    mb.deliver(&e);
+                    model.insert(e.id, ((e, Folder::Inbox), false, false, Vec::new()));
+                }
+                EntryOp::File(id, t, folder) => {
+                    let e = email(id, t);
+                    mb.file(e.id, message(&e, folder));
+                    let read = folder != Folder::Inbox;
+                    model.insert(e.id, ((e, folder), read, false, Vec::new()));
+                }
+                EntryOp::MarkRead(id) => {
+                    let m = model.get_mut(&EmailId(id)).map(|m| m.1 = true);
+                    prop_assert_eq!(mb.mark_read(EmailId(id)), m.is_some());
+                }
+                EntryOp::Star(id) => {
+                    let m = model.get_mut(&EmailId(id)).map(|m| m.2 = true);
+                    prop_assert_eq!(mb.star(EmailId(id)), m.is_some());
+                }
+                EntryOp::Label(id, l) => {
+                    let m = model.get_mut(&EmailId(id)).map(|m| {
+                        if !m.3.iter().any(|x| x == LABELS[l]) {
+                            m.3.push(LABELS[l].to_string());
+                        }
+                    });
+                    prop_assert_eq!(mb.label(EmailId(id), LABELS[l]), m.is_some());
+                }
+            }
+        }
+        prop_assert_eq!(mb.len(), model.len());
+        prop_assert_eq!(mb.is_empty(), model.is_empty());
+        let read: Vec<(EmailId, Stored)> = mb.messages().map(|(id, m)| (id, read_back(id, m))).collect();
+        let want: Vec<(EmailId, Stored)> = model.iter().map(|(&id, (stored, ..))| (id, stored.clone())).collect();
+        prop_assert_eq!(read, want);
+        for id in (0..200).map(EmailId) {
+            let (m, e) = (model.get(&id), mb.get(id));
+            prop_assert_eq!(mb.message(id).map(|m| read_back(id, m)), m.map(|m| m.0.clone()));
+            prop_assert_eq!(e.map(|e| (e.timestamp, e.folder, e.read, e.starred)),
+                m.map(|((e, folder), read, starred, _)| (e.timestamp, *folder, *read, *starred)));
+            prop_assert_eq!(mb.labels(id), m.map_or(&[][..], |m| &m.3[..]));
+        }
+        for folder in [Folder::Inbox, Folder::Sent, Folder::Drafts] {
+            prop_assert_eq!(mb.list(folder), model_list(&model, |((_, f), ..)| *f == folder));
+        }
+        prop_assert_eq!(mb.unread(), model_list(&model, |((_, f), read, ..)| *f == Folder::Inbox && !read));
+    }
+}
+
 /// Words for the delivered mail and drafts of the kept-masks case: code
 /// pieces, organization and frame words, and words no seeded mail holds.
 const TEXT_WORDS: &[&str] = &[

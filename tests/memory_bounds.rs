@@ -7,15 +7,17 @@
 use std::process::Command;
 
 /// Ceiling on the peak resident set of `pwnd run --seed 2016
-/// --profile`, MiB: 25% above the 13.6 MiB its test-profile (debug)
+/// --profile`, MiB: 25% above the 12.3 MiB its test-profile (debug)
 /// binary peaks at with rustc 1.95.0 on a 2-vCPU x86-64 Linux VM, once
-/// the sink counted trace events instead of holding them. It peaked at
-/// 20.0 MiB on that host while every event sat in a 65,536-slot ring,
-/// 22.5 MiB on an earlier host once seeded bodies became piece codes,
-/// and 28.3 MiB while every body was stored as text. The release binary
-/// peaks at 10.7 MiB, as much as an untraced run (17.5 with the ring).
-/// If this fails, find what grew; do not raise the ceiling.
-const PAPER_RUN_PEAK_RSS_MIB: f64 = 17.0;
+/// each mailbox kept its entries in one id-sorted `Vec`. It peaked at
+/// 13.6 MiB on that host while the entries were a B-tree and the sink
+/// already counted trace events instead of holding them, 20.0 MiB while
+/// every event sat in a 65,536-slot ring, 22.5 MiB on an earlier host
+/// once seeded bodies became piece codes, and 28.3 MiB while every body
+/// was stored as text. The release binary peaks at 9.6 MiB (10.7 with
+/// B-tree entries, 17.5 with the ring). If this fails, find what grew;
+/// do not raise the ceiling.
+const PAPER_RUN_PEAK_RSS_MIB: f64 = 15.4;
 
 /// Most that the peak of `pwnd sweep --quick --jobs 2 --profile` may
 /// grow from 2 seeds to 16, MiB. Six runs each of the test-profile

@@ -1,7 +1,8 @@
 //! The fixed outputs, pinned: the paper run's dataset and report at
 //! seeds 2016, 7 and 99, the `/v1` bodies and the `pwnd report --input`
 //! table of the 300-account fleet store, the quick run's dataset and
-//! report in the forms no other golden pins, and `pwnd trace`'s output.
+//! report in the forms no other golden pins, `pwnd trace`'s output, and
+//! every seeded mailbox of the paper configuration with its `d_A`.
 //!
 //! The seed-2016 paper-run sha256 are the ones `pwndbench`'s `paper_run`
 //! checks, recorded from the same program. The `/v1` bodies are the files under
@@ -23,10 +24,15 @@
 //! the monitor updates them and says why.
 
 use pwnd::core::fleet::FleetConfig;
-use pwnd::core::hash::Sha256;
+use pwnd::core::hash::{hex, Sha256};
+use pwnd::corpus::generator::CorpusGenerator;
+use pwnd::corpus::persona::PersonaFactory;
+use pwnd::corpus::tokenize::{TermCounts, Tokenizer};
 use pwnd::corpus::Archetype;
 use pwnd::serve::{QueryIndex, ServeOptions, Server};
+use pwnd::sim::Rng;
 use pwnd::store::{merge_store_jsonl, run_fleet_store};
+use pwnd::webmail::mailbox::Mailbox;
 use pwnd::{Experiment, ExperimentConfig, FaultProfile};
 use std::fs;
 use std::io::{Read, Write};
@@ -228,6 +234,61 @@ fn quick_run_with_login_filter_outputs_are_pinned() {
     assert_eq!(
         report,
         "93cc173ac0988ba26e67c89a1a11b6cdd6e59f7af3b59eff3b5126d3868bc359"
+    );
+}
+
+/// The sha256 of every seeded mailbox a paper configuration writes, for
+/// both archetypes at seeds 2016, 7 and 99: 600 mailboxes of 200–300
+/// messages. Each message is hashed as read back from its [`Mailbox`]
+/// (id, time, sender, recipients and [`Mailbox::full_text`], in id
+/// order), then `d_A`'s terms and byte length. The mailboxes are drawn
+/// as a run draws them, from the seed's corpus stream, though their
+/// owners come from a persona stream of their own. Recorded before the
+/// generator tallied its code uses as it drew them, before Zipf draws
+/// read their guide slot from the raw integer and before a mailbox kept
+/// its entries in one sorted `Vec`.
+#[test]
+fn seeded_mailboxes_are_pinned() {
+    let mut sha = Sha256::new();
+    let tokenizer = Tokenizer::new();
+    for archetype in [Archetype::CorporateEmployee, Archetype::Activist] {
+        for seed in [2016, 7, 99] {
+            let config = ExperimentConfig::paper(seed);
+            let mut master = Rng::seed_from(seed);
+            let (mut rng_personas, mut rng_corpus) = (master.fork(1), master.fork(2));
+            let mut factory = PersonaFactory::new();
+            let peers = factory.generate_batch(12, |_| None, &mut rng_personas);
+            let mut generator = CorpusGenerator::with_archetype(archetype);
+            let mut d_a = TermCounts::new();
+            for _ in 0..config.plan.total_accounts() {
+                let owner = factory.generate(None, &mut rng_personas);
+                let mut mailbox = Mailbox::new();
+                mailbox.seed(generator.generate_mailbox(
+                    &owner,
+                    &peers,
+                    config.min_emails,
+                    config.max_emails,
+                    &mut rng_corpus,
+                    &mut d_a,
+                ));
+                for (id, m) in mailbox.messages() {
+                    let text = mailbox.full_text(id).expect("listed");
+                    let line = format!(
+                        "{}\t{}\t{}\t{:?}\t{text}\n",
+                        id.0, m.timestamp.0, m.from, m.to
+                    );
+                    sha.update(line.as_bytes());
+                }
+            }
+            for (term, n) in d_a.terms(&tokenizer) {
+                sha.update(format!("{term}\t{n}\n").as_bytes());
+            }
+            sha.update(format!("{}\n", d_a.len()).as_bytes());
+        }
+    }
+    assert_eq!(
+        hex(&sha.finalize()),
+        "90cd7152d6e1ab1b3425d9030a48d9484ec2fbec5be142336f3a7c32103d0e18"
     );
 }
 

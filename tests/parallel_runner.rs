@@ -23,8 +23,8 @@ fn chaos_rows(batch: &Batch) -> Vec<ChaosRow> {
 #[test]
 fn sweep_table_is_byte_identical_across_job_counts() {
     let base = ExperimentConfig::quick(2016);
-    let seq = Runner::new(1).run_all(sweep_configs(&base, 8));
-    let par = Runner::new(4).run_all(sweep_configs(&base, 8));
+    let seq = Runner::new(1).run_map(sweep_configs(&base, 8), |_, o| o);
+    let par = Runner::new(4).run_map(sweep_configs(&base, 8), |_, o| o);
 
     assert_eq!(
         sweep_table(&overviews(&seq), base.seed),
@@ -40,8 +40,8 @@ fn sweep_table_is_byte_identical_across_job_counts() {
 fn chaos_table_is_byte_identical_across_job_counts() {
     let base = ExperimentConfig::quick(2016);
     let profile = FaultProfile::heavy();
-    let seq = Runner::new(1).run_all(chaos_configs(&base, &profile));
-    let par = Runner::new(4).run_all(chaos_configs(&base, &profile));
+    let seq = Runner::new(1).run_map(chaos_configs(&base, &profile), |_, o| o);
+    let par = Runner::new(4).run_map(chaos_configs(&base, &profile), |_, o| o);
 
     assert_eq!(seq.outputs.len(), CHAOS_FACTORS.len());
     assert_eq!(
@@ -65,8 +65,8 @@ fn oversubscribed_runner_matches_sequential() {
     // More workers than runs: the queue drains with idle workers, and
     // order must still hold.
     let base = ExperimentConfig::quick(7);
-    let seq = Runner::new(1).run_all(sweep_configs(&base, 3));
-    let par = Runner::new(16).run_all(sweep_configs(&base, 3));
+    let seq = Runner::new(1).run_map(sweep_configs(&base, 3), |_, o| o);
+    let par = Runner::new(16).run_map(sweep_configs(&base, 3), |_, o| o);
     assert_eq!(
         sweep_table(&overviews(&seq), base.seed),
         sweep_table(&overviews(&par), base.seed)
