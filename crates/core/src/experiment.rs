@@ -63,6 +63,11 @@ enum Event {
 
 struct AccessState {
     plan: AccessPlan,
+    actor: Actor,
+}
+
+/// What an access's actor carries from one visit to the next.
+struct Actor {
     /// Device cookie, assigned at the first successful login.
     cookie: Option<CookieId>,
     /// Stable origin IP for city-origin identities.
@@ -194,12 +199,14 @@ impl Experiment {
                 let pre_blacklisted = matches!(plan.identity.origin, OriginPolicy::City(_))
                     && rng_bl.chance(cfg.blacklist_prevalence);
                 AccessState {
-                    known_password: account.password.clone(),
                     plan,
-                    cookie: None,
-                    ip: None,
-                    pre_blacklisted,
-                    last_opened: None,
+                    actor: Actor {
+                        cookie: None,
+                        ip: None,
+                        known_password: account.password.clone(),
+                        pre_blacklisted,
+                        last_opened: None,
+                    },
                 }
             })
             .collect();
@@ -846,42 +853,43 @@ fn execute_visit(
     rng: &mut Rng,
     horizon: SimTime,
 ) {
-    let visit = state.plan.visits[visit_idx].clone();
-    let account = &accounts[state.plan.account as usize];
+    let AccessState { plan, actor } = state;
+    let visit = &plan.visits[visit_idx];
+    let account = &accounts[plan.account as usize];
 
     // Resolve the origin IP: Tor picks a fresh exit per login; a fixed
     // city keeps a stable address (same device, same network).
-    let ip = match state.plan.identity.origin {
+    let ip = match plan.identity.origin {
         OriginPolicy::Tor => geolocator.tor().sample_exit(rng),
-        OriginPolicy::City(city) => match state.ip {
+        OriginPolicy::City(city) => match actor.ip {
             Some(ip) => ip,
             None => {
                 let ip = geolocator.sample_host_in_city(city, rng);
-                if state.pre_blacklisted {
+                if actor.pre_blacklisted {
                     // An already-infected residential machine: listed
                     // before our experiment ever saw it.
                     blacklist.list(ip, SimTime::ZERO, ListingReason::InfectedHost);
                 }
-                state.ip = Some(ip);
+                actor.ip = Some(ip);
                 ip
             }
         },
     };
     let mut conn = ConnectionInfo::new(
         ip,
-        state.plan.identity.client.clone(),
-        match state.plan.identity.origin {
-            OriginPolicy::Tor => state.plan.identity.home_city.point,
+        plan.identity.client.clone(),
+        match plan.identity.origin {
+            OriginPolicy::Tor => plan.identity.home_city.point,
             OriginPolicy::City(c) => c.point,
         },
     );
-    if let Some(cookie) = state.cookie {
+    if let Some(cookie) = actor.cookie {
         conn = conn.with_cookie(cookie);
     }
 
-    let session = match service.login(&account.address, &state.known_password, &conn, visit.start) {
+    let session = match service.login(&account.address, &actor.known_password, &conn, visit.start) {
         Ok((session, cookie)) => {
-            state.cookie = Some(cookie);
+            actor.cookie = Some(cookie);
             session
         }
         // Someone else hijacked the account, the provider blocked it or
@@ -901,20 +909,23 @@ fn execute_visit(
     let n = visit.actions.len().max(1) as u64;
     let step = (visit.length.as_secs() / (n + 1)).max(1);
     let mut t = visit.start;
+    let id = AccountId(plan.account);
     for action in &visit.actions {
         t += SimDuration::from_secs(step);
         if t >= horizon {
             break;
         }
-        if run_action(state, action, session, service, runtime, rng, t).is_err() {
+        if run_action(actor, id, action, session, service, runtime, rng, t).is_err() {
             break; // account blocked mid-visit
         }
     }
 }
 
 // The event loop's per-event dispatch: one call = one simulated action.
+#[allow(clippy::too_many_arguments)]
 fn run_action(
-    state: &mut AccessState,
+    actor: &mut Actor,
+    account: AccountId,
     action: &Action,
     session: SessionId,
     service: &mut WebmailService,
@@ -939,7 +950,7 @@ fn run_action(
             };
             for &id in hits.iter().take(*open_top) {
                 match service.open_email(session, id, t) {
-                    Ok(()) => state.last_opened = Some(id),
+                    Ok(()) => actor.last_opened = Some(id),
                     Err(e) => return blocked(e),
                 }
             }
@@ -951,7 +962,7 @@ fn run_action(
             };
             for &id in inbox.iter().take(*max) {
                 match service.open_email(session, id, t) {
-                    Ok(()) => state.last_opened = Some(id),
+                    Ok(()) => actor.last_opened = Some(id),
                     Err(e) => return blocked(e),
                 }
             }
@@ -963,13 +974,13 @@ fn run_action(
             };
             for &id in drafts.iter().take(*max) {
                 match service.open_email(session, id, t) {
-                    Ok(()) => state.last_opened = Some(id),
+                    Ok(()) => actor.last_opened = Some(id),
                     Err(e) => return blocked(e),
                 }
             }
         }
         Action::StarLastOpened => {
-            if let Some(id) = state.last_opened {
+            if let Some(id) = actor.last_opened {
                 if let Err(e) = service.star_email(session, id, t) {
                     return blocked(e);
                 }
@@ -1009,7 +1020,7 @@ fn run_action(
         }
         Action::ChangePassword { new_password } => {
             match service.change_password(session, new_password, t) {
-                Ok(()) => state.known_password = new_password.clone(),
+                Ok(()) => actor.known_password = new_password.clone(),
                 Err(e) => return blocked(e),
             }
         }
@@ -1020,19 +1031,17 @@ fn run_action(
             } else {
                 1.0
             };
-            let account = AccountId(state.plan.account);
             let _found = runtime.attacker_rummage(account, roll);
         }
         Action::RegisterExternal { service: svc_name } => {
             // The external service emails a registration confirmation
             // into the honey inbox; the attacker then reads it (the next
             // OpenUnread in the plan).
-            let account = AccountId(state.plan.account);
             let addr = service.account(account).address.clone();
             service.deliver(
                 account,
                 Email {
-                    id: EmailId(30_000_000 + state.plan.account as u64),
+                    id: EmailId(30_000_000 + account.0 as u64),
                     from: format!("no-reply@{svc_name}"),
                     to: vec![addr],
                     subject: format!("Welcome to {svc_name} - confirm your registration"),

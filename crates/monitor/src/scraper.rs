@@ -69,9 +69,6 @@ struct Slot {
     /// consecutive scrapes are not folded twice (a 7-month run scrapes
     /// tens of thousands of unchanged pages).
     last_page: Option<Vec<(u64, u64)>>,
-    /// The page's lifetime access count at the last read that returned
-    /// a page.
-    last_recorded: u64,
     hijack_detected: Option<SimTime>,
     block_detected: Option<SimTime>,
     /// Consecutive hard failures of the same class awaiting confirmation.
@@ -203,7 +200,7 @@ impl Scraper {
                     .count_labeled("faults.injected", "scraper_flake");
                 true
             } else {
-                match self.try_login(service, account, t) {
+                match self.try_login(service, account, t, attempt) {
                     Ok(()) => {
                         if attempt > 0 {
                             self.telemetry.observe("scraper.retries", attempt as u64);
@@ -254,11 +251,19 @@ impl Scraper {
     /// the page is borrowed from the service, and its foreign rows are
     /// folded into the sightings only when they changed since the last
     /// fold.
+    ///
+    /// A first attempt with the scraper's cookie in hand tries
+    /// [`WebmailService::relogin`] first. The service accepts it only
+    /// while nothing but this scraper's own logins has touched the
+    /// account since its last full read, and only while they push no
+    /// other device's row off the page. The foreign rows are then the
+    /// ones that read folded, so there is nothing to read.
     fn try_login(
         &mut self,
         service: &mut WebmailService,
         account: AccountId,
         at: SimTime,
+        attempt: u32,
     ) -> Result<(), LoginError> {
         let ip = AddressPlan::sample_infra(&mut self.rng);
         let Some(slot) = self.slots.get_mut(account.0 as usize) else {
@@ -268,6 +273,11 @@ impl Scraper {
         let Some(password) = &slot.password else {
             return Err(LoginError::BadCredentials);
         };
+        if let Some(cookie) = slot.cookie.filter(|_| attempt == 0) {
+            if service.relogin(account, password, cookie, ip, at) {
+                return Ok(());
+            }
+        }
         let mut conn = ConnectionInfo::new(
             ip,
             ClientConfig::plain(Browser::Chrome, Os::Linux),
@@ -287,16 +297,6 @@ impl Scraper {
         let Some(page) = page else {
             return Err(LoginError::Maintenance);
         };
-        // A quiet account needs no walk: when the last page had no
-        // foreign rows and exactly one access (this login) was recorded
-        // since, the page still has none. Rows only leave by eviction,
-        // so no foreign row can appear without a recorded access.
-        let recorded = std::mem::replace(&mut slot.last_recorded, page.total_recorded());
-        if recorded + 1 == page.total_recorded()
-            && slot.last_page.as_ref().is_some_and(Vec::is_empty)
-        {
-            return Ok(());
-        }
         // The scraper's own login mutates the page; only foreign rows are
         // fingerprinted (so quiet accounts dedupe) and folded (so the
         // scraper's cookie never reaches the dataset).
@@ -661,20 +661,19 @@ mod tests {
         // The first read folds the two foreign rows (and the scraper's).
         scraper.scrape_all(&mut svc, SimTime::from_secs(200));
         assert_eq!(folded(&sink), 1);
-        // Each quiet sweep adds one scraper row. The foreign rows stay
-        // until the page is full and they are evicted, one a sweep: two
-        // more folds, the last of a page with no foreign row left. The
-        // sweeps after that take the no-walk path and fold nothing.
+        // Quiet sweeps queue their logins until the page is full. A sweep
+        // whose row would evict a foreign row reads the page instead:
+        // two more folds, one a sweep, the last of a page with no foreign
+        // row left. The sweeps after that queue again and fold nothing.
         let capacity = ServiceConfig::default().activity_page_capacity;
         let quiet = capacity as u64 + 2;
         for sweep in 1..=quiet {
             scraper.scrape_all(&mut svc, SimTime::from_secs(200 + 100 * sweep));
         }
         assert_eq!(folded(&sink), 3);
-        // A foreign login between two sweeps records two accesses before
-        // the next read, so that read walks the page and folds it; the
-        // one after walks it again (a foreign row is still on it) and
-        // finds nothing new.
+        // A foreign login between two sweeps closes the streak, so the
+        // next sweep reads the page and folds it; the one after queues,
+        // and the foreign row stays on the page as it was folded.
         let third = foreign_login(&mut svc, "US", 2_000);
         scraper.scrape_all(&mut svc, SimTime::from_secs(2_100));
         scraper.scrape_all(&mut svc, SimTime::from_secs(2_200));
@@ -689,6 +688,44 @@ mod tests {
             .collect();
         assert_eq!(rows, [(first, 100), (second, 110), (third, 2_000)]);
         assert_eq!(sink.report().metrics.counter("monitor.scrapes"), quiet + 3);
+    }
+
+    #[test]
+    fn queued_sweeps_settle_before_the_next_full_read() {
+        let (mut svc, mut scraper, id) = world();
+        let sink = TelemetrySink::enabled();
+        scraper.set_telemetry(sink.clone());
+        svc.set_telemetry(sink.clone());
+        // The first sweep reads the page; the other sweeps are quiet, so
+        // the service queues their logins.
+        let sweeps = 3 * ServiceConfig::default().activity_page_capacity as u64;
+        for sweep in 0..sweeps {
+            scraper.scrape_all(&mut svc, SimTime::from_secs(100 + 100 * sweep));
+        }
+        assert_eq!(svc.total_accesses_recorded(id), sweeps);
+        let at = 100 * sweeps + 50;
+        let attacker = foreign_login(&mut svc, "BR", at);
+        scraper.scrape_all(&mut svc, SimTime::from_secs(at + 50));
+        // The attacker's login settled the queue; the sweep after it read
+        // the page and folded the attacker's row once.
+        let rows: Vec<(CookieId, u64)> = scraper
+            .sightings
+            .rows()
+            .map(|(_, r)| (r.cookie, r.at.as_secs()))
+            .collect();
+        assert_eq!(rows, [(attacker, at)]);
+        assert_eq!(folded(&sink), 2);
+        assert_eq!(svc.total_accesses_recorded(id), sweeps + 2);
+        // Every sweep counted as a scrape and as an ok login, but only
+        // the first and the last read the page.
+        let report = sink.report();
+        assert_eq!(report.metrics.counter("monitor.scrapes"), sweeps + 1);
+        assert_eq!(
+            report.metrics.counters.get("webmail.logins{ok}"),
+            Some(&(sweeps + 2))
+        );
+        let reads = report.spans.nodes.iter().find(|n| n.path == "poll;parse");
+        assert_eq!(reads.map(|n| n.count), Some(2));
     }
 
     #[test]

@@ -68,6 +68,13 @@ impl ActivityPage {
         self.total_recorded += 1;
     }
 
+    /// Count `n` accesses that were recorded and then evicted by later
+    /// ones before the page was read: the lifetime count grows, the rows
+    /// do not change.
+    pub fn record_evicted(&mut self, n: u64) {
+        self.total_recorded += n;
+    }
+
     /// Current rows, oldest first.
     pub fn rows(&self) -> impl Iterator<Item = &ActivityRow> {
         self.rows.iter()

@@ -22,7 +22,8 @@ use pwnd_corpus::generator::SeededMail;
 use pwnd_net::access::{ConnectionInfo, CookieId};
 use pwnd_net::geo::{nearest_km, GeoPoint};
 use pwnd_net::geolocate::Geolocator;
-use pwnd_net::useragent;
+use pwnd_net::ip::AddressPlan;
+use pwnd_net::useragent::{self, Fingerprint};
 use pwnd_sim::intern::Interner;
 use pwnd_sim::SimTime;
 use pwnd_telemetry::TelemetrySink;
@@ -111,6 +112,23 @@ struct Session {
     via_tor: bool,
 }
 
+/// A quiet streak on one account. It opens when a full login from the
+/// monitoring infrastructure leaves the account active, and closes at
+/// the next full login, password change or block. While it is open, the
+/// same device's repeat logins are queued, not applied (see
+/// [`WebmailService::relogin`]).
+struct Streak {
+    cookie: CookieId,
+    fingerprint: Fingerprint,
+    /// Repeat logins queued since the streak opened or last settled.
+    queued: u64,
+    /// The account's ring slot the next queued login goes to.
+    next: usize,
+    /// How many more repeat logins the page takes before one would
+    /// evict another device's row.
+    room: u64,
+}
+
 /// Phrases that mark a sent message as extortion, in lowercase.
 const EXTORTION_KEYWORDS: [&str; 4] = ["bitcoin", "ransom", "expose you", "payment or"];
 
@@ -130,6 +148,11 @@ pub struct WebmailService {
     rules: Vec<RuleSet>,
     activity: Vec<ActivityPage>,
     habitual: Vec<Vec<GeoPoint>>,
+    /// Each account's open quiet streak, if any.
+    streaks: Vec<Option<Streak>>,
+    /// The `(time, address)` of the queued repeat logins: a ring of
+    /// `activity_page_capacity` slots per account, all in one `Vec`.
+    queued: Vec<(SimTime, Ipv4Addr)>,
     /// Live attacker sessions, ordered so that they allocate the same way
     /// on every run. The scraper reads its page through
     /// [`WebmailService::read_activity`] and never holds one.
@@ -164,6 +187,8 @@ impl WebmailService {
             rules: Vec::new(),
             activity: Vec::new(),
             habitual: Vec::new(),
+            streaks: Vec::new(),
+            queued: Vec::new(),
             sessions: BTreeMap::new(),
             risk,
             abuse,
@@ -239,6 +264,10 @@ impl WebmailService {
             self.config.activity_page_capacity,
         ));
         self.habitual.push(Vec::new());
+        self.streaks.push(None);
+        let slots = self.queued.len() + self.config.activity_page_capacity;
+        self.queued
+            .resize(slots, (SimTime::ZERO, Ipv4Addr::UNSPECIFIED));
         Ok(id)
     }
 
@@ -380,11 +409,130 @@ impl WebmailService {
         Ok((cookie, page))
     }
 
+    /// The monitor's repeat login on `account` while its quiet streak is
+    /// open: the streak's device (its `cookie`, and the client it logged
+    /// in with) back from an infrastructure address with the right
+    /// password, outside any maintenance window, with room on the page
+    /// (its row would push no other device's row off). Nothing has read
+    /// or changed the account since the streak opened, so the login
+    /// scores 0 (a known device at a habitual location), moves no risk or
+    /// abuse state, and leaves the other devices' rows as they were. It
+    /// draws a session id and, with a live sink, counts and traces as an
+    /// `ok` login, as [`WebmailService::read_activity`] would. Its page
+    /// row and habitual point are queued, and the service applies them
+    /// before anything reads or changes the account.
+    ///
+    /// Returns `false`, having changed nothing, when the login does not
+    /// qualify; the caller then logs in with `read_activity`.
+    pub fn relogin(
+        &mut self,
+        account: AccountId,
+        password: &str,
+        cookie: CookieId,
+        ip: Ipv4Addr,
+        at: SimTime,
+    ) -> bool {
+        if !AddressPlan::is_infra(ip) || self.in_maintenance(at) {
+            return false;
+        }
+        let idx = account.0 as usize;
+        let Some(streak) = self
+            .streaks
+            .get_mut(idx)
+            .and_then(Option::as_mut)
+            .filter(|streak| streak.cookie == cookie && streak.room > 0)
+        else {
+            return false;
+        };
+        if self.accounts[idx].password != password {
+            return false;
+        }
+        let capacity = self.config.activity_page_capacity;
+        self.queued[idx * capacity + streak.next] = (at, ip);
+        streak.next = if streak.next + 1 == capacity {
+            0
+        } else {
+            streak.next + 1
+        };
+        streak.queued += 1;
+        streak.room -= 1;
+        self.next_session += 1;
+        // A disabled sink would ignore these calls; skipping them keeps
+        // an untraced run's queued login a ring push.
+        if self.telemetry.is_enabled() {
+            let score = self.risk.score(LoginSignals {
+                via_tor: false,
+                distance_from_habitual_km: Some(0.0),
+                new_device: false,
+            });
+            self.note_login_ok(account, score, at);
+        }
+        true
+    }
+
+    /// Apply the repeat logins queued on the account at `idx`, leaving
+    /// the state they would have left one by one. The page records the
+    /// last `capacity` of them, and only counts the rest (they were
+    /// evicted unseen). The habitual window takes one infrastructure
+    /// point per login, up to its size.
+    fn settle(&mut self, idx: usize) {
+        let Some(streak) = self.streaks[idx].as_mut() else {
+            return;
+        };
+        let queued = std::mem::take(&mut streak.queued);
+        if queued == 0 {
+            return;
+        }
+        let capacity = self.config.activity_page_capacity;
+        let infra = self.geolocator.infra();
+        let page = &mut self.activity[idx];
+        let shown = queued.min(capacity as u64);
+        page.record_evicted(queued - shown);
+        let ring = &self.queued[idx * capacity..][..capacity];
+        let oldest = (streak.next + capacity - shown as usize) % capacity;
+        for n in 0..shown as usize {
+            let (at, ip) = ring[(oldest + n) % capacity];
+            page.record(ActivityRow {
+                cookie: streak.cookie,
+                at,
+                ip,
+                location: infra,
+                fingerprint: streak.fingerprint,
+            });
+        }
+        let window = self.config.habitual_window;
+        let pushed = queued.min(window as u64) as usize;
+        let hab = &mut self.habitual[idx];
+        hab.drain(..hab.len().saturating_sub(window - pushed));
+        hab.extend(std::iter::repeat_n(infra.point, pushed));
+    }
+
+    /// Settle the account's queued logins and close its streak.
+    fn close_streak(&mut self, idx: usize) {
+        self.settle(idx);
+        self.streaks[idx] = None;
+    }
+
+    fn in_maintenance(&self, at: SimTime) -> bool {
+        self.maintenance.iter().any(|&(s, e)| s <= at && at < e)
+    }
+
+    /// Count and trace a successful login that scored `score`.
+    fn note_login_ok(&self, account: AccountId, score: f64, at: SimTime) {
+        self.telemetry.count_labeled("webmail.logins", "ok");
+        self.telemetry
+            .trace_with(at.as_secs(), "login", Some(account.0), || {
+                format!("ok risk={score:.2}")
+            });
+    }
+
     /// The login both populations share, on an already resolved account
     /// (`None`, or an id with no account, when the address is unknown).
-    /// Checks maintenance, credentials, account state and risk, then
-    /// records the access. Returns the account, the device's cookie, and
-    /// whether the login came through Tor.
+    /// Settles the account's queued logins and closes its streak, then
+    /// checks maintenance, credentials, account state and risk, and
+    /// records the access. A login from the infrastructure that leaves
+    /// the account active opens a new streak. Returns the account, the
+    /// device's cookie, and whether the login came through Tor.
     fn authenticate(
         &mut self,
         account: Option<AccountId>,
@@ -392,17 +540,21 @@ impl WebmailService {
         conn: &ConnectionInfo,
         at: SimTime,
     ) -> Result<(AccountId, CookieId, bool), LoginError> {
+        let account = account.filter(|id| (id.0 as usize) < self.accounts.len());
+        if let Some(id) = account {
+            self.close_streak(id.0 as usize);
+        }
         // Maintenance is checked before credentials: a provider that is
         // down reveals nothing about the account and records nothing on
         // the activity page.
-        if self.maintenance.iter().any(|&(s, e)| s <= at && at < e) {
+        if self.in_maintenance(at) {
             self.telemetry
                 .count_labeled("webmail.logins", "maintenance");
             self.telemetry
                 .count_labeled("faults.injected", "maintenance");
             return Err(LoginError::Maintenance);
         }
-        let Some(id) = account.filter(|id| (id.0 as usize) < self.accounts.len()) else {
+        let Some(id) = account else {
             self.telemetry
                 .count_labeled("webmail.logins", "bad_credentials");
             self.telemetry.trace(at.as_secs(), "login", None);
@@ -457,12 +609,13 @@ impl WebmailService {
         };
 
         // Record on the activity page.
+        let fingerprint = useragent::fingerprint(&conn.client);
         self.activity[idx].record(ActivityRow {
             cookie,
             at,
             ip: conn.ip,
             location: loc,
-            fingerprint: useragent::fingerprint(&conn.client),
+            fingerprint,
         });
         // Update habitual locations (bounded window).
         let hab = &mut self.habitual[idx];
@@ -473,14 +626,29 @@ impl WebmailService {
             hab.drain(..excess);
         }
 
-        self.telemetry.count_labeled("webmail.logins", "ok");
-        self.telemetry
-            .trace_with(at.as_secs(), "login", Some(id.0), || {
-                format!("ok risk={score:.2}")
-            });
+        self.note_login_ok(id, score, at);
         // Even allowed logins feed the abuse detector's trickle.
         if self.abuse.note_login_risk(id, score) {
             self.block_account(id, at);
+        }
+        // The infrastructure is a habitual location from here on, so this
+        // device's repeat logins from it score 0 until something else
+        // touches the account. They may fill the page until the next one
+        // would evict the oldest row of another device.
+        if AddressPlan::is_infra(conn.ip) && self.accounts[idx].state.is_active() {
+            let page = &self.activity[idx];
+            let free = self.config.activity_page_capacity - page.len();
+            let room = page
+                .rows()
+                .position(|row| row.cookie != cookie)
+                .map_or(u64::MAX, |oldest| (free + oldest) as u64);
+            self.streaks[idx] = Some(Streak {
+                cookie,
+                fingerprint,
+                queued: 0,
+                next: 0,
+                room,
+            });
         }
         Ok((id, cookie, via_tor))
     }
@@ -693,6 +861,7 @@ impl WebmailService {
         at: SimTime,
     ) -> Result<(), OpError> {
         let (account, _, via_tor) = self.session(session)?;
+        self.close_streak(account.0 as usize);
         let acct = &mut self.accounts[account.0 as usize];
         acct.password = new_password.to_string();
         acct.password_changes += 1;
@@ -708,10 +877,12 @@ impl WebmailService {
         Ok(())
     }
 
-    /// The visitor-activity page (what the scraper parses).
-    pub fn activity_page(&self, session: SessionId) -> Result<&ActivityPage, OpError> {
+    /// The visitor-activity page, with any queued logins applied.
+    pub fn activity_page(&mut self, session: SessionId) -> Result<&ActivityPage, OpError> {
         let (account, _, _) = self.session(session)?;
-        Ok(&self.activity[account.0 as usize])
+        let idx = account.0 as usize;
+        self.settle(idx);
+        Ok(&self.activity[idx])
     }
 
     // ------------------------------------------------------------------
@@ -719,9 +890,10 @@ impl WebmailService {
     // ------------------------------------------------------------------
 
     fn block_account(&mut self, account: AccountId, at: SimTime) {
-        let acct = &mut self.accounts[account.0 as usize];
-        if acct.state.is_active() {
-            acct.state = AccountState::Blocked { at };
+        let idx = account.0 as usize;
+        if self.accounts[idx].state.is_active() {
+            self.close_streak(idx);
+            self.accounts[idx].state = AccountState::Blocked { at };
             self.telemetry.count("webmail.blocks");
             self.telemetry.trace(at.as_secs(), "block", Some(account.0));
         }
@@ -764,9 +936,12 @@ impl WebmailService {
         self.abuse.score_of(id)
     }
 
-    /// Lifetime access count on an account's activity page (ground truth).
+    /// Lifetime access count on an account's activity page, queued
+    /// logins included (ground truth).
     pub fn total_accesses_recorded(&self, id: AccountId) -> u64 {
-        self.activity[id.0 as usize].total_recorded()
+        let idx = id.0 as usize;
+        let queued = self.streaks[idx].as_ref().map_or(0, |streak| streak.queued);
+        self.activity[idx].total_recorded() + queued
     }
 
     /// Drain all pending events (the monitor runtime consumes these).

@@ -9,19 +9,21 @@ use pwnd_corpus::persona::PersonaFactory;
 use pwnd_corpus::tokenize::TermCounts;
 use pwnd_corpus::vocab::SUBJECT_TEMPLATES;
 use pwnd_corpus::Archetype;
-use pwnd_net::access::ConnectionInfo;
+use pwnd_net::access::{ConnectionInfo, CookieId};
 use pwnd_net::geo::GeoDb;
 use pwnd_net::geolocate::Geolocator;
 use pwnd_net::ip::AddressPlan;
 use pwnd_net::tor::TorDirectory;
 use pwnd_net::useragent::{Browser, ClientConfig, Os};
 use pwnd_sim::{Rng, SimDuration, SimTime};
+use pwnd_telemetry::{TelemetrySink, TraceEvent};
 use pwnd_webmail::account::AccountId;
 use pwnd_webmail::activity::ActivityPage;
 use pwnd_webmail::mailbox::{Body, Folder, Mailbox, Message, Subject};
 use pwnd_webmail::search::search;
-use pwnd_webmail::service::{OpError, ServiceConfig, WebmailService};
+use pwnd_webmail::service::{LoginError, OpError, ServiceConfig, WebmailService};
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -879,13 +881,17 @@ fn visit() -> impl Strategy<Value = Visit> {
 /// Only the last two login locations count as habitual, so a scrape from
 /// the infrastructure soon after far-away logins scores as risky.
 fn honey_service() -> WebmailService {
+    honey_service_with(ServiceConfig {
+        habitual_window: 2,
+        ..ServiceConfig::default()
+    })
+}
+
+/// [`honey_service`] under `config`.
+fn honey_service_with(config: ServiceConfig) -> WebmailService {
     let geo = GeoDb::new();
     let plan = AddressPlan::new(&geo);
     let tor = TorDirectory::generate(32, &mut Rng::seed_from(4));
-    let config = ServiceConfig {
-        habitual_window: 2,
-        ..ServiceConfig::default()
-    };
     let mut svc = WebmailService::new(config, Geolocator::new(plan, geo, tor));
     for address in HONEY {
         svc.create_account(
@@ -994,6 +1000,319 @@ proptest! {
         at += SimDuration::minutes(5);
         prop_assert_eq!(
             svc.login(HONEY[0], HONEY_PASSWORD, &conn, at),
+            reference.login(HONEY[0], HONEY_PASSWORD, &conn, at)
+        );
+    }
+}
+
+/// One step of a queued-login equivalence case.
+#[derive(Clone, Debug)]
+enum Step {
+    /// An attacker logs in as in [`Visit::Attacker`], with the account's
+    /// current password or a wrong one. A successful login's session
+    /// becomes the account's attacker session.
+    Attacker {
+        account: usize,
+        tor: bool,
+        country: usize,
+        known_cookie: bool,
+        right_password: bool,
+    },
+    /// The account's attacker session, if any, changes the password.
+    ChangePassword { account: usize },
+    /// The account's attacker session, if any, sends plain spam or
+    /// extortion until the account is blocked.
+    SendUntilBlocked { account: usize, extortion: bool },
+    /// The provider goes down for the next `minutes`.
+    Maintenance { minutes: u64 },
+    /// `sweeps` monitor sweeps over both accounts, five minutes apart,
+    /// with each account's current password (as when the researchers
+    /// recover it) or a wrong one.
+    Sweeps { sweeps: usize, right_password: bool },
+    /// An observer reads the account's page through its own session.
+    ReadPage { account: usize },
+    /// An observer logs in again from the infrastructure on a new
+    /// device and keeps the new session.
+    ObserverLogin { account: usize },
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    let attacker = || {
+        (
+            0usize..2,
+            0u8..3,
+            0..ATTACKER_COUNTRIES.len(),
+            any::<bool>(),
+            0u8..4,
+        )
+            .prop_map(
+                |(account, route, country, known_cookie, password)| Step::Attacker {
+                    account,
+                    tor: route == 0,
+                    country,
+                    known_cookie,
+                    right_password: password != 0,
+                },
+            )
+    };
+    // Runs of up to 24 sweeps queue more logins than a page holds.
+    let sweeps = || {
+        (1usize..25, 0u8..4).prop_map(|(sweeps, password)| Step::Sweeps {
+            sweeps,
+            right_password: password != 0,
+        })
+    };
+    prop_oneof![
+        attacker(),
+        attacker(),
+        (0usize..2).prop_map(|account| Step::ChangePassword { account }),
+        (0usize..2, any::<bool>())
+            .prop_map(|(account, extortion)| Step::SendUntilBlocked { account, extortion }),
+        (0u64..30).prop_map(|minutes| Step::Maintenance { minutes }),
+        sweeps(),
+        sweeps(),
+        sweeps(),
+        (0usize..2).prop_map(|account| Step::ReadPage { account }),
+        (0usize..2).prop_map(|account| Step::ObserverLogin { account }),
+    ]
+}
+
+/// The monitor's full login on `account`: its cookie, and the page's
+/// rows and those of other devices (none when the login blocked the
+/// account).
+fn monitor_read(
+    svc: &mut WebmailService,
+    account: AccountId,
+    password: &str,
+    conn: &ConnectionInfo,
+    at: SimTime,
+) -> Result<(CookieId, Option<(String, String)>), LoginError> {
+    let (cookie, page) = svc.read_activity(account, password, conn, at)?;
+    let page = page.map(|page| {
+        let foreign: Vec<_> = page.rows().filter(|row| row.cookie != cookie).collect();
+        (page_rows(page), format!("{foreign:?}"))
+    });
+    Ok((cookie, page))
+}
+
+/// A sink that hands every trace event to `events`, or a disabled one.
+fn sink(traced: bool, events: &Arc<Mutex<Vec<TraceEvent>>>) -> TelemetrySink {
+    if !traced {
+        return TelemetrySink::disabled();
+    }
+    let events = Arc::clone(events);
+    TelemetrySink::with_trace(move |event| events.lock().unwrap().push(event.clone()))
+}
+
+/// The state two services must agree on between steps: each account's
+/// access count, abuse score and state, and the events and trace
+/// records of the step.
+fn same_state(
+    queued: &mut WebmailService,
+    reference: &mut WebmailService,
+    traces: &[Arc<Mutex<Vec<TraceEvent>>>; 2],
+) -> Result<(), TestCaseError> {
+    for id in [AccountId(0), AccountId(1)] {
+        prop_assert_eq!(
+            queued.total_accesses_recorded(id),
+            reference.total_accesses_recorded(id)
+        );
+        prop_assert_eq!(
+            queued.abuse_score(id).to_bits(),
+            reference.abuse_score(id).to_bits()
+        );
+        prop_assert_eq!(queued.account(id).state, reference.account(id).state);
+    }
+    prop_assert_eq!(queued.drain_events(), reference.drain_events());
+    let [a, b] = traces
+        .each_ref()
+        .map(|t| std::mem::take(&mut *t.lock().unwrap()));
+    prop_assert_eq!(a, b);
+    Ok(())
+}
+
+proptest! {
+    /// A service that queues the monitor's quiet repeat logins
+    /// ([`WebmailService::relogin`], falling back to `read_activity`
+    /// when it declines) leaves the state that logging in with
+    /// `read_activity` every time leaves. Schedules mix attacker logins,
+    /// password changes, sends until blocked, maintenance windows, runs
+    /// of sweeps and page reads, on pages and habitual windows of random
+    /// size. Every read returns the same rows; after every step the
+    /// access counts, abuse scores, account states, events and trace
+    /// records agree; at the end so do the metrics and the next session
+    /// id.
+    #[test]
+    fn relogin_matches_read_activity(
+        steps in proptest::collection::vec(step(), 0..40),
+        sizes in (1usize..6, 0usize..4),
+        seed in any::<u64>(),
+        traced in any::<bool>(),
+    ) {
+        let (capacity, window) = sizes;
+        let config = ServiceConfig {
+            activity_page_capacity: capacity,
+            habitual_window: window,
+            ..ServiceConfig::default()
+        };
+        let traces = [(); 2].map(|_| Arc::new(Mutex::new(Vec::new())));
+        let mut queued = honey_service_with(config.clone());
+        let mut reference = honey_service_with(config);
+        let sinks = traces.each_ref().map(|events| sink(traced, events));
+        queued.set_telemetry(sinks[0].clone());
+        reference.set_telemetry(sinks[1].clone());
+        let mut rng = Rng::seed_from(seed);
+        let mut at = SimTime::ZERO;
+
+        // The observers log in first, from the infrastructure, and keep
+        // their sessions to read the pages.
+        let mut observers = Vec::new();
+        for address in HONEY {
+            let conn = infra_conn(&queued, &mut rng);
+            let want = reference.login(address, HONEY_PASSWORD, &conn, at).unwrap();
+            prop_assert_eq!(queued.login(address, HONEY_PASSWORD, &conn, at), Ok(want));
+            observers.push(want.0);
+        }
+        same_state(&mut queued, &mut reference, &traces)?;
+
+        let mut passwords = HONEY.map(|_| HONEY_PASSWORD.to_string());
+        let mut attackers = [None; 2];
+        let mut last_cookie = None;
+        let mut monitor_cookies = [None; 2];
+        // The other devices' rows on the page each account's monitor
+        // last read.
+        let mut foreign: [Option<String>; 2] = [None, None];
+        let mut maintenance = Vec::new();
+        for step in steps {
+            at += SimDuration::minutes(5);
+            match step {
+                Step::Attacker { account, tor, country, known_cookie, right_password } => {
+                    let geo = queued.geolocator();
+                    let ip = if tor {
+                        geo.tor().sample_exit(&mut rng)
+                    } else {
+                        geo.plan().sample_host(ATTACKER_COUNTRIES[country], &mut rng)
+                    };
+                    let client = ClientConfig::plain(Browser::Firefox, Os::Windows);
+                    let mut conn = ConnectionInfo::new(ip, client, geo.locate(ip).point);
+                    if let Some(cookie) = last_cookie.filter(|_| known_cookie) {
+                        conn = conn.with_cookie(cookie);
+                    }
+                    let password = if right_password { passwords[account].as_str() } else { "nope" };
+                    let want = reference.login(HONEY[account], password, &conn, at);
+                    prop_assert_eq!(queued.login(HONEY[account], password, &conn, at), want);
+                    if let Ok((session, cookie)) = want {
+                        last_cookie = Some(cookie);
+                        attackers[account] = Some(session);
+                    }
+                }
+                Step::ChangePassword { account } => {
+                    if let Some(session) = attackers[account] {
+                        let new = format!("stolen-{}", at.as_secs());
+                        let want = reference.change_password(session, &new, at);
+                        prop_assert_eq!(queued.change_password(session, &new, at), want);
+                        if want.is_ok() {
+                            passwords[account] = new;
+                        }
+                    }
+                }
+                Step::SendUntilBlocked { account, extortion } => {
+                    let (subject, body) = if extortion {
+                        ("I know what you did", "send 2 bitcoin or I expose you")
+                    } else {
+                        ("deal", "click here")
+                    };
+                    for i in 0..120 {
+                        let Some(session) = attackers[account] else { break };
+                        let to = [format!("v{i}@spam.example")];
+                        let t = at + SimDuration::from_secs(i);
+                        let want = reference.send_email(session, &to, subject, body, t);
+                        prop_assert_eq!(queued.send_email(session, &to, subject, body, t), want);
+                        if want.is_err() {
+                            break;
+                        }
+                    }
+                }
+                Step::Maintenance { minutes } => {
+                    maintenance.push((at, at + SimDuration::minutes(minutes)));
+                    queued.set_maintenance(maintenance.clone());
+                    reference.set_maintenance(maintenance.clone());
+                }
+                Step::Sweeps { sweeps, right_password } => {
+                    for sweep in 0..sweeps {
+                        if sweep > 0 {
+                            at += SimDuration::minutes(5);
+                        }
+                        for (account, cookie) in monitor_cookies.iter_mut().enumerate() {
+                            let id = AccountId(account as u32);
+                            let password = if right_password { passwords[account].as_str() } else { "nope" };
+                            let mut conn = infra_conn(&queued, &mut rng);
+                            if let Some(cookie) = *cookie {
+                                conn = conn.with_cookie(cookie);
+                            }
+                            let want = monitor_read(&mut reference, id, password, &conn, at);
+                            let requeued = cookie
+                                .is_some_and(|c| queued.relogin(id, password, c, conn.ip, at));
+                            if requeued {
+                                // The reference's login went through on the
+                                // same device, and its page shows the other
+                                // devices' rows the monitor last read.
+                                let seen = &foreign[account];
+                                prop_assert!(
+                                    matches!(&want, Ok((c, Some((_, rows)))) if Some(*c) == *cookie && Some(rows) == seen.as_ref()),
+                                    "queued a login the reference saw as {:?}, after {:?}",
+                                    want,
+                                    seen
+                                );
+                            } else {
+                                let got = monitor_read(&mut queued, id, password, &conn, at);
+                                prop_assert_eq!(&got, &want);
+                            }
+                            if let Ok((c, page)) = want {
+                                *cookie = Some(c);
+                                if let Some((_, rows)) = page {
+                                    foreign[account] = Some(rows);
+                                }
+                            }
+                            same_state(&mut queued, &mut reference, &traces)?;
+                        }
+                    }
+                }
+                Step::ObserverLogin { account } => {
+                    let conn = ConnectionInfo::new(
+                        AddressPlan::sample_infra(&mut rng),
+                        ClientConfig::plain(Browser::Firefox, Os::Linux),
+                        queued.geolocator().infra().point,
+                    );
+                    let password = passwords[account].as_str();
+                    let want = reference.login(HONEY[account], password, &conn, at);
+                    prop_assert_eq!(queued.login(HONEY[account], password, &conn, at), want);
+                    if let Ok((session, _)) = want {
+                        observers[account] = session;
+                    }
+                }
+                Step::ReadPage { account } => {
+                    let session = observers[account];
+                    prop_assert_eq!(
+                        queued.activity_page(session).map(page_rows),
+                        reference.activity_page(session).map(page_rows)
+                    );
+                }
+            }
+            same_state(&mut queued, &mut reference, &traces)?;
+        }
+        // Both pages, the metrics and the next session id agree too.
+        for session in observers {
+            prop_assert_eq!(
+                queued.activity_page(session).map(page_rows),
+                reference.activity_page(session).map(page_rows)
+            );
+        }
+        prop_assert_eq!(sinks[0].report().metrics, sinks[1].report().metrics);
+        let conn = infra_conn(&queued, &mut rng);
+        at += SimDuration::minutes(5);
+        prop_assert_eq!(
+            queued.login(HONEY[0], HONEY_PASSWORD, &conn, at),
             reference.login(HONEY[0], HONEY_PASSWORD, &conn, at)
         );
     }

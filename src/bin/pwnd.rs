@@ -357,6 +357,7 @@ fn serve(args: &Args) -> Result<(), String> {
     eprintln!("pwnd serve: stopped");
     if args.profile {
         println!("{}", sink.report().render());
+        print_peak_rss();
     }
     Ok(())
 }

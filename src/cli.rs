@@ -43,8 +43,9 @@ flags:
                    for chaos, the profile whose rates are scaled (default heavy)
   --profile        (run/fleet) print phase timings and the metrics summary;
                    (sweep/chaos) print the runner speedup breakdown too;
-                   (run/sweep/chaos/fleet, on Linux) then the peak RSS (VmHWM);
-                   (serve) print request telemetry on shutdown
+                   (serve) print request telemetry on shutdown;
+                   (run/sweep/chaos/fleet/serve, on Linux) then the peak
+                   RSS (VmHWM)
   --jobs N         (sweep/chaos/fleet) worker threads, 1-256 (default: all
                    cores); --jobs 1 is the sequential path, output is identical;
                    (serve) HTTP worker threads (floored at 4), which also

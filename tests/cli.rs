@@ -395,6 +395,50 @@ fn report_and_serve_refuse_an_over_cap_manifest() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `serve --profile` ends its shutdown report with one peak-RSS footer
+/// line, as the batch commands do.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_profile_prints_its_peak_rss_on_shutdown() {
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join(format!("pwnd-cli-{}-serve-rss", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.to_str().unwrap();
+    let fleet = pwnd(&[
+        "fleet",
+        "--accounts",
+        "8",
+        "--jobs",
+        "1",
+        "--out-dir",
+        store,
+    ]);
+    assert_eq!(fleet.status.code(), Some(0), "{fleet:?}");
+    // Stdin is closed from the start, so the daemon binds, stops and
+    // reports.
+    let out = Command::new(env!("CARGO_BIN_EXE_pwnd"))
+        .args([
+            "serve",
+            "--input",
+            store,
+            "--addr",
+            "127.0.0.1:0",
+            "--profile",
+        ])
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn pwnd");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let footers: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("peak RSS (VmHWM)"))
+        .collect();
+    assert_eq!(footers.len(), 1, "{stdout}");
+    assert!(footers[0].ends_with(" MiB"), "{stdout}");
+}
+
 /// The same 2 MiB through a pipe, which shows how much the reader takes:
 /// it stops at its 1 MiB line cap, so writing the rest fails.
 #[cfg(unix)]

@@ -18,27 +18,29 @@ use std::cell::Cell;
 
 /// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) one
 /// untraced `ExperimentConfig::quick(2016)` run may make. Measured at
-/// exactly 18,927 under the `cargo test` (debug) profile with rustc
-/// 1.95.0, once a mailbox kept its entries in one id-sorted `Vec`; the
-/// ceiling is that count plus 235. It was 19,626 while the entries were
-/// a B-tree (a node per few entries) and each unread listing collected
-/// the whole Inbox first, 22,824 while each mailbox formatted its
-/// peers' addresses and held its subject lines as text and each search
-/// built its frame map, 25,866 while the service queued login,
-/// password-change and block events that nothing read, 27,005 while the
-/// notification collector's dedup and heartbeat indexes were B-trees,
-/// 31,879 while each draw near a point, each geolocation and each
-/// search collected them again, 34,665 while every body was text and
-/// each mailbox formatted its peers' full names, 34,608 while the
-/// lookup-only maps and sets were hash tables (a B-tree allocates a
-/// node per few keys where a hash table allocates one table), 40,222
-/// while each send and draft copied its sender and built two strings
-/// for the extortion check, and 48,826 while each send built an owned
-/// email and each open copied one out.
-const ALLOC_CEILING: u64 = 19_162;
+/// exactly 17,926 under the `cargo test` (debug) profile with rustc
+/// 1.95.0, once each visit borrowed its plan and the service queued the
+/// monitor's quiet logins; the ceiling is that count plus 235. It was
+/// 18,927 while each visit deep-copied its plan and every scrape was a
+/// full login, 19,626 while the entries were a B-tree (a node per few
+/// entries) and each unread listing collected the whole Inbox first,
+/// 22,824 while each mailbox formatted its peers' addresses and held
+/// its subject lines as text and each search built its frame map,
+/// 25,866 while the service queued login, password-change and block
+/// events that nothing read, 27,005 while the notification collector's
+/// dedup and heartbeat indexes were B-trees, 31,879 while each draw
+/// near a point, each geolocation and each search collected them again,
+/// 34,665 while every body was text and each mailbox formatted its
+/// peers' full names, 34,608 while the lookup-only maps and sets were
+/// hash tables (a B-tree allocates a node per few keys where a hash
+/// table allocates one table), 40,222 while each send and draft copied
+/// its sender and built two strings for the extortion check, and 48,826
+/// while each send built an owned email and each open copied one out.
+const ALLOC_CEILING: u64 = 18_161;
 
 /// The same for one untraced `ExperimentConfig::paper(2016)` run:
-/// measured at exactly 20,271, ceiling that count plus 141. It was
+/// measured at exactly 19,199, ceiling that count plus 141. It was
+/// 20,271 with a plan copy per visit and a full login per scrape,
 /// 24,548 with B-tree entries, 27,998 with peer addresses formatted per
 /// mailbox, subject lines as text and a frame map per search, 33,271
 /// with login, password-change and block events queued, 35,518 with
@@ -48,30 +50,32 @@ const ALLOC_CEILING: u64 = 19_162;
 /// sets, 49,253 with a sender copy and two check strings per send,
 /// 57,774 with owned copies per send and open, and 215,795 while every
 /// seeded email held its own strings.
-const PAPER_ALLOC_CEILING: u64 = 20_412;
+const PAPER_ALLOC_CEILING: u64 = 19_340;
 
 /// Allocations one `ExperimentConfig::quick(2016)` run may make with
-/// `TelemetrySink::enabled()` attached: measured at exactly 21,949
+/// `TelemetrySink::enabled()` attached: measured at exactly 20,946
 /// under the same profile and toolchain, ceiling that count plus 557.
-/// The 3,022 beyond the untraced run are the metric keys and span nodes
+/// The 3,020 beyond the untraced run are the metric keys and span nodes
 /// the live sink records; the untraced ceilings never count them, so
-/// telemetry-only allocation is held here. It was 22,648 with B-tree
+/// telemetry-only allocation is held here. It was 21,949 with a plan
+/// copy per visit and a full login per scrape, 22,648 with B-tree
 /// mailbox entries, 56,364 while the sink built every trace event (and
 /// its detail string) into a ring that only `pwnd trace` read, 59,562
 /// with peer addresses formatted per mailbox, subject lines as text and
 /// a frame map per search, 62,604 with login, password-change and block
 /// events queued, and 63,743 with B-tree collector indexes.
-const TRACED_ALLOC_CEILING: u64 = 22_506;
+const TRACED_ALLOC_CEILING: u64 = 21_503;
 
 /// The same for one traced `ExperimentConfig::paper(2016)` run:
-/// measured at exactly 24,642, 4,371 beyond the untraced run, ceiling
-/// that count plus 776. It was 28,919 with B-tree mailbox entries,
+/// measured at exactly 23,568, 4,369 beyond the untraced run, ceiling
+/// that count plus 776. It was 24,642 with a plan copy per visit and a
+/// full login per scrape, 28,919 with B-tree mailbox entries,
 /// 85,654 (61,106 beyond) while the sink built every trace event into a
 /// ring, 89,104 with peer addresses formatted per mailbox, subject
 /// lines as text and a frame map per search, 94,377 with login,
 /// password-change and block events queued, and 96,624 with B-tree
 /// collector indexes.
-const TRACED_PAPER_ALLOC_CEILING: u64 = 25_418;
+const TRACED_PAPER_ALLOC_CEILING: u64 = 24_344;
 
 thread_local! {
     /// Whether allocations on this thread are being counted. Only the
